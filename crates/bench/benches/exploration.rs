@@ -3,8 +3,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use inet::{Addr, Prefix};
-use netsim::{Network, RouterConfig, Topology, TopologyBuilder};
-use probe::SimProber;
+use netsim::{RouterConfig, Topology, TopologyBuilder};
+use probe::{Protocol, SharedNetwork};
 use tracenet::{Session, TracenetOptions};
 
 /// Builds vantage — r1 — gw — LAN(/len, dense) and returns the topology
@@ -47,9 +47,9 @@ fn bench_exploration(c: &mut Criterion) {
         let (topo, vantage, target) = lan_topology(len);
         g.bench_with_input(BenchmarkId::new("session_lan", format!("/{len}")), &len, |b, _| {
             b.iter_batched(
-                || Network::new(topo.clone()),
-                |mut net| {
-                    let mut prober = SimProber::new(&mut net, vantage);
+                || SharedNetwork::new(topo.clone()),
+                |net| {
+                    let mut prober = net.prober(vantage, Protocol::Icmp);
                     black_box(Session::new(&mut prober, TracenetOptions::default()).run(target));
                     net
                 },

@@ -4,8 +4,8 @@
 //! counts.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
-use netsim::{samples, Network};
-use probe::{Prober, SimProber};
+use netsim::samples;
+use probe::{Prober, Protocol, SharedNetwork};
 use tracenet::{Session, TracenetOptions};
 use traceroute::{traceroute, TracerouteOptions};
 
@@ -16,12 +16,12 @@ fn bench_session(c: &mut Criterion) {
 
     // Print the probe-count comparison once, outside measurement.
     {
-        let mut net = Network::new(topo.clone());
-        let mut p = SimProber::new(&mut net, vantage);
+        let net = SharedNetwork::new(topo.clone());
+        let mut p = net.prober(vantage, Protocol::Icmp);
         let r = Session::new(&mut p, TracenetOptions::default()).run(dest);
         let tracenet_probes = p.stats().sent;
         let tracenet_addrs = r.all_addresses().len();
-        let mut p = SimProber::new(&mut net, vantage);
+        let mut p = net.prober(vantage, Protocol::Icmp);
         let r = traceroute(&mut p, dest, TracerouteOptions::default());
         eprintln!(
             "figure3 path: tracenet {} probes -> {} addrs; traceroute {} probes -> {} addrs",
@@ -35,9 +35,9 @@ fn bench_session(c: &mut Criterion) {
     let mut g = c.benchmark_group("session");
     g.bench_function("tracenet_figure3", |b| {
         b.iter_batched(
-            || Network::new(topo.clone()),
-            |mut net| {
-                let mut prober = SimProber::new(&mut net, vantage);
+            || SharedNetwork::new(topo.clone()),
+            |net| {
+                let mut prober = net.prober(vantage, Protocol::Icmp);
                 black_box(Session::new(&mut prober, TracenetOptions::default()).run(dest));
                 net
             },
@@ -46,9 +46,9 @@ fn bench_session(c: &mut Criterion) {
     });
     g.bench_function("traceroute_figure3", |b| {
         b.iter_batched(
-            || Network::new(topo.clone()),
-            |mut net| {
-                let mut prober = SimProber::new(&mut net, vantage);
+            || SharedNetwork::new(topo.clone()),
+            |net| {
+                let mut prober = net.prober(vantage, Protocol::Icmp);
                 black_box(traceroute(&mut prober, dest, TracerouteOptions::default()));
                 net
             },

@@ -2,7 +2,7 @@
 //! per-packet walks on research- and ISP-scale topologies.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
-use netsim::{Network, RoutingTable};
+use netsim::{ConcurrentNetwork, RoutingTable};
 use topogen::{internet2, random_topology};
 use wire::builder::icmp_probe;
 
@@ -26,8 +26,8 @@ fn bench_simulator(c: &mut Criterion) {
     let target = *scenario.targets.last().expect("targets");
     g.bench_function("inject_direct_probe", |b| {
         b.iter_batched(
-            || Network::new(scenario.topology.clone()),
-            |mut net| {
+            || ConcurrentNetwork::new(scenario.topology.clone()),
+            |net| {
                 for seq in 0..64u16 {
                     black_box(net.inject(&icmp_probe(vantage, target, 64, 1, seq)));
                 }
@@ -40,8 +40,8 @@ fn bench_simulator(c: &mut Criterion) {
     // TTL-scoped probe (expires mid-path, generates a quoted error).
     g.bench_function("inject_ttl_scoped_probe", |b| {
         b.iter_batched(
-            || Network::new(scenario.topology.clone()),
-            |mut net| {
+            || ConcurrentNetwork::new(scenario.topology.clone()),
+            |net| {
                 for seq in 0..64u16 {
                     black_box(net.inject(&icmp_probe(vantage, target, 3, 1, seq)));
                 }

@@ -6,12 +6,12 @@
 //! cargo run --release -p bench-suite --bin fig6 [seed]
 //! ```
 
-use bench_suite::{isp_experiment, paper, SEED};
+use bench_suite::{isp_experiment, paper, ExpArgs, SEED};
 use evalkit::render::pct;
 
 fn main() {
     let seed = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(SEED);
-    let exp = isp_experiment(seed);
+    let exp = isp_experiment(&ExpArgs::sequential(seed));
     let v = exp.venn();
     println!("== Figure 6: exact-match subnet distribution among vantage points ==");
     println!("seed: {seed}");

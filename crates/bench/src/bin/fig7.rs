@@ -5,12 +5,12 @@
 //! cargo run --release -p bench-suite --bin fig7 [seed]
 //! ```
 
-use bench_suite::{isp_experiment, SEED};
+use bench_suite::{isp_experiment, ExpArgs, SEED};
 use evalkit::render::table;
 
 fn main() {
     let seed = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(SEED);
-    let exp = isp_experiment(seed);
+    let exp = isp_experiment(&ExpArgs::sequential(seed));
     println!("== Figure 7: IP address accounting per ISP per vantage ==");
     println!("seed: {seed}");
     for (vantage, rows) in exp.ip_accounting() {

@@ -12,13 +12,13 @@
 //! The fault flags attach a seeded fault plan to the shared internet,
 //! showing how the per-ISP counts degrade under loss.
 
-use bench_suite::{batch_args, isp_experiment_with};
+use bench_suite::{batch_args, isp_experiment};
 use evalkit::render::table;
 use obs::Phase;
 
 fn main() {
     let args = batch_args();
-    let exp = isp_experiment_with(&args);
+    let exp = isp_experiment(&args);
     let (seed, cfg) = (args.seed, &args.cfg);
     println!("== Figure 8: subnets per ISP per vantage point ==");
     println!(
@@ -55,7 +55,7 @@ fn main() {
         if cfg.use_cache {
             println!(
                 "  {:<8} subnet cache: {} hits, {} skips, {} misses",
-                "", run.cache.hits, run.cache.skips, run.cache.misses
+                "", run.collected.cache.hits, run.collected.cache.skips, run.collected.cache.misses
             );
         }
     }

@@ -11,12 +11,12 @@
 //! `--no-cache` disables the cross-session subnet cache. The fault
 //! flags attach a seeded fault plan to the shared internet.
 
-use bench_suite::{batch_args, isp_experiment_with, paper};
+use bench_suite::{batch_args, isp_experiment, paper};
 use evalkit::render::log_bar;
 
 fn main() {
     let args = batch_args();
-    let exp = isp_experiment_with(&args);
+    let exp = isp_experiment(&args);
     let (seed, cfg) = (args.seed, &args.cfg);
     println!("== Figure 9: subnet prefix length distribution per vantage ==");
     println!(

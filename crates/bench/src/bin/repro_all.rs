@@ -5,7 +5,9 @@
 //! cargo run --release -p bench-suite --bin repro_all [seed]
 //! ```
 
-use bench_suite::{ablation, isp_experiment, overhead_sweep, paper, table1, table2, table3, SEED};
+use bench_suite::{
+    ablation, isp_experiment, overhead_sweep, paper, table1, table2, table3, ExpArgs, SEED,
+};
 use evalkit::render::{log_bar, pct, table};
 
 fn main() {
@@ -41,7 +43,7 @@ fn main() {
     println!("not the published 0.900 — see EXPERIMENTS.md)\n");
 
     // ---- ISP experiment: F6-F9 -------------------------------------------
-    let exp = isp_experiment(seed);
+    let exp = isp_experiment(&ExpArgs::sequential(seed));
 
     println!("== F6: Figure 6 (vantage-point Venn) ==\n");
     let v = exp.venn();

@@ -12,12 +12,12 @@
 //! the collected distribution equal either way. The fault flags attach
 //! a seeded fault plan, quantifying what loss costs the table.
 
-use bench_suite::{accuracy_experiment_with, batch_args, paper};
+use bench_suite::{accuracy_experiment, batch_args, paper};
 use obs::Phase;
 
 fn main() {
     let args = batch_args();
-    let r = accuracy_experiment_with(topogen::geant(args.seed), &args);
+    let r = accuracy_experiment(topogen::geant(args.seed), &args);
     let (seed, cfg) = (args.seed, &args.cfg);
     println!("== Table 2: GEANT, original and collected subnet distribution ==");
     println!(

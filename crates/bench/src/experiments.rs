@@ -7,10 +7,10 @@ use std::sync::Arc;
 use evalkit::accounting::{ip_accounting, prefix_length_series, subnet_count, IpAccounting};
 use evalkit::classify::{classify, SubnetTable};
 use evalkit::crossval::VennPartition;
-use evalkit::run::{run_tracenet, run_tracenet_batch, run_tracenet_with, CollectedSet};
+use evalkit::run::{run_tracenet, CollectedSet};
 use evalkit::similarity::{prefix_similarity, size_similarity, PrefixBounds};
 use inet::Prefix;
-use netsim::Network;
+use netsim::ConcurrentNetwork;
 use probe::{Protocol, SharedNetwork};
 use sweep::{BatchConfig, CacheStats};
 use topogen::{geant, internet2, isp_internet, GtSubnet, Scenario, ISP_NAMES};
@@ -57,6 +57,25 @@ pub struct ExpArgs {
     pub cfg: BatchConfig,
     /// Seeded fault plan to attach to the simulated network, if any.
     pub fault: Option<netsim::FaultPlan>,
+}
+
+impl ExpArgs {
+    /// The paper's configuration: one job, no cross-session cache, no
+    /// injected faults.
+    pub fn sequential(seed: u64) -> ExpArgs {
+        ExpArgs {
+            seed,
+            cfg: BatchConfig { use_cache: false, ..BatchConfig::default() },
+            fault: None,
+        }
+    }
+
+    /// A fresh network over `scenario` with the fault plan attached.
+    fn network(&self, scenario: &Scenario) -> SharedNetwork {
+        let mut net = ConcurrentNetwork::new(scenario.topology.clone());
+        net.set_fault_plan(self.fault);
+        SharedNetwork::from_concurrent(net)
+    }
 }
 
 const EXP_USAGE: &str = "usage: [seed] [--jobs N] [--no-cache] \
@@ -126,65 +145,24 @@ pub fn batch_args() -> ExpArgs {
     ExpArgs { seed, cfg, fault }
 }
 
-/// Runs the Table 1 (Internet2) or Table 2 (GEANT) experiment, including
-/// the paper's §4.1.1 post-collection audit: every missing or
-/// underestimated subnet's address range is ping-swept and the
-/// `∖unrs` table rows come from that measurement.
-pub fn accuracy_experiment(scenario: Scenario) -> AccuracyResult {
-    let network = scenario.name.clone();
-    let vantage = scenario.vantages[0].1;
-    let targets = scenario.targets.clone();
-    let gt: Vec<&GtSubnet> = scenario.ground_truth.of_network(&network).collect();
-
-    let mut net = Network::new(scenario.topology.clone());
-    let registry = Arc::new(obs::Registry::new());
-    let collected = run_tracenet_with(
-        &mut net,
-        vantage,
-        &targets,
-        Protocol::Icmp,
-        &TracenetOptions::default(),
-        &obs::Recorder::new().with_metrics(Arc::clone(&registry)),
-    );
-    let wall_ticks = net.tick();
-    let mut classifications = classify(&gt, &collected.records());
-
-    // The paper's audit step, with a fresh prober (the sweeps are not
-    // part of tracenet's collection cost).
-    let mut auditor = probe::SimProber::new(&mut net, vantage);
-    let log = evalkit::audit::audit_classifications(&mut auditor, &mut classifications);
-    let audit_agreement = evalkit::audit::audit_agreement(&log, &gt);
-
-    let bounds = PrefixBounds::from_classifications(&classifications);
-    AccuracyResult {
-        network,
-        table: SubnetTable::build(&classifications),
-        prefix_similarity: prefix_similarity(&classifications, bounds),
-        size_similarity: size_similarity(&classifications, bounds),
-        probes: collected.probes,
-        metrics: registry.snapshot(),
-        audit_agreement,
-        cache: CacheStats::default(),
-        wall_ticks,
-    }
-}
-
-/// [`accuracy_experiment`] on the batch engine: targets fanned over
-/// `cfg.jobs` workers sharing the cross-session subnet cache. The
-/// conformance suite guarantees the collected set (and therefore the
-/// table) matches the sequential run; only the probe budget shrinks.
-/// With a fault plan attached the run degrades gracefully instead,
-/// and the table quantifies what the faults cost.
-pub fn accuracy_experiment_with(scenario: Scenario, args: &ExpArgs) -> AccuracyResult {
+/// Runs the Table 1 (Internet2) or Table 2 (GEANT) experiment on the
+/// batch engine, including the paper's §4.1.1 post-collection audit:
+/// every missing or underestimated subnet's address range is ping-swept
+/// and the `∖unrs` table rows come from that measurement.
+///
+/// Targets fan over `cfg.jobs` workers, sharing the cross-session subnet
+/// cache when it is on. The conformance suite guarantees the collected
+/// set (and therefore the table) matches the sequential run; only the
+/// probe budget shrinks. With a fault plan attached the run degrades
+/// gracefully instead, and the table quantifies what the faults cost.
+pub fn accuracy_experiment(scenario: Scenario, args: &ExpArgs) -> AccuracyResult {
     let network = scenario.name.clone();
     let vantage = scenario.vantages[0].1;
     let gt: Vec<&GtSubnet> = scenario.ground_truth.of_network(&network).collect();
 
-    let mut net = Network::new(scenario.topology.clone());
-    net.set_fault_plan(args.fault);
-    let shared = SharedNetwork::new(net);
+    let shared = args.network(&scenario);
     let registry = Arc::new(obs::Registry::new());
-    let (collected, cache) = run_tracenet_batch(
+    let collected = run_tracenet(
         &shared,
         vantage,
         &scenario.targets,
@@ -194,7 +172,9 @@ pub fn accuracy_experiment_with(scenario: Scenario, args: &ExpArgs) -> AccuracyR
     let wall_ticks = shared.with(|net| net.tick());
     let mut classifications = classify(&gt, &collected.records());
 
-    let mut auditor = shared.prober(vantage, probe::Protocol::Icmp);
+    // The paper's audit step, with a fresh prober (the sweeps are not
+    // part of tracenet's collection cost).
+    let mut auditor = shared.prober(vantage, Protocol::Icmp);
     let log = evalkit::audit::audit_classifications(&mut auditor, &mut classifications);
     let audit_agreement = evalkit::audit::audit_agreement(&log, &gt);
 
@@ -207,19 +187,19 @@ pub fn accuracy_experiment_with(scenario: Scenario, args: &ExpArgs) -> AccuracyR
         probes: collected.probes,
         metrics: registry.snapshot(),
         audit_agreement,
-        cache,
+        cache: collected.cache,
         wall_ticks,
     }
 }
 
-/// Table 1: Internet2.
+/// Table 1: Internet2, in the paper's sequential configuration.
 pub fn table1(seed: u64) -> AccuracyResult {
-    accuracy_experiment(internet2(seed))
+    accuracy_experiment(internet2(seed), &ExpArgs::sequential(seed))
 }
 
-/// Table 2: GEANT.
+/// Table 2: GEANT, in the paper's sequential configuration.
 pub fn table2(seed: u64) -> AccuracyResult {
-    accuracy_experiment(geant(seed))
+    accuracy_experiment(geant(seed), &ExpArgs::sequential(seed))
 }
 
 /// The address region of one ISP (first octet, per `topogen::isp`).
@@ -242,10 +222,6 @@ pub struct VantageRun {
     pub collected: CollectedSet,
     /// Per-phase probe accounting for this vantage's collection.
     pub metrics: obs::MetricsSnapshot,
-    /// Cross-session subnet-cache counters (zero on the sequential
-    /// no-cache path; each vantage keeps its own cache, so Figure 6's
-    /// cross-validation stays honest).
-    pub cache: CacheStats,
     /// Simulated wall ticks this vantage's collection consumed (the
     /// shared clock advance attributable to this run).
     pub wall_ticks: u64,
@@ -264,50 +240,23 @@ pub struct IspExperiment {
 /// every this many packets the per-flow hash epoch advances).
 pub const ISP_FLUCTUATION_PERIOD: u64 = 20_000;
 
-/// Runs the three-vantage ISP experiment (backs Figures 6–9).
-pub fn isp_experiment(seed: u64) -> IspExperiment {
-    let scenario = isp_internet(seed);
-    let mut net = Network::new(scenario.topology.clone()).with_fluctuation(ISP_FLUCTUATION_PERIOD);
-    let mut runs = Vec::new();
-    let mut tick_before = net.tick();
-    for (name, addr) in scenario.vantages.clone() {
-        let registry = Arc::new(obs::Registry::new());
-        let collected = run_tracenet_with(
-            &mut net,
-            addr,
-            &scenario.targets,
-            Protocol::Icmp,
-            &TracenetOptions::default(),
-            &obs::Recorder::new().with_metrics(Arc::clone(&registry)),
-        );
-        let tick_after = net.tick();
-        runs.push(VantageRun {
-            vantage: name,
-            collected,
-            metrics: registry.snapshot(),
-            cache: CacheStats::default(),
-            wall_ticks: tick_after - tick_before,
-        });
-        tick_before = tick_after;
-    }
-    IspExperiment { scenario, runs }
-}
-
-/// [`isp_experiment`] on the batch engine: each vantage's target list is
-/// fanned over `cfg.jobs` workers against the shared fluctuating
-/// internet, with a per-vantage subnet cache. A fault plan from the
-/// arguments is attached to the shared network, so all three vantages
-/// see the same seeded fault schedule.
-pub fn isp_experiment_with(args: &ExpArgs) -> IspExperiment {
+/// Runs the three-vantage ISP experiment (backs Figures 6–9): each
+/// vantage's target list is fanned over `cfg.jobs` workers against the
+/// shared fluctuating internet, with a per-vantage subnet cache when the
+/// cache is on. A fault plan from the arguments is attached to the
+/// shared network, so all three vantages see the same seeded fault
+/// schedule.
+pub fn isp_experiment(args: &ExpArgs) -> IspExperiment {
     let scenario = isp_internet(args.seed);
-    let mut net = Network::new(scenario.topology.clone()).with_fluctuation(ISP_FLUCTUATION_PERIOD);
+    let mut net =
+        ConcurrentNetwork::new(scenario.topology.clone()).with_fluctuation(ISP_FLUCTUATION_PERIOD);
     net.set_fault_plan(args.fault);
-    let shared = SharedNetwork::new(net);
+    let shared = SharedNetwork::from_concurrent(net);
     let mut runs = Vec::new();
     let mut tick_before = shared.with(|net| net.tick());
     for (name, addr) in scenario.vantages.clone() {
         let registry = Arc::new(obs::Registry::new());
-        let (collected, cache) = run_tracenet_batch(
+        let collected = run_tracenet(
             &shared,
             addr,
             &scenario.targets,
@@ -319,7 +268,6 @@ pub fn isp_experiment_with(args: &ExpArgs) -> IspExperiment {
             vantage: name,
             collected,
             metrics: registry.snapshot(),
-            cache,
             wall_ticks: tick_after - tick_before,
         });
         tick_before = tick_after;
@@ -510,8 +458,8 @@ pub fn overhead_sweep() -> Vec<OverheadPoint> {
             members.push(addr);
         }
         let target = members[members.len() / 2];
-        let mut net = Network::new(b.build().expect("overhead topology"));
-        let mut prober = probe::SimProber::new(&mut net, mk("10.0.0.0"));
+        let net = SharedNetwork::new(b.build().expect("overhead topology"));
+        let mut prober = net.prober(mk("10.0.0.0"), Protocol::Icmp);
         let report = tracenet::Session::new(&mut prober, TracenetOptions::default()).run(target);
         let hop = report
             .hops
@@ -556,8 +504,15 @@ pub fn ablation(seed: u64) -> Vec<AblationRow> {
         let scenario = internet2(seed);
         let gt: Vec<&GtSubnet> = scenario.ground_truth.of_network("internet2").collect();
         let vantage = scenario.vantages[0].1;
-        let mut net = Network::new(scenario.topology.clone());
-        let collected = run_tracenet(&mut net, vantage, &scenario.targets, Protocol::Icmp, opts);
+        let args = ExpArgs::sequential(seed);
+        let cfg = BatchConfig { opts: *opts, ..args.cfg };
+        let collected = run_tracenet(
+            &args.network(&scenario),
+            vantage,
+            &scenario.targets,
+            &cfg,
+            &obs::Recorder::disabled(),
+        );
         (SubnetTable::build(&classify(&gt, &collected.records())), collected.probes)
     };
     let row = |config: &str, table: &SubnetTable, probes: u64| AblationRow {
@@ -591,9 +546,8 @@ pub fn ablation(seed: u64) -> Vec<AblationRow> {
         let scenario = internet2(seed);
         let gt: Vec<&GtSubnet> = scenario.ground_truth.of_network("internet2").collect();
         let vantage = scenario.vantages[0].1;
-        let mut net = Network::new(scenario.topology.clone());
         let (reports, _, probes) = evalkit::run::run_traceroute(
-            &mut net,
+            &SharedNetwork::new(scenario.topology.clone()),
             vantage,
             &scenario.targets,
             Protocol::Icmp,
@@ -619,12 +573,14 @@ pub fn ablation(seed: u64) -> Vec<AblationRow> {
 pub fn table3(seed: u64) -> BTreeMap<&'static str, [usize; 3]> {
     let scenario = isp_internet(seed);
     let rice = scenario.vantage("rice");
-    let mut net = Network::new(scenario.topology.clone());
+    let args = ExpArgs::sequential(seed);
+    let net = args.network(&scenario);
     let mut out: BTreeMap<&'static str, [usize; 3]> =
         ISP_NAMES.iter().map(|&n| (n, [0usize; 3])).collect();
-    for (k, proto) in [Protocol::Icmp, Protocol::Udp, Protocol::Tcp].into_iter().enumerate() {
+    for (k, protocol) in [Protocol::Icmp, Protocol::Udp, Protocol::Tcp].into_iter().enumerate() {
+        let cfg = BatchConfig { protocol, ..args.cfg };
         let collected =
-            run_tracenet(&mut net, rice, &scenario.targets, proto, &TracenetOptions::default());
+            run_tracenet(&net, rice, &scenario.targets, &cfg, &obs::Recorder::disabled());
         for &name in &ISP_NAMES {
             out.get_mut(name).expect("known isp")[k] = subnet_count(&collected, isp_region(name));
         }

@@ -8,14 +8,13 @@
 //! reply, so the batch is latency-bound and `--jobs` parallelism
 //! overlaps the waits. This is the regime the paper's collector runs in
 //! — Internet RTTs dwarf per-probe CPU — and it is what the old global
-//! `Mutex<Network>` serialized: under the lock, sleeping with the mutex
+//! network mutex serialized: under the lock, sleeping with the mutex
 //! held made jobs=8 no faster than jobs=1. The lock-free engine lets
 //! the sleeps (and the walks) overlap, so speedup tracks the worker
 //! count until the target list runs dry.
 
 use std::time::{Duration, Instant};
 
-use netsim::Network;
 use obs::Recorder;
 use probe::SharedNetwork;
 use sweep::BatchConfig;
@@ -66,7 +65,7 @@ pub fn scaling_experiment(
             probe_rtt: rtt,
             ..BatchConfig::default()
         };
-        let shared = SharedNetwork::new(Network::new(scenario.topology.clone()));
+        let shared = SharedNetwork::new(scenario.topology.clone());
         let start = Instant::now();
         let result = sweep::run_batch(&shared, vantage, &targets, &cfg, &Recorder::disabled());
         let wall = start.elapsed();

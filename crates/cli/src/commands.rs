@@ -4,8 +4,7 @@
 use std::sync::Arc;
 
 use inet::{Addr, Prefix};
-use netsim::Network;
-use probe::{Protocol, SimProber};
+use probe::{Protocol, SharedNetwork};
 use topogen::Scenario;
 use tracenet::{Session, TracenetOptions};
 
@@ -60,6 +59,29 @@ fn fault_plan(opts: &Opts) -> Result<Option<netsim::FaultPlan>, String> {
             }
         },
     }
+}
+
+/// The scenario's network with the `--fault-profile` / `--fault-seed`
+/// plan attached.
+fn faulty_network(scenario: &Scenario, opts: &Opts) -> Result<SharedNetwork, String> {
+    let mut net = netsim::ConcurrentNetwork::new(scenario.topology.clone());
+    net.set_fault_plan(fault_plan(opts)?);
+    Ok(SharedNetwork::from_concurrent(net))
+}
+
+/// Session options from `--max-ttl` and `--fault-budget`.
+fn tracenet_options(opts: &Opts) -> Result<TracenetOptions, String> {
+    Ok(TracenetOptions {
+        max_ttl: opts.flag_parse("max-ttl", TracenetOptions::default().max_ttl)?,
+        hop_fault_budget: fault_budget(opts)?,
+        ..TracenetOptions::default()
+    })
+}
+
+/// A sequential, cache-off batch: one session per target in target
+/// order, as `trace`, `map`, `crossval`, `eval` and `record` collect.
+fn sequential(protocol: Protocol) -> sweep::BatchConfig {
+    sweep::BatchConfig { use_cache: false, protocol, ..sweep::BatchConfig::default() }
 }
 
 /// Parses `--fault-budget N` (absent means probe to exhaustion).
@@ -215,13 +237,11 @@ fn recorder_from(opts: &Opts) -> Result<(obs::Recorder, Option<MetricsOut>), Str
 pub fn trace(opts: &Opts) -> Result<String, String> {
     let scenario = load(opts)?;
     let v = vantage(&scenario, opts)?;
-    let proto = protocol(opts)?;
-    let tn_opts = TracenetOptions {
-        max_ttl: opts.flag_parse("max-ttl", TracenetOptions::default().max_ttl)?,
-        hop_fault_budget: fault_budget(opts)?,
-        ..TracenetOptions::default()
+    let cfg = sweep::BatchConfig {
+        opts: tracenet_options(opts)?,
+        retry: retry_policy(opts)?,
+        ..sequential(protocol(opts)?)
     };
-    let retry = retry_policy(opts)?;
     let (recorder, metrics) = recorder_from(opts)?;
 
     let targets: Vec<Addr> = if opts.has("all") {
@@ -232,34 +252,19 @@ pub fn trace(opts: &Opts) -> Result<String, String> {
         })?]
     };
 
-    let mut net = Network::new(scenario.topology.clone());
-    net.set_fault_plan(fault_plan(opts)?);
-    let mut out = String::new();
-    let mut reports = Vec::new();
-    for (k, &target) in targets.iter().enumerate() {
-        let recorder = recorder.clone().with_session(k as u64);
-        let mut prober = SimProber::with_protocol(&mut net, v, proto)
-            .ident(k as u16 ^ 0x7ace)
-            .retry_policy(retry)
-            .recorder(recorder.clone());
-        let report = Session::new(&mut prober, tn_opts).with_recorder(recorder.clone()).run(target);
-        if opts.has("json") {
-            reports.push(report_to_json(&report));
-        } else {
-            out.push_str(&report.to_string());
-            out.push('\n');
-        }
-    }
+    let net = faulty_network(&scenario, opts)?;
+    let result = sweep::run_batch(&net, v, &targets, &cfg, &recorder);
     recorder.flush().map_err(|e| format!("--trace-log: {e}"))?;
-    if let Some(m) = &metrics {
-        let table = m.write()?;
-        if !opts.has("json") {
-            out.push_str(&table);
-        }
-    }
+    let metrics_table = match &metrics {
+        Some(m) => m.write()?,
+        None => String::new(),
+    };
     if opts.has("json") {
+        let reports = result.reports.iter().map(report_to_json).collect();
         return Ok(serde_json::Value::Array(reports).to_string());
     }
+    let mut out: String = result.reports.iter().map(|r| format!("{r}\n")).collect();
+    out.push_str(&metrics_table);
     Ok(out)
 }
 
@@ -309,8 +314,8 @@ pub fn traceroute_cmd(opts: &Opts) -> Result<String, String> {
     tr_opts.probes_per_hop = opts.flag_parse("queries", tr_opts.probes_per_hop)?;
     tr_opts.max_ttl = opts.flag_parse("max-ttl", tr_opts.max_ttl)?;
 
-    let mut net = Network::new(scenario.topology.clone());
-    let mut prober = SimProber::with_protocol(&mut net, v, proto).flow_mode(if tr_opts.paris {
+    let net = SharedNetwork::new(scenario.topology.clone());
+    let mut prober = net.prober(v, proto).flow_mode(if tr_opts.paris {
         probe::FlowMode::Paris
     } else {
         probe::FlowMode::Classic
@@ -325,8 +330,8 @@ pub fn ping_cmd(opts: &Opts) -> Result<String, String> {
     let v = vantage(&scenario, opts)?;
     let target: Addr = opts.flag_required("target")?;
     let count = opts.flag_parse("count", 3u8)?;
-    let mut net = Network::new(scenario.topology.clone());
-    let mut prober = SimProber::new(&mut net, v);
+    let net = SharedNetwork::new(scenario.topology.clone());
+    let mut prober = net.prober(v, Protocol::Icmp);
     let r = traceroute::ping(&mut prober, target, count);
     Ok(match r.reply_from {
         Some(from) => format!("{}: {}/{} replies (from {from})\n", r.target, r.received, r.sent),
@@ -339,8 +344,8 @@ pub fn sweep(opts: &Opts) -> Result<String, String> {
     let scenario = load(opts)?;
     let v = vantage(&scenario, opts)?;
     let prefix: Prefix = opts.flag_required("prefix")?;
-    let mut net = Network::new(scenario.topology.clone());
-    let mut prober = SimProber::new(&mut net, v);
+    let net = SharedNetwork::new(scenario.topology.clone());
+    let mut prober = net.prober(v, Protocol::Icmp);
     let alive = traceroute::ping_sweep(&mut prober, prefix);
     let mut out = format!("{prefix}: {}/{} alive\n", alive.len(), prefix.probe_addrs().len());
     for a in alive {
@@ -371,11 +376,9 @@ pub fn batch(opts: &Opts) -> Result<String, String> {
         // the batch latency-bound (where --jobs overlaps the waits).
         probe_rtt: std::time::Duration::from_micros(opts.flag_parse("rtt-us", 0u64)?),
     };
-    let mut net = Network::new(scenario.topology.clone());
-    net.set_fault_plan(fault_plan(opts)?);
-    let shared = probe::SharedNetwork::new(net);
-    let (collected, cache) =
-        evalkit::run::run_tracenet_batch(&shared, v, &targets, &cfg, &recorder);
+    let net = faulty_network(&scenario, opts)?;
+    let collected = evalkit::run::run_tracenet(&net, v, &targets, &cfg, &recorder);
+    let cache = collected.cache;
     recorder.flush().map_err(|e| format!("--trace-log: {e}"))?;
     let metrics_table = match &metrics {
         Some(m) => m.write()?,
@@ -425,13 +428,12 @@ pub fn batch(opts: &Opts) -> Result<String, String> {
 pub fn map(opts: &Opts) -> Result<String, String> {
     let scenario = load(opts)?;
     let v = vantage(&scenario, opts)?;
-    let proto = protocol(opts)?;
-    let mut net = Network::new(scenario.topology.clone());
+    let net = SharedNetwork::new(scenario.topology.clone());
+    let cfg = sequential(protocol(opts)?);
+    let result = sweep::run_batch(&net, v, &scenario.targets, &cfg, &obs::Recorder::disabled());
     let mut graph = evalkit::graph::SubnetGraph::new();
-    for (k, &target) in scenario.targets.iter().enumerate() {
-        let mut prober = SimProber::with_protocol(&mut net, v, proto).ident(k as u16 ^ 0x3a90);
-        let report = Session::new(&mut prober, TracenetOptions::default()).run(target);
-        graph.add_report(&report);
+    for report in &result.reports {
+        graph.add_report(report);
     }
     Ok(graph.to_dot(&format!(
         "{} from {} ({} subnets, {} adjacencies)",
@@ -452,17 +454,12 @@ pub fn crossval(opts: &Opts) -> Result<String, String> {
             scenario.vantages.len()
         ));
     }
-    let proto = protocol(opts)?;
-    let mut net = Network::new(scenario.topology.clone());
+    let cfg = sequential(protocol(opts)?);
+    let net = SharedNetwork::new(scenario.topology.clone());
     let mut sets = Vec::new();
     for (name, addr) in scenario.vantages.clone() {
-        let collected = evalkit::run::run_tracenet(
-            &mut net,
-            addr,
-            &scenario.targets,
-            proto,
-            &TracenetOptions::default(),
-        );
+        let recorder = obs::Recorder::disabled();
+        let collected = evalkit::run::run_tracenet(&net, addr, &scenario.targets, &cfg, &recorder);
         sets.push((name, collected.prefixes()));
     }
     let venn = evalkit::crossval::VennPartition::compute(&sets[0].1, &sets[1].1, &sets[2].1);
@@ -582,11 +579,7 @@ pub fn record(opts: &Opts) -> Result<String, String> {
     if targets.is_empty() {
         return Err("nothing to record: scenario has no targets".to_string());
     }
-    let tn_opts = TracenetOptions {
-        max_ttl: opts.flag_parse("max-ttl", TracenetOptions::default().max_ttl)?,
-        hop_fault_budget: fault_budget(opts)?,
-        ..TracenetOptions::default()
-    };
+    let tn_opts = tracenet_options(opts)?;
     let jobs = opts.flag_parse("jobs", 1usize)?;
     let header = obs::ExchangeHeader {
         version: obs::FORMAT_VERSION,
@@ -604,19 +597,15 @@ pub fn record(opts: &Opts) -> Result<String, String> {
         .with_sink(obs::SinkHandle::new(obs::ExchangeSink::new(Arc::clone(&writer))));
     let cfg = sweep::BatchConfig {
         jobs,
+        opts: tn_opts,
+        retry: retry_policy(opts)?,
         // Replay re-runs sessions one at a time; a cross-session subnet
         // cache would couple them through shared state the log cannot
         // reproduce, so recording always runs cache-off.
-        use_cache: false,
-        protocol: proto,
-        opts: tn_opts,
-        retry: retry_policy(opts)?,
-        probe_rtt: std::time::Duration::ZERO,
+        ..sequential(proto)
     };
-    let mut net = Network::new(scenario.topology.clone());
-    net.set_fault_plan(fault_plan(opts)?);
-    let shared = probe::SharedNetwork::new(net);
-    let result = sweep::run_batch(&shared, v, &targets, &cfg, &recorder);
+    let net = faulty_network(&scenario, opts)?;
+    let result = sweep::run_batch(&net, v, &targets, &cfg, &recorder);
     let mut w = writer.lock().map_err(|_| "exchange log writer poisoned".to_string())?;
     for (k, report) in result.reports.iter().enumerate() {
         w.write_report(k as u64, &report_to_json(report));
@@ -862,15 +851,10 @@ pub fn explain(opts: &Opts) -> Result<String, String> {
 pub fn eval(opts: &Opts) -> Result<String, String> {
     let scenario = load(opts)?;
     let v = vantage(&scenario, opts)?;
-    let proto = protocol(opts)?;
-    let mut net = Network::new(scenario.topology.clone());
-    let collected = evalkit::run::run_tracenet(
-        &mut net,
-        v,
-        &scenario.targets,
-        proto,
-        &TracenetOptions::default(),
-    );
+    let net = SharedNetwork::new(scenario.topology.clone());
+    let cfg = sequential(protocol(opts)?);
+    let recorder = obs::Recorder::disabled();
+    let collected = evalkit::run::run_tracenet(&net, v, &scenario.targets, &cfg, &recorder);
 
     let mut out = format!(
         "collected {} subnets, {} addresses, {} probes over {} sessions\n",
@@ -887,7 +871,7 @@ pub fn eval(opts: &Opts) -> Result<String, String> {
     for network in networks {
         let gt: Vec<&topogen::GtSubnet> = scenario.ground_truth.of_network(&network).collect();
         let mut cls = evalkit::classify::classify(&gt, &collected.records());
-        let mut auditor = SimProber::new(&mut net, v);
+        let mut auditor = net.prober(v, Protocol::Icmp);
         evalkit::audit::audit_classifications(&mut auditor, &mut cls);
         let table = evalkit::classify::SubnetTable::build(&cls);
         out.push_str(&format!("\n== {network} ==\n{table}"));

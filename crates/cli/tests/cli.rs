@@ -295,3 +295,81 @@ fn crossval_requires_three_vantages() {
     assert!(err.contains("3 vantage points"), "{err}");
     std::fs::remove_file(path).ok();
 }
+
+#[test]
+fn a_vantage_that_is_not_an_interface_is_a_load_error() {
+    let mut path = std::env::temp_dir();
+    path.push(format!("tracenet-cli-test-bogus-vantage-{}.json", std::process::id()));
+    let json = run(&["generate", "internet2", "--seed", "3"]).unwrap();
+    let mut v: serde_json::Value = serde_json::from_str(&json).unwrap();
+    v["vantages"][0]["addr"] = serde_json::json!("203.0.113.99");
+    std::fs::write(&path, v.to_string()).unwrap();
+    let p = path.to_str().unwrap();
+
+    let target = "10.32.0.1";
+    for args in [
+        vec!["trace", p, "--target", target],
+        vec!["batch", p],
+        vec!["eval", p],
+        vec!["ping", p, "--target", target],
+    ] {
+        let err = run(&args).unwrap_err();
+        assert!(err.contains("203.0.113.99") && err.contains("not an interface"), "{err}");
+    }
+    // The binary reports the load error and exits 2, not with a panic.
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_tracenet"))
+        .args(["trace", p, "--target", target])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("not an interface") && !stderr.contains("panicked"), "{stderr}");
+    std::fs::remove_file(path).ok();
+}
+
+/// `trace --all` and `batch --jobs 1 --no-cache` run the same driver
+/// with the same idents, so they send the same probes and collect the
+/// same subnets.
+#[test]
+fn trace_all_agrees_with_a_single_job_uncached_batch() {
+    let mut path = std::env::temp_dir();
+    path.push(format!("tracenet-cli-test-trace-batch-{}.json", std::process::id()));
+    let p = path.to_str().unwrap();
+    run(&["generate", "random", "--size", "12", "--seed", "1", "--out", p]).unwrap();
+
+    let trace: serde_json::Value =
+        serde_json::from_str(&run(&["trace", p, "--all", "--json"]).unwrap()).unwrap();
+    let batch: serde_json::Value =
+        serde_json::from_str(&run(&["batch", p, "--jobs", "1", "--no-cache", "--json"]).unwrap())
+            .unwrap();
+
+    let reports = trace.as_array().unwrap();
+    let trace_probes: u64 = reports.iter().map(|r| r["probes"].as_u64().unwrap()).sum();
+    assert_eq!(trace_probes, batch["probes"].as_u64().unwrap());
+
+    // Fold the trace reports the way a batch folds its collection:
+    // subnets with at least two members, merged by prefix.
+    type Subnets = std::collections::BTreeMap<String, std::collections::BTreeSet<String>>;
+    let mut traced = Subnets::new();
+    for hop in reports.iter().flat_map(|r| r["hops"].as_array().unwrap()) {
+        let members = hop["subnet"]["members"].as_array().map(Vec::as_slice).unwrap_or(&[]);
+        if members.len() >= 2 {
+            let prefix = hop["subnet"]["prefix"].as_str().unwrap().to_string();
+            let entry = traced.entry(prefix).or_default();
+            entry.extend(members.iter().map(|m| m.as_str().unwrap().to_string()));
+        }
+    }
+    let batched: Subnets = batch["subnets"]
+        .as_array()
+        .unwrap()
+        .iter()
+        .map(|s| {
+            let members = s["members"].as_array().unwrap();
+            let members = members.iter().map(|m| m.as_str().unwrap().to_string()).collect();
+            (s["prefix"].as_str().unwrap().to_string(), members)
+        })
+        .collect();
+    assert!(!batched.is_empty());
+    assert_eq!(traced, batched);
+    std::fs::remove_file(path).ok();
+}

@@ -30,13 +30,13 @@
 //! # Quickstart
 //!
 //! ```
-//! use netsim::{samples, Network};
-//! use probe::SimProber;
+//! use netsim::samples;
+//! use probe::{Protocol, SharedNetwork};
 //! use tracenet::{Session, TracenetOptions};
 //!
 //! let (topo, names) = samples::figure3();
-//! let mut net = Network::new(topo);
-//! let mut prober = SimProber::new(&mut net, names.addr("vantage"));
+//! let net = SharedNetwork::new(topo);
+//! let mut prober = net.prober(names.addr("vantage"), Protocol::Icmp);
 //! let report = Session::new(&mut prober, TracenetOptions::default())
 //!     .run(names.addr("dest"));
 //! assert!(report.destination_reached);

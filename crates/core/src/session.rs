@@ -318,14 +318,14 @@ fn classify(before: &ProbeStats, after: &ProbeStats, tripped: bool) -> Completen
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::{samples, Network};
-    use probe::SimProber;
+    use netsim::{samples, ConcurrentNetwork};
+    use probe::{Protocol, SharedNetwork};
 
     #[test]
     fn chain_trace_collects_every_link() {
         let (topo, names) = samples::chain(3);
-        let mut net = Network::new(topo);
-        let mut prober = SimProber::new(&mut net, names.addr("vantage"));
+        let net = SharedNetwork::new(topo);
+        let mut prober = net.prober(names.addr("vantage"), Protocol::Icmp);
         let report = Session::new(&mut prober, TracenetOptions::default()).run(names.addr("dest"));
         assert!(report.destination_reached);
         assert_eq!(report.hops.len(), 4);
@@ -344,8 +344,8 @@ mod tests {
     #[test]
     fn figure3_collects_the_papers_subnet() {
         let (topo, names) = samples::figure3();
-        let mut net = Network::new(topo);
-        let mut prober = SimProber::new(&mut net, names.addr("vantage"));
+        let net = SharedNetwork::new(topo);
+        let mut prober = net.prober(names.addr("vantage"), Protocol::Icmp);
         let report = Session::new(&mut prober, TracenetOptions::default()).run(names.addr("dest"));
         assert!(report.destination_reached);
 
@@ -380,8 +380,8 @@ mod tests {
         let v_addr = mk(&mut b, v, r1, "10.0.0.0/31");
         mk(&mut b, r1, r2, "10.0.1.0/31");
         let d_side = mk(&mut b, r2, d, "10.0.2.0/31");
-        let mut net = Network::new(b.build().unwrap());
-        let mut prober = SimProber::new(&mut net, v_addr);
+        let net = SharedNetwork::new(b.build().unwrap());
+        let mut prober = net.prober(v_addr, Protocol::Icmp);
         let report = Session::new(&mut prober, TracenetOptions::default()).run(d_side.mate31());
         assert!(report.destination_reached);
         assert_eq!(report.hops.len(), 3);
@@ -392,8 +392,8 @@ mod tests {
     #[test]
     fn unreachable_destination_ends_with_partial_trace() {
         let (topo, names) = samples::chain(2);
-        let mut net = Network::new(topo);
-        let mut prober = SimProber::new(&mut net, names.addr("vantage"));
+        let net = SharedNetwork::new(topo);
+        let mut prober = net.prober(names.addr("vantage"), Protocol::Icmp);
         let opts = TracenetOptions { max_ttl: 6, ..TracenetOptions::default() };
         let report = Session::new(&mut prober, opts).run("99.9.9.9".parse().unwrap());
         assert!(!report.destination_reached);
@@ -410,8 +410,8 @@ mod tests {
         // previous hop. The session-internal reuse shows up as hop
         // addresses already contained in earlier subnets.
         let (topo, names) = samples::chain(2);
-        let mut net = Network::new(topo);
-        let mut prober = SimProber::new(&mut net, names.addr("vantage"));
+        let net = SharedNetwork::new(topo);
+        let mut prober = net.prober(names.addr("vantage"), Protocol::Icmp);
         let report = Session::new(&mut prober, TracenetOptions::default()).run(names.addr("dest"));
         // The destination (10.0.2.1) sits on the same /31 as hop 2's
         // collected subnet... hop 3 = dest: its address is in hop-3
@@ -453,8 +453,8 @@ mod tests {
         mk(&mut b, r1, r2, "10.0.1.0/31");
         mk(&mut b, r2, r3, "10.0.2.0/31");
         let d_side = mk(&mut b, r3, d, "10.0.3.0/31");
-        let mut net = Network::new(b.build().unwrap());
-        let mut prober = SimProber::new(&mut net, v_addr);
+        let net = SharedNetwork::new(b.build().unwrap());
+        let mut prober = net.prober(v_addr, Protocol::Icmp);
         let report = Session::new(&mut prober, TracenetOptions::default()).run(d_side.mate31());
 
         assert!(report.destination_reached);
@@ -498,16 +498,16 @@ mod tests {
         }
 
         let (topo, names) = samples::chain(3);
-        let mut net = Network::new(topo);
+        let net = SharedNetwork::new(topo);
         let store = Arc::new(MapStore::default());
-        let run = |net: &mut Network, store: Arc<MapStore>| {
-            let mut prober = SimProber::new(net, names.addr("vantage"));
+        let run = |net: &SharedNetwork, store: Arc<MapStore>| {
+            let mut prober = net.prober(names.addr("vantage"), Protocol::Icmp);
             Session::new(&mut prober, TracenetOptions::default())
                 .with_subnet_store(store)
                 .run(names.addr("dest"))
         };
-        let first = run(&mut net, Arc::clone(&store));
-        let second = run(&mut net, Arc::clone(&store));
+        let first = run(&net, Arc::clone(&store));
+        let second = run(&net, Arc::clone(&store));
 
         assert!(first.hops.iter().all(|h| !h.cached), "a cold store resolves nothing");
         assert!(second.hops.iter().all(|h| h.cached), "a warm store resolves every hop");
@@ -549,8 +549,8 @@ mod tests {
         mk(&mut b, r1, r2, "10.0.1.0/31");
         mk(&mut b, r2, r3, "10.0.2.0/31");
         let d_side = mk(&mut b, r3, d, "10.0.3.0/31");
-        let mut net = Network::new(b.build().unwrap());
-        let mut prober = SimProber::new(&mut net, v_addr);
+        let net = SharedNetwork::new(b.build().unwrap());
+        let mut prober = net.prober(v_addr, Protocol::Icmp);
         let opts = TracenetOptions { reuse_known_subnets: false, ..TracenetOptions::default() };
         let report = Session::new(&mut prober, opts).run(d_side.mate31());
         assert!(report.destination_reached);
@@ -561,8 +561,8 @@ mod tests {
     #[test]
     fn fault_free_hops_are_all_complete() {
         let (topo, names) = samples::chain(3);
-        let mut net = Network::new(topo);
-        let mut prober = SimProber::new(&mut net, names.addr("vantage"));
+        let net = SharedNetwork::new(topo);
+        let mut prober = net.prober(names.addr("vantage"), Protocol::Icmp);
         let report = Session::new(&mut prober, TracenetOptions::default()).run(names.addr("dest"));
         assert!(report.hops.iter().all(|h| h.completeness == Completeness::Complete));
         assert_eq!(report.completeness(), Completeness::Complete);
@@ -574,8 +574,9 @@ mod tests {
         use netsim::FaultPlan;
         let (topo, names) = samples::chain(3);
         let plan = FaultPlan { reply_loss: 1.0, ..FaultPlan::new(7) };
-        let mut net = Network::new(topo).with_fault_plan(plan);
-        let mut prober = SimProber::new(&mut net, names.addr("vantage"));
+        let net =
+            SharedNetwork::from_concurrent(ConcurrentNetwork::new(topo).with_fault_plan(plan));
+        let mut prober = net.prober(names.addr("vantage"), Protocol::Icmp);
         let opts =
             TracenetOptions { max_ttl: 4, hop_fault_budget: Some(1), ..TracenetOptions::default() };
         let report = Session::new(&mut prober, opts).run(names.addr("dest"));
@@ -590,8 +591,9 @@ mod tests {
         use netsim::FaultPlan;
         let (topo, names) = samples::chain(3);
         let plan = FaultPlan { reply_loss: 1.0, ..FaultPlan::new(7) };
-        let mut net = Network::new(topo).with_fault_plan(plan);
-        let mut prober = SimProber::new(&mut net, names.addr("vantage"));
+        let net =
+            SharedNetwork::from_concurrent(ConcurrentNetwork::new(topo).with_fault_plan(plan));
+        let mut prober = net.prober(names.addr("vantage"), Protocol::Icmp);
         let opts = TracenetOptions { max_ttl: 4, ..TracenetOptions::default() };
         let report = Session::new(&mut prober, opts).run(names.addr("dest"));
         assert!(report.hops.iter().all(|h| h.completeness == Completeness::DegradedByTimeout));
@@ -603,13 +605,14 @@ mod tests {
         use netsim::FaultPlan;
         let (topo, names) = samples::chain(3);
         let clean = {
-            let mut net = Network::new(topo.clone());
-            let mut prober = SimProber::new(&mut net, names.addr("vantage"));
+            let net = SharedNetwork::new(topo.clone());
+            let mut prober = net.prober(names.addr("vantage"), Protocol::Icmp);
             Session::new(&mut prober, TracenetOptions::default()).run(names.addr("dest"))
         };
         let plan = FaultPlan { reply_loss: 0.3, forward_loss: 0.2, ..FaultPlan::new(2010) };
-        let mut net = Network::new(topo).with_fault_plan(plan);
-        let mut prober = SimProber::new(&mut net, names.addr("vantage"));
+        let net =
+            SharedNetwork::from_concurrent(ConcurrentNetwork::new(topo).with_fault_plan(plan));
+        let mut prober = net.prober(names.addr("vantage"), Protocol::Icmp);
         let opts = TracenetOptions { hop_fault_budget: Some(8), ..TracenetOptions::default() };
         let lossy = Session::new(&mut prober, opts).run(names.addr("dest"));
         // Faults only remove observations, never invent them.
@@ -653,8 +656,10 @@ mod tests {
         // A heavily lossy session: every hop it manages to resolve is
         // degraded, so nothing may enter the store.
         let plan = FaultPlan { reply_loss: 0.6, ..FaultPlan::new(11) };
-        let mut net = Network::new(topo.clone()).with_fault_plan(plan);
-        let mut prober = SimProber::new(&mut net, names.addr("vantage"));
+        let net = SharedNetwork::from_concurrent(
+            ConcurrentNetwork::new(topo.clone()).with_fault_plan(plan),
+        );
+        let mut prober = net.prober(names.addr("vantage"), Protocol::Icmp);
         let faulty = Session::new(&mut prober, TracenetOptions::default())
             .with_subnet_store(store.clone())
             .run(names.addr("dest"));
@@ -673,13 +678,13 @@ mod tests {
         // A later fault-free session over the same store must produce
         // exactly what a store-less clean session produces: the store
         // never replays degraded observations.
-        let mut net = Network::new(topo.clone());
-        let mut prober = SimProber::new(&mut net, names.addr("vantage"));
+        let net = SharedNetwork::new(topo.clone());
+        let mut prober = net.prober(names.addr("vantage"), Protocol::Icmp);
         let warm = Session::new(&mut prober, TracenetOptions::default())
             .with_subnet_store(store)
             .run(names.addr("dest"));
-        let mut net = Network::new(topo);
-        let mut prober = SimProber::new(&mut net, names.addr("vantage"));
+        let net = SharedNetwork::new(topo);
+        let mut prober = net.prober(names.addr("vantage"), Protocol::Icmp);
         let reference =
             Session::new(&mut prober, TracenetOptions::default()).run(names.addr("dest"));
         assert_eq!(warm.all_addresses(), reference.all_addresses());
@@ -690,11 +695,11 @@ mod tests {
     fn decision_stream_narrates_positioning_and_collection() {
         use obs::{SinkHandle, VecSink};
         let (topo, names) = samples::figure3();
-        let mut net = Network::new(topo);
+        let net = SharedNetwork::new(topo);
         let sink = VecSink::new();
         let reader = sink.clone();
         let recorder = Recorder::new().with_sink(SinkHandle::new(sink));
-        let mut prober = SimProber::new(&mut net, names.addr("vantage"));
+        let mut prober = net.prober(names.addr("vantage"), Protocol::Icmp);
         let report = Session::new(&mut prober, TracenetOptions::default())
             .with_recorder(recorder)
             .run(names.addr("dest"));
@@ -726,11 +731,12 @@ mod tests {
         use obs::{SinkHandle, VecSink};
         let (topo, names) = samples::chain(2);
         let plan = FaultPlan { reply_loss: 1.0, ..FaultPlan::new(7) };
-        let mut net = Network::new(topo).with_fault_plan(plan);
+        let net =
+            SharedNetwork::from_concurrent(ConcurrentNetwork::new(topo).with_fault_plan(plan));
         let sink = VecSink::new();
         let reader = sink.clone();
         let recorder = Recorder::new().with_sink(SinkHandle::new(sink));
-        let mut prober = SimProber::new(&mut net, names.addr("vantage"));
+        let mut prober = net.prober(names.addr("vantage"), Protocol::Icmp);
         let opts =
             TracenetOptions { max_ttl: 3, hop_fault_budget: Some(1), ..TracenetOptions::default() };
         let report =
@@ -754,8 +760,8 @@ mod tests {
     fn probe_budget_respects_paper_upper_bound() {
         // §3.6: exploring a subnet S costs at most 7|S| + 7 probes.
         let (topo, names) = samples::figure3();
-        let mut net = Network::new(topo);
-        let mut prober = SimProber::new(&mut net, names.addr("vantage"));
+        let net = SharedNetwork::new(topo);
+        let mut prober = net.prober(names.addr("vantage"), Protocol::Icmp);
         let report = Session::new(&mut prober, TracenetOptions::default()).run(names.addr("dest"));
         for hop in &report.hops {
             if let Some(s) = &hop.subnet {

@@ -4,9 +4,9 @@
 
 use std::sync::Arc;
 
-use netsim::{samples, Network};
+use netsim::samples;
 use obs::{Phase, Recorder, Registry, SinkHandle, VecSink};
-use probe::SimProber;
+use probe::{Protocol, SharedNetwork};
 use tracenet::{Session, TracenetOptions};
 
 fn recorded_session(
@@ -15,13 +15,13 @@ fn recorded_session(
     dest: &str,
 ) -> (tracenet::TraceReport, Vec<obs::ProbeEvent>, Arc<Registry>) {
     let (topo, names) = sample;
-    let mut net = Network::new(topo);
+    let net = SharedNetwork::new(topo);
     let sink = VecSink::new();
     let reader = sink.clone();
     let metrics = Arc::new(Registry::new());
     let recorder =
         Recorder::new().with_sink(SinkHandle::new(sink)).with_metrics(Arc::clone(&metrics));
-    let mut prober = SimProber::new(&mut net, names.addr(vantage)).recorder(recorder.clone());
+    let mut prober = net.prober(names.addr(vantage), Protocol::Icmp).recorder(recorder.clone());
     let report = Session::new(&mut prober, TracenetOptions::default())
         .with_recorder(recorder)
         .run(names.addr(dest));

@@ -3,8 +3,8 @@
 //! topologies.
 
 use inet::Addr;
-use netsim::{samples, Network};
-use probe::{ProbeOutcome, Prober, ScriptedProber, SimProber};
+use netsim::samples;
+use probe::{ProbeOutcome, Prober, Protocol, ScriptedProber, SharedNetwork};
 use tracenet::{Session, TracenetOptions};
 
 fn a(s: &str) -> Addr {
@@ -14,9 +14,8 @@ fn a(s: &str) -> Addr {
 #[test]
 fn udp_session_collects_like_icmp_on_cooperative_chain() {
     let (topo, names) = samples::chain(3);
-    let mut net = Network::new(topo);
-    let mut prober =
-        SimProber::with_protocol(&mut net, names.addr("vantage"), probe::Protocol::Udp);
+    let net = SharedNetwork::new(topo);
+    let mut prober = net.prober(names.addr("vantage"), probe::Protocol::Udp);
     let report = Session::new(&mut prober, TracenetOptions::default()).run(names.addr("dest"));
     assert!(report.destination_reached);
     assert_eq!(report.subnets().count(), 4, "all /31 links collected over UDP");
@@ -25,9 +24,8 @@ fn udp_session_collects_like_icmp_on_cooperative_chain() {
 #[test]
 fn tcp_session_works_where_routers_allow_it() {
     let (topo, names) = samples::chain(2);
-    let mut net = Network::new(topo);
-    let mut prober =
-        SimProber::with_protocol(&mut net, names.addr("vantage"), probe::Protocol::Tcp);
+    let net = SharedNetwork::new(topo);
+    let mut prober = net.prober(names.addr("vantage"), probe::Protocol::Tcp);
     let report = Session::new(&mut prober, TracenetOptions::default()).run(names.addr("dest"));
     assert!(report.destination_reached);
     assert!(report.subnets().count() >= 2);
@@ -36,8 +34,8 @@ fn tcp_session_works_where_routers_allow_it() {
 #[test]
 fn max_ttl_truncates_the_trace() {
     let (topo, names) = samples::chain(5);
-    let mut net = Network::new(topo);
-    let mut prober = SimProber::new(&mut net, names.addr("vantage"));
+    let net = SharedNetwork::new(topo);
+    let mut prober = net.prober(names.addr("vantage"), Protocol::Icmp);
     let opts = TracenetOptions { max_ttl: 3, ..TracenetOptions::default() };
     let report = Session::new(&mut prober, opts).run(names.addr("dest"));
     assert!(!report.destination_reached);
@@ -98,8 +96,8 @@ fn reuse_option_controls_reexploration() {
     // NEAR side of the second link (r1's own far-side address) and then
     // the destination revisits the same subnet.
     let (topo, names) = samples::chain(1);
-    let mut net = Network::new(topo);
-    let mut prober = SimProber::new(&mut net, names.addr("vantage"));
+    let net = SharedNetwork::new(topo);
+    let mut prober = net.prober(names.addr("vantage"), Protocol::Icmp);
     let report = Session::new(&mut prober, TracenetOptions::default()).run(names.addr("dest"));
     // Hop 1 = r1 reporting its incoming iface 10.0.0.1; its subnet is the
     // first /31. Hop 2 = dest on the second /31.
@@ -127,8 +125,8 @@ fn anonymous_first_hop_does_not_block_later_subnets() {
     let l2 = b.subnet("10.0.2.0/31".parse().unwrap());
     b.attach(r2, l2, mk("10.0.2.0")).unwrap();
     b.attach(d, l2, mk("10.0.2.1")).unwrap();
-    let mut net = Network::new(b.build().unwrap());
-    let mut prober = SimProber::new(&mut net, mk("10.0.0.0"));
+    let net = SharedNetwork::new(b.build().unwrap());
+    let mut prober = net.prober(mk("10.0.0.0"), Protocol::Icmp);
     let report = Session::new(&mut prober, TracenetOptions::default()).run(mk("10.0.2.1"));
     assert!(report.destination_reached);
     assert_eq!(report.hops[0].addr, None, "hop 1 anonymous");
@@ -142,8 +140,8 @@ fn anonymous_first_hop_does_not_block_later_subnets() {
 #[test]
 fn phase_costs_sum_to_total() {
     let (topo, names) = samples::figure3();
-    let mut net = Network::new(topo);
-    let mut prober = SimProber::new(&mut net, names.addr("vantage"));
+    let net = SharedNetwork::new(topo);
+    let mut prober = net.prober(names.addr("vantage"), Protocol::Icmp);
     let report = Session::new(&mut prober, TracenetOptions::default()).run(names.addr("dest"));
     let per_hop: u64 = report.hops.iter().map(|h| h.cost.total()).sum();
     assert_eq!(per_hop, report.total_probes);
@@ -168,8 +166,8 @@ fn heavy_rate_limiting_degrades_gracefully() {
     let l1 = b.subnet("10.0.1.0/31".parse().unwrap());
     b.attach(r1, l1, mk("10.0.1.0")).unwrap();
     b.attach(d, l1, mk("10.0.1.1")).unwrap();
-    let mut net = Network::new(b.build().unwrap());
-    let mut prober = SimProber::new(&mut net, mk("10.0.0.0"));
+    let net = SharedNetwork::new(b.build().unwrap());
+    let mut prober = net.prober(mk("10.0.0.0"), Protocol::Icmp);
     let report = Session::new(&mut prober, TracenetOptions::default()).run(mk("10.0.1.1"));
     // r1's two tokens are spent almost immediately; the destination host
     // is unlimited, so the trace still completes.

@@ -55,19 +55,18 @@ pub fn prefix_length_series(collected: &CollectedSet, regions: &[Prefix]) -> Vec
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::{samples, Network};
-    use probe::Protocol;
-    use tracenet::TracenetOptions;
+    use netsim::samples;
+    use probe::SharedNetwork;
+    use sweep::BatchConfig;
 
     fn collect_chain() -> (CollectedSet, Addr) {
         let (topo, names) = samples::chain(3);
-        let mut net = Network::new(topo);
         let set = crate::run::run_tracenet(
-            &mut net,
+            &SharedNetwork::new(topo),
             names.addr("vantage"),
             &[names.addr("dest")],
-            Protocol::Icmp,
-            &TracenetOptions::default(),
+            &BatchConfig { use_cache: false, ..BatchConfig::default() },
+            &obs::Recorder::disabled(),
         );
         (set, names.addr("dest"))
     }

@@ -120,8 +120,8 @@ impl SubnetGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::{samples, Network};
-    use probe::SimProber;
+    use netsim::samples;
+    use probe::{Protocol, SharedNetwork};
     use tracenet::{Session, TracenetOptions};
 
     fn p(s: &str) -> Prefix {
@@ -130,8 +130,8 @@ mod tests {
 
     fn figure3_graph() -> SubnetGraph {
         let (topo, names) = samples::figure3();
-        let mut net = Network::new(topo);
-        let mut prober = SimProber::new(&mut net, names.addr("vantage"));
+        let net = SharedNetwork::new(topo);
+        let mut prober = net.prober(names.addr("vantage"), Protocol::Icmp);
         let report = Session::new(&mut prober, TracenetOptions::default()).run(names.addr("dest"));
         let mut g = SubnetGraph::new();
         g.add_report(&report);
@@ -152,10 +152,10 @@ mod tests {
     #[test]
     fn repeated_traces_accumulate_edge_weight() {
         let (topo, names) = samples::figure3();
-        let mut net = Network::new(topo);
+        let net = SharedNetwork::new(topo);
         let mut g = SubnetGraph::new();
         for k in 0..3 {
-            let mut prober = SimProber::new(&mut net, names.addr("vantage")).ident(k);
+            let mut prober = net.prober(names.addr("vantage"), Protocol::Icmp).ident(k);
             let report =
                 Session::new(&mut prober, TracenetOptions::default()).run(names.addr("dest"));
             g.add_report(&report);

@@ -4,10 +4,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use inet::{Addr, Prefix, SubnetRecord};
-use netsim::Network;
-use probe::{Prober, Protocol, SharedNetwork, SimProber};
+use probe::{IdentAllocator, IdentSpace, Prober, Protocol, SharedNetwork};
 use sweep::{BatchConfig, BatchResult, CacheStats};
-use tracenet::{TraceReport, TracenetOptions};
+use tracenet::TraceReport;
 use traceroute::{TracerouteOptions, TracerouteReport};
 
 /// Everything one vantage point collected over a target list.
@@ -24,6 +23,9 @@ pub struct CollectedSet {
     pub probes: u64,
     /// Sessions run.
     pub sessions: usize,
+    /// Cross-session subnet-cache counters (all zero when the batch ran
+    /// without the cache).
+    pub cache: CacheStats,
 }
 
 impl CollectedSet {
@@ -55,6 +57,7 @@ impl CollectedSet {
             out.add_report(report);
         }
         out.probes = batch.probes;
+        out.cache = batch.cache;
         out
     }
 
@@ -114,54 +117,25 @@ impl CollectedSet {
     }
 }
 
-/// Runs one tracenet session per target from `vantage` and folds the
-/// results.
+/// Runs one tracenet session per target from `vantage` through
+/// [`sweep::run_batch`] and folds the reports into a [`CollectedSet`].
+/// `recorder` observes every probe and decision: the experiment binaries
+/// hang a metrics registry (and optionally a JSONL sink) on it and read
+/// per-phase numbers from the registry snapshot afterwards.
 pub fn run_tracenet(
-    net: &mut Network,
-    vantage: Addr,
-    targets: &[Addr],
-    protocol: Protocol,
-    opts: &TracenetOptions,
-) -> CollectedSet {
-    run_tracenet_with(net, vantage, targets, protocol, opts, &obs::Recorder::disabled())
-}
-
-/// [`run_tracenet`] with a probe-telemetry recorder attached to every
-/// prober and session: the experiment binaries hang a metrics registry
-/// (and optionally a JSONL sink) on it and read per-phase numbers from
-/// the registry snapshot afterwards.
-pub fn run_tracenet_with(
-    net: &mut Network,
-    vantage: Addr,
-    targets: &[Addr],
-    protocol: Protocol,
-    opts: &TracenetOptions,
-    recorder: &obs::Recorder,
-) -> CollectedSet {
-    let cfg =
-        BatchConfig { jobs: 1, use_cache: false, protocol, opts: *opts, ..BatchConfig::default() };
-    CollectedSet::from_batch(&sweep::run_batch_seq(net, vantage, targets, &cfg, recorder))
-}
-
-/// Batch collection over a shared network: the worker-pool engine with
-/// the cross-session subnet cache, folded into a [`CollectedSet`]. The
-/// conformance suite pins this equal to [`run_tracenet`] on the subnet
-/// level; only probe counts may differ (cached ≤ uncached).
-pub fn run_tracenet_batch(
     net: &SharedNetwork,
     vantage: Addr,
     targets: &[Addr],
     cfg: &BatchConfig,
     recorder: &obs::Recorder,
-) -> (CollectedSet, CacheStats) {
-    let batch = sweep::run_batch(net, vantage, targets, cfg, recorder);
-    (CollectedSet::from_batch(&batch), batch.cache)
+) -> CollectedSet {
+    CollectedSet::from_batch(&sweep::run_batch(net, vantage, targets, cfg, recorder))
 }
 
 /// Runs one traceroute per target (the baseline's view of the same
 /// network): returns the reports plus the distinct addresses seen.
 pub fn run_traceroute(
-    net: &mut Network,
+    net: &SharedNetwork,
     vantage: Addr,
     targets: &[Addr],
     protocol: Protocol,
@@ -170,9 +144,10 @@ pub fn run_traceroute(
     let mut reports = Vec::with_capacity(targets.len());
     let mut addrs = BTreeSet::new();
     let mut probes = 0;
-    let idents = sweep::traceroute_idents(targets.len());
+    // The traceroute namespace is disjoint from the tracenet sessions'.
+    let idents = IdentAllocator::new().block(IdentSpace::Traceroute, targets.len());
     for (k, &target) in targets.iter().enumerate() {
-        let mut prober = SimProber::with_protocol(net, vantage, protocol).ident(idents.get(k));
+        let mut prober = net.prober(vantage, protocol).ident(idents.get(k));
         let report = traceroute::traceroute(&mut prober, target, *opts);
         probes += prober.stats().sent;
         addrs.extend(report.all_addresses());
@@ -186,36 +161,36 @@ mod tests {
     use super::*;
     use netsim::samples;
 
+    /// The sequential, cache-off collection the evaluation tables use.
+    fn sequential(net: &SharedNetwork, vantage: Addr, targets: &[Addr]) -> CollectedSet {
+        let cfg = BatchConfig { use_cache: false, ..BatchConfig::default() };
+        run_tracenet(net, vantage, targets, &cfg, &obs::Recorder::disabled())
+    }
+
     #[test]
     fn run_tracenet_collects_the_chain() {
         let (topo, names) = samples::chain(3);
-        let mut net = Network::new(topo);
-        let set = run_tracenet(
-            &mut net,
-            names.addr("vantage"),
-            &[names.addr("dest")],
-            Protocol::Icmp,
-            &TracenetOptions::default(),
-        );
+        let net = SharedNetwork::new(topo);
+        let set = sequential(&net, names.addr("vantage"), &[names.addr("dest")]);
         assert_eq!(set.sessions, 1);
         assert_eq!(set.prefixes().len(), 4, "all four /31 links collected");
         assert_eq!(set.addresses().len(), 8);
         assert!(set.unsubnetized_addresses(None).is_empty());
         assert!(set.probes > 0);
+        assert_eq!(set.cache, CacheStats::default());
     }
 
     #[test]
-    fn recorder_variant_accounts_every_probe() {
+    fn recorder_accounts_every_probe() {
         let (topo, names) = samples::chain(3);
-        let mut net = Network::new(topo);
+        let net = SharedNetwork::new(topo);
         let metrics = std::sync::Arc::new(obs::Registry::new());
         let recorder = obs::Recorder::new().with_metrics(std::sync::Arc::clone(&metrics));
-        let set = run_tracenet_with(
-            &mut net,
+        let set = run_tracenet(
+            &net,
             names.addr("vantage"),
             &[names.addr("dest")],
-            Protocol::Icmp,
-            &TracenetOptions::default(),
+            &BatchConfig::default(),
             &recorder,
         );
         let snap = metrics.snapshot();
@@ -226,17 +201,11 @@ mod tests {
     #[test]
     fn duplicate_subnets_merge_members() {
         let (topo, names) = samples::figure3();
-        let mut net = Network::new(topo);
+        let net = SharedNetwork::new(topo);
         // Two targets behind the same path: subnets collected twice must
         // merge, not duplicate.
         let targets = [names.addr("dest"), names.addr("R5.n")];
-        let set = run_tracenet(
-            &mut net,
-            names.addr("vantage"),
-            &targets,
-            Protocol::Icmp,
-            &TracenetOptions::default(),
-        );
+        let set = sequential(&net, names.addr("vantage"), &targets);
         let prefixes = set.prefixes();
         let distinct: BTreeSet<_> = prefixes.iter().collect();
         assert_eq!(prefixes.len(), distinct.len());
@@ -245,14 +214,8 @@ mod tests {
     #[test]
     fn region_filters_work() {
         let (topo, names) = samples::chain(2);
-        let mut net = Network::new(topo);
-        let set = run_tracenet(
-            &mut net,
-            names.addr("vantage"),
-            &[names.addr("dest")],
-            Protocol::Icmp,
-            &TracenetOptions::default(),
-        );
+        let net = SharedNetwork::new(topo);
+        let set = sequential(&net, names.addr("vantage"), &[names.addr("dest")]);
         let everything: Prefix = "10.0.0.0/8".parse().unwrap();
         let nothing: Prefix = "99.0.0.0/8".parse().unwrap();
         assert_eq!(set.prefixes_in(everything).len(), set.prefixes().len());
@@ -264,14 +227,14 @@ mod tests {
     #[test]
     fn traceroute_driver_sees_fewer_addresses() {
         let (topo, names) = samples::chain(3);
-        let mut net = Network::new(topo);
+        let net = SharedNetwork::new(topo);
         let v = names.addr("vantage");
         let d = names.addr("dest");
         let (reports, tr_addrs, probes) =
-            run_traceroute(&mut net, v, &[d], Protocol::Icmp, &TracerouteOptions::default());
+            run_traceroute(&net, v, &[d], Protocol::Icmp, &TracerouteOptions::default());
         assert_eq!(reports.len(), 1);
         assert!(probes > 0);
-        let tn = run_tracenet(&mut net, v, &[d], Protocol::Icmp, &TracenetOptions::default());
+        let tn = sequential(&net, v, &[d]);
         assert!(
             tn.addresses().len() > tr_addrs.len(),
             "tracenet must discover more addresses ({} vs {})",

@@ -1,6 +1,6 @@
 //! The packet-walking engine.
 //!
-//! [`Network::inject`] takes a probe packet (as built by `wire::builder`),
+//! [`ConcurrentNetwork::inject`] takes a probe packet (as built by `wire::builder`),
 //! walks it hop by hop through the topology with real TTL semantics, and
 //! returns either the reply packet the network would produce or the reason
 //! for silence. All behavior the TraceNET heuristics depend on originates
@@ -28,21 +28,16 @@
 //!
 //! # Concurrency
 //!
-//! The engine is split for lock-free parallel probing (see DESIGN.md,
-//! "Engine concurrency & the probe hot path"):
-//!
-//! * [`ConcurrentNetwork`] is the shared engine: an immutable core
-//!   (`Arc<Topology>` + `Arc<RoutingTable>`, read without any lock) plus
-//!   the minimal mutable state — an atomic tick clock and per-router
-//!   token-bucket / round-robin / storm counters behind per-router
-//!   sharded locks. Every injection method takes `&self`, so any number
-//!   of worker threads probe simultaneously; a probe only touches a
-//!   router's lock when that router actually rate-limits, storms, or
-//!   balances per packet.
-//! * [`Network`] is the sequential facade: the same engine plus an owned
-//!   trace buffer, preserving the original `&mut self` API. A `Network`
-//!   used from one thread is byte-identical to the pre-split engine —
-//!   every walk decision is a pure function of the injection's tick.
+//! [`ConcurrentNetwork`] is built for lock-free parallel probing (see
+//! DESIGN.md, "Engine concurrency & the probe hot path"): an immutable
+//! core (`Arc<Topology>` + `Arc<RoutingTable>`, read without any lock)
+//! plus the minimal mutable state — an atomic tick clock and per-router
+//! token-bucket / round-robin / storm counters behind per-router sharded
+//! locks. Every injection method takes `&self`, so any number of worker
+//! threads probe simultaneously; a probe only touches a router's lock
+//! when that router actually rate-limits, storms, or balances per packet.
+//! Used from one thread, every walk decision is a pure function of the
+//! injection's tick, so sequential runs are fully deterministic.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -603,118 +598,6 @@ impl ConcurrentNetwork {
     }
 }
 
-/// A live network behind the classic exclusive-access API: the
-/// concurrent engine plus an owned event-trace buffer.
-///
-/// This is what sequential callers (tests, the CLI's single-threaded
-/// paths, `SimProber`) use; parallel callers convert with
-/// [`Network::into_concurrent`] and share the result behind an `Arc`.
-pub struct Network {
-    inner: ConcurrentNetwork,
-    trace: Option<Vec<Event>>,
-}
-
-impl Network {
-    /// Builds a network over a validated topology (computes routing).
-    pub fn new(topo: Topology) -> Network {
-        Network { inner: ConcurrentNetwork::new(topo), trace: None }
-    }
-
-    /// Installs a seeded fault plan (builder form). A zero plan (see
-    /// [`FaultPlan::is_zero`]) leaves behavior bit-identical to no plan.
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Network {
-        self.inner.fault = Some(plan);
-        self
-    }
-
-    /// Installs or clears the fault plan at runtime.
-    pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
-        self.inner.fault = plan;
-    }
-
-    /// The installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<FaultPlan> {
-        self.inner.fault
-    }
-
-    /// Advances the engine clock by `ticks` without injecting anything
-    /// (see [`ConcurrentNetwork::advance`]).
-    pub fn advance(&mut self, ticks: u64) {
-        self.inner.advance(ticks);
-    }
-
-    /// Enables path fluctuations: every `period` injected packets the ECMP
-    /// hash epoch advances, re-rolling load-balancer decisions (§3.7).
-    pub fn with_fluctuation(mut self, period: u64) -> Network {
-        self.inner = self.inner.with_fluctuation(period);
-        self
-    }
-
-    /// Starts recording a per-injection event trace (for tests/debugging).
-    pub fn enable_trace(&mut self) {
-        self.trace = Some(Vec::new());
-    }
-
-    /// The events of the most recent injection (empty unless
-    /// [`enable_trace`](Network::enable_trace) was called).
-    pub fn last_trace(&self) -> &[Event] {
-        self.trace.as_deref().unwrap_or(&[])
-    }
-
-    /// The underlying topology (ground truth for evaluation).
-    pub fn topology(&self) -> &Topology {
-        self.inner.topology()
-    }
-
-    /// The routing table.
-    pub fn routing(&self) -> &RoutingTable {
-        self.inner.routing()
-    }
-
-    /// Number of packets injected so far (the engine clock).
-    pub fn tick(&self) -> u64 {
-        self.inner.tick()
-    }
-
-    /// Ground-truth hop distance from the host owning `vantage` to the
-    /// router owning `target` (see
-    /// [`ConcurrentNetwork::true_hop_distance`]).
-    pub fn true_hop_distance(&self, vantage: Addr, target: Addr) -> Option<u16> {
-        self.inner.true_hop_distance(vantage, target)
-    }
-
-    /// Injects raw wire bytes; the canonical entry point for probers.
-    pub fn inject_bytes(&mut self, bytes: &[u8]) -> Verdict {
-        match Packet::decode(bytes) {
-            Ok(p) => self.inject(&p),
-            Err(_) => {
-                self.inner.bump_tick();
-                Verdict::Silent(SilenceReason::Malformed)
-            }
-        }
-    }
-
-    /// Injects a probe packet and walks it to a verdict.
-    pub fn inject(&mut self, probe: &Packet) -> Verdict {
-        match self.trace.as_mut() {
-            Some(buf) => self.inner.inject_traced(probe, buf),
-            None => self.inner.inject(probe),
-        }
-    }
-
-    /// A shared view of the engine (e.g. for spawning concurrent probes
-    /// from a test while this facade retains ownership).
-    pub fn concurrent(&self) -> &ConcurrentNetwork {
-        &self.inner
-    }
-
-    /// Unwraps into the concurrent engine, dropping the trace buffer;
-    /// how `SharedNetwork` adopts a configured network.
-    pub fn into_concurrent(self) -> ConcurrentNetwork {
-        self.inner
-    }
-}
-
 /// Extracts the load-balancer flow key: ICMP flows are pinned by echo
 /// identifier; UDP/TCP by their port pair.
 #[inline]
@@ -751,15 +634,15 @@ mod tests {
     }
 
     /// vantage -- r1 -- r2 -- r3 -- dest, /31 links, all cooperative.
-    fn chain_net() -> (Network, Addr, Addr) {
+    fn chain_net() -> (ConcurrentNetwork, Addr, Addr) {
         let (topo, names) = samples::chain(3);
-        let net = Network::new(topo);
+        let net = ConcurrentNetwork::new(topo);
         (net, names.addr("vantage"), names.addr("dest"))
     }
 
     #[test]
     fn direct_probe_reaches_destination() {
-        let (mut net, v, d) = chain_net();
+        let (net, v, d) = chain_net();
         let reply = net.inject(&icmp_probe(v, d, 64, 1, 1)).reply().unwrap();
         assert_eq!(reply.header.src, d);
         assert!(matches!(
@@ -770,7 +653,7 @@ mod tests {
 
     #[test]
     fn ttl_scoping_walks_the_chain() {
-        let (mut net, v, d) = chain_net();
+        let (net, v, d) = chain_net();
         // TTL k yields TTL-exceeded from the k-th router (1-based).
         for k in 1..=3u8 {
             let verdict = net.inject(&icmp_probe(v, d, k, 1, k as u16));
@@ -797,7 +680,7 @@ mod tests {
 
     #[test]
     fn udp_probe_gets_port_unreachable_tcp_gets_rst() {
-        let (mut net, v, d) = chain_net();
+        let (net, v, d) = chain_net();
         let r = net.inject(&udp_probe(v, d, 64, 40000, 33434)).reply().unwrap();
         assert!(matches!(
             r.payload,
@@ -812,7 +695,7 @@ mod tests {
 
     #[test]
     fn unknown_source_and_no_route_are_silent() {
-        let (mut net, v, _) = chain_net();
+        let (net, v, _) = chain_net();
         let bogus = icmp_probe(a("99.99.99.99"), v, 64, 1, 1);
         assert_eq!(net.inject(&bogus).silence(), Some(SilenceReason::UnknownSource));
         let unrouted = icmp_probe(v, a("99.99.99.99"), 64, 1, 1);
@@ -829,7 +712,7 @@ mod tests {
         let lan = b.subnet("10.0.0.0/29".parse::<Prefix>().unwrap());
         b.attach(v, lan, a("10.0.0.1")).unwrap();
         b.attach(r1, lan, a("10.0.0.2")).unwrap();
-        let mut net = Network::new(b.build().unwrap());
+        let net = ConcurrentNetwork::new(b.build().unwrap());
         let verdict = net.inject(&icmp_probe(a("10.0.0.1"), a("10.0.0.5"), 64, 1, 1));
         assert_eq!(verdict.silence(), Some(SilenceReason::Unassigned));
     }
@@ -847,7 +730,7 @@ mod tests {
         // Another subnet so delivery happens at r1, arriving via `lan`.
         let far = b.subnet("10.0.1.0/29".parse::<Prefix>().unwrap());
         b.attach(r1, far, a("10.0.1.1")).unwrap();
-        let mut net = Network::new(b.build().unwrap());
+        let net = ConcurrentNetwork::new(b.build().unwrap());
         let verdict = net.inject(&icmp_probe(a("10.0.0.1"), a("10.0.1.5"), 64, 1, 1));
         let reply = verdict.reply().unwrap();
         assert!(matches!(
@@ -866,7 +749,7 @@ mod tests {
         b.attach(r1, lan, a("10.0.0.2")).unwrap();
         let fw = b.filtered_subnet("10.0.1.0/29".parse::<Prefix>().unwrap());
         b.attach(r1, fw, a("10.0.1.1")).unwrap();
-        let mut net = Network::new(b.build().unwrap());
+        let net = ConcurrentNetwork::new(b.build().unwrap());
         // Assigned address behind the firewall: silence.
         let verdict = net.inject(&icmp_probe(a("10.0.0.1"), a("10.0.1.1"), 64, 1, 1));
         assert_eq!(verdict.silence(), Some(SilenceReason::Filtered));
@@ -890,7 +773,7 @@ mod tests {
         let l2 = b.subnet("10.0.0.2/31".parse::<Prefix>().unwrap());
         b.attach_with(r1, l2, a("10.0.0.2"), false).unwrap(); // unresponsive
         b.attach(d, l2, a("10.0.0.3")).unwrap();
-        let mut net = Network::new(b.build().unwrap());
+        let net = ConcurrentNetwork::new(b.build().unwrap());
         // Direct probe to the unresponsive interface: silence.
         let verdict = net.inject(&icmp_probe(a("10.0.0.0"), a("10.0.0.2"), 64, 1, 1));
         assert_eq!(verdict.silence(), Some(SilenceReason::PolicySilence));
@@ -911,7 +794,7 @@ mod tests {
         let l1 = b.subnet("10.0.0.0/31".parse::<Prefix>().unwrap());
         b.attach(v, l1, a("10.0.0.0")).unwrap();
         b.attach(r1, l1, a("10.0.0.1")).unwrap();
-        let mut net = Network::new(b.build().unwrap());
+        let net = ConcurrentNetwork::new(b.build().unwrap());
         let v_addr = a("10.0.0.0");
         let t = a("10.0.0.1");
         assert!(net.inject(&icmp_probe(v_addr, t, 64, 1, 1)).reply().is_some());
@@ -937,7 +820,7 @@ mod tests {
         let l2 = b.subnet("10.0.0.2/31".parse::<Prefix>().unwrap());
         b.attach(r1, l2, a("10.0.0.2")).unwrap();
         b.attach(d, l2, a("10.0.0.3")).unwrap();
-        let mut net = Network::new(b.build().unwrap());
+        let net = ConcurrentNetwork::new(b.build().unwrap());
         let verdict = net.inject(&icmp_probe(a("10.0.0.0"), a("10.0.0.3"), 1, 1, 1));
         assert_eq!(verdict.silence(), Some(SilenceReason::TtlExpiredSilently));
         // The destination is still reachable through it.
@@ -958,7 +841,7 @@ mod tests {
         let l2 = b.subnet("10.0.0.2/31".parse::<Prefix>().unwrap());
         b.attach(r1, l2, a("10.0.0.2")).unwrap();
         b.attach(d, l2, a("10.0.0.3")).unwrap();
-        let mut net = Network::new(b.build().unwrap());
+        let net = ConcurrentNetwork::new(b.build().unwrap());
         let reply = net.inject(&icmp_probe(a("10.0.0.0"), a("10.0.0.3"), 1, 1, 1)).reply().unwrap();
         assert_eq!(reply.header.src, a("10.0.0.2"));
     }
@@ -977,7 +860,7 @@ mod tests {
         let l2 = b.subnet("10.0.0.2/31".parse::<Prefix>().unwrap());
         b.attach(r1, l2, a("10.0.0.2")).unwrap();
         b.attach(d, l2, a("10.0.0.3")).unwrap();
-        let mut net = Network::new(b.build().unwrap());
+        let net = ConcurrentNetwork::new(b.build().unwrap());
         let reply = net.inject(&icmp_probe(a("10.0.0.0"), a("10.0.0.3"), 1, 1, 1)).reply().unwrap();
         // The vantage-facing interface is 10.0.0.1 (on l1).
         assert_eq!(reply.header.src, a("10.0.0.1"));
@@ -985,7 +868,7 @@ mod tests {
 
     #[test]
     fn incoming_policy_reports_entry_iface() {
-        let (mut net, v, d) = chain_net();
+        let (net, v, d) = chain_net();
         // chain() routers are cooperative => indirect = Incoming. The
         // TTL=2 expiry happens at r2, entered via the r1-r2 link.
         let reply = net.inject(&icmp_probe(v, d, 2, 1, 1)).reply().unwrap();
@@ -1014,7 +897,7 @@ mod tests {
         let l1 = b.subnet("10.0.0.0/31".parse::<Prefix>().unwrap());
         b.attach(v, l1, a("10.0.0.0")).unwrap();
         b.attach(r1, l1, a("10.0.0.1")).unwrap();
-        let mut net = Network::new(b.build().unwrap());
+        let net = ConcurrentNetwork::new(b.build().unwrap());
         let probe = icmp_probe(a("10.0.0.0"), a("10.0.0.1"), 64, 1, 1);
         for _ in 0..3 {
             assert!(net.inject(&probe).reply().is_some());
@@ -1032,8 +915,7 @@ mod tests {
         let (topo, names) = samples::diamond();
         let v = names.addr("vantage");
         let d = names.addr("dest");
-        let mut net = Network::new(topo);
-        net.enable_trace();
+        let net = ConcurrentNetwork::new(topo);
 
         // Same flow key (same ident): the TTL=2 hop must be stable.
         let mut seen = std::collections::HashSet::new();
@@ -1057,7 +939,7 @@ mod tests {
         let (topo, names) = samples::diamond();
         let v = names.addr("vantage");
         let d = names.addr("dest");
-        let mut net = Network::new(topo).with_fluctuation(8);
+        let net = ConcurrentNetwork::new(topo).with_fluctuation(8);
         let mut seen = std::collections::HashSet::new();
         for _ in 0..64 {
             let reply = net.inject(&icmp_probe(v, d, 2, 7, 0)).reply().unwrap();
@@ -1068,7 +950,7 @@ mod tests {
 
     #[test]
     fn inject_bytes_accepts_wire_and_rejects_garbage() {
-        let (mut net, v, d) = chain_net();
+        let (net, v, d) = chain_net();
         let probe = icmp_probe(v, d, 64, 1, 1);
         match net.inject_bytes(&probe.encode()) {
             Verdict::Reply(r) => assert_eq!(r.header.src, d),
@@ -1078,25 +960,11 @@ mod tests {
     }
 
     #[test]
-    fn event_trace_records_walk() {
-        let (mut net, v, d) = chain_net();
-        net.enable_trace();
-        let _ = net.inject(&icmp_probe(v, d, 2, 1, 1));
-        let trace = net.last_trace();
-        assert!(trace.iter().any(|e| matches!(e, Event::TtlExpired { .. })));
-        assert!(trace.iter().any(|e| matches!(e, Event::Replied { .. })));
-        assert!(
-            trace.iter().filter(|e| matches!(e, Event::Forwarded { .. })).count() >= 2,
-            "walk should log forwarding steps"
-        );
-    }
-
-    #[test]
     fn zero_fault_plan_is_invisible() {
         use crate::fault::FaultPlan;
-        let (mut plain, v, d) = chain_net();
+        let (plain, v, d) = chain_net();
         let (topo, _) = samples::chain(3);
-        let mut faulted = Network::new(topo).with_fault_plan(FaultPlan::new(42));
+        let faulted = ConcurrentNetwork::new(topo).with_fault_plan(FaultPlan::new(42));
         for ttl in 1..=6u8 {
             let probe = icmp_probe(v, d, ttl, 1, ttl as u16);
             assert_eq!(plain.inject(&probe), faulted.inject(&probe), "ttl {ttl}");
@@ -1145,26 +1013,6 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_handle_matches_sequential_facade() {
-        // The same probe sequence through Network and through a
-        // single-threaded ConcurrentNetwork must agree verdict for
-        // verdict, tick for tick.
-        let (topo, names) = samples::diamond();
-        let (topo2, _) = samples::diamond();
-        let v = names.addr("vantage");
-        let d = names.addr("dest");
-        let mut seq = Network::new(topo);
-        let conc = ConcurrentNetwork::new(topo2);
-        for ident in 0..32u16 {
-            for ttl in 1..=4u8 {
-                let probe = icmp_probe(v, d, ttl, ident, ttl as u16);
-                assert_eq!(seq.inject(&probe), conc.inject(&probe), "ident {ident} ttl {ttl}");
-                assert_eq!(seq.tick(), conc.tick());
-            }
-        }
-    }
-
-    #[test]
     fn concurrent_traced_injection_records_the_walk() {
         let (topo, names) = samples::chain(3);
         let net = ConcurrentNetwork::new(topo);
@@ -1174,6 +1022,11 @@ mod tests {
             &mut trace,
         );
         assert!(trace.iter().any(|e| matches!(e, Event::TtlExpired { .. })));
+        assert!(trace.iter().any(|e| matches!(e, Event::Replied { .. })));
+        assert!(
+            trace.iter().filter(|e| matches!(e, Event::Forwarded { .. })).count() >= 2,
+            "walk should log forwarding steps"
+        );
         let _ = net.inject_traced(
             &icmp_probe(names.addr("vantage"), names.addr("dest"), 64, 1, 2),
             &mut trace,

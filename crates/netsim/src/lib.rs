@@ -36,11 +36,11 @@
 //! # Example
 //!
 //! ```
-//! use netsim::{samples, Network};
+//! use netsim::{samples, ConcurrentNetwork};
 //! use wire::builder;
 //!
 //! let (topo, names) = samples::figure3();
-//! let mut net = Network::new(topo);
+//! let net = ConcurrentNetwork::new(topo);
 //! let vantage = names.addr("vantage");
 //! let pivot = names.addr("R4.e");
 //!
@@ -61,7 +61,7 @@ mod routing;
 pub mod samples;
 mod topology;
 
-pub use engine::{ConcurrentNetwork, Network, Verdict};
+pub use engine::{ConcurrentNetwork, Verdict};
 pub use events::{Event, SilenceReason};
 pub use fault::{FaultPlan, FaultProfile, RateStorm};
 pub use policy::{LbMode, ProtoSet, RateLimit, ResponsePolicy, RouterConfig};

@@ -1,14 +1,13 @@
 //! Stress tests for the concurrent engine: N threads hammering one
 //! `ConcurrentNetwork` must preserve the determinism and accounting
-//! contracts the sequential engine pins.
+//! contracts a single-threaded run of the same engine pins.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use inet::Addr;
 use netsim::{
-    samples, ConcurrentNetwork, Network, RateLimit, RouterConfig, SilenceReason, TopologyBuilder,
-    Verdict,
+    samples, ConcurrentNetwork, RateLimit, RouterConfig, SilenceReason, TopologyBuilder, Verdict,
 };
 use wire::builder::icmp_probe;
 
@@ -22,7 +21,7 @@ fn a(s: &str) -> Addr {
 /// Per-flow ECMP decisions are pure hashes, so the branch a flow takes
 /// through the diamond cannot depend on thread interleaving: every
 /// thread probing the same flow must see the same TTL-2 router, and it
-/// must be the router the sequential engine picks.
+/// must be the router a single-threaded run picks.
 #[test]
 fn per_flow_routing_is_deterministic_under_contention() {
     let (topo, names) = samples::diamond();
@@ -31,7 +30,7 @@ fn per_flow_routing_is_deterministic_under_contention() {
 
     // Sequential baseline: which address answers TTL=2 for each flow.
     let (topo_seq, _) = samples::diamond();
-    let mut seq = Network::new(topo_seq);
+    let seq = ConcurrentNetwork::new(topo_seq);
     let baseline: BTreeMap<u16, Addr> = (0..16u16)
         .map(|ident| {
             let reply = seq.inject(&icmp_probe(v, d, 2, ident, 0)).reply().unwrap();
@@ -87,7 +86,7 @@ fn every_injection_claims_exactly_one_tick() {
 
 /// A rate-limited router with a refill period longer than the probe
 /// burst must hand out exactly `capacity` replies no matter how many
-/// threads compete — the same total the sequential engine produces.
+/// threads compete — the same total a single-threaded run produces.
 #[test]
 fn token_accounting_totals_match_the_sequential_engine() {
     const CAPACITY: u32 = 24;
@@ -107,7 +106,7 @@ fn token_accounting_totals_match_the_sequential_engine() {
     }
 
     // Sequential total.
-    let mut seq = Network::new(limited_topo());
+    let seq = ConcurrentNetwork::new(limited_topo());
     let mut seq_replies = 0u32;
     for k in 0..(THREADS * PROBES_PER_THREAD) as u16 {
         if seq.inject(&icmp_probe(a("10.0.0.0"), a("10.0.0.1"), 64, 1, k)).reply().is_some() {

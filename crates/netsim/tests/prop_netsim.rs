@@ -2,10 +2,12 @@
 //! policy invariants on randomized topologies.
 
 use inet::{Addr, Prefix};
-use netsim::{samples, Network, RouterConfig, RoutingTable, TopologyBuilder};
+use netsim::{
+    samples, ConcurrentNetwork, FaultProfile, RouterConfig, RoutingTable, TopologyBuilder, Verdict,
+};
 use proptest::prelude::*;
-use wire::builder::icmp_probe;
-use wire::{IcmpMessage, Payload};
+use wire::builder::{icmp_probe, tcp_probe, udp_probe};
+use wire::{IcmpMessage, Packet, Payload};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -15,7 +17,7 @@ proptest! {
     #[test]
     fn chain_ttl_scoping(n in 1u32..8) {
         let (topo, names) = samples::chain(n);
-        let mut net = Network::new(topo);
+        let net = ConcurrentNetwork::new(topo);
         let v = names.addr("vantage");
         let d = names.addr("dest");
         for k in 1..=n as u8 {
@@ -41,7 +43,7 @@ proptest! {
         let routing = RoutingTable::compute(&topo);
         let v_owner = topo.owner_of(vantage).unwrap();
         let addrs: Vec<Addr> = topo.ifaces().iter().map(|i| i.addr).collect();
-        let mut net = Network::new(topo);
+        let net = ConcurrentNetwork::new(topo);
         for addr in addrs {
             let owner = net.topology().owner_of(addr).unwrap();
             if !routing.reachable(v_owner, owner) {
@@ -89,6 +91,46 @@ proptest! {
                 prop_assert!(max - min <= 1, "subnet spans hops {min}..{max}");
             }
         }
+    }
+
+    /// Every reply the engine produces survives the wire unchanged:
+    /// `Packet::decode(&reply.encode()) == Ok(reply)`. Probers classify
+    /// the engine's reply packet directly, so this round trip is what
+    /// guarantees they see exactly what a raw socket would have read.
+    /// Covers ICMP/UDP/TCP probes at every TTL up to the path length, on
+    /// plain and fault-injected meshes.
+    #[test]
+    fn replies_round_trip_through_wire_bytes(seed in 0u64..300, profile in 0usize..FaultProfile::ALL.len()) {
+        let (topo, vantage) = random_mesh(seed);
+        let routing = RoutingTable::compute(&topo);
+        let v_owner = topo.owner_of(vantage).unwrap();
+        let targets: Vec<(Addr, u16)> = topo
+            .ifaces()
+            .iter()
+            .map(|i| (i.addr, routing.dist(v_owner, i.router)))
+            .filter(|&(_, d)| d != u16::MAX)
+            .collect();
+        let plain = ConcurrentNetwork::new(topo.clone());
+        let faulted = ConcurrentNetwork::new(topo).with_fault_plan(FaultProfile::ALL[profile].plan(seed));
+        let mut replies = 0;
+        for net in [&plain, &faulted] {
+            for &(dst, dist) in &targets {
+                for ttl in 1..=(dist as u8 + 1) {
+                    let probes = [
+                        icmp_probe(vantage, dst, ttl, 7, ttl as u16),
+                        udp_probe(vantage, dst, ttl, 0x8007, 33434),
+                        tcp_probe(vantage, dst, ttl, 0x9007, 80),
+                    ];
+                    for probe in &probes {
+                        if let Verdict::Reply(reply) = net.inject(probe) {
+                            prop_assert_eq!(Packet::decode(&reply.encode()), Ok(reply));
+                            replies += 1;
+                        }
+                    }
+                }
+            }
+        }
+        prop_assert!(replies > 0, "the plain mesh always answers");
     }
 }
 

@@ -1,11 +1,11 @@
 //! Deterministic probe-ident allocation over disjoint namespaces.
 //!
 //! Every concurrent session needs its own ICMP-echo ident (UDP/TCP port
-//! discriminator) so replies validate against the right session. The old
-//! per-driver schemes (`k ^ 0x7ace` for tracenet, `k ^ 0x1dea` for
-//! traceroute) each cover the *whole* u16 space — xor is a bijection —
-//! so two drivers over one network could collide, and a single driver
-//! wraps silently after 65 536 targets. The allocator instead carves the
+//! discriminator) so replies validate against the right session. Deriving
+//! idents by xoring the target index with a per-driver constant covers
+//! the *whole* u16 space per driver — xor is a bijection — so two drivers
+//! over one network could collide, and a single driver wraps silently
+//! after 65 536 targets. The allocator instead carves the
 //! ident space into disjoint namespaces and hands out consecutive slots,
 //! so idents stay a pure function of the target index — independent of
 //! which worker thread picks the target up.

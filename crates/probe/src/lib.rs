@@ -5,9 +5,10 @@
 //! the same algorithm code runs over:
 //!
 //! * [`SimProber`] — encodes genuine wire packets (via the `wire` crate),
-//!   injects them into a `netsim::Network`, decodes and *validates* the
-//!   replies (echo identifiers, quoted datagrams) exactly as a raw-socket
-//!   prober must;
+//!   injects them into a [`SharedNetwork`] (the simulator's lock-free
+//!   engine handle, shared by every vantage and batch worker) and
+//!   *validates* the replies (echo identifiers, quoted datagrams) exactly
+//!   as a raw-socket prober must;
 //! * [`ScriptedProber`] — a hand-authored table of (destination, TTL) →
 //!   outcome, used to unit-test algorithm logic in isolation;
 //! * [`CachingProber`] — a transparent memo layer implementing the
@@ -15,9 +16,8 @@
 //!   optimized to collect the subnets with the least number of probes and
 //!   some of the rules are merged together", §3.5): heuristics H3 and H6
 //!   share a single `⟨l, jʰ−1⟩` probe through this cache;
-//! * [`SharedSimProber`] — a `SimProber` over a shared concurrent network
-//!   handle (`netsim::ConcurrentNetwork`), so several vantage points and
-//!   worker threads probe one simulated Internet without a global lock.
+//! * [`ReplayProber`] — re-answers a session from a recorded exchange log,
+//!   with no simulator behind it.
 //!
 //! The probe vocabulary (§3.1 of the paper) is captured by
 //! [`ProbeOutcome`]: a **direct reply** (echo reply / port unreachable /
@@ -36,7 +36,6 @@ mod prober;
 mod replay;
 mod retry;
 mod scripted;
-mod shared;
 mod sim;
 
 pub use budget::FaultBudgetProber;
@@ -47,7 +46,6 @@ pub use prober::{FlowMode, ProbeStats, Prober};
 pub use replay::ReplayProber;
 pub use retry::{RetryPolicy, DEFAULT_RETRIES};
 pub use scripted::ScriptedProber;
-pub use shared::{SharedNetwork, SharedSimProber};
-pub use sim::SimProber;
+pub use sim::{SharedNetwork, SimProber};
 
 pub use wire::Protocol;

@@ -1,76 +1,107 @@
-//! [`SimProber`]: the raw-socket prober's simulated twin.
+//! [`SimProber`]: the raw-socket prober's simulated twin, over a
+//! [`SharedNetwork`].
 //!
 //! Every probe is encoded to real wire bytes, injected into the
-//! simulator, and the returned bytes are decoded and *validated* the way
-//! a live prober must: an echo reply only counts if it carries this
-//! session's identifier, and an ICMP error only counts if the quoted
-//! datagram matches the probe that was sent. Stray or forged replies are
-//! treated as silence.
+//! simulator, and the reply is *validated* the way a live prober must: an
+//! echo reply only counts if it carries this session's identifier, and an
+//! ICMP error only counts if the quoted datagram matches the probe that
+//! was sent. Stray or forged replies are treated as silence.
+//!
+//! The paper's cross-validation experiment (§4.2, Figure 6) runs the same
+//! target list from three PlanetLab sites against the *same* Internet.
+//! [`SharedNetwork`] wraps a `netsim::ConcurrentNetwork` — the engine's
+//! lock-free shared handle — so one [`SimProber`] per vantage (or per
+//! batch worker) probes it concurrently: the topology and routing tables
+//! are immutable and read without any lock, the packet clock is atomic,
+//! and rate limiters live behind per-router shards inside the engine.
+//! Shared state (rate limiters, the fluctuation clock) therefore stays
+//! honest across vantages without serializing the probe hot path.
+
+use std::sync::Arc;
+use std::time::Duration;
 
 use inet::Addr;
-use netsim::{Network, SilenceReason, Verdict};
+use netsim::{ConcurrentNetwork, SilenceReason, Topology, Verdict};
 use obs::{ProbeEvent, Recorder, TimeoutCause};
 use wire::{builder, IcmpMessage, Packet, Payload, Protocol, UnreachableCode};
 
+use crate::ident::{IdentAllocator, IdentSpace};
 use crate::outcome::{ProbeOutcome, UnreachKind};
 use crate::prober::{FlowMode, ProbeStats, Prober};
 use crate::retry::{RetryPolicy, RetryState};
 
-/// A prober over a `netsim::Network`.
-pub struct SimProber<'n> {
-    net: &'n mut Network,
-    src: Addr,
-    protocol: Protocol,
-    flow_mode: FlowMode,
-    ident: u16,
-    seq: u16,
-    retry: RetryState,
-    stats: ProbeStats,
-    recorder: Recorder,
+/// A cloneable handle to a concurrently probeable network.
+///
+/// The handle also owns an [`IdentAllocator`], so probers created without
+/// an explicit [`SimProber::ident`] draw collision-free defaults from the
+/// `Aux` namespace instead of all sharing one magic constant.
+#[derive(Clone)]
+pub struct SharedNetwork {
+    inner: Arc<ConcurrentNetwork>,
+    idents: Arc<IdentAllocator>,
 }
 
-impl<'n> SimProber<'n> {
-    /// Creates an ICMP prober sourced at `src` (must be a host interface
-    /// of the network).
-    pub fn new(net: &'n mut Network, src: Addr) -> SimProber<'n> {
-        SimProber::with_protocol(net, src, Protocol::Icmp)
+impl SharedNetwork {
+    /// Builds the engine over a validated topology (see
+    /// [`ConcurrentNetwork::new`]).
+    pub fn new(topo: Topology) -> SharedNetwork {
+        SharedNetwork::from_concurrent(ConcurrentNetwork::new(topo))
     }
 
-    /// Creates a prober with an explicit probe protocol.
-    pub fn with_protocol(net: &'n mut Network, src: Addr, protocol: Protocol) -> SimProber<'n> {
-        assert!(
-            net.topology().owner_of(src).is_some(),
-            "prober source {src} is not an interface of the network"
-        );
+    /// Wraps an already configured engine (fault plan, fluctuation).
+    pub fn from_concurrent(net: ConcurrentNetwork) -> SharedNetwork {
+        SharedNetwork { inner: Arc::new(net), idents: Arc::new(IdentAllocator::new()) }
+    }
+
+    /// Runs `f` with the shared network. Purely a convenience — access is
+    /// lock-free, so `f` runs concurrently with other holders.
+    pub fn with<R>(&self, f: impl FnOnce(&ConcurrentNetwork) -> R) -> R {
+        f(&self.inner)
+    }
+
+    /// Creates a Paris-mode prober for the given vantage address and
+    /// protocol. The session ident defaults to a fresh slot in the `Aux`
+    /// namespace; override with [`SimProber::ident`] for a pinned flow.
+    ///
+    /// # Panics
+    /// Panics when `src` is not an interface of the network (scenario
+    /// loading rejects such vantages up front).
+    pub fn prober(&self, src: Addr, protocol: Protocol) -> SimProber {
+        let known = self.inner.topology().owner_of(src).is_some();
+        assert!(known, "prober source {src} is not an interface of the network");
         SimProber {
-            net,
+            net: Arc::clone(&self.inner),
             src,
             protocol,
             flow_mode: FlowMode::Paris,
-            ident: DEFAULT_IDENT,
+            ident: self.idents.ident(IdentSpace::Aux),
             seq: 0,
+            rtt: Duration::ZERO,
             retry: RetryState::new(RetryPolicy::default()),
             stats: ProbeStats::default(),
             recorder: Recorder::disabled(),
         }
     }
+}
 
+/// The [`Prober`] over a [`SharedNetwork`].
+pub struct SimProber {
+    net: Arc<ConcurrentNetwork>,
+    src: Addr,
+    protocol: Protocol,
+    flow_mode: FlowMode,
+    ident: u16,
+    seq: u16,
+    rtt: Duration,
+    retry: RetryState,
+    stats: ProbeStats,
+    recorder: Recorder,
+}
+
+impl SimProber {
     /// Sets the flow mode (Paris vs classic port behavior).
     pub fn flow_mode(mut self, mode: FlowMode) -> Self {
         self.flow_mode = mode;
-        self
-    }
-
-    /// Sets a fixed retry budget after silence (shorthand for
-    /// [`SimProber::retry_policy`] with [`RetryPolicy::Fixed`]).
-    pub fn retries(mut self, retries: u8) -> Self {
-        self.retry = RetryState::new(RetryPolicy::Fixed { retries });
-        self
-    }
-
-    /// Sets the retry policy governing re-probes after silence.
-    pub fn retry_policy(mut self, policy: RetryPolicy) -> Self {
-        self.retry = RetryState::new(policy);
         self
     }
 
@@ -80,42 +111,50 @@ impl<'n> SimProber<'n> {
         self
     }
 
+    /// Models a per-probe round-trip time: every wire send blocks this
+    /// thread for `rtt` while the (simulated-instantaneous) reply is "in
+    /// flight". `Duration::ZERO` (the default) skips the sleep entirely,
+    /// keeping single-job runs byte- and time-identical; a nonzero RTT
+    /// makes batch probing latency-bound, which is what `--jobs`
+    /// parallelism overlaps — exactly as real probes overlap network
+    /// waits.
+    pub fn rtt(mut self, rtt: Duration) -> Self {
+        self.rtt = rtt;
+        self
+    }
+
+    /// Sets the retry policy governing re-probes after silence.
+    pub fn retry_policy(mut self, policy: RetryPolicy) -> Self {
+        self.retry = RetryState::new(policy);
+        self
+    }
+
     /// Attaches a recorder that observes every wire attempt.
     pub fn recorder(mut self, recorder: Recorder) -> Self {
         self.recorder = recorder;
         self
     }
 
-    /// Access to the underlying network (for assertions in tests).
-    pub fn network(&self) -> &Network {
-        self.net
-    }
-
     fn build_probe(&mut self, dst: Addr, ttl: u8, flow: u16) -> Packet {
         self.seq = self.seq.wrapping_add(1);
-        let seq = self.seq;
+        let classic = self.flow_mode == FlowMode::Classic;
         match self.protocol {
             Protocol::Icmp => {
                 // The echo ident pins the flow; Paris keeps it fixed,
                 // classic folds `flow` in.
-                let ident = match self.flow_mode {
-                    FlowMode::Paris => self.ident,
-                    FlowMode::Classic => self.ident ^ flow,
-                };
-                builder::icmp_probe(self.src, dst, ttl, ident, seq)
+                let ident = if classic { self.ident ^ flow } else { self.ident };
+                builder::icmp_probe(self.src, dst, ttl, ident, self.seq)
             }
             Protocol::Udp => {
-                let (sport, dport) = match self.flow_mode {
-                    FlowMode::Paris => (0x8000 | self.ident, builder::UDP_PROBE_BASE_PORT),
-                    FlowMode::Classic => (0x8000 | self.ident, builder::UDP_PROBE_BASE_PORT + flow),
-                };
-                builder::udp_probe(self.src, dst, ttl, sport, dport)
+                // Classic traceroute's flow counter runs past the port
+                // space on long traces; ports wrap like a real stack's.
+                let base = builder::UDP_PROBE_BASE_PORT;
+                let dport = if classic { base.wrapping_add(flow) } else { base };
+                builder::udp_probe(self.src, dst, ttl, 0x8000 | self.ident, dport)
             }
             Protocol::Tcp => {
-                let sport = match self.flow_mode {
-                    FlowMode::Paris => 0x9000 | self.ident,
-                    FlowMode::Classic => (0x9000 | self.ident) ^ flow,
-                };
+                let sport = 0x9000 | self.ident;
+                let sport = if classic { sport ^ flow } else { sport };
                 builder::tcp_probe(self.src, dst, ttl, sport, 80)
             }
         }
@@ -128,7 +167,7 @@ impl<'n> SimProber<'n> {
 /// only when it carries the session's identifier; an ICMP error counts
 /// only when the quoted datagram matches the outstanding probe; a port
 /// unreachable is a success for UDP probing and noise otherwise.
-pub(crate) fn classify_reply(
+fn classify_reply(
     protocol: Protocol,
     prober_src: Addr,
     probe: &Packet,
@@ -189,15 +228,11 @@ pub(crate) fn classify_reply(
     }
 }
 
-/// Initial echo identifier; an arbitrary fixed value so sessions are
-/// reproducible (callers override with [`SimProber::ident`]).
-const DEFAULT_IDENT: u16 = 0x7ace;
-
 /// Maps the simulator's silence reason onto the obs attribution
 /// vocabulary. A live prober has no such signal and leaves causes unset;
 /// the simulated prober is allowed to know, because the attribution only
 /// feeds metrics and degradation accounting, never the algorithms.
-pub(crate) fn silence_cause(reason: SilenceReason) -> TimeoutCause {
+fn silence_cause(reason: SilenceReason) -> TimeoutCause {
     match reason {
         SilenceReason::UnknownSource => TimeoutCause::UnknownSource,
         SilenceReason::NoRoute => TimeoutCause::NoRoute,
@@ -213,7 +248,7 @@ pub(crate) fn silence_cause(reason: SilenceReason) -> TimeoutCause {
     }
 }
 
-impl Prober for SimProber<'_> {
+impl Prober for SimProber {
     fn src(&self) -> Addr {
         self.src
     }
@@ -236,20 +271,20 @@ impl Prober for SimProber<'_> {
             }
             let probe = self.build_probe(dst, ttl, flow);
             self.stats.sent += 1;
-            let verdict = self.net.inject_bytes(&probe.encode());
+            // The injection's own tick, not `tick()` afterwards: other
+            // workers may have injected in between.
+            let (verdict, tick) = self.net.inject_bytes_ticked(&probe.encode());
+            if self.rtt > Duration::ZERO {
+                std::thread::sleep(self.rtt);
+            }
             (outcome, cause) = match verdict {
                 Verdict::Reply(reply) => {
-                    // Round-trip through wire bytes, as a raw socket would.
-                    let o = match Packet::decode(&reply.encode()) {
-                        Ok(r) => classify_reply(self.protocol, self.src, &probe, &r),
-                        Err(_) => ProbeOutcome::Timeout,
-                    };
+                    let o = classify_reply(self.protocol, self.src, &probe, &reply);
                     let c = (o == ProbeOutcome::Timeout).then_some(TimeoutCause::StrayReply);
                     (o, c)
                 }
                 Verdict::Silent(reason) => (ProbeOutcome::Timeout, Some(silence_cause(reason))),
             };
-            let tick = self.net.tick();
             self.recorder.record(|| {
                 let (kind, from) = outcome.observed();
                 ProbeEvent {
@@ -293,13 +328,16 @@ mod tests {
     use super::*;
     use netsim::samples;
 
+    fn chain(n: u32) -> (SharedNetwork, samples::Names) {
+        let (topo, names) = samples::chain(n);
+        (SharedNetwork::new(topo), names)
+    }
+
     #[test]
     fn icmp_probe_outcomes() {
-        let (topo, names) = samples::chain(2);
-        let mut net = Network::new(topo);
-        let v = names.addr("vantage");
+        let (net, names) = chain(2);
         let d = names.addr("dest");
-        let mut p = SimProber::new(&mut net, v);
+        let mut p = net.prober(names.addr("vantage"), Protocol::Icmp);
         assert_eq!(p.probe(d, 64), ProbeOutcome::DirectReply { from: d });
         match p.probe(d, 1) {
             ProbeOutcome::TtlExceeded { from } => {
@@ -315,30 +353,42 @@ mod tests {
 
     #[test]
     fn udp_port_unreachable_counts_as_direct_reply() {
-        let (topo, names) = samples::chain(1);
-        let mut net = Network::new(topo);
-        let v = names.addr("vantage");
+        let (net, names) = chain(1);
         let d = names.addr("dest");
-        let mut p = SimProber::with_protocol(&mut net, v, Protocol::Udp);
+        let mut p = net.prober(names.addr("vantage"), Protocol::Udp);
         assert_eq!(p.probe(d, 64), ProbeOutcome::DirectReply { from: d });
     }
 
     #[test]
     fn tcp_rst_counts_as_direct_reply() {
-        let (topo, names) = samples::chain(1);
-        let mut net = Network::new(topo);
-        let v = names.addr("vantage");
+        let (net, names) = chain(1);
         let d = names.addr("dest");
-        let mut p = SimProber::with_protocol(&mut net, v, Protocol::Tcp);
+        let mut p = net.prober(names.addr("vantage"), Protocol::Tcp);
         assert_eq!(p.probe(d, 64), ProbeOutcome::DirectReply { from: d });
     }
 
     #[test]
+    fn classic_udp_ports_wrap_at_the_top_of_the_flow_space() {
+        let (net, names) = chain(1);
+        let d = names.addr("dest");
+        let mut p =
+            net.prober(names.addr("vantage"), Protocol::Udp).flow_mode(FlowMode::Classic).ident(5);
+        assert_eq!(p.probe_with_flow(d, 64, u16::MAX), ProbeOutcome::DirectReply { from: d });
+        let probe = p.build_probe(d, 64, u16::MAX);
+        match probe.payload {
+            Payload::Udp(u) => {
+                assert_eq!(u.dst_port, builder::UDP_PROBE_BASE_PORT.wrapping_add(u16::MAX));
+            }
+            other => panic!("unexpected payload {other:?}"),
+        }
+    }
+
+    #[test]
     fn silence_is_retried_then_timeout() {
-        let (topo, names) = samples::chain(1);
-        let mut net = Network::new(topo);
-        let v = names.addr("vantage");
-        let mut p = SimProber::new(&mut net, v).retries(2);
+        let (net, names) = chain(1);
+        let mut p = net
+            .prober(names.addr("vantage"), Protocol::Icmp)
+            .retry_policy(RetryPolicy::Fixed { retries: 2 });
         // 99.0.0.1 is not routed: timeout after 3 attempts.
         assert_eq!(p.probe("99.0.0.1".parse().unwrap(), 64), ProbeOutcome::Timeout);
         let s = p.stats();
@@ -359,11 +409,11 @@ mod tests {
 
     #[test]
     fn stats_invariants_hold_across_mixed_outcomes() {
-        let (topo, names) = samples::chain(3);
-        let mut net = Network::new(topo);
-        let v = names.addr("vantage");
+        let (net, names) = chain(3);
         let d = names.addr("dest");
-        let mut p = SimProber::new(&mut net, v).retries(2);
+        let mut p = net
+            .prober(names.addr("vantage"), Protocol::Icmp)
+            .retry_policy(RetryPolicy::Fixed { retries: 2 });
         let _ = p.probe(d, 64); // direct reply
         let _ = p.probe(d, 1); // ttl exceeded
         let _ = p.probe(d, 2); // ttl exceeded
@@ -376,25 +426,23 @@ mod tests {
 
     #[test]
     fn backoff_policy_idles_the_clock_between_retries() {
-        let (topo, names) = samples::chain(1);
-        let mut net = Network::new(topo);
-        let v = names.addr("vantage");
-        let mut p =
-            SimProber::new(&mut net, v).retry_policy(RetryPolicy::Backoff { retries: 2, base: 10 });
+        let (net, names) = chain(1);
+        let mut p = net
+            .prober(names.addr("vantage"), Protocol::Icmp)
+            .retry_policy(RetryPolicy::Backoff { retries: 2, base: 10 });
         let _ = p.probe("99.0.0.1".parse().unwrap(), 64);
         // 3 injections plus 10 + 20 idle ticks of backoff.
-        assert_eq!(p.network().tick(), 3 + 10 + 20);
+        assert_eq!(p.clock(), 3 + 10 + 20);
         assert_eq!(p.stats().sent, 3);
     }
 
     #[test]
     fn adaptive_policy_widens_budget_under_timeouts() {
-        let (topo, names) = samples::chain(1);
-        let mut net = Network::new(topo);
-        let v = names.addr("vantage");
+        let (net, names) = chain(1);
         let dead: Addr = "99.0.0.1".parse().unwrap();
-        let mut p =
-            SimProber::new(&mut net, v).retry_policy(RetryPolicy::Adaptive { min: 1, max: 4 });
+        let mut p = net
+            .prober(names.addr("vantage"), Protocol::Icmp)
+            .retry_policy(RetryPolicy::Adaptive { min: 1, max: 4 });
         // First probe: empty window, budget = min = 1 → 2 sends.
         let _ = p.probe(dead, 64);
         assert_eq!(p.stats().sent, 2);
@@ -415,21 +463,27 @@ mod tests {
         assert_eq!(p.stats().sent - before, 2, "clean window shrinks to min = 1 retry");
     }
 
+    fn faulted_chain(plan: netsim::FaultPlan) -> (SharedNetwork, samples::Names) {
+        let (topo, names) = samples::chain(1);
+        let net = ConcurrentNetwork::new(topo).with_fault_plan(plan);
+        (SharedNetwork::from_concurrent(net), names)
+    }
+
     #[test]
     fn timeout_causes_reach_events_and_stats() {
         use obs::{SinkHandle, VecSink};
 
-        let (topo, names) = samples::chain(1);
-        let mut net = Network::new(topo);
         let mut plan = netsim::FaultPlan::new(7);
         plan.reply_loss = 1.0;
-        net.set_fault_plan(Some(plan));
-        let v = names.addr("vantage");
+        let (net, names) = faulted_chain(plan);
         let d = names.addr("dest");
         let sink = VecSink::new();
         let reader = sink.clone();
         let recorder = Recorder::new().with_sink(SinkHandle::new(sink));
-        let mut p = SimProber::new(&mut net, v).retries(1).recorder(recorder);
+        let mut p = net
+            .prober(names.addr("vantage"), Protocol::Icmp)
+            .retry_policy(RetryPolicy::Fixed { retries: 1 })
+            .recorder(recorder);
         assert_eq!(p.probe(d, 64), ProbeOutcome::Timeout);
         let events = reader.events();
         assert_eq!(events.len(), 2);
@@ -447,11 +501,6 @@ mod tests {
     fn recovered_retry_is_not_a_fault_timeout() {
         // Reply loss on exactly the first injection tick: retry recovers,
         // so the logical probe is clean and nothing is attributed.
-        let (topo, names) = samples::chain(1);
-        let mut net = Network::new(topo);
-        let v = names.addr("vantage");
-        let d = names.addr("dest");
-        // Find a seed whose plan drops tick 1 but not tick 2.
         let seed = (0..u64::MAX)
             .find(|&s| {
                 let mut plan = netsim::FaultPlan::new(s);
@@ -461,8 +510,11 @@ mod tests {
             .unwrap();
         let mut plan = netsim::FaultPlan::new(seed);
         plan.reply_loss = 0.5;
-        net.set_fault_plan(Some(plan));
-        let mut p = SimProber::new(&mut net, v).retries(1);
+        let (net, names) = faulted_chain(plan);
+        let d = names.addr("dest");
+        let mut p = net
+            .prober(names.addr("vantage"), Protocol::Icmp)
+            .retry_policy(RetryPolicy::Fixed { retries: 1 });
         assert_eq!(p.probe(d, 64), ProbeOutcome::DirectReply { from: d });
         let s = p.stats();
         assert_eq!(s.retries, 1, "first attempt was lost");
@@ -473,18 +525,18 @@ mod tests {
     #[test]
     fn recorder_sees_every_wire_attempt() {
         use obs::{Registry, SinkHandle, VecSink};
-        use std::sync::Arc;
 
-        let (topo, names) = samples::chain(2);
-        let mut net = Network::new(topo);
-        let v = names.addr("vantage");
+        let (net, names) = chain(2);
         let d = names.addr("dest");
         let sink = VecSink::new();
         let reader = sink.clone();
         let metrics = Arc::new(Registry::new());
         let recorder =
             Recorder::new().with_sink(SinkHandle::new(sink)).with_metrics(Arc::clone(&metrics));
-        let mut p = SimProber::new(&mut net, v).retries(1).recorder(recorder);
+        let mut p = net
+            .prober(names.addr("vantage"), Protocol::Icmp)
+            .retry_policy(RetryPolicy::Fixed { retries: 1 })
+            .recorder(recorder);
 
         let _ = p.probe(d, 64);
         let _ = p.probe("99.0.0.1".parse().unwrap(), 64); // 2 attempts, both silent
@@ -501,8 +553,45 @@ mod tests {
     #[test]
     #[should_panic(expected = "not an interface")]
     fn bogus_source_panics_early() {
-        let (topo, _) = samples::chain(1);
-        let mut net = Network::new(topo);
-        let _ = SimProber::new(&mut net, "203.0.113.99".parse().unwrap());
+        let (net, _) = chain(1);
+        let _ = net.prober("203.0.113.99".parse().unwrap(), Protocol::Icmp);
+    }
+
+    #[test]
+    fn two_vantages_share_one_network() {
+        let (topo, names) = samples::figure2();
+        let shared = SharedNetwork::new(topo);
+        let mut pa = shared.prober(names.addr("A"), Protocol::Icmp).ident(1);
+        let mut pb = shared.prober(names.addr("B"), Protocol::Icmp).ident(2);
+        let (c, d) = (names.addr("C"), names.addr("D"));
+        assert_eq!(pa.probe(d, 64), ProbeOutcome::DirectReply { from: d });
+        assert_eq!(pb.probe(c, 64), ProbeOutcome::DirectReply { from: c });
+        // Engine clock advanced for both (shared state).
+        assert!(shared.with(|n| n.tick()) >= 2);
+    }
+
+    #[test]
+    fn default_idents_are_distinct_per_prober() {
+        let (topo, names) = samples::figure2();
+        let shared = SharedNetwork::new(topo);
+        let a = shared.prober(names.addr("A"), Protocol::Icmp);
+        let b = shared.prober(names.addr("B"), Protocol::Icmp);
+        assert_ne!(a.ident, b.ident, "two default probers must not share a flow ident");
+        for p in [&a, &b] {
+            let base = IdentSpace::Aux.base();
+            assert!(p.ident >= base, "default idents come from the Aux namespace");
+        }
+    }
+
+    #[test]
+    fn rtt_sleep_does_not_change_outcomes() {
+        let (net, names) = chain(1);
+        let mut p = net
+            .prober(names.addr("vantage"), Protocol::Icmp)
+            .ident(7)
+            .rtt(Duration::from_micros(50));
+        let d = names.addr("dest");
+        assert_eq!(p.probe(d, 64), ProbeOutcome::DirectReply { from: d });
+        assert_eq!(net.with(|n| n.tick()), 1);
     }
 }

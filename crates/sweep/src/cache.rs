@@ -1,29 +1,24 @@
-//! The cross-session subnet cache.
+//! The cross-session subnet cache: a Doubletree-style stop set.
 //!
 //! Consecutive sessions from one vantage share long path prefixes, so
 //! they re-position and re-explore the same subnets hop after hop. The
-//! cache remembers, across sessions:
+//! cache remembers every `(prev, v, d)` hop that was positioned and
+//! explored, mapped to its outcome — including barren outcomes, so a hop
+//! that yielded nothing is not re-probed either (the Doubletree stop-set
+//! idea applied to subnet exploration). The stop set is the only state
+//! that crosses sessions.
 //!
-//! - **the stop set**: every `(prev, v, d)` hop that was positioned and
-//!   explored, mapped to its outcome — including barren outcomes, so a
-//!   hop that yielded nothing is not re-probed either (the Doubletree
-//!   stop-set idea applied to subnet exploration); and
-//! - **accepted subnets**, keyed by prefix with members merged — in
-//!   [`SubnetCache::aggressive`] mode a hop whose address is already a
-//!   member of an accepted subnet reuses it, exactly like the
-//!   within-session `reuse_known_subnets` skip.
-//!
-//! Only the stop-set tier serves lookups by default, and that is what
-//! makes the default cache *observation-equivalent*: on a network whose
-//! responses don't depend on probe history, the outcome of exploring
-//! hop `(prev, v, d)` is a pure function of the key, so replaying the
-//! first writer's outcome is exactly what the reader would have
-//! computed itself. Membership replay is not order-independent — two
-//! sessions can reach one subnet through *different* hop keys and
-//! legitimately collect different (nested) prefixes, and which one the
-//! cache replays would depend on which session finished first — so the
-//! conformant default leaves it off, and the conformance suite pins
-//! that choice.
+//! Keying on the exact hop is what makes the cache
+//! *observation-equivalent*: on a network whose responses don't depend
+//! on probe history, the outcome of exploring hop `(prev, v, d)` is a
+//! pure function of the key, so replaying the first writer's outcome is
+//! exactly what the reader would have computed itself. Replaying a
+//! subnet across hop keys (say, for any later hop whose address is one
+//! of its members) would not be: two sessions can reach one subnet
+//! through different hop keys and legitimately collect different
+//! (nested) prefixes, and which one a replay picked would depend on
+//! which session finished first. The conformance suite pins that the
+//! batch output is independent of admit order.
 //!
 //! Lookups and admissions take one short mutex-protected critical
 //! section; statistics are lock-free atomics, so workers can read them
@@ -33,24 +28,13 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use inet::{Addr, Prefix};
+use inet::Addr;
 use parking_lot::Mutex;
 use tracenet::{CacheLookup, ObservedSubnet, SubnetStore};
 
 /// A hop identity: previous trace address, hop address, TTL — the inputs
 /// that determine positioning.
 type HopKey = (Option<Addr>, Addr, u8);
-
-#[derive(Default)]
-struct Inner {
-    /// Accepted (≥ 2 member) subnets by prefix, members merged across
-    /// observations.
-    accepted: BTreeMap<Prefix, ObservedSubnet>,
-    /// Member address → accepted prefix, for O(log n) containment hits.
-    member_of: BTreeMap<Addr, Prefix>,
-    /// Exact per-hop outcomes, barren ones included.
-    stop_set: BTreeMap<HopKey, Option<ObservedSubnet>>,
-}
 
 #[derive(Default)]
 struct Counters {
@@ -80,29 +64,18 @@ impl CacheStats {
     }
 }
 
-/// A concurrent cross-session subnet cache (cheaply cloneable handle).
+/// A concurrent cross-session stop set (cheaply cloneable handle).
 #[derive(Clone, Default)]
 pub struct SubnetCache {
-    inner: Arc<Mutex<Inner>>,
+    /// Exact per-hop outcomes, barren ones included.
+    stop_set: Arc<Mutex<BTreeMap<HopKey, Option<ObservedSubnet>>>>,
     counters: Arc<Counters>,
-    aggressive: bool,
 }
 
 impl SubnetCache {
-    /// An empty cache in the conformant default mode: only exact
-    /// `(prev, v, d)` stop-set entries replay.
+    /// An empty cache.
     pub fn new() -> SubnetCache {
         SubnetCache::default()
-    }
-
-    /// An empty cache that additionally replays any accepted subnet one
-    /// of whose members is hit at *any* hop key. Saves more probes, but
-    /// the replayed prefix then depends on which session explored
-    /// first, so batch output is no longer guaranteed identical to a
-    /// sequential run (it may collect a superset prefix where the
-    /// sequential run collects nested ones).
-    pub fn aggressive() -> SubnetCache {
-        SubnetCache { aggressive: true, ..SubnetCache::default() }
     }
 
     /// Freezes the counters.
@@ -114,76 +87,32 @@ impl SubnetCache {
             admitted: self.counters.admitted.load(Ordering::Relaxed),
         }
     }
-
-    /// Number of accepted subnets.
-    pub fn len(&self) -> usize {
-        self.inner.lock().accepted.len()
-    }
-
-    /// Whether no subnet has been accepted yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The accepted prefixes, sorted.
-    pub fn accepted_prefixes(&self) -> Vec<Prefix> {
-        self.inner.lock().accepted.keys().copied().collect()
-    }
 }
 
 impl SubnetStore for SubnetCache {
     fn lookup(&self, prev: Option<Addr>, v: Addr, d: u8) -> CacheLookup {
-        let inner = self.inner.lock();
-        if let Some(outcome) = inner.stop_set.get(&(prev, v, d)) {
-            let counter =
-                if outcome.is_some() { &self.counters.hits } else { &self.counters.skips };
-            counter.fetch_add(1, Ordering::Relaxed);
-            return CacheLookup::Hit(outcome.clone());
-        }
-        if self.aggressive {
-            if let Some(subnet) = inner.member_of.get(&v).and_then(|p| inner.accepted.get(p)) {
-                self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                return CacheLookup::Hit(Some(subnet.clone()));
-            }
-        }
-        self.counters.misses.fetch_add(1, Ordering::Relaxed);
-        CacheLookup::Miss
+        let (counter, found) = match self.stop_set.lock().get(&(prev, v, d)) {
+            Some(Some(subnet)) => (&self.counters.hits, CacheLookup::Hit(Some(subnet.clone()))),
+            Some(None) => (&self.counters.skips, CacheLookup::Hit(None)),
+            None => (&self.counters.misses, CacheLookup::Miss),
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
     }
 
     fn admit(&self, prev: Option<Addr>, v: Addr, d: u8, outcome: Option<&ObservedSubnet>) {
         self.counters.admitted.fetch_add(1, Ordering::Relaxed);
-        let mut inner = self.inner.lock();
-        // First writer wins on the exact key: with a history-independent
-        // network every writer stores the same outcome anyway, and a
-        // stable entry keeps replays consistent within one batch.
-        inner.stop_set.entry((prev, v, d)).or_insert_with(|| outcome.cloned());
-        if let Some(s) = outcome {
-            if s.record.len() >= 2 {
-                let prefix = s.record.prefix();
-                let members: Vec<Addr> = {
-                    let entry = inner
-                        .accepted
-                        .entry(prefix)
-                        .and_modify(|existing| {
-                            for &m in s.record.members() {
-                                existing.record.insert(m);
-                            }
-                        })
-                        .or_insert_with(|| s.clone());
-                    entry.record.members().to_vec()
-                };
-                for m in members {
-                    inner.member_of.insert(m, prefix);
-                }
-            }
-        }
+        // First writer wins: with a history-independent network every
+        // writer stores the same outcome anyway, and a stable entry keeps
+        // replays consistent within one batch.
+        self.stop_set.lock().entry((prev, v, d)).or_insert_with(|| outcome.cloned());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use inet::SubnetRecord;
+    use inet::{Prefix, SubnetRecord};
     use tracenet::StopCause;
 
     fn a(s: &str) -> Addr {
@@ -227,19 +156,18 @@ mod tests {
             CacheLookup::Hit(None) => {}
             other => panic!("expected a barren replay, got {other:?}"),
         }
-        // A barren exact entry does not poison containment lookups for
-        // other hops, and unknown hops still miss.
+        // A barren entry answers only its own hop; unknown hops miss.
         assert!(matches!(cache.lookup(None, a("10.0.0.2"), 1), CacheLookup::Miss));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.skips, stats.misses), (0, 1, 1));
     }
 
     #[test]
-    fn default_cache_never_replays_across_hop_keys() {
+    fn lookups_never_cross_hop_keys() {
         // Two sessions can reach one subnet through different hop keys
         // and legitimately collect different nested prefixes; replaying
         // across keys would make the result depend on which session
-        // finished first. The conformant default therefore misses here.
+        // finished first. A member seen at another hop key misses.
         let cache = SubnetCache::new();
         let s = subnet("10.0.2.0/29", &["10.0.2.1", "10.0.2.2", "10.0.2.3"]);
         cache.admit(Some(a("10.0.1.1")), a("10.0.2.3"), 4, Some(&s));
@@ -248,56 +176,18 @@ mod tests {
     }
 
     #[test]
-    fn aggressive_cache_hits_any_accepted_member_at_any_hop() {
-        let cache = SubnetCache::aggressive();
-        let s = subnet("10.0.2.0/29", &["10.0.2.1", "10.0.2.2", "10.0.2.3"]);
-        cache.admit(Some(a("10.0.1.1")), a("10.0.2.3"), 4, Some(&s));
-        // A different member, a different previous hop, a different TTL:
-        // still a hit, mirroring within-session reuse semantics.
-        match cache.lookup(Some(a("9.9.9.9")), a("10.0.2.2"), 7) {
-            CacheLookup::Hit(Some(got)) => assert!(got.record.contains(a("10.0.2.2"))),
-            other => panic!("expected a membership hit, got {other:?}"),
-        }
-        // Addresses inside the prefix but never observed are not members.
-        assert!(matches!(cache.lookup(None, a("10.0.2.6"), 4), CacheLookup::Miss));
-    }
-
-    #[test]
-    fn singletons_replay_exactly_but_never_spread() {
+    fn first_writer_wins_on_one_hop_key() {
         let cache = SubnetCache::new();
-        let s = subnet("10.0.2.0/31", &["10.0.2.1"]);
-        cache.admit(None, a("10.0.2.1"), 2, Some(&s));
-        // The exact hop replays its singleton…
-        assert!(matches!(cache.lookup(None, a("10.0.2.1"), 2), CacheLookup::Hit(Some(_))));
-        // …but a singleton is not an accepted subnet: the same address
-        // through a different hop key misses.
-        assert!(matches!(cache.lookup(None, a("10.0.2.1"), 5), CacheLookup::Miss));
-        assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn same_prefix_observations_merge_members() {
-        let cache = SubnetCache::aggressive();
-        cache.admit(
-            None,
-            a("10.0.2.1"),
-            3,
-            Some(&subnet("10.0.2.0/29", &["10.0.2.1", "10.0.2.2"])),
-        );
-        cache.admit(
-            None,
-            a("10.0.2.4"),
-            3,
-            Some(&subnet("10.0.2.0/29", &["10.0.2.2", "10.0.2.4"])),
-        );
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.accepted_prefixes(), vec!["10.0.2.0/29".parse::<Prefix>().unwrap()]);
-        match cache.lookup(None, a("10.0.2.4"), 9) {
-            CacheLookup::Hit(Some(got)) => {
-                assert_eq!(got.record.len(), 3, "members merged across observations");
-            }
-            other => panic!("expected a hit, got {other:?}"),
+        let first = subnet("10.0.2.0/30", &["10.0.2.1", "10.0.2.2"]);
+        let second = subnet("10.0.2.0/29", &["10.0.2.1", "10.0.2.5"]);
+        cache.admit(None, a("10.0.2.1"), 3, Some(&first));
+        cache.admit(None, a("10.0.2.1"), 3, Some(&second));
+        cache.admit(None, a("10.0.2.1"), 3, None);
+        match cache.lookup(None, a("10.0.2.1"), 3) {
+            CacheLookup::Hit(Some(got)) => assert_eq!(got.record.prefix(), first.record.prefix()),
+            other => panic!("expected the first outcome, got {other:?}"),
         }
+        assert_eq!(cache.stats().admitted, 3);
     }
 
     #[test]
@@ -320,7 +210,6 @@ mod tests {
                 });
             }
         });
-        assert_eq!(cache.len(), 200, "one accepted subnet per distinct prefix");
         let stats = cache.stats();
         assert_eq!(stats.admitted, 400);
         assert_eq!(stats.lookups(), 400);

@@ -6,7 +6,7 @@
 //! Determinism contract: the result is assembled into **target order**
 //! regardless of which worker finished which session first, and every
 //! session's probe ident is a pure function of its target index (see
-//! [`crate::ident`]), so the collected output is independent of the
+//! [`IdentAllocator`]), so the collected output is independent of the
 //! thread count on any topology whose responses do not depend on probe
 //! interleaving (no rate limiting, no fluctuation). The conformance
 //! suite in `tests/conformance.rs` pins exactly that property.
@@ -18,14 +18,12 @@ use std::time::Duration;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use inet::Addr;
-use netsim::Network;
 use obs::Recorder;
 use parking_lot::Mutex;
-use probe::{Prober, Protocol, RetryPolicy, SharedNetwork, SimProber};
+use probe::{IdentAllocator, IdentSpace, Prober, Protocol, RetryPolicy, SharedNetwork};
 use tracenet::{Session, SubnetStore, TraceReport, TracenetOptions};
 
 use crate::cache::{CacheStats, SubnetCache};
-use crate::ident::{IdentAllocator, IdentBlock, IdentSpace};
 
 /// Configuration of one batch run.
 #[derive(Clone, Copy, Debug)]
@@ -44,9 +42,7 @@ pub struct BatchConfig {
     /// Modeled per-probe round-trip time. `Duration::ZERO` (the default)
     /// probes at simulator speed; a nonzero RTT blocks each wire send for
     /// that long, making the batch latency-bound — the regime where
-    /// `jobs` parallelism pays, as on the real Internet. Only the
-    /// concurrent path honors this; `run_batch_seq` always runs at
-    /// simulator speed.
+    /// `jobs` parallelism pays, as on the real Internet.
     pub probe_rtt: Duration,
 }
 
@@ -109,13 +105,9 @@ fn run_session<P: Prober>(
     })
 }
 
-fn finish(reports: Vec<TraceReport>, cache: Option<SubnetCache>) -> BatchResult {
-    let probes = reports.iter().map(|r| r.total_probes).sum();
-    BatchResult { probes, reports, cache: cache.map(|c| c.stats()).unwrap_or_default() }
-}
-
 /// Runs one tracenet session per target against a shared network,
-/// fanning the targets across `cfg.jobs` worker threads.
+/// fanning the targets across `cfg.jobs` worker threads. With one job
+/// the sessions run inline on the calling thread, in target order.
 pub fn run_batch(
     net: &SharedNetwork,
     vantage: Addr,
@@ -127,91 +119,44 @@ pub fn run_batch(
     let store: Option<Arc<dyn SubnetStore>> =
         cache.clone().map(|c| Arc::new(c) as Arc<dyn SubnetStore>);
     let block = IdentAllocator::new().block(IdentSpace::Tracenet, targets.len());
+    let session = |k: usize| {
+        // Tag every event of this session with its target index, so
+        // multiplexed logs partition cleanly per target.
+        let recorder = recorder.clone().with_session(k as u64);
+        let prober = net
+            .prober(vantage, cfg.protocol)
+            .ident(block.get(k))
+            .rtt(cfg.probe_rtt)
+            .retry_policy(cfg.retry)
+            .recorder(recorder.clone());
+        run_session(prober, targets[k], cfg.opts, store.clone(), &recorder)
+    };
+
     let jobs = cfg.jobs.clamp(1, targets.len().max(1));
-
-    if jobs <= 1 {
-        let reports: Vec<TraceReport> = targets
-            .iter()
-            .enumerate()
-            .map(|(k, &target)| {
-                // Tag every event of this session with its target index,
-                // so multiplexed logs partition cleanly per target.
-                let recorder = recorder.clone().with_session(k as u64);
-                let prober = net
-                    .prober(vantage, cfg.protocol)
-                    .ident(block.get(k))
-                    .rtt(cfg.probe_rtt)
-                    .retry_policy(cfg.retry)
-                    .recorder(recorder.clone());
-                run_session(prober, target, cfg.opts, store.clone(), &recorder)
-            })
-            .collect();
-        return finish(reports, cache);
-    }
-
-    let next = AtomicUsize::new(0);
-    let done: Mutex<Vec<(usize, TraceReport)>> = Mutex::new(Vec::with_capacity(targets.len()));
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let k = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&target) = targets.get(k) else { break };
-                let recorder = recorder.clone().with_session(k as u64);
-                let prober = net
-                    .prober(vantage, cfg.protocol)
-                    .ident(block.get(k))
-                    .rtt(cfg.probe_rtt)
-                    .retry_policy(cfg.retry)
-                    .recorder(recorder.clone());
-                let report = run_session(prober, target, cfg.opts, store.clone(), &recorder);
-                done.lock().push((k, report));
-            });
-        }
-    });
-
-    // Deterministic merge: place every report at its target index.
-    let mut slots: Vec<Option<TraceReport>> = targets.iter().map(|_| None).collect();
-    for (k, report) in done.into_inner() {
-        slots[k] = Some(report);
-    }
-    let reports = slots.into_iter().map(|r| r.expect("one report per target")).collect();
-    finish(reports, cache)
-}
-
-/// The sequential engine over an exclusively borrowed network: the same
-/// per-session pipeline (allocator idents, optional cache) without the
-/// mutex. `evalkit::run::run_tracenet_with` delegates here.
-pub fn run_batch_seq(
-    net: &mut Network,
-    vantage: Addr,
-    targets: &[Addr],
-    cfg: &BatchConfig,
-    recorder: &Recorder,
-) -> BatchResult {
-    let cache = cfg.use_cache.then(SubnetCache::new);
-    let store: Option<Arc<dyn SubnetStore>> =
-        cache.clone().map(|c| Arc::new(c) as Arc<dyn SubnetStore>);
-    let block = IdentAllocator::new().block(IdentSpace::Tracenet, targets.len());
-    let reports: Vec<TraceReport> = targets
-        .iter()
-        .enumerate()
-        .map(|(k, &target)| {
-            let recorder = recorder.clone().with_session(k as u64);
-            let prober = SimProber::with_protocol(net, vantage, cfg.protocol)
-                .ident(block.get(k))
-                .retry_policy(cfg.retry)
-                .recorder(recorder.clone());
-            run_session(prober, target, cfg.opts, store.clone(), &recorder)
-        })
-        .collect();
-    finish(reports, cache)
-}
-
-/// Idents reserved for a traceroute baseline over `len` targets, from the
-/// traceroute namespace (disjoint from tracenet's — the old xor-based
-/// schemes could collide).
-pub fn traceroute_idents(len: usize) -> IdentBlock {
-    IdentAllocator::new().block(IdentSpace::Traceroute, len)
+    let reports: Vec<TraceReport> = if jobs == 1 {
+        (0..targets.len()).map(session).collect()
+    } else {
+        let next = AtomicUsize::new(0);
+        let done: Mutex<Vec<(usize, TraceReport)>> = Mutex::new(Vec::with_capacity(targets.len()));
+        std::thread::scope(|scope| {
+            for _ in 0..jobs {
+                scope.spawn(|| loop {
+                    let k = next.fetch_add(1, Ordering::Relaxed);
+                    if k >= targets.len() {
+                        break;
+                    }
+                    let report = session(k);
+                    done.lock().push((k, report));
+                });
+            }
+        });
+        // Deterministic merge: place every report at its target index.
+        let mut done = done.into_inner();
+        done.sort_unstable_by_key(|&(k, _)| k);
+        done.into_iter().map(|(_, report)| report).collect()
+    };
+    let probes = reports.iter().map(|r| r.total_probes).sum();
+    BatchResult { probes, reports, cache: cache.map(|c| c.stats()).unwrap_or_default() }
 }
 
 #[cfg(test)]
@@ -221,7 +166,7 @@ mod tests {
 
     fn chain_net() -> (SharedNetwork, samples::Names) {
         let (topo, names) = samples::chain(3);
-        (SharedNetwork::new(Network::new(topo)), names)
+        (SharedNetwork::new(topo), names)
     }
 
     #[test]
@@ -274,7 +219,7 @@ mod tests {
     #[test]
     fn worker_pool_preserves_target_order() {
         let (topo, names) = samples::figure3();
-        let shared = SharedNetwork::new(Network::new(topo));
+        let shared = SharedNetwork::new(topo);
         let targets =
             [names.addr("dest"), names.addr("R5.n"), names.addr("dest"), names.addr("R5.n")];
         let cfg = BatchConfig { jobs: 4, ..BatchConfig::default() };
@@ -350,7 +295,7 @@ mod tests {
     fn concurrent_batch_events_partition_cleanly_by_session() {
         use obs::{Cause, Recorder, SinkHandle, VecSink};
         let (topo, names) = samples::figure3();
-        let shared = SharedNetwork::new(Network::new(topo));
+        let shared = SharedNetwork::new(topo);
         let targets: Vec<Addr> =
             std::iter::repeat_n([names.addr("dest"), names.addr("R5.n")], 4).flatten().collect();
         let sink = VecSink::new();

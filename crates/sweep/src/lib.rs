@@ -5,13 +5,14 @@
 //! sessions share most of their path — so this crate adds the two
 //! pieces that make batch collection cheap and safe:
 //!
-//! - a [`SubnetCache`] that remembers accepted subnets and per-hop
-//!   outcomes **across sessions**, extending the within-session
+//! - a [`SubnetCache`] — a stop set of explored `(prev, v, d)` hops and
+//!   their outcomes shared **across sessions**, extending the within-session
 //!   `reuse_known_subnets` skip to the whole batch (and, via the
 //!   [`tracenet::SubnetStore`] seam, to anything longer-lived); and
-//! - a worker-pool scheduler ([`run_batch`]) that fans targets across
-//!   threads over one shared network, with results merged in target
-//!   order and probe idents drawn from disjoint namespaces
+//! - one batch driver ([`run_batch`]) that every collection in the
+//!   workspace goes through: it runs the sessions inline at one job or
+//!   fans them across worker threads over one shared network, with
+//!   results merged in target order and probe idents drawn from disjoint namespaces
 //!   ([`IdentSpace`]) as a pure function of the target index.
 //!
 //! The engine is *proven observation-equivalent, not assumed*: the
@@ -24,8 +25,7 @@
 
 pub mod cache;
 pub mod engine;
-pub mod ident;
 
 pub use cache::{CacheStats, SubnetCache};
-pub use engine::{run_batch, run_batch_seq, traceroute_idents, BatchConfig, BatchResult};
-pub use ident::{IdentAllocator, IdentBlock, IdentSpace};
+pub use engine::{run_batch, BatchConfig, BatchResult};
+pub use probe::ident::{IdentAllocator, IdentBlock, IdentSpace};

@@ -21,9 +21,9 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use inet::Addr;
-use netsim::{FaultPlan, FaultProfile, Network};
+use netsim::{ConcurrentNetwork, FaultPlan, FaultProfile};
 use obs::Recorder;
-use probe::{Protocol, SharedNetwork, SimProber};
+use probe::{Protocol, SharedNetwork};
 use sweep::{run_batch, BatchConfig, BatchResult, SubnetCache};
 use topogen::Scenario;
 use tracenet::{Completeness, Session, SubnetStore, TraceReport, TracenetOptions};
@@ -59,9 +59,9 @@ fn run_with_plan(
     cap: usize,
     opts: TracenetOptions,
 ) -> BatchResult {
-    let mut net = Network::new(sc.topology.clone());
+    let mut net = ConcurrentNetwork::new(sc.topology.clone());
     net.set_fault_plan(plan);
-    let shared = SharedNetwork::new(net);
+    let shared = SharedNetwork::from_concurrent(net);
     let targets: Vec<Addr> = sc.targets.iter().copied().take(cap).collect();
     let cfg = BatchConfig { jobs, use_cache, opts, ..BatchConfig::default() };
     run_batch(&shared, sc.vantage(vantage_name(sc)), &targets, &cfg, &Recorder::disabled())
@@ -168,12 +168,12 @@ fn degraded_observations_never_reach_a_fault_free_session() {
     let store: Arc<dyn SubnetStore> = Arc::new(cache.clone());
 
     // Epoch 1: heavy loss. Degraded hops must not be admitted.
-    let mut net = Network::new(sc.topology.clone());
-    net.set_fault_plan(Some(FaultProfile::HeavyLoss.plan(fault_seed())));
+    let net = ConcurrentNetwork::new(sc.topology.clone())
+        .with_fault_plan(FaultProfile::HeavyLoss.plan(fault_seed()));
+    let net = SharedNetwork::from_concurrent(net);
     let mut saw_degraded = false;
     for (k, &target) in targets.iter().enumerate() {
-        let mut prober =
-            SimProber::with_protocol(&mut net, vantage, Protocol::Icmp).ident(k as u16);
+        let mut prober = net.prober(vantage, Protocol::Icmp).ident(k as u16);
         let report = Session::new(&mut prober, chaos_opts())
             .with_subnet_store(Arc::clone(&store))
             .run(target);
@@ -185,13 +185,12 @@ fn degraded_observations_never_reach_a_fault_free_session() {
     // observation-identical to a storeless fault-free pass — any degraded
     // entry replayed from the store would surface as a divergence.
     let session_reports = |store: Option<Arc<dyn SubnetStore>>| -> Vec<TraceReport> {
-        let mut net = Network::new(sc.topology.clone());
+        let net = SharedNetwork::new(sc.topology.clone());
         targets
             .iter()
             .enumerate()
             .map(|(k, &target)| {
-                let mut prober = SimProber::with_protocol(&mut net, vantage, Protocol::Icmp)
-                    .ident(100 + k as u16);
+                let mut prober = net.prober(vantage, Protocol::Icmp).ident(100 + k as u16);
                 let mut session = Session::new(&mut prober, TracenetOptions::default());
                 if let Some(s) = &store {
                     session = session.with_subnet_store(Arc::clone(s));

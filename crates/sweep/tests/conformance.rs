@@ -3,8 +3,8 @@
 //! session-per-target loop collects.
 //!
 //! The golden baseline below is deliberately *independent* of the engine
-//! under test — it constructs a [`Session`] per target by hand, the way
-//! `evalkit::run_tracenet` did before the engine existed. Scenarios are
+//! under test — it constructs a [`Session`] per target by hand over one
+//! `SimProber` each, with no batch-driver code involved. Scenarios are
 //! restricted to history-independent topologies (the research backbones
 //! and small random nets carry no rate limits, no response fluctuation
 //! and no per-flow load balancing), where observations cannot depend on
@@ -16,9 +16,8 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use evalkit::{classify, CollectedSet, MatchClass};
 use inet::{Addr, Prefix};
-use netsim::Network;
 use obs::Recorder;
-use probe::{Prober, Protocol, SharedNetwork, SimProber};
+use probe::{Prober, Protocol, SharedNetwork};
 use sweep::BatchConfig;
 use topogen::Scenario;
 use tracenet::{Session, TracenetOptions};
@@ -53,12 +52,11 @@ fn fingerprint(sc: &Scenario, set: &CollectedSet) -> Fingerprint {
 /// The golden baseline: one hand-built session per target, fresh
 /// network, no engine code involved.
 fn golden(sc: &Scenario, targets: &[Addr]) -> CollectedSet {
-    let mut net = Network::new(sc.topology.clone());
+    let net = SharedNetwork::new(sc.topology.clone());
     let vantage = sc.vantage(vantage_name(sc));
     let mut out = CollectedSet::default();
     for (k, &target) in targets.iter().enumerate() {
-        let mut prober =
-            SimProber::with_protocol(&mut net, vantage, Protocol::Icmp).ident(k as u16);
+        let mut prober = net.prober(vantage, Protocol::Icmp).ident(k as u16);
         let report = Session::new(&mut prober, TracenetOptions::default()).run(target);
         out.probes += prober.stats().sent;
         out.add_report(&report);
@@ -90,9 +88,9 @@ fn conform(sc: &Scenario, cap: usize) -> bool {
     for jobs in [1usize, 4, 8] {
         let mut uncached_probes = None;
         for use_cache in [false, true] {
-            let shared = SharedNetwork::new(Network::new(sc.topology.clone()));
+            let shared = SharedNetwork::new(sc.topology.clone());
             let cfg = BatchConfig { jobs, use_cache, ..BatchConfig::default() };
-            let (set, stats) = evalkit::run::run_tracenet_batch(
+            let set = evalkit::run::run_tracenet(
                 &shared,
                 sc.vantage(vantage_name(sc)),
                 &targets,
@@ -113,7 +111,7 @@ fn conform(sc: &Scenario, cap: usize) -> bool {
                     sc.name,
                     set.probes
                 );
-                if stats.hits > 0 && set.probes < uncached {
+                if set.cache.hits > 0 && set.probes < uncached {
                     saved_probes = true;
                 }
             } else {
@@ -155,16 +153,16 @@ fn cached_collection_keeps_accuracy_on_internet2() {
     // still collects a majority of evaluated subnets exactly.
     let sc = topogen::internet2(11);
     let targets = targets_of(&sc, 40);
-    let shared = SharedNetwork::new(Network::new(sc.topology.clone()));
+    let shared = SharedNetwork::new(sc.topology.clone());
     let cfg = BatchConfig { jobs: 8, ..BatchConfig::default() };
-    let (set, stats) = evalkit::run::run_tracenet_batch(
+    let set = evalkit::run::run_tracenet(
         &shared,
         sc.vantage("utdallas"),
         &targets,
         &cfg,
         &Recorder::disabled(),
     );
-    assert!(stats.lookups() > 0, "the cache was consulted");
+    assert!(set.cache.lookups() > 0, "the cache was consulted");
     let gt: Vec<_> = sc.ground_truth.evaluated().collect();
     let cls = classify(&gt, &set.records());
     let touched: Vec<_> = cls.iter().filter(|c| !c.collected.is_empty()).collect();

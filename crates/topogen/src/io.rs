@@ -196,10 +196,13 @@ pub fn from_json(text: &str) -> Result<Scenario, LoadError> {
 
     let mut vantages = Vec::new();
     for w in as_array(&v["vantages"], "vantages")? {
-        vantages.push((
-            as_str(&w["name"], "vantage name")?.to_string(),
-            parse_addr(&w["addr"], "vantage addr")?,
-        ));
+        let name = as_str(&w["name"], "vantage name")?.to_string();
+        let addr = parse_addr(&w["addr"], "vantage addr")?;
+        // Probes are sourced at the vantage, so it must be an interface.
+        if topology.owner_of(addr).is_none() {
+            return Err(shape(format!("vantage {name:?} at {addr} is not an interface")));
+        }
+        vantages.push((name, addr));
     }
     let targets: Vec<Addr> = as_array(&v["targets"], "targets")?
         .iter()
@@ -296,7 +299,7 @@ fn parse_addr(v: &Value, what: &str) -> Result<Addr, LoadError> {
 mod tests {
     use super::*;
     use crate::{internet2, random_topology};
-    use netsim::{Network, RoutingTable};
+    use netsim::{ConcurrentNetwork, RoutingTable};
 
     /// Compares everything observable about two scenarios.
     fn assert_equivalent(a: &Scenario, b: &Scenario) {
@@ -341,8 +344,8 @@ mod tests {
         // The reloaded network answers probes identically.
         let v = a.vantage("utdallas");
         let t = a.targets[0];
-        let mut na = Network::new(a.topology.clone());
-        let mut nb = Network::new(b.topology.clone());
+        let na = ConcurrentNetwork::new(a.topology.clone());
+        let nb = ConcurrentNetwork::new(b.topology.clone());
         for ttl in 1..8 {
             let probe = wire::builder::icmp_probe(v, t, ttl, 1, ttl as u16);
             assert_eq!(na.inject(&probe), nb.inject(&probe), "ttl {ttl}");
@@ -371,5 +374,16 @@ mod tests {
         v["ifaces"][0]["router"] = serde_json::json!(9999);
         let err = from_json(&v.to_string()).unwrap_err();
         assert!(matches!(err, LoadError::Shape(_)), "{err}");
+    }
+
+    #[test]
+    fn rejects_a_vantage_that_is_not_an_interface() {
+        let a = internet2(3);
+        let mut v: serde_json::Value = serde_json::from_str(&to_json(&a)).unwrap();
+        v["vantages"][0]["addr"] = serde_json::json!("203.0.113.99");
+        let err = from_json(&v.to_string()).unwrap_err();
+        assert!(matches!(err, LoadError::Shape(_)), "{err}");
+        let msg = err.to_string();
+        assert!(msg.contains("utdallas") && msg.contains("203.0.113.99"), "{msg}");
     }
 }

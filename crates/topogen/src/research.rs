@@ -262,7 +262,7 @@ pub fn research_net(spec: ResearchNetSpec) -> Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::{Network, RoutingTable};
+    use netsim::{ConcurrentNetwork, RoutingTable};
 
     #[test]
     fn internet2_matches_table1_original_distribution() {
@@ -361,7 +361,7 @@ mod tests {
     fn network_boots_and_answers_a_probe() {
         let sc = internet2(7);
         let v = sc.vantage("utdallas");
-        let mut net = Network::new(sc.topology);
+        let net = ConcurrentNetwork::new(sc.topology);
         let target = sc.targets.iter().find(|t| {
             // Pick a target in a normal subnet.
             sc.ground_truth.containing(**t).is_some_and(|g| g.intent == SubnetIntent::Normal)

@@ -97,7 +97,7 @@ impl GroundTruth {
 pub struct Scenario {
     /// Human-readable scenario name.
     pub name: String,
-    /// The validated topology (feed to `netsim::Network::new`).
+    /// The validated topology (feed to `netsim::ConcurrentNetwork::new`).
     pub topology: Topology,
     /// Vantage points: (name, host address).
     pub vantages: Vec<(String, Addr)>,

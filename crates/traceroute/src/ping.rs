@@ -59,14 +59,14 @@ pub fn ping_sweep<P: Prober>(prober: &mut P, prefix: inet::Prefix) -> Vec<Addr> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::{samples, Network};
-    use probe::SimProber;
+    use netsim::samples;
+    use probe::{Protocol, SharedNetwork};
 
     #[test]
     fn alive_and_dead_addresses() {
         let (topo, names) = samples::chain(2);
-        let mut net = Network::new(topo);
-        let mut p = SimProber::new(&mut net, names.addr("vantage"));
+        let net = SharedNetwork::new(topo);
+        let mut p = net.prober(names.addr("vantage"), Protocol::Icmp);
         let alive = ping(&mut p, names.addr("dest"), 3);
         assert!(alive.alive());
         assert_eq!(alive.received, 3);
@@ -82,14 +82,14 @@ mod tests {
 #[cfg(test)]
 mod sweep_tests {
     use super::*;
-    use netsim::{samples, Network};
-    use probe::SimProber;
+    use netsim::samples;
+    use probe::{Protocol, SharedNetwork};
 
     #[test]
     fn sweep_finds_exactly_the_alive_range() {
         let (topo, names) = samples::figure3();
-        let mut net = Network::new(topo);
-        let mut p = SimProber::new(&mut net, names.addr("vantage"));
+        let net = SharedNetwork::new(topo);
+        let mut p = net.prober(names.addr("vantage"), Protocol::Icmp);
         // The paper's subnet S: members .1-.4 of 10.0.2.0/29.
         let alive = ping_sweep(&mut p, "10.0.2.0/29".parse().unwrap());
         let got: Vec<String> = alive.iter().map(|a| a.to_string()).collect();
@@ -99,8 +99,8 @@ mod sweep_tests {
     #[test]
     fn sweep_of_dead_space_is_empty() {
         let (topo, names) = samples::chain(1);
-        let mut net = Network::new(topo);
-        let mut p = SimProber::new(&mut net, names.addr("vantage"));
+        let net = SharedNetwork::new(topo);
+        let mut p = net.prober(names.addr("vantage"), Protocol::Icmp);
         assert!(ping_sweep(&mut p, "99.0.0.0/29".parse().unwrap()).is_empty());
     }
 }

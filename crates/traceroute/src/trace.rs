@@ -145,14 +145,14 @@ pub fn traceroute<P: Prober>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::{samples, Network};
-    use probe::{FlowMode, SimProber};
+    use netsim::samples;
+    use probe::{FlowMode, Protocol, SharedNetwork};
 
     #[test]
     fn chain_trace_lists_one_router_per_hop() {
         let (topo, names) = samples::chain(3);
-        let mut net = Network::new(topo);
-        let mut p = SimProber::new(&mut net, names.addr("vantage"));
+        let net = SharedNetwork::new(topo);
+        let mut p = net.prober(names.addr("vantage"), Protocol::Icmp);
         let report = traceroute(&mut p, names.addr("dest"), TracerouteOptions::default());
         assert!(report.destination_reached);
         assert_eq!(report.hops.len(), 4);
@@ -168,14 +168,14 @@ mod tests {
         // Classic UDP-style probing varies the flow per probe; over the
         // ECMP diamond the middle hop shows both branch routers.
         let (topo, names) = samples::diamond();
-        let mut net = Network::new(topo);
-        let mut p = SimProber::new(&mut net, names.addr("vantage")).flow_mode(FlowMode::Classic);
+        let net = SharedNetwork::new(topo);
+        let mut p = net.prober(names.addr("vantage"), Protocol::Icmp).flow_mode(FlowMode::Classic);
         let mut opts = TracerouteOptions { probes_per_hop: 8, ..TracerouteOptions::default() };
         let classic = traceroute(&mut p, names.addr("dest"), opts);
         let mid = &classic.hops[1];
         assert_eq!(mid.addresses().len(), 2, "classic probing straddles the diamond");
 
-        let mut p = SimProber::new(&mut net, names.addr("vantage")).flow_mode(FlowMode::Classic);
+        let mut p = net.prober(names.addr("vantage"), Protocol::Icmp).flow_mode(FlowMode::Classic);
         opts.paris = true;
         let paris = traceroute(&mut p, names.addr("dest"), opts);
         assert_eq!(paris.hops[1].addresses().len(), 1, "paris pins one path");
@@ -184,8 +184,8 @@ mod tests {
     #[test]
     fn unreachable_target_fills_max_ttl_with_stars() {
         let (topo, names) = samples::chain(1);
-        let mut net = Network::new(topo);
-        let mut p = SimProber::new(&mut net, names.addr("vantage"));
+        let net = SharedNetwork::new(topo);
+        let mut p = net.prober(names.addr("vantage"), Protocol::Icmp);
         let opts = TracerouteOptions { max_ttl: 5, ..TracerouteOptions::default() };
         let report = traceroute(&mut p, "99.9.9.9".parse().unwrap(), opts);
         assert!(!report.destination_reached);
@@ -198,8 +198,8 @@ mod tests {
     #[test]
     fn addresses_with_hops_pairs_each_address_with_its_ttl() {
         let (topo, names) = samples::chain(2);
-        let mut net = Network::new(topo);
-        let mut p = SimProber::new(&mut net, names.addr("vantage"));
+        let net = SharedNetwork::new(topo);
+        let mut p = net.prober(names.addr("vantage"), Protocol::Icmp);
         let report = traceroute(&mut p, names.addr("dest"), TracerouteOptions::default());
         let pairs = report.addresses_with_hops();
         assert_eq!(pairs.len(), 3);

@@ -8,12 +8,10 @@
 //! ```
 
 use evalkit::classify::{classify, SubnetTable};
-use evalkit::run::run_tracenet;
 use evalkit::similarity::{prefix_similarity, size_similarity, PrefixBounds};
-use netsim::Network;
-use probe::Protocol;
+use probe::{Protocol, SharedNetwork};
 use topogen::{internet2, GtSubnet};
-use tracenet::TracenetOptions;
+use tracenet_suite::collect;
 
 fn main() {
     let seed = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(42);
@@ -26,14 +24,8 @@ fn main() {
     );
 
     let vantage = scenario.vantage("utdallas");
-    let mut net = Network::new(scenario.topology.clone());
-    let collected = run_tracenet(
-        &mut net,
-        vantage,
-        &scenario.targets,
-        Protocol::Icmp,
-        &TracenetOptions::default(),
-    );
+    let net = SharedNetwork::new(scenario.topology.clone());
+    let collected = collect(&net, vantage, &scenario.targets, Protocol::Icmp);
     println!(
         "collected {} subnets with {} probes over {} sessions\n",
         collected.prefixes().len(),

@@ -9,8 +9,8 @@
 use std::collections::BTreeSet;
 
 use inet::{Addr, Prefix};
-use netsim::{samples, Network};
-use probe::SimProber;
+use netsim::samples;
+use probe::{Protocol, SharedNetwork};
 use tracenet::{Session, TracenetOptions};
 use traceroute::{traceroute, TracerouteOptions};
 
@@ -20,13 +20,13 @@ fn main() {
     let b = names.addr("B");
     let c = names.addr("C");
     let d = names.addr("D");
-    let mut net = Network::new(topo);
+    let net = SharedNetwork::new(topo);
 
     // --- The traceroute map. ------------------------------------------------
     let paris = TracerouteOptions { paris: true, ..TracerouteOptions::default() };
-    let mut prober = SimProber::new(&mut net, a).ident(1);
+    let mut prober = net.prober(a, Protocol::Icmp).ident(1);
     let p1 = traceroute(&mut prober, d, paris);
-    let mut prober = SimProber::new(&mut net, b).ident(2);
+    let mut prober = net.prober(b, Protocol::Icmp).ident(2);
     let p3 = traceroute(&mut prober, c, paris);
 
     let p1_addrs: BTreeSet<Addr> = p1.all_addresses();
@@ -41,9 +41,9 @@ fn main() {
     assert!(shared_nodes.is_empty(), "Figure 2's premise: the IP paths look disjoint");
 
     // --- The tracenet map. ----------------------------------------------------
-    let mut prober = SimProber::new(&mut net, a).ident(3);
+    let mut prober = net.prober(a, Protocol::Icmp).ident(3);
     let t1 = Session::new(&mut prober, TracenetOptions::default()).run(d);
-    let mut prober = SimProber::new(&mut net, b).ident(4);
+    let mut prober = net.prober(b, Protocol::Icmp).ident(4);
     let t3 = Session::new(&mut prober, TracenetOptions::default()).run(c);
 
     let s1: BTreeSet<Prefix> = t1.subnets().map(|s| s.record.prefix()).collect();

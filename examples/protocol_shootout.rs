@@ -6,11 +6,9 @@
 //! cargo run --release --example protocol_shootout [seed]
 //! ```
 
-use evalkit::run::run_tracenet;
-use netsim::Network;
-use probe::Protocol;
+use probe::{Protocol, SharedNetwork};
 use topogen::{default_isps, isp_internet_with, IspInternetSpec};
-use tracenet::TracenetOptions;
+use tracenet_suite::collect;
 
 fn main() {
     let seed = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(7);
@@ -29,10 +27,9 @@ fn main() {
     let rice = scenario.vantage("rice");
 
     println!("{:>6} {:>9} {:>10} {:>8}", "proto", "subnets", "addresses", "probes");
-    let mut net = Network::new(scenario.topology.clone());
+    let net = SharedNetwork::new(scenario.topology.clone());
     for proto in [Protocol::Icmp, Protocol::Udp, Protocol::Tcp] {
-        let collected =
-            run_tracenet(&mut net, rice, &scenario.targets, proto, &TracenetOptions::default());
+        let collected = collect(&net, rice, &scenario.targets, proto);
         println!(
             "{:>6} {:>9} {:>10} {:>8}",
             format!("{proto:?}"),

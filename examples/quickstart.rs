@@ -6,8 +6,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use netsim::{samples, Network};
-use probe::{Prober, SimProber};
+use netsim::samples;
+use probe::{Prober, Protocol, SharedNetwork};
 use tracenet::{Session, TracenetOptions};
 use traceroute::{traceroute, TracerouteOptions};
 
@@ -18,10 +18,10 @@ fn main() {
     let (topo, names) = samples::figure3();
     let vantage = names.addr("vantage");
     let dest = names.addr("dest");
-    let mut net = Network::new(topo);
+    let net = SharedNetwork::new(topo);
 
     println!("--- traceroute view ---");
-    let mut prober = SimProber::new(&mut net, vantage);
+    let mut prober = net.prober(vantage, Protocol::Icmp);
     let tr = traceroute(&mut prober, dest, TracerouteOptions::default());
     print!("{tr}");
     println!(
@@ -31,7 +31,7 @@ fn main() {
     );
 
     println!("--- tracenet view ---");
-    let mut prober = SimProber::new(&mut net, vantage);
+    let mut prober = net.prober(vantage, Protocol::Icmp);
     let report = Session::new(&mut prober, TracenetOptions::default()).run(dest);
     print!("{report}");
     println!();

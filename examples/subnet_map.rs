@@ -7,8 +7,8 @@
 //! ```
 
 use evalkit::graph::SubnetGraph;
-use netsim::{samples, Network};
-use probe::SimProber;
+use netsim::samples;
+use probe::{Protocol, SharedNetwork};
 use tracenet::{Session, TracenetOptions};
 
 fn main() {
@@ -16,13 +16,13 @@ fn main() {
     // union exposes the shared multi-access LAN as the articulation
     // point between the two "disjoint" paths.
     let (topo, names) = samples::figure2();
-    let mut net = Network::new(topo);
+    let net = SharedNetwork::new(topo);
     let mut graph = SubnetGraph::new();
 
     for (k, (vantage, dest)) in
         [("A", "D"), ("B", "C"), ("A", "C"), ("B", "D")].into_iter().enumerate()
     {
-        let mut prober = SimProber::new(&mut net, names.addr(vantage)).ident(0x4d00 + k as u16);
+        let mut prober = net.prober(names.addr(vantage), Protocol::Icmp).ident(0x4d00 + k as u16);
         let report = Session::new(&mut prober, TracenetOptions::default()).run(names.addr(dest));
         graph.add_report(&report);
         eprintln!(

@@ -8,17 +8,32 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use evalkit::CollectedSet;
 use inet::Addr;
-use netsim::{Network, Topology};
-use probe::SimProber;
+use netsim::Topology;
+use probe::{Protocol, SharedNetwork};
+use sweep::BatchConfig;
 use tracenet::{Session, TraceReport, TracenetOptions};
 
 /// Runs one tracenet session with default options over a fresh network —
 /// the three lines every example starts with.
 pub fn trace_once(topology: Topology, vantage: Addr, destination: Addr) -> TraceReport {
-    let mut net = Network::new(topology);
-    let mut prober = SimProber::new(&mut net, vantage);
+    let net = SharedNetwork::new(topology);
+    let mut prober = net.prober(vantage, Protocol::Icmp);
     Session::new(&mut prober, TracenetOptions::default()).run(destination)
+}
+
+/// Collects the subnets behind `targets` the way the paper's evaluation
+/// does: one default session per target, in target order, with no
+/// cross-session cache — `sweep::run_batch` at one job, folded.
+pub fn collect(
+    net: &SharedNetwork,
+    vantage: Addr,
+    targets: &[Addr],
+    protocol: Protocol,
+) -> CollectedSet {
+    let cfg = BatchConfig { use_cache: false, protocol, ..BatchConfig::default() };
+    evalkit::run::run_tracenet(net, vantage, targets, &cfg, &obs::Recorder::disabled())
 }
 
 #[cfg(test)]

@@ -3,25 +3,19 @@
 //! headline numbers.
 
 use evalkit::classify::{classify, SubnetTable};
-use evalkit::run::{run_tracenet, run_traceroute};
-use netsim::{samples, Network};
-use probe::Protocol;
+use evalkit::run::run_traceroute;
+use netsim::samples;
+use probe::{Protocol, SharedNetwork};
 use topogen::{geant, internet2, GtSubnet};
 use tracenet::TracenetOptions;
-use tracenet_suite::trace_once;
+use tracenet_suite::{collect, trace_once};
 
 fn accuracy_table(scenario: topogen::Scenario) -> SubnetTable {
     let network = scenario.name.clone();
     let vantage = scenario.vantages[0].1;
     let gt: Vec<&GtSubnet> = scenario.ground_truth.of_network(&network).collect();
-    let mut net = Network::new(scenario.topology.clone());
-    let collected = run_tracenet(
-        &mut net,
-        vantage,
-        &scenario.targets,
-        Protocol::Icmp,
-        &TracenetOptions::default(),
-    );
+    let net = SharedNetwork::new(scenario.topology.clone());
+    let collected = collect(&net, vantage, &scenario.targets, Protocol::Icmp);
     SubnetTable::build(&classify(&gt, &collected.records()))
 }
 
@@ -75,15 +69,15 @@ fn tracenet_beats_traceroute_on_address_discovery() {
     let scenario = internet2(7);
     let vantage = scenario.vantages[0].1;
     let targets: Vec<_> = scenario.targets.iter().copied().take(25).collect();
-    let mut net = Network::new(scenario.topology.clone());
+    let net = SharedNetwork::new(scenario.topology.clone());
     let (_, tr_addrs, _) = run_traceroute(
-        &mut net,
+        &net,
         vantage,
         &targets,
         Protocol::Icmp,
         &traceroute::TracerouteOptions::default(),
     );
-    let tn = run_tracenet(&mut net, vantage, &targets, Protocol::Icmp, &TracenetOptions::default());
+    let tn = collect(&net, vantage, &targets, Protocol::Icmp);
     assert!(
         tn.addresses().len() as f64 >= 1.5 * tr_addrs.len() as f64,
         "tracenet {} vs traceroute {}",
@@ -99,9 +93,9 @@ fn tracenet_beats_traceroute_on_address_discovery() {
 fn probe_budget_within_paper_bound() {
     let scenario = internet2(11);
     let vantage = scenario.vantages[0].1;
-    let mut net = Network::new(scenario.topology.clone());
+    let net = SharedNetwork::new(scenario.topology.clone());
     for &target in scenario.targets.iter().take(40) {
-        let mut prober = probe::SimProber::new(&mut net, vantage);
+        let mut prober = net.prober(vantage, Protocol::Icmp);
         let report = tracenet::Session::new(&mut prober, TracenetOptions::default()).run(target);
         for hop in &report.hops {
             if let Some(s) = &hop.subnet {
@@ -142,14 +136,8 @@ fn protocol_ordering_holds() {
 
     let mut counts = Vec::new();
     for proto in [Protocol::Icmp, Protocol::Udp, Protocol::Tcp] {
-        let mut net = Network::new(topo.clone());
-        let set = run_tracenet(
-            &mut net,
-            mk("10.0.0.0"),
-            &[mk("10.0.0.3")],
-            proto,
-            &TracenetOptions::default(),
-        );
+        let net = SharedNetwork::new(topo.clone());
+        let set = collect(&net, mk("10.0.0.0"), &[mk("10.0.0.3")], proto);
         counts.push(set.prefixes().len());
     }
     assert!(counts[0] >= counts[1], "ICMP {} < UDP {}", counts[0], counts[1]);

@@ -5,7 +5,6 @@ use std::collections::BTreeSet;
 
 use evalkit::crossval::VennPartition;
 use inet::Prefix;
-use netsim::Network;
 use probe::{Prober, Protocol, SharedNetwork};
 use topogen::{default_isps, isp_internet_with, IspInternetSpec};
 use tracenet::{Session, TracenetOptions};
@@ -29,7 +28,7 @@ fn pocket_internet(seed: u64) -> topogen::Scenario {
 #[test]
 fn three_vantages_share_one_internet() {
     let scenario = pocket_internet(3);
-    let shared = SharedNetwork::new(Network::new(scenario.topology.clone()));
+    let shared = SharedNetwork::new(scenario.topology.clone());
     let mut sets: Vec<BTreeSet<Prefix>> = Vec::new();
     for (k, (_, vaddr)) in scenario.vantages.iter().enumerate() {
         let mut prober = shared.prober(*vaddr, Protocol::Icmp).ident(0x100 + k as u16);
@@ -60,7 +59,7 @@ fn three_vantages_share_one_internet() {
 #[test]
 fn scoped_acls_shape_per_vantage_visibility() {
     let scenario = pocket_internet(4);
-    let mut net = Network::new(scenario.topology.clone());
+    let net = SharedNetwork::new(scenario.topology.clone());
     for (vn, vaddr) in scenario.vantages.clone() {
         let blocked: BTreeSet<Prefix> = scenario
             .topology
@@ -69,13 +68,7 @@ fn scoped_acls_shape_per_vantage_visibility() {
             .filter(|s| s.filtered_sources.contains(&vaddr))
             .map(|s| s.prefix)
             .collect();
-        let collected = evalkit::run::run_tracenet(
-            &mut net,
-            vaddr,
-            &scenario.targets,
-            Protocol::Icmp,
-            &TracenetOptions::default(),
-        );
+        let collected = tracenet_suite::collect(&net, vaddr, &scenario.targets, Protocol::Icmp);
         for p in collected.prefixes() {
             // No collected prefix may be (inside) a blocked subnet.
             assert!(!blocked.iter().any(|b| b.covers(p)), "{vn} collected blocked subnet {p}");

@@ -4,13 +4,12 @@
 
 use std::collections::BTreeMap;
 
-use evalkit::run::run_tracenet;
 use inet::Addr;
-use netsim::{Network, RoutingTable};
-use probe::Protocol;
+use netsim::RoutingTable;
+use probe::{Protocol, SharedNetwork};
 use proptest::prelude::*;
 use topogen::random_topology;
-use tracenet::TracenetOptions;
+use tracenet_suite::collect;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -27,10 +26,10 @@ proptest! {
     fn collected_subnets_are_sound(seed in 0u64..40) {
         let scenario = random_topology(seed, 6);
         let vantage = scenario.vantage("vantage");
-        let mut net = Network::new(scenario.topology.clone());
+        let net = SharedNetwork::new(scenario.topology.clone());
         let targets: Vec<Addr> = scenario.targets.iter().copied().take(12).collect();
         let collected =
-            run_tracenet(&mut net, vantage, &targets, Protocol::Icmp, &TracenetOptions::default());
+            collect(&net, vantage, &targets, Protocol::Icmp);
 
         for addr in collected.addresses() {
             prop_assert!(
@@ -61,10 +60,10 @@ proptest! {
         let vantage = scenario.vantage("vantage");
         let routing = RoutingTable::compute(&scenario.topology);
         let v_owner = scenario.topology.owner_of(vantage).expect("vantage owner");
-        let mut net = Network::new(scenario.topology.clone());
+        let net = SharedNetwork::new(scenario.topology.clone());
         let targets: Vec<Addr> = scenario.targets.iter().copied().take(12).collect();
         let collected =
-            run_tracenet(&mut net, vantage, &targets, Protocol::Icmp, &TracenetOptions::default());
+            collect(&net, vantage, &targets, Protocol::Icmp);
 
         for rec in collected.records() {
             let dists: Vec<u16> = rec
@@ -93,14 +92,8 @@ proptest! {
         let vantage = scenario.vantage("vantage");
         let targets: Vec<Addr> = scenario.targets.iter().copied().take(8).collect();
         let run = || {
-            let mut net = Network::new(scenario.topology.clone());
-            let c = run_tracenet(
-                &mut net,
-                vantage,
-                &targets,
-                Protocol::Icmp,
-                &TracenetOptions::default(),
-            );
+            let net = SharedNetwork::new(scenario.topology.clone());
+            let c = collect(&net, vantage, &targets, Protocol::Icmp);
             (c.prefixes(), c.probes)
         };
         let (a, pa) = run();
@@ -117,9 +110,9 @@ proptest! {
         let scenario = random_topology(seed, 4);
         let vantage = scenario.vantage("vantage");
         let targets: Vec<Addr> = scenario.targets.iter().copied().take(8).collect();
-        let mut net = Network::new(scenario.topology.clone());
+        let net = SharedNetwork::new(scenario.topology.clone());
         let collected =
-            run_tracenet(&mut net, vantage, &targets, Protocol::Icmp, &TracenetOptions::default());
+            collect(&net, vantage, &targets, Protocol::Icmp);
         let sub = collected.subnetized_addresses(None);
         let unsub = collected.unsubnetized_addresses(None);
         prop_assert!(sub.intersection(&unsub).next().is_none(), "overlap");
@@ -138,14 +131,8 @@ fn exactness_dominates_across_seeds() {
     for seed in 0..6u64 {
         let scenario = random_topology(seed, 6);
         let vantage = scenario.vantage("vantage");
-        let mut net = Network::new(scenario.topology.clone());
-        let collected = run_tracenet(
-            &mut net,
-            vantage,
-            &scenario.targets,
-            Protocol::Icmp,
-            &TracenetOptions::default(),
-        );
+        let net = SharedNetwork::new(scenario.topology.clone());
+        let collected = collect(&net, vantage, &scenario.targets, Protocol::Icmp);
         let gt: Vec<&topogen::GtSubnet> = scenario.ground_truth.of_network("random").collect();
         for c in evalkit::classify::classify(&gt, &collected.records()) {
             *by_class.entry(c.class.label()).or_insert(0) += 1;

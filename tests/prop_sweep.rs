@@ -3,21 +3,17 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use evalkit::run::run_tracenet_batch;
+use evalkit::run::run_tracenet;
 use evalkit::CollectedSet;
 use inet::{Addr, Prefix};
-use netsim::{FaultPlan, Network};
-use probe::{Prober, RetryPolicy, SharedNetwork, SimProber};
+use netsim::{ConcurrentNetwork, FaultPlan};
+use probe::{Prober, Protocol, RetryPolicy, SharedNetwork};
 use proptest::prelude::*;
 use sweep::BatchConfig;
 use topogen::random_topology;
 use tracenet::TracenetOptions;
 
-fn collect(
-    scenario: &topogen::Scenario,
-    targets: &[Addr],
-    cfg: &BatchConfig,
-) -> (CollectedSet, sweep::CacheStats) {
+fn collect(scenario: &topogen::Scenario, targets: &[Addr], cfg: &BatchConfig) -> CollectedSet {
     collect_with_plan(scenario, targets, cfg, None)
 }
 
@@ -26,12 +22,11 @@ fn collect_with_plan(
     targets: &[Addr],
     cfg: &BatchConfig,
     plan: Option<FaultPlan>,
-) -> (CollectedSet, sweep::CacheStats) {
-    let mut net = Network::new(scenario.topology.clone());
+) -> CollectedSet {
+    let mut net = ConcurrentNetwork::new(scenario.topology.clone());
     net.set_fault_plan(plan);
-    let shared = SharedNetwork::new(net);
-    run_tracenet_batch(
-        &shared,
+    run_tracenet(
+        &SharedNetwork::from_concurrent(net),
         scenario.vantage("vantage"),
         targets,
         cfg,
@@ -67,14 +62,14 @@ proptest! {
             collect(&scenario, &targets, &BatchConfig { use_cache: false, ..BatchConfig::default() });
         let cached = collect(&scenario, &targets, &BatchConfig::default());
 
-        prop_assert_eq!(subnet_map(&cached.0), subnet_map(&uncached.0), "seed {}", seed);
-        prop_assert_eq!(cached.0.addresses(), uncached.0.addresses(), "seed {}", seed);
+        prop_assert_eq!(subnet_map(&cached), subnet_map(&uncached), "seed {}", seed);
+        prop_assert_eq!(cached.addresses(), uncached.addresses(), "seed {}", seed);
         prop_assert!(
-            cached.0.probes <= uncached.0.probes,
+            cached.probes <= uncached.probes,
             "seed {}: cache added probes ({} > {})",
-            seed, cached.0.probes, uncached.0.probes
+            seed, cached.probes, uncached.probes
         );
-        prop_assert_eq!(uncached.1, sweep::CacheStats::default());
+        prop_assert_eq!(uncached.cache, sweep::CacheStats::default());
     }
 
     /// Accounting invariants: every target gets a session, every lookup
@@ -84,8 +79,8 @@ proptest! {
     fn cache_accounting_is_complete(seed in 64u64..128, jobs in 1usize..=8) {
         let scenario = random_topology(seed, 9);
         let targets: Vec<Addr> = scenario.targets.iter().copied().take(12).collect();
-        let (set, stats) =
-            collect(&scenario, &targets, &BatchConfig { jobs, ..BatchConfig::default() });
+        let set = collect(&scenario, &targets, &BatchConfig { jobs, ..BatchConfig::default() });
+        let stats = set.cache;
 
         prop_assert_eq!(set.sessions, targets.len(), "seed {}", seed);
         prop_assert_eq!(stats.lookups(), stats.hits + stats.skips + stats.misses);
@@ -109,8 +104,8 @@ proptest! {
         let targets: Vec<Addr> = scenario.targets.iter().copied().take(12).collect();
         let seq = collect(&scenario, &targets, &BatchConfig::default());
         let par = collect(&scenario, &targets, &BatchConfig { jobs: 8, ..BatchConfig::default() });
-        prop_assert_eq!(subnet_map(&par.0), subnet_map(&seq.0), "seed {}", seed);
-        prop_assert_eq!(par.0.addresses(), seq.0.addresses(), "seed {}", seed);
+        prop_assert_eq!(subnet_map(&par), subnet_map(&seq), "seed {}", seed);
+        prop_assert_eq!(par.addresses(), seq.addresses(), "seed {}", seed);
     }
 
     /// Soundness under faults: whatever a seeded fault plan does, the
@@ -121,7 +116,7 @@ proptest! {
         let scenario = random_topology(seed, 9);
         let targets: Vec<Addr> = scenario.targets.iter().copied().take(10).collect();
         let cfg = BatchConfig { opts: faulty_opts(), ..BatchConfig::default() };
-        let (set, _) = collect_with_plan(&scenario, &targets, &cfg, Some(plan_from(seed)));
+        let set = collect_with_plan(&scenario, &targets, &cfg, Some(plan_from(seed)));
         prop_assert_eq!(set.sessions, targets.len(), "seed {}", seed);
         for &addr in set.addresses() {
             prop_assert!(
@@ -142,7 +137,7 @@ proptest! {
         let mut prev = usize::MAX;
         for factor in [0.0, 0.5, 1.0] {
             let plan = base.scaled_loss(factor);
-            let (set, _) = collect_with_plan(&scenario, &targets, &cfg, Some(plan));
+            let set = collect_with_plan(&scenario, &targets, &cfg, Some(plan));
             let count = set.addresses().len();
             prop_assert!(
                 count <= prev,
@@ -171,11 +166,12 @@ proptest! {
             RetryPolicy::Adaptive { min: 1, max: 1 },
         ];
         let scenario = random_topology(seed, 9);
-        let mut net = Network::new(scenario.topology.clone());
+        let mut net = ConcurrentNetwork::new(scenario.topology.clone());
         if faulty {
             net.set_fault_plan(Some(plan_from(seed)));
         }
-        let mut prober = SimProber::new(&mut net, scenario.vantage("vantage"))
+        let mut prober = SharedNetwork::from_concurrent(net)
+            .prober(scenario.vantage("vantage"), Protocol::Icmp)
             .retry_policy(policies[policy_idx]);
         for &target in scenario.targets.iter().take(6) {
             for ttl in 1..=6u8 {
@@ -196,64 +192,5 @@ proptest! {
         if !faulty {
             prop_assert_eq!(s.timeouts_loss + s.timeouts_rate_limited, 0, "seed {}", seed);
         }
-    }
-
-    /// The jobs=1 identity contract of the concurrent engine refactor:
-    /// a single-job `run_batch` over the lock-free shared handle renders
-    /// byte-identical reports (and records a byte-identical probe-event
-    /// stream) to `run_batch_seq` over the classic exclusive engine, on
-    /// random topologies with and without a fault plan.
-    #[test]
-    fn single_job_batch_is_byte_identical_to_the_sequential_engine(
-        seed in 250u64..270,
-        faulty in any::<bool>(),
-    ) {
-        let scenario = random_topology(seed, 9);
-        let targets: Vec<Addr> = scenario.targets.iter().copied().take(8).collect();
-        let vantage = scenario.vantage("vantage");
-        let plan = faulty.then(|| plan_from(seed));
-        let cfg = BatchConfig {
-            use_cache: false,
-            opts: faulty_opts(),
-            ..BatchConfig::default()
-        };
-
-        let seq_sink = obs::VecSink::new();
-        let seq_reader = seq_sink.clone();
-        let mut net = Network::new(scenario.topology.clone());
-        net.set_fault_plan(plan);
-        let seq = sweep::run_batch_seq(
-            &mut net,
-            vantage,
-            &targets,
-            &cfg,
-            &obs::Recorder::new().with_sink(obs::SinkHandle::new(seq_sink)),
-        );
-
-        let par_sink = obs::VecSink::new();
-        let par_reader = par_sink.clone();
-        let mut net = Network::new(scenario.topology.clone());
-        net.set_fault_plan(plan);
-        let shared = SharedNetwork::new(net);
-        let par = sweep::run_batch(
-            &shared,
-            vantage,
-            &targets,
-            &cfg,
-            &obs::Recorder::new().with_sink(obs::SinkHandle::new(par_sink)),
-        );
-
-        prop_assert_eq!(seq.probes, par.probes, "seed {}", seed);
-        for (k, (a, b)) in seq.reports.iter().zip(&par.reports).enumerate() {
-            prop_assert_eq!(
-                format!("{a:?}"), format!("{b:?}"),
-                "seed {}: target {} diverged", seed, k
-            );
-        }
-        let seq_events: Vec<String> =
-            seq_reader.events().iter().map(|e| e.to_json().to_string()).collect();
-        let par_events: Vec<String> =
-            par_reader.events().iter().map(|e| e.to_json().to_string()).collect();
-        prop_assert_eq!(seq_events, par_events, "seed {}: event streams diverged", seed);
     }
 }
