@@ -1,7 +1,8 @@
-//! Criterion microbenches for the lock-free probe hot path: the
-//! precomputed ECMP `next_hops` lookup (now a bounds-checked slice into
-//! an arena, no per-call allocation) and `inject` through the
-//! concurrent engine handle.
+//! Criterion microbenches for the lock-free probe hot path: the warm
+//! ECMP `next_hops` lookup (a bounds-checked slice into a destination's
+//! column, no per-call allocation; every column is built by the first
+//! sweep, so the timed iterations read built columns only) and `inject`
+//! through the concurrent engine handle.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use netsim::{ConcurrentNetwork, RoutingTable};
@@ -17,8 +18,7 @@ fn bench_hot_path(c: &mut Criterion) {
     let routing = RoutingTable::compute(&topo);
     let n = topo.router_count() as u32;
 
-    // The per-hop routing lookup, swept over every (from, to) pair —
-    // pre-refactor this allocated and sorted a Vec per call.
+    // The per-hop routing lookup, swept over every (from, to) pair.
     g.bench_function("next_hops_all_pairs", |b| {
         b.iter(|| {
             let mut total = 0usize;

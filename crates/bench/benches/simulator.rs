@@ -1,16 +1,21 @@
 //! Criterion bench: simulator costs — routing-table construction and
 //! per-packet walks on research- and ISP-scale topologies.
+//!
+//! `RoutingTable::compute` builds only the attachment lists and the
+//! adjacency; the per-destination BFS columns are built on first use,
+//! so their cost shows up in the first walks toward each destination.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use netsim::{ConcurrentNetwork, RoutingTable};
-use topogen::{internet2, random_topology};
+use topogen::{internet2, isp_internet, random_topology};
 use wire::builder::icmp_probe;
 
 fn bench_simulator(c: &mut Criterion) {
     let mut g = c.benchmark_group("simulator");
     g.sample_size(20);
 
-    // Routing construction at two scales.
+    // Routing construction at three scales; the 4-ISP internet has LANs
+    // of thousands of interfaces.
     let small = random_topology(1, 8);
     g.bench_function("routing_bfs_small", |b| {
         b.iter(|| RoutingTable::compute(black_box(&small.topology)))
@@ -18,6 +23,10 @@ fn bench_simulator(c: &mut Criterion) {
     let i2 = internet2(7);
     g.bench_function("routing_bfs_internet2", |b| {
         b.iter(|| RoutingTable::compute(black_box(&i2.topology)))
+    });
+    let isp = isp_internet(2010);
+    g.bench_function("routing_bfs_isp", |b| {
+        b.iter(|| RoutingTable::compute(black_box(&isp.topology)))
     });
 
     // Per-packet walk cost: direct probe to the farthest target.

@@ -30,7 +30,8 @@
 //!
 //! [`ConcurrentNetwork`] is built for lock-free parallel probing (see
 //! DESIGN.md, "Engine concurrency & the probe hot path"): an immutable
-//! core (`Arc<Topology>` + `Arc<RoutingTable>`, read without any lock)
+//! core (`Arc<Topology>` + `Arc<RoutingTable>`, whose per-destination
+//! routes are built once on first touch and then read without any lock)
 //! plus the minimal mutable state — an atomic tick clock and per-router
 //! token-bucket / round-robin / storm counters behind per-router sharded
 //! locks. Every injection method takes `&self`, so any number of worker
@@ -130,8 +131,9 @@ pub struct ConcurrentNetwork {
 }
 
 impl ConcurrentNetwork {
-    /// Builds a concurrent network over a validated topology (computes
-    /// routing, including the precomputed ECMP next-hop arena).
+    /// Builds a concurrent network over a validated topology (builds the
+    /// routing graph; routes toward each destination are computed on
+    /// first use).
     pub fn new(topo: Topology) -> ConcurrentNetwork {
         let routing = RoutingTable::compute(&topo);
         let n = topo.router_count();
@@ -351,9 +353,10 @@ impl ConcurrentNetwork {
                 }
             }
 
-            // 3. Forward, from the precomputed ECMP arena — no per-hop
-            // allocation. Unassigned destinations route toward the
-            // subnet's ingress: the attached router nearest to here.
+            // 3. Forward along the destination's ECMP column — no
+            // per-hop allocation. Unassigned destinations route toward
+            // the subnet's ingress: the attached router nearest to here,
+            // one load from the subnet's ingress column.
             let hops: &[(RouterId, SubnetId)] = match target_router {
                 Some(tr) => self.routing.next_hops(current, tr),
                 None => match self.routing.ingress(current, dst_subnet.unwrap()) {

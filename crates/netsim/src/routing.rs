@@ -6,93 +6,75 @@
 //! All shortest next hops are retained; the engine's load balancer picks
 //! among them per flow or per packet (§3.7).
 //!
-//! Everything the forwarding hot path needs is precomputed at
-//! [`RoutingTable::compute`] time: the full per-(from, to) ECMP next-hop
-//! sets live in one compressed-sparse-row arena, so [`next_hops`]
-//! (`RoutingTable::next_hops`) returns a borrowed slice — the per-packet
-//! walk allocates nothing.
+//! [`RoutingTable::compute`] builds only the graph: the routers attached
+//! to each subnet and the sorted adjacency derived from them, both in
+//! compressed-sparse-row form. Routes are built on first use, each
+//! behind a [`OnceLock`]:
+//!
+//! * a **column** per destination router — one BFS from it gives the hop
+//!   distance from every router (adjacency is symmetric), and filtering
+//!   each router's adjacency by that distance gives its ECMP set, stored
+//!   as one CSR so [`next_hops`](RoutingTable::next_hops) returns a
+//!   borrowed slice and the per-packet walk allocates nothing;
+//! * an **ingress column** per subnet — the attached router nearest to
+//!   every router, found by one multi-source BFS, so
+//!   [`ingress`](RoutingTable::ingress) is a single load.
+//!
+//! Memory therefore grows with the destinations a run actually touches,
+//! not with the square of the router count. Every column is a pure
+//! function of the topology, so which thread builds it first cannot
+//! change any answer.
 
-use std::collections::VecDeque;
+use std::sync::OnceLock;
 
 use crate::topology::{RouterId, SubnetId, Topology};
 
-/// Unreachable marker in the distance matrix.
+/// Unreachable marker for hop distances.
 pub const UNREACHABLE: u16 = u16::MAX;
 
-/// All-pairs hop distances and next-hop sets for a topology.
+/// Ingress-column marker: the subnet is unreachable from this router.
+const NO_INGRESS: u32 = u32::MAX;
+
+/// Hop distances and next-hop sets for a topology, built per destination
+/// on first use. `Send + Sync`: share it through an `Arc`.
 pub struct RoutingTable {
-    n: usize,
-    /// dist[src * n + dst] = hop count between routers (0 on diagonal).
-    dist: Vec<u16>,
-    /// CSR offsets into `hops`: the ECMP set for (from, to) is
-    /// `hops[hop_off[from * n + to] .. hop_off[from * n + to + 1]]`.
-    hop_off: Vec<u32>,
-    /// ECMP next-hop arena, each set sorted and deduped.
-    hops: Vec<(RouterId, SubnetId)>,
+    /// CSR offsets into `adj`, one run per router.
+    adj_off: Vec<u32>,
+    /// (neighbor, via-subnet) pairs, each router's run sorted and
+    /// unique — the single definition of adjacency.
+    adj: Vec<(RouterId, SubnetId)>,
     /// CSR offsets into `attached`, one run per subnet.
     attached_off: Vec<u32>,
     /// Routers directly attached to each subnet, sorted and deduped —
     /// the delivery points for unassigned addresses.
     attached: Vec<RouterId>,
+    /// Per-destination routes, built on first use.
+    columns: Vec<OnceLock<Column>>,
+    /// Per-subnet ingress router for every source router, built on first
+    /// use ([`NO_INGRESS`] when unreachable).
+    ingress: Vec<OnceLock<Box<[u32]>>>,
+}
+
+/// The routes toward one destination router.
+struct Column {
+    /// `dist[from]` = hop count from `from` to the destination.
+    dist: Box<[u16]>,
+    /// CSR offsets into `ecmp`: the ECMP set from `from` is
+    /// `ecmp[ecmp_off[from] .. ecmp_off[from + 1]]`.
+    ecmp_off: Box<[u32]>,
+    /// ECMP next-hop arena, each set a sorted run of the adjacency.
+    ecmp: Box<[(RouterId, SubnetId)]>,
 }
 
 impl RoutingTable {
-    /// Computes the table: one BFS per router for the distance matrix,
-    /// then the dense ECMP next-hop arena and per-subnet attachment
-    /// lists the engine's hot path reads without allocating.
+    /// Builds the per-subnet attachment lists and the router adjacency
+    /// derived from them. Distances and next hops are computed lazily,
+    /// per destination, the first time they are asked for.
     pub fn compute(topo: &Topology) -> RoutingTable {
         let n = topo.router_count();
-        let mut dist = vec![UNREACHABLE; n * n];
-        // Precompute the (neighbor, via-subnet) adjacency once, sorted
-        // and deduped — the same order `next_hops` used to produce per
-        // call, so the precomputed sets are byte-identical to the old
-        // on-demand ones.
-        let adj: Vec<Vec<(RouterId, SubnetId)>> = (0..n)
-            .map(|r| {
-                let mut v: Vec<(RouterId, SubnetId)> = topo.neighbors(RouterId(r as u32)).collect();
-                v.sort_unstable();
-                v.dedup();
-                v
-            })
-            .collect();
-        let mut queue = VecDeque::new();
-        for src in 0..n {
-            let row = &mut dist[src * n..(src + 1) * n];
-            row[src] = 0;
-            queue.clear();
-            queue.push_back(src);
-            while let Some(cur) = queue.pop_front() {
-                let d = row[cur];
-                for &(nb, _) in &adj[cur] {
-                    let nb = nb.0 as usize;
-                    if row[nb] == UNREACHABLE {
-                        row[nb] = d + 1;
-                        queue.push_back(nb);
-                    }
-                }
-            }
-        }
+        let subnets = topo.subnets().len();
 
-        // ECMP arena: filtering the sorted, deduped adjacency preserves
-        // sort order and uniqueness, so each run equals what
-        // sort+dedup over the filtered neighbors would produce.
-        let mut hop_off = Vec::with_capacity(n * n + 1);
-        hop_off.push(0u32);
-        let mut hops = Vec::new();
-        for from in 0..n {
-            for to in 0..n {
-                let d = dist[from * n + to];
-                if from != to && d != UNREACHABLE {
-                    let want = d - 1;
-                    hops.extend(
-                        adj[from].iter().filter(|&&(nb, _)| dist[nb.0 as usize * n + to] == want),
-                    );
-                }
-                hop_off.push(hops.len() as u32);
-            }
-        }
-
-        let mut attached_off = Vec::with_capacity(topo.subnets().len() + 1);
+        let mut attached_off = Vec::with_capacity(subnets + 1);
         attached_off.push(0u32);
         let mut attached = Vec::new();
         for sn in topo.subnets() {
@@ -103,13 +85,52 @@ impl RoutingTable {
             attached_off.push(attached.len() as u32);
         }
 
-        RoutingTable { n, dist, hop_off, hops, attached_off, attached }
+        // Adjacency CSR: on every subnet, each attached router neighbors
+        // every other one. Attachment runs are deduped and a subnet
+        // appears once per router, so the pairs are already unique;
+        // sorting each run gives the order `next_hops` promises.
+        let runs = |s: usize| &attached[attached_off[s] as usize..attached_off[s + 1] as usize];
+        let mut degree = vec![0u32; n + 1];
+        for s in 0..subnets {
+            let run = runs(s);
+            for &r in run {
+                degree[r.0 as usize + 1] += run.len() as u32 - 1;
+            }
+        }
+        let mut adj_off = degree;
+        for r in 0..n {
+            adj_off[r + 1] += adj_off[r];
+        }
+        let mut fill: Vec<u32> = adj_off[..n].to_vec();
+        let mut adj = vec![(RouterId(0), SubnetId(0)); adj_off[n] as usize];
+        for s in 0..subnets {
+            let run = runs(s);
+            for &r in run {
+                let slot = &mut fill[r.0 as usize];
+                for &o in run.iter().filter(|&&o| o != r) {
+                    adj[*slot as usize] = (o, SubnetId(s as u32));
+                    *slot += 1;
+                }
+            }
+        }
+        for r in 0..n {
+            adj[adj_off[r] as usize..adj_off[r + 1] as usize].sort_unstable();
+        }
+
+        RoutingTable {
+            adj_off,
+            adj,
+            attached_off,
+            attached,
+            columns: (0..n).map(|_| OnceLock::new()).collect(),
+            ingress: (0..subnets).map(|_| OnceLock::new()).collect(),
+        }
     }
 
     /// Hop distance between two routers ([`UNREACHABLE`] if disconnected).
     #[inline]
     pub fn dist(&self, from: RouterId, to: RouterId) -> u16 {
-        self.dist[from.0 as usize * self.n + to.0 as usize]
+        self.column(to).dist[from.0 as usize]
     }
 
     /// Whether `to` is reachable from `from`.
@@ -119,15 +140,15 @@ impl RoutingTable {
     }
 
     /// The ECMP next-hop set from `from` toward `to`: every
-    /// (neighbor, via-subnet) pair lying on some shortest path, in a
-    /// deterministic order. Borrowed from the precomputed arena — no
-    /// allocation.
+    /// (neighbor, via-subnet) pair lying on some shortest path, sorted.
+    /// Borrowed from `to`'s column — no allocation once it is built.
     ///
     /// Empty when `from == to` or `to` is unreachable.
     #[inline]
     pub fn next_hops(&self, from: RouterId, to: RouterId) -> &[(RouterId, SubnetId)] {
-        let cell = from.0 as usize * self.n + to.0 as usize;
-        &self.hops[self.hop_off[cell] as usize..self.hop_off[cell + 1] as usize]
+        let col = self.column(to);
+        let f = from.0 as usize;
+        &col.ecmp[col.ecmp_off[f] as usize..col.ecmp_off[f + 1] as usize]
     }
 
     /// The routers directly attached to `subnet`, sorted and deduped.
@@ -140,11 +161,13 @@ impl RoutingTable {
     /// The ingress router of `subnet` as seen from `from`: the attached
     /// router at minimum hop distance, ties broken by router id —
     /// exactly [`RoutingTable::nearest`] over
-    /// [`RoutingTable::attached_routers`], without building the
-    /// candidate list per packet.
+    /// [`RoutingTable::attached_routers`], read from the subnet's
+    /// ingress column.
     #[inline]
     pub fn ingress(&self, from: RouterId, subnet: SubnetId) -> Option<RouterId> {
-        self.nearest(from, self.attached_routers(subnet).iter().copied()).map(|(r, _)| r)
+        let col = self.ingress[subnet.0 as usize].get_or_init(|| self.build_ingress(subnet));
+        let r = col[from.0 as usize];
+        (r != NO_INGRESS).then_some(RouterId(r))
     }
 
     /// The nearest router(s) of `candidates` to `from`; used to route
@@ -160,6 +183,82 @@ impl RoutingTable {
             .map(|c| (c, self.dist(from, c)))
             .filter(|&(_, d)| d != UNREACHABLE)
             .min_by_key(|&(c, d)| (d, c))
+    }
+
+    /// The sorted (neighbor, via-subnet) adjacency of `router`.
+    #[inline]
+    fn neighbors(&self, router: usize) -> &[(RouterId, SubnetId)] {
+        &self.adj[self.adj_off[router] as usize..self.adj_off[router + 1] as usize]
+    }
+
+    #[inline]
+    fn column(&self, to: RouterId) -> &Column {
+        self.columns[to.0 as usize].get_or_init(|| self.build_column(to.0 as usize))
+    }
+
+    /// One BFS from `to` for the distance row, then each router's
+    /// adjacency filtered to the neighbors one hop closer. Filtering a
+    /// sorted run keeps it sorted.
+    fn build_column(&self, to: usize) -> Column {
+        let n = self.columns.len();
+        let mut dist = vec![UNREACHABLE; n];
+        dist[to] = 0;
+        let mut queue = Vec::with_capacity(n);
+        queue.push(to);
+        let mut head = 0;
+        while let Some(&cur) = queue.get(head) {
+            head += 1;
+            let d = dist[cur] + 1;
+            for &(nb, _) in self.neighbors(cur) {
+                let nb = nb.0 as usize;
+                if dist[nb] == UNREACHABLE {
+                    dist[nb] = d;
+                    queue.push(nb);
+                }
+            }
+        }
+
+        let mut ecmp_off = Vec::with_capacity(n + 1);
+        ecmp_off.push(0u32);
+        let mut ecmp = Vec::new();
+        for (from, &d) in dist.iter().enumerate() {
+            if from != to && d != UNREACHABLE {
+                ecmp.extend(
+                    self.neighbors(from).iter().filter(|&&(nb, _)| dist[nb.0 as usize] == d - 1),
+                );
+            }
+            ecmp_off.push(ecmp.len() as u32);
+        }
+        Column { dist: dist.into(), ecmp_off: ecmp_off.into(), ecmp: ecmp.into() }
+    }
+
+    /// Multi-source BFS from the routers attached to `subnet`, seeded in
+    /// id order; each router inherits the label of whichever router
+    /// discovers it. The queue stays sorted by (level, label), so a
+    /// router's first discoverer is its lowest-labelled neighbor one
+    /// level closer — and the nearest attached routers of a router are
+    /// exactly the union of those neighbors' nearest, so every label is
+    /// the [`nearest`](RoutingTable::nearest) rule: minimum distance,
+    /// then lowest id.
+    fn build_ingress(&self, subnet: SubnetId) -> Box<[u32]> {
+        let mut label = vec![NO_INGRESS; self.columns.len()];
+        let mut queue: Vec<usize> =
+            self.attached_routers(subnet).iter().map(|r| r.0 as usize).collect();
+        for &r in &queue {
+            label[r] = r as u32;
+        }
+        let mut head = 0;
+        while let Some(&cur) = queue.get(head) {
+            head += 1;
+            for &(nb, _) in self.neighbors(cur) {
+                let nb = nb.0 as usize;
+                if label[nb] == NO_INGRESS {
+                    label[nb] = label[cur];
+                    queue.push(nb);
+                }
+            }
+        }
+        label.into()
     }
 }
 
@@ -199,6 +298,14 @@ mod tests {
         assert_eq!(rt.dist(r[0], r[3]), 3);
         assert_eq!(rt.dist(r[3], r[0]), 3);
         assert_eq!(rt.dist(r[1], r[2]), 1);
+    }
+
+    #[test]
+    fn neighbors_via_shared_subnets() {
+        let (t, r) = chain(2);
+        let rt = RoutingTable::compute(&t);
+        assert_eq!(rt.neighbors(r[0].0 as usize), &[(r[1], SubnetId(0))]);
+        assert_eq!(rt.neighbors(r[1].0 as usize), &[(r[0], SubnetId(0))]);
     }
 
     #[test]
@@ -250,30 +357,6 @@ mod tests {
         assert_eq!(hops.len(), 2);
         let nbs: Vec<RouterId> = hops.iter().map(|&(n, _)| n).collect();
         assert!(nbs.contains(&r[1]) && nbs.contains(&r[2]));
-    }
-
-    #[test]
-    fn precomputed_sets_match_on_demand_construction() {
-        // The arena must hold, for every (from, to) pair, exactly the
-        // sorted+deduped filter of the neighbor list — the construction
-        // `next_hops` performed per call before precomputation.
-        let (t, r) = diamond();
-        let rt = RoutingTable::compute(&t);
-        for &from in &r {
-            for &to in &r {
-                let expected: Vec<(RouterId, SubnetId)> = if from == to || !rt.reachable(from, to) {
-                    Vec::new()
-                } else {
-                    let want = rt.dist(from, to) - 1;
-                    let mut v: Vec<(RouterId, SubnetId)> =
-                        t.neighbors(from).filter(|&(nb, _)| rt.dist(nb, to) == want).collect();
-                    v.sort_unstable();
-                    v.dedup();
-                    v
-                };
-                assert_eq!(rt.next_hops(from, to), expected.as_slice(), "{from:?} -> {to:?}");
-            }
-        }
     }
 
     #[test]

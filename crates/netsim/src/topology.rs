@@ -6,7 +6,7 @@
 //! it." Hosts (vantage points and trace destinations) are modeled as
 //! single-interface routers flagged `is_host`.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
 
@@ -163,19 +163,6 @@ impl Topology {
     /// is returned (deterministically, in insertion order).
     pub fn iface_on(&self, router: RouterId, subnet: SubnetId) -> Option<IfaceId> {
         self.router(router).ifaces.iter().copied().find(|&i| self.iface(i).subnet == subnet)
-    }
-
-    /// Iterates (neighbor router, via subnet, neighbor's interface) for
-    /// every interface adjacency of `router`.
-    pub fn neighbors(&self, router: RouterId) -> impl Iterator<Item = (RouterId, SubnetId)> + '_ {
-        self.router(router).ifaces.iter().flat_map(move |&ifid| {
-            let sn = self.iface(ifid).subnet;
-            self.subnet(sn)
-                .ifaces
-                .iter()
-                .map(move |&other| (self.iface(other).router, sn))
-                .filter(move |&(r, _)| r != router)
-        })
     }
 
     /// The ground-truth member addresses of a subnet, sorted — what the
@@ -352,14 +339,13 @@ impl TopologyBuilder {
     /// Validates and freezes the topology.
     pub fn build(mut self) -> Result<Topology, TopologyError> {
         // Unique, non-overlapping prefixes.
-        let mut seen: Vec<Prefix> = Vec::with_capacity(self.topo.subnets.len());
+        let mut seen: HashSet<Prefix> = HashSet::with_capacity(self.topo.subnets.len());
         for s in &self.topo.subnets {
-            if seen.contains(&s.prefix) {
+            if !seen.insert(s.prefix) {
                 return Err(TopologyError::DuplicatePrefix(s.prefix));
             }
-            seen.push(s.prefix);
         }
-        let mut sorted = seen.clone();
+        let mut sorted: Vec<Prefix> = self.topo.subnets.iter().map(|s| s.prefix).collect();
         sorted.sort_unstable_by_key(|p| (p.network(), p.len()));
         for w in sorted.windows(2) {
             if w[0].covers(w[1]) || w[1].covers(w[0]) {
@@ -475,15 +461,6 @@ mod tests {
         assert_eq!(b.attach(RouterId(9), s, a("10.0.0.1")), Err(TopologyError::BadReference));
         let r = b.router("r", RouterConfig::cooperative());
         assert_eq!(b.attach(r, SubnetId(9), a("10.0.0.1")), Err(TopologyError::BadReference));
-    }
-
-    #[test]
-    fn neighbors_via_shared_subnets() {
-        let t = two_router_link().build().unwrap();
-        let r1 = t.router_by_name("r1").unwrap();
-        let r2 = t.router_by_name("r2").unwrap();
-        let n: Vec<_> = t.neighbors(r1).collect();
-        assert_eq!(n, vec![(r2, SubnetId(0))]);
     }
 
     #[test]

@@ -2,13 +2,18 @@
 //! `ConcurrentNetwork` must preserve the determinism and accounting
 //! contracts a single-threaded run of the same engine pins.
 
+mod common;
+
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use inet::Addr;
 use netsim::{
-    samples, ConcurrentNetwork, RateLimit, RouterConfig, SilenceReason, TopologyBuilder, Verdict,
+    samples, ConcurrentNetwork, RateLimit, RouterConfig, RouterId, RoutingTable, SilenceReason,
+    SubnetId, TopologyBuilder, Verdict,
 };
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use wire::builder::icmp_probe;
 
 const THREADS: usize = 8;
@@ -169,6 +174,63 @@ fn traced_injections_stay_coherent_per_thread() {
                             .filter(|e| matches!(e, netsim::Event::TtlExpired { .. }))
                             .count(),
                         1
+                    );
+                }
+            });
+        }
+    });
+}
+
+/// One routing query and its answer, comparable across tables.
+#[derive(Debug, PartialEq)]
+enum Answer {
+    Route { dist: u16, hops: Vec<(RouterId, SubnetId)> },
+    Ingress(Option<RouterId>),
+}
+
+/// Routes are built on first touch behind `OnceLock`s, so the thread
+/// that builds a column must not matter: eight threads racing through
+/// every query of one cold table, each in its own shuffled order, all
+/// read exactly what a single-threaded cold table answers.
+#[test]
+fn first_touch_races_answer_like_a_single_thread() {
+    let topo = common::lan_mesh(2010, 64);
+    let (n, subnets) = (topo.router_count(), topo.subnets().len());
+    let queries: Vec<(usize, usize, bool)> = (0..n)
+        .flat_map(|from| {
+            (0..n)
+                .map(move |to| (from, to, false))
+                .chain((0..subnets).map(move |s| (from, s, true)))
+        })
+        .collect();
+    let ask = |rt: &RoutingTable, &(from, to, ingress): &(usize, usize, bool)| {
+        let from = RouterId(from as u32);
+        if ingress {
+            Answer::Ingress(rt.ingress(from, SubnetId(to as u32)))
+        } else {
+            let to = RouterId(to as u32);
+            Answer::Route { dist: rt.dist(from, to), hops: rt.next_hops(from, to).to_vec() }
+        }
+    };
+    let single = RoutingTable::compute(&topo);
+    let expected: Vec<Answer> = queries.iter().map(|q| ask(&single, q)).collect();
+
+    let shared = Arc::new(RoutingTable::compute(&topo));
+    std::thread::scope(|scope| {
+        for t in 0..THREADS {
+            let (shared, queries, expected) = (Arc::clone(&shared), &queries, &expected);
+            scope.spawn(move || {
+                let mut order: Vec<usize> = (0..queries.len()).collect();
+                let mut rng = SmallRng::seed_from_u64(t as u64);
+                for i in (1..order.len()).rev() {
+                    order.swap(i, rng.gen_range(0..=i));
+                }
+                for k in order {
+                    assert_eq!(
+                        ask(&shared, &queries[k]),
+                        expected[k],
+                        "thread {t}, {:?}",
+                        queries[k]
                     );
                 }
             });

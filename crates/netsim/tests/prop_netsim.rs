@@ -1,9 +1,14 @@
 //! Property tests for the simulator: TTL semantics, routing sanity and
 //! policy invariants on randomized topologies.
 
+mod common;
+
+use std::collections::VecDeque;
+
 use inet::{Addr, Prefix};
 use netsim::{
-    samples, ConcurrentNetwork, FaultProfile, RouterConfig, RoutingTable, TopologyBuilder, Verdict,
+    samples, ConcurrentNetwork, FaultProfile, RouterConfig, RouterId, RoutingTable, SubnetId,
+    Topology, TopologyBuilder, Verdict, UNREACHABLE,
 };
 use proptest::prelude::*;
 use wire::builder::{icmp_probe, tcp_probe, udp_probe};
@@ -89,6 +94,29 @@ proptest! {
                 (reachable.iter().min(), reachable.iter().max())
             {
                 prop_assert!(max - min <= 1, "subnet spans hops {min}..{max}");
+            }
+        }
+    }
+
+    /// The lazily built routing answers exactly what an eager all-pairs
+    /// construction does: for every router pair the same distance and
+    /// the same ECMP slice, and for every (router, subnet) pair the same
+    /// ingress — on graphs with multi-access LANs, routers holding
+    /// several interfaces on one LAN, and disconnected parts.
+    #[test]
+    fn lazy_routing_matches_the_eager_oracle(seed in 0u64..400, routers in 1usize..24) {
+        let topo = common::lan_mesh(seed, routers);
+        let oracle = EagerRoutes::compute(&topo);
+        let rt = RoutingTable::compute(&topo);
+        let n = topo.router_count();
+        for from in (0..n).map(|r| RouterId(r as u32)) {
+            for to in (0..n).map(|r| RouterId(r as u32)) {
+                prop_assert_eq!(rt.dist(from, to), oracle.dist(from, to));
+                prop_assert_eq!(rt.reachable(from, to), oracle.dist(from, to) != UNREACHABLE);
+                prop_assert_eq!(rt.next_hops(from, to), oracle.next_hops(from, to).as_slice());
+            }
+            for sn in (0..topo.subnets().len()).map(|s| SubnetId(s as u32)) {
+                prop_assert_eq!(rt.ingress(from, sn), oracle.ingress(&topo, from, sn));
             }
         }
     }
@@ -193,4 +221,80 @@ fn random_mesh(seed: u64) -> (netsim::Topology, Addr) {
         }
     }
     (b.build().expect("random mesh builds"), vantage)
+}
+
+/// The eager all-pairs routing the lazy table replaced, kept as the
+/// reference: a BFS from every router over the sorted, deduped
+/// (neighbor, subnet) pairs enumerated interface by interface.
+struct EagerRoutes {
+    n: usize,
+    adj: Vec<Vec<(RouterId, SubnetId)>>,
+    dist: Vec<u16>,
+}
+
+impl EagerRoutes {
+    fn compute(topo: &Topology) -> EagerRoutes {
+        let n = topo.router_count();
+        let adj: Vec<Vec<(RouterId, SubnetId)>> = (0..n)
+            .map(|r| {
+                let router = RouterId(r as u32);
+                let mut v: Vec<(RouterId, SubnetId)> = topo
+                    .router(router)
+                    .ifaces
+                    .iter()
+                    .flat_map(|&i| {
+                        let sn = topo.iface(i).subnet;
+                        topo.subnet(sn).ifaces.iter().map(move |&o| (topo.iface(o).router, sn))
+                    })
+                    .filter(|&(o, _)| o != router)
+                    .collect();
+                v.sort_unstable();
+                v.dedup();
+                v
+            })
+            .collect();
+        let mut dist = vec![UNREACHABLE; n * n];
+        for src in 0..n {
+            let row = &mut dist[src * n..(src + 1) * n];
+            row[src] = 0;
+            let mut queue = VecDeque::from([src]);
+            while let Some(cur) = queue.pop_front() {
+                for &(nb, _) in &adj[cur] {
+                    if row[nb.0 as usize] == UNREACHABLE {
+                        row[nb.0 as usize] = row[cur] + 1;
+                        queue.push_back(nb.0 as usize);
+                    }
+                }
+            }
+        }
+        EagerRoutes { n, adj, dist }
+    }
+
+    fn dist(&self, from: RouterId, to: RouterId) -> u16 {
+        self.dist[from.0 as usize * self.n + to.0 as usize]
+    }
+
+    fn next_hops(&self, from: RouterId, to: RouterId) -> Vec<(RouterId, SubnetId)> {
+        let d = self.dist(from, to);
+        if from == to || d == UNREACHABLE {
+            return Vec::new();
+        }
+        self.adj[from.0 as usize]
+            .iter()
+            .copied()
+            .filter(|&(nb, _)| self.dist(nb, to) == d - 1)
+            .collect()
+    }
+
+    /// The attached router nearest to `from`, lowest id on ties.
+    fn ingress(&self, topo: &Topology, from: RouterId, subnet: SubnetId) -> Option<RouterId> {
+        topo.subnet(subnet)
+            .ifaces
+            .iter()
+            .map(|&i| topo.iface(i).router)
+            .map(|r| (self.dist(from, r), r))
+            .filter(|&(d, _)| d != UNREACHABLE)
+            .min()
+            .map(|(_, r)| r)
+    }
 }
