@@ -177,6 +177,9 @@ fn golden_log_replays_and_matches_a_fresh_recording() {
     let out = run(&["diff", golden.to_str().unwrap(), fresh.to_str().unwrap()])
         .expect("fresh recording matches the golden log");
     assert!(out.contains("equivalent"), "{out}");
+    // Equivalent is not enough: the line writers must keep every byte.
+    let (want, got) = (std::fs::read(&golden).unwrap(), std::fs::read(&fresh).unwrap());
+    assert!(want == got, "a fresh jobs=1 recording differs in bytes from the golden log");
     std::fs::remove_file(scenario).ok();
     std::fs::remove_file(fresh).ok();
 }

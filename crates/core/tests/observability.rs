@@ -72,7 +72,8 @@ fn heuristic_causes_show_up_in_a_multiaccess_exploration() {
 fn jsonl_roundtrip_of_a_whole_session_log() {
     let (_, events, _) = recorded_session(samples::chain(3), "vantage", "dest");
     for ev in &events {
-        let line = ev.to_json().to_string();
+        let mut line = String::new();
+        ev.write_line(&mut line);
         let parsed = obs::ProbeEvent::from_json(&serde_json::from_str(&line).unwrap())
             .expect("every logged event parses back");
         assert_eq!(&parsed, ev);

@@ -10,9 +10,10 @@
 use std::fmt;
 
 use inet::Addr;
-use serde_json::{json, Value};
+use serde_json::Value;
 
 use crate::event::{Cause, Phase};
+use crate::line;
 
 /// What the pipeline concluded at one decision point.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -132,22 +133,36 @@ pub struct DecisionEvent {
 }
 
 impl DecisionEvent {
-    /// Renders the decision as one JSON object. The `"type"` key
-    /// distinguishes it from probe lines in an exchange log.
-    pub fn to_json(&self) -> Value {
-        json!({
-            "type": "decision",
-            "session": self.session,
-            "hop": self.hop,
-            "phase": self.phase.map(Phase::label),
-            "cause": self.cause.map(Cause::label),
-            "subject": self.subject.map(|a| a.to_string()),
-            "verdict": self.verdict.label(),
-            "evidence": self.evidence,
-        })
+    /// Appends the decision's JSONL line, without the newline, to `out`.
+    /// The leading `"type": "decision"` key distinguishes it from probe
+    /// lines in an exchange log.
+    ///
+    /// The bytes are exactly what the vendored `serde_json` shim prints
+    /// for the same fields as a `Value` (integers above 2^53 aside,
+    /// which the shim rounds and this prints exactly): keys `type`,
+    /// `session`, `hop`, `phase`, `cause`, `subject`, `verdict`,
+    /// `evidence` in that order, `null` for absent values, and the
+    /// evidence escaped like the shim's strings. Nothing is allocated
+    /// beyond the growth of `out`.
+    pub fn write_line(&self, out: &mut String) {
+        out.push_str("{\"type\":\"decision\",\"session\":");
+        line::opt_uint(out, self.session);
+        out.push_str(",\"hop\":");
+        line::uint(out, self.hop.into());
+        out.push_str(",\"phase\":");
+        line::opt_label(out, self.phase.map(Phase::label));
+        out.push_str(",\"cause\":");
+        line::opt_label(out, self.cause.map(Cause::label));
+        out.push_str(",\"subject\":");
+        line::opt_addr(out, self.subject);
+        out.push_str(",\"verdict\":");
+        line::label(out, self.verdict.label());
+        out.push_str(",\"evidence\":");
+        line::string(out, &self.evidence);
+        out.push('}');
     }
 
-    /// Parses a decision back from its [`DecisionEvent::to_json`]
+    /// Parses a decision back from its [`DecisionEvent::write_line`]
     /// rendering.
     pub fn from_json(v: &Value) -> Result<DecisionEvent, String> {
         let session = match &v["session"] {
@@ -201,6 +216,14 @@ impl DecisionEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde_json::json;
+
+    /// The decision's rendered line, parsed back into a `Value`.
+    fn value(d: &DecisionEvent) -> Value {
+        let mut line = String::new();
+        d.write_line(&mut line);
+        serde_json::from_str(&line).expect("a rendered line is JSON")
+    }
 
     fn sample() -> DecisionEvent {
         DecisionEvent {
@@ -217,7 +240,7 @@ mod tests {
     #[test]
     fn json_roundtrip_preserves_every_field() {
         let d = sample();
-        assert_eq!(DecisionEvent::from_json(&d.to_json()).unwrap(), d);
+        assert_eq!(DecisionEvent::from_json(&value(&d)).unwrap(), d);
 
         let bare = DecisionEvent {
             session: None,
@@ -228,25 +251,25 @@ mod tests {
             verdict: DecisionVerdict::Collected,
             evidence: String::new(),
         };
-        assert_eq!(DecisionEvent::from_json(&bare.to_json()).unwrap(), bare);
+        assert_eq!(DecisionEvent::from_json(&value(&bare)).unwrap(), bare);
     }
 
     #[test]
     fn json_carries_the_type_tag() {
-        assert_eq!(sample().to_json()["type"].as_str(), Some("decision"));
+        assert_eq!(value(&sample())["type"].as_str(), Some("decision"));
     }
 
     #[test]
     fn from_json_rejects_bad_fields() {
-        let mut v = sample().to_json();
+        let mut v = value(&sample());
         v["verdict"] = json!("vibes");
         assert!(DecisionEvent::from_json(&v).unwrap_err().contains("verdict"));
 
-        let mut v = sample().to_json();
+        let mut v = value(&sample());
         v["hop"] = json!(4000);
         assert!(DecisionEvent::from_json(&v).unwrap_err().contains("hop"));
 
-        let mut v = sample().to_json();
+        let mut v = value(&sample());
         v["cause"] = json!("h99");
         assert!(DecisionEvent::from_json(&v).unwrap_err().contains("cause"));
     }

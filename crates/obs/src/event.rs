@@ -3,8 +3,10 @@
 use std::fmt;
 
 use inet::Addr;
-use serde_json::{json, Value};
+use serde_json::Value;
 use wire::Protocol;
+
+use crate::line;
 
 /// The session phase a probe was sent from — the paper's three-stage
 /// pipeline (§3): trace collection, subnet positioning, subnet
@@ -406,28 +408,48 @@ pub(crate) fn protocol_from_label(s: &str) -> Option<Protocol> {
 }
 
 impl ProbeEvent {
-    /// Renders the event as one JSON object (one JSONL line, sans
-    /// newline).
-    pub fn to_json(&self) -> Value {
-        json!({
-            "tick": self.tick,
-            "session": self.session,
-            "vantage": self.vantage.to_string(),
-            "dst": self.dst.to_string(),
-            "ttl": self.ttl,
-            "proto": protocol_label(self.protocol),
-            "flow": self.flow,
-            "attempt": self.attempt,
-            "outcome": self.outcome.label(),
-            "from": self.from.map(|a| a.to_string()),
-            "phase": self.phase.map(Phase::label),
-            "cause": self.cause.map(Cause::label),
-            "timeout_cause": self.timeout_cause.map(TimeoutCause::label),
-            "unreach": self.unreach.map(UnreachReason::label),
-        })
+    /// Appends the event's JSONL line, without the newline, to `out`.
+    ///
+    /// The bytes are exactly what the vendored `serde_json` shim prints
+    /// for the same fields as a `Value` (integers above 2^53 aside,
+    /// which the shim rounds and this prints exactly): keys `tick`,
+    /// `session`, `vantage`, `dst`, `ttl`, `proto`, `flow`, `attempt`,
+    /// `outcome`, `from`, `phase`, `cause`, `timeout_cause`, `unreach`
+    /// in that order, `null` for absent values. Nothing is allocated
+    /// beyond the growth of `out`.
+    pub fn write_line(&self, out: &mut String) {
+        out.push_str("{\"tick\":");
+        line::uint(out, self.tick);
+        out.push_str(",\"session\":");
+        line::opt_uint(out, self.session);
+        out.push_str(",\"vantage\":");
+        line::addr(out, self.vantage);
+        out.push_str(",\"dst\":");
+        line::addr(out, self.dst);
+        out.push_str(",\"ttl\":");
+        line::uint(out, self.ttl.into());
+        out.push_str(",\"proto\":");
+        line::label(out, protocol_label(self.protocol));
+        out.push_str(",\"flow\":");
+        line::uint(out, self.flow.into());
+        out.push_str(",\"attempt\":");
+        line::uint(out, self.attempt.into());
+        out.push_str(",\"outcome\":");
+        line::label(out, self.outcome.label());
+        out.push_str(",\"from\":");
+        line::opt_addr(out, self.from);
+        out.push_str(",\"phase\":");
+        line::opt_label(out, self.phase.map(Phase::label));
+        out.push_str(",\"cause\":");
+        line::opt_label(out, self.cause.map(Cause::label));
+        out.push_str(",\"timeout_cause\":");
+        line::opt_label(out, self.timeout_cause.map(TimeoutCause::label));
+        out.push_str(",\"unreach\":");
+        line::opt_label(out, self.unreach.map(UnreachReason::label));
+        out.push('}');
     }
 
-    /// Parses an event back from its [`ProbeEvent::to_json`] rendering,
+    /// Parses an event back from its [`ProbeEvent::write_line`] rendering,
     /// validating every field. This is what log replay tools build on.
     pub fn from_json(v: &Value) -> Result<ProbeEvent, String> {
         fn addr(v: &Value, what: &str) -> Result<Addr, String> {
@@ -513,6 +535,13 @@ impl ProbeEvent {
 mod tests {
     use super::*;
 
+    /// The event's rendered line, parsed back into a `Value`.
+    fn value(ev: &ProbeEvent) -> Value {
+        let mut line = String::new();
+        ev.write_line(&mut line);
+        serde_json::from_str(&line).expect("a rendered line is JSON")
+    }
+
     fn sample() -> ProbeEvent {
         ProbeEvent {
             tick: 42,
@@ -535,10 +564,10 @@ mod tests {
     #[test]
     fn json_roundtrip_preserves_every_field() {
         let ev = sample();
-        assert_eq!(ProbeEvent::from_json(&ev.to_json()).unwrap(), ev);
+        assert_eq!(ProbeEvent::from_json(&value(&ev)).unwrap(), ev);
 
         let bare = ProbeEvent { from: None, phase: None, cause: None, session: None, ..sample() };
-        assert_eq!(ProbeEvent::from_json(&bare.to_json()).unwrap(), bare);
+        assert_eq!(ProbeEvent::from_json(&value(&bare)).unwrap(), bare);
 
         let timed_out = ProbeEvent {
             outcome: Outcome::Timeout,
@@ -546,7 +575,7 @@ mod tests {
             timeout_cause: Some(TimeoutCause::RateLimited),
             ..sample()
         };
-        assert_eq!(ProbeEvent::from_json(&timed_out.to_json()).unwrap(), timed_out);
+        assert_eq!(ProbeEvent::from_json(&value(&timed_out)).unwrap(), timed_out);
 
         let unreachable = ProbeEvent {
             outcome: Outcome::Unreachable,
@@ -554,11 +583,11 @@ mod tests {
             unreach: Some(UnreachReason::AdminProhibited),
             ..sample()
         };
-        assert_eq!(ProbeEvent::from_json(&unreachable.to_json()).unwrap(), unreachable);
+        assert_eq!(ProbeEvent::from_json(&value(&unreachable)).unwrap(), unreachable);
 
         // Logs written before timeout causes (PR 3) and session/unreach
         // tags (PR 4) existed parse as unattributed.
-        let mut legacy = sample().to_json();
+        let mut legacy = value(&sample());
         if let Value::Object(fields) = &mut legacy {
             fields.retain(|(k, _)| k != "timeout_cause" && k != "session" && k != "unreach");
         }
@@ -570,23 +599,23 @@ mod tests {
 
     #[test]
     fn from_json_rejects_bad_fields() {
-        let mut v = sample().to_json();
+        let mut v = value(&sample());
         v["outcome"] = serde_json::json!("exploded");
         assert!(ProbeEvent::from_json(&v).unwrap_err().contains("outcome"));
 
-        let mut v = sample().to_json();
+        let mut v = value(&sample());
         v["ttl"] = serde_json::json!(900);
         assert!(ProbeEvent::from_json(&v).unwrap_err().contains("ttl"));
 
-        let mut v = sample().to_json();
+        let mut v = value(&sample());
         v["phase"] = serde_json::json!("warp");
         assert!(ProbeEvent::from_json(&v).unwrap_err().contains("phase"));
 
-        let mut v = sample().to_json();
+        let mut v = value(&sample());
         v["timeout_cause"] = serde_json::json!("gremlins");
         assert!(ProbeEvent::from_json(&v).unwrap_err().contains("timeout_cause"));
 
-        let mut v = sample().to_json();
+        let mut v = value(&sample());
         v["unreach"] = serde_json::json!("teapot");
         assert!(ProbeEvent::from_json(&v).unwrap_err().contains("unreach"));
     }

@@ -15,7 +15,11 @@
 //! - [`exchange`] — the flight-recorder capture format: a versioned
 //!   JSONL log interleaving probes, decisions, and per-session reports,
 //!   parseable back into an [`exchange::ExchangeLog`] for deterministic
-//!   replay and run diffing.
+//!   replay and run diffing. Probe and decision lines come from one
+//!   writer per type, [`ProbeEvent::write_line`] and
+//!   [`DecisionEvent::write_line`], which append straight to a reused
+//!   buffer; their bytes are identical to the vendored `serde_json`
+//!   shim's rendering of the same fields as a `Value`.
 //! - [`sink::EventSink`] — pluggable event consumers: [`sink::NullSink`],
 //!   [`sink::VecSink`] (tests), [`sink::JsonlSink`] (streaming
 //!   JSON-lines), [`exchange::ExchangeSink`] (the flight recorder).
@@ -42,6 +46,7 @@ pub mod ctx;
 pub mod decision;
 pub mod event;
 pub mod exchange;
+mod line;
 pub mod metrics;
 pub mod recorder;
 pub mod sink;

@@ -91,17 +91,19 @@ impl EventSink for VecSink {
     }
 }
 
-/// Streams events as JSON lines — one [`ProbeEvent::to_json`] object
-/// per line — through a buffered writer.
+/// Streams events as JSON lines — one [`ProbeEvent::write_line`]
+/// object per line — through a buffered writer.
 pub struct JsonlSink<W: Write + Send> {
     writer: BufWriter<W>,
+    /// Scratch buffer each line is rendered into.
+    line: String,
     lines: u64,
 }
 
 impl<W: Write + Send> JsonlSink<W> {
     /// Wraps a writer.
     pub fn new(writer: W) -> JsonlSink<W> {
-        JsonlSink { writer: BufWriter::new(writer), lines: 0 }
+        JsonlSink { writer: BufWriter::new(writer), line: String::new(), lines: 0 }
     }
 
     /// Lines written so far.
@@ -121,7 +123,10 @@ impl<W: Write + Send> EventSink for JsonlSink<W> {
     fn emit(&mut self, event: &ProbeEvent) {
         // An unwritable log should not take the collection session down;
         // errors surface at flush time via the CLI's explicit flush.
-        let _ = writeln!(self.writer, "{}", event.to_json());
+        self.line.clear();
+        event.write_line(&mut self.line);
+        self.line.push('\n');
+        let _ = self.writer.write_all(self.line.as_bytes());
         self.lines += 1;
     }
 
