@@ -22,8 +22,9 @@
 //! between. Their bytes are guaranteed identical to what the vendored
 //! `serde_json` shim prints for the same fields as a `Value`, so logs
 //! written before the writers existed and logs written now compare
-//! byte for byte. Header and report lines, one per run or session,
-//! still go through `Value`.
+//! byte for byte. The header line still goes through `Value`; a
+//! report line is its fixed prefix, the report `Value` rendered once,
+//! and a closing brace.
 //!
 //! Lines carry session (target index) attribution, so a `--jobs 8`
 //! run's interleaved streams separate cleanly (see
@@ -40,6 +41,7 @@ use wire::Protocol;
 
 use crate::decision::DecisionEvent;
 use crate::event::{protocol_from_label, protocol_label, ProbeEvent};
+use crate::line;
 use crate::sink::EventSink;
 
 /// The exchange-log format version this crate writes and reads.
@@ -138,7 +140,8 @@ impl ExchangeHeader {
 /// lines are appended afterwards.
 pub struct ExchangeWriter<W: Write + Send> {
     writer: BufWriter<W>,
-    /// Scratch buffer each probe or decision line is rendered into.
+    /// Scratch buffer each probe, decision or report line is rendered
+    /// into.
     line: String,
 }
 
@@ -173,15 +176,15 @@ impl<W: Write + Send> ExchangeWriter<W> {
 
     /// Appends one session's rendered report, verbatim.
     pub fn write_report(&mut self, session: u64, report: &Value) {
-        let _ = writeln!(
-            self.writer,
-            "{}",
-            json!({
-                "type": "report",
-                "session": session,
-                "report": report,
-            })
-        );
+        // The wrapper is written around the report rendered once, so
+        // the report tree is never copied into a wrapping `Value`.
+        self.line.clear();
+        self.line.push_str(r#"{"type":"report","session":"#);
+        line::uint(&mut self.line, session);
+        self.line.push_str(r#","report":"#);
+        self.line.push_str(&serde_json::to_string(report));
+        self.line.push('}');
+        self.write_scratch_line();
     }
 
     /// Flushes buffered lines to the underlying writer.

@@ -154,7 +154,7 @@ pub fn from_json(text: &str) -> Result<Scenario, LoadError> {
     let mut router_ids: Vec<RouterId> = Vec::new();
     for r in as_array(&v["routers"], "routers")? {
         let rname = as_str(&r["name"], "router name")?;
-        let config = config_from_json(&r["config"])?;
+        let config = config_from_json(&r["config"], rname)?;
         let id = b.router(rname, config);
         if r["host"].as_bool().unwrap_or(false) {
             b.set_host(id);
@@ -235,7 +235,7 @@ pub fn from_json(text: &str) -> Result<Scenario, LoadError> {
     Ok(Scenario { name, topology, vantages, targets, ground_truth })
 }
 
-fn config_from_json(v: &Value) -> Result<RouterConfig, LoadError> {
+fn config_from_json(v: &Value, router: &str) -> Result<RouterConfig, LoadError> {
     let mut c = RouterConfig::cooperative();
     c.direct = policy_from_json(&v["direct"])?;
     c.indirect = policy_from_json(&v["indirect"])?;
@@ -243,12 +243,7 @@ fn config_from_json(v: &Value) -> Result<RouterConfig, LoadError> {
     c.indirect_protos = protos_from_json(&v["indirect_protos"])?;
     c.rate_limit = match &v["rate_limit"] {
         Value::Null => None,
-        rl => Some(RateLimit {
-            capacity: rl["capacity"].as_u64().ok_or_else(|| shape("rate_limit.capacity"))? as u32,
-            refill_every: rl["refill_every"]
-                .as_u64()
-                .ok_or_else(|| shape("rate_limit.refill_every"))?,
-        }),
+        rl => Some(rate_limit_from_json(rl, router)?),
     };
     c.lb = match v["lb"].as_str() {
         Some("per_flow") | None => LbMode::PerFlow,
@@ -257,6 +252,21 @@ fn config_from_json(v: &Value) -> Result<RouterConfig, LoadError> {
     };
     c.unreachable_replies = v["unreachable_replies"].as_bool().unwrap_or(false);
     Ok(c)
+}
+
+/// A token bucket the engine can run: `capacity` fits its `u32`, and
+/// `refill_every`, which it divides by, is at least one tick.
+fn rate_limit_from_json(rl: &Value, router: &str) -> Result<RateLimit, LoadError> {
+    let bad = |what: &str| shape(format!("router {router:?}: rate_limit.{what}"));
+    let capacity = rl["capacity"]
+        .as_u64()
+        .and_then(|c| u32::try_from(c).ok())
+        .ok_or_else(|| bad("capacity must be an integer below 2^32"))?;
+    let refill_every = rl["refill_every"]
+        .as_u64()
+        .filter(|&r| r > 0)
+        .ok_or_else(|| bad("refill_every must be a positive integer"))?;
+    Ok(RateLimit { capacity, refill_every })
 }
 
 fn policy_from_json(v: &Value) -> Result<ResponsePolicy, LoadError> {
@@ -385,5 +395,45 @@ mod tests {
         assert!(matches!(err, LoadError::Shape(_)), "{err}");
         let msg = err.to_string();
         assert!(msg.contains("utdallas") && msg.contains("203.0.113.99"), "{msg}");
+    }
+
+    /// Gives every router of internet2 the rate limit `rate_limit` and
+    /// loads the result.
+    fn load_with_rate_limit(rate_limit: Value) -> Result<Scenario, LoadError> {
+        let mut v: Value = serde_json::from_str(&to_json(&internet2(2010))).unwrap();
+        let Value::Array(routers) = &mut v["routers"] else { panic!("routers is an array") };
+        for r in routers {
+            r["config"]["rate_limit"] = rate_limit.clone();
+        }
+        from_json(&v.to_string())
+    }
+
+    #[test]
+    fn accepts_a_runnable_rate_limit() {
+        let sc = load_with_rate_limit(serde_json::json!({"capacity": 2, "refill_every": 1}))
+            .expect("loads");
+        let limit = RateLimit { capacity: 2, refill_every: 1 };
+        assert!(sc.topology.routers().iter().all(|r| r.config.rate_limit == Some(limit)));
+    }
+
+    #[test]
+    fn rejects_a_rate_limit_that_never_refills() {
+        let err = load_with_rate_limit(serde_json::json!({"capacity": 2, "refill_every": 0}))
+            .unwrap_err();
+        assert!(matches!(err, LoadError::Shape(_)), "{err}");
+        let msg = err.to_string();
+        assert!(msg.contains("refill_every") && msg.contains("router \""), "{msg}");
+    }
+
+    #[test]
+    fn rejects_a_rate_limit_capacity_beyond_32_bits() {
+        let err =
+            load_with_rate_limit(serde_json::json!({"capacity": 1u64 << 32, "refill_every": 1}))
+                .unwrap_err();
+        assert!(matches!(err, LoadError::Shape(_)), "{err}");
+        let msg = err.to_string();
+        assert!(msg.contains("capacity") && msg.contains("router \""), "{msg}");
+        let max = serde_json::json!({"capacity": u32::MAX, "refill_every": 1});
+        assert!(load_with_rate_limit(max).is_ok());
     }
 }
