@@ -1,9 +1,11 @@
 //! Criterion benches for the JSON I/O layer: the 4-ISP internet's
 //! scenario file parsed as JSON and loaded as a scenario, the golden
-//! internet2 exchange log read back, and report lines written.
+//! internet2 exchange log read back (indexed, then every session's
+//! events decoded into a replay script), and report lines written.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use obs::{ExchangeLog, ExchangeWriter};
+use probe::ReplayProber;
 use topogen::{io, isp_internet};
 
 const GOLDEN_LOG: &str = include_str!("../../cli/tests/golden/internet2-seed2010.jsonl");
@@ -22,6 +24,15 @@ fn bench_json(c: &mut Criterion) {
 
     g.bench_function("exchange_log_parse", |b| {
         b.iter(|| ExchangeLog::parse(black_box(GOLDEN_LOG)).expect("golden log parses"))
+    });
+    // What `tracenet replay` reads before any session runs.
+    g.bench_function("exchange_log_events", |b| {
+        b.iter(|| {
+            let log = ExchangeLog::parse(black_box(GOLDEN_LOG)).expect("golden log parses");
+            (0..log.header.targets.len() as u64)
+                .map(|k| ReplayProber::for_session(&log, k).expect("session replays").remaining())
+                .sum::<usize>()
+        })
     });
 
     // Every report of the golden log, written as `tracenet record`

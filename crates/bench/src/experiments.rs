@@ -15,6 +15,8 @@ use probe::{Protocol, SharedNetwork};
 use sweep::{BatchConfig, CacheStats};
 use topogen::{geant, internet2, isp_internet, GtSubnet, Scenario, ISP_NAMES};
 use tracenet::TracenetOptions;
+use tracenet_cli::args::Opts;
+use tracenet_cli::flags;
 
 /// Default experiment seed (the paper's publication year).
 pub const SEED: u64 = 2010;
@@ -87,62 +89,42 @@ fn bail(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-fn num(args: &mut impl Iterator<Item = String>, flag: &str) -> u64 {
-    args.next()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| bail(&format!("{flag} needs a number")))
+/// The flags the reproduction binaries accept.
+const EXP_FLAGS: [&str; 7] =
+    ["jobs", "no-cache", "retries", "backoff", "fault-profile", "fault-seed", "fault-budget"];
+
+/// Parses the reproduction binaries' arguments: an optional seed and
+/// the flags in [`EXP_FLAGS`]. The retry and fault flags go through the
+/// `tracenet` CLI's own readers, so both reject the same values with the
+/// same message.
+pub fn parse_batch_args(argv: &[String]) -> Result<ExpArgs, String> {
+    let opts = Opts::parse(argv)?;
+    if let Some(flag) = opts.flag_names().find(|f| !EXP_FLAGS.contains(f)) {
+        return Err(format!("unrecognized argument --{flag}"));
+    }
+    if let Some(extra) = opts.positional(1) {
+        return Err(format!("unrecognized argument {extra:?}"));
+    }
+    let seed = match opts.positional(0) {
+        None => SEED,
+        Some(s) => s.parse().map_err(|_| format!("unrecognized argument {s:?}"))?,
+    };
+    let mut cfg = BatchConfig {
+        jobs: opts.flag_parse("jobs", BatchConfig::default().jobs)?,
+        use_cache: !opts.has("no-cache"),
+        retry: flags::retry_policy(&opts)?,
+        ..BatchConfig::default()
+    };
+    cfg.opts.hop_fault_budget = flags::fault_budget(&opts)?;
+    let fault = flags::fault_plan(&opts, seed)?;
+    Ok(ExpArgs { seed, cfg, fault })
 }
 
-/// Argument parsing shared by the reproduction binaries; exits with the
-/// usage line on malformed input.
+/// [`parse_batch_args`] over the process arguments; exits with status 2
+/// and the usage line on malformed input.
 pub fn batch_args() -> ExpArgs {
-    let mut seed = SEED;
-    let mut cfg = BatchConfig::default();
-    let mut profile: Option<netsim::FaultProfile> = None;
-    let mut fault_seed: Option<u64> = None;
-    let mut retries: Option<u8> = None;
-    let mut backoff = "none".to_string();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--jobs" => cfg.jobs = num(&mut args, "--jobs") as usize,
-            "--no-cache" => cfg.use_cache = false,
-            "--retries" => retries = Some(num(&mut args, "--retries") as u8),
-            "--backoff" => {
-                backoff = args.next().unwrap_or_else(|| bail("--backoff needs a mode"));
-            }
-            "--fault-profile" => {
-                let name = args.next().unwrap_or_else(|| bail("--fault-profile needs a name"));
-                profile = Some(
-                    netsim::FaultProfile::by_name(&name)
-                        .unwrap_or_else(|| bail(&format!("unknown fault profile {name:?}"))),
-                );
-            }
-            "--fault-seed" => fault_seed = Some(num(&mut args, "--fault-seed")),
-            "--fault-budget" => {
-                cfg.opts.hop_fault_budget = Some(num(&mut args, "--fault-budget") as u16);
-            }
-            other => match other.parse() {
-                Ok(s) => seed = s,
-                Err(_) => bail(&format!("unrecognized argument {other:?}")),
-            },
-        }
-    }
-    let retries = retries.unwrap_or(probe::DEFAULT_RETRIES);
-    cfg.retry = match backoff.as_str() {
-        "none" => probe::RetryPolicy::Fixed { retries },
-        "exp" => probe::RetryPolicy::Backoff { retries, base: 8 },
-        "adaptive" => {
-            probe::RetryPolicy::Adaptive { min: probe::DEFAULT_RETRIES.min(retries), max: retries }
-        }
-        other => bail(&format!("unknown backoff mode {other:?}")),
-    };
-    let fault = match (profile, fault_seed) {
-        (Some(p), s) => Some(p.plan(s.unwrap_or(seed))),
-        (None, Some(s)) => Some(netsim::FaultPlan::new(s)),
-        (None, None) => None,
-    };
-    ExpArgs { seed, cfg, fault }
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    parse_batch_args(&argv).unwrap_or_else(|e| bail(&e))
 }
 
 /// Runs the Table 1 (Internet2) or Table 2 (GEANT) experiment on the
@@ -586,4 +568,47 @@ pub fn table3(seed: u64) -> BTreeMap<&'static str, [usize; 3]> {
         }
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<ExpArgs, String> {
+        parse_batch_args(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn batch_args_read_seed_and_flags() {
+        let args = parse(&["7", "--jobs", "3", "--no-cache", "--retries", "4", "--backoff", "exp"])
+            .unwrap();
+        assert_eq!(args.seed, 7);
+        assert_eq!(args.cfg.jobs, 3);
+        assert!(!args.cfg.use_cache);
+        assert_eq!(args.cfg.retry, probe::RetryPolicy::Backoff { retries: 4, base: 8 });
+        assert!(args.fault.is_none());
+
+        let args = parse(&["--fault-profile", "heavy-loss", "--fault-budget", "3"]).unwrap();
+        assert_eq!(args.seed, SEED);
+        assert_eq!(args.cfg.opts.hop_fault_budget, Some(3));
+        let heavy = netsim::FaultProfile::by_name("heavy-loss").unwrap();
+        assert_eq!(args.fault, Some(heavy.plan(SEED)), "a profile without a seed uses the seed");
+    }
+
+    #[test]
+    fn out_of_range_retry_and_fault_flags_are_rejected() {
+        for (flag, value) in [("--retries", "300"), ("--fault-budget", "70000"), ("--jobs", "-1")] {
+            let err = parse(&[flag, value]).err().expect("out of range");
+            assert_eq!(err, format!("invalid value for {flag}: {value:?}"));
+        }
+    }
+
+    #[test]
+    fn unknown_arguments_are_rejected() {
+        assert!(parse(&["--max-ttl", "9"]).err().unwrap().contains("--max-ttl"));
+        assert!(parse(&["-v"]).is_err());
+        assert!(parse(&["seven"]).is_err());
+        assert!(parse(&["1", "2"]).is_err());
+        assert!(parse(&["--retries"]).is_err());
+    }
 }

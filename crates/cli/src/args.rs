@@ -64,6 +64,11 @@ impl Opts {
         self.flags.get(name).map(String::as_str)
     }
 
+    /// The names of the flags given, without their dashes.
+    pub fn flag_names(&self) -> impl Iterator<Item = &str> {
+        self.flags.keys().map(String::as_str)
+    }
+
     /// Whether a boolean flag was given.
     pub fn has(&self, name: &str) -> bool {
         self.flags.contains_key(name)

@@ -9,6 +9,7 @@ use topogen::Scenario;
 use tracenet::{Session, TracenetOptions};
 
 use crate::args::Opts;
+use crate::flags::{fault_budget, fault_plan, protocol, retry_policy};
 
 fn load(opts: &Opts) -> Result<Scenario, String> {
     let path = opts.required(0, "scenario file (generate one with `tracenet generate`)")?;
@@ -16,56 +17,11 @@ fn load(opts: &Opts) -> Result<Scenario, String> {
     topogen::io::from_json(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-fn protocol(opts: &Opts) -> Result<Protocol, String> {
-    match opts.flag("protocol").unwrap_or("icmp") {
-        "icmp" => Ok(Protocol::Icmp),
-        "udp" => Ok(Protocol::Udp),
-        "tcp" => Ok(Protocol::Tcp),
-        other => Err(format!("unknown protocol {other:?} (icmp|udp|tcp)")),
-    }
-}
-
-/// Parses `--retries` / `--backoff` into a retry policy. `--retries N`
-/// is the re-probe budget (the adaptive mode's maximum); `--backoff`
-/// picks the shape: `none` (back-to-back, the paper's behavior), `exp`
-/// (exponential idle before each retry), or `adaptive` (budget widens
-/// with the recent timeout rate).
-fn retry_policy(opts: &Opts) -> Result<probe::RetryPolicy, String> {
-    let retries = opts.flag_parse("retries", probe::DEFAULT_RETRIES)?;
-    match opts.flag("backoff").unwrap_or("none") {
-        "none" => Ok(probe::RetryPolicy::Fixed { retries }),
-        "exp" => Ok(probe::RetryPolicy::Backoff { retries, base: 8 }),
-        "adaptive" => Ok(probe::RetryPolicy::Adaptive {
-            min: probe::DEFAULT_RETRIES.min(retries),
-            max: retries,
-        }),
-        other => Err(format!("unknown backoff mode {other:?} (none|exp|adaptive)")),
-    }
-}
-
-/// Parses `--fault-profile` / `--fault-seed` into a fault plan. A seed
-/// without a profile attaches an all-zero plan (a no-op, useful for
-/// byte-identity checks); a profile without a seed uses seed 2010.
-fn fault_plan(opts: &Opts) -> Result<Option<netsim::FaultPlan>, String> {
-    let seed = opts.flag_parse("fault-seed", 2010u64)?;
-    match opts.flag("fault-profile") {
-        None if opts.flag("fault-seed").is_some() => Ok(Some(netsim::FaultPlan::new(seed))),
-        None => Ok(None),
-        Some(name) => match netsim::FaultProfile::by_name(name) {
-            Some(profile) => Ok(Some(profile.plan(seed))),
-            None => {
-                let known: Vec<&str> = netsim::FaultProfile::ALL.iter().map(|p| p.name()).collect();
-                Err(format!("unknown fault profile {name:?} (one of: {})", known.join("|")))
-            }
-        },
-    }
-}
-
 /// The scenario's network with the `--fault-profile` / `--fault-seed`
 /// plan attached.
 fn faulty_network(scenario: &Scenario, opts: &Opts) -> Result<SharedNetwork, String> {
     let mut net = netsim::ConcurrentNetwork::new(scenario.topology.clone());
-    net.set_fault_plan(fault_plan(opts)?);
+    net.set_fault_plan(fault_plan(opts, 2010)?);
     Ok(SharedNetwork::from_concurrent(net))
 }
 
@@ -82,14 +38,6 @@ fn tracenet_options(opts: &Opts) -> Result<TracenetOptions, String> {
 /// order, as `trace`, `map`, `crossval`, `eval` and `record` collect.
 fn sequential(protocol: Protocol) -> sweep::BatchConfig {
     sweep::BatchConfig { use_cache: false, protocol, ..sweep::BatchConfig::default() }
-}
-
-/// Parses `--fault-budget N` (absent means probe to exhaustion).
-fn fault_budget(opts: &Opts) -> Result<Option<u16>, String> {
-    match opts.flag("fault-budget") {
-        Some(_) => Ok(Some(opts.flag_parse::<u16>("fault-budget", 0)?)),
-        None => Ok(None),
-    }
 }
 
 /// Parses `--targets A,B,..`, defaulting to the scenario's target list.
@@ -761,7 +709,7 @@ pub fn diff(opts: &Opts) -> Result<String, String> {
             break;
         }
         let session = k as u64;
-        let (ea, eb) = (a.events_for(session).count(), b.events_for(session).count());
+        let (ea, eb) = (a.event_count(session), b.event_count(session));
         if ea != eb {
             lines.push(format!("session {session} ({target}): {ea} vs {eb} probe events"));
         }
@@ -780,7 +728,7 @@ pub fn diff(opts: &Opts) -> Result<String, String> {
         Ok(format!(
             "logs are equivalent: {} sessions, {} probe events\n",
             a.header.targets.len(),
-            a.events.len()
+            a.event_total()
         ))
     } else {
         Err(format!("exchange logs diverge ({a_path} vs {b_path}):\n  {}", lines.join("\n  ")))
@@ -805,7 +753,7 @@ pub fn explain(opts: &Opts) -> Result<String, String> {
     let mut matched = false;
     for (k, &target) in log.header.targets.iter().enumerate() {
         let session = k as u64;
-        let hits: Vec<&obs::DecisionEvent> = log
+        let hits: Vec<obs::DecisionEvent> = log
             .decisions_for(session)
             .filter(|d| d.subject.is_some_and(|a| prefix.contains(a)))
             .collect();

@@ -23,6 +23,7 @@
 
 pub mod args;
 pub mod commands;
+pub mod flags;
 
 use args::Opts;
 

@@ -183,3 +183,55 @@ fn golden_log_replays_and_matches_a_fresh_recording() {
     std::fs::remove_file(scenario).ok();
     std::fs::remove_file(fresh).ok();
 }
+
+#[test]
+fn golden_log_with_crlf_line_ends_replays_and_diffs_as_equivalent() {
+    let golden =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/internet2-seed2010.jsonl");
+    let text = std::fs::read_to_string(&golden).unwrap();
+    let crlf = temp_path("golden-crlf");
+    std::fs::write(&crlf, text.replace('\n', "\r\n")).unwrap();
+
+    let out = run(&["replay", crlf.to_str().unwrap()]).expect("a CRLF log replays");
+    assert!(out.contains("byte-identical"), "{out}");
+    let out = run(&["diff", golden.to_str().unwrap(), crlf.to_str().unwrap()])
+        .expect("a CRLF log diffs as equivalent to the original");
+    assert!(out.contains("equivalent"), "{out}");
+
+    let (lf, crlf_log) =
+        (obs::ExchangeLog::load(&golden).unwrap(), obs::ExchangeLog::load(&crlf).unwrap());
+    assert_eq!(lf.reports, crlf_log.reports);
+    for session in 0..lf.header.targets.len() as u64 {
+        assert!(lf.events_for(session).eq(crlf_log.events_for(session)), "session {session}");
+        assert!(lf.decisions_for(session).eq(crlf_log.decisions_for(session)), "session {session}");
+    }
+    std::fs::remove_file(crlf).ok();
+}
+
+#[test]
+fn index_of_a_concurrent_recording_decodes_like_a_full_decode() {
+    let (scenario, log) = record_internet2("2010", "8", "index-j8");
+    let text = std::fs::read_to_string(&log).unwrap();
+    let parsed = obs::ExchangeLog::parse(&text).expect("log parses");
+    let lines: Vec<&str> = text.lines().skip(1).collect();
+    let probes: Vec<obs::ProbeEvent> = lines
+        .iter()
+        .filter(|l| !l.starts_with(r#"{"type""#))
+        .map(|l| obs::ProbeEvent::read_line(l).unwrap())
+        .collect();
+    let decisions: Vec<obs::DecisionEvent> = lines
+        .iter()
+        .filter(|l| l.starts_with(r#"{"type":"decision""#))
+        .map(|l| obs::DecisionEvent::read_line(l).unwrap())
+        .collect();
+    assert_eq!(parsed.event_total(), probes.len());
+    for session in 0..parsed.header.targets.len() as u64 {
+        let want: Vec<_> = probes.iter().filter(|e| e.session == Some(session)).cloned().collect();
+        assert_eq!(parsed.events_for(session).collect::<Vec<_>>(), want, "session {session}");
+        let want: Vec<_> =
+            decisions.iter().filter(|d| d.session == Some(session)).cloned().collect();
+        assert_eq!(parsed.decisions_for(session).collect::<Vec<_>>(), want, "session {session}");
+    }
+    std::fs::remove_file(scenario).ok();
+    std::fs::remove_file(log).ok();
+}

@@ -62,8 +62,7 @@ fn trace_log_and_metrics_agree_with_the_session_accounting() {
     let log = std::fs::read_to_string(&log_path).unwrap();
     let mut events = 0u64;
     for line in log.lines() {
-        let value: serde_json::Value = serde_json::from_str(line).expect("line is JSON");
-        let ev = obs::ProbeEvent::from_json(&value).expect("line is a ProbeEvent");
+        let ev = obs::ProbeEvent::read_line(line).expect("line is a ProbeEvent");
         assert!(ev.phase.is_some(), "probe without phase attribution: {line}");
         events += 1;
     }

@@ -74,8 +74,7 @@ fn jsonl_roundtrip_of_a_whole_session_log() {
     for ev in &events {
         let mut line = String::new();
         ev.write_line(&mut line);
-        let parsed = obs::ProbeEvent::from_json(&serde_json::from_str(&line).unwrap())
-            .expect("every logged event parses back");
+        let parsed = obs::ProbeEvent::read_line(&line).expect("every logged event parses back");
         assert_eq!(&parsed, ev);
     }
 }

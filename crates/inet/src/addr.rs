@@ -107,24 +107,39 @@ impl fmt::Debug for Addr {
 impl FromStr for Addr {
     type Err = ParseError;
 
+    /// Four decimal octets of one to three digits each, joined by dots,
+    /// read in one pass. Leading zeros ("01") are rejected the way
+    /// inet_pton rejects them.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let mut octets = [0u8; 4];
-        let mut parts = s.split('.');
-        for slot in &mut octets {
-            let part = parts.next().ok_or(ParseError::BadAddress)?;
-            if part.is_empty() || part.len() > 3 || !part.bytes().all(|b| b.is_ascii_digit()) {
+        let bytes = s.as_bytes();
+        let mut addr = 0u32;
+        let mut at = 0;
+        for octet in 0..4 {
+            if octet > 0 {
+                if bytes.get(at) != Some(&b'.') {
+                    return Err(ParseError::BadAddress);
+                }
+                at += 1;
+            }
+            let start = at;
+            let mut value = 0u32;
+            while let Some(d) = bytes.get(at).filter(|b| b.is_ascii_digit()) {
+                if at - start == 3 {
+                    return Err(ParseError::BadAddress);
+                }
+                value = value * 10 + u32::from(d - b'0');
+                at += 1;
+            }
+            let digits = at - start;
+            if digits == 0 || (digits > 1 && bytes[start] == b'0') || value > 255 {
                 return Err(ParseError::BadAddress);
             }
-            // Reject leading zeros ("01") the way inet_pton does.
-            if part.len() > 1 && part.starts_with('0') {
-                return Err(ParseError::BadAddress);
-            }
-            *slot = part.parse().map_err(|_| ParseError::BadAddress)?;
+            addr = addr << 8 | value;
         }
-        if parts.next().is_some() {
+        if at != bytes.len() {
             return Err(ParseError::BadAddress);
         }
-        Ok(Addr(u32::from_be_bytes(octets)))
+        Ok(Addr(addr))
     }
 }
 
@@ -160,9 +175,18 @@ mod tests {
 
     #[test]
     fn rejects_malformed() {
-        for s in
-            ["", "1.2.3", "1.2.3.4.5", "256.0.0.1", "1.2.3.x", "01.2.3.4", " 1.2.3.4", "1..2.3"]
-        {
+        for s in [
+            "",
+            "1.2.3",
+            "1.2.3.4.5",
+            "256.0.0.1",
+            "1.2.3.x",
+            "01.2.3.4",
+            " 1.2.3.4",
+            "1..2.3",
+            "1.2.3.1234",
+            "1.2.3.4x",
+        ] {
             assert!(s.parse::<Addr>().is_err(), "{s:?} should not parse");
         }
     }

@@ -11,11 +11,32 @@ fn arb_len() -> impl Strategy<Value = u8> {
     0u8..=32
 }
 
+/// Near-misses of a dotted quad: one to five groups of up to four
+/// digits (leading zeros and values above 255 included), joined by dots,
+/// sometimes with a stray byte.
+fn arb_dotted() -> impl Strategy<Value = String> {
+    let group = (0u32..300, 0usize..5);
+    (proptest::collection::vec(group, 1..6), 0usize..12).prop_map(|(groups, stray)| {
+        let mut s: Vec<String> =
+            groups.into_iter().map(|(n, width)| format!("{n:0width$}")).collect();
+        if let Some(junk) = ["", "x", "+", " ", "-", ".."].get(stray) {
+            s.push(junk.to_string());
+        }
+        s.join(".")
+    })
+}
+
 proptest! {
     #[test]
     fn addr_display_parse_roundtrip(a in arb_addr()) {
         let s = a.to_string();
         prop_assert_eq!(s.parse::<Addr>().unwrap(), a);
+    }
+
+    #[test]
+    fn addr_parse_agrees_with_std(s in arb_dotted()) {
+        let std = s.parse::<std::net::Ipv4Addr>().ok().map(Addr::from);
+        prop_assert_eq!(s.parse::<Addr>().ok(), std, "{:?}", s);
     }
 
     #[test]

@@ -10,10 +10,10 @@
 use std::fmt;
 
 use inet::Addr;
-use serde_json::Value;
 
 use crate::event::{Cause, Phase};
 use crate::line;
+use crate::read::{self, Field, Key, Line};
 
 /// What the pipeline concluded at one decision point.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -162,35 +162,40 @@ impl DecisionEvent {
         out.push('}');
     }
 
-    /// Parses a decision back from its [`DecisionEvent::write_line`]
-    /// rendering.
-    pub fn from_json(v: &Value) -> Result<DecisionEvent, String> {
-        let session = match &v["session"] {
-            Value::Null => None,
+    /// Reads a decision back from its [`DecisionEvent::write_line`]
+    /// rendering, on the same terms as [`ProbeEvent::read_line`]: keys
+    /// in any order, a missing key read as `null`, the first of
+    /// duplicate keys winning. Evidence that is not a string reads as
+    /// empty.
+    ///
+    /// [`ProbeEvent::read_line`]: crate::ProbeEvent::read_line
+    pub fn read_line(text: &str) -> Result<DecisionEvent, String> {
+        let mut line = Line::default();
+        line.read(text).map_err(|e| format!("not JSON: {e}"))?;
+        let mut decision = DecisionEvent::check_line(&line)?;
+        if let Field::Str(evidence) = line.take(Key::Evidence) {
+            decision.evidence = evidence.into_owned();
+        }
+        Ok(decision)
+    }
+
+    /// Checks every field of a decision line and returns the decision
+    /// with its evidence left empty, so a reader that only checks the
+    /// line allocates nothing.
+    pub(crate) fn check_line(line: &Line<'_>) -> Result<DecisionEvent, String> {
+        let session = match &line[Key::Session] {
+            Field::Null => None,
             s => Some(s.as_u64().ok_or_else(|| "session: expected unsigned integer".to_string())?),
         };
-        let hop = v["hop"].as_u64().ok_or_else(|| "hop: expected unsigned integer".to_string())?;
+        let hop =
+            line[Key::Hop].as_u64().ok_or_else(|| "hop: expected unsigned integer".to_string())?;
         if hop > u8::MAX as u64 {
             return Err(format!("hop: {hop} out of range"));
         }
-        let phase = match &v["phase"] {
-            Value::Null => None,
-            p => Some(
-                p.as_str()
-                    .and_then(Phase::from_label)
-                    .ok_or_else(|| format!("phase: unknown value {p}"))?,
-            ),
-        };
-        let cause = match &v["cause"] {
-            Value::Null => None,
-            c => Some(
-                c.as_str()
-                    .and_then(Cause::from_label)
-                    .ok_or_else(|| format!("cause: unknown value {c}"))?,
-            ),
-        };
-        let subject = match &v["subject"] {
-            Value::Null => None,
+        let phase = read::opt_label(&line[Key::Phase], "phase", Phase::from_label)?;
+        let cause = read::opt_label(&line[Key::Cause], "cause", Cause::from_label)?;
+        let subject = match &line[Key::Subject] {
+            Field::Null => None,
             s => Some(
                 s.as_str()
                     .ok_or_else(|| "subject: expected string".to_string())?
@@ -199,7 +204,7 @@ impl DecisionEvent {
             ),
         };
         let verdict_label =
-            v["verdict"].as_str().ok_or_else(|| "verdict: expected string".to_string())?;
+            line[Key::Verdict].as_str().ok_or_else(|| "verdict: expected string".to_string())?;
         Ok(DecisionEvent {
             session,
             hop: hop as u8,
@@ -208,7 +213,7 @@ impl DecisionEvent {
             subject,
             verdict: DecisionVerdict::from_label(verdict_label)
                 .ok_or_else(|| format!("verdict: unknown value {verdict_label:?}"))?,
-            evidence: v["evidence"].as_str().unwrap_or_default().to_string(),
+            evidence: String::new(),
         })
     }
 }
@@ -217,12 +222,18 @@ impl DecisionEvent {
 mod tests {
     use super::*;
     use serde_json::json;
+    use serde_json::Value;
 
     /// The decision's rendered line, parsed back into a `Value`.
     fn value(d: &DecisionEvent) -> Value {
         let mut line = String::new();
         d.write_line(&mut line);
         serde_json::from_str(&line).expect("a rendered line is JSON")
+    }
+
+    /// Reads a line rendered from `v`.
+    fn read(v: &Value) -> Result<DecisionEvent, String> {
+        DecisionEvent::read_line(&v.to_string())
     }
 
     fn sample() -> DecisionEvent {
@@ -240,7 +251,7 @@ mod tests {
     #[test]
     fn json_roundtrip_preserves_every_field() {
         let d = sample();
-        assert_eq!(DecisionEvent::from_json(&value(&d)).unwrap(), d);
+        assert_eq!(read(&value(&d)).unwrap(), d);
 
         let bare = DecisionEvent {
             session: None,
@@ -251,7 +262,7 @@ mod tests {
             verdict: DecisionVerdict::Collected,
             evidence: String::new(),
         };
-        assert_eq!(DecisionEvent::from_json(&value(&bare)).unwrap(), bare);
+        assert_eq!(read(&value(&bare)).unwrap(), bare);
     }
 
     #[test]
@@ -260,18 +271,18 @@ mod tests {
     }
 
     #[test]
-    fn from_json_rejects_bad_fields() {
+    fn read_line_rejects_bad_fields() {
         let mut v = value(&sample());
         v["verdict"] = json!("vibes");
-        assert!(DecisionEvent::from_json(&v).unwrap_err().contains("verdict"));
+        assert!(read(&v).unwrap_err().contains("verdict"));
 
         let mut v = value(&sample());
         v["hop"] = json!(4000);
-        assert!(DecisionEvent::from_json(&v).unwrap_err().contains("hop"));
+        assert!(read(&v).unwrap_err().contains("hop"));
 
         let mut v = value(&sample());
         v["cause"] = json!("h99");
-        assert!(DecisionEvent::from_json(&v).unwrap_err().contains("cause"));
+        assert!(read(&v).unwrap_err().contains("cause"));
     }
 
     #[test]

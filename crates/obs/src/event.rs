@@ -3,10 +3,10 @@
 use std::fmt;
 
 use inet::Addr;
-use serde_json::Value;
 use wire::Protocol;
 
 use crate::line;
+use crate::read::{self, Field, Key, Line};
 
 /// The session phase a probe was sent from — the paper's three-stage
 /// pipeline (§3): trace collection, subnet positioning, subnet
@@ -449,17 +449,28 @@ impl ProbeEvent {
         out.push('}');
     }
 
-    /// Parses an event back from its [`ProbeEvent::write_line`] rendering,
-    /// validating every field. This is what log replay tools build on.
-    pub fn from_json(v: &Value) -> Result<ProbeEvent, String> {
-        fn addr(v: &Value, what: &str) -> Result<Addr, String> {
-            v.as_str()
+    /// Reads an event back from its [`ProbeEvent::write_line`] rendering,
+    /// checking every field. Keys may come in any order; a missing key
+    /// reads as `null` and the first of duplicate keys wins. A line that
+    /// is not JSON fails with `not JSON: ` and the parser's message.
+    pub fn read_line(text: &str) -> Result<ProbeEvent, String> {
+        let mut line = Line::default();
+        line.read(text).map_err(|e| format!("not JSON: {e}"))?;
+        ProbeEvent::from_line(&line)
+    }
+
+    /// The event a line's members describe. Fields are checked in a
+    /// fixed order, so a line with several bad fields always names the
+    /// same one.
+    pub(crate) fn from_line(line: &Line<'_>) -> Result<ProbeEvent, String> {
+        fn addr(f: &Field<'_>, what: &str) -> Result<Addr, String> {
+            f.as_str()
                 .ok_or_else(|| format!("{what}: expected string"))?
                 .parse()
                 .map_err(|e| format!("{what}: {e}"))
         }
-        fn num(v: &Value, what: &str, max: u64) -> Result<u64, String> {
-            let n = v.as_u64().ok_or_else(|| format!("{what}: expected unsigned integer"))?;
+        fn num(f: &Field<'_>, what: &str, max: u64) -> Result<u64, String> {
+            let n = f.as_u64().ok_or_else(|| format!("{what}: expected unsigned integer"))?;
             if n > max {
                 return Err(format!("{what}: {n} out of range"));
             }
@@ -467,59 +478,32 @@ impl ProbeEvent {
         }
 
         let outcome_label =
-            v["outcome"].as_str().ok_or_else(|| "outcome: expected string".to_string())?;
+            line[Key::Outcome].as_str().ok_or_else(|| "outcome: expected string".to_string())?;
         let proto_label =
-            v["proto"].as_str().ok_or_else(|| "proto: expected string".to_string())?;
-        let phase = match &v["phase"] {
-            Value::Null => None,
-            p => Some(
-                p.as_str()
-                    .and_then(Phase::from_label)
-                    .ok_or_else(|| format!("phase: unknown value {p}"))?,
-            ),
-        };
-        let cause = match &v["cause"] {
-            Value::Null => None,
-            c => Some(
-                c.as_str()
-                    .and_then(Cause::from_label)
-                    .ok_or_else(|| format!("cause: unknown value {c}"))?,
-            ),
-        };
-        let timeout_cause = match &v["timeout_cause"] {
-            Value::Null => None,
-            c => Some(
-                c.as_str()
-                    .and_then(TimeoutCause::from_label)
-                    .ok_or_else(|| format!("timeout_cause: unknown value {c}"))?,
-            ),
-        };
-        let unreach = match &v["unreach"] {
-            Value::Null => None,
-            r => Some(
-                r.as_str()
-                    .and_then(UnreachReason::from_label)
-                    .ok_or_else(|| format!("unreach: unknown value {r}"))?,
-            ),
-        };
-        let from = match &v["from"] {
-            Value::Null => None,
+            line[Key::Proto].as_str().ok_or_else(|| "proto: expected string".to_string())?;
+        let phase = read::opt_label(&line[Key::Phase], "phase", Phase::from_label)?;
+        let cause = read::opt_label(&line[Key::Cause], "cause", Cause::from_label)?;
+        let timeout_cause =
+            read::opt_label(&line[Key::TimeoutCause], "timeout_cause", TimeoutCause::from_label)?;
+        let unreach = read::opt_label(&line[Key::Unreach], "unreach", UnreachReason::from_label)?;
+        let from = match &line[Key::From] {
+            Field::Null => None,
             f => Some(addr(f, "from")?),
         };
-        let session = match &v["session"] {
-            Value::Null => None,
+        let session = match &line[Key::Session] {
+            Field::Null => None,
             s => Some(num(s, "session", u64::MAX)?),
         };
         Ok(ProbeEvent {
-            tick: num(&v["tick"], "tick", u64::MAX)?,
+            tick: num(&line[Key::Tick], "tick", u64::MAX)?,
             session,
-            vantage: addr(&v["vantage"], "vantage")?,
-            dst: addr(&v["dst"], "dst")?,
-            ttl: num(&v["ttl"], "ttl", u8::MAX as u64)? as u8,
+            vantage: addr(&line[Key::Vantage], "vantage")?,
+            dst: addr(&line[Key::Dst], "dst")?,
+            ttl: num(&line[Key::Ttl], "ttl", u8::MAX as u64)? as u8,
             protocol: protocol_from_label(proto_label)
                 .ok_or_else(|| format!("proto: unknown value {proto_label:?}"))?,
-            flow: num(&v["flow"], "flow", u16::MAX as u64)? as u16,
-            attempt: num(&v["attempt"], "attempt", u8::MAX as u64)? as u8,
+            flow: num(&line[Key::Flow], "flow", u16::MAX as u64)? as u16,
+            attempt: num(&line[Key::Attempt], "attempt", u8::MAX as u64)? as u8,
             outcome: Outcome::from_label(outcome_label)
                 .ok_or_else(|| format!("outcome: unknown value {outcome_label:?}"))?,
             from,
@@ -534,12 +518,18 @@ impl ProbeEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde_json::Value;
 
     /// The event's rendered line, parsed back into a `Value`.
     fn value(ev: &ProbeEvent) -> Value {
         let mut line = String::new();
         ev.write_line(&mut line);
         serde_json::from_str(&line).expect("a rendered line is JSON")
+    }
+
+    /// Reads a line rendered from `v`.
+    fn read(v: &Value) -> Result<ProbeEvent, String> {
+        ProbeEvent::read_line(&v.to_string())
     }
 
     fn sample() -> ProbeEvent {
@@ -564,10 +554,10 @@ mod tests {
     #[test]
     fn json_roundtrip_preserves_every_field() {
         let ev = sample();
-        assert_eq!(ProbeEvent::from_json(&value(&ev)).unwrap(), ev);
+        assert_eq!(read(&value(&ev)).unwrap(), ev);
 
         let bare = ProbeEvent { from: None, phase: None, cause: None, session: None, ..sample() };
-        assert_eq!(ProbeEvent::from_json(&value(&bare)).unwrap(), bare);
+        assert_eq!(read(&value(&bare)).unwrap(), bare);
 
         let timed_out = ProbeEvent {
             outcome: Outcome::Timeout,
@@ -575,7 +565,7 @@ mod tests {
             timeout_cause: Some(TimeoutCause::RateLimited),
             ..sample()
         };
-        assert_eq!(ProbeEvent::from_json(&value(&timed_out)).unwrap(), timed_out);
+        assert_eq!(read(&value(&timed_out)).unwrap(), timed_out);
 
         let unreachable = ProbeEvent {
             outcome: Outcome::Unreachable,
@@ -583,7 +573,7 @@ mod tests {
             unreach: Some(UnreachReason::AdminProhibited),
             ..sample()
         };
-        assert_eq!(ProbeEvent::from_json(&value(&unreachable)).unwrap(), unreachable);
+        assert_eq!(read(&value(&unreachable)).unwrap(), unreachable);
 
         // Logs written before timeout causes (PR 3) and session/unreach
         // tags (PR 4) existed parse as unattributed.
@@ -591,33 +581,33 @@ mod tests {
         if let Value::Object(fields) = &mut legacy {
             fields.retain(|(k, _)| k != "timeout_cause" && k != "session" && k != "unreach");
         }
-        let parsed = ProbeEvent::from_json(&legacy).unwrap();
+        let parsed = read(&legacy).unwrap();
         assert_eq!(parsed.timeout_cause, None);
         assert_eq!(parsed.session, None);
         assert_eq!(parsed.unreach, None);
     }
 
     #[test]
-    fn from_json_rejects_bad_fields() {
+    fn read_line_rejects_bad_fields() {
         let mut v = value(&sample());
         v["outcome"] = serde_json::json!("exploded");
-        assert!(ProbeEvent::from_json(&v).unwrap_err().contains("outcome"));
+        assert!(read(&v).unwrap_err().contains("outcome"));
 
         let mut v = value(&sample());
         v["ttl"] = serde_json::json!(900);
-        assert!(ProbeEvent::from_json(&v).unwrap_err().contains("ttl"));
+        assert!(read(&v).unwrap_err().contains("ttl"));
 
         let mut v = value(&sample());
         v["phase"] = serde_json::json!("warp");
-        assert!(ProbeEvent::from_json(&v).unwrap_err().contains("phase"));
+        assert!(read(&v).unwrap_err().contains("phase"));
 
         let mut v = value(&sample());
         v["timeout_cause"] = serde_json::json!("gremlins");
-        assert!(ProbeEvent::from_json(&v).unwrap_err().contains("timeout_cause"));
+        assert!(read(&v).unwrap_err().contains("timeout_cause"));
 
         let mut v = value(&sample());
         v["unreach"] = serde_json::json!("teapot");
-        assert!(ProbeEvent::from_json(&v).unwrap_err().contains("unreach"));
+        assert!(read(&v).unwrap_err().contains("unreach"));
     }
 
     #[test]

@@ -29,10 +29,17 @@
 //! Lines carry session (target index) attribution, so a `--jobs 8`
 //! run's interleaved streams separate cleanly (see
 //! [`ExchangeLog::events_for`]).
+//!
+//! Reading mirrors writing: probe and decision lines are read by
+//! [`ProbeEvent::read_line`] and [`DecisionEvent::read_line`] straight
+//! from the shim's pull tokenizer, and an [`ExchangeLog`] keeps only
+//! where each session's lines are, decoding them when asked. The header
+//! (opaque `options` included) and the report bodies are read as
+//! `Value`s.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::io::{self, BufWriter, Write};
-use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 use inet::Addr;
@@ -42,6 +49,7 @@ use wire::Protocol;
 use crate::decision::DecisionEvent;
 use crate::event::{protocol_from_label, protocol_label, ProbeEvent};
 use crate::line;
+use crate::read::{self, Key, Line};
 use crate::sink::EventSink;
 
 /// The exchange-log format version this crate writes and reads.
@@ -230,72 +238,70 @@ impl<W: Write + Send> EventSink for ExchangeSink<W> {
     }
 }
 
-/// A fully parsed exchange log.
+/// A checked exchange log: its header and reports, and an index of
+/// where each session's probe and decision lines sit in the log text.
 ///
-/// [`events_for`](ExchangeLog::events_for),
-/// [`decisions_for`](ExchangeLog::decisions_for) and
-/// [`report_for`](ExchangeLog::report_for) answer from a per-session
-/// index that [`parse`](ExchangeLog::parse) builds once, so they do
-/// not see later edits to the public fields.
+/// [`parse`](ExchangeLog::parse) reads every line once and fails on the
+/// first bad one, but keeps only the byte offset of each probe and
+/// decision line. [`events_for`](ExchangeLog::events_for) and
+/// [`decisions_for`](ExchangeLog::decisions_for) decode one session's
+/// lines from the text each time they are called, so a log costs its
+/// text plus about 8 bytes per line, not a decoded copy of every event.
 #[derive(Clone, Debug)]
-pub struct ExchangeLog {
+pub struct ExchangeLog<'a> {
     /// The run configuration.
     pub header: ExchangeHeader,
-    /// Every probe line, in file (emission) order.
-    pub events: Vec<ProbeEvent>,
-    /// Every decision line, in file (emission) order.
-    pub decisions: Vec<DecisionEvent>,
     /// The per-session report lines: `(session, report)` pairs.
     pub reports: Vec<(u64, Value)>,
-    events_by_session: BySession,
-    decisions_by_session: BySession,
+    /// The log text the offsets point into: borrowed by
+    /// [`parse`](ExchangeLog::parse), owned by
+    /// [`load`](ExchangeLog::load).
+    text: Cow<'a, str>,
+    probes: LineIndex,
+    decisions: LineIndex,
     /// Each session's first report line, as an index into `reports`.
     report_at: HashMap<u64, usize>,
 }
 
-/// Line indices grouped by session: each session's indices, in file
-/// order, sit at its range in `order`. Exactly one slot per tagged
-/// line; untagged lines are left out.
+/// The byte offsets of one kind of line, grouped by session in file
+/// order. Lines without a session tag are only counted.
 #[derive(Clone, Debug, Default)]
-struct BySession {
-    order: Vec<usize>,
-    ranges: HashMap<u64, Range<usize>>,
+struct LineIndex {
+    by_session: HashMap<u64, Vec<usize>>,
+    lines: usize,
 }
 
-impl BySession {
-    /// Groups lines by their session tags (`tags[i]` is line `i`'s).
-    fn new(tags: impl Iterator<Item = Option<u64>> + Clone) -> BySession {
-        let mut ranges: HashMap<u64, Range<usize>> = HashMap::new();
-        for session in tags.clone().flatten() {
-            ranges.entry(session).or_insert(0..0).end += 1;
+impl LineIndex {
+    fn add(&mut self, session: Option<u64>, offset: usize) {
+        self.lines += 1;
+        if let Some(session) = session {
+            self.by_session.entry(session).or_default().push(offset);
         }
-        let mut next = 0;
-        for range in ranges.values_mut() {
-            let len = range.end;
-            *range = next..next;
-            next += len;
-        }
-        // Each range grows back to its full length as its lines land.
-        let mut order = vec![0; next];
-        for (i, tag) in tags.enumerate() {
-            if let Some(range) = tag.and_then(|s| ranges.get_mut(&s)) {
-                order[range.end] = i;
-                range.end += 1;
-            }
-        }
-        BySession { order, ranges }
     }
 
-    /// The line indices of `session`, in file order.
+    /// The offsets of `session`'s lines, in file order.
     fn of(&self, session: u64) -> &[usize] {
-        self.ranges.get(&session).map_or(&[], |r| &self.order[r.clone()])
+        self.by_session.get(&session).map_or(&[], Vec::as_slice)
     }
 }
 
-impl ExchangeLog {
+impl<'a> ExchangeLog<'a> {
     /// Parses a whole exchange log, validating every line. Line numbers
-    /// in errors are 1-based.
-    pub fn parse(text: &str) -> Result<ExchangeLog, String> {
+    /// in errors are 1-based. The log borrows `text`.
+    pub fn parse(text: &'a str) -> Result<ExchangeLog<'a>, String> {
+        ExchangeLog::index(Cow::Borrowed(text))
+    }
+
+    /// Reads and parses an exchange log from `path`. The log owns the
+    /// text.
+    pub fn load(path: &std::path::Path) -> Result<ExchangeLog<'static>, String> {
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+        ExchangeLog::index(Cow::Owned(text))
+    }
+
+    fn index(text: Cow<'a, str>) -> Result<ExchangeLog<'a>, String> {
+        let base = text.as_ptr() as usize;
         let mut lines = text.lines().enumerate().filter(|(_, l)| !l.trim().is_empty());
         let (n, first) = lines.next().ok_or("empty exchange log")?;
         let head: Value =
@@ -303,70 +309,65 @@ impl ExchangeLog {
         let header =
             ExchangeHeader::from_json(&head).map_err(|e| format!("line {}: {e}", n + 1))?;
 
-        // Reserve once, for the worst case of every line being a probe
-        // or every line a decision. Growing by doubling instead copies
-        // the vectors, and over repeated parses of a 320 000-line log
-        // the holes it left raised peak memory by about 11 MB. At sizes
-        // where that matters the allocator maps fresh pages, so capacity
-        // the log does not fill is never touched.
-        let line_count = text.lines().count();
-        let mut events = Vec::with_capacity(line_count);
-        let mut decisions = Vec::with_capacity(line_count);
+        let mut probes = LineIndex::default();
+        let mut decisions = LineIndex::default();
         let mut reports = Vec::new();
         let mut report_at = HashMap::new();
-        for (n, line) in lines {
-            let v: Value =
-                serde_json::from_str(line).map_err(|e| format!("line {}: not JSON: {e}", n + 1))?;
-            match v["type"].as_str() {
-                None => events
-                    .push(ProbeEvent::from_json(&v).map_err(|e| format!("line {}: {e}", n + 1))?),
-                Some("decision") => decisions.push(
-                    DecisionEvent::from_json(&v).map_err(|e| format!("line {}: {e}", n + 1))?,
-                ),
+        for (n, text) in lines {
+            let at = |e: String| format!("line {}: {e}", n + 1);
+            let offset = text.as_ptr() as usize - base;
+            let mut line = Line::default();
+            line.read(text).map_err(|e| at(format!("not JSON: {e}")))?;
+            match line[Key::Type].as_str() {
+                None => probes.add(ProbeEvent::from_line(&line).map_err(at)?.session, offset),
+                Some("decision") => {
+                    decisions.add(DecisionEvent::check_line(&line).map_err(at)?.session, offset)
+                }
                 Some("report") => {
-                    let session = v["session"]
+                    let session = line[Key::Session]
                         .as_u64()
-                        .ok_or_else(|| format!("line {}: report without session", n + 1))?;
-                    if v["report"].is_null() {
-                        return Err(format!("line {}: report without body", n + 1));
+                        .ok_or_else(|| at("report without session".into()))?;
+                    let report = line.take(Key::Report);
+                    if report.is_null() {
+                        return Err(at("report without body".into()));
                     }
                     report_at.entry(session).or_insert(reports.len());
-                    reports.push((session, v["report"].clone()));
+                    reports.push((session, report.into_value()));
                 }
-                Some("header") => {
-                    return Err(format!("line {}: duplicate header", n + 1));
-                }
-                Some(other) => {
-                    return Err(format!("line {}: unknown line type {other:?}", n + 1));
-                }
+                Some("header") => return Err(at("duplicate header".into())),
+                Some(other) => return Err(at(format!("unknown line type {other:?}"))),
             }
         }
-        Ok(ExchangeLog {
-            events_by_session: BySession::new(events.iter().map(|e| e.session)),
-            decisions_by_session: BySession::new(decisions.iter().map(|d| d.session)),
-            header,
-            events,
-            decisions,
-            reports,
-            report_at,
+        for offsets in probes.by_session.values_mut().chain(decisions.by_session.values_mut()) {
+            offsets.shrink_to_fit();
+        }
+        Ok(ExchangeLog { header, reports, text, probes, decisions, report_at })
+    }
+
+    /// The probe events of one session, in emission order, decoded from
+    /// the log text as the iterator advances.
+    pub fn events_for(&self, session: u64) -> impl Iterator<Item = ProbeEvent> + '_ {
+        self.probes.of(session).iter().map(|&at| {
+            ProbeEvent::read_line(read::line_at(&self.text, at)).expect("parse checked the line")
         })
     }
 
-    /// Reads and parses an exchange log from `path`.
-    pub fn load(path: &std::path::Path) -> Result<ExchangeLog, String> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        ExchangeLog::parse(&text)
+    /// The decisions of one session, in emission order, decoded from the
+    /// log text as the iterator advances.
+    pub fn decisions_for(&self, session: u64) -> impl Iterator<Item = DecisionEvent> + '_ {
+        self.decisions.of(session).iter().map(|&at| {
+            DecisionEvent::read_line(read::line_at(&self.text, at)).expect("parse checked the line")
+        })
     }
 
-    /// The probe events of one session, in emission order.
-    pub fn events_for(&self, session: u64) -> impl Iterator<Item = &ProbeEvent> {
-        self.events_by_session.of(session).iter().map(|&i| &self.events[i])
+    /// How many probe events one session has, from the index alone.
+    pub fn event_count(&self, session: u64) -> usize {
+        self.probes.of(session).len()
     }
 
-    /// The decisions of one session, in emission order.
-    pub fn decisions_for(&self, session: u64) -> impl Iterator<Item = &DecisionEvent> {
-        self.decisions_by_session.of(session).iter().map(|&i| &self.decisions[i])
+    /// How many probe lines the log holds, with or without a session.
+    pub fn event_total(&self) -> usize {
+        self.probes.lines
     }
 
     /// The recorded report of one session, if the log carries one (the
@@ -464,10 +465,10 @@ mod tests {
 
         let log = ExchangeLog::parse(&text).unwrap();
         assert_eq!(log.header, header());
-        assert_eq!(log.events, vec![ev(0, 1), ev(1, 2)]);
-        assert_eq!(log.decisions, vec![decision(0)]);
-        assert_eq!(log.events_for(1).count(), 1);
-        assert_eq!(log.decisions_for(0).count(), 1);
+        assert_eq!(log.events_for(0).collect::<Vec<_>>(), [ev(0, 1)]);
+        assert_eq!(log.events_for(1).collect::<Vec<_>>(), [ev(1, 2)]);
+        assert_eq!(log.decisions_for(0).collect::<Vec<_>>(), [decision(0)]);
+        assert_eq!(log.event_total(), 2);
         assert_eq!(log.report_for(1).unwrap()["probes"].as_u64(), Some(9));
         assert!(log.report_for(7).is_none());
     }
@@ -488,15 +489,26 @@ mod tests {
         let text = String::from_utf8(w.writer.into_inner().unwrap()).unwrap();
         let log = ExchangeLog::parse(&text).unwrap();
 
+        let lines: Vec<&str> = text.lines().skip(1).collect();
         for session in [0, 1, 2, 3, 7] {
             let events: Vec<_> = log.events_for(session).collect();
-            let want: Vec<_> = log.events.iter().filter(|e| e.session == Some(session)).collect();
+            let want: Vec<_> = lines
+                .iter()
+                .filter_map(|l| ProbeEvent::read_line(l).ok())
+                .filter(|e| e.session == Some(session))
+                .collect();
             assert_eq!(events, want, "session {session}");
+            assert_eq!(log.event_count(session), want.len(), "session {session}");
             let decisions: Vec<_> = log.decisions_for(session).collect();
-            let want: Vec<_> =
-                log.decisions.iter().filter(|d| d.session == Some(session)).collect();
+            let want: Vec<_> = lines
+                .iter()
+                .filter(|l| l.starts_with(r#"{"type":"decision""#))
+                .map(|l| DecisionEvent::read_line(l).unwrap())
+                .filter(|d| d.session == Some(session))
+                .collect();
             assert_eq!(decisions, want, "session {session}");
         }
+        assert_eq!(log.event_total(), sessions.len() + 1, "the untagged probe counts too");
         assert_eq!(log.events_for(2).map(|e| e.ttl).collect::<Vec<_>>(), [1, 3, 6]);
         assert_eq!(log.report_for(1).unwrap()["probes"].as_u64(), Some(2), "first report wins");
         assert_eq!(log.report_for(0).unwrap()["probes"].as_u64(), Some(3));
@@ -524,8 +536,8 @@ mod tests {
             String::from_utf8(writer.lock().unwrap().writer.get_ref().clone()).unwrap()
         };
         let log = ExchangeLog::parse(&text).unwrap();
-        assert_eq!(log.events.len(), 1);
-        assert_eq!(log.decisions.len(), 1);
+        assert_eq!(log.event_total(), 1);
+        assert_eq!(log.decisions_for(0).count(), 1);
         assert_eq!(log.reports.len(), 1);
     }
 

@@ -14,12 +14,13 @@
 //!   with what evidence. The stream `tnet explain` renders.
 //! - [`exchange`] — the flight-recorder capture format: a versioned
 //!   JSONL log interleaving probes, decisions, and per-session reports,
-//!   parseable back into an [`exchange::ExchangeLog`] for deterministic
-//!   replay and run diffing. Probe and decision lines come from one
-//!   writer per type, [`ProbeEvent::write_line`] and
-//!   [`DecisionEvent::write_line`], which append straight to a reused
-//!   buffer; their bytes are identical to the vendored `serde_json`
-//!   shim's rendering of the same fields as a `Value`.
+//!   indexed by an [`exchange::ExchangeLog`] for deterministic replay
+//!   and run diffing. Probe and decision lines come from one writer per
+//!   type, [`ProbeEvent::write_line`] and [`DecisionEvent::write_line`],
+//!   which append straight to a reused buffer; their bytes are identical
+//!   to the vendored `serde_json` shim's rendering of the same fields as
+//!   a `Value`. They are read back by [`ProbeEvent::read_line`] and
+//!   [`DecisionEvent::read_line`], which build no `Value`.
 //! - [`sink::EventSink`] — pluggable event consumers: [`sink::NullSink`],
 //!   [`sink::VecSink`] (tests), [`sink::JsonlSink`] (streaming
 //!   JSON-lines), [`exchange::ExchangeSink`] (the flight recorder).
@@ -48,6 +49,7 @@ pub mod event;
 pub mod exchange;
 mod line;
 pub mod metrics;
+mod read;
 pub mod recorder;
 pub mod sink;
 pub mod trace;

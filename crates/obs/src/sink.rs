@@ -256,10 +256,8 @@ mod tests {
         sink.flush().unwrap();
         let bytes = sink.writer.into_inner().unwrap();
         let text = String::from_utf8(bytes).unwrap();
-        let parsed: Vec<ProbeEvent> = text
-            .lines()
-            .map(|l| ProbeEvent::from_json(&serde_json::from_str(l).unwrap()).unwrap())
-            .collect();
+        let parsed: Vec<ProbeEvent> =
+            text.lines().map(|l| ProbeEvent::read_line(l).unwrap()).collect();
         assert_eq!(parsed, vec![ev(3), ev(7)]);
     }
 

@@ -67,8 +67,7 @@ fn concurrent_writers_tear_no_lines_and_agree_with_the_registry() {
     let mut per_session: Vec<Vec<ProbeEvent>> = (0..WRITERS).map(|_| Vec::new()).collect();
     let mut total = 0u64;
     for line in text.lines() {
-        let value: serde_json::Value = serde_json::from_str(line).expect("line is whole JSON");
-        let ev = ProbeEvent::from_json(&value).expect("line is a ProbeEvent");
+        let ev = ProbeEvent::read_line(line).expect("line is a whole ProbeEvent");
         let session = ev.session.expect("every event carries its session tag");
         assert!(session < WRITERS, "unknown session {session}");
         per_session[session as usize].push(ev);

@@ -149,14 +149,14 @@ impl Strategy for AnyDecision {
 fn assert_probe_renders_like_the_oracle(e: &ProbeEvent) {
     let line = probe_line(e);
     assert_eq!(line, probe_oracle(e).to_string());
-    let parsed = ProbeEvent::from_json(&serde_json::from_str(&line).unwrap()).unwrap();
+    let parsed = ProbeEvent::read_line(&line).unwrap();
     assert_eq!(&parsed, e, "{line}");
 }
 
 fn assert_decision_renders_like_the_oracle(d: &DecisionEvent) {
     let line = decision_line(d);
     assert_eq!(line, decision_oracle(d).to_string());
-    let parsed = DecisionEvent::from_json(&serde_json::from_str(&line).unwrap()).unwrap();
+    let parsed = DecisionEvent::read_line(&line).unwrap();
     assert_eq!(&parsed, d, "{line}");
 }
 

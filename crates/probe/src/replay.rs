@@ -69,9 +69,8 @@ impl ReplayProber {
     /// Fails on malformed logs: events out of attempt order, attempt
     /// groups that change destination mid-way, replies without a source
     /// address, or unreachables without a recorded flavour.
-    pub fn for_session(log: &ExchangeLog, session: u64) -> Result<ReplayProber, String> {
-        let events: Vec<&ProbeEvent> = log.events_for(session).collect();
-        Self::from_events(log.header.vantage, log.header.protocol, &events)
+    pub fn for_session(log: &ExchangeLog<'_>, session: u64) -> Result<ReplayProber, String> {
+        Self::from_events(log.header.vantage, log.header.protocol, log.events_for(session))
     }
 
     /// Builds a replay prober from an explicit event sequence (already
@@ -79,11 +78,11 @@ impl ReplayProber {
     pub fn from_events(
         src: Addr,
         protocol: Protocol,
-        events: &[&ProbeEvent],
+        events: impl IntoIterator<Item = ProbeEvent>,
     ) -> Result<ReplayProber, String> {
         let mut script: VecDeque<LogicalProbe> = VecDeque::new();
-        for (i, ev) in events.iter().enumerate() {
-            let outcome = outcome_of(ev).map_err(|e| format!("event {}: {e}", i + 1))?;
+        for (i, ev) in events.into_iter().enumerate() {
+            let outcome = outcome_of(&ev).map_err(|e| format!("event {}: {e}", i + 1))?;
             if ev.attempt == 0 {
                 script.push_back(LogicalProbe {
                     dst: ev.dst,
@@ -249,8 +248,7 @@ mod tests {
             ev("10.0.0.9", 2, 1, Outcome::Timeout, None),
             ev("10.0.0.9", 3, 0, Outcome::DirectReply, Some("10.0.0.9")),
         ];
-        let refs: Vec<&ProbeEvent> = events.iter().collect();
-        let mut p = ReplayProber::from_events(a("10.0.0.1"), Protocol::Icmp, &refs).unwrap();
+        let mut p = ReplayProber::from_events(a("10.0.0.1"), Protocol::Icmp, events).unwrap();
         assert_eq!(p.remaining(), 3, "the two attempts at ttl 2 collapse into one probe");
         assert_eq!(p.probe(a("10.0.0.9"), 1), ProbeOutcome::TtlExceeded { from: a("10.0.0.5") });
         assert_eq!(p.probe(a("10.0.0.9"), 2), ProbeOutcome::Timeout);
@@ -270,8 +268,7 @@ mod tests {
     fn unreachables_keep_their_flavour() {
         let mut e = ev("10.0.0.9", 4, 0, Outcome::Unreachable, Some("10.0.0.7"));
         e.unreach = Some(obs::UnreachReason::Host);
-        let refs = [&e];
-        let mut p = ReplayProber::from_events(a("10.0.0.1"), Protocol::Icmp, &refs).unwrap();
+        let mut p = ReplayProber::from_events(a("10.0.0.1"), Protocol::Icmp, [e]).unwrap();
         assert_eq!(
             p.probe(a("10.0.0.9"), 4),
             ProbeOutcome::Unreachable { from: a("10.0.0.7"), kind: UnreachKind::Host }
@@ -285,8 +282,7 @@ mod tests {
             ev("10.0.0.9", 1, 0, Outcome::Timeout, None),
             ev("10.0.0.9", 2, 0, Outcome::Timeout, None),
         ];
-        let refs: Vec<&ProbeEvent> = events.iter().collect();
-        let mut p = ReplayProber::from_events(a("10.0.0.1"), Protocol::Icmp, &refs).unwrap();
+        let mut p = ReplayProber::from_events(a("10.0.0.1"), Protocol::Icmp, events).unwrap();
         let _ = p.probe(a("10.0.0.9"), 1);
         let _ = p.probe(a("10.0.0.9"), 7); // log says ttl 2
     }
@@ -295,8 +291,7 @@ mod tests {
     #[should_panic(expected = "recorded log is exhausted")]
     fn probing_past_the_log_panics() {
         let events = [ev("10.0.0.9", 1, 0, Outcome::Timeout, None)];
-        let refs: Vec<&ProbeEvent> = events.iter().collect();
-        let mut p = ReplayProber::from_events(a("10.0.0.1"), Protocol::Icmp, &refs).unwrap();
+        let mut p = ReplayProber::from_events(a("10.0.0.1"), Protocol::Icmp, events).unwrap();
         let _ = p.probe(a("10.0.0.9"), 1);
         let _ = p.probe(a("10.0.0.9"), 2);
     }
@@ -305,16 +300,14 @@ mod tests {
     fn malformed_logs_are_rejected_up_front() {
         // Retry with no initial send.
         let orphan = [ev("10.0.0.9", 1, 1, Outcome::Timeout, None)];
-        let refs: Vec<&ProbeEvent> = orphan.iter().collect();
-        let err = ReplayProber::from_events(a("10.0.0.1"), Protocol::Icmp, &refs)
+        let err = ReplayProber::from_events(a("10.0.0.1"), Protocol::Icmp, orphan)
             .err()
             .expect("orphan retry must be rejected");
         assert!(err.contains("no initial send"), "{err}");
 
         // Reply without a source address.
         let bare = [ev("10.0.0.9", 1, 0, Outcome::DirectReply, None)];
-        let refs: Vec<&ProbeEvent> = bare.iter().collect();
-        let err = ReplayProber::from_events(a("10.0.0.1"), Protocol::Icmp, &refs)
+        let err = ReplayProber::from_events(a("10.0.0.1"), Protocol::Icmp, bare)
             .err()
             .expect("sourceless reply must be rejected");
         assert!(err.contains("without a source address"), "{err}");
@@ -324,8 +317,7 @@ mod tests {
             ev("10.0.0.9", 1, 0, Outcome::Timeout, None),
             ev("10.0.0.9", 1, 2, Outcome::Timeout, None),
         ];
-        let refs: Vec<&ProbeEvent> = gap.iter().collect();
-        let err = ReplayProber::from_events(a("10.0.0.1"), Protocol::Icmp, &refs)
+        let err = ReplayProber::from_events(a("10.0.0.1"), Protocol::Icmp, gap)
             .err()
             .expect("attempt gap must be rejected");
         assert!(err.contains("out of order"), "{err}");

@@ -533,6 +533,21 @@ fn integer_edges_parse_to_the_bits_of_str_parse() {
 
 /// Every byte inside a string, raw and after a backslash, and every
 /// malformed number shape, parse or fail like the oracle.
+/// The shim scans strings eight bytes at a time: put every ASCII byte,
+/// and a multi-byte character, at every offset of a string longer than
+/// two such words, as a value and as a key.
+#[test]
+fn every_byte_at_every_offset_of_a_long_string_parses_like_the_oracle() {
+    let specials = (0..=0x7fu8).map(char::from).chain(['é', '😀']);
+    for c in specials {
+        for at in 0..20 {
+            let text = format!("{}{c}{}", "x".repeat(at), "y".repeat(19 - at));
+            assert_parses_like_the_oracle(&format!("\"{text}\""));
+            assert_parses_like_the_oracle(&format!("{{\"{text}\":1}}"));
+        }
+    }
+}
+
 #[test]
 fn every_byte_in_a_string_parses_like_the_oracle() {
     for b in 0..=0x7fu8 {
