@@ -1,7 +1,8 @@
 //! The CLI subcommands. Each is a pure function from parsed options to
 //! output text, which keeps them directly testable.
 
-use std::sync::Arc;
+use std::path::Path;
+use std::sync::{Arc, Mutex};
 
 use inet::{Addr, Prefix};
 use probe::{Protocol, SharedNetwork};
@@ -149,26 +150,100 @@ impl MetricsOut {
     }
 }
 
-/// Installs the span subscriber for `-v` / `-vv`.
-fn install_subscriber(opts: &Opts) {
-    match opts.verbosity() {
-        0 => {}
-        1 => obs::trace::set_subscriber(obs::Level::Info, Box::new(obs::trace::FmtSubscriber)),
-        _ => obs::trace::set_subscriber(obs::Level::Debug, Box::new(obs::trace::FmtSubscriber)),
+/// Prints decisions on stderr for `-v` and, with `all`, `-vv`: one
+/// line each, `session S hop H: ` and then the decision, indented two
+/// spaces for position and four for explore. `-v` leaves out
+/// exploration's per-candidate verdicts. Each line stands alone, so
+/// lines of concurrent sessions interleave readably.
+struct VerboseSink {
+    all: bool,
+}
+
+impl obs::EventSink for VerboseSink {
+    fn emit(&mut self, _event: &obs::ProbeEvent) {}
+
+    fn emit_decision(&mut self, d: &obs::DecisionEvent) {
+        use obs::DecisionVerdict::{Accepted, AcceptedContraPivot, Rejected};
+        let per_candidate = matches!(d.verdict, Accepted | AcceptedContraPivot | Rejected);
+        let indent = match d.phase {
+            Some(obs::Phase::Explore) if per_candidate && !self.all => return,
+            Some(obs::Phase::Explore) => "    ",
+            Some(obs::Phase::Position) => "  ",
+            _ => "",
+        };
+        let session = d.session.map_or_else(|| "-".to_string(), |s| s.to_string());
+        let line = format!("session {session} hop {}: {indent}{d}\n", d.hop);
+        // Like a log write, a closed stderr must not stop the run.
+        let _ = std::io::Write::write_all(&mut std::io::stderr(), line.as_bytes());
     }
 }
 
-/// Builds the probe-telemetry recorder from `--trace-log`, `--metrics`
-/// and `--metrics-json`, and installs the span subscriber for `-v` /
-/// `-vv`. Returns the recorder plus the metrics outputs, when requested.
-fn recorder_from(opts: &Opts) -> Result<(obs::Recorder, Option<MetricsOut>), String> {
-    install_subscriber(opts);
-    let mut recorder = obs::Recorder::new();
-    if let Some(path) = opts.flag("trace-log") {
-        let sink = obs::JsonlSink::create(std::path::Path::new(path))
+/// An exchange log being written: `record --out` or `--trace-log`.
+struct LogOut {
+    path: String,
+    writer: Arc<Mutex<obs::ExchangeWriter<std::fs::File>>>,
+}
+
+impl LogOut {
+    /// Creates (truncating) the log at `path` and writes the header of
+    /// a run from `vantage` over `targets`.
+    fn open(
+        path: &str,
+        vantage: Addr,
+        cfg: &sweep::BatchConfig,
+        targets: &[Addr],
+    ) -> Result<LogOut, String> {
+        let header = obs::ExchangeHeader {
+            version: obs::FORMAT_VERSION,
+            vantage,
+            protocol: cfg.protocol,
+            targets: targets.to_vec(),
+            jobs: cfg.jobs as u64,
+            options: options_to_json(&cfg.opts),
+        };
+        let writer = obs::ExchangeWriter::create(Path::new(path), &header)
             .map_err(|e| format!("{path}: {e}"))?;
-        recorder = recorder.with_sink(obs::SinkHandle::new(sink));
+        Ok(LogOut { path: path.to_string(), writer: Arc::new(Mutex::new(writer)) })
     }
+
+    /// Appends one report line per session, in session order, and
+    /// flushes the log.
+    fn finish(&self, reports: &[tracenet::TraceReport]) -> Result<(), String> {
+        let mut w = self.writer.lock().map_err(|_| "exchange log writer poisoned".to_string())?;
+        for (k, report) in reports.iter().enumerate() {
+            w.write_report(k as u64, &report_to_json(report));
+        }
+        w.flush().map_err(|e| format!("{}: {e}", self.path))
+    }
+}
+
+/// The run's event sink: the exchange log, if one is written, and the
+/// `-v` / `-vv` text.
+fn event_sink(log: Option<&LogOut>, opts: &Opts) -> obs::SinkHandle {
+    let exchange = log.map(|l| obs::ExchangeSink::new(Arc::clone(&l.writer)));
+    let text = (opts.verbosity() > 0).then(|| VerboseSink { all: opts.verbosity() > 1 });
+    match (exchange, text) {
+        (Some(exchange), Some(text)) => obs::SinkHandle::new((exchange, text)),
+        (Some(exchange), None) => obs::SinkHandle::new(exchange),
+        (None, Some(text)) => obs::SinkHandle::new(text),
+        (None, None) => obs::SinkHandle::disabled(),
+    }
+}
+
+/// Opens the `--trace-log` exchange log, if asked for, and builds the
+/// recorder from it, `-v` / `-vv`, `--metrics` and `--metrics-json`.
+/// Returns the recorder, the log and the metrics outputs.
+fn observe(
+    opts: &Opts,
+    vantage: Addr,
+    cfg: &sweep::BatchConfig,
+    targets: &[Addr],
+) -> Result<(obs::Recorder, Option<LogOut>, Option<MetricsOut>), String> {
+    let log = match opts.flag("trace-log") {
+        Some(path) => Some(LogOut::open(path, vantage, cfg, targets)?),
+        None => None,
+    };
+    let mut recorder = obs::Recorder::new().with_sink(event_sink(log.as_ref(), opts));
     let pretty = opts.flag("metrics").map(str::to_string);
     let compact = opts.flag("metrics-json").map(str::to_string);
     let metrics = if pretty.is_some() || compact.is_some() {
@@ -178,7 +253,7 @@ fn recorder_from(opts: &Opts) -> Result<(obs::Recorder, Option<MetricsOut>), Str
     } else {
         None
     };
-    Ok((recorder, metrics))
+    Ok((recorder, log, metrics))
 }
 
 /// `tracenet trace <scenario> (--target A | --all) [...]`
@@ -190,8 +265,6 @@ pub fn trace(opts: &Opts) -> Result<String, String> {
         retry: retry_policy(opts)?,
         ..sequential(protocol(opts)?)
     };
-    let (recorder, metrics) = recorder_from(opts)?;
-
     let targets: Vec<Addr> = if opts.has("all") {
         scenario.targets.clone()
     } else {
@@ -200,13 +273,14 @@ pub fn trace(opts: &Opts) -> Result<String, String> {
         })?]
     };
 
+    let (recorder, log, metrics) = observe(opts, v, &cfg, &targets)?;
+
     let net = faulty_network(&scenario, opts)?;
     let result = sweep::run_batch(&net, v, &targets, &cfg, &recorder);
-    recorder.flush().map_err(|e| format!("--trace-log: {e}"))?;
-    let metrics_table = match &metrics {
-        Some(m) => m.write()?,
-        None => String::new(),
-    };
+    if let Some(log) = log {
+        log.finish(&result.reports)?;
+    }
+    let metrics_table = metrics.map_or_else(|| Ok(String::new()), |m| m.write())?;
     if opts.has("json") {
         let reports = result.reports.iter().map(report_to_json).collect();
         return Ok(serde_json::Value::Array(reports).to_string());
@@ -310,7 +384,6 @@ pub fn batch(opts: &Opts) -> Result<String, String> {
     let scenario = load(opts)?;
     let v = vantage(&scenario, opts)?;
     let proto = protocol(opts)?;
-    let (recorder, metrics) = recorder_from(opts)?;
     let targets = targets_from(&scenario, opts)?;
     let tn_opts =
         TracenetOptions { hop_fault_budget: fault_budget(opts)?, ..TracenetOptions::default() };
@@ -324,14 +397,15 @@ pub fn batch(opts: &Opts) -> Result<String, String> {
         // the batch latency-bound (where --jobs overlaps the waits).
         probe_rtt: std::time::Duration::from_micros(opts.flag_parse("rtt-us", 0u64)?),
     };
+    let (recorder, log, metrics) = observe(opts, v, &cfg, &targets)?;
     let net = faulty_network(&scenario, opts)?;
-    let collected = evalkit::run::run_tracenet(&net, v, &targets, &cfg, &recorder);
+    let result = sweep::run_batch(&net, v, &targets, &cfg, &recorder);
+    if let Some(log) = log {
+        log.finish(&result.reports)?;
+    }
+    let metrics_table = metrics.map_or_else(|| Ok(String::new()), |m| m.write())?;
+    let collected = evalkit::run::CollectedSet::from_batch(&result);
     let cache = collected.cache;
-    recorder.flush().map_err(|e| format!("--trace-log: {e}"))?;
-    let metrics_table = match &metrics {
-        Some(m) => m.write()?,
-        None => String::new(),
-    };
     if opts.has("json") {
         let records = collected.records();
         return Ok(serde_json::json!({
@@ -522,43 +596,24 @@ pub fn record(opts: &Opts) -> Result<String, String> {
     let v = vantage(&scenario, opts)?;
     let proto = protocol(opts)?;
     let out_path = opts.flag("out").ok_or("missing --out FILE (where the exchange log goes)")?;
-    install_subscriber(opts);
     let targets = targets_from(&scenario, opts)?;
     if targets.is_empty() {
         return Err("nothing to record: scenario has no targets".to_string());
     }
-    let tn_opts = tracenet_options(opts)?;
-    let jobs = opts.flag_parse("jobs", 1usize)?;
-    let header = obs::ExchangeHeader {
-        version: obs::FORMAT_VERSION,
-        vantage: v,
-        protocol: proto,
-        targets: targets.clone(),
-        jobs: jobs as u64,
-        options: options_to_json(&tn_opts),
-    };
-    let writer = Arc::new(std::sync::Mutex::new(
-        obs::ExchangeWriter::create(std::path::Path::new(out_path), &header)
-            .map_err(|e| format!("{out_path}: {e}"))?,
-    ));
-    let recorder = obs::Recorder::new()
-        .with_sink(obs::SinkHandle::new(obs::ExchangeSink::new(Arc::clone(&writer))));
     let cfg = sweep::BatchConfig {
-        jobs,
-        opts: tn_opts,
+        jobs: opts.flag_parse("jobs", 1usize)?,
+        opts: tracenet_options(opts)?,
         retry: retry_policy(opts)?,
         // Replay re-runs sessions one at a time; a cross-session subnet
         // cache would couple them through shared state the log cannot
         // reproduce, so recording always runs cache-off.
         ..sequential(proto)
     };
+    let log = LogOut::open(out_path, v, &cfg, &targets)?;
+    let recorder = obs::Recorder::new().with_sink(event_sink(Some(&log), opts));
     let net = faulty_network(&scenario, opts)?;
     let result = sweep::run_batch(&net, v, &targets, &cfg, &recorder);
-    let mut w = writer.lock().map_err(|_| "exchange log writer poisoned".to_string())?;
-    for (k, report) in result.reports.iter().enumerate() {
-        w.write_report(k as u64, &report_to_json(report));
-    }
-    w.flush().map_err(|e| format!("{out_path}: {e}"))?;
+    log.finish(&result.reports)?;
     Ok(format!(
         "recorded {} sessions ({} probes) to {out_path}\n",
         result.reports.len(),
@@ -573,6 +628,21 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
         (*s).to_string()
     } else {
         "session panicked".to_string()
+    }
+}
+
+/// Why a diverged session cannot replay, when its decisions say so: a
+/// hop answered by the cross-session subnet cache sent no probes the
+/// log could answer a replay with. Empty otherwise.
+fn cache_note(log: &obs::ExchangeLog, session: u64) -> String {
+    use obs::DecisionVerdict::{CacheHit, CacheSkip};
+    match log.decisions_for(session).find(|d| matches!(d.verdict, CacheHit | CacheSkip)) {
+        Some(d) => format!(
+            "; hop {} was answered by the subnet cache ({}), which replay cannot reproduce: \
+             record with --no-cache",
+            d.hop, d.verdict
+        ),
+        None => String::new(),
     }
 }
 
@@ -595,22 +665,24 @@ pub fn replay(opts: &Opts) -> Result<String, String> {
         let replayed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             Session::new(&mut prober, tn_opts).run(target)
         }));
-        match replayed {
-            Err(panic) => diverged
-                .push(format!("session {session} ({target}): {}", panic_message(panic.as_ref()))),
+        let problem = match replayed {
+            Err(panic) => Some(panic_message(panic.as_ref())),
             Ok(report) => {
                 probes += report.total_probes;
                 if report_to_json(&report) != *recorded {
-                    diverged.push(format!(
-                        "session {session} ({target}): replayed report differs from recorded report"
-                    ));
+                    Some("replayed report differs from recorded report".to_string())
                 } else if prober.remaining() != 0 {
-                    diverged.push(format!(
-                        "session {session} ({target}): {} recorded probes never re-asked",
-                        prober.remaining()
-                    ));
+                    Some(format!("{} recorded probes never re-asked", prober.remaining()))
+                } else {
+                    None
                 }
             }
+        };
+        if let Some(problem) = problem {
+            diverged.push(format!(
+                "session {session} ({target}): {problem}{}",
+                cache_note(&log, session)
+            ));
         }
     }
     if diverged.is_empty() {
@@ -768,14 +840,7 @@ pub fn explain(opts: &Opts) -> Result<String, String> {
                 hop = Some(d.hop);
                 out.push_str(&format!("  hop {}\n", d.hop));
             }
-            let phase = d.phase.map_or("-", |p| p.label());
-            let rule = d.cause.map(|c| format!("/{}", c.label())).unwrap_or_default();
-            let subject = d.subject.map_or_else(|| "-".to_string(), |a| a.to_string());
-            out.push_str(&format!(
-                "    [{phase}{rule}] {} {subject}: {}\n",
-                d.verdict.label(),
-                d.evidence
-            ));
+            out.push_str(&format!("    {d}\n"));
         }
     }
     if !matched {

@@ -45,10 +45,13 @@ COMMANDS:
                               [--fault-budget N]
                               [--trace-log FILE] [--metrics FILE]
                               [--metrics-json FILE] [-v|-vv]
-                              run tracenet sessions; --trace-log streams one
-                              JSON line per probe, --metrics writes per-phase
+                              run tracenet sessions; --trace-log writes an
+                              exchange log as `record` does (replay, diff and
+                              explain read it), --metrics writes per-phase
                               counters (--metrics-json the compact machine
-                              form), -v/-vv print span-structured progress;
+                              form), -v prints each session's decisions on
+                              stderr (positioning, H1-H9 stops, collection),
+                              -vv also exploration's per-candidate verdicts;
                               --fault-profile injects seeded faults
                               (none|light-loss|heavy-loss|rate-storm|
                               flaky-links|chaos), --retries/--backoff shape
@@ -66,17 +69,19 @@ COMMANDS:
                               [--fault-profile NAME] [--fault-seed N]
                               [--fault-budget N]
                               [--trace-log FILE] [--metrics FILE]
-                              [--metrics-json FILE]
+                              [--metrics-json FILE] [-v|-vv]
                               trace many targets on a worker pool sharing a
                               cross-session subnet cache; --jobs sets the
                               thread count (default 4), --no-cache disables
                               subnet reuse across sessions, --rtt-us models a
                               per-probe round-trip time in microseconds
-                              (latency that --jobs overlaps); fault and retry
-                              flags as in `trace`
+                              (latency that --jobs overlaps); fault, retry,
+                              log and -v flags as in `trace` (a cache-on log
+                              replays only with --no-cache)
     record <scenario> --out FILE [--targets A,B,..] [--jobs N]
                               [--vantage NAME] [--protocol icmp|udp|tcp]
-                              [--max-ttl N] [fault/retry flags as in `trace`]
+                              [--max-ttl N] [-v|-vv]
+                              [fault/retry flags as in `trace`]
                               flight recorder: capture every probe exchange,
                               every heuristic verdict and each session's
                               final report into one exchange log

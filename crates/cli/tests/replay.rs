@@ -235,3 +235,74 @@ fn index_of_a_concurrent_recording_decodes_like_a_full_decode() {
     std::fs::remove_file(scenario).ok();
     std::fs::remove_file(log).ok();
 }
+
+/// `explain` on the golden log prints exactly the checked-in text, for
+/// an on-path subnet and for one an H1 shrink cut back. The log path is
+/// relative because it is part of the output; cargo runs integration
+/// tests from the package root.
+#[test]
+fn explain_of_the_golden_log_matches_the_checked_in_text() {
+    for (prefix, file) in [
+        ("10.40.0.0/29", "tests/golden/explain-10.40.0.0-29.txt"),
+        ("10.32.0.4/30", "tests/golden/explain-10.32.0.4-30.txt"),
+    ] {
+        let out = run(&["explain", "tests/golden/internet2-seed2010.jsonl", prefix])
+            .expect("explain succeeds");
+        let want = std::fs::read_to_string(file).unwrap();
+        assert!(out == want, "explain {prefix} differs from {file}:\n{out}");
+    }
+}
+
+#[test]
+fn a_cache_on_trace_log_names_the_cached_hop_when_replay_diverges() {
+    let scenario = temp_path("cache-scenario");
+    run(&["generate", "internet2", "--seed", "2010", "--out", scenario.to_str().unwrap()])
+        .expect("generate succeeds");
+    let log = temp_path("cache-log");
+    let out = run(&[
+        "batch",
+        scenario.to_str().unwrap(),
+        "--jobs",
+        "1",
+        "--trace-log",
+        log.to_str().unwrap(),
+    ])
+    .expect("batch succeeds");
+    assert!(out.contains("subnet cache:") && !out.contains("disabled"), "{out}");
+
+    let err = run(&["replay", log.to_str().unwrap()]).expect_err("a cache-on log diverges");
+    let parsed = obs::ExchangeLog::load(&log).unwrap();
+    let (session, hop) = (0..parsed.header.targets.len() as u64)
+        .find_map(|s| {
+            let cached = parsed.decisions_for(s).find(|d| {
+                matches!(
+                    d.verdict,
+                    obs::DecisionVerdict::CacheHit | obs::DecisionVerdict::CacheSkip
+                )
+            });
+            cached.map(|d| (s, d.hop))
+        })
+        .expect("the cache answered some hop");
+    let line = err
+        .lines()
+        .find(|l| l.trim_start().starts_with(&format!("session {session} (")))
+        .unwrap_or_else(|| panic!("session {session} is not reported:\n{err}"));
+    assert!(line.contains(&format!("hop {hop} was answered by the subnet cache")), "{line}");
+    assert!(line.contains("record with --no-cache"), "{line}");
+
+    // The same batch with the cache off replays.
+    run(&[
+        "batch",
+        scenario.to_str().unwrap(),
+        "--jobs",
+        "2",
+        "--no-cache",
+        "--trace-log",
+        log.to_str().unwrap(),
+    ])
+    .expect("batch succeeds");
+    let out = run(&["replay", log.to_str().unwrap()]).expect("a cache-off log replays");
+    assert!(out.contains("byte-identical"), "{out}");
+    std::fs::remove_file(scenario).ok();
+    std::fs::remove_file(log).ok();
+}

@@ -1,5 +1,6 @@
 //! Acceptance test for the observability flags: `--trace-log` must
-//! stream one parseable ProbeEvent per wire probe, and `--metrics` must
+//! write an exchange log with one probe line per wire probe, which
+//! replays and explains like a recorded one, and `--metrics` must
 //! write per-phase totals that agree exactly with the session's own
 //! PhaseCost accounting (as exposed by `--json`).
 
@@ -58,15 +59,29 @@ fn trace_log_and_metrics_agree_with_the_session_accounting() {
     assert!(probes > 0);
     assert_eq!(cost["total"].as_u64().unwrap(), probes);
 
-    // Every JSONL line parses back as a ProbeEvent; one line per probe.
-    let log = std::fs::read_to_string(&log_path).unwrap();
+    // The log is an exchange log: one probe line per wire probe, every
+    // probe attributed to the session and a phase.
+    let log = obs::ExchangeLog::load(&log_path).expect("the trace log is an exchange log");
+    assert_eq!(log.event_total() as u64, probes, "one event per wire probe");
     let mut events = 0u64;
-    for line in log.lines() {
-        let ev = obs::ProbeEvent::read_line(line).expect("line is a ProbeEvent");
-        assert!(ev.phase.is_some(), "probe without phase attribution: {line}");
+    for ev in log.events_for(0) {
+        assert!(ev.phase.is_some(), "probe without phase attribution: {ev:?}");
         events += 1;
     }
-    assert_eq!(events, probes, "one event per wire probe");
+    assert_eq!(events, probes, "every probe belongs to session 0");
+
+    // It replays byte-identically, and `explain` reads it.
+    let path = log_path.to_str().unwrap();
+    let replayed = run(&["replay", path]).expect("the trace log replays");
+    assert!(replayed.contains("byte-identical"), "{replayed}");
+    let prefix = log
+        .reports
+        .iter()
+        .flat_map(|(_, r)| r["hops"].as_array().cloned().unwrap_or_default())
+        .find_map(|h| h["subnet"]["prefix"].as_str().map(str::to_string))
+        .expect("the session collected a subnet");
+    let explained = run(&["explain", path, &prefix]).expect("explain reads the trace log");
+    assert!(explained.contains("collected"), "{explained}");
 
     // The metrics per-phase totals equal the PhaseCost totals exactly.
     let metrics: serde_json::Value =
@@ -177,4 +192,71 @@ fn metrics_table_is_appended_to_human_output() {
 
     std::fs::remove_file(scenario_path).ok();
     std::fs::remove_file(metrics_path).ok();
+}
+
+/// Runs the `tracenet` binary; returns stdout and stderr.
+fn tracenet(args: &[&str]) -> (String, String) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_tracenet"))
+        .args(args)
+        .output()
+        .expect("the tracenet binary runs");
+    assert!(out.status.success(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+    (String::from_utf8(out.stdout).unwrap(), String::from_utf8(out.stderr).unwrap())
+}
+
+#[test]
+fn verbose_output_is_the_decision_stream_and_changes_no_answer() {
+    let scenario_path = temp_path("verbose-scenario");
+    let scenario = scenario_path.to_str().unwrap();
+    run(&["generate", "internet2", "--seed", "2010", "--out", scenario]).unwrap();
+    let log_path = temp_path("verbose-log");
+    let log = log_path.to_str().unwrap();
+
+    let (plain, quiet) = tracenet(&["trace", scenario, "--all"]);
+    assert_eq!(quiet, "");
+    let (vv_out, vv_err) = tracenet(&["trace", scenario, "--all", "-vv", "--trace-log", log]);
+    let (v_out, v_err) = tracenet(&["trace", scenario, "--all", "-v"]);
+    assert!(vv_out == plain, "-vv changed stdout");
+    assert!(v_out == plain, "-v changed stdout");
+
+    // `-vv` prints every decision of the log, in log order: session and
+    // hop, then the decision indented by phase.
+    let decisions: Vec<obs::DecisionEvent> = std::fs::read_to_string(&log_path)
+        .unwrap()
+        .lines()
+        .filter(|l| l.starts_with(r#"{"type":"decision""#))
+        .map(|l| obs::DecisionEvent::read_line(l).unwrap())
+        .collect();
+    assert!(!decisions.is_empty());
+    let rendered: Vec<String> = decisions
+        .iter()
+        .map(|d| {
+            let indent = match d.phase {
+                Some(obs::Phase::Position) => "  ",
+                Some(obs::Phase::Explore) => "    ",
+                _ => "",
+            };
+            format!("session {} hop {}: {indent}{d}", d.session.unwrap(), d.hop)
+        })
+        .collect();
+    let vv_lines: Vec<&str> = vv_err.lines().collect();
+    assert_eq!(vv_lines, rendered);
+
+    // `-v` is `-vv` without exploration's per-candidate verdicts.
+    let per_candidate = |d: &obs::DecisionEvent| {
+        use obs::DecisionVerdict::{Accepted, AcceptedContraPivot, Rejected};
+        d.phase == Some(obs::Phase::Explore)
+            && matches!(d.verdict, Accepted | AcceptedContraPivot | Rejected)
+    };
+    let want: Vec<&str> = vv_lines
+        .iter()
+        .zip(&decisions)
+        .filter(|(_, d)| !per_candidate(d))
+        .map(|(line, _)| *line)
+        .collect();
+    assert!(want.len() < vv_lines.len(), "the run has per-candidate verdicts");
+    assert_eq!(v_err.lines().collect::<Vec<_>>(), want);
+
+    std::fs::remove_file(scenario_path).ok();
+    std::fs::remove_file(log_path).ok();
 }

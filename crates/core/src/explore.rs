@@ -32,8 +32,6 @@ pub fn explore<P: Prober>(
     trace_prev: Option<Addr>,
     opts: &TracenetOptions,
 ) -> ObservedSubnet {
-    let _span =
-        obs::span!(obs::Level::Debug, "explore", "pivot={} jh={}", pos.pivot, pos.pivot_dist);
     let ctx = Context {
         pivot: pos.pivot,
         jh: pos.pivot_dist,
@@ -68,10 +66,6 @@ pub fn explore<P: Prober>(
                 }
                 Decision::Skip => {}
                 Decision::StopAndShrink { by } => {
-                    obs::trace_event!(
-                        obs::Level::Debug,
-                        "H1 stop-and-shrink at {l}: H{by} violated"
-                    );
                     // H1: revert to the last known valid prefix (m+1) and
                     // drop everything outside it.
                     let valid = Prefix::containing(pos.pivot, m + 1);

@@ -15,7 +15,7 @@
 //!    `pivotʰ − 1`?
 
 use inet::Addr;
-use obs::{Cause, Level};
+use obs::Cause;
 use probe::{ProbeOutcome, Prober};
 
 use crate::options::TracenetOptions;
@@ -95,7 +95,6 @@ pub fn position<P: Prober>(
     d: u8,
     opts: &TracenetOptions,
 ) -> Option<Positioning> {
-    let _span = obs::span!(Level::Debug, "position", "v={v} d={d}");
     let vh = perceived_distance(prober, v, d, opts)?;
 
     // Lines 2–10: on/off-the-trace-path.
@@ -130,10 +129,6 @@ pub fn position<P: Prober>(
         None
     };
 
-    obs::trace_event!(
-        Level::Debug,
-        "positioned pivot={pivot} dist={pivot_dist} on_path={on_path} ingress={ingress:?}"
-    );
     Some(Positioning { pivot, pivot_dist, ingress, on_path, perceived_dist: vh })
 }
 

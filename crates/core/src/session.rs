@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use inet::Addr;
-use obs::{CacheOutcome, Cause, DecisionEvent, DecisionVerdict, Level, Phase, Recorder};
+use obs::{CacheOutcome, Cause, DecisionEvent, DecisionVerdict, Phase, Recorder};
 use probe::{CachingProber, FaultBudgetProber, ProbeOutcome, ProbeStats, Prober};
 
 use crate::cache::{CacheLookup, SubnetStore};
@@ -63,9 +63,6 @@ impl<P: Prober> Session<P> {
 
     /// Traces toward `destination`, exploring the subnet at every hop.
     pub fn run(mut self, destination: Addr) -> TraceReport {
-        let vantage = self.prober.src();
-        let _session_span =
-            obs::span!(Level::Info, "session", "vantage={vantage} dst={destination}");
         let mut hops: Vec<HopRecord> = Vec::new();
         let mut prev_addr: Option<Addr> = None;
         let mut destination_reached = false;
@@ -75,7 +72,6 @@ impl<P: Prober> Session<P> {
             self.prober.inner_mut().start_hop();
             let hop_before = self.prober.stats();
             let sent_before = hop_before.sent;
-            let _hop_span = obs::span!(Level::Debug, "hop", "d={d}");
 
             // --- Trace collection: one indirect probe at TTL d. --------
             let trace_t0 = self.prober.clock();
@@ -130,7 +126,6 @@ impl<P: Prober> Session<P> {
                         verdict: DecisionVerdict::Repeated,
                         evidence: "already inside a subnet collected at an earlier hop".to_string(),
                     });
-                    obs::trace_event!(Level::Debug, "hop {d}: {v} already subnetized, skipping");
                 } else if let Some(CacheLookup::Hit(outcome)) = lookup {
                     record.cached = true;
                     let reusable = outcome.is_some();
@@ -153,7 +148,6 @@ impl<P: Prober> Session<P> {
                         },
                         evidence: "resolved from the cross-session subnet cache".to_string(),
                     });
-                    obs::trace_event!(Level::Debug, "hop {d}: {v} resolved from the subnet cache");
                 } else {
                     if lookup.is_some() {
                         self.recorder.record_cache(CacheOutcome::Miss);
@@ -224,13 +218,6 @@ impl<P: Prober> Session<P> {
                                 self.prober.clock().saturating_sub(explore_t0),
                             );
                             record.cost.explore = self.prober.stats().sent - before;
-                            obs::trace_event!(
-                                Level::Debug,
-                                "hop {d}: collected {} ({} members, {} probes)",
-                                subnet.record.prefix(),
-                                subnet.record.len(),
-                                record.cost.explore,
-                            );
                             record.subnet = Some(subnet);
                         }
                     }
@@ -288,7 +275,7 @@ impl<P: Prober> Session<P> {
 
         let stats = self.prober.stats();
         TraceReport {
-            vantage,
+            vantage: self.prober.src(),
             destination,
             destination_reached,
             hops,

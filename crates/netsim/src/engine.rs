@@ -250,15 +250,6 @@ impl ConcurrentNetwork {
         if let Some(t) = sink.as_deref_mut() {
             t.clear();
         }
-        obs::trace_event!(
-            obs::Level::Trace,
-            "net: inject tick={} {} -> {} ttl={} proto={:?}",
-            tick,
-            probe.header.src,
-            probe.header.dst,
-            probe.header.ttl,
-            probe.header.protocol
-        );
         let verdict = self.walk(probe, tick, sink);
         // Reverse-path loss: the reply was generated (tokens spent, trace
         // logged) but never makes it back to the caller.
@@ -275,26 +266,8 @@ impl ConcurrentNetwork {
     }
 
     fn log(&self, sink: &mut Sink<'_>, e: Event) {
-        if obs::trace::enabled(obs::Level::Trace) {
-            obs::trace::dispatch(obs::Level::Trace, &format!("net: {}", self.describe(&e)));
-        }
         if let Some(t) = sink.as_deref_mut() {
             t.push(e);
-        }
-    }
-
-    /// Renders a walk event with router names for the trace facade.
-    fn describe(&self, e: &Event) -> String {
-        let name = |r: RouterId| self.topo.router(r).name.as_str();
-        match *e {
-            Event::Arrived { at, ttl } => format!("arrived at {} ttl={ttl}", name(at)),
-            Event::Forwarded { from, to } => {
-                format!("forwarded {} -> {}", name(from), name(to))
-            }
-            Event::TtlExpired { at } => format!("ttl expired at {}", name(at)),
-            Event::Delivered { at } => format!("delivered at {}", name(at)),
-            Event::Replied { from, src } => format!("reply from {} src={src}", name(from)),
-            Event::Dropped { reason } => format!("dropped: {reason:?}"),
         }
     }
 

@@ -218,6 +218,26 @@ impl DecisionEvent {
     }
 }
 
+/// One line of text: `[phase/cause] verdict subject: evidence`, with
+/// `-` for a missing phase or subject and no `/cause` when there is
+/// none. `tnet explain` prints it under its session and hop headings;
+/// the CLI's `-v` puts the session and hop in front of it.
+impl fmt::Display for DecisionEvent {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("[")?;
+        f.write_str(self.phase.map_or("-", Phase::label))?;
+        if let Some(cause) = self.cause {
+            write!(f, "/{}", cause.label())?;
+        }
+        write!(f, "] {} ", self.verdict)?;
+        match self.subject {
+            Some(subject) => write!(f, "{subject}")?,
+            None => f.write_str("-")?,
+        }
+        write!(f, ": {}", self.evidence)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,6 +303,21 @@ mod tests {
         let mut v = value(&sample());
         v["cause"] = json!("h99");
         assert!(read(&v).unwrap_err().contains("cause"));
+    }
+
+    #[test]
+    fn display_is_one_explain_line() {
+        assert_eq!(
+            sample().to_string(),
+            "[explore/h6] stopped_and_shrunk 10.0.3.7: stranger 10.0.3.7 expired the probe: \
+             fixed entry point violated"
+        );
+        let bare = DecisionEvent { phase: None, cause: None, subject: None, ..sample() };
+        assert_eq!(
+            bare.to_string(),
+            "[-] stopped_and_shrunk -: stranger 10.0.3.7 expired the probe: fixed entry point \
+             violated"
+        );
     }
 
     #[test]

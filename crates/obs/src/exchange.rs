@@ -8,9 +8,7 @@
 //!    run used — enough to re-create the session configuration at
 //!    replay time;
 //! 2. one **probe** line per wire attempt — a plain
-//!    [`ProbeEvent::write_line`] object with *no* `"type"` key, so the
-//!    probe lines of an exchange log are bit-compatible with a
-//!    `--trace-log` stream;
+//!    [`ProbeEvent::write_line`] object with *no* `"type"` key;
 //! 3. **decision** lines (`"type": "decision"`, see
 //!    [`DecisionEvent::write_line`]) interleaved in emission order;
 //! 4. one **report** line per session (`"type": "report"`) appended
@@ -25,6 +23,9 @@
 //! byte for byte. The header line still goes through `Value`; a
 //! report line is its fixed prefix, the report `Value` rendered once,
 //! and a closing brace.
+//!
+//! `tracenet record --out` and every `--trace-log` write this format,
+//! so any recorded run can be replayed, diffed and explained.
 //!
 //! Lines carry session (target index) attribution, so a `--jobs 8`
 //! run's interleaved streams separate cleanly (see
@@ -161,8 +162,7 @@ impl<W: Write + Send> ExchangeWriter<W> {
         Ok(w)
     }
 
-    /// Writes one probe line (no `"type"` key, `--trace-log`
-    /// compatible).
+    /// Writes one probe line (no `"type"` key).
     pub fn write_probe(&mut self, event: &ProbeEvent) {
         self.line.clear();
         event.write_line(&mut self.line);

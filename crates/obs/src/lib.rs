@@ -11,7 +11,8 @@
 //!   attached.
 //! - [`decision::DecisionEvent`] — one record per algorithmic verdict of
 //!   the collection pipeline: which heuristic fired, on which address,
-//!   with what evidence. The stream `tnet explain` renders.
+//!   with what evidence. Its `Display` line is what `tnet explain` and
+//!   the CLI's `-v`/`-vv` print.
 //! - [`exchange`] — the flight-recorder capture format: a versioned
 //!   JSONL log interleaving probes, decisions, and per-session reports,
 //!   indexed by an [`exchange::ExchangeLog`] for deterministic replay
@@ -21,15 +22,13 @@
 //!   to the vendored `serde_json` shim's rendering of the same fields as
 //!   a `Value`. They are read back by [`ProbeEvent::read_line`] and
 //!   [`DecisionEvent::read_line`], which build no `Value`.
-//! - [`sink::EventSink`] — pluggable event consumers: [`sink::NullSink`],
-//!   [`sink::VecSink`] (tests), [`sink::JsonlSink`] (streaming
-//!   JSON-lines), [`exchange::ExchangeSink`] (the flight recorder).
+//! - [`sink::EventSink`] — pluggable event consumers:
+//!   [`exchange::ExchangeSink`] (the flight recorder, and what
+//!   `--trace-log` writes) and [`sink::VecSink`] (tests); a pair of
+//!   sinks feeds both.
 //! - [`metrics::Registry`] — thread-safe monotonic counters and
 //!   fixed-bucket histograms keyed by phase and heuristic — including
 //!   per-phase wall-tick latency — with human-table and JSON snapshots.
-//! - [`trace`] — a dependency-free `tracing`-style facade: levelled
-//!   spans and events behind one atomic check, rendered by an
-//!   installable subscriber (the CLI's `-v`/`-vv`).
 //! - [`ctx`] — thread-local phase/cause attribution that the collection
 //!   algorithms set and the probers read, so attribution needs no
 //!   signature changes through the `Prober` seam.
@@ -52,7 +51,6 @@ pub mod metrics;
 mod read;
 pub mod recorder;
 pub mod sink;
-pub mod trace;
 
 pub use ctx::{cause_scope, phase_scope};
 pub use decision::{DecisionEvent, DecisionVerdict};
@@ -60,5 +58,4 @@ pub use event::{Cause, Outcome, Phase, ProbeEvent, TimeoutCause, UnreachReason};
 pub use exchange::{ExchangeHeader, ExchangeLog, ExchangeSink, ExchangeWriter, FORMAT_VERSION};
 pub use metrics::{CacheOutcome, MetricsSnapshot, Registry};
 pub use recorder::Recorder;
-pub use sink::{EventSink, JsonlSink, NullSink, SinkHandle, VecSink};
-pub use trace::Level;
+pub use sink::{EventSink, SinkHandle, VecSink};

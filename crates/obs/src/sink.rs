@@ -1,6 +1,6 @@
 //! Event sinks: where probe events go.
 
-use std::io::{self, BufWriter, Write};
+use std::io;
 use std::sync::{Arc, Mutex};
 
 use crate::decision::DecisionEvent;
@@ -10,30 +10,20 @@ use crate::event::ProbeEvent;
 ///
 /// Sinks receive every wire attempt a recorder-carrying prober makes.
 /// Implementations should be cheap per call; expensive work belongs
-/// behind buffering (see [`JsonlSink`]).
+/// behind buffering (see [`crate::ExchangeWriter`]).
 pub trait EventSink: Send {
     /// Consumes one event.
     fn emit(&mut self, event: &ProbeEvent);
 
-    /// Consumes one decision event. Defaults to a no-op: most sinks
-    /// (including [`JsonlSink`], whose probe-log format promises one
-    /// line per wire probe) only care about wire traffic. The exchange
-    /// log overrides this to interleave decisions with probes.
+    /// Consumes one decision event. Defaults to a no-op, for sinks that
+    /// only care about wire traffic. The exchange log overrides this to
+    /// interleave decisions with probes.
     fn emit_decision(&mut self, _decision: &DecisionEvent) {}
 
     /// Flushes any buffered output; called at session boundaries.
     fn flush(&mut self) -> io::Result<()> {
         Ok(())
     }
-}
-
-/// Drops every event. Useful to exercise the recording path with no
-/// observable output (e.g. overhead measurements).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullSink;
-
-impl EventSink for NullSink {
-    fn emit(&mut self, _event: &ProbeEvent) {}
 }
 
 /// Collects events in memory behind a shared handle — the test sink.
@@ -91,47 +81,22 @@ impl EventSink for VecSink {
     }
 }
 
-/// Streams events as JSON lines — one [`ProbeEvent::write_line`]
-/// object per line — through a buffered writer.
-pub struct JsonlSink<W: Write + Send> {
-    writer: BufWriter<W>,
-    /// Scratch buffer each line is rendered into.
-    line: String,
-    lines: u64,
-}
-
-impl<W: Write + Send> JsonlSink<W> {
-    /// Wraps a writer.
-    pub fn new(writer: W) -> JsonlSink<W> {
-        JsonlSink { writer: BufWriter::new(writer), line: String::new(), lines: 0 }
-    }
-
-    /// Lines written so far.
-    pub fn lines(&self) -> u64 {
-        self.lines
-    }
-}
-
-impl JsonlSink<std::fs::File> {
-    /// Creates (truncating) a JSONL file at `path`.
-    pub fn create(path: &std::path::Path) -> io::Result<Self> {
-        Ok(JsonlSink::new(std::fs::File::create(path)?))
-    }
-}
-
-impl<W: Write + Send> EventSink for JsonlSink<W> {
+/// Feeds every event to both sinks, first `.0` then `.1`: an exchange
+/// log and the `-v` text, say.
+impl<A: EventSink, B: EventSink> EventSink for (A, B) {
     fn emit(&mut self, event: &ProbeEvent) {
-        // An unwritable log should not take the collection session down;
-        // errors surface at flush time via the CLI's explicit flush.
-        self.line.clear();
-        event.write_line(&mut self.line);
-        self.line.push('\n');
-        let _ = self.writer.write_all(self.line.as_bytes());
-        self.lines += 1;
+        self.0.emit(event);
+        self.1.emit(event);
+    }
+
+    fn emit_decision(&mut self, decision: &DecisionEvent) {
+        self.0.emit_decision(decision);
+        self.1.emit_decision(decision);
     }
 
     fn flush(&mut self) -> io::Result<()> {
-        self.writer.flush()
+        let first = self.0.flush();
+        self.1.flush().and(first)
     }
 }
 
@@ -248,20 +213,6 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_sink_writes_parseable_lines() {
-        let mut sink = JsonlSink::new(Vec::new());
-        sink.emit(&ev(3));
-        sink.emit(&ev(7));
-        assert_eq!(sink.lines(), 2);
-        sink.flush().unwrap();
-        let bytes = sink.writer.into_inner().unwrap();
-        let text = String::from_utf8(bytes).unwrap();
-        let parsed: Vec<ProbeEvent> =
-            text.lines().map(|l| ProbeEvent::read_line(l).unwrap()).collect();
-        assert_eq!(parsed, vec![ev(3), ev(7)]);
-    }
-
-    #[test]
     fn vec_sink_stores_decisions_separately() {
         let sink = VecSink::new();
         let reader = sink.clone();
@@ -273,10 +224,15 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_sink_ignores_decisions_keeping_one_line_per_probe() {
-        let mut sink = JsonlSink::new(Vec::new());
-        sink.emit(&ev(3));
-        sink.emit_decision(&decision());
-        assert_eq!(sink.lines(), 1);
+    fn a_pair_feeds_both_sinks() {
+        let (a, b) = (VecSink::new(), VecSink::new());
+        let handle = SinkHandle::new((a.clone(), b.clone()));
+        handle.emit(&ev(1));
+        handle.emit_decision(&decision());
+        handle.flush().unwrap();
+        for sink in [a, b] {
+            assert_eq!(sink.events(), vec![ev(1)]);
+            assert_eq!(sink.decisions(), vec![decision()]);
+        }
     }
 }

@@ -1,12 +1,15 @@
-//! The JSONL sink under concurrent writers: interleaved sessions must
-//! produce a torn-free line stream whose event count agrees exactly
-//! with the metrics registry, and whose per-session content is
-//! reproducible from the fixed seed that generated it.
+//! The exchange-log sink under concurrent writers: interleaved
+//! sessions must produce a torn-free line stream whose event count
+//! agrees exactly with the metrics registry, and whose per-session
+//! content is reproducible from the fixed seed that generated it.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use inet::Addr;
-use obs::{JsonlSink, Outcome, Phase, ProbeEvent, Recorder, Registry, SinkHandle};
+use obs::{
+    ExchangeHeader, ExchangeLog, ExchangeSink, ExchangeWriter, Outcome, Phase, ProbeEvent,
+    Recorder, Registry, SinkHandle, FORMAT_VERSION,
+};
 use wire::Protocol;
 
 const SEED: u64 = 424242;
@@ -43,7 +46,16 @@ fn event(session: u64, n: u64) -> ProbeEvent {
 fn concurrent_writers_tear_no_lines_and_agree_with_the_registry() {
     let path =
         std::env::temp_dir().join(format!("tracenet-obs-concurrency-{}.jsonl", std::process::id()));
-    let sink = JsonlSink::create(&path).expect("create sink");
+    let header = ExchangeHeader {
+        version: FORMAT_VERSION,
+        vantage: Addr::from_u32(0x0a00_0001),
+        protocol: Protocol::Icmp,
+        targets: (0..WRITERS).map(|k| Addr::from_u32(0x0a00_0100 + k as u32)).collect(),
+        jobs: WRITERS,
+        options: serde_json::Value::Null,
+    };
+    let writer = ExchangeWriter::create(&path, &header).expect("create log");
+    let sink = ExchangeSink::new(Arc::new(Mutex::new(writer)));
     let registry = Arc::new(Registry::new());
     let recorder =
         Recorder::new().with_sink(SinkHandle::new(sink)).with_metrics(Arc::clone(&registry));
@@ -61,18 +73,12 @@ fn concurrent_writers_tear_no_lines_and_agree_with_the_registry() {
     });
     recorder.flush().expect("flush");
 
-    // Every line parses back as a complete ProbeEvent — no torn or
-    // interleaved partial writes.
-    let text = std::fs::read_to_string(&path).expect("read log");
-    let mut per_session: Vec<Vec<ProbeEvent>> = (0..WRITERS).map(|_| Vec::new()).collect();
-    let mut total = 0u64;
-    for line in text.lines() {
-        let ev = ProbeEvent::read_line(line).expect("line is a whole ProbeEvent");
-        let session = ev.session.expect("every event carries its session tag");
-        assert!(session < WRITERS, "unknown session {session}");
-        per_session[session as usize].push(ev);
-        total += 1;
-    }
+    // The log loads, which checks that every line is a whole event — no
+    // torn or interleaved partial writes.
+    let log = ExchangeLog::load(&path).expect("every line is whole");
+    let total = log.event_total() as u64;
+    let tagged: usize = (0..WRITERS).map(|session| log.event_count(session)).sum();
+    assert_eq!(tagged as u64, total, "every event carries a known session tag");
 
     // The line count equals what the registry metered.
     assert_eq!(total, WRITERS * EVENTS_PER_WRITER);
@@ -80,11 +86,12 @@ fn concurrent_writers_tear_no_lines_and_agree_with_the_registry() {
 
     // Within a session, emission order is preserved and every event is
     // exactly the one the fixed seed generates — the stream replays.
-    for (session, events) in per_session.iter().enumerate() {
+    for session in 0..WRITERS {
+        let events: Vec<ProbeEvent> = log.events_for(session).collect();
         assert_eq!(events.len() as u64, EVENTS_PER_WRITER, "session {session}");
         for (n, ev) in events.iter().enumerate() {
-            let mut expected = event(session as u64, n as u64);
-            expected.session = Some(session as u64);
+            let mut expected = event(session, n as u64);
+            expected.session = Some(session);
             expected.phase = Some(Phase::Trace);
             assert_eq!(*ev, expected, "session {session} event {n}");
         }
