@@ -17,20 +17,31 @@ use std::time::Duration;
 
 use bench_suite::{scaling_experiment, scaling_json, write_bench_json};
 use topogen::{internet2, random_topology};
+use tracenet_cli::args::Opts;
 
 const JOBS: [usize; 4] = [1, 2, 4, 8];
 
-fn flag_value(args: &[String], name: &str) -> Option<u64> {
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).and_then(|v| v.parse().ok())
+const USAGE: &str = "usage: batch_scaling [--smoke] [--gate] [--rtt-us N] [--seed N]";
+
+/// Reads `(smoke, gate, seed, rtt)` from the flags above; an unknown
+/// flag, a stray argument or a value that does not parse is an error.
+fn settings(argv: &[String]) -> Result<(bool, bool, u64, Duration), String> {
+    let opts = Opts::parse(argv)?;
+    opts.only(&["smoke", "gate", "rtt-us", "seed"])?;
+    if let Some(extra) = opts.positional(0) {
+        return Err(format!("unexpected argument {extra:?}"));
+    }
+    let smoke = opts.has("smoke");
+    let rtt_us = opts.flag_parse("rtt-us", if smoke { 100 } else { 200 })?;
+    Ok((smoke, opts.has("gate"), opts.flag_parse("seed", 2010)?, Duration::from_micros(rtt_us)))
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let gate = args.iter().any(|a| a == "--gate");
-    let seed = flag_value(&args, "--seed").unwrap_or(2010);
-    let default_rtt = if smoke { 100 } else { 200 };
-    let rtt = Duration::from_micros(flag_value(&args, "--rtt-us").unwrap_or(default_rtt));
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let (smoke, gate, seed, rtt) = settings(&argv).unwrap_or_else(|e| {
+        eprintln!("batch_scaling: {e}\n{USAGE}");
+        std::process::exit(2);
+    });
     let max_targets = if smoke { 48 } else { usize::MAX };
 
     let mut points = Vec::new();
@@ -67,5 +78,31 @@ fn main() {
             "gate ok: {} jobs={} speedup {:.2}x >= 1.0",
             last.network, last.jobs, last.speedup
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn read(args: &[&str]) -> Result<(bool, bool, u64, Duration), String> {
+        settings(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn ci_flags_read_as_before() {
+        let us = Duration::from_micros;
+        assert_eq!(read(&["--smoke", "--gate"]), Ok((true, true, 2010, us(100))));
+        assert_eq!(read(&[]), Ok((false, false, 2010, us(200))));
+        assert_eq!(read(&["--seed", "7", "--rtt-us", "50"]), Ok((false, false, 7, us(50))));
+    }
+
+    #[test]
+    fn bad_values_and_unknown_flags_are_errors() {
+        assert_eq!(read(&["--seed", "x"]), Err(r#"invalid value for --seed: "x""#.into()));
+        assert_eq!(read(&["--smok"]), Err("flag --smok needs a value".into()));
+        assert_eq!(read(&["--smok", "1"]), Err("unrecognized flag --smok".into()));
+        assert!(read(&["--rtt-us", "-5"]).is_err());
+        assert!(read(&["smoke"]).is_err());
     }
 }

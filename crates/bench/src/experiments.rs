@@ -13,10 +13,8 @@ use inet::Prefix;
 use netsim::ConcurrentNetwork;
 use probe::{Protocol, SharedNetwork};
 use sweep::{BatchConfig, CacheStats};
-use topogen::{geant, internet2, isp_internet, GtSubnet, Scenario, ISP_NAMES};
+use topogen::{internet2, isp_internet, GtSubnet, Scenario, ISP_NAMES};
 use tracenet::TracenetOptions;
-use tracenet_cli::args::Opts;
-use tracenet_cli::flags;
 
 /// Default experiment seed (the paper's publication year).
 pub const SEED: u64 = 2010;
@@ -47,11 +45,10 @@ pub struct AccuracyResult {
     pub wall_ticks: u64,
 }
 
-/// Parsed arguments shared by the batch-engine reproduction binaries.
-///
-/// A bare number is the experiment seed; the fault and retry flags
-/// mirror the CLI's, so a figure can be regenerated under injected
-/// faults for robustness comparisons.
+/// The configuration every paper artifact runs under (read from
+/// `repro`'s command line by [`crate::repro::parse_batch_args`]). The
+/// fault and retry settings mirror the CLI's, so a figure can be
+/// regenerated under injected faults for robustness comparisons.
 pub struct ExpArgs {
     /// Experiment seed (topology, targets, and the default fault seed).
     pub seed: u64,
@@ -78,53 +75,6 @@ impl ExpArgs {
         net.set_fault_plan(self.fault);
         SharedNetwork::from_concurrent(net)
     }
-}
-
-const EXP_USAGE: &str = "usage: [seed] [--jobs N] [--no-cache] \
-     [--retries N] [--backoff none|exp|adaptive] [--fault-profile NAME] \
-     [--fault-seed N] [--fault-budget N]";
-
-fn bail(msg: &str) -> ! {
-    eprintln!("{msg}\n{EXP_USAGE}");
-    std::process::exit(2);
-}
-
-/// The flags the reproduction binaries accept.
-const EXP_FLAGS: [&str; 7] =
-    ["jobs", "no-cache", "retries", "backoff", "fault-profile", "fault-seed", "fault-budget"];
-
-/// Parses the reproduction binaries' arguments: an optional seed and
-/// the flags in [`EXP_FLAGS`]. The retry and fault flags go through the
-/// `tracenet` CLI's own readers, so both reject the same values with the
-/// same message.
-pub fn parse_batch_args(argv: &[String]) -> Result<ExpArgs, String> {
-    let opts = Opts::parse(argv)?;
-    if let Some(flag) = opts.flag_names().find(|f| !EXP_FLAGS.contains(f)) {
-        return Err(format!("unrecognized argument --{flag}"));
-    }
-    if let Some(extra) = opts.positional(1) {
-        return Err(format!("unrecognized argument {extra:?}"));
-    }
-    let seed = match opts.positional(0) {
-        None => SEED,
-        Some(s) => s.parse().map_err(|_| format!("unrecognized argument {s:?}"))?,
-    };
-    let mut cfg = BatchConfig {
-        jobs: opts.flag_parse("jobs", BatchConfig::default().jobs)?,
-        use_cache: !opts.has("no-cache"),
-        retry: flags::retry_policy(&opts)?,
-        ..BatchConfig::default()
-    };
-    cfg.opts.hop_fault_budget = flags::fault_budget(&opts)?;
-    let fault = flags::fault_plan(&opts, seed)?;
-    Ok(ExpArgs { seed, cfg, fault })
-}
-
-/// [`parse_batch_args`] over the process arguments; exits with status 2
-/// and the usage line on malformed input.
-pub fn batch_args() -> ExpArgs {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    parse_batch_args(&argv).unwrap_or_else(|e| bail(&e))
 }
 
 /// Runs the Table 1 (Internet2) or Table 2 (GEANT) experiment on the
@@ -174,25 +124,14 @@ pub fn accuracy_experiment(scenario: Scenario, args: &ExpArgs) -> AccuracyResult
     }
 }
 
-/// Table 1: Internet2, in the paper's sequential configuration.
-pub fn table1(seed: u64) -> AccuracyResult {
-    accuracy_experiment(internet2(seed), &ExpArgs::sequential(seed))
-}
-
-/// Table 2: GEANT, in the paper's sequential configuration.
-pub fn table2(seed: u64) -> AccuracyResult {
-    accuracy_experiment(geant(seed), &ExpArgs::sequential(seed))
-}
-
-/// The address region of one ISP (first octet, per `topogen::isp`).
+/// The address region of one ISP (`X.0.0.0/8`, from its
+/// `topogen::IspSpec`).
 pub fn isp_region(name: &str) -> Prefix {
-    let octet = match name {
-        "sprintlink" => 41,
-        "ntt" => 42,
-        "level3" => 43,
-        "abovenet" => 44,
-        other => panic!("unknown ISP {other}"),
-    };
+    let octet = topogen::default_isps()
+        .into_iter()
+        .find(|isp| isp.name == name)
+        .unwrap_or_else(|| panic!("unknown ISP {name}"))
+        .region_octet;
     Prefix::new(inet::Addr::new(octet, 0, 0, 0), 8).expect("octet region")
 }
 
@@ -379,7 +318,7 @@ pub struct OverheadPoint {
     /// Assigned members of the true subnet (the paper's |S|).
     pub true_size: usize,
     /// Members of the collected subnet (≤ true size; the odd layouts
-    /// collapse under H9, see the binary's commentary).
+    /// collapse under H9, see EXPERIMENTS.md, O1).
     pub collected_size: usize,
     /// Positioning + exploration probes spent on that hop.
     pub probes: u64,
@@ -478,84 +417,69 @@ pub struct AblationRow {
 
 /// The ablation study (DESIGN.md experiment A1): Internet2 accuracy with
 /// each heuristic disabled in turn, plus the offline-inference baseline
-/// of the paper's reference \[7\].
-pub fn ablation(seed: u64) -> Vec<AblationRow> {
-    let mut rows = Vec::new();
-
-    let run_with = |opts: &TracenetOptions| -> (SubnetTable, u64) {
-        let scenario = internet2(seed);
-        let gt: Vec<&GtSubnet> = scenario.ground_truth.of_network("internet2").collect();
-        let vantage = scenario.vantages[0].1;
-        let args = ExpArgs::sequential(seed);
-        let cfg = BatchConfig { opts: *opts, ..args.cfg };
-        let collected = run_tracenet(
-            &args.network(&scenario),
-            vantage,
-            &scenario.targets,
-            &cfg,
-            &obs::Recorder::disabled(),
-        );
-        (SubnetTable::build(&classify(&gt, &collected.records())), collected.probes)
-    };
-    let row = |config: &str, table: &SubnetTable, probes: u64| AblationRow {
-        config: config.to_string(),
-        exact_incl: table.exact_rate(),
-        exact_excl: table.exact_rate_responsive(),
-        over_or_merged: table.row_total("ovres") + table.row_total("merg"),
-        probes,
+/// of the paper's reference \[7\]. Each variant switches one piece off
+/// `args`' session options.
+pub fn ablation(args: &ExpArgs) -> Vec<AblationRow> {
+    let scenario = internet2(args.seed);
+    let gt: Vec<&GtSubnet> = scenario.ground_truth.of_network("internet2").collect();
+    let vantage = scenario.vantages[0].1;
+    let row = |config: String, collected: &[inet::SubnetRecord], probes: u64| {
+        let table = SubnetTable::build(&classify(&gt, collected));
+        AblationRow {
+            config,
+            exact_incl: table.exact_rate(),
+            exact_excl: table.exact_rate_responsive(),
+            over_or_merged: table.row_total("ovres") + table.row_total("merg"),
+            probes,
+        }
     };
 
-    let (table, probes) = run_with(&TracenetOptions::default());
-    rows.push(row("full tracenet", &table, probes));
-
-    for rule in 2..=9u8 {
-        let opts = TracenetOptions {
-            heuristics: tracenet::HeuristicSet::without(rule),
-            ..TracenetOptions::default()
-        };
-        let (table, probes) = run_with(&opts);
-        rows.push(row(&format!("without H{rule}"), &table, probes));
-    }
-    {
-        let opts = TracenetOptions { utilization_stop: false, ..TracenetOptions::default() };
-        let (table, probes) = run_with(&opts);
-        rows.push(row("without utilization stop", &table, probes));
-    }
+    let base = args.cfg.opts;
+    let mut variants = vec![("full tracenet".to_string(), base)];
+    variants.extend((2..=9u8).map(|rule| {
+        let heuristics = tracenet::HeuristicSet::without(rule);
+        (format!("without H{rule}"), TracenetOptions { heuristics, ..base })
+    }));
+    variants.push((
+        "without utilization stop".to_string(),
+        TracenetOptions { utilization_stop: false, ..base },
+    ));
+    let mut rows: Vec<AblationRow> = variants
+        .into_iter()
+        .map(|(config, opts)| {
+            let cfg = BatchConfig { opts, ..args.cfg };
+            let net = args.network(&scenario);
+            let collected =
+                run_tracenet(&net, vantage, &scenario.targets, &cfg, &obs::Recorder::disabled());
+            row(config, &collected.records(), collected.probes)
+        })
+        .collect();
 
     // Baseline: traceroute from the same vantage over the same targets,
     // subnets inferred offline (paper ref [7]).
-    {
-        let scenario = internet2(seed);
-        let gt: Vec<&GtSubnet> = scenario.ground_truth.of_network("internet2").collect();
-        let vantage = scenario.vantages[0].1;
-        let (reports, _, probes) = evalkit::run::run_traceroute(
-            &SharedNetwork::new(scenario.topology.clone()),
-            vantage,
-            &scenario.targets,
-            Protocol::Icmp,
-            &traceroute::TracerouteOptions::default(),
-        );
-        let mut obs: Vec<(inet::Addr, u16)> = Vec::new();
-        for r in &reports {
-            obs.extend(r.addresses_with_hops());
-        }
-        let inferred: Vec<inet::SubnetRecord> =
-            traceroute::infer_subnets(&obs, traceroute::InferenceOptions::default())
-                .into_iter()
-                .filter(|s| s.len() >= 2)
-                .collect();
-        let table = SubnetTable::build(&classify(&gt, &inferred));
-        rows.push(row("traceroute + inference [7]", &table, probes));
-    }
+    let (reports, _, probes) = evalkit::run::run_traceroute(
+        &args.network(&scenario),
+        vantage,
+        &scenario.targets,
+        Protocol::Icmp,
+        &traceroute::TracerouteOptions::default(),
+    );
+    let observed: Vec<(inet::Addr, u16)> =
+        reports.iter().flat_map(|r| r.addresses_with_hops()).collect();
+    let inferred: Vec<inet::SubnetRecord> =
+        traceroute::infer_subnets(&observed, traceroute::InferenceOptions::default())
+            .into_iter()
+            .filter(|s| s.len() >= 2)
+            .collect();
+    rows.push(row("traceroute + inference [7]".to_string(), &inferred, probes));
     rows
 }
 
 /// Table 3: tracenet under ICMP, UDP and TCP probing from Rice —
 /// subnets collected per ISP per protocol.
-pub fn table3(seed: u64) -> BTreeMap<&'static str, [usize; 3]> {
-    let scenario = isp_internet(seed);
+pub fn table3(args: &ExpArgs) -> BTreeMap<&'static str, [usize; 3]> {
+    let scenario = isp_internet(args.seed);
     let rice = scenario.vantage("rice");
-    let args = ExpArgs::sequential(seed);
     let net = args.network(&scenario);
     let mut out: BTreeMap<&'static str, [usize; 3]> =
         ISP_NAMES.iter().map(|&n| (n, [0usize; 3])).collect();
@@ -568,47 +492,4 @@ pub fn table3(seed: u64) -> BTreeMap<&'static str, [usize; 3]> {
         }
     }
     out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn parse(args: &[&str]) -> Result<ExpArgs, String> {
-        parse_batch_args(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
-    }
-
-    #[test]
-    fn batch_args_read_seed_and_flags() {
-        let args = parse(&["7", "--jobs", "3", "--no-cache", "--retries", "4", "--backoff", "exp"])
-            .unwrap();
-        assert_eq!(args.seed, 7);
-        assert_eq!(args.cfg.jobs, 3);
-        assert!(!args.cfg.use_cache);
-        assert_eq!(args.cfg.retry, probe::RetryPolicy::Backoff { retries: 4, base: 8 });
-        assert!(args.fault.is_none());
-
-        let args = parse(&["--fault-profile", "heavy-loss", "--fault-budget", "3"]).unwrap();
-        assert_eq!(args.seed, SEED);
-        assert_eq!(args.cfg.opts.hop_fault_budget, Some(3));
-        let heavy = netsim::FaultProfile::by_name("heavy-loss").unwrap();
-        assert_eq!(args.fault, Some(heavy.plan(SEED)), "a profile without a seed uses the seed");
-    }
-
-    #[test]
-    fn out_of_range_retry_and_fault_flags_are_rejected() {
-        for (flag, value) in [("--retries", "300"), ("--fault-budget", "70000"), ("--jobs", "-1")] {
-            let err = parse(&[flag, value]).err().expect("out of range");
-            assert_eq!(err, format!("invalid value for {flag}: {value:?}"));
-        }
-    }
-
-    #[test]
-    fn unknown_arguments_are_rejected() {
-        assert!(parse(&["--max-ttl", "9"]).err().unwrap().contains("--max-ttl"));
-        assert!(parse(&["-v"]).is_err());
-        assert!(parse(&["seven"]).is_err());
-        assert!(parse(&["1", "2"]).is_err());
-        assert!(parse(&["--retries"]).is_err());
-    }
 }

@@ -1,8 +1,8 @@
-//! Experiment harness shared by the reproduction binaries and benches.
+//! Experiment harness behind the `repro` binary and the benches.
 //!
-//! Each function regenerates one table or figure of the paper's
-//! evaluation (see DESIGN.md's per-experiment index). The binaries in
-//! `src/bin/` print them; `repro_all` runs everything and emits the
+//! `experiments` runs the paper's evaluation (see DESIGN.md's
+//! per-experiment index); `repro` reads the command line and renders
+//! each table or figure once, for one artifact or for `repro all`, the
 //! paper-vs-measured summary used in EXPERIMENTS.md.
 
 #![forbid(unsafe_code)]
@@ -10,6 +10,7 @@
 
 pub mod experiments;
 pub mod paper;
+pub mod repro;
 pub mod scaling;
 
 pub use experiments::*;

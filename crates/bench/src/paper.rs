@@ -34,7 +34,3 @@ pub const FIG6_RATES: (f64, f64) = (0.60, 0.80);
 /// "a big decrease between /30 and /29 from 4499 to 1546 and even
 /// bigger decrease between /29 and /28 from 1546 to 154".
 pub const FIG9_RICE_ANCHORS: [(u8, u64); 3] = [(30, 4499), (29, 1546), (28, 154)];
-
-/// §3.6 probing overhead bounds: a point-to-point on-path subnet costs
-/// about four probes; the worst case is `7·|S| + 7`.
-pub const OVERHEAD_P2P_PROBES: u64 = 4;

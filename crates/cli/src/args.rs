@@ -16,8 +16,10 @@ impl Opts {
     /// non-`--` token as its value. The verbosity shorthands `-v` and
     /// `-vv` are the only single-dash tokens accepted.
     pub fn parse(argv: &[String]) -> Result<Opts, String> {
-        /// Flags that never take a value.
-        const BOOLEAN: [&str; 6] = ["json", "all", "paris", "v", "vv", "no-cache"];
+        /// Flags that never take a value: the `tracenet` CLI's, then
+        /// those of `bench-suite`'s `repro` and `batch_scaling`.
+        const BOOLEAN: [&str; 9] =
+            ["json", "all", "paris", "v", "vv", "no-cache", "cache", "smoke", "gate"];
         let mut out = Opts::default();
         let mut it = argv.iter().peekable();
         while let Some(tok) = it.next() {
@@ -67,6 +69,17 @@ impl Opts {
     /// The names of the flags given, without their dashes.
     pub fn flag_names(&self) -> impl Iterator<Item = &str> {
         self.flags.keys().map(String::as_str)
+    }
+
+    /// Fails if a flag was given that `allowed` does not list (names
+    /// without dashes, `v` and `vv` for the verbosity shorthands), naming
+    /// the flag as it is typed.
+    pub fn only(&self, allowed: &[&str]) -> Result<(), String> {
+        match self.flag_names().find(|f| !allowed.contains(f)) {
+            None => Ok(()),
+            Some(f @ ("v" | "vv")) => Err(format!("unrecognized flag -{f}")),
+            Some(f) => Err(format!("unrecognized flag --{f}")),
+        }
     }
 
     /// Whether a boolean flag was given.
@@ -144,6 +157,15 @@ mod tests {
         assert_eq!(o.positional(0), Some("scenario.json"));
         let v: Vec<String> = ["-v", "-v"].iter().map(|s| s.to_string()).collect();
         assert!(Opts::parse(&v).is_err());
+    }
+
+    #[test]
+    fn only_names_a_flag_it_does_not_list() {
+        let o = parse(&["--jobs", "2", "-vv", "--max-ttl", "3"]);
+        assert_eq!(o.only(&["jobs", "vv", "max-ttl"]), Ok(()));
+        assert_eq!(o.only(&["jobs", "vv"]).unwrap_err(), "unrecognized flag --max-ttl");
+        assert_eq!(o.only(&["jobs", "max-ttl"]).unwrap_err(), "unrecognized flag -vv");
+        assert_eq!(parse(&["x.json"]).only(&[]), Ok(()));
     }
 
     #[test]

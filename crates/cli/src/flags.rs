@@ -1,11 +1,15 @@
 //! Readers for the flags that several commands share: the probe
-//! protocol, the retry policy, and the fault plan and budget. The paper
-//! binaries in `bench-suite` read their retry and fault flags here too,
-//! so a value one rejects the other rejects the same way.
+//! protocol, the retry policy, and the fault plan and budget. The
+//! `repro` binary in `bench-suite` reads its retry and fault flags here
+//! too, so a value one rejects the other rejects the same way.
 
 use probe::Protocol;
 
 use crate::args::Opts;
+
+/// The flags [`retry_policy`], [`fault_plan`] and [`fault_budget`] read.
+pub const FAULT_FLAGS: [&str; 5] =
+    ["retries", "backoff", "fault-profile", "fault-seed", "fault-budget"];
 
 /// Parses `--protocol icmp|udp|tcp` (default ICMP).
 pub fn protocol(opts: &Opts) -> Result<Protocol, String> {

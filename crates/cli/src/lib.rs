@@ -27,7 +27,8 @@ pub mod flags;
 
 use args::Opts;
 
-/// Top-level usage text.
+/// Top-level usage text. Each command's entry lists every flag it
+/// reads, and [`run`] rejects any other.
 pub const USAGE: &str = "\
 tracenet — subnet-level topology collection (TraceNET, IMC 2010)
 
@@ -58,7 +59,8 @@ COMMANDS:
                               the re-probe policy, --fault-budget abandons a
                               hop after N fault-attributed timeouts
     traceroute <scenario> --target ADDR [--vantage NAME] [--paris]
-                              [--queries N] run the baseline traceroute
+                              [--queries N] [--protocol icmp|udp|tcp]
+                              [--max-ttl N] run the baseline traceroute
     ping <scenario> --target ADDR [--vantage NAME] [--count N]
     sweep <scenario> --prefix P [--vantage NAME]
                               ping every address of a prefix (§4.1.1 audit)
@@ -95,38 +97,83 @@ COMMANDS:
                               subnet (or address) from a recorded log:
                               positioning verdicts, H1-H9 decisions, and why
                               degraded hops degraded
-    eval <scenario> [--protocol icmp|udp|tcp]
+    eval <scenario> [--vantage NAME] [--protocol icmp|udp|tcp]
                               collect everything and score against ground truth
     map <scenario> [--vantage NAME] [--protocol icmp|udp|tcp]
                               emit the collected subnet-level map as Graphviz DOT
-    crossval <scenario>       run all three vantages and print Figure 6-style
+    crossval <scenario> [--protocol icmp|udp|tcp]
+                              run all three vantages and print Figure 6-style
                               agreement rates
 ";
 
+/// A subcommand: parsed options in, text out.
+type Command = fn(&Opts) -> Result<String, String>;
+
+/// The flags `trace` and `batch` share for observing a run.
+const OBSERVE_FLAGS: [&str; 5] = ["trace-log", "metrics", "metrics-json", "v", "vv"];
+
+/// A command's runner and the flags its [`USAGE`] entry documents.
+fn command(name: &str) -> Option<(Command, Vec<&'static str>)> {
+    Some(match name {
+        "generate" => (commands::generate, vec!["seed", "size", "out"]),
+        "info" => (commands::info, vec![]),
+        "trace" => (
+            commands::trace,
+            [
+                &["target", "all", "vantage", "protocol", "max-ttl", "json"][..],
+                &flags::FAULT_FLAGS,
+                &OBSERVE_FLAGS,
+            ]
+            .concat(),
+        ),
+        "traceroute" => (
+            commands::traceroute_cmd,
+            vec!["target", "vantage", "protocol", "max-ttl", "paris", "queries"],
+        ),
+        "ping" => (commands::ping_cmd, vec!["target", "vantage", "count"]),
+        "sweep" => (commands::sweep, vec!["prefix", "vantage"]),
+        "batch" => (
+            commands::batch,
+            [
+                &["targets", "jobs", "no-cache", "rtt-us", "vantage", "protocol", "json"][..],
+                &flags::FAULT_FLAGS,
+                &OBSERVE_FLAGS,
+            ]
+            .concat(),
+        ),
+        "record" => (
+            commands::record,
+            [
+                &["out", "targets", "jobs", "vantage", "protocol", "max-ttl", "v", "vv"][..],
+                &flags::FAULT_FLAGS,
+            ]
+            .concat(),
+        ),
+        "replay" => (commands::replay, vec![]),
+        "diff" => (commands::diff, vec![]),
+        "explain" => (commands::explain, vec![]),
+        "eval" => (commands::eval, vec!["vantage", "protocol"]),
+        "map" => (commands::map, vec!["vantage", "protocol"]),
+        "crossval" => (commands::crossval, vec!["protocol"]),
+        _ => return None,
+    })
+}
+
 /// Runs the CLI on `argv` (without the program name). Returns the text
-/// to print, or an error message for stderr + nonzero exit.
+/// to print, or an error message for stderr + nonzero exit. A flag the
+/// command does not read is an error, not a no-op.
 pub fn run(argv: &[String]) -> Result<String, String> {
-    let (command, rest) = match argv.split_first() {
+    let (name, rest) = match argv.split_first() {
         Some((c, rest)) => (c.as_str(), rest),
         None => return Err(USAGE.to_string()),
     };
     let opts = Opts::parse(rest)?;
-    match command {
-        "generate" => commands::generate(&opts),
-        "info" => commands::info(&opts),
-        "trace" => commands::trace(&opts),
-        "traceroute" => commands::traceroute_cmd(&opts),
-        "ping" => commands::ping_cmd(&opts),
-        "sweep" => commands::sweep(&opts),
-        "batch" => commands::batch(&opts),
-        "record" => commands::record(&opts),
-        "replay" => commands::replay(&opts),
-        "diff" => commands::diff(&opts),
-        "explain" => commands::explain(&opts),
-        "eval" => commands::eval(&opts),
-        "map" => commands::map(&opts),
-        "crossval" => commands::crossval(&opts),
-        "help" | "--help" | "-h" => Ok(USAGE.to_string()),
-        other => Err(format!("unknown command {other:?}\n\n{USAGE}")),
+    match command(name) {
+        Some((run_command, flags)) => {
+            opts.only(&flags).map_err(|e| format!("{name}: {e}"))?;
+            run_command(&opts)
+        }
+        None if matches!(name, "help" | "--help" | "-h") => Ok(USAGE.to_string()),
+        None => Err(format!("unknown command {name:?}\n\n{USAGE}")),
     }
 }

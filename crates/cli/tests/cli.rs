@@ -277,6 +277,37 @@ fn helpful_errors() {
     std::fs::remove_file(path).ok();
 }
 
+/// A flag the command does not read is an error naming the command and
+/// the flag, raised before anything runs or is written.
+#[test]
+fn commands_reject_flags_they_do_not_read() {
+    let path = scenario_file("foreign-flags");
+    let p = path.to_str().unwrap();
+    let dir = std::env::temp_dir();
+    let out = dir.join(format!("tracenet-cli-test-foreign-{}.jsonl", std::process::id()));
+    let metrics = dir.join(format!("tracenet-cli-test-foreign-{}.json", std::process::id()));
+    let (out_s, metrics_s) = (out.to_str().unwrap(), metrics.to_str().unwrap());
+    let cases: &[(&[&str], &str)] = &[
+        (&["batch", p, "--max-ttl", "3"], "batch: unrecognized flag --max-ttl"),
+        (
+            &["record", p, "--out", out_s, "--metrics", metrics_s],
+            "record: unrecognized flag --metrics",
+        ),
+        (
+            &["trace", p, "--all", "--jobs", "8", "--targets", "10.0.0.1"],
+            "trace: unrecognized flag --jobs",
+        ),
+        (&["eval", p, "--fault-profile", "heavy-loss"], "eval: unrecognized flag --fault-profile"),
+        (&["map", p, "--fault-seed", "7"], "map: unrecognized flag --fault-seed"),
+        (&["crossval", p, "--fault-budget", "3"], "crossval: unrecognized flag --fault-budget"),
+    ];
+    for &(argv, message) in cases {
+        assert_eq!(run(argv).unwrap_err(), message, "{argv:?}");
+    }
+    assert!(!out.exists() && !metrics.exists(), "a rejected record wrote a file");
+    std::fs::remove_file(path).ok();
+}
+
 #[test]
 fn map_emits_graphviz_dot() {
     let path = scenario_file("map");

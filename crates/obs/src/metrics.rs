@@ -164,46 +164,6 @@ impl Registry {
         self.phase_tick_total[slot].fetch_add(ticks, Ordering::Relaxed);
     }
 
-    /// Completed phase-latency measurements for `phase` so far.
-    pub fn phase_tick_count(&self, phase: Phase) -> u64 {
-        self.phase_tick_count[phase.index()].load(Ordering::Relaxed)
-    }
-
-    /// Total wall ticks measured in `phase` so far.
-    pub fn phase_tick_total(&self, phase: Phase) -> u64 {
-        self.phase_tick_total[phase.index()].load(Ordering::Relaxed)
-    }
-
-    /// Cache lookups that resolved to `outcome` so far.
-    pub fn cache_count(&self, outcome: CacheOutcome) -> u64 {
-        self.cache[outcome.index()].load(Ordering::Relaxed)
-    }
-
-    /// Wire sends attributed to `phase` so far.
-    pub fn sent_in(&self, phase: Phase) -> u64 {
-        self.sent[phase.index()].load(Ordering::Relaxed)
-    }
-
-    /// Wire sends with no phase attribution so far.
-    pub fn sent_unattributed(&self) -> u64 {
-        self.sent[UNATTRIBUTED].load(Ordering::Relaxed)
-    }
-
-    /// Wire sends attributed to `cause` so far.
-    pub fn sent_for(&self, cause: Cause) -> u64 {
-        self.by_cause[cause.index()].load(Ordering::Relaxed)
-    }
-
-    /// Timed-out attempts attributed to `cause` so far.
-    pub fn timeouts_for(&self, cause: TimeoutCause) -> u64 {
-        self.timeout_causes[cause.index()].load(Ordering::Relaxed)
-    }
-
-    /// Total wire sends across every phase slot.
-    pub fn sent_total(&self) -> u64 {
-        self.sent.iter().map(|c| c.load(Ordering::Relaxed)).sum()
-    }
-
     /// Freezes the current counters.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
@@ -518,14 +478,12 @@ mod tests {
         reg.record(&ev(Some(Phase::Explore), Some(Cause::H2), 5, 0));
         reg.record(&ev(None, None, 9, 0));
 
-        assert_eq!(reg.sent_in(Phase::Trace), 2);
-        assert_eq!(reg.sent_in(Phase::Explore), 1);
-        assert_eq!(reg.sent_unattributed(), 1);
-        assert_eq!(reg.sent_total(), 4);
-        assert_eq!(reg.sent_for(Cause::H2), 1);
-
         let snap = reg.snapshot();
+        assert_eq!(snap.sent_in(Phase::Trace), 2);
+        assert_eq!(snap.sent_in(Phase::Explore), 1);
+        assert_eq!(snap.sent_unattributed(), 1);
         assert_eq!(snap.sent_total(), 4);
+        assert_eq!(snap.sent_for(Cause::H2), 1);
         assert_eq!(snap.retries_in(Phase::Trace), 1);
         assert_eq!(snap.outcome_in(Phase::Trace, Outcome::Timeout), 1);
         assert_eq!(snap.outcome_in(Phase::Trace, Outcome::DirectReply), 1);
@@ -539,9 +497,9 @@ mod tests {
         lost.outcome = Outcome::Timeout;
         lost.timeout_cause = Some(TimeoutCause::ForwardLoss);
         reg.record(&lost);
-        assert_eq!(reg.timeouts_for(TimeoutCause::PolicySilence), 1);
-        assert_eq!(reg.timeouts_for(TimeoutCause::ForwardLoss), 1);
         let snap = reg.snapshot();
+        assert_eq!(snap.timeouts_for(TimeoutCause::PolicySilence), 1);
+        assert_eq!(snap.timeouts_for(TimeoutCause::ForwardLoss), 1);
         assert_eq!(snap.timeouts_attributed(), 2);
         let table = snap.render_table();
         assert!(table.contains("timeout cause"), "{table}");
@@ -585,7 +543,6 @@ mod tests {
         reg.record_cache(CacheOutcome::Hit);
         reg.record_cache(CacheOutcome::Hit);
         reg.record_cache(CacheOutcome::Skip);
-        assert_eq!(reg.cache_count(CacheOutcome::Hit), 2);
         let snap = reg.snapshot();
         assert_eq!(snap.cache_count(CacheOutcome::Hit), 2);
         assert_eq!(snap.cache_count(CacheOutcome::Skip), 1);
@@ -612,10 +569,9 @@ mod tests {
         reg.record_phase_ticks(Phase::Trace, 3);
         reg.record_phase_ticks(Phase::Explore, 100);
         reg.record_phase_ticks(Phase::Explore, 5000);
-        assert_eq!(reg.phase_tick_count(Phase::Explore), 2);
-        assert_eq!(reg.phase_tick_total(Phase::Explore), 5100);
-
         let snap = reg.snapshot();
+        assert_eq!(snap.phase_tick_count(Phase::Explore), 2);
+        assert_eq!(snap.phase_tick_total(Phase::Explore), 5100);
         assert_eq!(snap.phase_tick_count(Phase::Trace), 1);
         assert_eq!(snap.phase_tick_total(Phase::Trace), 3);
 

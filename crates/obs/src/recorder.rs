@@ -193,9 +193,10 @@ mod tests {
         assert_eq!(events[0].phase, Some(Phase::Explore));
         assert_eq!(events[0].cause, Some(Cause::H3));
         assert_eq!(events[1].phase, None);
-        assert_eq!(metrics.sent_in(Phase::Explore), 1);
-        assert_eq!(metrics.sent_unattributed(), 1);
-        assert_eq!(metrics.sent_for(Cause::H3), 1);
+        let snap = metrics.snapshot();
+        assert_eq!(snap.sent_in(Phase::Explore), 1);
+        assert_eq!(snap.sent_unattributed(), 1);
+        assert_eq!(snap.sent_for(Cause::H3), 1);
     }
 
     #[test]
@@ -204,7 +205,7 @@ mod tests {
         let recorder = Recorder::new().with_metrics(Arc::clone(&metrics));
         recorder.record(ev);
         recorder.record_hop_cost(4);
-        assert_eq!(metrics.sent_total(), 1);
+        assert_eq!(metrics.snapshot().sent_total(), 1);
     }
 
     #[test]

@@ -547,7 +547,7 @@ mod tests {
         assert_eq!(events[0].from, Some(d));
         assert_eq!(events[1].attempt, 0);
         assert_eq!(events[2].attempt, 1, "retry attempts are numbered");
-        assert_eq!(metrics.sent_total(), p.stats().sent);
+        assert_eq!(metrics.snapshot().sent_total(), p.stats().sent);
     }
 
     #[test]
