@@ -69,6 +69,10 @@ fn bad_arguments_are_typed_errors() {
         (&["all", "-v"], flag("unrecognized flag -v")),
         (&["all", "--retries", "300"], flag(r#"invalid value for --retries: "300""#)),
         (&["all", "--fault-budget", "70000"], flag(r#"invalid value for --fault-budget: "70000""#)),
+        (
+            &["all", "--fault-budget", "0"],
+            flag(r#"invalid value for --fault-budget: "0" (must be at least 1)"#),
+        ),
         (&["all", "--jobs", "-1"], flag(r#"invalid value for --jobs: "-1""#)),
     ] {
         assert_eq!(parse(argv).err(), Some(err), "{argv:?}");

@@ -57,10 +57,14 @@ pub fn fault_plan(opts: &Opts, default_seed: u64) -> Result<Option<netsim::Fault
     }
 }
 
-/// Parses `--fault-budget N` (absent means probe to exhaustion).
+/// Parses `--fault-budget N` (absent means probe to exhaustion). N is at
+/// least 1: a zero budget would abandon every hop before its first probe.
 pub fn fault_budget(opts: &Opts) -> Result<Option<u16>, String> {
     match opts.flag("fault-budget") {
-        Some(_) => Ok(Some(opts.flag_parse::<u16>("fault-budget", 0)?)),
+        Some(v) => match opts.flag_parse::<u16>("fault-budget", 0)? {
+            0 => Err(format!("invalid value for --fault-budget: {v:?} (must be at least 1)")),
+            n => Ok(Some(n)),
+        },
         None => Ok(None),
     }
 }

@@ -251,6 +251,28 @@ fn batch_explicit_targets_and_metrics() {
     std::fs::remove_file(metrics_path).ok();
 }
 
+/// The batch summary names the subnet cache; the appended metrics table
+/// must not repeat it from a second counter.
+#[test]
+fn batch_metrics_print_the_subnet_cache_once() {
+    let path = scenario_file("batch-cache-once");
+    let mut metrics_path = std::env::temp_dir();
+    metrics_path.push(format!("tracenet-batch-cache-once-{}.json", std::process::id()));
+    let out = run(&[
+        "batch",
+        path.to_str().unwrap(),
+        "--jobs",
+        "2",
+        "--metrics",
+        metrics_path.to_str().unwrap(),
+    ])
+    .unwrap();
+    let lines = out.lines().filter(|l| l.contains("subnet cache:")).count();
+    assert_eq!(lines, 1, "{out}");
+    std::fs::remove_file(path).ok();
+    std::fs::remove_file(metrics_path).ok();
+}
+
 #[test]
 fn eval_scores_against_ground_truth() {
     let path = scenario_file("eval");

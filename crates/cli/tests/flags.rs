@@ -173,6 +173,8 @@ fn out_of_range_flag_values_are_typed_errors() {
     assert_eq!(err, r#"invalid value for --retries: "300""#);
     let err = flags::fault_budget(&parse(&["--fault-budget", "70000"])).unwrap_err();
     assert_eq!(err, r#"invalid value for --fault-budget: "70000""#);
+    let err = flags::fault_budget(&parse(&["--fault-budget", "0"])).unwrap_err();
+    assert!(err.starts_with(r#"invalid value for --fault-budget: "0""#), "{err}");
     let err = flags::fault_plan(&parse(&["--fault-seed", "-1"]), 2010).unwrap_err();
     assert_eq!(err, r#"invalid value for --fault-seed: "-1""#);
 }

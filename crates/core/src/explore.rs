@@ -202,7 +202,8 @@ fn boundary_reduce(s: &mut ObservedSubnet) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use probe::{CachingProber, ProbeOutcome, ScriptedProber};
+    use crate::hop::HopProber;
+    use probe::{ProbeOutcome, ScriptedProber};
 
     fn a(s: &str) -> Addr {
         s.parse().unwrap()
@@ -240,7 +241,7 @@ mod tests {
         script_member(&mut p, a("10.0.2.1"), 3, ingress);
         // Everything else in range is silent; growth stops by
         // under-utilization at /29.
-        let mut p = CachingProber::new(p);
+        let mut p = HopProber::new(p, None);
         let s = explore(
             &mut p,
             &Recorder::disabled(),
@@ -261,7 +262,7 @@ mod tests {
         let mut p = ScriptedProber::new(a("10.0.0.0"));
         script_member(&mut p, a("10.0.2.1"), 3, ingress);
         script_member(&mut p, a("10.0.2.2"), 3, ingress);
-        let mut p = CachingProber::new(p);
+        let mut p = HopProber::new(p, None);
         let s = explore(
             &mut p,
             &Recorder::disabled(),
@@ -289,7 +290,7 @@ mod tests {
         for t in 2..=30 {
             p.script(contra, t, ProbeOutcome::DirectReply { from: contra });
         }
-        let mut p = CachingProber::new(p);
+        let mut p = HopProber::new(p, None);
         let s = explore(
             &mut p,
             &Recorder::disabled(),
@@ -322,7 +323,7 @@ mod tests {
         // .9 expires in transit at TTL 3.
         script_member(&mut p, a("10.0.2.8"), 3, ingress);
         p.script(a("10.0.2.9"), 3, ProbeOutcome::TtlExceeded { from: a("10.0.2.8") });
-        let mut p = CachingProber::new(p);
+        let mut p = HopProber::new(p, None);
         let s = explore(
             &mut p,
             &Recorder::disabled(),
@@ -346,7 +347,7 @@ mod tests {
         // Only 2 members alive in a real (sparsely used) /28.
         script_member(&mut p, a("10.0.2.1"), 3, ingress);
         script_member(&mut p, a("10.0.2.6"), 3, ingress);
-        let mut p = CachingProber::new(p);
+        let mut p = HopProber::new(p, None);
         let s = explore(
             &mut p,
             &Recorder::disabled(),
@@ -395,7 +396,7 @@ mod tests {
         let mut o = opts();
         o.utilization_stop = false;
         o.min_prefix_len = 28; // keep the sweep small
-        let mut p = CachingProber::new(p);
+        let mut p = HopProber::new(p, None);
         let s = explore(
             &mut p,
             &Recorder::disabled(),
@@ -415,7 +416,7 @@ mod tests {
         let mut p = ScriptedProber::new(a("10.0.0.0"));
         script_member(&mut p, a("10.0.2.0"), 3, ingress);
         script_member(&mut p, a("10.0.2.1"), 3, ingress);
-        let mut p = CachingProber::new(p);
+        let mut p = HopProber::new(p, None);
         let before = p.stats().sent;
         let _ = explore(
             &mut p,

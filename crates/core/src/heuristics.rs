@@ -3,8 +3,8 @@
 //! Each candidate address `l` inside the temporary subnet `S′` is examined
 //! by [`examine`], which applies the rules in the paper's order with the
 //! paper's probe-merging optimization (H3 and H6 share the single
-//! `⟨l, jʰ−1⟩` probe; the caller wraps its prober in
-//! `probe::CachingProber` so repeated questions are free).
+//! `⟨l, jʰ−1⟩` probe; the session's per-hop prober memoizes every
+//! answer, so repeated questions are free).
 //!
 //! Notation, following the paper: `j` is the pivot (`jʰ` its hop
 //! distance), `i` the ingress interface found by subnet positioning, `u`

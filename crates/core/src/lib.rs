@@ -53,6 +53,7 @@
 pub mod cache;
 pub mod explore;
 pub mod heuristics;
+mod hop;
 mod observed;
 mod options;
 pub mod position;

@@ -12,32 +12,31 @@ use std::sync::Arc;
 
 use inet::Addr;
 use obs::{CacheOutcome, Cause, DecisionEvent, DecisionVerdict, Phase, Recorder};
-use probe::{CachingProber, FaultBudgetProber, ProbeOutcome, ProbeStats, Prober};
+use probe::{ProbeOutcome, ProbeStats, Prober};
 
 use crate::cache::{CacheLookup, SubnetStore};
 use crate::explore::explore;
+use crate::hop::HopProber;
 use crate::options::TracenetOptions;
 use crate::position::position;
 use crate::report::{Completeness, HopRecord, PhaseCost, TraceReport};
 
 /// A configured tracenet session over a borrowed prober.
 pub struct Session<P: Prober> {
-    prober: CachingProber<FaultBudgetProber<P>>,
+    prober: HopProber<P>,
     opts: TracenetOptions,
     recorder: Recorder,
     store: Option<Arc<dyn SubnetStore>>,
 }
 
 impl<P: Prober> Session<P> {
-    /// Creates a session. The prober is wrapped in a per-hop fault
-    /// budget ([`FaultBudgetProber`], governed by
-    /// `TracenetOptions::hop_fault_budget`) and the probe-merging cache
-    /// (§3.5's merged-rule optimization); the cache is cleared at every
-    /// hop so stale answers never cross path-dynamics boundaries.
+    /// Creates a session. The prober is wrapped in a per-hop memo
+    /// (§3.5's merged-rule optimization) and fault budget (governed by
+    /// `TracenetOptions::hop_fault_budget`); both reset at every hop so
+    /// stale answers never cross path-dynamics boundaries.
     pub fn new(prober: P, opts: TracenetOptions) -> Session<P> {
-        let budget = opts.hop_fault_budget;
         Session {
-            prober: CachingProber::new(FaultBudgetProber::new(prober, budget)),
+            prober: HopProber::new(prober, opts.hop_fault_budget),
             opts,
             recorder: Recorder::disabled(),
             store: None,
@@ -68,8 +67,7 @@ impl<P: Prober> Session<P> {
         let mut destination_reached = false;
 
         for d in 1..=self.opts.max_ttl {
-            self.prober.clear();
-            self.prober.inner_mut().start_hop();
+            self.prober.start_hop();
             let hop_before = self.prober.stats();
             let sent_before = hop_before.sent;
 
@@ -229,7 +227,7 @@ impl<P: Prober> Session<P> {
             // accumulated across all three phases, then admit to the
             // cross-session store only when the hop is clean: a degraded
             // observation must never be replayed into a healthy session.
-            let tripped = self.prober.inner().tripped();
+            let tripped = self.prober.tripped();
             let hop_stats = self.prober.stats();
             record.completeness = classify(&hop_before, &hop_stats, tripped);
             if record.completeness != Completeness::Complete {
@@ -280,7 +278,7 @@ impl<P: Prober> Session<P> {
             destination_reached,
             hops,
             total_probes: stats.sent,
-            cache_hits: self.prober.cache_hits(),
+            cache_hits: self.prober.memo_hits(),
             aborted: false,
         }
     }

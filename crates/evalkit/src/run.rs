@@ -103,18 +103,6 @@ impl CollectedSet {
     pub fn addresses(&self) -> &BTreeSet<Addr> {
         &self.addresses
     }
-
-    /// Histogram of collected prefix lengths, optionally restricted to a
-    /// region (Figure 9).
-    pub fn prefix_histogram(&self, region: Option<Prefix>) -> BTreeMap<u8, usize> {
-        let mut h = BTreeMap::new();
-        for p in self.subnets.keys() {
-            if region.is_none_or(|r| r.covers(*p)) {
-                *h.entry(p.len()).or_insert(0) += 1;
-            }
-        }
-        h
-    }
 }
 
 /// Runs one tracenet session per target from `vantage` through

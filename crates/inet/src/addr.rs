@@ -47,12 +47,6 @@ impl Addr {
         self.0.to_be_bytes()
     }
 
-    /// Whether this is `0.0.0.0`; tracenet uses the unspecified address to
-    /// stand in for anonymous routers.
-    pub const fn is_unspecified(self) -> bool {
-        self.0 == 0
-    }
-
     /// The paper's `mate31(l)`: the unique other address sharing a 31-bit
     /// prefix with `self` (the last bit flipped).
     ///

@@ -47,8 +47,8 @@ use inet::Addr;
 use parking_lot::Mutex;
 use wire::{builder, IcmpMessage, Packet, Payload, UnreachableCode};
 
-use crate::events::{Event, SilenceReason};
-use crate::fault::FaultPlan;
+use crate::events::SilenceReason;
+use crate::fault::{mix, FaultPlan};
 use crate::policy::{LbMode, ResponsePolicy};
 use crate::routing::RoutingTable;
 use crate::topology::{RouterId, SubnetId, Topology};
@@ -108,10 +108,6 @@ struct RouterState {
 struct Slot {
     state: Mutex<RouterState>,
 }
-
-/// An optional per-injection event sink; `None` costs nothing on the hot
-/// path.
-type Sink<'a> = Option<&'a mut Vec<Event>>;
 
 /// A live network shareable across probe worker threads: immutable
 /// topology + routing behind `Arc`s, an atomic packet clock, and
@@ -216,15 +212,7 @@ impl ConcurrentNetwork {
     /// Injects a probe packet and walks it to a verdict.
     pub fn inject(&self, probe: &Packet) -> Verdict {
         let tick = self.bump_tick();
-        self.inject_with(probe, tick, &mut None)
-    }
-
-    /// [`ConcurrentNetwork::inject`], recording this injection's walk
-    /// events into `trace` (cleared first). The buffer is caller-owned,
-    /// so concurrent tracers never interleave.
-    pub fn inject_traced(&self, probe: &Packet, trace: &mut Vec<Event>) -> Verdict {
-        let tick = self.bump_tick();
-        self.inject_with(probe, tick, &mut Some(trace))
+        self.inject_with(probe, tick)
     }
 
     /// Injects raw wire bytes; the canonical entry point for probers.
@@ -240,38 +228,24 @@ impl ConcurrentNetwork {
         match Packet::decode(bytes) {
             Ok(p) => {
                 let tick = self.bump_tick();
-                (self.inject_with(&p, tick, &mut None), tick)
+                (self.inject_with(&p, tick), tick)
             }
             Err(_) => (Verdict::Silent(SilenceReason::Malformed), self.bump_tick()),
         }
     }
 
-    fn inject_with(&self, probe: &Packet, tick: u64, sink: &mut Sink<'_>) -> Verdict {
-        if let Some(t) = sink.as_deref_mut() {
-            t.clear();
-        }
-        let verdict = self.walk(probe, tick, sink);
-        // Reverse-path loss: the reply was generated (tokens spent, trace
-        // logged) but never makes it back to the caller.
-        let verdict = match verdict {
+    fn inject_with(&self, probe: &Packet, tick: u64) -> Verdict {
+        // Reverse-path loss: the reply was generated (tokens spent) but
+        // never makes it back to the caller.
+        match self.walk(probe, tick) {
             Verdict::Reply(_) if self.fault.is_some_and(|plan| plan.drops_reply(tick)) => {
                 Verdict::Silent(SilenceReason::ReplyLoss)
             }
             v => v,
-        };
-        if let Verdict::Silent(reason) = &verdict {
-            self.log(sink, Event::Dropped { reason: *reason });
-        }
-        verdict
-    }
-
-    fn log(&self, sink: &mut Sink<'_>, e: Event) {
-        if let Some(t) = sink.as_deref_mut() {
-            t.push(e);
         }
     }
 
-    fn walk(&self, probe: &Packet, tick: u64, sink: &mut Sink<'_>) -> Verdict {
+    fn walk(&self, probe: &Packet, tick: u64) -> Verdict {
         let origin = match self.topo.owner_of(probe.header.src) {
             Some(r) => r,
             None => return Verdict::Silent(SilenceReason::UnknownSource),
@@ -297,32 +271,20 @@ impl ConcurrentNetwork {
         let mut ttl = probe.header.ttl;
 
         for step in 0..MAX_WALK {
-            self.log(sink, Event::Arrived { at: current, ttl });
-
             // 1. Delivery check (before TTL processing, as real stacks do).
             let deliver_here = match target_router {
                 Some(tr) => current == tr,
                 None => self.topo.iface_on(current, dst_subnet.unwrap()).is_some(),
             };
             if deliver_here {
-                self.log(sink, Event::Delivered { at: current });
-                return self.deliver(
-                    probe,
-                    current,
-                    prev_subnet,
-                    origin,
-                    assigned_iface,
-                    tick,
-                    sink,
-                );
+                return self.deliver(probe, current, prev_subnet, origin, assigned_iface, tick);
             }
 
             // 2. TTL decrement — but not at the originating host itself.
             if step > 0 {
                 ttl -= 1;
                 if ttl == 0 {
-                    self.log(sink, Event::TtlExpired { at: current });
-                    return self.ttl_exceeded(probe, current, prev_subnet, origin, tick, sink);
+                    return self.ttl_exceeded(probe, current, prev_subnet, origin, tick);
                 }
             }
 
@@ -365,7 +327,6 @@ impl ConcurrentNetwork {
                     return Verdict::Silent(SilenceReason::ForwardLoss);
                 }
             }
-            self.log(sink, Event::Forwarded { from: current, to: next });
             current = next;
             prev_subnet = Some(via);
         }
@@ -398,7 +359,6 @@ impl ConcurrentNetwork {
 
     /// Direct delivery: the probe reached the router owning its
     /// destination (or the destination subnet, for unassigned addresses).
-    #[allow(clippy::too_many_arguments)]
     fn deliver(
         &self,
         probe: &Packet,
@@ -407,7 +367,6 @@ impl ConcurrentNetwork {
         origin: RouterId,
         assigned_iface: Option<crate::topology::IfaceId>,
         tick: u64,
-        sink: &mut Sink<'_>,
     ) -> Verdict {
         let proto = probe.header.protocol;
         let config = self.topo.router(at).config;
@@ -431,9 +390,7 @@ impl ConcurrentNetwork {
             if !self.take_token(at, tick) {
                 return Verdict::Silent(SilenceReason::RateLimited);
             }
-            let reply = builder::unreachable(probe, src, UnreachableCode::Host);
-            self.log(sink, Event::Replied { from: at, src });
-            return Verdict::Reply(reply);
+            return Verdict::Reply(builder::unreachable(probe, src, UnreachableCode::Host));
         };
 
         let iface = self.topo.iface(ifid).clone();
@@ -461,7 +418,6 @@ impl ConcurrentNetwork {
         if !self.take_token(at, tick) {
             return Verdict::Silent(SilenceReason::RateLimited);
         }
-        self.log(sink, Event::Replied { from: at, src });
         Verdict::Reply(reply)
     }
 
@@ -473,7 +429,6 @@ impl ConcurrentNetwork {
         prev_subnet: Option<SubnetId>,
         origin: RouterId,
         tick: u64,
-        sink: &mut Sink<'_>,
     ) -> Verdict {
         let config = self.topo.router(at).config;
         if !config.indirect_protos.allows(probe.header.protocol) {
@@ -491,9 +446,7 @@ impl ConcurrentNetwork {
         if !self.take_token(at, tick) {
             return Verdict::Silent(SilenceReason::RateLimited);
         }
-        let reply = builder::ttl_exceeded(probe, src);
-        self.log(sink, Event::Replied { from: at, src });
-        Verdict::Reply(reply)
+        Verdict::Reply(builder::ttl_exceeded(probe, src))
     }
 
     /// Chooses the reply source address per the response policy.
@@ -586,15 +539,6 @@ fn flow_key(p: &Packet) -> u64 {
     };
     let a = (p.header.src.to_u32() as u64) << 32 | p.header.dst.to_u32() as u64;
     mix(a ^ ((l4 as u64) << 8) ^ p.header.protocol.number() as u64)
-}
-
-/// splitmix64 finalizer — a strong, dependency-free mixer.
-#[inline]
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e3779b97f4a7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]
@@ -986,31 +930,6 @@ mod tests {
         // Outside the active window the cap is gone.
         net.advance(600);
         assert!(net.inject(&probe).reply().is_some());
-    }
-
-    #[test]
-    fn concurrent_traced_injection_records_the_walk() {
-        let (topo, names) = samples::chain(3);
-        let net = ConcurrentNetwork::new(topo);
-        let mut trace = Vec::new();
-        let _ = net.inject_traced(
-            &icmp_probe(names.addr("vantage"), names.addr("dest"), 2, 1, 1),
-            &mut trace,
-        );
-        assert!(trace.iter().any(|e| matches!(e, Event::TtlExpired { .. })));
-        assert!(trace.iter().any(|e| matches!(e, Event::Replied { .. })));
-        assert!(
-            trace.iter().filter(|e| matches!(e, Event::Forwarded { .. })).count() >= 2,
-            "walk should log forwarding steps"
-        );
-        let _ = net.inject_traced(
-            &icmp_probe(names.addr("vantage"), names.addr("dest"), 64, 1, 2),
-            &mut trace,
-        );
-        assert!(
-            trace.iter().all(|e| !matches!(e, Event::TtlExpired { .. })),
-            "buffer is cleared per injection"
-        );
     }
 
     #[test]

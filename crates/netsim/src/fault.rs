@@ -81,8 +81,10 @@ const SALT_FLAP_PHASE: u64 = 0x464c_4150_5048_4153;
 const SALT_WITHDRAW: u64 = 0x5749_5448_4452_4157;
 const SALT_STORM: u64 = 0x5354_4f52_4d00_0003;
 
-/// splitmix64 finalizer (same mixer the engine uses for ECMP).
-fn mix(mut x: u64) -> u64 {
+/// splitmix64 finalizer — a strong, dependency-free mixer, shared with
+/// the engine's ECMP hashing.
+#[inline]
+pub(crate) fn mix(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e3779b97f4a7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);

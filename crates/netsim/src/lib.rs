@@ -62,7 +62,7 @@ pub mod samples;
 mod topology;
 
 pub use engine::{ConcurrentNetwork, Verdict};
-pub use events::{Event, SilenceReason};
+pub use events::SilenceReason;
 pub use fault::{FaultPlan, FaultProfile, RateStorm};
 pub use policy::{LbMode, ProtoSet, RateLimit, ResponsePolicy, RouterConfig};
 pub use routing::{RoutingTable, UNREACHABLE};

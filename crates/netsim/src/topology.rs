@@ -320,16 +320,6 @@ impl TopologyBuilder {
         Ok(id)
     }
 
-    /// Overrides a router's configuration after creation.
-    pub fn set_config(&mut self, router: RouterId, config: RouterConfig) {
-        self.topo.routers[router.0 as usize].config = config;
-    }
-
-    /// Marks an existing subnet as firewalled/unfirewalled.
-    pub fn set_filtered(&mut self, subnet: SubnetId, filtered: bool) {
-        self.topo.subnets[subnet.0 as usize].filtered = filtered;
-    }
-
     /// Blocks probes from the given source addresses at this subnet's
     /// edge (scoped ACL).
     pub fn set_filtered_sources(&mut self, subnet: SubnetId, sources: Vec<Addr>) {

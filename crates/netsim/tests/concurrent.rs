@@ -15,6 +15,7 @@ use netsim::{
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use wire::builder::icmp_probe;
+use wire::{IcmpMessage, Payload};
 
 const THREADS: usize = 8;
 const PROBES_PER_THREAD: usize = 64;
@@ -147,38 +148,43 @@ fn token_accounting_totals_match_the_sequential_engine() {
     );
 }
 
-/// Per-injection trace buffers are caller-owned, so concurrent traced
-/// injections never interleave each other's events: every thread's
-/// buffer describes a complete, coherent walk of its own probe.
+/// Concurrent walks never leak state into each other: under contention,
+/// every TTL-k probe still expires at the k-th router and draws its
+/// TTL-exceeded from the same source a sequential injection does.
 #[test]
-fn traced_injections_stay_coherent_per_thread() {
+fn ttl_expiry_answers_like_a_sequential_walk_per_thread() {
     let (topo, names) = samples::chain(3);
     let v = names.addr("vantage");
     let d = names.addr("dest");
+
+    // Sequential baseline: the TTL-exceeded source for TTL 1..=3.
+    let (topo_seq, _) = samples::chain(3);
+    let seq = ConcurrentNetwork::new(topo_seq);
+    let baseline: Vec<Addr> =
+        (1..=3u8).map(|ttl| expired_at(seq.inject(&icmp_probe(v, d, ttl, 0, 0)))).collect();
+    assert!(baseline[0] != baseline[1] && baseline[1] != baseline[2], "one router per TTL");
+
     let net = Arc::new(ConcurrentNetwork::new(topo));
     std::thread::scope(|scope| {
         for t in 0..THREADS {
             let net = Arc::clone(&net);
+            let baseline = &baseline;
             scope.spawn(move || {
-                let mut buf = Vec::new();
                 for k in 0..PROBES_PER_THREAD {
                     let ttl = 1 + ((t + k) % 3) as u8;
-                    let _ = net.inject_traced(&icmp_probe(v, d, ttl, t as u16, k as u16), &mut buf);
-                    // A TTL-k probe arrives at exactly k routers past the
-                    // host, then expires: k+1 Arrived events, 1 expiry.
-                    let arrived =
-                        buf.iter().filter(|e| matches!(e, netsim::Event::Arrived { .. })).count();
-                    assert_eq!(arrived, ttl as usize + 1, "foreign events leaked into the trace");
-                    assert_eq!(
-                        buf.iter()
-                            .filter(|e| matches!(e, netsim::Event::TtlExpired { .. }))
-                            .count(),
-                        1
-                    );
+                    let src = expired_at(net.inject(&icmp_probe(v, d, ttl, t as u16, k as u16)));
+                    assert_eq!(src, baseline[ttl as usize - 1], "TTL {ttl} under contention");
                 }
             });
         }
     });
+}
+
+/// The source of a TTL-exceeded reply; panics on any other verdict.
+fn expired_at(verdict: Verdict) -> Addr {
+    let reply = verdict.reply().expect("a TTL-exceeded reply");
+    assert!(matches!(reply.payload, Payload::Icmp(IcmpMessage::TtlExceeded { .. })));
+    reply.header.src
 }
 
 /// One routing query and its answer, comparable across tables.

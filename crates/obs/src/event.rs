@@ -311,8 +311,8 @@ impl fmt::Display for TimeoutCause {
 }
 
 /// Which flavour of ICMP unreachable an [`Outcome::Unreachable`] attempt
-/// drew. Mirrors the prober's unreachable kinds without depending on it,
-/// so replay tools can rebuild the exact outcome from a log line.
+/// drew. The prober's outcomes carry it directly, so replay tools rebuild
+/// the exact outcome from a log line.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum UnreachReason {
     /// ICMP host unreachable.

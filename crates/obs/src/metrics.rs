@@ -208,10 +208,6 @@ impl MetricsSnapshot {
         self.cache[outcome.index()]
     }
 
-    /// Total cross-session cache lookups.
-    pub fn cache_lookups(&self) -> u64 {
-        self.cache.iter().sum()
-    }
     /// Wire sends attributed to `phase`.
     pub fn sent_in(&self, phase: Phase) -> u64 {
         self.sent[phase.index()]
@@ -310,16 +306,6 @@ impl MetricsSnapshot {
             for (cause, n) in attributed_timeouts {
                 let _ = writeln!(out, "{:<22} {:>8}", cause.label(), n);
             }
-        }
-        if self.cache_lookups() > 0 {
-            let _ = writeln!(
-                out,
-                "\nsubnet cache: {} hits, {} skips, {} misses ({} lookups)",
-                self.cache_count(CacheOutcome::Hit),
-                self.cache_count(CacheOutcome::Skip),
-                self.cache_count(CacheOutcome::Miss),
-                self.cache_lookups(),
-            );
         }
         if Phase::ALL.iter().any(|&p| self.phase_tick_count(p) > 0) {
             let _ = writeln!(
@@ -547,20 +533,13 @@ mod tests {
         assert_eq!(snap.cache_count(CacheOutcome::Hit), 2);
         assert_eq!(snap.cache_count(CacheOutcome::Skip), 1);
         assert_eq!(snap.cache_count(CacheOutcome::Miss), 1);
-        assert_eq!(snap.cache_lookups(), 4);
+        // The batch summary prints the cache line; the table never
+        // repeats it.
         let table = snap.render_table();
-        assert!(table.contains("subnet cache: 2 hits, 1 skips, 1 misses (4 lookups)"), "{table}");
+        assert!(!table.contains("subnet cache"), "{table}");
         let v = snap.to_json();
         assert_eq!(v["cache"]["hit"], 2u64);
         assert_eq!(v["cache"]["miss"], 1u64);
-    }
-
-    #[test]
-    fn cache_line_hidden_when_no_lookups() {
-        let reg = Registry::new();
-        reg.record(&ev(Some(Phase::Trace), None, 3, 0));
-        let table = reg.snapshot().render_table();
-        assert!(!table.contains("subnet cache"), "{table}");
     }
 
     #[test]

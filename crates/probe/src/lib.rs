@@ -11,25 +11,24 @@
 //!   as a raw-socket prober must;
 //! * [`ScriptedProber`] — a hand-authored table of (destination, TTL) →
 //!   outcome, used to unit-test algorithm logic in isolation;
-//! * [`CachingProber`] — a transparent memo layer implementing the
-//!   paper's probe-merging optimization ("our tracenet implementation is
-//!   optimized to collect the subnets with the least number of probes and
-//!   some of the rules are merged together", §3.5): heuristics H3 and H6
-//!   share a single `⟨l, jʰ−1⟩` probe through this cache;
 //! * [`ReplayProber`] — re-answers a session from a recorded exchange log,
 //!   with no simulator behind it.
+//!
+//! The tracenet session wraps whichever prober it is given in its own
+//! per-hop memo and fault budget (§3.5's merged rules); that wrapper
+//! lives with the session in the `tracenet` crate.
 //!
 //! The probe vocabulary (§3.1 of the paper) is captured by
 //! [`ProbeOutcome`]: a **direct reply** (echo reply / port unreachable /
 //! TCP RST — the paper's `ECHO_RPLY`), a **TTL exceeded** (`TTL_EXCD`), an
-//! **unreachable** of some other flavor, or a **timeout**. The paper's
-//! §3.8 re-probe-on-silence rule lives in the probers' retry budget.
+//! **unreachable** of some other flavor (an [`obs::UnreachReason`], the
+//! same vocabulary the exchange log records), or a **timeout**. The
+//! paper's §3.8 re-probe-on-silence rule lives in the probers' retry
+//! budget.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod budget;
-mod cache;
 pub mod ident;
 mod outcome;
 mod prober;
@@ -38,10 +37,8 @@ mod retry;
 mod scripted;
 mod sim;
 
-pub use budget::FaultBudgetProber;
-pub use cache::CachingProber;
 pub use ident::{IdentAllocator, IdentBlock, IdentSpace};
-pub use outcome::{ProbeOutcome, UnreachKind};
+pub use outcome::ProbeOutcome;
 pub use prober::{FlowMode, ProbeStats, Prober};
 pub use replay::ReplayProber;
 pub use retry::{RetryPolicy, DEFAULT_RETRIES};

@@ -3,41 +3,7 @@
 use std::fmt;
 
 use inet::Addr;
-
-/// Flavors of ICMP destination-unreachable that are *not* the UDP success
-/// reply.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum UnreachKind {
-    /// Host unreachable — H7/H8 treat this like silence and fall back to
-    /// the /30 mate.
-    Host,
-    /// Network unreachable.
-    Net,
-    /// Administratively prohibited (filtering firewall announcing
-    /// itself).
-    AdminProhibited,
-}
-
-impl UnreachKind {
-    /// The observability-vocabulary rendering of this kind, for event
-    /// logs.
-    pub fn reason(self) -> obs::UnreachReason {
-        match self {
-            UnreachKind::Host => obs::UnreachReason::Host,
-            UnreachKind::Net => obs::UnreachReason::Net,
-            UnreachKind::AdminProhibited => obs::UnreachReason::AdminProhibited,
-        }
-    }
-
-    /// Rebuilds the kind from its logged rendering (replay).
-    pub fn from_reason(reason: obs::UnreachReason) -> UnreachKind {
-        match reason {
-            obs::UnreachReason::Host => UnreachKind::Host,
-            obs::UnreachReason::Net => UnreachKind::Net,
-            obs::UnreachReason::AdminProhibited => UnreachKind::AdminProhibited,
-        }
-    }
-}
+use obs::UnreachReason;
 
 /// The outcome of a single probe, in the notation of the paper:
 /// `⟨ip, ttl⟩ ↪ ⟨source, RESPONSE_MSG_TYPE⟩`.
@@ -60,7 +26,7 @@ pub enum ProbeOutcome {
         /// Source of the error.
         from: Addr,
         /// Which unreachable flavor.
-        kind: UnreachKind,
+        kind: UnreachReason,
     },
     /// No (valid) response arrived.
     Timeout,
@@ -88,7 +54,7 @@ impl ProbeOutcome {
     pub fn is_silentish(self) -> bool {
         matches!(
             self,
-            ProbeOutcome::Timeout | ProbeOutcome::Unreachable { kind: UnreachKind::Host, .. }
+            ProbeOutcome::Timeout | ProbeOutcome::Unreachable { kind: UnreachReason::Host, .. }
         )
     }
 }
@@ -107,9 +73,9 @@ impl ProbeOutcome {
 
     /// The unreachable flavour, for event logs; `None` unless this is an
     /// [`ProbeOutcome::Unreachable`].
-    pub(crate) fn unreach_reason(&self) -> Option<obs::UnreachReason> {
+    pub(crate) fn unreach_reason(&self) -> Option<UnreachReason> {
         match *self {
-            ProbeOutcome::Unreachable { kind, .. } => Some(kind.reason()),
+            ProbeOutcome::Unreachable { kind, .. } => Some(kind),
             _ => None,
         }
     }
@@ -149,20 +115,19 @@ mod tests {
     #[test]
     fn silentish_classification() {
         assert!(ProbeOutcome::Timeout.is_silentish());
-        assert!(ProbeOutcome::Unreachable { from: a("1.1.1.1"), kind: UnreachKind::Host }
+        assert!(ProbeOutcome::Unreachable { from: a("1.1.1.1"), kind: UnreachReason::Host }
             .is_silentish());
-        assert!(!ProbeOutcome::Unreachable { from: a("1.1.1.1"), kind: UnreachKind::Net }
+        assert!(!ProbeOutcome::Unreachable { from: a("1.1.1.1"), kind: UnreachReason::Net }
             .is_silentish());
         assert!(!ProbeOutcome::DirectReply { from: a("1.1.1.1") }.is_silentish());
     }
 
     #[test]
-    fn unreach_kinds_roundtrip_through_the_log_vocabulary() {
-        for kind in [UnreachKind::Host, UnreachKind::Net, UnreachKind::AdminProhibited] {
-            assert_eq!(UnreachKind::from_reason(kind.reason()), kind);
+    fn unreach_reason_is_the_outcome_kind() {
+        for kind in UnreachReason::ALL {
+            let u = ProbeOutcome::Unreachable { from: a("1.1.1.1"), kind };
+            assert_eq!(u.unreach_reason(), Some(kind));
         }
-        let u = ProbeOutcome::Unreachable { from: a("1.1.1.1"), kind: UnreachKind::Net };
-        assert_eq!(u.unreach_reason(), Some(obs::UnreachReason::Net));
         assert_eq!(ProbeOutcome::Timeout.unreach_reason(), None);
     }
 

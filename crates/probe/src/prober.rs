@@ -159,7 +159,7 @@ mod tests {
         let mut s = ProbeStats::default();
         s.record(&ProbeOutcome::DirectReply { from: a }, None);
         s.record(&ProbeOutcome::TtlExceeded { from: a }, None);
-        s.record(&ProbeOutcome::Unreachable { from: a, kind: crate::UnreachKind::Host }, None);
+        s.record(&ProbeOutcome::Unreachable { from: a, kind: obs::UnreachReason::Host }, None);
         s.record(&ProbeOutcome::Timeout, None);
         assert_eq!(s.direct_replies, 1);
         assert_eq!(s.ttl_exceeded, 1);

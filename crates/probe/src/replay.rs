@@ -24,7 +24,7 @@ use inet::Addr;
 use obs::{ExchangeLog, ProbeEvent, TimeoutCause};
 use wire::Protocol;
 
-use crate::outcome::{ProbeOutcome, UnreachKind};
+use crate::outcome::ProbeOutcome;
 use crate::prober::{ProbeStats, Prober};
 
 /// One logical probe reconstructed from consecutive attempt events.
@@ -157,9 +157,7 @@ fn outcome_of(ev: &ProbeEvent) -> Result<ProbeOutcome, String> {
         obs::Outcome::TtlExceeded => ProbeOutcome::TtlExceeded { from: from(ev)? },
         obs::Outcome::Unreachable => ProbeOutcome::Unreachable {
             from: from(ev)?,
-            kind: UnreachKind::from_reason(
-                ev.unreach.ok_or("unreachable outcome without a recorded flavour")?,
-            ),
+            kind: ev.unreach.ok_or("unreachable outcome without a recorded flavour")?,
         },
         obs::Outcome::Timeout => ProbeOutcome::Timeout,
     })
@@ -271,7 +269,7 @@ mod tests {
         let mut p = ReplayProber::from_events(a("10.0.0.1"), Protocol::Icmp, [e]).unwrap();
         assert_eq!(
             p.probe(a("10.0.0.9"), 4),
-            ProbeOutcome::Unreachable { from: a("10.0.0.7"), kind: UnreachKind::Host }
+            ProbeOutcome::Unreachable { from: a("10.0.0.7"), kind: obs::UnreachReason::Host }
         );
     }
 

@@ -22,11 +22,11 @@ use std::time::Duration;
 
 use inet::Addr;
 use netsim::{ConcurrentNetwork, SilenceReason, Topology, Verdict};
-use obs::{ProbeEvent, Recorder, TimeoutCause};
+use obs::{ProbeEvent, Recorder, TimeoutCause, UnreachReason};
 use wire::{builder, IcmpMessage, Packet, Payload, Protocol, UnreachableCode};
 
 use crate::ident::{IdentAllocator, IdentSpace};
-use crate::outcome::{ProbeOutcome, UnreachKind};
+use crate::outcome::ProbeOutcome;
 use crate::prober::{FlowMode, ProbeStats, Prober};
 use crate::retry::{RetryPolicy, RetryState};
 
@@ -210,14 +210,14 @@ fn classify_reply(
                     }
                 }
                 UnreachableCode::Host => {
-                    ProbeOutcome::Unreachable { from: reply.header.src, kind: UnreachKind::Host }
+                    ProbeOutcome::Unreachable { from: reply.header.src, kind: UnreachReason::Host }
                 }
                 UnreachableCode::Net => {
-                    ProbeOutcome::Unreachable { from: reply.header.src, kind: UnreachKind::Net }
+                    ProbeOutcome::Unreachable { from: reply.header.src, kind: UnreachReason::Net }
                 }
                 UnreachableCode::AdminProhibited => ProbeOutcome::Unreachable {
                     from: reply.header.src,
-                    kind: UnreachKind::AdminProhibited,
+                    kind: UnreachReason::AdminProhibited,
                 },
             }
         }

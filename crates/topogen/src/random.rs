@@ -1,7 +1,7 @@
 //! Random topologies for property-based testing.
 
 use inet::{Addr, Prefix};
-use netsim::{RouterConfig, RouterId, Topology};
+use netsim::{RouterConfig, RouterId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -77,14 +77,6 @@ pub fn random_topology(seed: u64, size: usize) -> Scenario {
         targets,
         ground_truth,
     }
-}
-
-/// Convenience: just the topology and a vantage address.
-#[allow(dead_code)]
-pub fn random_net(seed: u64, size: usize) -> (Topology, Addr) {
-    let sc = random_topology(seed, size);
-    let v = sc.vantage("vantage");
-    (sc.topology, v)
 }
 
 #[cfg(test)]
