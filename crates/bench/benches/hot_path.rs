@@ -1,8 +1,8 @@
 //! Criterion microbenches for the lock-free probe hot path: the warm
-//! ECMP `next_hops` lookup (a bounds-checked slice into a destination's
-//! column, no per-call allocation; every column is built by the first
-//! sweep, so the timed iterations read built columns only) and `inject`
-//! through the concurrent engine handle.
+//! ECMP `next_hops` lookup (a router's adjacency filtered by a
+//! destination's distance column, no per-call allocation; every column
+//! is built by the first sweep, so the timed iterations read built
+//! columns only) and `inject` through the concurrent engine handle.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use netsim::{ConcurrentNetwork, RoutingTable};
@@ -26,7 +26,8 @@ fn bench_hot_path(c: &mut Criterion) {
             let mut total = 0usize;
             for to in 0..n {
                 for from in 0..n {
-                    total += routing.next_hops(netsim::RouterId(from), netsim::RouterId(to)).len();
+                    total +=
+                        routing.next_hops(netsim::RouterId(from), netsim::RouterId(to)).count();
                 }
             }
             black_box(total)

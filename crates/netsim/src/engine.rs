@@ -31,12 +31,14 @@
 //! [`ConcurrentNetwork`] is built for lock-free parallel probing (see
 //! DESIGN.md, "Engine concurrency & the probe hot path"): an immutable
 //! core (`Arc<Topology>` + `Arc<RoutingTable>`, whose per-destination
-//! routes are built once on first touch and then read without any lock)
-//! plus the minimal mutable state — an atomic tick clock and per-router
-//! token-bucket / round-robin / storm counters behind per-router sharded
-//! locks. Every injection method takes `&self`, so any number of worker
-//! threads probe simultaneously; a probe only touches a router's lock
-//! when that router actually rate-limits, storms, or balances per packet.
+//! distance columns are built once on first touch and then read without
+//! any lock; a walk resolves its target router and fetches that column
+//! once, then filters each hop's adjacency by it) plus the minimal
+//! mutable state — an atomic tick clock and per-router token-bucket /
+//! round-robin / storm counters behind per-router sharded locks. Every
+//! injection method takes `&self`, so any number of worker threads probe
+//! simultaneously; a probe only touches a router's lock when that router
+//! actually rate-limits, storms, or balances per packet.
 //! Used from one thread, every walk decision is a pure function of the
 //! injection's tick, so sequential runs are fully deterministic.
 
@@ -252,18 +254,27 @@ impl ConcurrentNetwork {
         };
         let dst = probe.header.dst;
 
-        // Resolve the routing target.
-        let (target_router, assigned_iface) = match self.topo.iface_by_addr(dst) {
-            Some(ifid) => (Some(self.topo.iface(ifid).router), Some(ifid)),
-            None => (None, None),
+        // Resolve the routing target once per walk. An assigned address
+        // routes to the router owning it; an unassigned one to its
+        // subnet's ingress as seen from the origin. A neighbor's distance
+        // to any router differs from ours by at most one, so the attached
+        // router nearest to the origin (lowest id on ties) stays nearest
+        // at every hop of a shortest walk toward it: a per-hop lookup
+        // would name the same router, and the walk meets no other
+        // attached router on the way.
+        let assigned_iface = self.topo.iface_by_addr(dst);
+        let target = match assigned_iface {
+            Some(ifid) => Some(self.topo.iface(ifid).router),
+            None => {
+                self.topo.subnet_containing(dst).and_then(|sn| self.routing.ingress(origin, sn))
+            }
         };
-        let dst_subnet = match assigned_iface {
-            Some(ifid) => Some(self.topo.iface(ifid).subnet),
-            None => self.topo.subnet_containing(dst),
-        };
-        if target_router.is_none() && dst_subnet.is_none() {
+        let Some(target) = target else {
             return Verdict::Silent(SilenceReason::NoRoute);
-        }
+        };
+        let routes = self.routing.routes_to(target);
+        let plan = self.fault.as_ref();
+        let up = |&(_, sn): &(RouterId, SubnetId)| !plan.is_some_and(|p| p.link_down(tick, sn));
 
         let flow = flow_key(probe);
         let mut current = origin;
@@ -272,11 +283,7 @@ impl ConcurrentNetwork {
 
         for step in 0..MAX_WALK {
             // 1. Delivery check (before TTL processing, as real stacks do).
-            let deliver_here = match target_router {
-                Some(tr) => current == tr,
-                None => self.topo.iface_on(current, dst_subnet.unwrap()).is_some(),
-            };
-            if deliver_here {
+            if current == target {
                 return self.deliver(probe, current, prev_subnet, origin, assigned_iface, tick);
             }
 
@@ -288,39 +295,28 @@ impl ConcurrentNetwork {
                 }
             }
 
-            // 3. Forward along the destination's ECMP column — no
-            // per-hop allocation. Unassigned destinations route toward
-            // the subnet's ingress: the attached router nearest to here,
-            // one load from the subnet's ingress column.
-            let hops: &[(RouterId, SubnetId)] = match target_router {
-                Some(tr) => self.routing.next_hops(current, tr),
-                None => match self.routing.ingress(current, dst_subnet.unwrap()) {
-                    Some(nearest) => self.routing.next_hops(current, nearest),
-                    None => &[],
-                },
-            };
-            if hops.is_empty() {
-                return Verdict::Silent(SilenceReason::NoRoute);
-            }
-            // Fault-plan link filtering without materializing the
-            // filtered list: count the live hops, balance over that
-            // count, then index into the same filtered sequence —
-            // exactly what retain-then-choose produced.
-            let (next, via) = match self.fault {
-                Some(plan) => {
-                    let up = |&&(_, sn): &&(RouterId, SubnetId)| !plan.link_down(tick, sn);
-                    let live = hops.iter().filter(up).count();
-                    if live == 0 {
-                        return Verdict::Silent(SilenceReason::LinkDown);
-                    }
-                    let idx = self.lb_index(current, live, flow, tick);
-                    if live == hops.len() {
-                        hops[idx]
-                    } else {
-                        *hops.iter().filter(up).nth(idx).expect("idx < live")
-                    }
+            // 3. Forward to a neighbor one hop closer, filtered by the
+            // fault plan's live links, without materializing either set.
+            // One scan counts the live hops and keeps the first; only a
+            // real choice among several takes a second scan to the
+            // balanced index — exactly what retain-then-choose produced.
+            let hops = routes.next_hops(current);
+            let (mut any, mut live, mut first) = (false, 0, None);
+            for hop in hops.clone() {
+                any = true;
+                if up(&hop) {
+                    live += 1;
+                    first = first.or(Some(hop));
                 }
-                None => hops[self.lb_index(current, hops.len(), flow, tick)],
+            }
+            let (next, via) = match first {
+                None if any => return Verdict::Silent(SilenceReason::LinkDown),
+                None => return Verdict::Silent(SilenceReason::NoRoute),
+                Some(hop) if live == 1 => hop,
+                Some(_) => {
+                    let idx = self.lb_index(current, live, flow, tick);
+                    hops.filter(up).nth(idx).expect("idx < live")
+                }
             };
             if let Some(plan) = self.fault {
                 if plan.drops_forward(tick, step as u64, via, current) {
@@ -469,8 +465,8 @@ impl ConcurrentNetwork {
                 self.incoming_addr(at, prev_subnet).or(probed).or_else(first_iface_addr)
             }
             ResponsePolicy::ShortestPath => {
-                let hops = self.routing.next_hops(at, origin);
-                let via = hops.first().map(|&(_, sn)| sn).or(prev_subnet)?;
+                let via = self.routing.next_hops(at, origin).next().map(|(_, sn)| sn);
+                let via = via.or(prev_subnet)?;
                 self.topo.iface_on(at, via).map(|i| self.topo.iface(i).addr)
             }
             ResponsePolicy::Default(addr) => Some(addr),

@@ -8,23 +8,24 @@
 //!
 //! [`RoutingTable::compute`] builds only the graph: the routers attached
 //! to each subnet and the sorted adjacency derived from them, both in
-//! compressed-sparse-row form. Routes are built on first use, each
-//! behind a [`OnceLock`]:
+//! compressed-sparse-row form. The one thing a route adds to the graph
+//! is a **distance column** per destination router: one BFS from it
+//! gives the hop distance from every router (adjacency is symmetric),
+//! 2 bytes per router, built on first use behind a [`OnceLock`].
+//! Everything else is read from the graph and that column when asked:
 //!
-//! * a **column** per destination router — one BFS from it gives the hop
-//!   distance from every router (adjacency is symmetric), and filtering
-//!   each router's adjacency by that distance gives its ECMP set, stored
-//!   as one CSR so [`next_hops`](RoutingTable::next_hops) returns a
-//!   borrowed slice and the per-packet walk allocates nothing;
-//! * an **ingress column** per subnet — the attached router nearest to
-//!   every router, found by one multi-source BFS, so
-//!   [`ingress`](RoutingTable::ingress) is a single load.
+//! * the ECMP set from `from` toward `to` is `from`'s adjacency filtered
+//!   to the neighbors one hop closer to `to` ([`NextHops`], a borrowed
+//!   iterator, so a walk allocates nothing);
+//! * the ingress router of a subnet is the
+//!   [`nearest`](RoutingTable::nearest) of its attached routers.
 //!
 //! Memory therefore grows with the destinations a run actually touches,
-//! not with the square of the router count. Every column is a pure
-//! function of the topology, so which thread builds it first cannot
-//! change any answer.
+//! at 2 bytes per router each ([`RoutingTable::heap_bytes`]). Every
+//! column is a pure function of the topology, so which thread builds it
+//! first cannot change any answer.
 
+use std::mem::size_of_val;
 use std::sync::OnceLock;
 
 use crate::topology::{RouterId, SubnetId, Topology};
@@ -32,44 +33,94 @@ use crate::topology::{RouterId, SubnetId, Topology};
 /// Unreachable marker for hop distances.
 pub const UNREACHABLE: u16 = u16::MAX;
 
-/// Ingress-column marker: the subnet is unreachable from this router.
-const NO_INGRESS: u32 = u32::MAX;
-
-/// Hop distances and next-hop sets for a topology, built per destination
-/// on first use. `Send + Sync`: share it through an `Arc`.
+/// Hop distances toward each destination router, built on first use,
+/// over the shared router adjacency. `Send + Sync`: share it through an
+/// `Arc`.
 pub struct RoutingTable {
-    /// CSR offsets into `adj`, one run per router.
-    adj_off: Vec<u32>,
-    /// (neighbor, via-subnet) pairs, each router's run sorted and
-    /// unique — the single definition of adjacency.
-    adj: Vec<(RouterId, SubnetId)>,
+    /// CSR offsets into `adj_nb` and `adj_via`, one run per router.
+    adj_off: Box<[u32]>,
+    /// Neighbors, each router's run sorted by (neighbor, via-subnet) and
+    /// unique — with `adj_via`, the single definition of adjacency. Kept
+    /// apart from the subnets so a next-hop scan reads only these.
+    adj_nb: Box<[RouterId]>,
+    /// The subnet each `adj_nb` entry is reached over.
+    adj_via: Box<[SubnetId]>,
     /// CSR offsets into `attached`, one run per subnet.
-    attached_off: Vec<u32>,
+    attached_off: Box<[u32]>,
     /// Routers directly attached to each subnet, sorted and deduped —
     /// the delivery points for unassigned addresses.
-    attached: Vec<RouterId>,
-    /// Per-destination routes, built on first use.
-    columns: Vec<OnceLock<Column>>,
-    /// Per-subnet ingress router for every source router, built on first
-    /// use ([`NO_INGRESS`] when unreachable).
-    ingress: Vec<OnceLock<Box<[u32]>>>,
+    attached: Box<[RouterId]>,
+    /// `columns[to][from]` = hop distance from `from` to `to`, each
+    /// column built on first use.
+    columns: Box<[OnceLock<Box<[u16]>>]>,
 }
 
-/// The routes toward one destination router.
-struct Column {
-    /// `dist[from]` = hop count from `from` to the destination.
-    dist: Box<[u16]>,
-    /// CSR offsets into `ecmp`: the ECMP set from `from` is
-    /// `ecmp[ecmp_off[from] .. ecmp_off[from + 1]]`.
-    ecmp_off: Box<[u32]>,
-    /// ECMP next-hop arena, each set a sorted run of the adjacency.
-    ecmp: Box<[(RouterId, SubnetId)]>,
+/// The routes toward one destination router: its distance column over
+/// the table's adjacency. Fetch it once per walk with
+/// [`RoutingTable::routes_to`], then ask it for each hop's next hops.
+#[derive(Clone, Copy)]
+pub struct Routes<'a> {
+    table: &'a RoutingTable,
+    dist: &'a [u16],
+}
+
+/// The ECMP next-hop set from one router toward one destination: the
+/// router's sorted (neighbor, via-subnet) adjacency, keeping the pairs
+/// one hop closer to the destination. Borrows the table; allocates
+/// nothing.
+#[derive(Clone)]
+pub struct NextHops<'a> {
+    nb: &'a [RouterId],
+    via: &'a [SubnetId],
+    at: usize,
+    dist: &'a [u16],
+    closer: u16,
+}
+
+impl Iterator for NextHops<'_> {
+    type Item = (RouterId, SubnetId);
+
+    #[inline]
+    fn next(&mut self) -> Option<(RouterId, SubnetId)> {
+        let (dist, closer) = (self.dist, self.closer);
+        let skip = self.nb[self.at..].iter().position(|nb| dist[nb.0 as usize] == closer)?;
+        let i = self.at + skip;
+        self.at = i + 1;
+        Some((self.nb[i], self.via[i]))
+    }
+}
+
+impl<'a> Routes<'a> {
+    /// Hop distance from `from` to the destination ([`UNREACHABLE`] if
+    /// disconnected).
+    #[inline]
+    pub fn dist(&self, from: RouterId) -> u16 {
+        self.dist[from.0 as usize]
+    }
+
+    /// The ECMP next hops from `from`, in adjacency order. Empty at the
+    /// destination itself and when it is unreachable.
+    #[inline]
+    pub fn next_hops(&self, from: RouterId) -> NextHops<'a> {
+        let d = self.dist(from);
+        let run = match d {
+            0 | UNREACHABLE => 0..0,
+            _ => self.table.run(from.0 as usize),
+        };
+        NextHops {
+            nb: &self.table.adj_nb[run.clone()],
+            via: &self.table.adj_via[run],
+            at: 0,
+            dist: self.dist,
+            closer: d.wrapping_sub(1),
+        }
+    }
 }
 
 impl RoutingTable {
     /// Builds the per-subnet attachment lists and the router adjacency
-    /// derived from them. Distances and next hops are computed lazily,
-    /// per destination, the first time they are asked for.
+    /// derived from them. Distances are computed lazily, per
+    /// destination, the first time they are asked for.
     pub fn compute(topo: &Topology) -> RoutingTable {
         let n = topo.router_count();
         let subnets = topo.subnets().len();
@@ -118,19 +169,27 @@ impl RoutingTable {
         }
 
         RoutingTable {
-            adj_off,
-            adj,
-            attached_off,
-            attached,
+            adj_off: adj_off.into(),
+            adj_nb: adj.iter().map(|&(nb, _)| nb).collect(),
+            adj_via: adj.iter().map(|&(_, via)| via).collect(),
+            attached_off: attached_off.into(),
+            attached: attached.into(),
             columns: (0..n).map(|_| OnceLock::new()).collect(),
-            ingress: (0..subnets).map(|_| OnceLock::new()).collect(),
         }
+    }
+
+    /// The routes toward `to`, building its distance column on first
+    /// use.
+    #[inline]
+    pub fn routes_to(&self, to: RouterId) -> Routes<'_> {
+        let dist = self.columns[to.0 as usize].get_or_init(|| self.build_column(to.0 as usize));
+        Routes { table: self, dist }
     }
 
     /// Hop distance between two routers ([`UNREACHABLE`] if disconnected).
     #[inline]
     pub fn dist(&self, from: RouterId, to: RouterId) -> u16 {
-        self.column(to).dist[from.0 as usize]
+        self.routes_to(to).dist(from)
     }
 
     /// Whether `to` is reachable from `from`.
@@ -141,14 +200,11 @@ impl RoutingTable {
 
     /// The ECMP next-hop set from `from` toward `to`: every
     /// (neighbor, via-subnet) pair lying on some shortest path, sorted.
-    /// Borrowed from `to`'s column — no allocation once it is built.
     ///
     /// Empty when `from == to` or `to` is unreachable.
     #[inline]
-    pub fn next_hops(&self, from: RouterId, to: RouterId) -> &[(RouterId, SubnetId)] {
-        let col = self.column(to);
-        let f = from.0 as usize;
-        &col.ecmp[col.ecmp_off[f] as usize..col.ecmp_off[f + 1] as usize]
+    pub fn next_hops(&self, from: RouterId, to: RouterId) -> NextHops<'_> {
+        self.routes_to(to).next_hops(from)
     }
 
     /// The routers directly attached to `subnet`, sorted and deduped.
@@ -160,14 +216,19 @@ impl RoutingTable {
 
     /// The ingress router of `subnet` as seen from `from`: the attached
     /// router at minimum hop distance, ties broken by router id —
-    /// exactly [`RoutingTable::nearest`] over
-    /// [`RoutingTable::attached_routers`], read from the subnet's
-    /// ingress column.
-    #[inline]
+    /// [`RoutingTable::nearest`] over
+    /// [`RoutingTable::attached_routers`].
     pub fn ingress(&self, from: RouterId, subnet: SubnetId) -> Option<RouterId> {
-        let col = self.ingress[subnet.0 as usize].get_or_init(|| self.build_ingress(subnet));
-        let r = col[from.0 as usize];
-        (r != NO_INGRESS).then_some(RouterId(r))
+        // The attached routers are pairwise adjacent, so their distances
+        // from `from` differ by at most one: the first (lowest id) is the
+        // answer unless a later one is a hop closer, and the first such
+        // router ends the scan. One unreachable means all are.
+        let (&first, rest) = self.attached_routers(subnet).split_first()?;
+        let d = self.dist(from, first);
+        if d == UNREACHABLE {
+            return None;
+        }
+        Some(rest.iter().copied().find(|&r| self.dist(from, r) < d).unwrap_or(first))
     }
 
     /// The nearest router(s) of `candidates` to `from`; used to route
@@ -185,21 +246,34 @@ impl RoutingTable {
             .min_by_key(|&(c, d)| (d, c))
     }
 
-    /// The sorted (neighbor, via-subnet) adjacency of `router`.
-    #[inline]
-    fn neighbors(&self, router: usize) -> &[(RouterId, SubnetId)] {
-        &self.adj[self.adj_off[router] as usize..self.adj_off[router + 1] as usize]
+    /// Number of destination columns built so far.
+    pub fn built_columns(&self) -> usize {
+        self.columns.iter().filter_map(OnceLock::get).count()
     }
 
-    #[inline]
-    fn column(&self, to: RouterId) -> &Column {
-        self.columns[to.0 as usize].get_or_init(|| self.build_column(to.0 as usize))
+    /// Heap bytes held by the table: the graph (both CSRs and the column
+    /// slots) plus 2 bytes per router for every built column. A pure
+    /// function of the topology and of which destinations were touched.
+    pub fn heap_bytes(&self) -> usize {
+        let graph = size_of_val(&*self.adj_off)
+            + size_of_val(&*self.adj_nb)
+            + size_of_val(&*self.adj_via)
+            + size_of_val(&*self.attached_off)
+            + size_of_val(&*self.attached)
+            + size_of_val(&*self.columns);
+        let columns: usize =
+            self.columns.iter().filter_map(OnceLock::get).map(|d| size_of_val(&**d)).sum();
+        graph + columns
     }
 
-    /// One BFS from `to` for the distance row, then each router's
-    /// adjacency filtered to the neighbors one hop closer. Filtering a
-    /// sorted run keeps it sorted.
-    fn build_column(&self, to: usize) -> Column {
+    /// The index range of `router`'s run in `adj_nb` and `adj_via`.
+    #[inline]
+    fn run(&self, router: usize) -> std::ops::Range<usize> {
+        self.adj_off[router] as usize..self.adj_off[router + 1] as usize
+    }
+
+    /// One BFS from `to`: the hop distance from every router.
+    fn build_column(&self, to: usize) -> Box<[u16]> {
         let n = self.columns.len();
         let mut dist = vec![UNREACHABLE; n];
         dist[to] = 0;
@@ -209,7 +283,7 @@ impl RoutingTable {
         while let Some(&cur) = queue.get(head) {
             head += 1;
             let d = dist[cur] + 1;
-            for &(nb, _) in self.neighbors(cur) {
+            for &nb in &self.adj_nb[self.run(cur)] {
                 let nb = nb.0 as usize;
                 if dist[nb] == UNREACHABLE {
                     dist[nb] = d;
@@ -217,48 +291,7 @@ impl RoutingTable {
                 }
             }
         }
-
-        let mut ecmp_off = Vec::with_capacity(n + 1);
-        ecmp_off.push(0u32);
-        let mut ecmp = Vec::new();
-        for (from, &d) in dist.iter().enumerate() {
-            if from != to && d != UNREACHABLE {
-                ecmp.extend(
-                    self.neighbors(from).iter().filter(|&&(nb, _)| dist[nb.0 as usize] == d - 1),
-                );
-            }
-            ecmp_off.push(ecmp.len() as u32);
-        }
-        Column { dist: dist.into(), ecmp_off: ecmp_off.into(), ecmp: ecmp.into() }
-    }
-
-    /// Multi-source BFS from the routers attached to `subnet`, seeded in
-    /// id order; each router inherits the label of whichever router
-    /// discovers it. The queue stays sorted by (level, label), so a
-    /// router's first discoverer is its lowest-labelled neighbor one
-    /// level closer — and the nearest attached routers of a router are
-    /// exactly the union of those neighbors' nearest, so every label is
-    /// the [`nearest`](RoutingTable::nearest) rule: minimum distance,
-    /// then lowest id.
-    fn build_ingress(&self, subnet: SubnetId) -> Box<[u32]> {
-        let mut label = vec![NO_INGRESS; self.columns.len()];
-        let mut queue: Vec<usize> =
-            self.attached_routers(subnet).iter().map(|r| r.0 as usize).collect();
-        for &r in &queue {
-            label[r] = r as u32;
-        }
-        let mut head = 0;
-        while let Some(&cur) = queue.get(head) {
-            head += 1;
-            for &(nb, _) in self.neighbors(cur) {
-                let nb = nb.0 as usize;
-                if label[nb] == NO_INGRESS {
-                    label[nb] = label[cur];
-                    queue.push(nb);
-                }
-            }
-        }
-        label.into()
+        dist.into()
     }
 }
 
@@ -304,18 +337,20 @@ mod tests {
     fn neighbors_via_shared_subnets() {
         let (t, r) = chain(2);
         let rt = RoutingTable::compute(&t);
-        assert_eq!(rt.neighbors(r[0].0 as usize), &[(r[1], SubnetId(0))]);
-        assert_eq!(rt.neighbors(r[1].0 as usize), &[(r[0], SubnetId(0))]);
+        for (a, b) in [(r[0], r[1]), (r[1], r[0])] {
+            let run = rt.run(a.0 as usize);
+            assert_eq!((&rt.adj_nb[run.clone()], &rt.adj_via[run]), (&[b][..], &[SubnetId(0)][..]));
+        }
     }
 
     #[test]
     fn chain_next_hops_are_unique() {
         let (t, r) = chain(4);
         let rt = RoutingTable::compute(&t);
-        let hops = rt.next_hops(r[0], r[3]);
+        let hops: Vec<_> = rt.next_hops(r[0], r[3]).collect();
         assert_eq!(hops.len(), 1);
         assert_eq!(hops[0].0, r[1]);
-        assert!(rt.next_hops(r[0], r[0]).is_empty());
+        assert_eq!(rt.next_hops(r[0], r[0]).count(), 0);
     }
 
     #[test]
@@ -330,7 +365,7 @@ mod tests {
         let t = b.build().unwrap();
         let rt = RoutingTable::compute(&t);
         assert!(!rt.reachable(r1, r2));
-        assert!(rt.next_hops(r1, r2).is_empty());
+        assert_eq!(rt.next_hops(r1, r2).count(), 0);
         assert!(rt.nearest(r1, [r2]).is_none());
     }
 
@@ -353,10 +388,22 @@ mod tests {
         let (t, r) = diamond();
         let rt = RoutingTable::compute(&t);
         assert_eq!(rt.dist(r[0], r[3]), 2);
-        let hops = rt.next_hops(r[0], r[3]);
-        assert_eq!(hops.len(), 2);
-        let nbs: Vec<RouterId> = hops.iter().map(|&(n, _)| n).collect();
+        let nbs: Vec<RouterId> = rt.next_hops(r[0], r[3]).map(|(n, _)| n).collect();
+        assert_eq!(nbs.len(), 2);
         assert!(nbs.contains(&r[1]) && nbs.contains(&r[2]));
+    }
+
+    #[test]
+    fn heap_bytes_grow_by_one_distance_row_per_touched_destination() {
+        let (t, r) = diamond();
+        let rt = RoutingTable::compute(&t);
+        let graph = rt.heap_bytes();
+        assert_eq!(rt.built_columns(), 0);
+        let _ = rt.next_hops(r[0], r[3]).count();
+        let _ = rt.dist(r[3], r[0]);
+        let _ = rt.dist(r[1], r[0]);
+        assert_eq!(rt.built_columns(), 2);
+        assert_eq!(rt.heap_bytes(), graph + 2 * 2 * r.len());
     }
 
     #[test]

@@ -215,7 +215,7 @@ fn first_touch_races_answer_like_a_single_thread() {
             Answer::Ingress(rt.ingress(from, SubnetId(to as u32)))
         } else {
             let to = RouterId(to as u32);
-            Answer::Route { dist: rt.dist(from, to), hops: rt.next_hops(from, to).to_vec() }
+            Answer::Route { dist: rt.dist(from, to), hops: rt.next_hops(from, to).collect() }
         }
     };
     let single = RoutingTable::compute(&topo);

@@ -113,10 +113,32 @@ proptest! {
             for to in (0..n).map(|r| RouterId(r as u32)) {
                 prop_assert_eq!(rt.dist(from, to), oracle.dist(from, to));
                 prop_assert_eq!(rt.reachable(from, to), oracle.dist(from, to) != UNREACHABLE);
-                prop_assert_eq!(rt.next_hops(from, to), oracle.next_hops(from, to).as_slice());
+                prop_assert_eq!(
+                    rt.next_hops(from, to).collect::<Vec<_>>(),
+                    oracle.next_hops(from, to)
+                );
             }
             for sn in (0..topo.subnets().len()).map(|s| SubnetId(s as u32)) {
                 prop_assert_eq!(rt.ingress(from, sn), oracle.ingress(&topo, from, sn));
+            }
+        }
+    }
+
+    /// The ingress router is stable along a shortest walk toward it: if
+    /// `a` is the attached router of `subnet` nearest to `from`, it is
+    /// also the nearest from every next hop toward `a`. This is what lets
+    /// the engine resolve an unassigned destination's ingress once per
+    /// walk instead of at every hop.
+    #[test]
+    fn ingress_is_stable_along_the_walk(seed in 0u64..400, routers in 1usize..24) {
+        let topo = common::lan_mesh(seed, routers);
+        let rt = RoutingTable::compute(&topo);
+        for from in (0..topo.router_count()).map(|r| RouterId(r as u32)) {
+            for sn in (0..topo.subnets().len()).map(|s| SubnetId(s as u32)) {
+                let Some(a) = rt.ingress(from, sn) else { continue };
+                for (h, _) in rt.next_hops(from, a) {
+                    prop_assert_eq!(rt.ingress(h, sn), Some(a), "{:?} -> {:?} via {:?}", from, sn, h);
+                }
             }
         }
     }

@@ -94,6 +94,14 @@ pub struct IdentBlock {
 
 impl IdentBlock {
     /// The k-th ident of the block.
+    ///
+    /// Wraps modulo the namespace capacity: a tracenet block repeats its
+    /// idents after 32 768 targets, so a paper-scale batch (34 084
+    /// targets) gives targets k and k + 32 768 the same ident. In the
+    /// simulator that is harmless. A reply is returned to the prober that
+    /// injected the probe, never matched against other sessions, and a
+    /// repeated ident only repeats a flow hash input, which stays a pure
+    /// function of the target index.
     pub fn get(&self, k: usize) -> u16 {
         let cap = self.space.capacity() as u64;
         let slot = (self.start as u64 + k as u64) % cap;
@@ -167,5 +175,17 @@ mod tests {
             assert!((0xC000..=0xFFFF).contains(&i), "ident {i:#06x} escaped at index {k}");
         }
         assert_eq!(block.get(0), block.get(IdentSpace::Aux.capacity() as usize));
+    }
+
+    #[test]
+    fn tracenet_idents_wrap_after_32768_targets() {
+        let block = IdentAllocator::new().block(IdentSpace::Tracenet, 34_084);
+        let cap = IdentSpace::Tracenet.capacity() as usize;
+        assert_eq!(cap, 32_768);
+        for k in [0usize, 1, 1_315, 34_083 - cap] {
+            let (i, j) = (block.get(k), block.get(k + cap));
+            assert_eq!(i, j, "index {k} and {} share an ident", k + cap);
+            assert!(j < 0x8000, "ident {j:#06x} stays in the tracenet namespace");
+        }
     }
 }

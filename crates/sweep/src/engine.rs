@@ -108,6 +108,12 @@ fn run_session<P: Prober>(
 /// Runs one tracenet session per target against a shared network,
 /// fanning the targets across `cfg.jobs` worker threads. With one job
 /// the sessions run inline on the calling thread, in target order.
+///
+/// Session k probes with ident `k mod 32 768` of the tracenet namespace
+/// ([`probe::IdentBlock::get`]), so a batch of more than 32 768 targets,
+/// such as the paper's 34 084, reuses idents. The simulator returns each
+/// reply to the session that sent the probe, and the ident only feeds
+/// the flow hash, so answers still depend on the target index alone.
 pub fn run_batch(
     net: &SharedNetwork,
     vantage: Addr,

@@ -15,10 +15,16 @@
 //!   results merged in target order and probe idents drawn from disjoint namespaces
 //!   ([`IdentSpace`]) as a pure function of the target index.
 //!
-//! The engine is *proven observation-equivalent, not assumed*: the
-//! conformance suite (`tests/conformance.rs`) pins that batch runs at
-//! any thread count, cache on or off, collect exactly the same subnets
-//! as a plain sequential loop — only probe counts may drop.
+//! The engine is *proven observation-equivalent, not assumed*, on
+//! history-independent topologies: the conformance suite
+//! (`tests/conformance.rs`) pins that batch runs at any thread count,
+//! cache on or off, collect exactly the same subnets as a plain
+//! sequential loop — only probe counts may drop. Those topologies have
+//! no rate limits, no fluctuation and no per-packet load balancing,
+//! because each of those makes a reply depend on how the sessions'
+//! probes interleave. On the ISP internet, which has them, a jobs>1 run
+//! is not yet reproducible: its answers depend on thread timing
+//! (ROADMAP item 2).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

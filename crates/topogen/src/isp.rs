@@ -182,6 +182,21 @@ impl Default for IspInternetSpec {
     }
 }
 
+impl IspInternetSpec {
+    /// The default internet scaled by `k`: every ISP's `pops` times `k`
+    /// and `targets_per_isp` = 450 × `k`, every other field the default.
+    /// `scaled(1)` is the default; at k = 20 the internet holds about
+    /// 15 000 routers and 18 000 targets, approaching the paper's scale.
+    pub fn scaled(k: usize) -> IspInternetSpec {
+        let mut spec = IspInternetSpec::default();
+        for isp in &mut spec.isps {
+            isp.pops *= k;
+        }
+        spec.targets_per_isp *= k;
+        spec
+    }
+}
+
 /// Builds the default four-ISP internet with vantages `rice`, `uoregon`
 /// and `umass`.
 pub fn isp_internet(seed: u64) -> Scenario {
@@ -526,6 +541,17 @@ mod tests {
             }
         }
         IspInternetSpec { seed, isps, targets_per_isp: 40, target_coverage: 0.5 }
+    }
+
+    #[test]
+    fn scaled_multiplies_pops_and_targets_only() {
+        let (one, two) = (IspInternetSpec::scaled(1), IspInternetSpec::scaled(2));
+        assert_eq!((one.targets_per_isp, two.targets_per_isp), (450, 900));
+        assert_eq!((one.seed, one.target_coverage), (two.seed, two.target_coverage));
+        for (a, b) in one.isps.iter().zip(&two.isps) {
+            assert_eq!(b.pops, 2 * a.pops, "{}", a.name);
+            assert_eq!((a.chains_per_pop, a.chain_depth), (b.chains_per_pop, b.chain_depth));
+        }
     }
 
     #[test]
