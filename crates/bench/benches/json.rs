@@ -1,7 +1,7 @@
 //! Criterion benches for the JSON I/O layer: the 4-ISP internet's
-//! scenario file parsed as JSON and loaded as a scenario, the golden
-//! internet2 exchange log read back (indexed, then every session's
-//! events decoded into a replay script), and report lines written.
+//! scenario file loaded and written, the golden internet2 exchange log
+//! read back (indexed, then every session's events decoded into a replay
+//! script), and report lines written.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use obs::{ExchangeLog, ExchangeWriter};
@@ -14,13 +14,12 @@ fn bench_json(c: &mut Criterion) {
     let mut g = c.benchmark_group("json");
     g.sample_size(20);
 
-    let scenario = io::to_json(&isp_internet(2010));
-    g.bench_function("parse_isp_scenario", |b| {
-        b.iter(|| serde_json::from_str(black_box(&scenario)).expect("scenario is JSON"))
-    });
+    let isp = isp_internet(2010);
+    let scenario = io::to_json(&isp);
     g.bench_function("from_json_isp", |b| {
         b.iter(|| io::from_json(black_box(&scenario)).expect("scenario loads"))
     });
+    g.bench_function("to_json_isp", |b| b.iter(|| io::to_json(black_box(&isp))));
 
     g.bench_function("exchange_log_parse", |b| {
         b.iter(|| ExchangeLog::parse(black_box(GOLDEN_LOG)).expect("golden log parses"))

@@ -7,14 +7,46 @@
 //! bit-identically. Everything the simulator needs to reproduce behavior
 //! is captured — response policies, protocol sets, rate limits, load
 //! balancing, firewalls and scoped ACLs.
+//!
+//! Neither direction builds a `serde_json::Value`. [`to_json`] prints
+//! into one `String` with the shim's `write_string` and `write_u64`, in
+//! the layout `serde_json::to_string_pretty` gives the same document:
+//! two-space indent, `": "` after a key, `[]` for an empty list. Its
+//! integers print exactly, where a `Value` number, an `f64`, would round
+//! a `refill_every` above 2^53.
+//!
+//! [`from_json`] pulls the shim's [`Tokenizer`], matches keys as borrowed
+//! slices and parses addresses and prefixes from the borrowed strings.
+//! It accepts what indexing a parsed `Value` accepts and builds the same
+//! [`Scenario`] (`tests/load_oracle.rs` keeps that reader as the oracle):
+//!
+//! - keys may come in any order at every level. `ifaces` points into
+//!   `routers` and `subnets`, so each top-level list is read into typed
+//!   rows and the topology is built after the document ends;
+//! - the first of duplicate keys wins;
+//! - unknown keys are skipped, but their syntax is still checked;
+//! - a missing key reads like a value of the wrong type: `host`,
+//!   `filtered` and `unreachable_replies` fall back to `false`,
+//!   `responsive` to `true`, `lb` to per flow and a `null` `rate_limit`
+//!   to none; every other field is required;
+//! - a document that is not JSON fails with [`LoadError::Json`] and the
+//!   parser's message, line and column, even when a shape defect comes
+//!   earlier in the file;
+//! - otherwise the first shape defect is a [`LoadError::Shape`], checked
+//!   in this order: `format`, `name`, `routers`, `subnets`, `ifaces`,
+//!   the topology build, `vantages`, `targets`, `ground_truth`. Within a
+//!   list the items go in order. Within an item the fields go in the
+//!   order [`to_json`] writes them, then what they refer to: an
+//!   interface's router and subnet, a vantage's interface.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use inet::{Addr, Prefix};
 use netsim::{
-    LbMode, ProtoSet, RateLimit, ResponsePolicy, RouterConfig, RouterId, Topology, TopologyBuilder,
+    LbMode, ProtoSet, RateLimit, ResponsePolicy, RouterConfig, RouterId, SubnetId, TopologyBuilder,
 };
-use serde_json::{json, Value};
+use serde_json::{write_string, write_u64, Token, Tokenizer};
 
 use crate::scenario::{GroundTruth, GtSubnet, Scenario, SubnetIntent};
 
@@ -42,302 +74,861 @@ fn shape(msg: impl Into<String>) -> LoadError {
     LoadError::Shape(msg.into())
 }
 
+const FORMAT: &str = "tracenet-scenario/1";
+
 /// Serializes a scenario to a JSON string.
 pub fn to_json(scenario: &Scenario) -> String {
     let topo = &scenario.topology;
-    let routers: Vec<Value> = topo
-        .routers()
-        .iter()
-        .map(|r| {
-            json!({
-                "name": r.name,
-                "host": r.is_host,
-                "config": config_to_json(&r.config),
+    let mut w = Pretty::default();
+    w.object(|w| {
+        w.key("format").string(FORMAT);
+        w.key("name").string(&scenario.name);
+        w.key("routers").list(topo.routers(), |w, r| {
+            w.object(|w| {
+                w.key("name").string(&r.name);
+                w.key("host").bool(r.is_host);
+                w.key("config").config(&r.config);
             })
-        })
-        .collect();
-    let subnets: Vec<Value> = topo
-        .subnets()
-        .iter()
-        .map(|s| {
-            json!({
-                "prefix": s.prefix.to_string(),
-                "filtered": s.filtered,
-                "filtered_sources":
-                    s.filtered_sources.iter().map(|a| a.to_string()).collect::<Vec<_>>(),
+        });
+        w.key("subnets").list(topo.subnets(), |w, s| {
+            w.object(|w| {
+                w.key("prefix").prefix(s.prefix);
+                w.key("filtered").bool(s.filtered);
+                w.key("filtered_sources").list(&s.filtered_sources, |w, &a| w.addr(a));
             })
-        })
-        .collect();
-    let ifaces: Vec<Value> = topo
-        .ifaces()
-        .iter()
-        .map(|i| {
-            json!({
-                "router": i.router.0,
-                "subnet": i.subnet.0,
-                "addr": i.addr.to_string(),
-                "responsive": i.responsive,
+        });
+        w.key("ifaces").list(topo.ifaces(), |w, i| {
+            w.object(|w| {
+                w.key("router").u64(i.router.0.into());
+                w.key("subnet").u64(i.subnet.0.into());
+                w.key("addr").addr(i.addr);
+                w.key("responsive").bool(i.responsive);
             })
-        })
-        .collect();
-    let gt: Vec<Value> = scenario
-        .ground_truth
-        .subnets
-        .iter()
-        .map(|s| {
-            json!({
-                "prefix": s.prefix.to_string(),
-                "members": s.members.iter().map(|m| m.to_string()).collect::<Vec<_>>(),
-                "intent": s.intent.label(),
-                "network": s.network,
+        });
+        w.key("vantages").list(&scenario.vantages, |w, (name, addr)| {
+            w.object(|w| {
+                w.key("name").string(name);
+                w.key("addr").addr(*addr);
             })
-        })
-        .collect();
-    serde_json::to_string_pretty(&json!({
-        "format": "tracenet-scenario/1",
-        "name": scenario.name,
-        "routers": routers,
-        "subnets": subnets,
-        "ifaces": ifaces,
-        "vantages": scenario
-            .vantages
-            .iter()
-            .map(|(n, a)| json!({"name": n, "addr": a.to_string()}))
-            .collect::<Vec<_>>(),
-        "targets": scenario.targets.iter().map(|t| t.to_string()).collect::<Vec<_>>(),
-        "ground_truth": gt,
-    }))
-    .expect("json! values always serialize")
+        });
+        w.key("targets").list(&scenario.targets, |w, &t| w.addr(t));
+        w.key("ground_truth").list(&scenario.ground_truth.subnets, |w, g| {
+            w.object(|w| {
+                w.key("prefix").prefix(g.prefix);
+                w.key("members").list(&g.members, |w, &m| w.addr(m));
+                w.key("intent").string(g.intent.label());
+                w.key("network").string(&g.network);
+            })
+        });
+    });
+    w.out
 }
 
-fn config_to_json(c: &RouterConfig) -> Value {
-    json!({
-        "direct": policy_to_json(&c.direct),
-        "indirect": policy_to_json(&c.indirect),
-        "direct_protos": protos_to_json(&c.direct_protos),
-        "indirect_protos": protos_to_json(&c.indirect_protos),
-        "rate_limit": c.rate_limit.map(|rl| json!({
-            "capacity": rl.capacity,
-            "refill_every": rl.refill_every,
-        })),
-        "lb": match c.lb {
-            LbMode::PerFlow => "per_flow",
-            LbMode::PerPacket => "per_packet",
-        },
-        "unreachable_replies": c.unreachable_replies,
-    })
+/// A writer with `serde_json::to_string_pretty`'s layout. `empty` says
+/// whether the innermost open container has no item yet.
+#[derive(Default)]
+struct Pretty {
+    out: String,
+    depth: usize,
+    empty: bool,
 }
 
-fn policy_to_json(p: &ResponsePolicy) -> Value {
-    match p {
-        ResponsePolicy::Nil => json!("nil"),
-        ResponsePolicy::Probed => json!("probed"),
-        ResponsePolicy::Incoming => json!("incoming"),
-        ResponsePolicy::ShortestPath => json!("shortest_path"),
-        ResponsePolicy::Default(a) => json!({ "default": a.to_string() }),
+impl Pretty {
+    fn newline(&mut self) {
+        self.out.push('\n');
+        for _ in 0..self.depth {
+            self.out.push_str("  ");
+        }
     }
-}
 
-fn protos_to_json(p: &ProtoSet) -> Value {
-    json!({ "icmp": p.icmp, "udp": p.udp, "tcp": p.tcp })
+    /// Starts the next item of the innermost container.
+    fn item(&mut self) {
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.empty = false;
+        self.newline();
+    }
+
+    /// Writes `{`, what `members` writes, and `}`.
+    fn object(&mut self, members: impl FnOnce(&mut Self)) {
+        self.container('{', '}', members);
+    }
+
+    /// Writes `items` as an array, each through `item`.
+    fn list<T>(&mut self, items: impl IntoIterator<Item = T>, mut item: impl FnMut(&mut Self, T)) {
+        self.container('[', ']', |w| {
+            for x in items {
+                w.item();
+                item(w, x);
+            }
+        });
+    }
+
+    fn container(&mut self, open: char, close: char, body: impl FnOnce(&mut Self)) {
+        self.out.push(open);
+        self.depth += 1;
+        self.empty = true;
+        body(self);
+        self.depth -= 1;
+        if !self.empty {
+            self.newline();
+        }
+        self.out.push(close);
+        // The container was an item of its parent, or the document.
+        self.empty = false;
+    }
+
+    /// Starts an object member; the value is written next.
+    fn key(&mut self, key: &str) -> &mut Self {
+        self.item();
+        write_string(&mut self.out, key);
+        self.out.push_str(": ");
+        self
+    }
+
+    fn null(&mut self) {
+        self.out.push_str("null");
+    }
+
+    fn bool(&mut self, b: bool) {
+        self.out.push_str(if b { "true" } else { "false" });
+    }
+
+    fn u64(&mut self, n: u64) {
+        write_u64(&mut self.out, n);
+    }
+
+    fn string(&mut self, s: &str) {
+        write_string(&mut self.out, s);
+    }
+
+    /// A dotted quad needs no escapes, so it is printed in place.
+    fn addr(&mut self, a: Addr) {
+        self.out.push('"');
+        self.quad(a);
+        self.out.push('"');
+    }
+
+    fn prefix(&mut self, p: Prefix) {
+        self.out.push('"');
+        self.quad(p.network());
+        self.out.push('/');
+        write_u64(&mut self.out, p.len().into());
+        self.out.push('"');
+    }
+
+    fn quad(&mut self, a: Addr) {
+        for (i, octet) in a.octets().into_iter().enumerate() {
+            if i > 0 {
+                self.out.push('.');
+            }
+            write_u64(&mut self.out, octet.into());
+        }
+    }
+
+    fn config(&mut self, c: &RouterConfig) {
+        self.object(|w| {
+            w.key("direct").policy(&c.direct);
+            w.key("indirect").policy(&c.indirect);
+            w.key("direct_protos").protos(&c.direct_protos);
+            w.key("indirect_protos").protos(&c.indirect_protos);
+            match c.rate_limit {
+                None => w.key("rate_limit").null(),
+                Some(rl) => w.key("rate_limit").object(|w| {
+                    w.key("capacity").u64(rl.capacity.into());
+                    w.key("refill_every").u64(rl.refill_every);
+                }),
+            }
+            w.key("lb").string(match c.lb {
+                LbMode::PerFlow => "per_flow",
+                LbMode::PerPacket => "per_packet",
+            });
+            w.key("unreachable_replies").bool(c.unreachable_replies);
+        });
+    }
+
+    fn policy(&mut self, p: &ResponsePolicy) {
+        match p {
+            ResponsePolicy::Nil => self.string("nil"),
+            ResponsePolicy::Probed => self.string("probed"),
+            ResponsePolicy::Incoming => self.string("incoming"),
+            ResponsePolicy::ShortestPath => self.string("shortest_path"),
+            ResponsePolicy::Default(a) => self.object(|w| w.key("default").addr(*a)),
+        }
+    }
+
+    fn protos(&mut self, p: &ProtoSet) {
+        self.object(|w| {
+            w.key("icmp").bool(p.icmp);
+            w.key("udp").bool(p.udp);
+            w.key("tcp").bool(p.tcp);
+        });
+    }
 }
 
 /// Loads a scenario from a JSON string produced by [`to_json`].
 pub fn from_json(text: &str) -> Result<Scenario, LoadError> {
-    let v: Value = serde_json::from_str(text).map_err(LoadError::Json)?;
-    if v["format"] != "tracenet-scenario/1" {
-        return Err(shape("missing or unknown `format` marker"));
-    }
-    let name = as_str(&v["name"], "name")?.to_string();
+    Document::read(text).map_err(LoadError::Json)?.build()
+}
 
-    let mut b = TopologyBuilder::new();
-    let mut router_ids: Vec<RouterId> = Vec::new();
-    for r in as_array(&v["routers"], "routers")? {
-        let rname = as_str(&r["name"], "router name")?;
-        let config = config_from_json(&r["config"], rname)?;
-        let id = b.router(rname, config);
-        if r["host"].as_bool().unwrap_or(false) {
-            b.set_host(id);
+/// A tokenizer result: the JSON errors, which end the read at once.
+/// Shape errors wait in the rows until the whole document has parsed.
+type Json<T> = Result<T, serde_json::Error>;
+
+/// The items of one array, in order, up to the first that failed its
+/// checks, and that item's error. The items after it are still read, so
+/// the document is checked as JSON to its end, but they are dropped.
+struct Rows<T> {
+    rows: Vec<T>,
+    bad: Option<LoadError>,
+}
+
+impl<T> Rows<T> {
+    /// Every item, or the first bad one's error.
+    fn all(self) -> Result<Vec<T>, LoadError> {
+        match self.bad {
+            None => Ok(self.rows),
+            Some(e) => Err(e),
         }
-        router_ids.push(id);
     }
+}
 
-    let mut subnet_ids = Vec::new();
-    for s in as_array(&v["subnets"], "subnets")? {
-        let prefix: Prefix =
-            as_str(&s["prefix"], "subnet prefix")?.parse().map_err(|e| shape(format!("{e}")))?;
-        let id = if s["filtered"].as_bool().unwrap_or(false) {
-            b.filtered_subnet(prefix)
-        } else {
-            b.subnet(prefix)
-        };
-        let sources: Vec<Addr> = as_array(&s["filtered_sources"], "filtered_sources")?
-            .iter()
-            .map(|a| parse_addr(a, "filtered source"))
-            .collect::<Result<_, _>>()?;
-        if !sources.is_empty() {
-            b.set_filtered_sources(id, sources);
+/// The rows of a member that must be an array.
+fn array<T>(rows: Option<Rows<T>>, what: &str) -> Result<Rows<T>, LoadError> {
+    rows.ok_or_else(|| shape(format!("{what} must be an array")))
+}
+
+/// Hands each good row to `row`, in order, then reports the first bad
+/// item: an earlier row's error comes before a later item's.
+fn each<T>(
+    rows: Option<Rows<T>>,
+    what: &str,
+    row: impl FnMut(T) -> Result<(), LoadError>,
+) -> Result<(), LoadError> {
+    let Rows { rows, bad } = array(rows, what)?;
+    rows.into_iter().try_for_each(row)?;
+    bad.map_or(Ok(()), Err)
+}
+
+/// Reads the object `first` starts and hands the first occurrence of
+/// each of `keys` to `member`, with its value's first token. Other keys
+/// and later duplicates are skipped, though still checked. Any other
+/// value is skipped and has no members, as indexing a `Value` finds none.
+fn members<'a>(
+    tokens: &mut Tokenizer<'a>,
+    first: Token<'a>,
+    keys: &[&'static str],
+    mut member: impl FnMut(&mut Tokenizer<'a>, &'static str, Token<'a>) -> Json<()>,
+) -> Json<()> {
+    if !matches!(first, Token::ObjectStart) {
+        return tokens.skip(first);
+    }
+    let mut seen = 0u32;
+    loop {
+        match tokens.next_token()? {
+            Token::ObjectEnd => return Ok(()),
+            Token::Key(name) => {
+                let value = tokens.next_token()?;
+                match keys.iter().position(|&k| k == name) {
+                    Some(i) if seen & (1 << i) == 0 => {
+                        seen |= 1 << i;
+                        member(tokens, keys[i], value)?;
+                    }
+                    _ => tokens.skip(value)?,
+                }
+            }
+            _ => unreachable!("an object holds keys"),
         }
-        subnet_ids.push(id);
     }
+}
 
-    for i in as_array(&v["ifaces"], "ifaces")? {
-        let router = i["router"].as_u64().ok_or_else(|| shape("iface.router"))? as usize;
-        let subnet = i["subnet"].as_u64().ok_or_else(|| shape("iface.subnet"))? as usize;
-        let addr = parse_addr(&i["addr"], "iface addr")?;
-        let responsive = i["responsive"].as_bool().unwrap_or(true);
-        let rid = *router_ids.get(router).ok_or_else(|| shape("iface.router out of range"))?;
-        let sid = *subnet_ids.get(subnet).ok_or_else(|| shape("iface.subnet out of range"))?;
-        b.attach_with(rid, sid, addr, responsive)
-            .map_err(|e| shape(format!("attach {addr}: {e}")))?;
+/// Reads the array `first` starts, checking each item through `item`.
+/// `None` for any other value, which is skipped.
+fn items<'a, T>(
+    tokens: &mut Tokenizer<'a>,
+    first: Token<'a>,
+    mut item: impl FnMut(&mut Tokenizer<'a>, Token<'a>) -> Json<Result<T, LoadError>>,
+) -> Json<Option<Rows<T>>> {
+    if !matches!(first, Token::ArrayStart) {
+        tokens.skip(first)?;
+        return Ok(None);
     }
-
-    let topology: Topology = b.build().map_err(|e| shape(format!("{e}")))?;
-
-    let mut vantages = Vec::new();
-    for w in as_array(&v["vantages"], "vantages")? {
-        let name = as_str(&w["name"], "vantage name")?.to_string();
-        let addr = parse_addr(&w["addr"], "vantage addr")?;
-        // Probes are sourced at the vantage, so it must be an interface.
-        if topology.owner_of(addr).is_none() {
-            return Err(shape(format!("vantage {name:?} at {addr} is not an interface")));
+    let mut rows = Rows { rows: Vec::new(), bad: None };
+    loop {
+        let first = tokens.next_token()?;
+        if matches!(first, Token::ArrayEnd) {
+            return Ok(Some(rows));
         }
-        vantages.push((name, addr));
+        let checked = item(tokens, first)?;
+        if rows.bad.is_none() {
+            match checked {
+                Ok(row) => rows.rows.push(row),
+                Err(e) => rows.bad = Some(e),
+            }
+        }
     }
-    let targets: Vec<Addr> = as_array(&v["targets"], "targets")?
-        .iter()
-        .map(|t| parse_addr(t, "target"))
-        .collect::<Result<_, _>>()?;
+}
 
-    let mut ground_truth = GroundTruth::default();
-    for g in as_array(&v["ground_truth"], "ground_truth")? {
-        let prefix: Prefix =
-            as_str(&g["prefix"], "gt prefix")?.parse().map_err(|e| shape(format!("{e}")))?;
-        let members: Vec<Addr> = as_array(&g["members"], "gt members")?
-            .iter()
-            .map(|m| parse_addr(m, "gt member"))
-            .collect::<Result<_, _>>()?;
-        let intent = match as_str(&g["intent"], "gt intent")? {
+/// The string `first` is, if it is one; any other value is skipped.
+fn string<'a>(tokens: &mut Tokenizer<'a>, first: Token<'a>) -> Json<Option<Cow<'a, str>>> {
+    match first {
+        Token::String(s) => Ok(Some(s)),
+        other => tokens.skip(other).map(|()| None),
+    }
+}
+
+fn boolean<'a>(tokens: &mut Tokenizer<'a>, first: Token<'a>) -> Json<Option<bool>> {
+    match first {
+        Token::Bool(b) => Ok(Some(b)),
+        other => tokens.skip(other).map(|()| None),
+    }
+}
+
+/// The number as a `u64`, converted as `Value::as_u64` converts it: a
+/// non-negative integer, saturating above `u64::MAX`.
+fn integer<'a>(tokens: &mut Tokenizer<'a>, first: Token<'a>) -> Json<Option<u64>> {
+    match first {
+        Token::Number(n) if n >= 0.0 && n.fract() == 0.0 && n <= u64::MAX as f64 => {
+            Ok(Some(n as u64))
+        }
+        other => tokens.skip(other).map(|()| None),
+    }
+}
+
+/// An array of addresses, each read as `what`.
+fn addrs<'a>(
+    tokens: &mut Tokenizer<'a>,
+    first: Token<'a>,
+    what: &'static str,
+) -> Json<Option<Rows<Addr>>> {
+    items(tokens, first, |tokens, first| Ok(parse_addr(string(tokens, first)?.as_deref(), what)))
+}
+
+/// The members of one array item, read as they come and checked once
+/// the item has ended.
+trait Item<'a>: Sized {
+    type Row;
+    fn read(tokens: &mut Tokenizer<'a>, first: Token<'a>) -> Json<Self>;
+    fn check(self) -> Result<Self::Row, LoadError>;
+}
+
+/// An array of `I` items.
+fn rows<'a, I: Item<'a>>(
+    tokens: &mut Tokenizer<'a>,
+    first: Token<'a>,
+) -> Json<Option<Rows<I::Row>>> {
+    items(tokens, first, |tokens, first| Ok(I::read(tokens, first)?.check()))
+}
+
+/// The top-level members, each list read into checked rows.
+#[derive(Default)]
+struct Document<'a> {
+    format: Option<Cow<'a, str>>,
+    name: Option<Cow<'a, str>>,
+    routers: Option<Rows<RouterRow<'a>>>,
+    subnets: Option<Rows<SubnetRow>>,
+    ifaces: Option<Rows<IfaceRow>>,
+    vantages: Option<Rows<(Cow<'a, str>, Addr)>>,
+    targets: Option<Rows<Addr>>,
+    ground_truth: Option<Rows<GtSubnet>>,
+}
+
+impl<'a> Document<'a> {
+    const KEYS: &'static [&'static str] =
+        &["format", "name", "routers", "subnets", "ifaces", "vantages", "targets", "ground_truth"];
+
+    /// Reads all of `text`, stopping only at a JSON error.
+    fn read(text: &'a str) -> Json<Document<'a>> {
+        let mut tokens = Tokenizer::new(text);
+        let mut doc = Document::default();
+        let first = tokens.next_token()?;
+        members(&mut tokens, first, Self::KEYS, |tokens, key, value| {
+            match key {
+                "format" => doc.format = string(tokens, value)?,
+                "name" => doc.name = string(tokens, value)?,
+                "routers" => doc.routers = rows::<RouterFields>(tokens, value)?,
+                "subnets" => doc.subnets = rows::<SubnetFields>(tokens, value)?,
+                "ifaces" => doc.ifaces = rows::<IfaceFields>(tokens, value)?,
+                "vantages" => doc.vantages = rows::<VantageFields>(tokens, value)?,
+                "targets" => doc.targets = addrs(tokens, value, "target")?,
+                "ground_truth" => doc.ground_truth = rows::<GtFields>(tokens, value)?,
+                _ => unreachable!("{key} is not a top-level key"),
+            }
+            Ok(())
+        })?;
+        match tokens.next_token()? {
+            Token::End => Ok(doc),
+            _ => unreachable!("the tokenizer ends the document after its value"),
+        }
+    }
+
+    /// Runs the checks in their order and builds the scenario.
+    fn build(self) -> Result<Scenario, LoadError> {
+        if self.format.as_deref() != Some(FORMAT) {
+            return Err(shape("missing or unknown `format` marker"));
+        }
+        let name = as_str(self.name, "name")?.into_owned();
+
+        let mut b = TopologyBuilder::new();
+        let mut routers = 0;
+        each(self.routers, "routers", |r| {
+            let id = b.router(r.name, r.config);
+            if r.host {
+                b.set_host(id);
+            }
+            routers += 1;
+            Ok(())
+        })?;
+        let mut subnets = 0;
+        each(self.subnets, "subnets", |s| {
+            let id = if s.filtered { b.filtered_subnet(s.prefix) } else { b.subnet(s.prefix) };
+            if !s.sources.is_empty() {
+                b.set_filtered_sources(id, s.sources);
+            }
+            subnets += 1;
+            Ok(())
+        })?;
+        each(self.ifaces, "ifaces", |i| {
+            if i.router >= routers {
+                return Err(shape("iface.router out of range"));
+            }
+            if i.subnet >= subnets {
+                return Err(shape("iface.subnet out of range"));
+            }
+            let (router, subnet) = (RouterId(i.router as u32), SubnetId(i.subnet as u32));
+            match b.attach_with(router, subnet, i.addr, i.responsive) {
+                Ok(_) => Ok(()),
+                Err(e) => Err(shape(format!("attach {}: {e}", i.addr))),
+            }
+        })?;
+        let topology = b.build().map_err(|e| shape(format!("{e}")))?;
+
+        let mut vantages = Vec::new();
+        each(self.vantages, "vantages", |(name, addr)| {
+            // Probes are sourced at the vantage, so it must be an interface.
+            if topology.owner_of(addr).is_none() {
+                return Err(shape(format!("vantage {name:?} at {addr} is not an interface")));
+            }
+            vantages.push((name.into_owned(), addr));
+            Ok(())
+        })?;
+        let targets = array(self.targets, "targets")?.all()?;
+        let subnets = array(self.ground_truth, "ground_truth")?.all()?;
+        Ok(Scenario { name, topology, vantages, targets, ground_truth: GroundTruth { subnets } })
+    }
+}
+
+struct RouterRow<'a> {
+    name: Cow<'a, str>,
+    config: RouterConfig,
+    host: bool,
+}
+
+#[derive(Default)]
+struct RouterFields<'a> {
+    name: Option<Cow<'a, str>>,
+    host: Option<bool>,
+    config: ConfigFields<'a>,
+}
+
+impl<'a> Item<'a> for RouterFields<'a> {
+    type Row = RouterRow<'a>;
+
+    fn read(tokens: &mut Tokenizer<'a>, first: Token<'a>) -> Json<Self> {
+        let mut r = Self::default();
+        members(tokens, first, &["name", "host", "config"], |tokens, key, value| {
+            match key {
+                "name" => r.name = string(tokens, value)?,
+                "host" => r.host = boolean(tokens, value)?,
+                "config" => r.config = ConfigFields::read(tokens, value)?,
+                _ => unreachable!("{key} is not a router key"),
+            }
+            Ok(())
+        })?;
+        Ok(r)
+    }
+
+    fn check(self) -> Result<RouterRow<'a>, LoadError> {
+        let name = as_str(self.name, "router name")?;
+        let config = self.config.check(&name)?;
+        Ok(RouterRow { name, config, host: self.host.unwrap_or(false) })
+    }
+}
+
+#[derive(Default)]
+struct ConfigFields<'a> {
+    direct: PolicyField<'a>,
+    indirect: PolicyField<'a>,
+    direct_protos: ProtoFields,
+    indirect_protos: ProtoFields,
+    /// `None` for `null` and for a missing key.
+    rate_limit: Option<LimitFields>,
+    lb: Option<Cow<'a, str>>,
+    unreachable_replies: Option<bool>,
+}
+
+impl<'a> ConfigFields<'a> {
+    const KEYS: &'static [&'static str] = &[
+        "direct",
+        "indirect",
+        "direct_protos",
+        "indirect_protos",
+        "rate_limit",
+        "lb",
+        "unreachable_replies",
+    ];
+
+    fn read(tokens: &mut Tokenizer<'a>, first: Token<'a>) -> Json<Self> {
+        let mut c = Self::default();
+        members(tokens, first, Self::KEYS, |tokens, key, value| {
+            match key {
+                "direct" => c.direct = PolicyField::read(tokens, value)?,
+                "indirect" => c.indirect = PolicyField::read(tokens, value)?,
+                "direct_protos" => c.direct_protos = ProtoFields::read(tokens, value)?,
+                "indirect_protos" => c.indirect_protos = ProtoFields::read(tokens, value)?,
+                "rate_limit" => {
+                    c.rate_limit = match value {
+                        Token::Null => None,
+                        value => Some(LimitFields::read(tokens, value)?),
+                    }
+                }
+                "lb" => c.lb = string(tokens, value)?,
+                "unreachable_replies" => c.unreachable_replies = boolean(tokens, value)?,
+                _ => unreachable!("{key} is not a config key"),
+            }
+            Ok(())
+        })?;
+        Ok(c)
+    }
+
+    fn check(self, router: &str) -> Result<RouterConfig, LoadError> {
+        Ok(RouterConfig {
+            direct: self.direct.check()?,
+            indirect: self.indirect.check()?,
+            direct_protos: self.direct_protos.check()?,
+            indirect_protos: self.indirect_protos.check()?,
+            rate_limit: self.rate_limit.map(|rl| rl.check(router)).transpose()?,
+            lb: match self.lb.as_deref() {
+                Some("per_flow") | None => LbMode::PerFlow,
+                Some("per_packet") => LbMode::PerPacket,
+                Some(other) => return Err(shape(format!("unknown lb mode {other:?}"))),
+            },
+            unreachable_replies: self.unreachable_replies.unwrap_or(false),
+        })
+    }
+}
+
+#[derive(Default)]
+enum PolicyField<'a> {
+    /// A string: one of the named policies.
+    Named(Cow<'a, str>),
+    /// An object: its `default` member, if that is a string.
+    Default(Option<Cow<'a, str>>),
+    /// Any other value, or a missing key.
+    #[default]
+    Other,
+}
+
+impl<'a> PolicyField<'a> {
+    fn read(tokens: &mut Tokenizer<'a>, first: Token<'a>) -> Json<Self> {
+        Ok(match first {
+            Token::String(s) => PolicyField::Named(s),
+            Token::ObjectStart => {
+                let mut addr = None;
+                members(tokens, first, &["default"], |tokens, _, value| {
+                    addr = string(tokens, value)?;
+                    Ok(())
+                })?;
+                PolicyField::Default(addr)
+            }
+            other => {
+                tokens.skip(other)?;
+                PolicyField::Other
+            }
+        })
+    }
+
+    fn check(self) -> Result<ResponsePolicy, LoadError> {
+        match self {
+            PolicyField::Named(s) => match &*s {
+                "nil" => Ok(ResponsePolicy::Nil),
+                "probed" => Ok(ResponsePolicy::Probed),
+                "incoming" => Ok(ResponsePolicy::Incoming),
+                "shortest_path" => Ok(ResponsePolicy::ShortestPath),
+                other => Err(shape(format!("unknown policy {other:?}"))),
+            },
+            PolicyField::Default(addr) => {
+                Ok(ResponsePolicy::Default(parse_addr(addr.as_deref(), "default policy addr")?))
+            }
+            PolicyField::Other => Err(shape("policy must be a string or {default: addr}")),
+        }
+    }
+}
+
+#[derive(Default)]
+struct ProtoFields {
+    icmp: Option<bool>,
+    udp: Option<bool>,
+    tcp: Option<bool>,
+}
+
+impl ProtoFields {
+    fn read<'a>(tokens: &mut Tokenizer<'a>, first: Token<'a>) -> Json<Self> {
+        let mut p = Self::default();
+        members(tokens, first, &["icmp", "udp", "tcp"], |tokens, key, value| {
+            let b = boolean(tokens, value)?;
+            match key {
+                "icmp" => p.icmp = b,
+                "udp" => p.udp = b,
+                "tcp" => p.tcp = b,
+                _ => unreachable!("{key} is not a protocol"),
+            }
+            Ok(())
+        })?;
+        Ok(p)
+    }
+
+    fn check(self) -> Result<ProtoSet, LoadError> {
+        Ok(ProtoSet {
+            icmp: self.icmp.ok_or_else(|| shape("protos.icmp"))?,
+            udp: self.udp.ok_or_else(|| shape("protos.udp"))?,
+            tcp: self.tcp.ok_or_else(|| shape("protos.tcp"))?,
+        })
+    }
+}
+
+#[derive(Default)]
+struct LimitFields {
+    capacity: Option<u64>,
+    refill_every: Option<u64>,
+}
+
+impl LimitFields {
+    fn read<'a>(tokens: &mut Tokenizer<'a>, first: Token<'a>) -> Json<Self> {
+        let mut rl = Self::default();
+        members(tokens, first, &["capacity", "refill_every"], |tokens, key, value| {
+            let n = integer(tokens, value)?;
+            match key {
+                "capacity" => rl.capacity = n,
+                "refill_every" => rl.refill_every = n,
+                _ => unreachable!("{key} is not a rate-limit key"),
+            }
+            Ok(())
+        })?;
+        Ok(rl)
+    }
+
+    /// A token bucket the engine can run: `capacity` fits its `u32`, and
+    /// `refill_every`, which it divides by, is at least one tick.
+    fn check(self, router: &str) -> Result<RateLimit, LoadError> {
+        let bad = |what: &str| shape(format!("router {router:?}: rate_limit.{what}"));
+        let capacity = self
+            .capacity
+            .and_then(|c| u32::try_from(c).ok())
+            .ok_or_else(|| bad("capacity must be an integer below 2^32"))?;
+        let refill_every = self
+            .refill_every
+            .filter(|&r| r > 0)
+            .ok_or_else(|| bad("refill_every must be a positive integer"))?;
+        Ok(RateLimit { capacity, refill_every })
+    }
+}
+
+struct SubnetRow {
+    prefix: Prefix,
+    filtered: bool,
+    sources: Vec<Addr>,
+}
+
+#[derive(Default)]
+struct SubnetFields<'a> {
+    prefix: Option<Cow<'a, str>>,
+    filtered: Option<bool>,
+    filtered_sources: Option<Rows<Addr>>,
+}
+
+impl<'a> Item<'a> for SubnetFields<'a> {
+    type Row = SubnetRow;
+
+    fn read(tokens: &mut Tokenizer<'a>, first: Token<'a>) -> Json<Self> {
+        let mut s = Self::default();
+        members(
+            tokens,
+            first,
+            &["prefix", "filtered", "filtered_sources"],
+            |tokens, key, value| {
+                match key {
+                    "prefix" => s.prefix = string(tokens, value)?,
+                    "filtered" => s.filtered = boolean(tokens, value)?,
+                    "filtered_sources" => {
+                        s.filtered_sources = addrs(tokens, value, "filtered source")?
+                    }
+                    _ => unreachable!("{key} is not a subnet key"),
+                }
+                Ok(())
+            },
+        )?;
+        Ok(s)
+    }
+
+    fn check(self) -> Result<SubnetRow, LoadError> {
+        Ok(SubnetRow {
+            prefix: parse_prefix(self.prefix.as_deref(), "subnet prefix")?,
+            filtered: self.filtered.unwrap_or(false),
+            sources: array(self.filtered_sources, "filtered_sources")?.all()?,
+        })
+    }
+}
+
+struct IfaceRow {
+    router: usize,
+    subnet: usize,
+    addr: Addr,
+    responsive: bool,
+}
+
+#[derive(Default)]
+struct IfaceFields<'a> {
+    router: Option<u64>,
+    subnet: Option<u64>,
+    addr: Option<Cow<'a, str>>,
+    responsive: Option<bool>,
+}
+
+impl<'a> Item<'a> for IfaceFields<'a> {
+    type Row = IfaceRow;
+
+    fn read(tokens: &mut Tokenizer<'a>, first: Token<'a>) -> Json<Self> {
+        let mut i = Self::default();
+        members(
+            tokens,
+            first,
+            &["router", "subnet", "addr", "responsive"],
+            |tokens, key, value| {
+                match key {
+                    "router" => i.router = integer(tokens, value)?,
+                    "subnet" => i.subnet = integer(tokens, value)?,
+                    "addr" => i.addr = string(tokens, value)?,
+                    "responsive" => i.responsive = boolean(tokens, value)?,
+                    _ => unreachable!("{key} is not an iface key"),
+                }
+                Ok(())
+            },
+        )?;
+        Ok(i)
+    }
+
+    fn check(self) -> Result<IfaceRow, LoadError> {
+        Ok(IfaceRow {
+            router: self.router.ok_or_else(|| shape("iface.router"))? as usize,
+            subnet: self.subnet.ok_or_else(|| shape("iface.subnet"))? as usize,
+            addr: parse_addr(self.addr.as_deref(), "iface addr")?,
+            responsive: self.responsive.unwrap_or(true),
+        })
+    }
+}
+
+#[derive(Default)]
+struct VantageFields<'a> {
+    name: Option<Cow<'a, str>>,
+    addr: Option<Cow<'a, str>>,
+}
+
+impl<'a> Item<'a> for VantageFields<'a> {
+    type Row = (Cow<'a, str>, Addr);
+
+    fn read(tokens: &mut Tokenizer<'a>, first: Token<'a>) -> Json<Self> {
+        let mut v = Self::default();
+        members(tokens, first, &["name", "addr"], |tokens, key, value| {
+            let s = string(tokens, value)?;
+            match key {
+                "name" => v.name = s,
+                "addr" => v.addr = s,
+                _ => unreachable!("{key} is not a vantage key"),
+            }
+            Ok(())
+        })?;
+        Ok(v)
+    }
+
+    fn check(self) -> Result<(Cow<'a, str>, Addr), LoadError> {
+        let name = as_str(self.name, "vantage name")?;
+        Ok((name, parse_addr(self.addr.as_deref(), "vantage addr")?))
+    }
+}
+
+#[derive(Default)]
+struct GtFields<'a> {
+    prefix: Option<Cow<'a, str>>,
+    members: Option<Rows<Addr>>,
+    intent: Option<Cow<'a, str>>,
+    network: Option<Cow<'a, str>>,
+}
+
+impl<'a> Item<'a> for GtFields<'a> {
+    type Row = GtSubnet;
+
+    fn read(tokens: &mut Tokenizer<'a>, first: Token<'a>) -> Json<Self> {
+        let mut g = Self::default();
+        members(
+            tokens,
+            first,
+            &["prefix", "members", "intent", "network"],
+            |tokens, key, value| {
+                match key {
+                    "prefix" => g.prefix = string(tokens, value)?,
+                    "members" => g.members = addrs(tokens, value, "gt member")?,
+                    "intent" => g.intent = string(tokens, value)?,
+                    "network" => g.network = string(tokens, value)?,
+                    _ => unreachable!("{key} is not a ground-truth key"),
+                }
+                Ok(())
+            },
+        )?;
+        Ok(g)
+    }
+
+    fn check(self) -> Result<GtSubnet, LoadError> {
+        let prefix = parse_prefix(self.prefix.as_deref(), "gt prefix")?;
+        let members = array(self.members, "gt members")?.all()?;
+        let intent = match as_str(self.intent.as_deref(), "gt intent")? {
             "normal" => SubnetIntent::Normal,
             "filtered" => SubnetIntent::Filtered,
             "partial" => SubnetIntent::Partial,
             "infrastructure" => SubnetIntent::Infrastructure,
             other => return Err(shape(format!("unknown intent {other:?}"))),
         };
-        ground_truth.subnets.push(GtSubnet {
-            prefix,
-            members,
-            intent,
-            network: as_str(&g["network"], "gt network")?.to_string(),
-        });
-    }
-
-    Ok(Scenario { name, topology, vantages, targets, ground_truth })
-}
-
-fn config_from_json(v: &Value, router: &str) -> Result<RouterConfig, LoadError> {
-    let mut c = RouterConfig::cooperative();
-    c.direct = policy_from_json(&v["direct"])?;
-    c.indirect = policy_from_json(&v["indirect"])?;
-    c.direct_protos = protos_from_json(&v["direct_protos"])?;
-    c.indirect_protos = protos_from_json(&v["indirect_protos"])?;
-    c.rate_limit = match &v["rate_limit"] {
-        Value::Null => None,
-        rl => Some(rate_limit_from_json(rl, router)?),
-    };
-    c.lb = match v["lb"].as_str() {
-        Some("per_flow") | None => LbMode::PerFlow,
-        Some("per_packet") => LbMode::PerPacket,
-        Some(other) => return Err(shape(format!("unknown lb mode {other:?}"))),
-    };
-    c.unreachable_replies = v["unreachable_replies"].as_bool().unwrap_or(false);
-    Ok(c)
-}
-
-/// A token bucket the engine can run: `capacity` fits its `u32`, and
-/// `refill_every`, which it divides by, is at least one tick.
-fn rate_limit_from_json(rl: &Value, router: &str) -> Result<RateLimit, LoadError> {
-    let bad = |what: &str| shape(format!("router {router:?}: rate_limit.{what}"));
-    let capacity = rl["capacity"]
-        .as_u64()
-        .and_then(|c| u32::try_from(c).ok())
-        .ok_or_else(|| bad("capacity must be an integer below 2^32"))?;
-    let refill_every = rl["refill_every"]
-        .as_u64()
-        .filter(|&r| r > 0)
-        .ok_or_else(|| bad("refill_every must be a positive integer"))?;
-    Ok(RateLimit { capacity, refill_every })
-}
-
-fn policy_from_json(v: &Value) -> Result<ResponsePolicy, LoadError> {
-    match v {
-        Value::String(s) => match s.as_str() {
-            "nil" => Ok(ResponsePolicy::Nil),
-            "probed" => Ok(ResponsePolicy::Probed),
-            "incoming" => Ok(ResponsePolicy::Incoming),
-            "shortest_path" => Ok(ResponsePolicy::ShortestPath),
-            other => Err(shape(format!("unknown policy {other:?}"))),
-        },
-        Value::Object(_) => {
-            Ok(ResponsePolicy::Default(parse_addr(&v["default"], "default policy addr")?))
-        }
-        _ => Err(shape("policy must be a string or {default: addr}")),
+        let network = as_str(self.network, "gt network")?.into_owned();
+        Ok(GtSubnet { prefix, members, intent, network })
     }
 }
 
-fn protos_from_json(v: &Value) -> Result<ProtoSet, LoadError> {
-    Ok(ProtoSet {
-        icmp: v["icmp"].as_bool().ok_or_else(|| shape("protos.icmp"))?,
-        udp: v["udp"].as_bool().ok_or_else(|| shape("protos.udp"))?,
-        tcp: v["tcp"].as_bool().ok_or_else(|| shape("protos.tcp"))?,
-    })
+/// A member that must be a string: `v` is the string, if it was one.
+fn as_str<S>(v: Option<S>, what: &str) -> Result<S, LoadError> {
+    v.ok_or_else(|| shape(format!("{what} must be a string")))
 }
 
-fn as_str<'v>(v: &'v Value, what: &str) -> Result<&'v str, LoadError> {
-    v.as_str().ok_or_else(|| shape(format!("{what} must be a string")))
-}
-
-fn as_array<'v>(v: &'v Value, what: &str) -> Result<&'v Vec<Value>, LoadError> {
-    v.as_array().ok_or_else(|| shape(format!("{what} must be an array")))
-}
-
-fn parse_addr(v: &Value, what: &str) -> Result<Addr, LoadError> {
+fn parse_addr(v: Option<&str>, what: &str) -> Result<Addr, LoadError> {
     as_str(v, what)?.parse().map_err(|e| shape(format!("{what}: {e}")))
 }
 
+/// A prefix's parse error names no field.
+fn parse_prefix(v: Option<&str>, what: &str) -> Result<Prefix, LoadError> {
+    as_str(v, what)?.parse().map_err(|e| shape(format!("{e}")))
+}
+
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod common;
+
 #[cfg(test)]
 mod tests {
+    use super::common::assert_equivalent;
     use super::*;
     use crate::{internet2, random_topology};
     use netsim::{ConcurrentNetwork, RoutingTable};
-
-    /// Compares everything observable about two scenarios.
-    fn assert_equivalent(a: &Scenario, b: &Scenario) {
-        assert_eq!(a.name, b.name);
-        assert_eq!(a.vantages, b.vantages);
-        assert_eq!(a.targets, b.targets);
-        assert_eq!(a.topology.router_count(), b.topology.router_count());
-        assert_eq!(a.topology.subnets().len(), b.topology.subnets().len());
-        assert_eq!(a.topology.ifaces().len(), b.topology.ifaces().len());
-        for (x, y) in a.topology.routers().iter().zip(b.topology.routers()) {
-            assert_eq!(x.name, y.name);
-            assert_eq!(x.is_host, y.is_host);
-            assert_eq!(x.config, y.config);
-            assert_eq!(x.ifaces, y.ifaces);
-        }
-        for (x, y) in a.topology.subnets().iter().zip(b.topology.subnets()) {
-            assert_eq!(x.prefix, y.prefix);
-            assert_eq!(x.filtered, y.filtered);
-            assert_eq!(x.filtered_sources, y.filtered_sources);
-        }
-        assert_eq!(a.ground_truth.subnets.len(), b.ground_truth.subnets.len());
-        for (x, y) in a.ground_truth.subnets.iter().zip(&b.ground_truth.subnets) {
-            assert_eq!(x.prefix, y.prefix);
-            assert_eq!(x.members, y.members);
-            assert_eq!(x.intent, y.intent);
-            assert_eq!(x.network, y.network);
-        }
-    }
+    use serde_json::Value;
 
     #[test]
     fn random_scenario_roundtrips() {
