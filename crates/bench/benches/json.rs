@@ -1,7 +1,8 @@
 //! Criterion benches for the JSON I/O layer: the 4-ISP internet's
 //! scenario file loaded and written, the golden internet2 exchange log
 //! read back (indexed, then every session's events decoded into a replay
-//! script), and report lines written.
+//! script), its report, probe and decision lines written, and its
+//! addresses printed through `Display`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use obs::{ExchangeLog, ExchangeWriter};
@@ -44,6 +45,29 @@ fn bench_json(c: &mut Criterion) {
                 writer.write_report(*session, black_box(report));
             }
         })
+    });
+
+    // Every probe and every decision of the golden log, written as a
+    // recording run streams them.
+    let sessions = 0..log.header.targets.len() as u64;
+    let probes: Vec<_> = sessions.clone().flat_map(|k| log.events_for(k)).collect();
+    let decisions: Vec<_> = sessions.flat_map(|k| log.decisions_for(k)).collect();
+    g.bench_function("probe_line", |b| {
+        b.iter(|| {
+            for event in &probes {
+                writer.write_probe(black_box(event));
+            }
+        })
+    });
+    g.bench_function("decision_line", |b| {
+        b.iter(|| {
+            for decision in &decisions {
+                writer.write_decision(black_box(decision));
+            }
+        })
+    });
+    g.bench_function("addr_display", |b| {
+        b.iter(|| probes.iter().map(|e| black_box(e.dst).to_string().len()).sum::<usize>())
     });
     g.finish();
 }

@@ -85,14 +85,15 @@ impl MemberLookup for inet::SubnetRecord {
 
 /// Emits one heuristic verdict into the decision stream. The phase (and
 /// session) are stamped by the recorder; the cause names the rule that
-/// fired.
+/// fired. `evidence` runs only when a sink records the decision, so an
+/// unrecorded run formats no evidence.
 fn decide(
     recorder: &Recorder,
     hop: u8,
     subject: Addr,
     cause: Cause,
     verdict: DecisionVerdict,
-    evidence: String,
+    evidence: impl FnOnce() -> String,
 ) {
     recorder.record_decision(|| DecisionEvent {
         session: None,
@@ -101,7 +102,7 @@ fn decide(
         cause: Some(cause),
         subject: Some(subject),
         verdict,
-        evidence,
+        evidence: evidence(),
     });
 }
 
@@ -122,7 +123,7 @@ pub fn examine<P: Prober>(
 ) -> Decision {
     debug_assert_ne!(l, ctx.pivot, "the pivot is never examined");
     let jh = ctx.jh;
-    let decide = |cause: Cause, verdict: DecisionVerdict, evidence: String| {
+    let decide = |cause: Cause, verdict: DecisionVerdict, evidence: &dyn Fn() -> String| {
         decide(recorder, jh, l, cause, verdict, evidence);
     };
 
@@ -139,27 +140,21 @@ pub fn examine<P: Prober>(
         ProbeOutcome::DirectReply { .. } => {}
         ProbeOutcome::TtlExceeded { from } => {
             if ctx.set.h2_upper_bound_subnet_contiguity {
-                decide(
-                    Cause::H2,
-                    DecisionVerdict::StoppedAndShrunk,
-                    format!("⟨l,{jh}⟩ ↪ TTL_EXCD from {from}: l lies beyond the subnet"),
-                );
+                decide(Cause::H2, DecisionVerdict::StoppedAndShrunk, &|| {
+                    format!("⟨l,{jh}⟩ ↪ TTL_EXCD from {from}: l lies beyond the subnet")
+                });
                 return Decision::StopAndShrink { by: 2 };
             }
             // Ablated H2 keeps the aliveness gate but not the stop.
-            decide(
-                Cause::H2,
-                DecisionVerdict::Rejected,
-                format!("⟨l,{jh}⟩ ↪ TTL_EXCD from {from}; H2 ablated, skipping"),
-            );
+            decide(Cause::H2, DecisionVerdict::Rejected, &|| {
+                format!("⟨l,{jh}⟩ ↪ TTL_EXCD from {from}; H2 ablated, skipping")
+            });
             return Decision::Skip;
         }
         other => {
-            decide(
-                Cause::H2,
-                DecisionVerdict::Rejected,
-                format!("⟨l,{jh}⟩ ↪ {other}: not in use here"),
-            );
+            decide(Cause::H2, DecisionVerdict::Rejected, &|| {
+                format!("⟨l,{jh}⟩ ↪ {other}: not in use here")
+            });
             return Decision::Skip;
         }
     }
@@ -169,22 +164,18 @@ pub fn examine<P: Prober>(
     // /30 mate qualifies only when the /31 mate is not in use.
     if ctx.set.h5_mate31_shortcut {
         if l == ctx.pivot.mate31() {
-            decide(
-                Cause::H5,
-                DecisionVerdict::Accepted,
-                format!("l is the /31 mate of pivot {}", ctx.pivot),
-            );
+            decide(Cause::H5, DecisionVerdict::Accepted, &|| {
+                format!("l is the /31 mate of pivot {}", ctx.pivot)
+            });
             return Decision::Add;
         }
         if l == ctx.pivot.mate30() && {
             let _cause = obs::cause_scope(Cause::H5);
             !matches!(prober.probe(ctx.pivot.mate31(), jh), ProbeOutcome::DirectReply { .. })
         } {
-            decide(
-                Cause::H5,
-                DecisionVerdict::Accepted,
-                format!("l is the /30 mate of pivot {} and its /31 mate is not in use", ctx.pivot),
-            );
+            decide(Cause::H5, DecisionVerdict::Accepted, &|| {
+                format!("l is the /30 mate of pivot {} and its /31 mate is not in use", ctx.pivot)
+            });
             return Decision::Add;
         }
     }
@@ -203,11 +194,9 @@ pub fn examine<P: Prober>(
     if ctx.set.h3_single_contra_pivot {
         if let Some(ProbeOutcome::DirectReply { .. }) = below {
             if let Some(cp) = contra_pivot {
-                decide(
-                    Cause::H3,
-                    DecisionVerdict::StoppedAndShrunk,
-                    format!("second contra-pivot candidate; {cp} already holds the role"),
-                );
+                decide(Cause::H3, DecisionVerdict::StoppedAndShrunk, &|| {
+                    format!("second contra-pivot candidate; {cp} already holds the role")
+                });
                 return Decision::StopAndShrink { by: 3 };
             }
             // ---- H4: lower-bound subnet contiguity ------------------
@@ -216,19 +205,15 @@ pub fn examine<P: Prober>(
             if ctx.set.h4_lower_bound_subnet_contiguity && jh >= 3 {
                 let _cause = obs::cause_scope(Cause::H4);
                 if let ProbeOutcome::DirectReply { .. } = prober.probe(l, jh - 2) {
-                    decide(
-                        Cause::H4,
-                        DecisionVerdict::StoppedAndShrunk,
-                        format!("ECHO_RPLY at {}: closer than a contra-pivot can be", jh - 2),
-                    );
+                    decide(Cause::H4, DecisionVerdict::StoppedAndShrunk, &|| {
+                        format!("ECHO_RPLY at {}: closer than a contra-pivot can be", jh - 2)
+                    });
                     return Decision::StopAndShrink { by: 4 };
                 }
             }
-            decide(
-                Cause::H3,
-                DecisionVerdict::AcceptedContraPivot,
-                format!("ECHO_RPLY at {}: l sits one hop before the pivot", jh - 1),
-            );
+            decide(Cause::H3, DecisionVerdict::AcceptedContraPivot, &|| {
+                format!("ECHO_RPLY at {}: l sits one hop before the pivot", jh - 1)
+            });
             return Decision::AddContraPivot;
         }
     }
@@ -253,26 +238,22 @@ pub fn examine<P: Prober>(
                 let no_known_entry =
                     ctx.ingress.is_none() && (!ctx.on_path || ctx.trace_prev.is_none());
                 if !valid && !no_known_entry {
-                    decide(
-                        Cause::H6,
-                        DecisionVerdict::StoppedAndShrunk,
+                    decide(Cause::H6, DecisionVerdict::StoppedAndShrunk, &|| {
                         format!(
                             "⟨l,{}⟩ entered via stranger {from}, not ingress {:?}",
                             jh - 1,
                             ctx.ingress
-                        ),
-                    );
+                        )
+                    });
                     return Decision::StopAndShrink { by: 6 };
                 }
             }
             Some(ProbeOutcome::DirectReply { .. }) => {
                 // Reached only when H3 is ablated: the paper's
                 // "⟨l, jʰ−1⟩ ↪ ⟨i, ECHO_RPLY⟩ → stop-and-shrink" arm.
-                decide(
-                    Cause::H6,
-                    DecisionVerdict::StoppedAndShrunk,
-                    format!("ECHO_RPLY at {} with H3 ablated", jh - 1),
-                );
+                decide(Cause::H6, DecisionVerdict::StoppedAndShrunk, &|| {
+                    format!("ECHO_RPLY at {} with H3 ablated", jh - 1)
+                });
                 return Decision::StopAndShrink { by: 6 };
             }
             _ => {}
@@ -287,11 +268,9 @@ pub fn examine<P: Prober>(
             // fringe interface (the mate lives one hop beyond S).
             if ctx.set.h7_upper_bound_router_contiguity {
                 if let ProbeOutcome::TtlExceeded { from } = outcome {
-                    decide(
-                        Cause::H7,
-                        DecisionVerdict::StoppedAndShrunk,
-                        format!("mate {mate} expires at {jh} (via {from}): far fringe"),
-                    );
+                    decide(Cause::H7, DecisionVerdict::StoppedAndShrunk, &|| {
+                        format!("mate {mate} expires at {jh} (via {from}): far fringe")
+                    });
                     return Decision::StopAndShrink { by: 7 };
                 }
             }
@@ -306,14 +285,9 @@ pub fn examine<P: Prober>(
                     matches!(prober.probe(mate, jh - 1), ProbeOutcome::DirectReply { .. })
                 }
             {
-                decide(
-                    Cause::H8,
-                    DecisionVerdict::StoppedAndShrunk,
-                    format!(
-                        "mate {mate} answers at {}: close fringe on the ingress router",
-                        jh - 1
-                    ),
-                );
+                decide(Cause::H8, DecisionVerdict::StoppedAndShrunk, &|| {
+                    format!("mate {mate} answers at {}: close fringe on the ingress router", jh - 1)
+                });
                 return Decision::StopAndShrink { by: 8 };
             }
         }
@@ -655,5 +629,32 @@ mod tests {
         // No probe to 10.0.2.3's ttl-3 beyond the scripted ones was
         // needed: mate_view returned None.
         assert!(p.misses().iter().all(|&(addr, _)| addr != c.pivot));
+    }
+
+    #[test]
+    fn evidence_is_built_only_when_a_sink_records() {
+        use std::cell::Cell;
+        use std::sync::Arc;
+
+        use obs::{Registry, SinkHandle, VecSink};
+
+        let built = Cell::new(0);
+        let evidence = || {
+            built.set(built.get() + 1);
+            "mate expires".to_string()
+        };
+        let subject = a("10.0.2.4");
+        let unrecorded =
+            [Recorder::disabled(), Recorder::new().with_metrics(Arc::new(Registry::new()))];
+        for recorder in &unrecorded {
+            decide(recorder, 3, subject, Cause::H7, DecisionVerdict::StoppedAndShrunk, evidence);
+        }
+        assert_eq!(built.get(), 0, "no sink, so no evidence is formatted");
+
+        let sink = VecSink::new();
+        let recorder = Recorder::new().with_sink(SinkHandle::new(sink.clone()));
+        decide(&recorder, 3, subject, Cause::H7, DecisionVerdict::StoppedAndShrunk, evidence);
+        assert_eq!(built.get(), 1);
+        assert_eq!(sink.decisions()[0].evidence, "mate expires");
     }
 }

@@ -83,12 +83,110 @@ impl Addr {
     pub const fn common_prefix_len(self, other: Addr) -> u8 {
         (self.0 ^ other.0).leading_zeros() as u8
     }
+
+    /// The address as dotted-quad text, rendered on the stack. This is
+    /// the workspace's one dotted-quad renderer: `Display` for [`Addr`]
+    /// and [`crate::Prefix`] and the JSON writers all print through it.
+    ///
+    /// ```
+    /// use inet::Addr;
+    /// assert_eq!(Addr::new(10, 0, 255, 9).dotted().as_str(), "10.0.255.9");
+    /// ```
+    #[inline]
+    pub fn dotted(self) -> Dotted {
+        let mut text = Dotted { bytes: [0; Dotted::CAP + 2], len: 0 };
+        for (i, octet) in self.octets().into_iter().enumerate() {
+            if i > 0 {
+                text.push(b'.');
+            }
+            text.push_decimal(octet);
+        }
+        text
+    }
+}
+
+/// Each byte value's decimal digits, left-aligned, with the digit count
+/// in the last byte.
+const DECIMAL: [[u8; 4]; 256] = {
+    let mut table = [[0; 4]; 256];
+    let mut n = 0;
+    while n < 256 {
+        let (hundreds, tens, ones) = ((n / 100) as u8, (n / 10 % 10) as u8, (n % 10) as u8);
+        table[n] = if n >= 100 {
+            [b'0' + hundreds, b'0' + tens, b'0' + ones, 3]
+        } else if n >= 10 {
+            [b'0' + tens, b'0' + ones, 0, 2]
+        } else {
+            [b'0' + ones, 0, 0, 1]
+        };
+        n += 1;
+    }
+    table
+};
+
+/// An address (`a.b.c.d`) or prefix (`a.b.c.d/p`) as text in a stack
+/// buffer, from [`Addr::dotted`] or [`crate::Prefix::dotted`]. The text
+/// is ASCII.
+#[derive(Clone, Copy)]
+pub struct Dotted {
+    /// The text, then room for the two bytes past its end that
+    /// [`Dotted::push_decimal`] writes.
+    bytes: [u8; Dotted::CAP + 2],
+    len: u8,
+}
+
+impl Dotted {
+    /// `255.255.255.255/32`.
+    const CAP: usize = 18;
+
+    /// The text.
+    #[inline]
+    pub fn as_str(&self) -> &str {
+        std::str::from_utf8(self.as_bytes()).expect("dotted quads are ASCII")
+    }
+
+    /// The text's ASCII bytes.
+    #[inline]
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.bytes[..usize::from(self.len)]
+    }
+
+    #[inline]
+    fn push(&mut self, b: u8) {
+        self.bytes[usize::from(self.len)] = b;
+        self.len += 1;
+    }
+
+    /// Appends `n` in decimal, without leading zeros. Three bytes are
+    /// always copied; those past the digits are overwritten by the next
+    /// push or lie past the text.
+    #[inline]
+    fn push_decimal(&mut self, n: u8) {
+        let [digits @ .., count] = DECIMAL[usize::from(n)];
+        let at = usize::from(self.len);
+        self.bytes[at..at + 3].copy_from_slice(&digits);
+        self.len += count;
+    }
+
+    /// Appends `/len`.
+    #[inline]
+    pub(crate) fn push_len(&mut self, len: u8) {
+        self.push(b'/');
+        self.push_decimal(len);
+    }
+}
+
+impl fmt::Debug for Dotted {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
 }
 
 impl fmt::Display for Addr {
+    /// The dotted quad of [`Addr::dotted`]. Width and alignment flags
+    /// are ignored, as they always were.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let [a, b, c, d] = self.octets();
-        write!(f, "{a}.{b}.{c}.{d}")
+        f.write_str(self.dotted().as_str())
     }
 }
 

@@ -5,6 +5,8 @@
 //!
 //! * [`Addr`] — a 32-bit IPv4 address with ordering, arithmetic and
 //!   formatting.
+//! * [`Dotted`] — an address or prefix as text in a stack buffer: the one
+//!   dotted-quad renderer, behind `Display` and the JSON writers.
 //! * [`Prefix`] — a CIDR block (`a.b.c.d/p`), i.e. the paper's notion of a
 //!   subnet `S^p` with a `/p` subnet mask (§3.2, *Hierarchical Addressing*).
 //! * [`Addr::mate31`] / [`Addr::mate30`] — the paper's *mate-31* and
@@ -25,7 +27,7 @@ mod error;
 mod prefix;
 mod subnet;
 
-pub use addr::Addr;
+pub use addr::{Addr, Dotted};
 pub use error::ParseError;
 pub use prefix::{Prefix, PrefixHosts};
 pub use subnet::SubnetRecord;

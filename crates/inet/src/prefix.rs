@@ -74,6 +74,21 @@ impl Prefix {
         self.base
     }
 
+    /// The prefix as `a.b.c.d/p` text, rendered on the stack by
+    /// [`Addr::dotted`].
+    ///
+    /// ```
+    /// use inet::Prefix;
+    /// let p: Prefix = "10.1.2.64/30".parse().unwrap();
+    /// assert_eq!(p.dotted().as_str(), "10.1.2.64/30");
+    /// ```
+    #[inline]
+    pub fn dotted(self) -> crate::Dotted {
+        let mut text = self.base.dotted();
+        text.push_len(self.len);
+        text
+    }
+
     /// The broadcast (highest) address of the block.
     pub const fn broadcast(self) -> Addr {
         Addr::from_u32(self.base.to_u32() | !Self::mask_u32(self.len))
@@ -152,8 +167,10 @@ impl Prefix {
 }
 
 impl fmt::Display for Prefix {
+    /// The text of [`Prefix::dotted`]. Width and alignment flags are
+    /// ignored, as they always were.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}/{}", self.base, self.len)
+        f.write_str(self.dotted().as_str())
     }
 }
 

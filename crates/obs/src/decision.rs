@@ -12,7 +12,7 @@ use std::fmt;
 use inet::Addr;
 
 use crate::event::{Cause, Phase};
-use crate::line;
+use crate::line::{self, Fixed, LineOut};
 use crate::read::{self, Field, Key, Line};
 
 /// What the pipeline concluded at one decision point.
@@ -142,24 +142,32 @@ impl DecisionEvent {
     /// which the shim rounds and this prints exactly): keys `type`,
     /// `session`, `hop`, `phase`, `cause`, `subject`, `verdict`,
     /// `evidence` in that order, `null` for absent values, and the
-    /// evidence escaped like the shim's strings. Nothing is allocated
-    /// beyond the growth of `out`.
+    /// evidence escaped like the shim's strings. The fields before the
+    /// evidence are put together on the stack and appended in one copy;
+    /// nothing is allocated beyond the growth of `out`.
     pub fn write_line(&self, out: &mut String) {
-        out.push_str("{\"type\":\"decision\",\"session\":");
-        line::opt_uint(out, self.session);
-        out.push_str(",\"hop\":");
-        line::uint(out, self.hop.into());
-        out.push_str(",\"phase\":");
-        line::opt_label(out, self.phase.map(Phase::label));
-        out.push_str(",\"cause\":");
-        line::opt_label(out, self.cause.map(Cause::label));
-        out.push_str(",\"subject\":");
-        line::opt_addr(out, self.subject);
-        out.push_str(",\"verdict\":");
-        line::label(out, self.verdict.label());
-        out.push_str(",\"evidence\":");
+        self.render(out);
+    }
+
+    /// Appends the line to either kind of destination.
+    pub(crate) fn render(&self, out: &mut impl LineOut) {
+        let mut f = Fixed::new();
+        f.raw("{\"type\":\"decision\",\"session\":");
+        f.opt_uint(self.session);
+        f.raw(",\"hop\":");
+        f.uint(self.hop.into());
+        f.raw(",\"phase\":");
+        f.opt_label(self.phase.map(Phase::label));
+        f.raw(",\"cause\":");
+        f.opt_label(self.cause.map(Cause::label));
+        f.raw(",\"subject\":");
+        f.opt_addr(self.subject);
+        f.raw(",\"verdict\":");
+        f.label(self.verdict.label());
+        f.raw(",\"evidence\":");
+        out.fixed(&f);
         line::string(out, &self.evidence);
-        out.push('}');
+        out.put("}");
     }
 
     /// Reads a decision back from its [`DecisionEvent::write_line`]

@@ -5,7 +5,7 @@ use std::fmt;
 use inet::Addr;
 use wire::Protocol;
 
-use crate::line;
+use crate::line::{Fixed, LineOut};
 use crate::read::{self, Field, Key, Line};
 
 /// The session phase a probe was sent from — the paper's three-stage
@@ -415,38 +415,46 @@ impl ProbeEvent {
     /// which the shim rounds and this prints exactly): keys `tick`,
     /// `session`, `vantage`, `dst`, `ttl`, `proto`, `flow`, `attempt`,
     /// `outcome`, `from`, `phase`, `cause`, `timeout_cause`, `unreach`
-    /// in that order, `null` for absent values. Nothing is allocated
+    /// in that order, `null` for absent values. The line is put together
+    /// on the stack and appended in one copy; nothing is allocated
     /// beyond the growth of `out`.
     pub fn write_line(&self, out: &mut String) {
-        out.push_str("{\"tick\":");
-        line::uint(out, self.tick);
-        out.push_str(",\"session\":");
-        line::opt_uint(out, self.session);
-        out.push_str(",\"vantage\":");
-        line::addr(out, self.vantage);
-        out.push_str(",\"dst\":");
-        line::addr(out, self.dst);
-        out.push_str(",\"ttl\":");
-        line::uint(out, self.ttl.into());
-        out.push_str(",\"proto\":");
-        line::label(out, protocol_label(self.protocol));
-        out.push_str(",\"flow\":");
-        line::uint(out, self.flow.into());
-        out.push_str(",\"attempt\":");
-        line::uint(out, self.attempt.into());
-        out.push_str(",\"outcome\":");
-        line::label(out, self.outcome.label());
-        out.push_str(",\"from\":");
-        line::opt_addr(out, self.from);
-        out.push_str(",\"phase\":");
-        line::opt_label(out, self.phase.map(Phase::label));
-        out.push_str(",\"cause\":");
-        line::opt_label(out, self.cause.map(Cause::label));
-        out.push_str(",\"timeout_cause\":");
-        line::opt_label(out, self.timeout_cause.map(TimeoutCause::label));
-        out.push_str(",\"unreach\":");
-        line::opt_label(out, self.unreach.map(UnreachReason::label));
-        out.push('}');
+        self.render(out);
+    }
+
+    /// Appends the line to either kind of destination.
+    pub(crate) fn render(&self, out: &mut impl LineOut) {
+        let mut f = Fixed::new();
+        f.raw("{\"tick\":");
+        f.uint(self.tick);
+        f.raw(",\"session\":");
+        f.opt_uint(self.session);
+        f.raw(",\"vantage\":");
+        f.addr(self.vantage);
+        f.raw(",\"dst\":");
+        f.addr(self.dst);
+        f.raw(",\"ttl\":");
+        f.uint(self.ttl.into());
+        f.raw(",\"proto\":");
+        f.label(protocol_label(self.protocol));
+        f.raw(",\"flow\":");
+        f.uint(self.flow.into());
+        f.raw(",\"attempt\":");
+        f.uint(self.attempt.into());
+        f.raw(",\"outcome\":");
+        f.label(self.outcome.label());
+        f.raw(",\"from\":");
+        f.opt_addr(self.from);
+        f.raw(",\"phase\":");
+        f.opt_label(self.phase.map(Phase::label));
+        f.raw(",\"cause\":");
+        f.opt_label(self.cause.map(Cause::label));
+        f.raw(",\"timeout_cause\":");
+        f.opt_label(self.timeout_cause.map(TimeoutCause::label));
+        f.raw(",\"unreach\":");
+        f.opt_label(self.unreach.map(UnreachReason::label));
+        f.raw("}");
+        out.fixed(&f);
     }
 
     /// Reads an event back from its [`ProbeEvent::write_line`] rendering,

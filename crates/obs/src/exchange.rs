@@ -15,14 +15,17 @@
 //!    after the run, carrying the session's rendered `TraceReport` JSON
 //!    verbatim — the byte-identity oracle `tnet replay` checks against.
 //!
-//! Probe and decision lines are rendered by their types' line writers
-//! straight into a reused buffer, with no `serde_json::Value` in
-//! between. Their bytes are guaranteed identical to what the vendored
-//! `serde_json` shim prints for the same fields as a `Value`, so logs
-//! written before the writers existed and logs written now compare
-//! byte for byte. The header line still goes through `Value`; a
-//! report line is its fixed prefix, the report `Value` rendered once,
-//! and a closing brace.
+//! [`ExchangeWriter`] keeps one byte buffer and renders every line
+//! straight into it. A probe line, and a decision line up to its
+//! evidence, is put together on the stack and appended in one copy; the
+//! evidence is escaped into the buffer after it. Their bytes are
+//! guaranteed identical to what the vendored `serde_json` shim prints
+//! for the same fields as a `Value`, so logs written before the writers
+//! existed and logs written now compare byte for byte. The header line
+//! is the header's `Value`, printed once; a report line is its fixed
+//! prefix, the report `Value` printed into the buffer, and a closing
+//! brace. The buffer is handed to the underlying writer in chunks of
+//! 64 KiB, on [`ExchangeWriter::flush`] and when the writer is dropped.
 //!
 //! `tracenet record --out` and every `--trace-log` write this format,
 //! so any recorded run can be replayed, diffed and explained.
@@ -40,7 +43,7 @@
 
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::io::{self, BufWriter, Write};
+use std::io::{self, Write};
 use std::sync::{Arc, Mutex};
 
 use inet::Addr;
@@ -49,7 +52,6 @@ use wire::Protocol;
 
 use crate::decision::DecisionEvent;
 use crate::event::{protocol_from_label, protocol_label, ProbeEvent};
-use crate::line;
 use crate::read::{self, Key, Line};
 use crate::sink::EventSink;
 
@@ -144,60 +146,96 @@ impl ExchangeHeader {
     }
 }
 
+/// How many bytes [`ExchangeWriter`] collects before it hands them to
+/// its writer in one `write_all`.
+const CHUNK: usize = 64 * 1024;
+
 /// Writes an exchange log line by line. The header goes out at
 /// construction; probe/decision lines stream during the run; report
 /// lines are appended afterwards.
+///
+/// Every line is rendered straight into one byte buffer, which is handed
+/// to the writer whenever it holds 64 KiB, on
+/// [`flush`](ExchangeWriter::flush), and on drop.
 pub struct ExchangeWriter<W: Write + Send> {
-    writer: BufWriter<W>,
-    /// Scratch buffer each probe, decision or report line is rendered
-    /// into.
-    line: String,
+    /// Rendered lines not yet handed to `out`. Allocated at twice
+    /// `CHUNK`, so no line shorter than a chunk grows it.
+    buf: Vec<u8>,
+    out: W,
+    /// The first error `out` returned while taking a chunk, kept for
+    /// [`flush`](ExchangeWriter::flush) to report.
+    error: Option<io::Error>,
 }
 
 impl<W: Write + Send> ExchangeWriter<W> {
     /// Wraps a writer and writes the header line.
     pub fn new(writer: W, header: &ExchangeHeader) -> io::Result<ExchangeWriter<W>> {
-        let mut w = ExchangeWriter { writer: BufWriter::new(writer), line: String::new() };
-        writeln!(w.writer, "{}", header.to_json())?;
-        Ok(w)
+        let mut w = ExchangeWriter { buf: Vec::with_capacity(2 * CHUNK), out: writer, error: None };
+        serde_json::write_compact(&mut w.buf, &header.to_json());
+        w.end_line();
+        match w.error.take() {
+            Some(e) => Err(e),
+            None => Ok(w),
+        }
     }
 
     /// Writes one probe line (no `"type"` key).
     pub fn write_probe(&mut self, event: &ProbeEvent) {
-        self.line.clear();
-        event.write_line(&mut self.line);
-        self.write_scratch_line();
+        event.render(&mut self.buf);
+        self.end_line();
     }
 
     /// Writes one decision line.
     pub fn write_decision(&mut self, decision: &DecisionEvent) {
-        self.line.clear();
-        decision.write_line(&mut self.line);
-        self.write_scratch_line();
-    }
-
-    fn write_scratch_line(&mut self) {
-        self.line.push('\n');
-        // An unwritable log must not take the collection session down.
-        let _ = self.writer.write_all(self.line.as_bytes());
+        decision.render(&mut self.buf);
+        self.end_line();
     }
 
     /// Appends one session's rendered report, verbatim.
     pub fn write_report(&mut self, session: u64, report: &Value) {
-        // The wrapper is written around the report rendered once, so
-        // the report tree is never copied into a wrapping `Value`.
-        self.line.clear();
-        self.line.push_str(r#"{"type":"report","session":"#);
-        line::uint(&mut self.line, session);
-        self.line.push_str(r#","report":"#);
-        self.line.push_str(&serde_json::to_string(report));
-        self.line.push('}');
-        self.write_scratch_line();
+        // The wrapper is written around the report, so the report tree
+        // is never copied into a wrapping `Value`.
+        self.buf.extend_from_slice(br#"{"type":"report","session":"#);
+        serde_json::write_u64(&mut self.buf, session);
+        self.buf.extend_from_slice(br#","report":"#);
+        serde_json::write_compact(&mut self.buf, report);
+        self.buf.push(b'}');
+        self.end_line();
     }
 
-    /// Flushes buffered lines to the underlying writer.
+    fn end_line(&mut self) {
+        self.buf.push(b'\n');
+        if self.buf.len() >= CHUNK {
+            self.hand_over();
+        }
+    }
+
+    /// Hands the buffered lines to the writer. An unwritable log must
+    /// not take the collection session down, so a failure only drops
+    /// the lines and is kept for `flush` to report.
+    fn hand_over(&mut self) {
+        if let Err(e) = self.out.write_all(&self.buf) {
+            self.error.get_or_insert(e);
+        }
+        self.buf.clear();
+    }
+
+    /// Hands every buffered line to the writer and flushes it. Fails with
+    /// the first error the writer returned since the last flush, if any.
     pub fn flush(&mut self) -> io::Result<()> {
-        self.writer.flush()
+        self.hand_over();
+        match self.error.take() {
+            Some(e) => Err(e),
+            None => self.out.flush(),
+        }
+    }
+}
+
+impl<W: Write + Send> Drop for ExchangeWriter<W> {
+    /// Hands over what is still buffered, as a `BufWriter` does when it
+    /// is dropped; an error is ignored.
+    fn drop(&mut self) {
+        let _ = self.out.write_all(&self.buf);
     }
 }
 
@@ -420,6 +458,28 @@ mod tests {
         line
     }
 
+    /// A writer whose bytes stay readable while an `ExchangeWriter`
+    /// (or a sink sharing one) still owns it.
+    #[derive(Clone, Default)]
+    struct Shared(Arc<Mutex<Vec<u8>>>);
+
+    impl Shared {
+        fn text(&self) -> String {
+            String::from_utf8(self.0.lock().unwrap().clone()).unwrap()
+        }
+    }
+
+    impl Write for Shared {
+        fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(bytes);
+            Ok(bytes.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
     fn decision(session: u64) -> DecisionEvent {
         DecisionEvent {
             session: Some(session),
@@ -454,14 +514,15 @@ mod tests {
 
     #[test]
     fn write_then_parse_roundtrips_all_line_kinds() {
-        let mut w = ExchangeWriter::new(Vec::new(), &header()).unwrap();
+        let out = Shared::default();
+        let mut w = ExchangeWriter::new(out.clone(), &header()).unwrap();
         w.write_probe(&ev(0, 1));
         w.write_decision(&decision(0));
         w.write_probe(&ev(1, 2));
         w.write_report(0, &json!({"probes": 7}));
         w.write_report(1, &json!({"probes": 9}));
         w.flush().unwrap();
-        let text = String::from_utf8(w.writer.into_inner().unwrap()).unwrap();
+        let text = out.text();
 
         let log = ExchangeLog::parse(&text).unwrap();
         assert_eq!(log.header, header());
@@ -475,7 +536,8 @@ mod tests {
 
     #[test]
     fn per_session_lookups_match_a_filter_over_the_whole_log() {
-        let mut w = ExchangeWriter::new(Vec::new(), &header()).unwrap();
+        let out = Shared::default();
+        let mut w = ExchangeWriter::new(out.clone(), &header()).unwrap();
         let sessions = [2, 0, 2, 1, 0, 2, 7, 1];
         for (ttl, &session) in sessions.iter().enumerate() {
             w.write_probe(&ev(session, ttl as u8 + 1));
@@ -486,7 +548,7 @@ mod tests {
         w.write_report(0, &json!({"probes": 3}));
         w.write_report(1, &json!({"probes": 5}));
         w.flush().unwrap();
-        let text = String::from_utf8(w.writer.into_inner().unwrap()).unwrap();
+        let text = out.text();
         let log = ExchangeLog::parse(&text).unwrap();
 
         let lines: Vec<&str> = text.lines().skip(1).collect();
@@ -517,28 +579,77 @@ mod tests {
 
     #[test]
     fn exchange_sink_interleaves_probes_and_decisions() {
-        let writer = Arc::new(Mutex::new(ExchangeWriter::new(Vec::new(), &header()).unwrap()));
+        let out = Shared::default();
+        let writer = Arc::new(Mutex::new(ExchangeWriter::new(out.clone(), &header()).unwrap()));
         let handle = SinkHandle::new(ExchangeSink::new(Arc::clone(&writer)));
         handle.emit(&ev(0, 1));
         handle.emit_decision(&decision(0));
+        assert_eq!(out.text(), "", "lines stay buffered until a flush");
         handle.flush().unwrap();
+        let flushed = out.text();
+        assert_eq!(flushed.lines().count(), 3, "the sink's flush hands over every line");
         writer.lock().unwrap().write_report(0, &json!({"probes": 1}));
         writer.lock().unwrap().flush().unwrap();
 
-        // The Arc is still shared with the handle; render through it.
-        let text = {
-            let mut guard = writer.lock().unwrap();
-            guard.flush().unwrap();
-            let buffered = guard.writer.buffer().to_vec();
-            assert!(buffered.is_empty(), "flush drained the buffer");
-            drop(guard);
-            // Reconstruct from the inner Vec via get_ref.
-            String::from_utf8(writer.lock().unwrap().writer.get_ref().clone()).unwrap()
-        };
+        let text = out.text();
+        assert!(text.starts_with(&flushed));
         let log = ExchangeLog::parse(&text).unwrap();
         assert_eq!(log.event_total(), 1);
         assert_eq!(log.decisions_for(0).count(), 1);
         assert_eq!(log.reports.len(), 1);
+    }
+
+    #[test]
+    fn full_chunks_are_handed_over_and_the_rest_on_drop() {
+        let out = Shared::default();
+        let mut w = ExchangeWriter::new(out.clone(), &header()).unwrap();
+        let line = probe_line(&ev(0, 1)).len() + 1;
+        let mut written = out.text().len();
+        let mut lines = 0;
+        while written == 0 {
+            w.write_probe(&ev(0, 1));
+            lines += 1;
+            written = out.text().len();
+        }
+        assert!(written >= CHUNK, "a chunk goes out whole ({written} bytes)");
+        assert!(written < CHUNK + line, "and as soon as it is full ({written} bytes)");
+        w.write_probe(&ev(0, 2));
+        assert_eq!(out.text().len(), written, "the next line waits for the next chunk");
+        drop(w);
+        let text = out.text();
+        let log = ExchangeLog::parse(&text).unwrap();
+        assert_eq!(log.event_total(), lines + 1, "dropping the writer handed over the rest");
+    }
+
+    /// A writer that fails every write.
+    struct Broken;
+
+    impl Write for Broken {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(io::Error::other("disk full"))
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_failed_hand_over_is_reported_by_the_next_flush() {
+        let mut w = ExchangeWriter::new(Broken, &header()).unwrap();
+        w.write_probe(&ev(0, 1));
+        assert_eq!(w.flush().unwrap_err().to_string(), "disk full");
+        assert!(w.flush().is_ok(), "nothing is left to hand over");
+        while w.buf.len() < CHUNK - 512 {
+            w.write_probe(&ev(0, 1));
+        }
+        // These lines fill the chunk; handing it over fails and drops
+        // them, and the session goes on.
+        for _ in 0..4 {
+            w.write_probe(&ev(0, 1));
+        }
+        assert!(w.buf.len() < CHUNK);
+        assert_eq!(w.flush().unwrap_err().to_string(), "disk full");
     }
 
     #[test]

@@ -18,9 +18,9 @@
 //!   indexed by an [`exchange::ExchangeLog`] for deterministic replay
 //!   and run diffing. Probe and decision lines come from one writer per
 //!   type, [`ProbeEvent::write_line`] and [`DecisionEvent::write_line`],
-//!   which append straight to a reused buffer; their bytes are identical
-//!   to the vendored `serde_json` shim's rendering of the same fields as
-//!   a `Value`. They are read back by [`ProbeEvent::read_line`] and
+//!   whose fields the exchange writer renders straight into its one
+//!   byte buffer; their bytes are identical to the vendored `serde_json`
+//!   shim's rendering of the same fields as a `Value`. They are read back by [`ProbeEvent::read_line`] and
 //!   [`DecisionEvent::read_line`], which build no `Value`.
 //! - [`sink::EventSink`] — pluggable event consumers:
 //!   [`exchange::ExchangeSink`] (the flight recorder, and what

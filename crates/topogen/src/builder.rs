@@ -103,12 +103,9 @@ impl NetBuilder {
     /// Attaches a LAN to `gateway`: the gateway takes the first usable
     /// address; `leaf_members` further addresses are hosted by fresh leaf
     /// routers (`leaf_cfg`), packed `ifaces_per_leaf` interfaces per
-    /// router so large LANs stay cheap to route.
-    ///
-    /// `alive` marks which members respond to direct probes (index 0 is
-    /// the gateway; the vector may be shorter than the member count, the
-    /// tail defaulting to responsive). Members are assigned the first
-    /// usable addresses in order.
+    /// router so large LANs stay cheap to route. Every member responds
+    /// to direct probes. Members are assigned the first usable addresses
+    /// in order.
     ///
     /// Returns the member addresses (gateway first).
     #[allow(clippy::too_many_arguments)]
@@ -119,7 +116,6 @@ impl NetBuilder {
         leaf_members: usize,
         ifaces_per_leaf: usize,
         leaf_cfg: RouterConfig,
-        alive: &[bool],
         intent: SubnetIntent,
         network: &str,
     ) -> Vec<Addr> {
@@ -129,22 +125,18 @@ impl NetBuilder {
         let mut members = Vec::with_capacity(leaf_members + 1);
 
         let gw_addr = addrs.next().expect("LAN has room for a gateway");
-        let gw_alive = alive.first().copied().unwrap_or(true);
-        self.b.attach_with(gateway, sid, gw_addr, gw_alive).expect("gateway attach");
+        self.b.attach(gateway, sid, gw_addr).expect("gateway attach");
         members.push(gw_addr);
 
         let mut leaf: Option<RouterId> = None;
         let mut on_leaf = 0usize;
-        for (k, addr) in addrs.by_ref().take(leaf_members).enumerate() {
+        for addr in addrs.by_ref().take(leaf_members) {
             if leaf.is_none() || on_leaf >= ifaces_per_leaf {
                 self.leaf_counter += 1;
                 leaf = Some(self.b.router(format!("leaf{}", self.leaf_counter), leaf_cfg));
                 on_leaf = 0;
             }
-            let is_alive = alive.get(k + 1).copied().unwrap_or(true);
-            self.b
-                .attach_with(leaf.expect("just created"), sid, addr, is_alive)
-                .expect("leaf attach");
+            self.b.attach(leaf.expect("just created"), sid, addr).expect("leaf attach");
             on_leaf += 1;
             members.push(addr);
         }
@@ -256,7 +248,6 @@ mod tests {
             9,
             4,
             RouterConfig::cooperative(),
-            &[],
             SubnetIntent::Normal,
             "t",
         );
@@ -269,28 +260,6 @@ mod tests {
     }
 
     #[test]
-    fn lan_respects_aliveness_mask() {
-        let mut nb = NetBuilder::new();
-        let gw = nb.router("gw", RouterConfig::cooperative());
-        let members = nb.lan(
-            gw,
-            p("10.0.1.0/29"),
-            3,
-            1,
-            RouterConfig::cooperative(),
-            &[true, false, true, false],
-            SubnetIntent::Partial,
-            "t",
-        );
-        let (topo, _) = nb.finish();
-        let dead: Vec<bool> = members
-            .iter()
-            .map(|&m| !topo.iface(topo.iface_by_addr(m).unwrap()).responsive)
-            .collect();
-        assert_eq!(dead, vec![false, true, false, true]);
-    }
-
-    #[test]
     fn filtered_intent_marks_subnet() {
         let mut nb = NetBuilder::new();
         let gw = nb.router("gw", RouterConfig::cooperative());
@@ -300,7 +269,6 @@ mod tests {
             2,
             1,
             RouterConfig::cooperative(),
-            &[],
             SubnetIntent::Filtered,
             "t",
         );
@@ -320,7 +288,6 @@ mod tests {
             10,
             1,
             RouterConfig::cooperative(),
-            &[],
             SubnetIntent::Normal,
             "t",
         );

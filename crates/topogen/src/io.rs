@@ -42,7 +42,7 @@
 use std::borrow::Cow;
 use std::fmt;
 
-use inet::{Addr, Prefix};
+use inet::{Addr, Dotted, Prefix};
 use netsim::{
     LbMode, ProtoSet, RateLimit, ResponsePolicy, RouterConfig, RouterId, SubnetId, TopologyBuilder,
 };
@@ -205,26 +205,17 @@ impl Pretty {
 
     /// A dotted quad needs no escapes, so it is printed in place.
     fn addr(&mut self, a: Addr) {
-        self.out.push('"');
-        self.quad(a);
-        self.out.push('"');
+        self.quoted(a.dotted());
     }
 
     fn prefix(&mut self, p: Prefix) {
-        self.out.push('"');
-        self.quad(p.network());
-        self.out.push('/');
-        write_u64(&mut self.out, p.len().into());
-        self.out.push('"');
+        self.quoted(p.dotted());
     }
 
-    fn quad(&mut self, a: Addr) {
-        for (i, octet) in a.octets().into_iter().enumerate() {
-            if i > 0 {
-                self.out.push('.');
-            }
-            write_u64(&mut self.out, octet.into());
-        }
+    fn quoted(&mut self, text: Dotted) {
+        self.out.push('"');
+        self.out.push_str(text.as_str());
+        self.out.push('"');
     }
 
     fn config(&mut self, c: &RouterConfig) {

@@ -446,7 +446,7 @@ fn build_isp(
         let gw = host.unwrap_or(pop_cores[k % isp.pops].0);
         let filtered = rng.gen_bool(0.4);
         let intent = if filtered { SubnetIntent::Filtered } else { SubnetIntent::Normal };
-        let members = nb.lan(gw, prefix, 215, 16, draw_config(rng, isp), &[], intent, net);
+        let members = nb.lan(gw, prefix, 215, 16, draw_config(rng, isp), intent, net);
         if !filtered {
             // Dense LANs contribute only a handful of sampleable targets;
             // tracing hundreds of hosts on one LAN adds nothing.
@@ -468,7 +468,6 @@ fn build_isp(
                 capacity * 17 / 20,
                 48,
                 draw_config(rng, isp),
-                &[],
                 SubnetIntent::Normal,
                 net,
             );
@@ -516,7 +515,7 @@ fn add_lan(
         SubnetIntent::Partial => rng.gen_range(2..=4),
         _ => (capacity * 17 / 20).max(5),
     };
-    let members = nb.lan(gw, prefix, total - 1, 4, draw_config(rng, isp), &[], intent, &isp.name);
+    let members = nb.lan(gw, prefix, total - 1, 4, draw_config(rng, isp), intent, &isp.name);
     maybe_scope(nb, rng, vantages);
     lan_hosts.push(gw);
     if intent != SubnetIntent::Filtered {

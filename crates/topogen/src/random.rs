@@ -55,16 +55,8 @@ pub fn random_topology(seed: u64, size: usize) -> Scenario {
             let dense = rng.gen_bool(0.6);
             let total = if dense { (capacity * 17 / 20).max(5) } else { rng.gen_range(2..=4) };
             let intent = if dense { SubnetIntent::Normal } else { SubnetIntent::Partial };
-            let members = nb.lan(
-                parent,
-                prefix,
-                total - 1,
-                4,
-                RouterConfig::cooperative(),
-                &[],
-                intent,
-                "random",
-            );
+            let members =
+                nb.lan(parent, prefix, total - 1, 4, RouterConfig::cooperative(), intent, "random");
             targets.push(members[members.len() / 2]);
         }
     }

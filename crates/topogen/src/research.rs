@@ -222,16 +222,8 @@ pub fn research_net(spec: ResearchNetSpec) -> Scenario {
             };
             let leaf_members = total_members - 1;
             let chunk = (leaf_members / 6).clamp(1, 16);
-            let addrs = nb.lan(
-                gw,
-                prefix,
-                leaf_members,
-                chunk,
-                RouterConfig::cooperative(),
-                &[],
-                intent,
-                &net,
-            );
+            let addrs =
+                nb.lan(gw, prefix, leaf_members, chunk, RouterConfig::cooperative(), intent, &net);
             // Target: "selecting a random IP address from each of their
             // original subnets" — drawn from the announced members (the
             // paper derived the networks' real address assignments from

@@ -73,23 +73,6 @@ impl GroundTruth {
     pub fn containing(&self, addr: Addr) -> Option<&GtSubnet> {
         self.subnets.iter().find(|s| s.prefix.contains(addr))
     }
-
-    /// Serializes to a JSON string (prefixes and addresses as text).
-    pub fn to_json(&self) -> String {
-        let subnets: Vec<serde_json::Value> = self
-            .subnets
-            .iter()
-            .map(|s| {
-                serde_json::json!({
-                    "prefix": s.prefix.to_string(),
-                    "members": s.members.iter().map(|m| m.to_string()).collect::<Vec<_>>(),
-                    "intent": s.intent.label(),
-                    "network": s.network,
-                })
-            })
-            .collect();
-        serde_json::json!({ "subnets": subnets }).to_string()
-    }
 }
 
 /// A generated experiment environment.
@@ -158,14 +141,5 @@ mod tests {
         let s = g.containing("10.0.0.2".parse().unwrap()).unwrap();
         assert_eq!(s.prefix.to_string(), "10.0.0.0/30");
         assert!(g.containing("99.0.0.1".parse().unwrap()).is_none());
-    }
-
-    #[test]
-    fn json_round_trip_shape() {
-        let text = gt().to_json();
-        let v: serde_json::Value = serde_json::from_str(&text).unwrap();
-        assert_eq!(v["subnets"].as_array().unwrap().len(), 2);
-        assert_eq!(v["subnets"][0]["prefix"], "10.0.0.0/30");
-        assert_eq!(v["subnets"][1]["intent"], "infrastructure");
     }
 }
