@@ -2,11 +2,16 @@
 //! ECMP `next_hops` lookup (a router's adjacency filtered by a
 //! destination's distance column, no per-call allocation; every column
 //! is built by the first sweep, so the timed iterations read built
-//! columns only) and `inject` through the concurrent engine handle.
+//! columns only), `inject` through the concurrent engine handle, a whole
+//! wire attempt through `SimProber::probe` (encode, `inject_bytes`,
+//! classify), and the 4-ISP internet's probes to addresses no interface
+//! holds.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use inet::Addr;
 use netsim::{ConcurrentNetwork, RoutingTable};
-use topogen::internet2;
+use probe::{Prober, Protocol, SharedNetwork};
+use topogen::{internet2, isp_internet};
 use wire::builder::icmp_probe;
 
 fn bench_hot_path(c: &mut Criterion) {
@@ -50,6 +55,46 @@ fn bench_hot_path(c: &mut Criterion) {
         b.iter(|| {
             for seq in 0..64u16 {
                 black_box(net.inject(&icmp_probe(vantage, target, 3, 1, seq)));
+            }
+        })
+    });
+
+    // One wire attempt per probe: the prober encodes into its stack
+    // buffer, the engine decodes and walks, the prober validates the
+    // reply. Direct and TTL-scoped probes alternate.
+    let shared = SharedNetwork::new(scenario.topology.clone());
+    let mut prober = shared.prober(vantage, Protocol::Icmp);
+    g.bench_function("probe_round_trip", |b| {
+        b.iter(|| {
+            for k in 0..64u8 {
+                black_box(prober.probe(black_box(target), if k % 2 == 0 { 64 } else { 3 }));
+            }
+        })
+    });
+
+    // Exploration's misses on the 4-ISP internet: unassigned addresses
+    // inside subnets (resolved to the subnet's ingress, then silent or
+    // host unreachable) and addresses just past a subnet that no prefix
+    // holds (no route).
+    let isp = isp_internet(2010);
+    let topo = &isp.topology;
+    let vantage = isp.vantages[0].1;
+    let mut unassigned: Vec<Addr> = Vec::new();
+    for s in topo.subnets() {
+        let inside = s.prefix.probe_addrs().find(|&a| topo.iface_by_addr(a).is_none());
+        let outside =
+            s.prefix.broadcast().checked_add(1).filter(|&a| topo.subnet_containing(a).is_none());
+        unassigned.extend(inside.into_iter().chain(outside));
+        if unassigned.len() >= 64 {
+            break;
+        }
+    }
+    let net = ConcurrentNetwork::new(isp.topology.clone());
+    let probes: Vec<_> = unassigned.iter().map(|&dst| icmp_probe(vantage, dst, 64, 1, 1)).collect();
+    g.bench_function("inject_unassigned_isp", |b| {
+        b.iter(|| {
+            for p in &probes {
+                black_box(net.inject(black_box(p)));
             }
         })
     });

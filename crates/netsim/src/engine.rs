@@ -53,7 +53,7 @@ use crate::events::SilenceReason;
 use crate::fault::{mix, FaultPlan};
 use crate::policy::{LbMode, ResponsePolicy};
 use crate::routing::RoutingTable;
-use crate::topology::{RouterId, SubnetId, Topology};
+use crate::topology::{IfaceId, RouterId, SubnetId, Topology};
 
 /// Maximum routers a walk may traverse before being declared lost; above
 /// any real topology diameter, below pathological looping.
@@ -84,6 +84,15 @@ impl Verdict {
             Verdict::Silent(r) => Some(*r),
         }
     }
+}
+
+/// Where a probe's destination address lies, resolved once per walk.
+#[derive(Clone, Copy)]
+enum Dest {
+    /// An interface holds the address.
+    Iface(IfaceId),
+    /// No interface holds it; this subnet's prefix contains it.
+    Unassigned(SubnetId),
 }
 
 #[derive(Clone, Copy, Default)]
@@ -254,7 +263,8 @@ impl ConcurrentNetwork {
         };
         let dst = probe.header.dst;
 
-        // Resolve the routing target once per walk. An assigned address
+        // Resolve the destination and the routing target once per walk;
+        // `deliver` reuses the resolved destination. An assigned address
         // routes to the router owning it; an unassigned one to its
         // subnet's ingress as seen from the origin. A neighbor's distance
         // to any router differs from ours by at most one, so the attached
@@ -262,12 +272,12 @@ impl ConcurrentNetwork {
         // at every hop of a shortest walk toward it: a per-hop lookup
         // would name the same router, and the walk meets no other
         // attached router on the way.
-        let assigned_iface = self.topo.iface_by_addr(dst);
-        let target = match assigned_iface {
-            Some(ifid) => Some(self.topo.iface(ifid).router),
-            None => {
-                self.topo.subnet_containing(dst).and_then(|sn| self.routing.ingress(origin, sn))
-            }
+        let (dest, target) = if let Some(ifid) = self.topo.iface_by_addr(dst) {
+            (Dest::Iface(ifid), Some(self.topo.iface(ifid).router))
+        } else if let Some(sn) = self.topo.subnet_containing(dst) {
+            (Dest::Unassigned(sn), self.routing.ingress(origin, sn))
+        } else {
+            return Verdict::Silent(SilenceReason::NoRoute);
         };
         let Some(target) = target else {
             return Verdict::Silent(SilenceReason::NoRoute);
@@ -284,7 +294,7 @@ impl ConcurrentNetwork {
         for step in 0..MAX_WALK {
             // 1. Delivery check (before TTL processing, as real stacks do).
             if current == target {
-                return self.deliver(probe, current, prev_subnet, origin, assigned_iface, tick);
+                return self.deliver(probe, current, prev_subnet, origin, dest, tick);
             }
 
             // 2. TTL decrement — but not at the originating host itself.
@@ -354,43 +364,46 @@ impl ConcurrentNetwork {
     }
 
     /// Direct delivery: the probe reached the router owning its
-    /// destination (or the destination subnet, for unassigned addresses).
+    /// destination (or the destination subnet's ingress, for unassigned
+    /// addresses).
     fn deliver(
         &self,
         probe: &Packet,
         at: RouterId,
         prev_subnet: Option<SubnetId>,
         origin: RouterId,
-        assigned_iface: Option<crate::topology::IfaceId>,
+        dest: Dest,
         tick: u64,
     ) -> Verdict {
         let proto = probe.header.protocol;
         let config = self.topo.router(at).config;
 
-        let blocked = |sn: &crate::topology::Subnet| {
+        let blocked = |sn: SubnetId| {
+            let sn = self.topo.subnet(sn);
             sn.filtered || sn.filtered_sources.contains(&probe.header.src)
         };
-        let Some(ifid) = assigned_iface else {
-            // Unassigned address inside an attached subnet.
-            let sn =
-                self.topo.subnet_containing(probe.header.dst).expect("delivery implies subnet");
-            if blocked(self.topo.subnet(sn)) {
-                return Verdict::Silent(SilenceReason::Filtered);
+        let ifid = match dest {
+            Dest::Iface(ifid) => ifid,
+            Dest::Unassigned(sn) => {
+                if blocked(sn) {
+                    return Verdict::Silent(SilenceReason::Filtered);
+                }
+                if !config.unreachable_replies {
+                    return Verdict::Silent(SilenceReason::Unassigned);
+                }
+                let Some(src) = self.reply_src(config.indirect, at, prev_subnet, origin, None)
+                else {
+                    return Verdict::Silent(SilenceReason::PolicySilence);
+                };
+                if !self.take_token(at, tick) {
+                    return Verdict::Silent(SilenceReason::RateLimited);
+                }
+                return Verdict::Reply(builder::unreachable(probe, src, UnreachableCode::Host));
             }
-            if !config.unreachable_replies {
-                return Verdict::Silent(SilenceReason::Unassigned);
-            }
-            let Some(src) = self.reply_src(config.indirect, at, prev_subnet, origin, None) else {
-                return Verdict::Silent(SilenceReason::PolicySilence);
-            };
-            if !self.take_token(at, tick) {
-                return Verdict::Silent(SilenceReason::RateLimited);
-            }
-            return Verdict::Reply(builder::unreachable(probe, src, UnreachableCode::Host));
         };
 
-        let iface = self.topo.iface(ifid).clone();
-        if blocked(self.topo.subnet(iface.subnet)) {
+        let iface = self.topo.iface(ifid);
+        if blocked(iface.subnet) {
             return Verdict::Silent(SilenceReason::Filtered);
         }
         if !iface.responsive || !config.direct_protos.allows(proto) {

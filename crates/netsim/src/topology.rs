@@ -82,13 +82,14 @@ pub struct Topology {
     routers: Vec<Router>,
     ifaces: Vec<Iface>,
     subnets: Vec<Subnet>,
-    by_addr: HashMap<Addr, IfaceId>,
-    by_prefix: HashMap<Prefix, SubnetId>,
+    /// Every subnet's address range `(network, broadcast, id)`, sorted by
+    /// network address. [`TopologyBuilder::build`] rejects overlapping
+    /// prefixes, so at most one span holds any address.
+    spans: Vec<(Addr, Addr, SubnetId)>,
+    /// Every interface address with its id, in address order.
+    addrs: Vec<(Addr, IfaceId)>,
     /// Name → id, first declaration wins (built in [`TopologyBuilder::build`]).
     by_name: HashMap<String, RouterId>,
-    /// Distinct prefix lengths present, descending — longest-prefix match
-    /// probes these in order.
-    prefix_lens: Vec<u8>,
 }
 
 impl Topology {
@@ -127,22 +128,25 @@ impl Topology {
         self.routers.len()
     }
 
-    /// Looks up the interface assigned `addr`, if any.
+    /// Looks up the interface assigned `addr`, if any: one binary search
+    /// of the sorted interface addresses.
     pub fn iface_by_addr(&self, addr: Addr) -> Option<IfaceId> {
-        self.by_addr.get(&addr).copied()
+        let i = self.addrs.partition_point(|&(a, _)| a < addr);
+        self.addrs.get(i).filter(|&&(a, _)| a == addr).map(|&(_, id)| id)
     }
 
     /// Looks up a subnet by its exact prefix.
     pub fn subnet_by_prefix(&self, prefix: Prefix) -> Option<SubnetId> {
-        self.by_prefix.get(&prefix).copied()
+        self.subnet_containing(prefix.network()).filter(|&id| self.subnet(id).prefix == prefix)
     }
 
-    /// Longest-prefix match: the most specific subnet whose prefix
-    /// contains `addr`.
+    /// The subnet containing `addr`, if any: one binary search of the
+    /// sorted subnet spans (prefixes never overlap, so there is at most
+    /// one).
     pub fn subnet_containing(&self, addr: Addr) -> Option<SubnetId> {
-        self.prefix_lens
-            .iter()
-            .find_map(|&len| self.by_prefix.get(&Prefix::containing(addr, len)).copied())
+        let i = self.spans.partition_point(|&(network, _, _)| network <= addr);
+        let &(_, broadcast, id) = self.spans.get(i.checked_sub(1)?)?;
+        (addr <= broadcast).then_some(id)
     }
 
     /// The router hosting `addr`, if assigned.
@@ -227,6 +231,9 @@ impl Error for TopologyError {}
 #[derive(Clone, Debug, Default)]
 pub struct TopologyBuilder {
     topo: Topology,
+    /// Addresses attached so far, for the [`TopologyError::DuplicateAddr`]
+    /// check at attach time.
+    assigned: HashSet<Addr>,
 }
 
 impl TopologyBuilder {
@@ -309,12 +316,11 @@ impl TopologyBuilder {
         if sn.prefix.is_boundary(addr) {
             return Err(TopologyError::BoundaryAddr(addr, sn.prefix));
         }
-        if self.topo.by_addr.contains_key(&addr) {
+        if !self.assigned.insert(addr) {
             return Err(TopologyError::DuplicateAddr(addr));
         }
         let id = IfaceId(self.topo.ifaces.len() as u32);
         self.topo.ifaces.push(Iface { router, subnet, addr, responsive });
-        self.topo.by_addr.insert(addr, id);
         self.topo.routers[router.0 as usize].ifaces.push(id);
         self.topo.subnets[subnet.0 as usize].ifaces.push(id);
         Ok(id)
@@ -328,31 +334,35 @@ impl TopologyBuilder {
 
     /// Validates and freezes the topology.
     pub fn build(mut self) -> Result<Topology, TopologyError> {
-        // Unique, non-overlapping prefixes.
-        let mut seen: HashSet<Prefix> = HashSet::with_capacity(self.topo.subnets.len());
-        for s in &self.topo.subnets {
-            if !seen.insert(s.prefix) {
-                return Err(TopologyError::DuplicatePrefix(s.prefix));
-            }
-        }
-        let mut sorted: Vec<Prefix> = self.topo.subnets.iter().map(|s| s.prefix).collect();
-        sorted.sort_unstable_by_key(|p| (p.network(), p.len()));
-        for w in sorted.windows(2) {
-            if w[0].covers(w[1]) || w[1].covers(w[0]) {
-                return Err(TopologyError::OverlappingPrefixes(w[0], w[1]));
-            }
-        }
-        self.topo.by_prefix = self
+        // Unique, non-overlapping prefixes, checked on one sort that also
+        // yields the span index. The duplicate reported is the one the
+        // earliest declaration repeats, as a scan in declaration order
+        // finds it: the second-lowest id of each group of equal prefixes,
+        // lowest over all groups.
+        let mut sorted: Vec<(Prefix, SubnetId)> = self
             .topo
             .subnets
             .iter()
             .enumerate()
             .map(|(i, s)| (s.prefix, SubnetId(i as u32)))
             .collect();
-        let mut lens: Vec<u8> = self.topo.subnets.iter().map(|s| s.prefix.len()).collect();
-        lens.sort_unstable_by(|a, b| b.cmp(a));
-        lens.dedup();
-        self.topo.prefix_lens = lens;
+        sorted.sort_unstable();
+        let repeat = sorted.windows(2).filter(|w| w[0].0 == w[1].0).map(|w| w[1].1).min();
+        if let Some(id) = repeat {
+            return Err(TopologyError::DuplicatePrefix(self.topo.subnet(id).prefix));
+        }
+        for w in sorted.windows(2) {
+            let (a, b) = (w[0].0, w[1].0);
+            if a.covers(b) || b.covers(a) {
+                return Err(TopologyError::OverlappingPrefixes(a, b));
+            }
+        }
+        self.topo.spans =
+            sorted.into_iter().map(|(p, id)| (p.network(), p.broadcast(), id)).collect();
+        let mut addrs: Vec<(Addr, IfaceId)> =
+            self.topo.ifaces.iter().enumerate().map(|(i, f)| (f.addr, IfaceId(i as u32))).collect();
+        addrs.sort_unstable();
+        self.topo.addrs = addrs;
         // Name index; entry() keeps the first declaration on duplicates,
         // matching the linear scan this map replaces.
         for (i, r) in self.topo.routers.iter().enumerate() {
@@ -445,6 +455,17 @@ mod tests {
     }
 
     #[test]
+    fn duplicate_prefix_reported_is_the_first_repeat_declared() {
+        // 10.2.0.0/30 repeats at the third declaration, 10.1.0.0/30 only
+        // at the fourth, though it sorts first.
+        let mut b = TopologyBuilder::new();
+        for s in ["10.1.0.0/30", "10.2.0.0/30", "10.2.0.0/30", "10.1.0.0/30"] {
+            b.subnet(p(s));
+        }
+        assert_eq!(b.build().err(), Some(TopologyError::DuplicatePrefix(p("10.2.0.0/30"))));
+    }
+
+    #[test]
     fn rejects_dangling_references() {
         let mut b = TopologyBuilder::new();
         let s = b.subnet(p("10.0.0.0/30"));
@@ -484,10 +505,9 @@ mod tests {
     }
 
     #[test]
-    fn longest_prefix_match_probes_lengths_most_specific_first() {
-        // Nested-looking lengths across disjoint ranges: the probe order
-        // /30, /24, /16 must find the most specific container even when a
-        // wider prefix also exists at another length.
+    fn subnet_containing_finds_prefixes_of_every_length() {
+        // Disjoint /16, /24 and /30 ranges: each address resolves to the
+        // one span that holds it, whatever its prefix length.
         let mut b = TopologyBuilder::new();
         let r = b.router("r", RouterConfig::cooperative());
         let p16 = b.subnet(p("10.16.0.0/16"));
@@ -504,7 +524,7 @@ mod tests {
     }
 
     #[test]
-    fn longest_prefix_match_prefers_specific() {
+    fn subnet_containing_tells_wide_and_narrow_subnets_apart() {
         let mut b = TopologyBuilder::new();
         let r = b.router("r", RouterConfig::cooperative());
         let wide = b.subnet(p("10.1.0.0/24"));

@@ -184,6 +184,114 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The sorted address index answers `subnet_containing`,
+    /// `subnet_by_prefix`, `iface_by_addr` and `owner_of` exactly as a
+    /// linear scan of `subnets()` and `ifaces()` does: for addresses
+    /// inside subnets, at their network and broadcast addresses, just
+    /// outside them (between adjacent subnets), in /31 and /32 prefixes,
+    /// at 0.0.0.0 and 255.255.255.255, and anywhere else.
+    #[test]
+    fn address_index_matches_a_linear_scan(seed in any::<u64>()) {
+        let (topo, mut probes) = random_prefixes(seed);
+        probes.extend([Addr::from_u32(0), Addr::from_u32(u32::MAX)]);
+        probes.extend(topo.ifaces().iter().map(|i| i.addr));
+        for s in topo.subnets() {
+            let (lo, hi) = (s.prefix.network().to_u32(), s.prefix.broadcast().to_u32());
+            let inside = lo + (hi - lo) / 2;
+            probes.extend([lo, inside, hi, lo.wrapping_sub(1), hi.wrapping_add(1)].map(Addr::from_u32));
+        }
+        for &addr in &probes {
+            let subnet = topo
+                .subnets()
+                .iter()
+                .position(|s| s.prefix.contains(addr))
+                .map(|i| SubnetId(i as u32));
+            prop_assert_eq!(topo.subnet_containing(addr), subnet, "{}", addr);
+            let iface = topo.ifaces().iter().position(|i| i.addr == addr);
+            prop_assert_eq!(topo.iface_by_addr(addr).map(|i| i.0 as usize), iface, "{}", addr);
+            let owner = iface.map(|i| topo.ifaces()[i].router);
+            prop_assert_eq!(topo.owner_of(addr), owner, "{}", addr);
+        }
+        for (i, s) in topo.subnets().iter().enumerate() {
+            prop_assert_eq!(topo.subnet_by_prefix(s.prefix), Some(SubnetId(i as u32)));
+            for other in [s.prefix.parent(), s.prefix.halves().map(|(l, _)| l)].into_iter().flatten() {
+                let want = topo.subnets().iter().position(|t| t.prefix == other);
+                prop_assert_eq!(topo.subnet_by_prefix(other).map(|id| id.0 as usize), want);
+            }
+        }
+    }
+}
+
+/// Random non-overlapping prefixes of lengths /8 to /32, some at either
+/// end of the address space and some adjacent to each other, each with a
+/// few interfaces on a handful of routers. Returns the topology and some
+/// random addresses to look up.
+fn random_prefixes(seed: u64) -> (Topology, Vec<Addr>) {
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut prefixes: Vec<Prefix> = Vec::new();
+    let add = |p: Prefix, prefixes: &mut Vec<Prefix>| {
+        if !prefixes.iter().any(|q| q.covers(p) || p.covers(*q)) {
+            prefixes.push(p);
+        }
+    };
+    let len = |rng: &mut SmallRng| match rng.gen_range(0..4) {
+        0 => rng.gen_range(8..=32u8),
+        1 => 31,
+        2 => 32,
+        _ => rng.gen_range(24..=30u8),
+    };
+    for _ in 0..rng.gen_range(1..24) {
+        let l = len(&mut rng);
+        let base = match rng.gen_range(0..8) {
+            0 => 0,
+            1 => u32::MAX,
+            _ => rng.gen::<u32>(),
+        };
+        let p = Prefix::containing(Addr::from_u32(base), l);
+        add(p, &mut prefixes);
+        // Sometimes the next prefix of the same length right after it.
+        if rng.gen_bool(0.5) {
+            if let Some(next) = p.broadcast().checked_add(1) {
+                add(Prefix::containing(next, l), &mut prefixes);
+            }
+        }
+    }
+    let mut b = TopologyBuilder::new();
+    let routers: Vec<RouterId> =
+        (0..4).map(|i| b.router(format!("r{i}"), RouterConfig::cooperative())).collect();
+    for p in prefixes {
+        let s = b.subnet(p);
+        let hosts: Vec<Addr> = match p.len() {
+            32 => vec![p.network()],
+            31 => vec![p.network(), p.broadcast()],
+            _ => {
+                let span = p.size() - 2;
+                let mut v: Vec<Addr> = (0..rng.gen_range(0..4))
+                    .map(|_| {
+                        Addr::from_u32(p.network().to_u32() + 1 + rng.gen_range(0..span) as u32)
+                    })
+                    .collect();
+                v.sort_unstable();
+                v.dedup();
+                v
+            }
+        };
+        for addr in hosts {
+            if rng.gen_bool(0.8) {
+                b.attach(routers[rng.gen_range(0..routers.len())], s, addr).unwrap();
+            }
+        }
+    }
+    let probes = (0..64).map(|_| Addr::from_u32(rng.gen())).collect();
+    (b.build().expect("non-overlapping prefixes build"), probes)
+}
+
 /// Builds a small random mesh: a vantage host, a row of core routers in a
 /// ring, and random /29–/31 stub subnets hanging off them. Returns the
 /// topology and the vantage address.

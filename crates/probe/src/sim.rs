@@ -3,9 +3,11 @@
 //!
 //! Every probe is encoded to real wire bytes, injected into the
 //! simulator, and the reply is *validated* the way a live prober must: an
-//! echo reply only counts if it carries this session's identifier, and an
-//! ICMP error only counts if the quoted datagram matches the probe that
-//! was sent. Stray or forged replies are treated as silence.
+//! echo reply only counts if it carries the probe's identifier and
+//! sequence number, and an ICMP error only counts if the quoted datagram
+//! matches the probe that was sent. Stray or forged replies are treated
+//! as silence. The probe is encoded into a stack buffer, so a wire
+//! attempt allocates nothing.
 //!
 //! The paper's cross-validation experiment (§4.2, Figure 6) runs the same
 //! target list from three PlanetLab sites against the *same* Internet.
@@ -23,7 +25,10 @@ use std::time::Duration;
 use inet::Addr;
 use netsim::{ConcurrentNetwork, SilenceReason, Topology, Verdict};
 use obs::{ProbeEvent, Recorder, TimeoutCause, UnreachReason};
-use wire::{builder, IcmpMessage, Packet, Payload, Protocol, UnreachableCode};
+use wire::{
+    builder, IcmpMessage, Packet, Payload, Protocol, QuotedDatagram, UnreachableCode,
+    MAX_PACKET_LEN,
+};
 
 use crate::ident::{IdentAllocator, IdentSpace};
 use crate::outcome::ProbeOutcome;
@@ -161,12 +166,29 @@ impl SimProber {
     }
 }
 
+/// Whether an ICMP error's quote names `probe`: the same source,
+/// destination and protocol, and the same identifying transport bytes —
+/// all eight of an echo request (type, code, checksum, ident, seq), the
+/// ports of a UDP or TCP probe.
+fn quotes(quoted: &QuotedDatagram, probe: &Packet) -> bool {
+    let (q, p) = (&quoted.header, &probe.header);
+    if (q.src, q.dst, q.protocol) != (p.src, p.dst, p.protocol) {
+        return false;
+    }
+    let n = match probe.payload {
+        Payload::Icmp(_) => 8,
+        Payload::Udp(_) | Payload::Tcp(_) => 4,
+    };
+    quoted.transport[..n] == probe.quoted().transport[..n]
+}
+
 /// Validates a reply against the probe that drew it and classifies it.
 ///
 /// A live raw-socket prober must do exactly this: an echo reply counts
-/// only when it carries the session's identifier; an ICMP error counts
-/// only when the quoted datagram matches the outstanding probe; a port
-/// unreachable is a success for UDP probing and noise otherwise.
+/// only when it carries the probe's identifier and sequence number; an
+/// ICMP error counts only when its quote names the outstanding probe
+/// ([`quotes`]); a port unreachable is a success for UDP probing and
+/// noise otherwise.
 fn classify_reply(
     protocol: Protocol,
     prober_src: Addr,
@@ -177,27 +199,27 @@ fn classify_reply(
         return ProbeOutcome::Timeout;
     }
     match &reply.payload {
-        Payload::Icmp(IcmpMessage::EchoReply { ident, .. }) => {
+        Payload::Icmp(IcmpMessage::EchoReply { ident, seq }) => {
             if protocol != Protocol::Icmp {
                 return ProbeOutcome::Timeout;
             }
             let expect = match &probe.payload {
-                Payload::Icmp(IcmpMessage::EchoRequest { ident, .. }) => *ident,
+                Payload::Icmp(IcmpMessage::EchoRequest { ident, seq }) => (*ident, *seq),
                 _ => return ProbeOutcome::Timeout,
             };
-            if *ident != expect {
+            if (*ident, *seq) != expect {
                 return ProbeOutcome::Timeout;
             }
             ProbeOutcome::DirectReply { from: reply.header.src }
         }
         Payload::Icmp(IcmpMessage::TtlExceeded { quoted }) => {
-            if quoted.header.dst != probe.header.dst {
+            if !quotes(quoted, probe) {
                 return ProbeOutcome::Timeout;
             }
             ProbeOutcome::TtlExceeded { from: reply.header.src }
         }
         Payload::Icmp(IcmpMessage::Unreachable { code, quoted }) => {
-            if quoted.header.dst != probe.header.dst {
+            if !quotes(quoted, probe) {
                 return ProbeOutcome::Timeout;
             }
             match code {
@@ -225,6 +247,24 @@ fn classify_reply(
             ProbeOutcome::DirectReply { from: reply.header.src }
         }
         _ => ProbeOutcome::Timeout,
+    }
+}
+
+/// The outcome of one wire attempt and, for a timeout, its cause: a
+/// reply that fails validation is a [`TimeoutCause::StrayReply`].
+fn judge(
+    protocol: Protocol,
+    prober_src: Addr,
+    probe: &Packet,
+    verdict: Verdict,
+) -> (ProbeOutcome, Option<TimeoutCause>) {
+    match verdict {
+        Verdict::Reply(reply) => {
+            let o = classify_reply(protocol, prober_src, probe, &reply);
+            let c = (o == ProbeOutcome::Timeout).then_some(TimeoutCause::StrayReply);
+            (o, c)
+        }
+        Verdict::Silent(reason) => (ProbeOutcome::Timeout, Some(silence_cause(reason))),
     }
 }
 
@@ -271,20 +311,15 @@ impl Prober for SimProber {
             }
             let probe = self.build_probe(dst, ttl, flow);
             self.stats.sent += 1;
+            let mut buf = [0u8; MAX_PACKET_LEN];
+            let bytes = probe.encode_into(&mut buf).expect("probes carry no UDP payload");
             // The injection's own tick, not `tick()` afterwards: other
             // workers may have injected in between.
-            let (verdict, tick) = self.net.inject_bytes_ticked(&probe.encode());
+            let (verdict, tick) = self.net.inject_bytes_ticked(bytes);
             if self.rtt > Duration::ZERO {
                 std::thread::sleep(self.rtt);
             }
-            (outcome, cause) = match verdict {
-                Verdict::Reply(reply) => {
-                    let o = classify_reply(self.protocol, self.src, &probe, &reply);
-                    let c = (o == ProbeOutcome::Timeout).then_some(TimeoutCause::StrayReply);
-                    (o, c)
-                }
-                Verdict::Silent(reason) => (ProbeOutcome::Timeout, Some(silence_cause(reason))),
-            };
+            (outcome, cause) = judge(self.protocol, self.src, &probe, verdict);
             self.recorder.record(|| {
                 let (kind, from) = outcome.observed();
                 ProbeEvent {
@@ -548,6 +583,78 @@ mod tests {
         assert_eq!(events[1].attempt, 0);
         assert_eq!(events[2].attempt, 1, "retry attempts are numbered");
         assert_eq!(metrics.snapshot().sent_total(), p.stats().sent);
+    }
+
+    /// Judges `reply` as the answer to `sent`, as a wire attempt does.
+    fn judged(
+        protocol: Protocol,
+        sent: &Packet,
+        reply: Packet,
+    ) -> (ProbeOutcome, Option<TimeoutCause>) {
+        judge(protocol, sent.header.src, sent, Verdict::Reply(reply))
+    }
+
+    const V: Addr = Addr::new(10, 0, 0, 1);
+    const D: Addr = Addr::new(10, 9, 0, 7);
+    const R: Addr = Addr::new(10, 5, 0, 1);
+    const STRAY: (ProbeOutcome, Option<TimeoutCause>) =
+        (ProbeOutcome::Timeout, Some(TimeoutCause::StrayReply));
+
+    #[test]
+    fn replies_to_the_probe_sent_are_accepted() {
+        let icmp = builder::icmp_probe(V, D, 3, 7, 9);
+        let udp = builder::udp_probe(V, D, 3, 0x8007, 33434);
+        let tcp = builder::tcp_probe(V, D, 3, 0x9007, 80);
+        let ttl = (ProbeOutcome::TtlExceeded { from: R }, None);
+        let direct = (ProbeOutcome::DirectReply { from: D }, None);
+        for (protocol, p) in [(Protocol::Icmp, &icmp), (Protocol::Udp, &udp), (Protocol::Tcp, &tcp)]
+        {
+            assert_eq!(judged(protocol, p, builder::ttl_exceeded(p, R)), ttl, "{p:?}");
+        }
+        assert_eq!(judged(Protocol::Icmp, &icmp, builder::echo_reply(&icmp, D).unwrap()), direct);
+        let port = builder::unreachable(&udp, D, UnreachableCode::Port);
+        assert_eq!(judged(Protocol::Udp, &udp, port), direct);
+        let host = builder::unreachable(&icmp, R, UnreachableCode::Host);
+        let unreach = ProbeOutcome::Unreachable { from: R, kind: UnreachReason::Host };
+        assert_eq!(judged(Protocol::Icmp, &icmp, host), (unreach, None));
+    }
+
+    #[test]
+    fn errors_quoting_another_probe_are_stray() {
+        let icmp = builder::icmp_probe(V, D, 3, 7, 9);
+        let udp = builder::udp_probe(V, D, 3, 0x8007, 33434);
+        let tcp = builder::tcp_probe(V, D, 3, 0x9007, 80);
+        let others = [
+            (Protocol::Icmp, &icmp, builder::icmp_probe(V, D, 3, 8, 9)), // ident
+            (Protocol::Icmp, &icmp, builder::icmp_probe(V, D, 3, 7, 10)), // seq
+            (Protocol::Icmp, &icmp, builder::icmp_probe(R, D, 3, 7, 9)), // source
+            (Protocol::Icmp, &icmp, builder::udp_probe(V, D, 3, 7, 9)),  // protocol
+            (Protocol::Udp, &udp, builder::udp_probe(V, D, 3, 0x8008, 33434)), // src port
+            (Protocol::Udp, &udp, builder::udp_probe(V, D, 3, 0x8007, 33435)), // dst port
+            (Protocol::Tcp, &tcp, builder::tcp_probe(V, D, 3, 0x9008, 80)), // src port
+            (Protocol::Tcp, &tcp, builder::tcp_probe(V, D, 3, 0x9007, 81)), // dst port
+        ];
+        for (protocol, sent, other) in others {
+            let ttl = builder::ttl_exceeded(&other, R);
+            assert_eq!(judged(protocol, sent, ttl), STRAY, "TTL exceeded for {other:?}");
+            let host = builder::unreachable(&other, R, UnreachableCode::Host);
+            assert_eq!(judged(protocol, sent, host), STRAY, "unreachable for {other:?}");
+        }
+        let port = builder::unreachable(
+            &builder::udp_probe(V, D, 64, 0x8008, 33434),
+            D,
+            UnreachableCode::Port,
+        );
+        assert_eq!(judged(Protocol::Udp, &udp, port), STRAY);
+    }
+
+    #[test]
+    fn echo_replies_to_another_ident_or_seq_are_stray() {
+        let sent = builder::icmp_probe(V, D, 64, 7, 9);
+        for other in [builder::icmp_probe(V, D, 64, 8, 9), builder::icmp_probe(V, D, 64, 7, 10)] {
+            let reply = builder::echo_reply(&other, D).unwrap();
+            assert_eq!(judged(Protocol::Icmp, &sent, reply), STRAY, "{other:?}");
+        }
     }
 
     #[test]

@@ -38,7 +38,10 @@ pub(crate) fn verify_with_pseudo(data: &[u8], pseudo: u32) -> bool {
     fold(sum_words(data, pseudo)) == 0xffff
 }
 
-fn sum_words(data: &[u8], seed: u32) -> u32 {
+/// Adds `data`'s 16-bit words to `seed` without folding, so a checksum
+/// can run over a header and a payload held apart: `data` must then be of
+/// even length unless it is the last part.
+pub(crate) fn sum_words(data: &[u8], seed: u32) -> u32 {
     let mut sum = seed;
     let mut chunks = data.chunks_exact(2);
     for w in &mut chunks {

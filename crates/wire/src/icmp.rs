@@ -2,7 +2,7 @@
 //! unreachable — the full response vocabulary of §3.1 of the paper.
 
 use crate::checksum;
-use crate::ipv4::Ipv4Header;
+use crate::ipv4::{Ipv4Header, IPV4_HEADER_LEN};
 use crate::DecodeError;
 
 /// The IP header and first eight transport bytes an ICMP error message
@@ -88,33 +88,59 @@ pub enum IcmpMessage {
 }
 
 impl IcmpMessage {
-    /// Encodes the message (ICMP header + body) with a valid checksum.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut b = Vec::with_capacity(36);
-        match *self {
-            IcmpMessage::EchoRequest { ident, seq } | IcmpMessage::EchoReply { ident, seq } => {
-                let ty = if matches!(self, IcmpMessage::EchoRequest { .. }) { 8 } else { 0 };
-                b.extend_from_slice(&[ty, 0, 0, 0]);
-                b.extend_from_slice(&ident.to_be_bytes());
-                b.extend_from_slice(&seq.to_be_bytes());
-            }
-            IcmpMessage::TtlExceeded { quoted } => {
-                b.extend_from_slice(&[11, 0, 0, 0, 0, 0, 0, 0]);
-                Self::encode_quote(&mut b, &quoted);
-            }
-            IcmpMessage::Unreachable { code, quoted } => {
-                b.extend_from_slice(&[3, code.code(), 0, 0, 0, 0, 0, 0]);
-                Self::encode_quote(&mut b, &quoted);
-            }
+    /// Encoded length of an ICMP error: the 8-byte ICMP header, then the
+    /// quoted IP header and eight transport bytes.
+    pub(crate) const ERROR_LEN: usize = 8 + IPV4_HEADER_LEN + 8;
+
+    /// Encoded length: 8 bytes for an echo, [`IcmpMessage::ERROR_LEN`]
+    /// for an error.
+    pub(crate) fn wire_len(&self) -> usize {
+        match self {
+            IcmpMessage::EchoRequest { .. } | IcmpMessage::EchoReply { .. } => 8,
+            IcmpMessage::TtlExceeded { .. } | IcmpMessage::Unreachable { .. } => Self::ERROR_LEN,
         }
-        let c = checksum::internet_checksum(&b);
-        b[2..4].copy_from_slice(&c.to_be_bytes());
-        b
     }
 
-    fn encode_quote(buf: &mut Vec<u8>, quoted: &QuotedDatagram) {
-        buf.extend_from_slice(&quoted.header.encode(8));
-        buf.extend_from_slice(&quoted.transport);
+    /// Writes the message (ICMP header + body), with a valid checksum,
+    /// into `b` of exactly [`IcmpMessage::wire_len`] bytes.
+    pub(crate) fn write(&self, b: &mut [u8]) {
+        let (head, body) = b.split_at_mut(8);
+        head.fill(0);
+        match *self {
+            IcmpMessage::EchoRequest { ident, seq } | IcmpMessage::EchoReply { ident, seq } => {
+                head[0] = if matches!(self, IcmpMessage::EchoRequest { .. }) { 8 } else { 0 };
+                head[4..6].copy_from_slice(&ident.to_be_bytes());
+                head[6..8].copy_from_slice(&seq.to_be_bytes());
+            }
+            IcmpMessage::TtlExceeded { quoted } => {
+                head[0] = 11;
+                Self::write_quote(body, &quoted);
+            }
+            IcmpMessage::Unreachable { code, quoted } => {
+                head[0] = 3;
+                head[1] = code.code();
+                Self::write_quote(body, &quoted);
+            }
+        }
+        let c = checksum::internet_checksum(b);
+        b[2..4].copy_from_slice(&c.to_be_bytes());
+    }
+
+    /// The first eight encoded bytes, as an ICMP error quoting this
+    /// message carries them.
+    pub(crate) fn quote_bytes(&self) -> [u8; 8] {
+        let mut b = [0u8; Self::ERROR_LEN];
+        let b = &mut b[..self.wire_len()];
+        self.write(b);
+        let mut q = [0u8; 8];
+        q.copy_from_slice(&b[..8]);
+        q
+    }
+
+    fn write_quote(b: &mut [u8], quoted: &QuotedDatagram) {
+        let (header, transport) = b.split_at_mut(IPV4_HEADER_LEN);
+        header.copy_from_slice(&quoted.header.encode(8));
+        transport.copy_from_slice(&quoted.transport);
     }
 
     fn decode_quote(body: &[u8]) -> Result<QuotedDatagram, DecodeError> {
@@ -163,6 +189,12 @@ mod tests {
     use crate::ipv4::Protocol;
     use inet::Addr;
 
+    fn encode(m: &IcmpMessage) -> Vec<u8> {
+        let mut b = vec![0; m.wire_len()];
+        m.write(&mut b);
+        b
+    }
+
     fn quoted() -> QuotedDatagram {
         QuotedDatagram {
             header: Ipv4Header {
@@ -182,7 +214,7 @@ mod tests {
             IcmpMessage::EchoRequest { ident: 77, seq: 4242 },
             IcmpMessage::EchoReply { ident: 0xffff, seq: 0 },
         ] {
-            let b = m.encode();
+            let b = encode(&m);
             assert_eq!(IcmpMessage::decode(&b).unwrap(), m);
         }
     }
@@ -190,7 +222,7 @@ mod tests {
     #[test]
     fn ttl_exceeded_roundtrip_preserves_quote() {
         let m = IcmpMessage::TtlExceeded { quoted: quoted() };
-        let b = m.encode();
+        let b = encode(&m);
         let got = IcmpMessage::decode(&b).unwrap();
         assert_eq!(got, m);
         match got {
@@ -211,14 +243,14 @@ mod tests {
             UnreachableCode::AdminProhibited,
         ] {
             let m = IcmpMessage::Unreachable { code, quoted: quoted() };
-            assert_eq!(IcmpMessage::decode(&m.encode()).unwrap(), m);
+            assert_eq!(IcmpMessage::decode(&encode(&m)).unwrap(), m);
         }
     }
 
     #[test]
     fn rejects_unknown_unreachable_code() {
         let m = IcmpMessage::Unreachable { code: UnreachableCode::Port, quoted: quoted() };
-        let mut b = m.encode();
+        let mut b = encode(&m);
         b[1] = 9; // unknown code
         b[2] = 0;
         b[3] = 0;
@@ -233,7 +265,7 @@ mod tests {
     #[test]
     fn rejects_truncated_and_corrupt() {
         let m = IcmpMessage::EchoRequest { ident: 1, seq: 2 };
-        let b = m.encode();
+        let b = encode(&m);
         assert_eq!(IcmpMessage::decode(&b[..4]), Err(DecodeError::Truncated));
         let mut b2 = b.clone();
         b2[7] ^= 1;
@@ -243,7 +275,7 @@ mod tests {
     #[test]
     fn rejects_quote_with_short_transport() {
         let m = IcmpMessage::TtlExceeded { quoted: quoted() };
-        let mut b = m.encode();
+        let mut b = encode(&m);
         b.truncate(b.len() - 3); // cut into the 8 transport bytes
                                  // fix outer checksum for the truncated body
         b[2] = 0;

@@ -31,6 +31,6 @@ pub use checksum::{internet_checksum, pseudo_header_sum};
 pub use error::DecodeError;
 pub use icmp::{IcmpMessage, QuotedDatagram, UnreachableCode};
 pub use ipv4::{Ipv4Header, Protocol, IPV4_HEADER_LEN};
-pub use packet::{Packet, Payload};
+pub use packet::{Packet, Payload, MAX_PACKET_LEN};
 pub use tcp::{TcpFlags, TcpSegment};
 pub use udp::UdpDatagram;

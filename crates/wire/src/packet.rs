@@ -1,10 +1,16 @@
 //! The top-level [`Packet`] type: an IPv4 header plus transport payload.
 
 use crate::icmp::{IcmpMessage, QuotedDatagram};
-use crate::ipv4::{Ipv4Header, Protocol};
+use crate::ipv4::{Ipv4Header, Protocol, IPV4_HEADER_LEN};
 use crate::tcp::TcpSegment;
 use crate::udp::UdpDatagram;
 use crate::DecodeError;
+
+/// The longest packet without a UDP payload, in bytes: an ICMP error
+/// with its quote (20 B of IP header, 8 B of ICMP header, 28 B quoted).
+/// Every probe the probers build and every reply the simulator sends
+/// fits a stack buffer of this size.
+pub const MAX_PACKET_LEN: usize = IPV4_HEADER_LEN + IcmpMessage::ERROR_LEN;
 
 /// A transport payload.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -45,15 +51,38 @@ impl Packet {
         Packet { header, payload }
     }
 
-    /// Encodes to wire bytes.
+    /// Length of the encoded packet in bytes.
+    pub fn wire_len(&self) -> usize {
+        IPV4_HEADER_LEN
+            + match &self.payload {
+                Payload::Icmp(m) => m.wire_len(),
+                Payload::Udp(d) => d.wire_len(),
+                Payload::Tcp(_) => TcpSegment::WIRE_LEN,
+            }
+    }
+
+    /// Encodes to wire bytes in the front of `buf` and returns them, or
+    /// `None`, writing nothing, when `buf` is shorter than
+    /// [`Packet::wire_len`]. A buffer of [`MAX_PACKET_LEN`] bytes holds
+    /// any packet without a UDP payload.
+    pub fn encode_into<'b>(&self, buf: &'b mut [u8]) -> Option<&'b [u8]> {
+        let out = buf.get_mut(..self.wire_len())?;
+        let (head, body) = out.split_at_mut(IPV4_HEADER_LEN);
+        let (src, dst) = (self.header.src, self.header.dst);
+        match &self.payload {
+            Payload::Icmp(m) => m.write(body),
+            Payload::Udp(d) => d.write(src, dst, body),
+            Payload::Tcp(s) => s.write(src, dst, body),
+        }
+        head.copy_from_slice(&self.header.encode(body.len()));
+        Some(out)
+    }
+
+    /// Encodes to wire bytes in a new `Vec`: [`Packet::encode_into`] on
+    /// a buffer sized to the packet.
     pub fn encode(&self) -> Vec<u8> {
-        let body = match &self.payload {
-            Payload::Icmp(m) => m.encode(),
-            Payload::Udp(d) => d.encode(self.header.src, self.header.dst),
-            Payload::Tcp(s) => s.encode(self.header.src, self.header.dst),
-        };
-        let mut out = self.header.encode(body.len()).to_vec();
-        out.extend_from_slice(&body);
+        let mut out = vec![0; self.wire_len()];
+        self.encode_into(&mut out).expect("the buffer is sized to the packet");
         out
     }
 
@@ -73,13 +102,7 @@ impl Packet {
     /// bytes.
     pub fn quoted(&self) -> QuotedDatagram {
         let transport = match &self.payload {
-            Payload::Icmp(m) => {
-                let enc = m.encode();
-                let mut q = [0u8; 8];
-                let n = enc.len().min(8);
-                q[..n].copy_from_slice(&enc[..n]);
-                q
-            }
+            Payload::Icmp(m) => m.quote_bytes(),
             Payload::Udp(d) => d.quote_bytes(self.header.src, self.header.dst),
             Payload::Tcp(s) => s.quote_bytes(self.header.src, self.header.dst),
         };

@@ -69,9 +69,13 @@ pub struct TcpSegment {
 }
 
 impl TcpSegment {
-    /// Encodes the 20-byte header with a valid checksum.
-    pub fn encode(&self, src: Addr, dst: Addr) -> Vec<u8> {
-        let mut b = vec![0u8; 20];
+    /// Encoded length: the option-less 20-byte header.
+    pub(crate) const WIRE_LEN: usize = 20;
+
+    /// Writes the 20-byte header, with a valid checksum over the given
+    /// pseudo-header addresses, into `b` of exactly
+    /// [`TcpSegment::WIRE_LEN`] bytes.
+    pub(crate) fn write(&self, src: Addr, dst: Addr, b: &mut [u8]) {
         b[0..2].copy_from_slice(&self.src_port.to_be_bytes());
         b[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
         b[4..8].copy_from_slice(&self.seq.to_be_bytes());
@@ -79,10 +83,10 @@ impl TcpSegment {
         b[12] = 5 << 4; // data offset: 5 words
         b[13] = self.flags.bits();
         b[14..16].copy_from_slice(&1024u16.to_be_bytes()); // window
-        let pseudo = checksum::pseudo_header_sum(src, dst, Protocol::Tcp, 20);
-        let c = checksum::with_pseudo(&b, pseudo);
+        b[16..20].fill(0); // checksum, urgent pointer
+        let pseudo = checksum::pseudo_header_sum(src, dst, Protocol::Tcp, Self::WIRE_LEN as u16);
+        let c = checksum::with_pseudo(b, pseudo);
         b[16..18].copy_from_slice(&c.to_be_bytes());
-        b
     }
 
     /// Decodes from `buf` (exactly the IP payload), verifying the checksum
@@ -111,9 +115,10 @@ impl TcpSegment {
     /// The first eight bytes as quoted by an ICMP error: ports plus
     /// sequence number.
     pub fn quote_bytes(&self, src: Addr, dst: Addr) -> [u8; 8] {
-        let enc = self.encode(src, dst);
+        let mut b = [0u8; Self::WIRE_LEN];
+        self.write(src, dst, &mut b);
         let mut q = [0u8; 8];
-        q.copy_from_slice(&enc[..8]);
+        q.copy_from_slice(&b[..8]);
         q
     }
 }
@@ -125,6 +130,12 @@ mod tests {
     const SRC: Addr = Addr::new(10, 0, 0, 1);
     const DST: Addr = Addr::new(203, 0, 113, 80);
 
+    fn encode(s: &TcpSegment, src: Addr, dst: Addr) -> Vec<u8> {
+        let mut b = vec![0; TcpSegment::WIRE_LEN];
+        s.write(src, dst, &mut b);
+        b
+    }
+
     #[test]
     fn syn_roundtrip() {
         let s = TcpSegment {
@@ -134,7 +145,7 @@ mod tests {
             ack: 0,
             flags: TcpFlags::SYN,
         };
-        let b = s.encode(SRC, DST);
+        let b = encode(&s, SRC, DST);
         assert_eq!(b.len(), 20);
         assert_eq!(TcpSegment::decode(&b, SRC, DST).unwrap(), s);
     }
@@ -148,7 +159,7 @@ mod tests {
             ack: 0xdead_bef0,
             flags: TcpFlags::RST_ACK,
         };
-        let got = TcpSegment::decode(&s.encode(DST, SRC), DST, SRC).unwrap();
+        let got = TcpSegment::decode(&encode(&s, DST, SRC), DST, SRC).unwrap();
         assert!(got.flags.rst() && got.flags.ack() && !got.flags.syn());
         assert_eq!(got.ack, 0xdead_bef0);
     }
@@ -156,7 +167,7 @@ mod tests {
     #[test]
     fn checksum_binds_addresses() {
         let s = TcpSegment { src_port: 1, dst_port: 2, seq: 3, ack: 4, flags: TcpFlags::SYN };
-        let b = s.encode(SRC, DST);
+        let b = encode(&s, SRC, DST);
         // Note: swapping src/dst does NOT break the checksum (the one's
         // complement sum is commutative); a different address does.
         assert_eq!(
@@ -169,7 +180,7 @@ mod tests {
     fn rejects_truncated_and_bad_offset() {
         assert_eq!(TcpSegment::decode(&[0; 19], SRC, DST), Err(DecodeError::Truncated));
         let s = TcpSegment { src_port: 1, dst_port: 2, seq: 3, ack: 4, flags: TcpFlags::SYN };
-        let mut b = s.encode(SRC, DST);
+        let mut b = encode(&s, SRC, DST);
         b[12] = 4 << 4; // offset 16 bytes < minimum
         assert_eq!(TcpSegment::decode(&b, SRC, DST), Err(DecodeError::BadHeaderLen));
     }

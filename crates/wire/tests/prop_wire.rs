@@ -1,13 +1,27 @@
 //! Property tests: every packet this crate can express survives an
-//! encode → decode round trip, and decoding never panics on arbitrary
-//! bytes.
+//! encode → decode round trip, the buffer encoder writes exactly the
+//! bytes of `encode`, and decoding never panics on arbitrary bytes.
 
 use inet::Addr;
 use proptest::prelude::*;
 use wire::{
     builder, IcmpMessage, Ipv4Header, Packet, Payload, Protocol, TcpFlags, TcpSegment, UdpDatagram,
-    UnreachableCode,
+    UnreachableCode, IPV4_HEADER_LEN, MAX_PACKET_LEN,
 };
+
+/// `encode_into` writes `encode()`'s bytes to the front of a longer
+/// buffer and nothing past them, and refuses a buffer one byte short
+/// without writing to it.
+fn encodes_in_place(p: &Packet) {
+    let bytes = p.encode();
+    prop_assert_eq!(bytes.len(), p.wire_len());
+    let mut buf = vec![0xa5; bytes.len() + 8];
+    prop_assert_eq!(p.encode_into(&mut buf), Some(&bytes[..]));
+    prop_assert!(buf[bytes.len()..].iter().all(|&b| b == 0xa5));
+    let mut short = vec![0xa5; bytes.len() - 1];
+    prop_assert_eq!(p.encode_into(&mut short), None);
+    prop_assert!(short.iter().all(|&b| b == 0xa5));
+}
 
 fn arb_addr() -> impl Strategy<Value = Addr> {
     any::<u32>().prop_map(Addr::from_u32)
@@ -69,6 +83,7 @@ proptest! {
         payload in arb_payload(),
     ) {
         let p = Packet::new(header, payload);
+        encodes_in_place(&p);
         let bytes = p.encode();
         let back = Packet::decode(&bytes).unwrap();
         prop_assert_eq!(back, p);
@@ -107,9 +122,20 @@ proptest! {
             builder::udp_probe(src, dst, ttl, a, b),
             builder::tcp_probe(src, dst, ttl, a, b),
         ] {
-            prop_assert_eq!(Packet::decode(&probe.encode()).unwrap(), probe.clone());
-            // And the error wrapping each probe round trips too.
+            let bytes = probe.encode();
+            prop_assert_eq!(Packet::decode(&bytes).unwrap(), probe.clone());
+            // The quote is the probe's header and its first eight
+            // transport bytes as encoded.
+            let quoted = probe.quoted();
+            prop_assert_eq!(quoted.header, probe.header);
+            prop_assert_eq!(&quoted.transport[..], &bytes[IPV4_HEADER_LEN..IPV4_HEADER_LEN + 8]);
+            // And the error wrapping each probe round trips too, and fits
+            // the fixed buffer with the probe.
             let err = builder::ttl_exceeded(&probe, src);
+            encodes_in_place(&probe);
+            encodes_in_place(&err);
+            prop_assert!(probe.wire_len() <= MAX_PACKET_LEN);
+            prop_assert_eq!(err.wire_len(), MAX_PACKET_LEN);
             prop_assert_eq!(Packet::decode(&err.encode()).unwrap(), err);
         }
     }
