@@ -1,8 +1,8 @@
 //! Criterion microbenches for the lock-free probe hot path: the warm
-//! ECMP `next_hops` lookup (a router's adjacency filtered by a
-//! destination's distance column, no per-call allocation; every column
-//! is built by the first sweep, so the timed iterations read built
-//! columns only), `inject` through the concurrent engine handle, a whole
+//! ECMP `next_hops` lookup (a slice of the memoized shortest-path DAG
+//! from one router to another, no per-call allocation; every column and
+//! DAG is built by the first sweep, so the timed iterations read built
+//! ones only), `inject` through the concurrent engine handle, a whole
 //! wire attempt through `SimProber::probe` (encode, `inject_bytes`,
 //! classify), and the 4-ISP internet's probes to addresses no interface
 //! holds.
@@ -24,13 +24,13 @@ fn bench_hot_path(c: &mut Criterion) {
     let n = topo.router_count() as u32;
 
     // The per-hop routing lookup, swept over every (from, to) pair one
-    // destination at a time: a walk reads one destination's column for
-    // every hop, so each column is read once per sweep here too.
+    // origin at a time: every walk from one vantage reads that vantage's
+    // column and one DAG per target, so here too.
     g.bench_function("next_hops_all_pairs", |b| {
         b.iter(|| {
             let mut total = 0usize;
-            for to in 0..n {
-                for from in 0..n {
+            for from in 0..n {
+                for to in 0..n {
                     total +=
                         routing.next_hops(netsim::RouterId(from), netsim::RouterId(to)).count();
                 }

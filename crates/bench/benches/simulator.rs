@@ -2,8 +2,9 @@
 //! per-packet walks on research- and ISP-scale topologies.
 //!
 //! `RoutingTable::compute` builds only the attachment lists and the
-//! adjacency; the per-destination BFS columns are built on first use,
-//! so their cost shows up in the first walks toward each destination.
+//! adjacency; the origin's BFS column and each destination's
+//! shortest-path DAG are built on first use, so their cost shows up in
+//! the first walks.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use netsim::{ConcurrentNetwork, RoutingTable};

@@ -15,6 +15,7 @@ use obs::{Cause, DecisionEvent, DecisionVerdict, Recorder};
 use probe::Prober;
 
 use crate::heuristics::{examine, Context, Decision};
+use crate::hop::LocalSet;
 use crate::observed::{ObservedSubnet, StopCause};
 use crate::options::TracenetOptions;
 use crate::position::Positioning;
@@ -46,7 +47,7 @@ pub fn explore<P: Prober>(
     let arena = Prefix::containing(pos.pivot, opts.min_prefix_len);
     let mut record = SubnetRecord::new(arena, [pos.pivot]).expect("pivot is inside its arena");
     let mut contra_pivot: Option<Addr> = None;
-    let mut examined: std::collections::HashSet<Addr> = std::iter::once(pos.pivot).collect();
+    let mut examined: LocalSet<Addr> = std::iter::once(pos.pivot).collect();
     let mut stop = StopCause::PrefixFloor;
     let mut level = opts.min_prefix_len; // last fully swept level
 

@@ -21,18 +21,72 @@
 //!
 //! Both reset at every hop, so stale answers never cross path-dynamics
 //! boundaries.
+//!
+//! The memo, like exploration's set of examined addresses, hashes with
+//! [`LocalHasher`], not SipHash: neither table is ever iterated, so the
+//! hash cannot change any output, and their keys are the session's own
+//! probe tuples, bounded per hop, so there is no input to defend against.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use inet::Addr;
 use probe::{ProbeOutcome, ProbeStats, Prober, Protocol};
+
+/// A hash map for a session's own probe tuples, hashed by [`LocalHasher`].
+pub(crate) type LocalMap<K, V> = HashMap<K, V, BuildHasherDefault<LocalHasher>>;
+
+/// A hash set for a session's own addresses, hashed by [`LocalHasher`].
+pub(crate) type LocalSet<K> = HashSet<K, BuildHasherDefault<LocalHasher>>;
+
+/// A multiply-rotate hash over the key's integer fields: one rotate, xor
+/// and multiply per field, where SipHash runs its rounds over every byte.
+#[derive(Default)]
+pub(crate) struct LocalHasher(u64);
+
+impl LocalHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for LocalHasher {
+    /// The multiply leaves its best bits high; the table indexes by the
+    /// low ones, so rotate them down.
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(b as u64);
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, n: u8) {
+        self.add(n as u64);
+    }
+
+    #[inline]
+    fn write_u16(&mut self, n: u16) {
+        self.add(n as u64);
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.add(n as u64);
+    }
+}
 
 /// A prober wrapper owning one hop's memo and fault budget. The memo is
 /// consulted first; on a miss a tripped budget answers
 /// [`ProbeOutcome::Timeout`], and either answer is memoized.
 pub(crate) struct HopProber<P> {
     inner: P,
-    memo: HashMap<(Addr, u8, u16), ProbeOutcome>,
+    memo: LocalMap<(Addr, u8, u16), ProbeOutcome>,
     hits: u64,
     /// Fault-attributed timeouts tolerated per hop; `None` never trips.
     budget: Option<u16>,
@@ -43,7 +97,7 @@ impl<P: Prober> HopProber<P> {
     /// Wraps `inner` with the per-hop fault `budget`.
     pub(crate) fn new(inner: P, budget: Option<u16>) -> HopProber<P> {
         let hop_base = inner.stats().fault_timeouts();
-        HopProber { inner, memo: HashMap::new(), hits: 0, budget, hop_base }
+        HopProber { inner, memo: LocalMap::default(), hits: 0, budget, hop_base }
     }
 
     /// Starts a new hop: forgets the memo and resets the fault budget.

@@ -30,15 +30,16 @@
 //!
 //! [`ConcurrentNetwork`] is built for lock-free parallel probing (see
 //! DESIGN.md, "Engine concurrency & the probe hot path"): an immutable
-//! core (`Arc<Topology>` + `Arc<RoutingTable>`, whose per-destination
-//! distance columns are built once on first touch and then read without
-//! any lock; a walk resolves its target router and fetches that column
-//! once, then filters each hop's adjacency by it) plus the minimal
-//! mutable state — an atomic tick clock and per-router token-bucket /
-//! round-robin / storm counters behind per-router sharded locks. Every
-//! injection method takes `&self`, so any number of worker threads probe
-//! simultaneously; a probe only touches a router's lock when that router
-//! actually rate-limits, storms, or balances per packet.
+//! core (`Arc<Topology>` + `Arc<RoutingTable>`, whose origin columns and
+//! shortest-path DAGs are built once on first touch and then read
+//! without any lock; a walk resolves its target router and fetches the
+//! path from its origin once, then reads each hop's next hops from it)
+//! plus the minimal mutable state — an atomic tick clock and per-router
+//! token-bucket / round-robin / storm counters behind per-router sharded
+//! locks. Every injection method takes `&self`, so any number of worker
+//! threads probe simultaneously; a probe only touches a router's lock
+//! when that router actually rate-limits, storms, or balances per
+//! packet.
 //! Used from one thread, every walk decision is a pure function of the
 //! injection's tick, so sequential runs are fully deterministic.
 
@@ -135,12 +136,18 @@ pub struct ConcurrentNetwork {
     fluctuation_period: Option<u64>,
     fault: Option<FaultPlan>,
     slots: Vec<Slot>,
+    /// The last probe source resolved to its router, packed as
+    /// `addr << 32 | router`; [`NO_SOURCE`] until the first.
+    last_src: AtomicU64,
 }
+
+/// `last_src` before any source resolved: no router has id `u32::MAX`.
+const NO_SOURCE: u64 = u64::MAX;
 
 impl ConcurrentNetwork {
     /// Builds a concurrent network over a validated topology (builds the
-    /// routing graph; routes toward each destination are computed on
-    /// first use).
+    /// routing graph; routes from each origin are computed on first
+    /// use).
     pub fn new(topo: Topology) -> ConcurrentNetwork {
         let routing = RoutingTable::compute(&topo);
         let n = topo.router_count();
@@ -151,6 +158,7 @@ impl ConcurrentNetwork {
             fluctuation_period: None,
             fault: None,
             slots: (0..n).map(|_| Slot::default()).collect(),
+            last_src: AtomicU64::new(NO_SOURCE),
         }
     }
 
@@ -256,10 +264,24 @@ impl ConcurrentNetwork {
         }
     }
 
+    /// The router owning a probe's source address. A prober's source
+    /// never changes, so the last answer is kept and compared first; a
+    /// miss (another prober, or another vantage in the same batch) falls
+    /// back to the address index. The pair is one atomic word, so a
+    /// racing store can never pair one source with another's router.
+    fn source_router(&self, src: Addr) -> Option<RouterId> {
+        let last = self.last_src.load(Ordering::Relaxed);
+        if last != NO_SOURCE && (last >> 32) as u32 == src.to_u32() {
+            return Some(RouterId(last as u32));
+        }
+        let router = self.topo.owner_of(src)?;
+        self.last_src.store((src.to_u32() as u64) << 32 | router.0 as u64, Ordering::Relaxed);
+        Some(router)
+    }
+
     fn walk(&self, probe: &Packet, tick: u64) -> Verdict {
-        let origin = match self.topo.owner_of(probe.header.src) {
-            Some(r) => r,
-            None => return Verdict::Silent(SilenceReason::UnknownSource),
+        let Some(origin) = self.source_router(probe.header.src) else {
+            return Verdict::Silent(SilenceReason::UnknownSource);
         };
         let dst = probe.header.dst;
 
@@ -271,7 +293,8 @@ impl ConcurrentNetwork {
         // router nearest to the origin (lowest id on ties) stays nearest
         // at every hop of a shortest walk toward it: a per-hop lookup
         // would name the same router, and the walk meets no other
-        // attached router on the way.
+        // attached router on the way. Every hop's next hops then come
+        // from the one path rooted at the origin.
         let (dest, target) = if let Some(ifid) = self.topo.iface_by_addr(dst) {
             (Dest::Iface(ifid), Some(self.topo.iface(ifid).router))
         } else if let Some(sn) = self.topo.subnet_containing(dst) {
@@ -282,7 +305,7 @@ impl ConcurrentNetwork {
         let Some(target) = target else {
             return Verdict::Silent(SilenceReason::NoRoute);
         };
-        let routes = self.routing.routes_to(target);
+        let path = self.routing.path(origin, target);
         let plan = self.fault.as_ref();
         let up = |&(_, sn): &(RouterId, SubnetId)| !plan.is_some_and(|p| p.link_down(tick, sn));
 
@@ -310,7 +333,7 @@ impl ConcurrentNetwork {
             // One scan counts the live hops and keeps the first; only a
             // real choice among several takes a second scan to the
             // balanced index — exactly what retain-then-choose produced.
-            let hops = routes.next_hops(current);
+            let hops = path.next_hops(current);
             let (mut any, mut live, mut first) = (false, 0, None);
             for hop in hops.clone() {
                 any = true;
@@ -478,7 +501,7 @@ impl ConcurrentNetwork {
                 self.incoming_addr(at, prev_subnet).or(probed).or_else(first_iface_addr)
             }
             ResponsePolicy::ShortestPath => {
-                let via = self.routing.next_hops(at, origin).next().map(|(_, sn)| sn);
+                let via = self.routing.reply_hop(origin, at).map(|(_, sn)| sn);
                 let via = via.or(prev_subnet)?;
                 self.topo.iface_on(at, via).map(|i| self.topo.iface(i).addr)
             }

@@ -65,7 +65,7 @@ pub use engine::{ConcurrentNetwork, Verdict};
 pub use events::SilenceReason;
 pub use fault::{FaultPlan, FaultProfile, RateStorm};
 pub use policy::{LbMode, ProtoSet, RateLimit, ResponsePolicy, RouterConfig};
-pub use routing::{NextHops, Routes, RoutingTable, UNREACHABLE};
+pub use routing::{NextHops, Path, RoutingTable, UNREACHABLE};
 pub use topology::{
     Iface, IfaceId, Router, RouterId, Subnet, SubnetId, Topology, TopologyBuilder, TopologyError,
 };

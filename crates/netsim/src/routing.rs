@@ -8,24 +8,37 @@
 //!
 //! [`RoutingTable::compute`] builds only the graph: the routers attached
 //! to each subnet and the sorted adjacency derived from them, both in
-//! compressed-sparse-row form. The one thing a route adds to the graph
-//! is a **distance column** per destination router: one BFS from it
-//! gives the hop distance from every router (adjacency is symmetric),
-//! 2 bytes per router, built on first use behind a [`OnceLock`].
-//! Everything else is read from the graph and that column when asked:
+//! compressed-sparse-row form. Every walk starts at its origin, the
+//! router owning the probe's source, so routes are rooted there, as a
+//! monitor's probes share one tree rooted at the monitor. A route adds
+//! two things to the graph, each built on first use behind a
+//! [`OnceLock`]:
 //!
-//! * the ECMP set from `from` toward `to` is `from`'s adjacency filtered
-//!   to the neighbors one hop closer to `to` ([`NextHops`], a borrowed
-//!   iterator, so a walk allocates nothing);
-//! * the ingress router of a subnet is the
-//!   [`nearest`](RoutingTable::nearest) of its attached routers.
+//! * a **distance column** per origin: one BFS from it gives the hop
+//!   distance to every router, 2 bytes per router, plus one path slot
+//!   per router;
+//! * a **shortest-path DAG** per (origin, target): the routers `x` with
+//!   `dist_o(x) + dist_t(x) = dist_o(t)`, found by a backward search
+//!   from `t` over neighbors one hop closer to the origin, and each
+//!   one's next hops toward `t` in adjacency order, in CSR form
+//!   ([`Path`]).
 //!
-//! Memory therefore grows with the destinations a run actually touches,
-//! at 2 bytes per router each ([`RoutingTable::heap_bytes`]). Every
-//! column is a pure function of the topology, so which thread builds it
-//! first cannot change any answer.
+//! The next hops are the ones a column per destination would give. For
+//! `x` on a shortest o→t path, a neighbor `y` has
+//! `dist_t(y) = dist_t(x) − 1` exactly when `dist_o(y) = dist_o(x) + 1`
+//! and `y` lies in the DAG, so each ECMP set and its order are the same.
+//! The ingress router of a subnet is its attached router nearest the
+//! origin, and a reply routed back toward the origin leaves by the first
+//! neighbor one hop closer to it ([`RoutingTable::reply_hop`]); both read
+//! the origin's column.
+//!
+//! A run probing from one vantage therefore holds one column and one
+//! small DAG per destination it touched ([`RoutingTable::heap_bytes`]).
+//! A caller that probes from every router still builds `n` columns.
+//! Every column and DAG is a pure function of the topology, so which
+//! thread builds it first cannot change any answer.
 
-use std::mem::size_of_val;
+use std::mem::{size_of, size_of_val};
 use std::sync::OnceLock;
 
 use crate::topology::{RouterId, SubnetId, Topology};
@@ -33,15 +46,14 @@ use crate::topology::{RouterId, SubnetId, Topology};
 /// Unreachable marker for hop distances.
 pub const UNREACHABLE: u16 = u16::MAX;
 
-/// Hop distances toward each destination router, built on first use,
-/// over the shared router adjacency. `Send + Sync`: share it through an
-/// `Arc`.
+/// The router graph and the routes rooted at each origin router, built
+/// on first use. `Send + Sync`: share it through an `Arc`.
 pub struct RoutingTable {
     /// CSR offsets into `adj_nb` and `adj_via`, one run per router.
     adj_off: Box<[u32]>,
     /// Neighbors, each router's run sorted by (neighbor, via-subnet) and
     /// unique — with `adj_via`, the single definition of adjacency. Kept
-    /// apart from the subnets so a next-hop scan reads only these.
+    /// apart from the subnets so a distance scan reads only these.
     adj_nb: Box<[RouterId]>,
     /// The subnet each `adj_nb` entry is reached over.
     adj_via: Box<[SubnetId]>,
@@ -50,77 +62,68 @@ pub struct RoutingTable {
     /// Routers directly attached to each subnet, sorted and deduped —
     /// the delivery points for unassigned addresses.
     attached: Box<[RouterId]>,
-    /// `columns[to][from]` = hop distance from `from` to `to`, each
-    /// column built on first use.
-    columns: Box<[OnceLock<Box<[u16]>>]>,
+    /// `origins[o]`: the routes rooted at router `o`.
+    origins: Box<[OnceLock<Origin>]>,
 }
 
-/// The routes toward one destination router: its distance column over
-/// the table's adjacency. Fetch it once per walk with
-/// [`RoutingTable::routes_to`], then ask it for each hop's next hops.
+/// The routes rooted at one origin router.
+struct Origin {
+    /// `dist[x]` = hop distance from the origin to `x`.
+    dist: Box<[u16]>,
+    /// `paths[t]`: the shortest-path DAG from the origin to `t`.
+    paths: Box<[OnceLock<Dag>]>,
+}
+
+/// The shortest-path DAG from an origin to one target: the routers on
+/// some shortest path, and each one's next hops toward the target.
+/// Empty when the target is unreachable.
+#[derive(Default)]
+struct Dag {
+    /// The routers on some shortest path, sorted by id.
+    members: Box<[RouterId]>,
+    /// CSR offsets into `hops`, one run per member.
+    off: Box<[u32]>,
+    /// Each member's (neighbor, via-subnet) next hops, in adjacency order.
+    hops: Box<[(RouterId, SubnetId)]>,
+}
+
+impl Dag {
+    fn heap_bytes(&self) -> usize {
+        size_of_val(&*self.members) + size_of_val(&*self.off) + size_of_val(&*self.hops)
+    }
+}
+
+/// The routes from one origin to one target router. Fetch it once per
+/// walk with [`RoutingTable::path`], then ask it for each hop's next
+/// hops.
 #[derive(Clone, Copy)]
-pub struct Routes<'a> {
-    table: &'a RoutingTable,
-    dist: &'a [u16],
+pub struct Path<'a> {
+    dag: &'a Dag,
 }
 
-/// The ECMP next-hop set from one router toward one destination: the
-/// router's sorted (neighbor, via-subnet) adjacency, keeping the pairs
-/// one hop closer to the destination. Borrows the table; allocates
-/// nothing.
-#[derive(Clone)]
-pub struct NextHops<'a> {
-    nb: &'a [RouterId],
-    via: &'a [SubnetId],
-    at: usize,
-    dist: &'a [u16],
-    closer: u16,
-}
+/// The ECMP next-hop set from one router toward one target: borrowed
+/// (neighbor, via-subnet) pairs in adjacency order; allocates nothing.
+pub type NextHops<'a> = std::iter::Copied<std::slice::Iter<'a, (RouterId, SubnetId)>>;
 
-impl Iterator for NextHops<'_> {
-    type Item = (RouterId, SubnetId);
-
+impl<'a> Path<'a> {
+    /// The ECMP next hops from `at` toward the target, in adjacency
+    /// order. Empty at the target itself, when it is unreachable, and at
+    /// a router on no shortest path to it.
     #[inline]
-    fn next(&mut self) -> Option<(RouterId, SubnetId)> {
-        let (dist, closer) = (self.dist, self.closer);
-        let skip = self.nb[self.at..].iter().position(|nb| dist[nb.0 as usize] == closer)?;
-        let i = self.at + skip;
-        self.at = i + 1;
-        Some((self.nb[i], self.via[i]))
-    }
-}
-
-impl<'a> Routes<'a> {
-    /// Hop distance from `from` to the destination ([`UNREACHABLE`] if
-    /// disconnected).
-    #[inline]
-    pub fn dist(&self, from: RouterId) -> u16 {
-        self.dist[from.0 as usize]
-    }
-
-    /// The ECMP next hops from `from`, in adjacency order. Empty at the
-    /// destination itself and when it is unreachable.
-    #[inline]
-    pub fn next_hops(&self, from: RouterId) -> NextHops<'a> {
-        let d = self.dist(from);
-        let run = match d {
-            0 | UNREACHABLE => 0..0,
-            _ => self.table.run(from.0 as usize),
+    pub fn next_hops(&self, at: RouterId) -> NextHops<'a> {
+        let dag = self.dag;
+        let run = match dag.members.binary_search(&at) {
+            Ok(i) => dag.off[i] as usize..dag.off[i + 1] as usize,
+            Err(_) => 0..0,
         };
-        NextHops {
-            nb: &self.table.adj_nb[run.clone()],
-            via: &self.table.adj_via[run],
-            at: 0,
-            dist: self.dist,
-            closer: d.wrapping_sub(1),
-        }
+        dag.hops[run].iter().copied()
     }
 }
 
 impl RoutingTable {
     /// Builds the per-subnet attachment lists and the router adjacency
-    /// derived from them. Distances are computed lazily, per
-    /// destination, the first time they are asked for.
+    /// derived from them. Distances and paths are computed lazily, per
+    /// origin and per target, the first time they are asked for.
     pub fn compute(topo: &Topology) -> RoutingTable {
         let n = topo.router_count();
         let subnets = topo.subnets().len();
@@ -174,22 +177,32 @@ impl RoutingTable {
             adj_via: adj.iter().map(|&(_, via)| via).collect(),
             attached_off: attached_off.into(),
             attached: attached.into(),
-            columns: (0..n).map(|_| OnceLock::new()).collect(),
+            origins: (0..n).map(|_| OnceLock::new()).collect(),
         }
     }
 
-    /// The routes toward `to`, building its distance column on first
-    /// use.
+    /// The routes rooted at `origin`, building its column on first use.
     #[inline]
-    pub fn routes_to(&self, to: RouterId) -> Routes<'_> {
-        let dist = self.columns[to.0 as usize].get_or_init(|| self.build_column(to.0 as usize));
-        Routes { table: self, dist }
+    fn origin(&self, origin: RouterId) -> &Origin {
+        self.origins[origin.0 as usize].get_or_init(|| Origin {
+            dist: self.build_column(origin.0 as usize),
+            paths: (0..self.origins.len()).map(|_| OnceLock::new()).collect(),
+        })
+    }
+
+    /// The routes from `origin` to `target`, building the origin's
+    /// column and the path's DAG on first use.
+    #[inline]
+    pub fn path(&self, origin: RouterId, target: RouterId) -> Path<'_> {
+        let o = self.origin(origin);
+        let t = target.0 as usize;
+        Path { dag: o.paths[t].get_or_init(|| self.build_path(&o.dist, t)) }
     }
 
     /// Hop distance between two routers ([`UNREACHABLE`] if disconnected).
     #[inline]
     pub fn dist(&self, from: RouterId, to: RouterId) -> u16 {
-        self.routes_to(to).dist(from)
+        self.origin(from).dist[to.0 as usize]
     }
 
     /// Whether `to` is reachable from `from`.
@@ -199,12 +212,28 @@ impl RoutingTable {
     }
 
     /// The ECMP next-hop set from `from` toward `to`: every
-    /// (neighbor, via-subnet) pair lying on some shortest path, sorted.
+    /// (neighbor, via-subnet) pair lying on some shortest path, sorted —
+    /// the first hops of [`RoutingTable::path`]`(from, to)`.
     ///
     /// Empty when `from == to` or `to` is unreachable.
     #[inline]
     pub fn next_hops(&self, from: RouterId, to: RouterId) -> NextHops<'_> {
-        self.routes_to(to).next_hops(from)
+        self.path(from, to).next_hops(from)
+    }
+
+    /// The first (neighbor, via-subnet) pair in `at`'s adjacency that is
+    /// one hop closer to `origin`: where a reply routed back along a
+    /// shortest path leaves `at`. Read from the origin's column; `None`
+    /// at the origin itself and when it is unreachable.
+    pub fn reply_hop(&self, origin: RouterId, at: RouterId) -> Option<(RouterId, SubnetId)> {
+        let dist = &self.origin(origin).dist;
+        let closer = match dist[at.0 as usize] {
+            0 | UNREACHABLE => return None,
+            d => d - 1,
+        };
+        let run = self.run(at.0 as usize);
+        let i = self.adj_nb[run.clone()].iter().position(|nb| dist[nb.0 as usize] == closer)?;
+        Some((self.adj_nb[run.start + i], self.adj_via[run.start + i]))
     }
 
     /// The routers directly attached to `subnet`, sorted and deduped.
@@ -215,55 +244,52 @@ impl RoutingTable {
     }
 
     /// The ingress router of `subnet` as seen from `from`: the attached
-    /// router at minimum hop distance, ties broken by router id —
-    /// [`RoutingTable::nearest`] over
-    /// [`RoutingTable::attached_routers`].
+    /// router at minimum hop distance by `from`'s column, ties broken by
+    /// router id.
     pub fn ingress(&self, from: RouterId, subnet: SubnetId) -> Option<RouterId> {
         // The attached routers are pairwise adjacent, so their distances
         // from `from` differ by at most one: the first (lowest id) is the
         // answer unless a later one is a hop closer, and the first such
         // router ends the scan. One unreachable means all are.
+        let dist = &self.origin(from).dist;
         let (&first, rest) = self.attached_routers(subnet).split_first()?;
-        let d = self.dist(from, first);
+        let d = dist[first.0 as usize];
         if d == UNREACHABLE {
             return None;
         }
-        Some(rest.iter().copied().find(|&r| self.dist(from, r) < d).unwrap_or(first))
+        Some(rest.iter().copied().find(|&r| dist[r.0 as usize] < d).unwrap_or(first))
     }
 
-    /// The nearest router(s) of `candidates` to `from`; used to route
-    /// toward a subnet (its ingress router is the closest attached
-    /// router).
-    pub fn nearest(
-        &self,
-        from: RouterId,
-        candidates: impl IntoIterator<Item = RouterId>,
-    ) -> Option<(RouterId, u16)> {
-        candidates
-            .into_iter()
-            .map(|c| (c, self.dist(from, c)))
-            .filter(|&(_, d)| d != UNREACHABLE)
-            .min_by_key(|&(c, d)| (d, c))
-    }
-
-    /// Number of destination columns built so far.
+    /// Number of origin columns built so far.
     pub fn built_columns(&self) -> usize {
-        self.columns.iter().filter_map(OnceLock::get).count()
+        self.origins.iter().filter_map(OnceLock::get).count()
     }
 
-    /// Heap bytes held by the table: the graph (both CSRs and the column
-    /// slots) plus 2 bytes per router for every built column. A pure
-    /// function of the topology and of which destinations were touched.
+    /// Heap bytes one origin's column holds before any of its paths is
+    /// built: a 2-byte distance and one path slot per router.
+    pub fn column_bytes(&self) -> usize {
+        self.origins.len() * (size_of::<u16>() + size_of::<OnceLock<Dag>>())
+    }
+
+    /// Heap bytes held by the built shortest-path DAGs, over all origins.
+    pub fn path_bytes(&self) -> usize {
+        let built = self.origins.iter().filter_map(OnceLock::get);
+        built.flat_map(|o| o.paths.iter().filter_map(OnceLock::get)).map(Dag::heap_bytes).sum()
+    }
+
+    /// Heap bytes held by the table: the graph (both CSRs and the origin
+    /// slots), [`column_bytes`](RoutingTable::column_bytes) for every
+    /// built column, and the [`path_bytes`](RoutingTable::path_bytes). A
+    /// pure function of the topology and of which (origin, target) pairs
+    /// were touched.
     pub fn heap_bytes(&self) -> usize {
         let graph = size_of_val(&*self.adj_off)
             + size_of_val(&*self.adj_nb)
             + size_of_val(&*self.adj_via)
             + size_of_val(&*self.attached_off)
             + size_of_val(&*self.attached)
-            + size_of_val(&*self.columns);
-        let columns: usize =
-            self.columns.iter().filter_map(OnceLock::get).map(|d| size_of_val(&**d)).sum();
-        graph + columns
+            + size_of_val(&*self.origins);
+        graph + self.built_columns() * self.column_bytes() + self.path_bytes()
     }
 
     /// The index range of `router`'s run in `adj_nb` and `adj_via`.
@@ -272,13 +298,13 @@ impl RoutingTable {
         self.adj_off[router] as usize..self.adj_off[router + 1] as usize
     }
 
-    /// One BFS from `to`: the hop distance from every router.
-    fn build_column(&self, to: usize) -> Box<[u16]> {
-        let n = self.columns.len();
+    /// One BFS from `from`: the hop distance to every router.
+    fn build_column(&self, from: usize) -> Box<[u16]> {
+        let n = self.origins.len();
         let mut dist = vec![UNREACHABLE; n];
-        dist[to] = 0;
+        dist[from] = 0;
         let mut queue = Vec::with_capacity(n);
-        queue.push(to);
+        queue.push(from);
         let mut head = 0;
         while let Some(&cur) = queue.get(head) {
             head += 1;
@@ -292,6 +318,47 @@ impl RoutingTable {
             }
         }
         dist.into()
+    }
+
+    /// The shortest-path DAG toward `target` over an origin's column.
+    /// A router one hop closer to the origin than a member, and adjacent
+    /// to it, is itself a member, so a backward search from the target
+    /// finds them layer by layer. A member's next hops are its neighbors
+    /// one hop farther from the origin that are members too.
+    fn build_path(&self, dist: &[u16], target: usize) -> Dag {
+        if dist[target] == UNREACHABLE {
+            return Dag::default();
+        }
+        let mut layer = vec![RouterId(target as u32)];
+        let mut members = layer.clone();
+        for closer in (0..dist[target]).rev() {
+            let mut next: Vec<RouterId> = layer
+                .iter()
+                .flat_map(|x| &self.adj_nb[self.run(x.0 as usize)])
+                .copied()
+                .filter(|nb| dist[nb.0 as usize] == closer)
+                .collect();
+            next.sort_unstable();
+            next.dedup();
+            members.extend_from_slice(&next);
+            layer = next;
+        }
+        members.sort_unstable();
+
+        let mut off = Vec::with_capacity(members.len() + 1);
+        off.push(0u32);
+        let mut hops = Vec::new();
+        for x in &members {
+            let run = self.run(x.0 as usize);
+            let farther = dist[x.0 as usize] + 1;
+            for (&nb, &via) in self.adj_nb[run.clone()].iter().zip(&self.adj_via[run]) {
+                if dist[nb.0 as usize] == farther && members.binary_search(&nb).is_ok() {
+                    hops.push((nb, via));
+                }
+            }
+            off.push(hops.len() as u32);
+        }
+        Dag { members: members.into(), off: off.into(), hops: hops.into() }
     }
 }
 
@@ -366,7 +433,8 @@ mod tests {
         let rt = RoutingTable::compute(&t);
         assert!(!rt.reachable(r1, r2));
         assert_eq!(rt.next_hops(r1, r2).count(), 0);
-        assert!(rt.nearest(r1, [r2]).is_none());
+        assert_eq!(rt.ingress(r1, SubnetId(1)), None);
+        assert_eq!(rt.path_bytes(), 0);
     }
 
     /// Diamond: r0 connects to r3 via r1 and r2 at equal cost.
@@ -394,50 +462,67 @@ mod tests {
     }
 
     #[test]
-    fn heap_bytes_grow_by_one_distance_row_per_touched_destination() {
+    fn diamond_path_holds_both_branches_and_nothing_at_the_target() {
+        let (t, r) = diamond();
+        let rt = RoutingTable::compute(&t);
+        let path = rt.path(r[0], r[3]);
+        let via = |k: u32| SubnetId(k);
+        assert_eq!(path.next_hops(r[0]).collect::<Vec<_>>(), [(r[1], via(0)), (r[2], via(1))]);
+        assert_eq!(path.next_hops(r[1]).collect::<Vec<_>>(), [(r[3], via(2))]);
+        assert_eq!(path.next_hops(r[2]).collect::<Vec<_>>(), [(r[3], via(3))]);
+        assert_eq!(path.next_hops(r[3]).count(), 0);
+        // r1 is on no shortest path from r0 to r2.
+        assert_eq!(rt.path(r[0], r[2]).next_hops(r[1]).count(), 0);
+    }
+
+    #[test]
+    fn reply_hop_reads_the_origin_column_only() {
+        let (t, r) = diamond();
+        let rt = RoutingTable::compute(&t);
+        assert_eq!(rt.reply_hop(r[0], r[3]), Some((r[1], SubnetId(2))));
+        assert_eq!(rt.reply_hop(r[0], r[1]), Some((r[0], SubnetId(0))));
+        assert_eq!(rt.reply_hop(r[0], r[0]), None);
+        assert_eq!(rt.built_columns(), 1);
+    }
+
+    #[test]
+    fn heap_bytes_grow_by_one_column_per_origin_and_one_dag_per_path() {
         let (t, r) = diamond();
         let rt = RoutingTable::compute(&t);
         let graph = rt.heap_bytes();
-        assert_eq!(rt.built_columns(), 0);
+        assert_eq!((rt.built_columns(), rt.path_bytes()), (0, 0));
+        assert_eq!(rt.column_bytes(), r.len() * (2 + size_of::<OnceLock<Dag>>()));
+
+        // Distances and ingress read the column and build no path.
+        let _ = rt.dist(r[0], r[3]);
+        let _ = rt.ingress(r[0], SubnetId(3));
+        assert_eq!(rt.heap_bytes(), graph + rt.column_bytes());
+
+        // r0 -> r3: four members, four hops (two from r0, one each from
+        // r1 and r2): 4 + 5 offsets of 4 bytes, 4 pairs of 8 bytes.
         let _ = rt.next_hops(r[0], r[3]).count();
+        assert_eq!(rt.path_bytes(), 4 * 4 + 5 * 4 + 4 * 8);
+        // Walking the same path again adds nothing.
+        let _ = rt.path(r[0], r[3]).next_hops(r[1]).count();
+        assert_eq!(rt.heap_bytes(), graph + rt.column_bytes() + 68);
+
+        // A second origin adds its own column.
         let _ = rt.dist(r[3], r[0]);
-        let _ = rt.dist(r[1], r[0]);
         assert_eq!(rt.built_columns(), 2);
-        assert_eq!(rt.heap_bytes(), graph + 2 * 2 * r.len());
+        assert_eq!(rt.heap_bytes(), graph + 2 * rt.column_bytes() + 68);
     }
 
     #[test]
-    fn nearest_picks_minimum_then_lowest_id() {
-        let (t, r) = chain(4);
-        let rt = RoutingTable::compute(&t);
-        assert_eq!(rt.nearest(r[0], [r[2], r[3]]), Some((r[2], 2)));
-        // Ties broken by router id.
-        assert_eq!(rt.nearest(r[1], [r[0], r[2]]), Some((r[0], 1)));
-        let _ = t;
-    }
-
-    #[test]
-    fn ingress_agrees_with_nearest_over_attached_routers() {
-        let (t, r) = chain(4);
-        let rt = RoutingTable::compute(&t);
-        for sn in 0..t.subnets().len() {
-            let sn = SubnetId(sn as u32);
-            let members: Vec<RouterId> =
-                t.subnet(sn).ifaces.iter().map(|&i| t.iface(i).router).collect();
-            assert_eq!(rt.attached_routers(sn), {
-                let mut m = members.clone();
-                m.sort_unstable();
-                m.dedup();
-                m
-            });
-            for &from in &r {
-                assert_eq!(
-                    rt.ingress(from, sn),
-                    rt.nearest(from, members.iter().copied()).map(|(c, _)| c),
-                    "{from:?} -> {sn:?}"
-                );
-            }
+    fn attached_routers_are_each_subnets_routers_sorted_and_deduped() {
+        let mut b = TopologyBuilder::new();
+        let r: Vec<RouterId> =
+            (0..2).map(|i| b.router(format!("r{i}"), RouterConfig::cooperative())).collect();
+        let s = b.subnet(p("192.168.0.0/29"));
+        for (host, &router) in [r[1], r[0], r[1]].iter().enumerate() {
+            b.attach(router, s, Addr::new(192, 168, 0, host as u8 + 1)).unwrap();
         }
+        let rt = RoutingTable::compute(&b.build().unwrap());
+        assert_eq!(rt.attached_routers(SubnetId(0)), &r[..]);
     }
 
     #[test]

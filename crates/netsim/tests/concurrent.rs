@@ -180,6 +180,45 @@ fn ttl_expiry_answers_like_a_sequential_walk_per_thread() {
     });
 }
 
+/// The engine remembers the last probe source it resolved. Threads
+/// probing from the two ends of a chain, and from an address no
+/// interface holds, keep replacing that entry under each other, and
+/// every probe must still walk from its own source: the TTL-1 router is
+/// each end's neighbor, and the unknown source stays unknown.
+#[test]
+fn sources_from_racing_vantages_resolve_to_their_own_routers() {
+    let (topo, names) = samples::chain(3);
+    let ends = [names.addr("vantage"), names.addr("dest")];
+    let stranger = a("192.0.2.1");
+
+    let (topo_seq, _) = samples::chain(3);
+    let seq = ConcurrentNetwork::new(topo_seq);
+    let toward = |pick: usize| ends[1 - pick % 2];
+    let baseline: Vec<Addr> = (0..2)
+        .map(|pick| expired_at(seq.inject(&icmp_probe(ends[pick], toward(pick), 1, 0, 0))))
+        .collect();
+    assert_ne!(baseline[0], baseline[1], "the two ends have different neighbors");
+
+    let net = Arc::new(ConcurrentNetwork::new(topo));
+    std::thread::scope(|scope| {
+        for t in 0..THREADS {
+            let (net, baseline, toward) = (Arc::clone(&net), &baseline, &toward);
+            scope.spawn(move || {
+                for k in 0..PROBES_PER_THREAD {
+                    let pick = (t + k) % 3;
+                    let src = if pick == 2 { stranger } else { ends[pick] };
+                    let verdict = net.inject(&icmp_probe(src, toward(pick), 1, t as u16, k as u16));
+                    if pick == 2 {
+                        assert_eq!(verdict.silence(), Some(SilenceReason::UnknownSource));
+                    } else {
+                        assert_eq!(expired_at(verdict), baseline[pick], "source {src}");
+                    }
+                }
+            });
+        }
+    });
+}
+
 /// The source of a TTL-exceeded reply; panics on any other verdict.
 fn expired_at(verdict: Verdict) -> Addr {
     let reply = verdict.reply().expect("a TTL-exceeded reply");
@@ -195,7 +234,7 @@ enum Answer {
 }
 
 /// Routes are built on first touch behind `OnceLock`s, so the thread
-/// that builds a column must not matter: eight threads racing through
+/// that builds a column or a path must not matter: eight threads racing through
 /// every query of one cold table, each in its own shuffled order, all
 /// read exactly what a single-threaded cold table answers.
 #[test]

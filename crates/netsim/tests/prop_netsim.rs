@@ -124,6 +124,36 @@ proptest! {
         }
     }
 
+    /// Every memoized shortest-path DAG holds exactly the eager oracle's
+    /// ECMP slices: for every (origin, target) pair, a router on some
+    /// shortest path gets the oracle's next hops toward the target, in
+    /// the same order, and any other router — the target itself, a
+    /// router off every shortest path, every router when the target is
+    /// unreachable — gets none. Same graphs as the oracle test above.
+    #[test]
+    fn paths_match_the_eager_oracle(seed in 0u64..400, routers in 1usize..24) {
+        let topo = common::lan_mesh(seed, routers);
+        let oracle = EagerRoutes::compute(&topo);
+        let rt = RoutingTable::compute(&topo);
+        let ids: Vec<RouterId> = (0..topo.router_count()).map(|r| RouterId(r as u32)).collect();
+        for &o in &ids {
+            for &t in &ids {
+                let path = rt.path(o, t);
+                let d = oracle.dist(o, t);
+                for &x in &ids {
+                    let on_path = d != UNREACHABLE
+                        && oracle.dist(o, x) != UNREACHABLE
+                        && oracle.dist(o, x) + oracle.dist(x, t) == d;
+                    let want = if on_path { oracle.next_hops(x, t) } else { Vec::new() };
+                    let got: Vec<_> = path.next_hops(x).collect();
+                    prop_assert_eq!(got, want, "{:?} -> {:?} at {:?}", o, t, x);
+                }
+                prop_assert_eq!(path.next_hops(t).count(), 0);
+            }
+        }
+        prop_assert_eq!(rt.built_columns(), ids.len());
+    }
+
     /// The ingress router is stable along a shortest walk toward it: if
     /// `a` is the attached router of `subnet` nearest to `from`, it is
     /// also the nearest from every next hop toward `a`. This is what lets
@@ -416,15 +446,51 @@ impl EagerRoutes {
             .collect()
     }
 
-    /// The attached router nearest to `from`, lowest id on ties.
-    fn ingress(&self, topo: &Topology, from: RouterId, subnet: SubnetId) -> Option<RouterId> {
-        topo.subnet(subnet)
-            .ifaces
-            .iter()
-            .map(|&i| topo.iface(i).router)
+    /// The router of `candidates` nearest to `from` and its distance,
+    /// lowest id on ties; `None` when none is reachable.
+    fn nearest(
+        &self,
+        from: RouterId,
+        candidates: impl IntoIterator<Item = RouterId>,
+    ) -> Option<(RouterId, u16)> {
+        candidates
+            .into_iter()
             .map(|r| (self.dist(from, r), r))
             .filter(|&(d, _)| d != UNREACHABLE)
             .min()
-            .map(|(_, r)| r)
+            .map(|(d, r)| (r, d))
     }
+
+    /// The attached router nearest to `from`, lowest id on ties.
+    fn ingress(&self, topo: &Topology, from: RouterId, subnet: SubnetId) -> Option<RouterId> {
+        let attached = topo.subnet(subnet).ifaces.iter().map(|&i| topo.iface(i).router);
+        self.nearest(from, attached).map(|(r, _)| r)
+    }
+}
+
+/// A chain r0 - r1 - r2 - r3 over /31 links and a router r4 on its own.
+fn chain_and_island() -> (Topology, Vec<RouterId>) {
+    let mut b = TopologyBuilder::new();
+    let r: Vec<RouterId> =
+        (0..5).map(|i| b.router(format!("r{i}"), RouterConfig::cooperative())).collect();
+    for i in 0..3u8 {
+        let s = b.subnet(Prefix::containing(Addr::new(10, 0, i, 0), 31));
+        b.attach(r[i as usize], s, Addr::new(10, 0, i, 0)).unwrap();
+        b.attach(r[i as usize + 1], s, Addr::new(10, 0, i, 1)).unwrap();
+    }
+    let s = b.subnet(Prefix::containing(Addr::new(10, 0, 3, 0), 31));
+    b.attach(r[4], s, Addr::new(10, 0, 3, 0)).unwrap();
+    (b.build().unwrap(), r)
+}
+
+/// The oracle's ingress rule: the nearest candidate wins, ties go to the
+/// lowest router id, and unreachable candidates never win.
+#[test]
+fn eager_nearest_picks_minimum_then_lowest_id() {
+    let (topo, r) = chain_and_island();
+    let oracle = EagerRoutes::compute(&topo);
+    assert_eq!(oracle.nearest(r[0], [r[2], r[3]]), Some((r[2], 2)));
+    assert_eq!(oracle.nearest(r[0], [r[3], r[2]]), Some((r[2], 2)));
+    assert_eq!(oracle.nearest(r[1], [r[2], r[0]]), Some((r[0], 1)));
+    assert_eq!(oracle.nearest(r[0], [r[4]]), None);
 }

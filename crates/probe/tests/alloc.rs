@@ -105,7 +105,7 @@ fn a_warm_wire_attempt_allocates_nothing() {
     ];
     let mut probers: Vec<_> =
         cases.iter().map(|&(_, proto, ..)| net.prober(a("10.0.0.0"), proto)).collect();
-    // The first probe of each case builds the distance column it reads.
+    // The first probe of each case builds the column and the path it reads.
     for (prober, &(name, _, dst, ttl, want)) in probers.iter_mut().zip(&cases) {
         assert_eq!(prober.probe(dst, ttl), want, "{name}");
     }
