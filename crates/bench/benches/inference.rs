@@ -3,7 +3,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use inet::Addr;
-use traceroute::{infer_subnets, InferenceOptions};
+use traceroute::infer_subnets;
 
 /// Synthesizes `n` observations shaped like traceroute output: /30-link
 /// pairs plus some LAN clusters with plausible hop distances.
@@ -31,7 +31,7 @@ fn bench_inference(c: &mut Criterion) {
     for n in [100usize, 1000, 5000] {
         let obs = observations(n);
         g.bench_with_input(BenchmarkId::new("infer_subnets", n), &obs, |b, obs| {
-            b.iter(|| infer_subnets(black_box(obs), InferenceOptions::default()))
+            b.iter(|| infer_subnets(black_box(obs)))
         });
     }
     g.finish();

@@ -467,10 +467,7 @@ pub fn ablation(args: &ExpArgs) -> Vec<AblationRow> {
     let observed: Vec<(inet::Addr, u16)> =
         reports.iter().flat_map(|r| r.addresses_with_hops()).collect();
     let inferred: Vec<inet::SubnetRecord> =
-        traceroute::infer_subnets(&observed, traceroute::InferenceOptions::default())
-            .into_iter()
-            .filter(|s| s.len() >= 2)
-            .collect();
+        traceroute::infer_subnets(&observed).into_iter().filter(|s| s.len() >= 2).collect();
     rows.push(row("traceroute + inference [7]".to_string(), &inferred, probes));
     rows
 }

@@ -40,7 +40,7 @@ fn seed_and_flags_follow_the_artifacts() {
     let (names, args) = parse(&argv).unwrap();
     assert_eq!(names, ["table2", "fig9"]);
     assert_eq!((args.seed, args.cfg.jobs, args.cfg.use_cache), (7, 3, false));
-    assert_eq!(args.cfg.retry, probe::RetryPolicy::Backoff { retries: 4, base: 8 });
+    assert_eq!(args.cfg.retry, probe::RetryPolicy::Backoff { retries: 4 });
     assert!(args.fault.is_none());
 
     let argv = ["fig8", "--fault-profile", "heavy-loss", "--fault-budget", "3"];

@@ -337,11 +337,7 @@ pub fn traceroute_cmd(opts: &Opts) -> Result<String, String> {
     tr_opts.max_ttl = opts.flag_parse("max-ttl", tr_opts.max_ttl)?;
 
     let net = SharedNetwork::new(scenario.topology.clone());
-    let mut prober = net.prober(v, proto).flow_mode(if tr_opts.paris {
-        probe::FlowMode::Paris
-    } else {
-        probe::FlowMode::Classic
-    });
+    let mut prober = net.prober(v, proto);
     let report = traceroute::traceroute(&mut prober, target, tr_opts);
     Ok(report.to_string())
 }
@@ -508,16 +504,18 @@ pub fn crossval(opts: &Opts) -> Result<String, String> {
 }
 
 /// Serializes the session options into the exchange-log header, so a
-/// replay re-creates the exact configuration of the recorded run.
+/// replay re-creates the exact configuration of the recorded run. The
+/// settings the collector only runs one way are written too, so a log
+/// says what it was recorded under.
 fn options_to_json(o: &TracenetOptions) -> serde_json::Value {
     let h = &o.heuristics;
     serde_json::json!({
         "max_ttl": o.max_ttl,
-        "min_prefix_len": o.min_prefix_len,
-        "distance_search_span": o.distance_search_span,
+        "min_prefix_len": tracenet::MIN_PREFIX_LEN,
+        "distance_search_span": tracenet::DISTANCE_SEARCH_SPAN,
         "utilization_stop": o.utilization_stop,
-        "reuse_known_subnets": o.reuse_known_subnets,
-        "explore_off_path": o.explore_off_path,
+        "reuse_known_subnets": true,
+        "explore_off_path": true,
         "hop_fault_budget": o.hop_fault_budget.map(u64::from),
         "heuristics": [
             h.h2_upper_bound_subnet_contiguity,
@@ -534,7 +532,8 @@ fn options_to_json(o: &TracenetOptions) -> serde_json::Value {
 
 /// Reads [`options_to_json`]'s rendering back. Every field is required:
 /// defaulting a missing one would silently replay under a different
-/// configuration than the recording ran.
+/// configuration than the recording ran. The fixed settings must carry
+/// the one value this collector runs with.
 fn options_from_json(v: &serde_json::Value) -> Result<tracenet::TracenetOptions, String> {
     fn num(v: &serde_json::Value, key: &str) -> Result<u8, String> {
         v[key]
@@ -545,6 +544,16 @@ fn options_from_json(v: &serde_json::Value) -> Result<tracenet::TracenetOptions,
     fn switch(v: &serde_json::Value, key: &str) -> Result<bool, String> {
         v[key].as_bool().ok_or_else(|| format!("options: missing or invalid {key:?}"))
     }
+    fn fixed<T: PartialEq + std::fmt::Display>(key: &str, got: T, want: T) -> Result<(), String> {
+        if got == want {
+            return Ok(());
+        }
+        Err(format!("options: {key:?} is {got}, but this collector only runs with {want}"))
+    }
+    fixed("min_prefix_len", num(v, "min_prefix_len")?, tracenet::MIN_PREFIX_LEN)?;
+    fixed("distance_search_span", num(v, "distance_search_span")?, tracenet::DISTANCE_SEARCH_SPAN)?;
+    fixed("reuse_known_subnets", switch(v, "reuse_known_subnets")?, true)?;
+    fixed("explore_off_path", switch(v, "explore_off_path")?, true)?;
     let h: Vec<bool> = v["heuristics"]
         .as_array()
         .ok_or("options: missing heuristics array")?
@@ -557,11 +566,7 @@ fn options_from_json(v: &serde_json::Value) -> Result<tracenet::TracenetOptions,
     }
     Ok(TracenetOptions {
         max_ttl: num(v, "max_ttl")?,
-        min_prefix_len: num(v, "min_prefix_len")?,
-        distance_search_span: num(v, "distance_search_span")?,
         utilization_stop: switch(v, "utilization_stop")?,
-        reuse_known_subnets: switch(v, "reuse_known_subnets")?,
-        explore_off_path: switch(v, "explore_off_path")?,
         hop_fault_budget: if v["hop_fault_budget"].is_null() {
             None
         } else {

@@ -30,11 +30,8 @@ pub fn retry_policy(opts: &Opts) -> Result<probe::RetryPolicy, String> {
     let retries = opts.flag_parse("retries", probe::DEFAULT_RETRIES)?;
     match opts.flag("backoff").unwrap_or("none") {
         "none" => Ok(probe::RetryPolicy::Fixed { retries }),
-        "exp" => Ok(probe::RetryPolicy::Backoff { retries, base: 8 }),
-        "adaptive" => Ok(probe::RetryPolicy::Adaptive {
-            min: probe::DEFAULT_RETRIES.min(retries),
-            max: retries,
-        }),
+        "exp" => Ok(probe::RetryPolicy::Backoff { retries }),
+        "adaptive" => Ok(probe::RetryPolicy::Adaptive { max: retries }),
         other => Err(format!("unknown backoff mode {other:?} (none|exp|adaptive)")),
     }
 }

@@ -77,3 +77,44 @@ fn replay_and_diff_reject_a_truncated_log_with_its_line_number() {
     }
     std::fs::remove_file(path).ok();
 }
+
+/// The settings the collector only runs one way are checked on replay:
+/// a header that records another value is refused with the key's name,
+/// and one that lacks the key keeps the "missing or invalid" error.
+#[test]
+fn replay_rejects_a_header_with_other_fixed_options() {
+    let log = String::from_utf8(golden()).unwrap();
+    let (header, rest) = log.split_once('\n').unwrap();
+    let fixed = [
+        ("min_prefix_len", "20", "24"),
+        ("distance_search_span", "3", "1"),
+        ("reuse_known_subnets", "true", "false"),
+        ("explore_off_path", "true", "false"),
+    ];
+    let mut cases: Vec<(String, String, String)> = fixed
+        .iter()
+        .map(|(key, ours, other)| {
+            (
+                format!("\"{key}\":{ours}"),
+                format!("\"{key}\":{other}"),
+                format!("\"{key}\" is {other}"),
+            )
+        })
+        .collect();
+    let missing = r#""distance_search_span":3,"#;
+    cases.push((
+        missing.into(),
+        String::new(),
+        r#"missing or invalid "distance_search_span""#.into(),
+    ));
+    for (k, (from, to, want)) in cases.into_iter().enumerate() {
+        assert!(header.contains(&from), "the golden header carries {from}");
+        let mut path = std::env::temp_dir();
+        path.push(format!("tracenet-fixed-option-{}-{k}.jsonl", std::process::id()));
+        std::fs::write(&path, format!("{}\n{rest}", header.replacen(&from, &to, 1))).unwrap();
+        let (code, stderr) = tracenet(&["replay", path.to_str().unwrap()]);
+        std::fs::remove_file(&path).ok();
+        assert_eq!(code, Some(2), "{to:?}: {stderr}");
+        assert!(stderr.contains(&want), "{to:?}: {stderr}");
+    }
+}

@@ -5,8 +5,8 @@
 //! after hop. A [`SubnetStore`] lets a batch driver (see the `sweep`
 //! crate) share already-accepted subnets and per-hop stop-set entries
 //! across sessions, the way Doubletree shares stop sets across traces —
-//! extending the within-session `reuse_known_subnets` skip to
-//! cross-session scope.
+//! extending the session's own skip of hops inside subnets it already
+//! collected to cross-session scope.
 //!
 //! The session consults the store *after* its own within-session reuse
 //! check and *before* positioning/exploring a hop, and admits whatever

@@ -17,7 +17,7 @@ use probe::Prober;
 use crate::heuristics::{examine, Context, Decision};
 use crate::hop::LocalSet;
 use crate::observed::{ObservedSubnet, StopCause};
-use crate::options::TracenetOptions;
+use crate::options::{TracenetOptions, MIN_PREFIX_LEN};
 use crate::position::Positioning;
 
 /// Runs Algorithm 1 around the positioned pivot.
@@ -44,14 +44,14 @@ pub fn explore<P: Prober>(
 
     // S starts as {pivot} inside the widest prefix we may ever grow to,
     // so membership bookkeeping never needs re-allocation on growth.
-    let arena = Prefix::containing(pos.pivot, opts.min_prefix_len);
+    let arena = Prefix::containing(pos.pivot, MIN_PREFIX_LEN);
     let mut record = SubnetRecord::new(arena, [pos.pivot]).expect("pivot is inside its arena");
     let mut contra_pivot: Option<Addr> = None;
     let mut examined: LocalSet<Addr> = std::iter::once(pos.pivot).collect();
     let mut stop = StopCause::PrefixFloor;
-    let mut level = opts.min_prefix_len; // last fully swept level
+    let mut level = MIN_PREFIX_LEN; // last fully swept level
 
-    'grow: for m in (opts.min_prefix_len..=31).rev() {
+    'grow: for m in (MIN_PREFIX_LEN..=31).rev() {
         let sweep = Prefix::containing(pos.pivot, m);
         for l in sweep.probe_addrs() {
             if !examined.insert(l) {
@@ -388,7 +388,7 @@ mod tests {
     }
 
     /// The utilization stop can be ablated: growth then only stops on a
-    /// heuristic violation or the prefix floor.
+    /// heuristic violation or the /20 prefix floor.
     #[test]
     fn ablating_utilization_stop_reaches_prefix_floor() {
         let ingress = a("10.0.1.1");
@@ -396,7 +396,6 @@ mod tests {
         script_member(&mut p, a("10.0.2.1"), 3, ingress);
         let mut o = opts();
         o.utilization_stop = false;
-        o.min_prefix_len = 28; // keep the sweep small
         let mut p = HopProber::new(p, None);
         let s = explore(
             &mut p,

@@ -62,7 +62,7 @@ mod session;
 
 pub use cache::{CacheLookup, SubnetStore};
 pub use observed::{AddressRole, ObservedSubnet, StopCause};
-pub use options::{HeuristicSet, TracenetOptions};
+pub use options::{HeuristicSet, TracenetOptions, DISTANCE_SEARCH_SPAN, MIN_PREFIX_LEN};
 pub use position::Positioning;
 pub use report::{Completeness, HopRecord, PhaseCost, TraceReport};
 pub use session::Session;

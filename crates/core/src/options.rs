@@ -63,33 +63,33 @@ impl Default for HeuristicSet {
     }
 }
 
+/// Smallest prefix length (largest subnet) exploration grows to. The
+/// paper's Algorithm 1 runs `m` down to 0 but is always stopped by the
+/// utilization rule first; /20 matches the largest subnets the paper
+/// observed (NTT America, §4.2) and bounds worst-case probing.
+pub const MIN_PREFIX_LEN: u8 = 20;
+
+/// How many hops beyond (and, after silence, before) `d` the positioning
+/// distance search looks ("in some other cases, however, it might differ
+/// by one or a few hops", §3.4).
+pub const DISTANCE_SEARCH_SPAN: u8 = 3;
+
 /// Tunables of a tracenet session.
+///
+/// What the paper's tracenet always does is not a tunable: a hop whose
+/// address lies inside a subnet collected earlier in the session is not
+/// re-explored, and subnets positioned off the trace path are explored
+/// like on-path ones ("tracenet builds the subnet which accommodates the
+/// interface obtained with indirect probing", §3.4). Exploration stops at
+/// [`MIN_PREFIX_LEN`] and the distance search spans
+/// [`DISTANCE_SEARCH_SPAN`] hops.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TracenetOptions {
     /// Maximum trace length, like traceroute's `-m` (default 30).
     pub max_ttl: u8,
-    /// Smallest prefix length (largest subnet) exploration may grow to.
-    /// The paper's Algorithm 1 runs `m` down to 0 but is always stopped by
-    /// the utilization rule first; /20 matches the largest subnets the
-    /// paper observed (NTT America, §4.2) and bounds worst-case probing.
-    pub min_prefix_len: u8,
-    /// How many hops beyond `d` the positioning distance search may look
-    /// ("in some other cases, however, it might differ by one or a few
-    /// hops", §3.4).
-    pub distance_search_span: u8,
     /// Apply Algorithm 1's lines 19–21: stop growing a /29-or-larger
     /// subnet that is at most half utilized. Switchable for ablation.
     pub utilization_stop: bool,
-    /// Skip exploration when the hop address already belongs to a subnet
-    /// collected earlier in this session (saves probes on re-visited
-    /// LANs).
-    pub reuse_known_subnets: bool,
-    /// Explore subnets that positioning judged off-the-trace-path. The
-    /// paper's tracenet does ("tracenet builds the subnet which
-    /// accommodates the interface obtained with indirect probing", §3.4 —
-    /// on- or off-path); switching this off yields a strictly-on-path
-    /// variant.
-    pub explore_off_path: bool,
     /// Active growth heuristics.
     pub heuristics: HeuristicSet,
     /// Fault-attributed timeouts (loss, outage, rate-limit silence —
@@ -103,11 +103,7 @@ impl Default for TracenetOptions {
     fn default() -> Self {
         TracenetOptions {
             max_ttl: 30,
-            min_prefix_len: 20,
-            distance_search_span: 3,
             utilization_stop: true,
-            reuse_known_subnets: true,
-            explore_off_path: true,
             heuristics: HeuristicSet::all(),
             hop_fault_budget: None,
         }
@@ -155,7 +151,6 @@ mod tests {
         let o = TracenetOptions::default();
         assert_eq!(o.max_ttl, 30);
         assert!(o.utilization_stop);
-        assert!(o.explore_off_path);
         assert!(o.hop_fault_budget.is_none(), "no abandonment bound by default");
     }
 }

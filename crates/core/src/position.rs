@@ -18,7 +18,7 @@ use inet::Addr;
 use obs::Cause;
 use probe::{ProbeOutcome, Prober};
 
-use crate::options::TracenetOptions;
+use crate::options::{TracenetOptions, DISTANCE_SEARCH_SPAN};
 
 /// The result of Algorithm 2.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -41,7 +41,7 @@ pub struct Positioning {
 /// Sends probes "with increasing (forward) and decreasing (backward) TTL
 /// values starting from d until it locates the exact location" — i.e. the
 /// minimum TTL that elicits a direct reply. Returns `None` when `v` never
-/// answers a direct probe within `opts.distance_search_span` hops of `d`
+/// answers a direct probe within [`DISTANCE_SEARCH_SPAN`] hops of `d`
 /// (a completely unresponsive interface cannot be positioned).
 pub fn perceived_distance<P: Prober>(
     prober: &mut P,
@@ -64,19 +64,19 @@ pub fn perceived_distance<P: Prober>(
         }
         ProbeOutcome::TtlExceeded { .. } => {
             // v is farther than d: walk forward a few hops.
-            let limit = d.saturating_add(opts.distance_search_span).min(opts.max_ttl);
+            let limit = d.saturating_add(DISTANCE_SEARCH_SPAN).min(opts.max_ttl);
             (d + 1..=limit)
                 .find(|&t| matches!(prober.probe(v, t), ProbeOutcome::DirectReply { .. }))
         }
         _ => {
             // Silence at d: scan the window around d before giving up.
-            let hi = d.saturating_add(opts.distance_search_span).min(opts.max_ttl);
+            let hi = d.saturating_add(DISTANCE_SEARCH_SPAN).min(opts.max_ttl);
             for t in d + 1..=hi {
                 if matches!(prober.probe(v, t), ProbeOutcome::DirectReply { .. }) {
                     return Some(t);
                 }
             }
-            let lo = d.saturating_sub(opts.distance_search_span).max(1);
+            let lo = d.saturating_sub(DISTANCE_SEARCH_SPAN).max(1);
             (lo..d).rev().find(|&t| matches!(prober.probe(v, t), ProbeOutcome::DirectReply { .. }))
         }
     }

@@ -104,10 +104,9 @@ impl<P: Prober> Session<P> {
             let mut admit = false;
 
             if let Some(v) = addr {
-                let known = self.opts.reuse_known_subnets
-                    && hops.iter().any(|h: &HopRecord| {
-                        h.subnet.as_ref().is_some_and(|s| s.record.contains(v))
-                    });
+                let known = hops
+                    .iter()
+                    .any(|h: &HopRecord| h.subnet.as_ref().is_some_and(|s| s.record.contains(v)));
                 let lookup = if known {
                     None
                 } else {
@@ -197,27 +196,21 @@ impl<P: Prober> Session<P> {
                         }
                     }
 
+                    // On or off the trace path, the positioned subnet is
+                    // explored (§3.4).
                     if let Some(pos) = positioning {
-                        if pos.on_path || self.opts.explore_off_path {
-                            let before = self.prober.stats().sent;
-                            let explore_t0 = self.prober.clock();
-                            let subnet = {
-                                let _phase = obs::phase_scope(Phase::Explore);
-                                explore(
-                                    &mut self.prober,
-                                    &self.recorder,
-                                    &pos,
-                                    prev_addr,
-                                    &self.opts,
-                                )
-                            };
-                            self.recorder.record_phase_ticks(
-                                Phase::Explore,
-                                self.prober.clock().saturating_sub(explore_t0),
-                            );
-                            record.cost.explore = self.prober.stats().sent - before;
-                            record.subnet = Some(subnet);
-                        }
+                        let before = self.prober.stats().sent;
+                        let explore_t0 = self.prober.clock();
+                        let subnet = {
+                            let _phase = obs::phase_scope(Phase::Explore);
+                            explore(&mut self.prober, &self.recorder, &pos, prev_addr, &self.opts)
+                        };
+                        self.recorder.record_phase_ticks(
+                            Phase::Explore,
+                            self.prober.clock().saturating_sub(explore_t0),
+                        );
+                        record.cost.explore = self.prober.stats().sent - before;
+                        record.subnet = Some(subnet);
                     }
                     admit = self.store.is_some();
                 }
@@ -303,8 +296,15 @@ fn classify(before: &ProbeStats, after: &ProbeStats, tripped: bool) -> Completen
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::{samples, ConcurrentNetwork};
+    use netsim::{samples, ConcurrentNetwork, FaultPlan, Topology};
     use probe::{Protocol, SharedNetwork};
+
+    /// `topo` with `plan` installed.
+    fn faulty(topo: Topology, plan: FaultPlan) -> SharedNetwork {
+        let mut net = ConcurrentNetwork::new(topo);
+        net.set_fault_plan(Some(plan));
+        SharedNetwork::from_concurrent(net)
+    }
 
     #[test]
     fn chain_trace_collects_every_link() {
@@ -415,8 +415,8 @@ mod tests {
         // TTL-exceeded errors, so hop 2 explores 10.0.2.0/31 and collects
         // both sides of the r2–r3 link. Hop 3 then traces as r3's
         // ingress 10.0.2.1 — already a member of hop 2's subnet — and the
-        // `reuse_known_subnets` skip must fire exactly once while the
-        // report still lists both hops.
+        // known-subnet skip must fire exactly once while the report still
+        // lists both hops.
         use inet::Prefix;
         use netsim::{ResponsePolicy, RouterConfig, TopologyBuilder};
         let mut b = TopologyBuilder::new();
@@ -510,40 +510,6 @@ mod tests {
     }
 
     #[test]
-    fn disabling_reuse_reexplores_the_contained_hop() {
-        // Same scene as above with `reuse_known_subnets` off: hop 3 must
-        // be explored (and re-collect the same link) instead of skipped.
-        use inet::Prefix;
-        use netsim::{ResponsePolicy, RouterConfig, TopologyBuilder};
-        let mut b = TopologyBuilder::new();
-        let v = b.host("vantage");
-        let r1 = b.router("r1", RouterConfig::cooperative());
-        let mut egress_cfg = RouterConfig::cooperative();
-        egress_cfg.indirect = ResponsePolicy::Default("10.0.2.0".parse().unwrap());
-        let r2 = b.router("r2", egress_cfg);
-        let r3 = b.router("r3", RouterConfig::cooperative());
-        let d = b.host("dest");
-        let mk = |b: &mut TopologyBuilder, x, y, base: &str| {
-            let s = b.subnet(base.parse::<Prefix>().unwrap());
-            let lo: Addr = base.split('/').next().unwrap().parse().unwrap();
-            b.attach(x, s, lo).unwrap();
-            b.attach(y, s, lo.mate31()).unwrap();
-            lo
-        };
-        let v_addr = mk(&mut b, v, r1, "10.0.0.0/31");
-        mk(&mut b, r1, r2, "10.0.1.0/31");
-        mk(&mut b, r2, r3, "10.0.2.0/31");
-        let d_side = mk(&mut b, r3, d, "10.0.3.0/31");
-        let net = SharedNetwork::new(b.build().unwrap());
-        let mut prober = net.prober(v_addr, Protocol::Icmp);
-        let opts = TracenetOptions { reuse_known_subnets: false, ..TracenetOptions::default() };
-        let report = Session::new(&mut prober, opts).run(d_side.mate31());
-        assert!(report.destination_reached);
-        assert!(report.hops.iter().all(|h| !h.repeated));
-        assert!(report.hops[2].subnet.is_some(), "without reuse, hop 3 is explored");
-    }
-
-    #[test]
     fn fault_free_hops_are_all_complete() {
         let (topo, names) = samples::chain(3);
         let net = SharedNetwork::new(topo);
@@ -556,11 +522,9 @@ mod tests {
 
     #[test]
     fn total_reply_loss_with_a_budget_abandons_every_hop() {
-        use netsim::FaultPlan;
         let (topo, names) = samples::chain(3);
         let plan = FaultPlan { reply_loss: 1.0, ..FaultPlan::new(7) };
-        let net =
-            SharedNetwork::from_concurrent(ConcurrentNetwork::new(topo).with_fault_plan(plan));
+        let net = faulty(topo, plan);
         let mut prober = net.prober(names.addr("vantage"), Protocol::Icmp);
         let opts =
             TracenetOptions { max_ttl: 4, hop_fault_budget: Some(1), ..TracenetOptions::default() };
@@ -573,11 +537,9 @@ mod tests {
 
     #[test]
     fn total_reply_loss_without_a_budget_degrades_every_hop() {
-        use netsim::FaultPlan;
         let (topo, names) = samples::chain(3);
         let plan = FaultPlan { reply_loss: 1.0, ..FaultPlan::new(7) };
-        let net =
-            SharedNetwork::from_concurrent(ConcurrentNetwork::new(topo).with_fault_plan(plan));
+        let net = faulty(topo, plan);
         let mut prober = net.prober(names.addr("vantage"), Protocol::Icmp);
         let opts = TracenetOptions { max_ttl: 4, ..TracenetOptions::default() };
         let report = Session::new(&mut prober, opts).run(names.addr("dest"));
@@ -587,7 +549,6 @@ mod tests {
 
     #[test]
     fn lossy_session_discovers_a_sound_subset() {
-        use netsim::FaultPlan;
         let (topo, names) = samples::chain(3);
         let clean = {
             let net = SharedNetwork::new(topo.clone());
@@ -595,8 +556,7 @@ mod tests {
             Session::new(&mut prober, TracenetOptions::default()).run(names.addr("dest"))
         };
         let plan = FaultPlan { reply_loss: 0.3, forward_loss: 0.2, ..FaultPlan::new(2010) };
-        let net =
-            SharedNetwork::from_concurrent(ConcurrentNetwork::new(topo).with_fault_plan(plan));
+        let net = faulty(topo, plan);
         let mut prober = net.prober(names.addr("vantage"), Protocol::Icmp);
         let opts = TracenetOptions { hop_fault_budget: Some(8), ..TracenetOptions::default() };
         let lossy = Session::new(&mut prober, opts).run(names.addr("dest"));
@@ -613,7 +573,6 @@ mod tests {
     fn degraded_hops_are_not_admitted_to_the_subnet_store() {
         use crate::cache::{CacheLookup, SubnetStore};
         use crate::observed::ObservedSubnet;
-        use netsim::FaultPlan;
         use std::collections::BTreeMap;
         use std::sync::Mutex;
 
@@ -641,9 +600,7 @@ mod tests {
         // A heavily lossy session: every hop it manages to resolve is
         // degraded, so nothing may enter the store.
         let plan = FaultPlan { reply_loss: 0.6, ..FaultPlan::new(11) };
-        let net = SharedNetwork::from_concurrent(
-            ConcurrentNetwork::new(topo.clone()).with_fault_plan(plan),
-        );
+        let net = faulty(topo.clone(), plan);
         let mut prober = net.prober(names.addr("vantage"), Protocol::Icmp);
         let faulty = Session::new(&mut prober, TracenetOptions::default())
             .with_subnet_store(store.clone())
@@ -712,12 +669,10 @@ mod tests {
 
     #[test]
     fn degraded_hops_log_their_silence_cause() {
-        use netsim::FaultPlan;
         use obs::{SinkHandle, VecSink};
         let (topo, names) = samples::chain(2);
         let plan = FaultPlan { reply_loss: 1.0, ..FaultPlan::new(7) };
-        let net =
-            SharedNetwork::from_concurrent(ConcurrentNetwork::new(topo).with_fault_plan(plan));
+        let net = faulty(topo, plan);
         let sink = VecSink::new();
         let reader = sink.clone();
         let recorder = Recorder::new().with_sink(SinkHandle::new(sink));

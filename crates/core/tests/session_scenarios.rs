@@ -42,10 +42,10 @@ fn max_ttl_truncates_the_trace() {
     assert_eq!(report.hops.len(), 3);
 }
 
-/// An off-the-trace-path subnet (perceived distance ≠ trace hop):
-/// explored by default, skipped when `explore_off_path` is off.
+/// An off-the-trace-path subnet (perceived distance ≠ trace hop) is
+/// explored like an on-path one (§3.4).
 #[test]
-fn off_path_subnets_respect_the_option() {
+fn off_path_subnets_are_explored() {
     // Scripted world: destination at hop 3 behind hops u (h1), m (h2).
     // The hop-2 router reports `m`, an address whose true direct
     // distance is 1 (a shortest-path-policy router reporting its
@@ -55,43 +55,33 @@ fn off_path_subnets_respect_the_option() {
     let m = a("10.0.2.1"); // reported at hop 2, really at distance 1
     let mate = a("10.0.2.0");
 
-    let build = || {
-        let mut p = ScriptedProber::new(a("10.0.0.1"));
-        p.script(dest, 1, ProbeOutcome::TtlExceeded { from: h1 });
-        p.script(dest, 2, ProbeOutcome::TtlExceeded { from: m });
-        for t in 3..=30 {
-            p.script(dest, t, ProbeOutcome::DirectReply { from: dest });
-        }
-        // h1 positioning: a /31-style on-path hop.
-        p.script_path(h1, 1, &[]);
-        p.script_path(h1.mate31(), 1, &[]);
-        // m really answers from distance 1 → perceived ≠ hop (off-path).
-        p.script_path(m, 1, &[]);
-        p.script_path(mate, 1, &[]);
-        // dest positioning.
-        p.script_path(dest, 3, &[h1, m]);
-        p.script(dest.mate31(), 3, ProbeOutcome::Timeout);
-        p
-    };
+    let mut p = ScriptedProber::new(a("10.0.0.1"));
+    p.script(dest, 1, ProbeOutcome::TtlExceeded { from: h1 });
+    p.script(dest, 2, ProbeOutcome::TtlExceeded { from: m });
+    for t in 3..=30 {
+        p.script(dest, t, ProbeOutcome::DirectReply { from: dest });
+    }
+    // h1 positioning: a /31-style on-path hop.
+    p.script_path(h1, 1, &[]);
+    p.script_path(h1.mate31(), 1, &[]);
+    // m really answers from distance 1 → perceived ≠ hop (off-path).
+    p.script_path(m, 1, &[]);
+    p.script_path(mate, 1, &[]);
+    // dest positioning.
+    p.script_path(dest, 3, &[h1, m]);
+    p.script(dest.mate31(), 3, ProbeOutcome::Timeout);
 
-    let mut with = build();
-    let report = Session::new(&mut with, TracenetOptions::default()).run(dest);
+    let report = Session::new(&mut p, TracenetOptions::default()).run(dest);
     let hop2 = &report.hops[1];
-    assert!(hop2.subnet.is_some(), "off-path subnets explored by default");
+    assert!(hop2.subnet.is_some(), "off-path subnets are explored");
     assert!(!hop2.subnet.as_ref().unwrap().on_path);
-
-    let mut without = build();
-    let opts = TracenetOptions { explore_off_path: false, ..TracenetOptions::default() };
-    let report = Session::new(&mut without, opts).run(dest);
-    assert!(report.hops[1].subnet.is_none(), "off-path exploration disabled");
-    // The trace itself is unaffected.
     assert!(report.destination_reached);
 }
 
-/// Disabling session-level subnet reuse re-explores hops whose address
-/// already sits in a collected subnet.
+/// Every hop of a chain either collects its subnet or is marked
+/// repeated because its address sits in one collected earlier.
 #[test]
-fn reuse_option_controls_reexploration() {
+fn every_hop_collects_or_repeats() {
     // chain(1): vantage -10.0.0.0/31- r1 -10.0.1.0/31- dest. Tracing the
     // NEAR side of the second link (r1's own far-side address) and then
     // the destination revisits the same subnet.

@@ -162,22 +162,12 @@ impl ConcurrentNetwork {
         }
     }
 
-    /// Installs a seeded fault plan (builder form). A zero plan (see
-    /// [`FaultPlan::is_zero`]) leaves behavior bit-identical to no plan.
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> ConcurrentNetwork {
-        self.fault = Some(plan);
-        self
-    }
-
-    /// Installs or clears the fault plan. Setup-time only: requires
-    /// exclusive access, so a plan can never change mid-probe.
+    /// Installs or clears the seeded fault plan. Setup-time only:
+    /// requires exclusive access, so a plan can never change mid-probe. A
+    /// zero plan (see [`FaultPlan::is_zero`]) leaves behavior
+    /// bit-identical to no plan.
     pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
         self.fault = plan;
-    }
-
-    /// The installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<FaultPlan> {
-        self.fault
     }
 
     /// Enables path fluctuations: every `period` injected packets the ECMP
@@ -916,7 +906,8 @@ mod tests {
         use crate::fault::FaultPlan;
         let (plain, v, d) = chain_net();
         let (topo, _) = samples::chain(3);
-        let faulted = ConcurrentNetwork::new(topo).with_fault_plan(FaultPlan::new(42));
+        let mut faulted = ConcurrentNetwork::new(topo);
+        faulted.set_fault_plan(Some(FaultPlan::new(42)));
         for ttl in 1..=6u8 {
             let probe = icmp_probe(v, d, ttl, 1, ttl as u16);
             assert_eq!(plain.inject(&probe), faulted.inject(&probe), "ttl {ttl}");

@@ -191,7 +191,8 @@ proptest! {
             .filter(|&(_, d)| d != u16::MAX)
             .collect();
         let plain = ConcurrentNetwork::new(topo.clone());
-        let faulted = ConcurrentNetwork::new(topo).with_fault_plan(FaultProfile::ALL[profile].plan(seed));
+        let mut faulted = ConcurrentNetwork::new(topo);
+        faulted.set_fault_plan(Some(FaultProfile::ALL[profile].plan(seed)));
         let mut replies = 0;
         for net in [&plain, &faulted] {
             for &(dst, dist) in &targets {

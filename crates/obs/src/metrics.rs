@@ -223,29 +223,9 @@ impl MetricsSnapshot {
         self.by_cause[cause.index()]
     }
 
-    /// Timed-out attempts attributed to `cause`.
-    pub fn timeouts_for(&self, cause: TimeoutCause) -> u64 {
-        self.timeout_causes[cause.index()]
-    }
-
-    /// Total attributed timeouts.
-    pub fn timeouts_attributed(&self) -> u64 {
-        self.timeout_causes.iter().sum()
-    }
-
     /// Total wire sends across every phase slot.
     pub fn sent_total(&self) -> u64 {
         self.sent.iter().sum()
-    }
-
-    /// Retries attributed to `phase`.
-    pub fn retries_in(&self, phase: Phase) -> u64 {
-        self.retries[phase.index()]
-    }
-
-    /// Outcome count for `phase`.
-    pub fn outcome_in(&self, phase: Phase, outcome: Outcome) -> u64 {
-        self.outcomes[phase.index()][outcome.index()]
     }
 
     /// Completed phase-latency measurements for `phase`.
@@ -470,9 +450,10 @@ mod tests {
         assert_eq!(snap.sent_unattributed(), 1);
         assert_eq!(snap.sent_total(), 4);
         assert_eq!(snap.sent_for(Cause::H2), 1);
-        assert_eq!(snap.retries_in(Phase::Trace), 1);
-        assert_eq!(snap.outcome_in(Phase::Trace, Outcome::Timeout), 1);
-        assert_eq!(snap.outcome_in(Phase::Trace, Outcome::DirectReply), 1);
+        let trace = &snap.to_json()["phases"]["trace"];
+        assert_eq!(trace["retries"], 1u64);
+        assert_eq!(trace["outcomes"]["timeout"], 1u64);
+        assert_eq!(trace["outcomes"]["direct_reply"], 1u64);
     }
 
     #[test]
@@ -484,13 +465,11 @@ mod tests {
         lost.timeout_cause = Some(TimeoutCause::ForwardLoss);
         reg.record(&lost);
         let snap = reg.snapshot();
-        assert_eq!(snap.timeouts_for(TimeoutCause::PolicySilence), 1);
-        assert_eq!(snap.timeouts_for(TimeoutCause::ForwardLoss), 1);
-        assert_eq!(snap.timeouts_attributed(), 2);
         let table = snap.render_table();
         assert!(table.contains("timeout cause"), "{table}");
         assert!(table.contains("forward_loss"), "{table}");
         let v = snap.to_json();
+        assert_eq!(v["timeout_causes"]["policy_silence"], 1u64);
         assert_eq!(v["timeout_causes"]["forward_loss"], 1u64);
         assert!(v["timeout_causes"]["link_down"].is_null(), "zero causes omitted");
     }

@@ -58,19 +58,9 @@ impl Recorder {
         self
     }
 
-    /// The session tag events are stamped with, if any.
-    pub fn session(&self) -> Option<u64> {
-        self.session
-    }
-
     /// Whether any observer is attached.
     pub fn is_enabled(&self) -> bool {
         self.sink.is_enabled() || self.metrics.is_some()
-    }
-
-    /// The attached registry, if any.
-    pub fn metrics(&self) -> Option<&Arc<Registry>> {
-        self.metrics.as_ref()
     }
 
     /// Records one wire attempt. `build` runs only when an observer is
@@ -215,7 +205,6 @@ mod tests {
         let sink = VecSink::new();
         let reader = sink.clone();
         let recorder = Recorder::new().with_sink(SinkHandle::new(sink)).with_session(5);
-        assert_eq!(recorder.session(), Some(5));
 
         recorder.record(ev);
         {

@@ -39,7 +39,7 @@ mod sim;
 
 pub use ident::{IdentAllocator, IdentBlock, IdentSpace};
 pub use outcome::ProbeOutcome;
-pub use prober::{FlowMode, ProbeStats, Prober};
+pub use prober::{ProbeStats, Prober};
 pub use replay::ReplayProber;
 pub use retry::{RetryPolicy, DEFAULT_RETRIES};
 pub use scripted::ScriptedProber;

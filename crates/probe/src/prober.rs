@@ -6,24 +6,6 @@ use wire::Protocol;
 
 use crate::outcome::ProbeOutcome;
 
-/// How UDP/TCP probes map the per-probe `flow` value onto L4 fields.
-///
-/// Classic traceroute varies the *destination port* per probe, which makes
-/// per-flow load balancers spread consecutive probes over different paths;
-/// Paris traceroute keeps the port pair fixed so one trace stays on one
-/// path (Augustin et al., IMC 2006 — the paper's §3.8 planned
-/// integration).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum FlowMode {
-    /// Keep L4 fields constant across `flow` values: the whole session is
-    /// one flow.
-    #[default]
-    Paris,
-    /// Fold `flow` into the destination port (UDP) / source port (TCP),
-    /// classic-traceroute style.
-    Classic,
-}
-
 /// Counters over everything a prober sent and saw.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ProbeStats {
@@ -100,9 +82,13 @@ pub trait Prober {
     /// The probe protocol in use (ICMP, UDP or TCP — §3.1).
     fn protocol(&self) -> Protocol;
 
-    /// Sends one probe to `dst` with the given `ttl`; `flow` feeds the
-    /// load-balancer-visible L4 fields per the implementation's
-    /// [`FlowMode`].
+    /// Sends one probe to `dst` with the given `ttl` on flow `flow`.
+    ///
+    /// The flow is folded into the fields a per-flow load balancer
+    /// hashes: the echo ident (ICMP), the destination port (UDP) or the
+    /// source port (TCP). Probes with one `flow` value stay on one path
+    /// (Paris traceroute, Augustin et al., IMC 2006); classic traceroute
+    /// varies it per probe.
     fn probe_with_flow(&mut self, dst: Addr, ttl: u8, flow: u16) -> ProbeOutcome;
 
     /// Sends one probe on the session's default flow.

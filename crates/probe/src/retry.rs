@@ -10,16 +10,20 @@
 //!   the historical prober when left at [`DEFAULT_RETRIES`];
 //! * [`RetryPolicy::Backoff`] — same budget, but each retry first lets
 //!   the simulated clock advance by an exponentially growing number of
-//!   ticks, giving rate-limiter buckets and fault windows time to drain;
+//!   ticks (8 before the first, doubling per retry), giving
+//!   rate-limiter buckets and fault windows time to drain;
 //! * [`RetryPolicy::Adaptive`] — widens the budget toward `max` while
-//!   the recent timeout rate is high and shrinks it toward `min` when
-//!   probes come back clean, using a fixed-size window of final
-//!   outcomes. Fully deterministic: the budget is a pure function of the
-//!   session's own probe history.
+//!   the recent timeout rate is high and shrinks it toward
+//!   `min(DEFAULT_RETRIES, max)` when probes come back clean, using a
+//!   fixed-size window of final outcomes. Fully deterministic: the
+//!   budget is a pure function of the session's own probe history.
 
 /// Default number of re-probes after silence (§3.8: "we re-probe an IP
 /// address if we do not get a response for the first probe").
 pub const DEFAULT_RETRIES: u8 = 1;
+
+/// Idle ticks [`RetryPolicy::Backoff`] waits before the first retry.
+const BACKOFF_BASE_TICKS: u64 = 8;
 
 /// Window length (final probe outcomes) the adaptive policy looks at.
 const ADAPTIVE_WINDOW: u32 = 16;
@@ -36,19 +40,15 @@ pub enum RetryPolicy {
         /// Re-probes after the first silent attempt.
         retries: u8,
     },
-    /// `retries` re-probes, idling `base << (attempt - 1)` ticks before
-    /// the attempt-th retry.
+    /// `retries` re-probes, idling `8 << (attempt - 1)` ticks before the
+    /// attempt-th retry.
     Backoff {
         /// Re-probes after the first silent attempt.
         retries: u8,
-        /// Idle ticks before the first retry; doubles per retry.
-        base: u64,
     },
-    /// Between `min` and `max` re-probes, scaled by the fraction of
-    /// recent logical probes that ended in timeout.
+    /// Between `min(DEFAULT_RETRIES, max)` and `max` re-probes, scaled by
+    /// the fraction of recent logical probes that ended in timeout.
     Adaptive {
-        /// Budget when the recent window is all replies.
-        min: u8,
         /// Budget when the recent window is all timeouts.
         max: u8,
     },
@@ -80,9 +80,10 @@ impl RetryState {
     /// Re-probes allowed for the next logical probe.
     pub(crate) fn budget(&self) -> u8 {
         match self.policy {
-            RetryPolicy::Fixed { retries } | RetryPolicy::Backoff { retries, .. } => retries,
-            RetryPolicy::Adaptive { min, max } => {
-                if self.filled == 0 || max <= min {
+            RetryPolicy::Fixed { retries } | RetryPolicy::Backoff { retries } => retries,
+            RetryPolicy::Adaptive { max } => {
+                let min = DEFAULT_RETRIES.min(max);
+                if self.filled == 0 || max == min {
                     return min;
                 }
                 let timeouts = (self.window & mask(self.filled)).count_ones();
@@ -97,8 +98,8 @@ impl RetryState {
     /// initial send and never waits).
     pub(crate) fn delay(&self, attempt: u8) -> u64 {
         match self.policy {
-            RetryPolicy::Backoff { base, .. } if attempt > 0 => {
-                base << (attempt - 1).min(MAX_BACKOFF_SHIFT)
+            RetryPolicy::Backoff { .. } if attempt > 0 => {
+                BACKOFF_BASE_TICKS << (attempt - 1).min(MAX_BACKOFF_SHIFT)
             }
             _ => 0,
         }
@@ -132,7 +133,7 @@ mod tests {
 
     #[test]
     fn backoff_delays_double_and_saturate() {
-        let state = RetryState::new(RetryPolicy::Backoff { retries: 4, base: 8 });
+        let state = RetryState::new(RetryPolicy::Backoff { retries: 4 });
         assert_eq!(state.delay(0), 0);
         assert_eq!(state.delay(1), 8);
         assert_eq!(state.delay(2), 16);
@@ -143,7 +144,7 @@ mod tests {
 
     #[test]
     fn adaptive_budget_tracks_the_timeout_rate() {
-        let mut state = RetryState::new(RetryPolicy::Adaptive { min: 1, max: 5 });
+        let mut state = RetryState::new(RetryPolicy::Adaptive { max: 5 });
         assert_eq!(state.budget(), 1, "empty window starts at min");
         for _ in 0..ADAPTIVE_WINDOW {
             state.note(true);
@@ -162,7 +163,7 @@ mod tests {
 
     #[test]
     fn adaptive_window_is_bounded() {
-        let mut state = RetryState::new(RetryPolicy::Adaptive { min: 0, max: 4 });
+        let mut state = RetryState::new(RetryPolicy::Adaptive { max: 4 });
         for _ in 0..1000 {
             state.note(true);
         }
@@ -175,9 +176,11 @@ mod tests {
 
     #[test]
     fn degenerate_adaptive_range_is_flat() {
-        let mut state = RetryState::new(RetryPolicy::Adaptive { min: 2, max: 2 });
-        state.note(true);
-        state.note(true);
-        assert_eq!(state.budget(), 2);
+        for max in [0, DEFAULT_RETRIES] {
+            let mut state = RetryState::new(RetryPolicy::Adaptive { max });
+            state.note(true);
+            state.note(true);
+            assert_eq!(state.budget(), max);
+        }
     }
 }

@@ -32,7 +32,7 @@ use wire::{
 
 use crate::ident::{IdentAllocator, IdentSpace};
 use crate::outcome::ProbeOutcome;
-use crate::prober::{FlowMode, ProbeStats, Prober};
+use crate::prober::{ProbeStats, Prober};
 use crate::retry::{RetryPolicy, RetryState};
 
 /// A cloneable handle to a concurrently probeable network.
@@ -64,8 +64,7 @@ impl SharedNetwork {
         f(&self.inner)
     }
 
-    /// Creates a Paris-mode prober for the given vantage address and
-    /// protocol. The session ident defaults to a fresh slot in the `Aux`
+    /// Creates a prober for the given vantage address and protocol. The session ident defaults to a fresh slot in the `Aux`
     /// namespace; override with [`SimProber::ident`] for a pinned flow.
     ///
     /// # Panics
@@ -78,7 +77,6 @@ impl SharedNetwork {
             net: Arc::clone(&self.inner),
             src,
             protocol,
-            flow_mode: FlowMode::Paris,
             ident: self.idents.ident(IdentSpace::Aux),
             seq: 0,
             rtt: Duration::ZERO,
@@ -94,7 +92,6 @@ pub struct SimProber {
     net: Arc<ConcurrentNetwork>,
     src: Addr,
     protocol: Protocol,
-    flow_mode: FlowMode,
     ident: u16,
     seq: u16,
     rtt: Duration,
@@ -104,12 +101,6 @@ pub struct SimProber {
 }
 
 impl SimProber {
-    /// Sets the flow mode (Paris vs classic port behavior).
-    pub fn flow_mode(mut self, mode: FlowMode) -> Self {
-        self.flow_mode = mode;
-        self
-    }
-
     /// Sets the session identifier (echo ident / base port discriminator).
     pub fn ident(mut self, ident: u16) -> Self {
         self.ident = ident;
@@ -140,27 +131,21 @@ impl SimProber {
         self
     }
 
+    /// Builds the probe for `flow`: the flow is folded into the echo
+    /// ident, the UDP destination port or the TCP source port, so flow 0
+    /// leaves them at the session's own values.
     fn build_probe(&mut self, dst: Addr, ttl: u8, flow: u16) -> Packet {
         self.seq = self.seq.wrapping_add(1);
-        let classic = self.flow_mode == FlowMode::Classic;
         match self.protocol {
-            Protocol::Icmp => {
-                // The echo ident pins the flow; Paris keeps it fixed,
-                // classic folds `flow` in.
-                let ident = if classic { self.ident ^ flow } else { self.ident };
-                builder::icmp_probe(self.src, dst, ttl, ident, self.seq)
-            }
+            Protocol::Icmp => builder::icmp_probe(self.src, dst, ttl, self.ident ^ flow, self.seq),
             Protocol::Udp => {
                 // Classic traceroute's flow counter runs past the port
                 // space on long traces; ports wrap like a real stack's.
-                let base = builder::UDP_PROBE_BASE_PORT;
-                let dport = if classic { base.wrapping_add(flow) } else { base };
+                let dport = builder::UDP_PROBE_BASE_PORT.wrapping_add(flow);
                 builder::udp_probe(self.src, dst, ttl, 0x8000 | self.ident, dport)
             }
             Protocol::Tcp => {
-                let sport = 0x9000 | self.ident;
-                let sport = if classic { sport ^ flow } else { sport };
-                builder::tcp_probe(self.src, dst, ttl, sport, 80)
+                builder::tcp_probe(self.src, dst, ttl, (0x9000 | self.ident) ^ flow, 80)
             }
         }
     }
@@ -406,8 +391,7 @@ mod tests {
     fn classic_udp_ports_wrap_at_the_top_of_the_flow_space() {
         let (net, names) = chain(1);
         let d = names.addr("dest");
-        let mut p =
-            net.prober(names.addr("vantage"), Protocol::Udp).flow_mode(FlowMode::Classic).ident(5);
+        let mut p = net.prober(names.addr("vantage"), Protocol::Udp).ident(5);
         assert_eq!(p.probe_with_flow(d, 64, u16::MAX), ProbeOutcome::DirectReply { from: d });
         let probe = p.build_probe(d, 64, u16::MAX);
         match probe.payload {
@@ -464,10 +448,10 @@ mod tests {
         let (net, names) = chain(1);
         let mut p = net
             .prober(names.addr("vantage"), Protocol::Icmp)
-            .retry_policy(RetryPolicy::Backoff { retries: 2, base: 10 });
+            .retry_policy(RetryPolicy::Backoff { retries: 2 });
         let _ = p.probe("99.0.0.1".parse().unwrap(), 64);
-        // 3 injections plus 10 + 20 idle ticks of backoff.
-        assert_eq!(p.clock(), 3 + 10 + 20);
+        // 3 injections plus 8 + 16 idle ticks of backoff.
+        assert_eq!(p.clock(), 3 + 8 + 16);
         assert_eq!(p.stats().sent, 3);
     }
 
@@ -477,7 +461,7 @@ mod tests {
         let dead: Addr = "99.0.0.1".parse().unwrap();
         let mut p = net
             .prober(names.addr("vantage"), Protocol::Icmp)
-            .retry_policy(RetryPolicy::Adaptive { min: 1, max: 4 });
+            .retry_policy(RetryPolicy::Adaptive { max: 4 });
         // First probe: empty window, budget = min = 1 → 2 sends.
         let _ = p.probe(dead, 64);
         assert_eq!(p.stats().sent, 2);
@@ -500,7 +484,8 @@ mod tests {
 
     fn faulted_chain(plan: netsim::FaultPlan) -> (SharedNetwork, samples::Names) {
         let (topo, names) = samples::chain(1);
-        let net = ConcurrentNetwork::new(topo).with_fault_plan(plan);
+        let mut net = ConcurrentNetwork::new(topo);
+        net.set_fault_plan(Some(plan));
         (SharedNetwork::from_concurrent(net), names)
     }
 

@@ -6,9 +6,10 @@
 //! pieces that make batch collection cheap and safe:
 //!
 //! - a [`SubnetCache`] — a stop set of explored `(prev, v, d)` hops and
-//!   their outcomes shared **across sessions**, extending the within-session
-//!   `reuse_known_subnets` skip to the whole batch (and, via the
-//!   [`tracenet::SubnetStore`] seam, to anything longer-lived); and
+//!   their outcomes shared **across sessions**, extending a session's own
+//!   skip of hops inside subnets it already collected to the whole batch
+//!   (and, via the [`tracenet::SubnetStore`] seam, to anything
+//!   longer-lived); and
 //! - one batch driver ([`run_batch`]) that every collection in the
 //!   workspace goes through: it runs the sessions inline at one job or
 //!   fans them across worker threads over one shared network, with

@@ -168,8 +168,8 @@ fn degraded_observations_never_reach_a_fault_free_session() {
     let store: Arc<dyn SubnetStore> = Arc::new(cache.clone());
 
     // Epoch 1: heavy loss. Degraded hops must not be admitted.
-    let net = ConcurrentNetwork::new(sc.topology.clone())
-        .with_fault_plan(FaultProfile::HeavyLoss.plan(fault_seed()));
+    let mut net = ConcurrentNetwork::new(sc.topology.clone());
+    net.set_fault_plan(Some(FaultProfile::HeavyLoss.plan(fault_seed())));
     let net = SharedNetwork::from_concurrent(net);
     let mut saw_degraded = false;
     for (k, &target) in targets.iter().enumerate() {

@@ -24,27 +24,14 @@ use std::collections::BTreeMap;
 
 use inet::{Addr, Prefix, SubnetRecord};
 
-/// Options for offline inference.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct InferenceOptions {
-    /// Widest prefix (smallest length) inference may form.
-    pub min_prefix_len: u8,
-    /// Minimum utilization (members / capacity) a merged prefix of /29 or
-    /// wider must reach, as in Algorithm 1 lines 19–21.
-    pub min_utilization: f64,
-}
-
-impl Default for InferenceOptions {
-    fn default() -> Self {
-        InferenceOptions { min_prefix_len: 24, min_utilization: 0.5 }
-    }
-}
+/// Widest prefix (smallest length) inference forms.
+const MIN_PREFIX_LEN: u8 = 24;
 
 /// Groups `(address, hop distance)` observations into inferred subnets.
 ///
 /// Addresses that merge with nothing are returned as /32 singletons, so
 /// the output always partitions the input.
-pub fn infer_subnets(observations: &[(Addr, u16)], opts: InferenceOptions) -> Vec<SubnetRecord> {
+pub fn infer_subnets(observations: &[(Addr, u16)]) -> Vec<SubnetRecord> {
     // Deduplicate, keeping the smallest observed hop per address.
     let mut hop_of: BTreeMap<Addr, u16> = BTreeMap::new();
     for &(a, h) in observations {
@@ -57,7 +44,7 @@ pub fn infer_subnets(observations: &[(Addr, u16)], opts: InferenceOptions) -> Ve
     // rejection at /30 must not prevent the /29 from forming.
     let mut groups: Vec<Vec<Addr>> = hop_of.keys().map(|&a| vec![a]).collect();
 
-    for len in (opts.min_prefix_len..=31).rev() {
+    for len in (MIN_PREFIX_LEN..=31).rev() {
         let mut by_parent: BTreeMap<Prefix, Vec<Vec<Addr>>> = BTreeMap::new();
         for g in std::mem::take(&mut groups) {
             let parent = Prefix::containing(g[0], len);
@@ -70,7 +57,7 @@ pub fn infer_subnets(observations: &[(Addr, u16)], opts: InferenceOptions) -> Ve
             }
             let mut union: Vec<Addr> = kids.iter().flatten().copied().collect();
             union.sort_unstable();
-            if plausible_subnet(parent, &union, &hop_of, opts) {
+            if plausible_subnet(parent, &union, &hop_of) {
                 groups.push(union);
             } else {
                 groups.extend(kids);
@@ -91,12 +78,7 @@ pub fn infer_subnets(observations: &[(Addr, u16)], opts: InferenceOptions) -> Ve
         .collect()
 }
 
-fn plausible_subnet(
-    prefix: Prefix,
-    members: &[Addr],
-    hop_of: &BTreeMap<Addr, u16>,
-    opts: InferenceOptions,
-) -> bool {
+fn plausible_subnet(prefix: Prefix, members: &[Addr], hop_of: &BTreeMap<Addr, u16>) -> bool {
     if members.len() < 2 {
         // A singleton "merge" is always fine — nothing is claimed yet.
         return true;
@@ -111,14 +93,9 @@ fn plausible_subnet(
     if members.iter().any(|&m| prefix.is_boundary(m)) {
         return false;
     }
-    // Completeness for /29 and wider.
-    if prefix.len() <= 29 {
-        let utilization = members.len() as f64 / prefix.size() as f64;
-        if utilization < opts.min_utilization {
-            return false;
-        }
-    }
-    true
+    // Completeness for /29 and wider: at least half utilized, as in
+    // Algorithm 1 lines 19–21.
+    prefix.len() > 29 || 2 * members.len() as u64 >= prefix.size()
 }
 
 #[cfg(test)]
@@ -131,7 +108,7 @@ mod tests {
 
     fn infer(obs: &[(&str, u16)]) -> Vec<SubnetRecord> {
         let v: Vec<(Addr, u16)> = obs.iter().map(|&(s, h)| (a(s), h)).collect();
-        infer_subnets(&v, InferenceOptions::default())
+        infer_subnets(&v)
     }
 
     #[test]
@@ -207,7 +184,7 @@ mod tests {
     fn output_partitions_input() {
         let obs: Vec<(Addr, u16)> =
             (0..32u32).map(|i| (Addr::from_u32(0x0a000000 + i * 3), 2 + (i % 2) as u16)).collect();
-        let subnets = infer_subnets(&obs, InferenceOptions::default());
+        let subnets = infer_subnets(&obs);
         let total: usize = subnets.iter().map(|s| s.len()).sum();
         let distinct: std::collections::BTreeSet<Addr> = obs.iter().map(|&(a, _)| a).collect();
         assert_eq!(total, distinct.len(), "every address appears exactly once");

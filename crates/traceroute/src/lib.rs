@@ -1,7 +1,7 @@
 //! Baseline tools the paper compares against or builds upon:
 //!
-//! * [`traceroute`] — classic TTL-scoped path tracing (one IP address per
-//!   hop), with classic or Paris-style flow handling;
+//! * [`traceroute`] — TTL-scoped path tracing (one IP address per hop),
+//!   Paris-style on one flow or classic with a flow per probe;
 //! * [`ping`] — direct-probe aliveness testing;
 //! * [`infer_subnets`] — the *offline* subnet-inference post-processing
 //!   of the paper's reference \[7\] (Gunes & Sarac, IMC 2007): grouping
@@ -21,6 +21,6 @@ mod infer;
 mod ping;
 mod trace;
 
-pub use infer::{infer_subnets, InferenceOptions};
+pub use infer::infer_subnets;
 pub use ping::{ping, ping_sweep, PingReport};
 pub use trace::{traceroute, TraceHop, TracerouteOptions, TracerouteReport};

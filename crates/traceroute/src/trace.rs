@@ -13,15 +13,15 @@ pub struct TracerouteOptions {
     pub max_ttl: u8,
     /// Probes sent per hop (`-q`), default 3.
     pub probes_per_hop: u8,
-    /// Vary the flow per probe (classic behavior: consecutive probes may
-    /// take different load-balanced paths) or pin the whole trace to one
-    /// flow (Paris traceroute).
+    /// Pin the whole trace to one flow (Paris traceroute, the default)
+    /// or vary the flow per probe (classic behavior: consecutive probes
+    /// may take different load-balanced paths).
     pub paris: bool,
 }
 
 impl Default for TracerouteOptions {
     fn default() -> Self {
-        TracerouteOptions { max_ttl: 30, probes_per_hop: 3, paris: false }
+        TracerouteOptions { max_ttl: 30, probes_per_hop: 3, paris: true }
     }
 }
 
@@ -146,7 +146,7 @@ pub fn traceroute<P: Prober>(
 mod tests {
     use super::*;
     use netsim::samples;
-    use probe::{FlowMode, Protocol, SharedNetwork};
+    use probe::{Protocol, SharedNetwork};
 
     #[test]
     fn chain_trace_lists_one_router_per_hop() {
@@ -169,16 +169,23 @@ mod tests {
         // ECMP diamond the middle hop shows both branch routers.
         let (topo, names) = samples::diamond();
         let net = SharedNetwork::new(topo);
-        let mut p = net.prober(names.addr("vantage"), Protocol::Icmp).flow_mode(FlowMode::Classic);
-        let mut opts = TracerouteOptions { probes_per_hop: 8, ..TracerouteOptions::default() };
+        let mut p = net.prober(names.addr("vantage"), Protocol::Icmp);
+        let mut opts =
+            TracerouteOptions { probes_per_hop: 8, paris: false, ..TracerouteOptions::default() };
         let classic = traceroute(&mut p, names.addr("dest"), opts);
         let mid = &classic.hops[1];
         assert_eq!(mid.addresses().len(), 2, "classic probing straddles the diamond");
 
-        let mut p = net.prober(names.addr("vantage"), Protocol::Icmp).flow_mode(FlowMode::Classic);
+        let mut p = net.prober(names.addr("vantage"), Protocol::Icmp);
         opts.paris = true;
         let paris = traceroute(&mut p, names.addr("dest"), opts);
         assert_eq!(paris.hops[1].addresses().len(), 1, "paris pins one path");
+
+        // The default options are Paris: a plain prober stays on one path.
+        let mut p = net.prober(names.addr("vantage"), Protocol::Icmp);
+        let opts = TracerouteOptions { probes_per_hop: 8, ..TracerouteOptions::default() };
+        let default = traceroute(&mut p, names.addr("dest"), opts);
+        assert_eq!(default.hops[1].addresses().len(), 1, "the default pins one path");
     }
 
     #[test]

@@ -161,9 +161,9 @@ proptest! {
         let policies = [
             RetryPolicy::Fixed { retries: 0 },
             RetryPolicy::Fixed { retries: 2 },
-            RetryPolicy::Backoff { retries: 3, base: 4 },
-            RetryPolicy::Adaptive { min: 0, max: 3 },
-            RetryPolicy::Adaptive { min: 1, max: 1 },
+            RetryPolicy::Backoff { retries: 3 },
+            RetryPolicy::Adaptive { max: 3 },
+            RetryPolicy::Adaptive { max: 0 },
         ];
         let scenario = random_topology(seed, 9);
         let mut net = ConcurrentNetwork::new(scenario.topology.clone());
