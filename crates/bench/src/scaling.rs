@@ -105,7 +105,7 @@ pub fn scaling_json(rtt: Duration, points: &[ScalePoint]) -> serde_json::Value {
         "experiment": "batch_scaling",
         "rtt_us": rtt.as_micros() as u64,
         "points": points.iter().map(|p| serde_json::json!({
-            "network": p.network,
+            "network": &p.network,
             "jobs": p.jobs,
             "wall_ms": p.wall.as_secs_f64() * 1e3,
             "wall_ticks": p.wall_ticks,

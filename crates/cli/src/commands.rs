@@ -69,13 +69,26 @@ fn vantage(scenario: &Scenario, opts: &Opts) -> Result<Addr, String> {
 }
 
 /// `tracenet generate <kind> [--seed N] [--size N] [--out FILE]`
+///
+/// `--size` is the router count of `random` (default 8) and the scale
+/// factor `K` of `isp` (default 1, the 4-ISP internet; 40 is the
+/// paper's scale), which multiplies every ISP's PoPs and target cap.
 pub fn generate(opts: &Opts) -> Result<String, String> {
     let kind = opts.required(0, "scenario kind (internet2|geant|isp|random)")?;
     let seed = opts.flag_parse("seed", 2010u64)?;
     let scenario = match kind {
         "internet2" => topogen::internet2(seed),
         "geant" => topogen::geant(seed),
-        "isp" => topogen::isp_internet(seed),
+        "isp" => {
+            let k = opts.flag_parse("size", 1usize)?;
+            if !(1..=1000).contains(&k) {
+                return Err(format!("--size for isp must be 1 to 1000, got {k}"));
+            }
+            topogen::isp_internet_with(topogen::IspInternetSpec {
+                seed,
+                ..topogen::IspInternetSpec::scaled(k)
+            })
+        }
         "random" => topogen::random_topology(seed, opts.flag_parse("size", 8usize)?),
         other => return Err(format!("unknown scenario kind {other:?}")),
     };

@@ -37,7 +37,9 @@ USAGE:
 
 COMMANDS:
     generate <internet2|geant|isp|random> [--seed N] [--size N] [--out FILE]
-                              generate a scenario (JSON to --out or stdout)
+                              generate a scenario (JSON to --out or stdout);
+                              --size is random's router count and isp's
+                              scale factor (40 is the paper's scale)
     info <scenario>           summarize a scenario file
     trace <scenario> (--target ADDR | --all) [--vantage NAME]
                               [--protocol icmp|udp|tcp] [--max-ttl N] [--json]

@@ -27,6 +27,25 @@ fn scenario_file(tag: &str) -> PathBuf {
     path
 }
 
+/// `generate isp --size K` builds the 4-ISP internet scaled by `K`; the
+/// default is `K = 1`, the unscaled internet, byte for byte.
+#[test]
+fn generate_isp_size_scales_the_internet() {
+    let unscaled = run(&["generate", "isp", "--seed", "3"]).unwrap();
+    assert_eq!(run(&["generate", "isp", "--seed", "3", "--size", "1"]).unwrap(), unscaled);
+    let scaled = run(&["generate", "isp", "--seed", "3", "--size", "2"]).unwrap();
+    assert_eq!(run(&["generate", "isp", "--seed", "3", "--size", "2"]).unwrap(), scaled);
+    let targets = |json: &str| {
+        let v: serde_json::Value = serde_json::from_str(json).unwrap();
+        v["targets"].as_array().unwrap().len()
+    };
+    assert!(targets(&scaled) > targets(&unscaled), "a doubled internet has more targets");
+    for bad in ["0", "1001", "-1", "two"] {
+        let err = run(&["generate", "isp", "--size", bad]).unwrap_err();
+        assert!(err.contains("--size"), "{bad}: {err}");
+    }
+}
+
 #[test]
 fn help_and_unknown_commands() {
     assert!(run(&["help"]).unwrap().contains("USAGE"));

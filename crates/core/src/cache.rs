@@ -13,6 +13,8 @@
 //! the hop produced afterwards. The store decides the reuse policy; the
 //! session only asks and tells.
 
+use std::sync::Arc;
+
 use inet::Addr;
 
 use crate::observed::ObservedSubnet;
@@ -23,8 +25,9 @@ pub enum CacheLookup {
     /// A previous session already resolved this hop (or accepted a
     /// subnet containing its address): reuse `Some(subnet)` verbatim, or
     /// skip positioning without a subnet when the remembered outcome was
-    /// barren (`None`).
-    Hit(Option<ObservedSubnet>),
+    /// barren (`None`). The subnet is shared with the store, so a hit
+    /// copies a pointer, not a member list.
+    Hit(Option<Arc<ObservedSubnet>>),
     /// Nothing known: position and explore, then [`SubnetStore::admit`].
     Miss,
 }

@@ -2,6 +2,7 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 use inet::Addr;
 
@@ -90,8 +91,10 @@ pub struct HopRecord {
     /// The hop was resolved from a cross-session subnet store instead of
     /// being positioned and explored (see `tracenet::cache`).
     pub cached: bool,
-    /// The subnet collected at this hop, if any.
-    pub subnet: Option<ObservedSubnet>,
+    /// The subnet collected at this hop, if any. A hop the cross-session
+    /// store resolved shares the store's subnet: every session that hit
+    /// the same stop-set key points at one allocation.
+    pub subnet: Option<Arc<ObservedSubnet>>,
     /// Probe accounting for this hop.
     pub cost: PhaseCost,
     /// How much the hop's observations suffered from injected or real
@@ -140,7 +143,7 @@ impl TraceReport {
 
     /// The collected subnets in hop order (repeated hops excluded).
     pub fn subnets(&self) -> impl Iterator<Item = &ObservedSubnet> {
-        self.hops.iter().filter_map(|h| h.subnet.as_ref())
+        self.hops.iter().filter_map(|h| h.subnet.as_deref())
     }
 
     /// Addresses that were placed into a subnet with at least two members
@@ -272,11 +275,11 @@ mod tests {
                     reached_destination: false,
                     repeated: false,
                     cached: false,
-                    subnet: Some(sample_subnet(
+                    subnet: Some(Arc::new(sample_subnet(
                         "10.0.1.0/31",
                         &["10.0.1.0", "10.0.1.1"],
                         "10.0.1.1",
-                    )),
+                    ))),
                     cost: PhaseCost { trace: 1, position: 3, explore: 4 },
                     completeness: Completeness::Complete,
                 },
@@ -296,7 +299,7 @@ mod tests {
                     reached_destination: true,
                     repeated: false,
                     cached: false,
-                    subnet: Some(sample_subnet("10.0.9.8/31", &["10.0.9.9"], "10.0.9.9")),
+                    subnet: Some(Arc::new(sample_subnet("10.0.9.8/31", &["10.0.9.9"], "10.0.9.9"))),
                     cost: PhaseCost { trace: 1, position: 2, explore: 2 },
                     completeness: Completeness::Complete,
                 },
@@ -305,6 +308,13 @@ mod tests {
             cache_hits: 4,
             aborted: false,
         }
+    }
+
+    #[test]
+    fn a_hop_record_is_48_bytes() {
+        // A report holds one record per hop, a million of them at the
+        // paper's scale: the subnet is a pointer, not an inline copy.
+        assert_eq!(std::mem::size_of::<HopRecord>(), 48);
     }
 
     #[test]

@@ -210,7 +210,7 @@ impl<P: Prober> Session<P> {
                             self.prober.clock().saturating_sub(explore_t0),
                         );
                         record.cost.explore = self.prober.stats().sent - before;
-                        record.subnet = Some(subnet);
+                        record.subnet = Some(Arc::new(subnet));
                     }
                     admit = self.store.is_some();
                 }
@@ -251,7 +251,7 @@ impl<P: Prober> Session<P> {
             }
             if admit && record.completeness == Completeness::Complete {
                 if let (Some(store), Some(v)) = (&self.store, addr) {
-                    store.admit(prev_addr, v, d, record.subnet.as_ref());
+                    store.admit(prev_addr, v, d, record.subnet.as_deref());
                 }
             }
 
@@ -264,6 +264,8 @@ impl<P: Prober> Session<P> {
             }
         }
 
+        // A batch holds every report until it ends: keep no spare slots.
+        hops.shrink_to_fit();
         let stats = self.prober.stats();
         TraceReport {
             vantage: self.prober.src(),
@@ -468,7 +470,7 @@ mod tests {
         /// A minimal exact-key store: enough to prove the session seam.
         #[derive(Default)]
         struct MapStore {
-            map: Mutex<BTreeMap<HopKey, Option<ObservedSubnet>>>,
+            map: Mutex<BTreeMap<HopKey, Option<Arc<ObservedSubnet>>>>,
         }
         impl SubnetStore for MapStore {
             fn lookup(&self, prev: Option<Addr>, v: Addr, d: u8) -> CacheLookup {
@@ -478,7 +480,7 @@ mod tests {
                 }
             }
             fn admit(&self, prev: Option<Addr>, v: Addr, d: u8, outcome: Option<&ObservedSubnet>) {
-                self.map.lock().unwrap().insert((prev, v, d), outcome.cloned());
+                self.map.lock().unwrap().insert((prev, v, d), outcome.cloned().map(Arc::new));
             }
         }
 
@@ -580,7 +582,7 @@ mod tests {
 
         #[derive(Default)]
         struct MapStore {
-            map: Mutex<BTreeMap<HopKey, Option<ObservedSubnet>>>,
+            map: Mutex<BTreeMap<HopKey, Option<Arc<ObservedSubnet>>>>,
         }
         impl SubnetStore for MapStore {
             fn lookup(&self, prev: Option<Addr>, v: Addr, d: u8) -> CacheLookup {
@@ -590,7 +592,7 @@ mod tests {
                 }
             }
             fn admit(&self, prev: Option<Addr>, v: Addr, d: u8, outcome: Option<&ObservedSubnet>) {
-                self.map.lock().unwrap().insert((prev, v, d), outcome.cloned());
+                self.map.lock().unwrap().insert((prev, v, d), outcome.cloned().map(Arc::new));
             }
         }
 

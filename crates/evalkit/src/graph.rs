@@ -201,7 +201,7 @@ mod tests {
             reached_destination: false,
             repeated: false,
             cached: false,
-            subnet: sn,
+            subnet: sn.map(std::sync::Arc::new),
             cost: PhaseCost::default(),
             completeness: tracenet::Completeness::Complete,
         };

@@ -15,8 +15,8 @@
 //! [`OnceLock`]:
 //!
 //! * a **distance column** per origin: one BFS from it gives the hop
-//!   distance to every router, 2 bytes per router, plus one path slot
-//!   per router;
+//!   distance to every router, 2 bytes per router, plus one thin path
+//!   slot per router (a pointer, 16 bytes until its DAG is built);
 //! * a **shortest-path DAG** per (origin, target): the routers `x` with
 //!   `dist_o(x) + dist_t(x) = dist_o(t)`, found by a backward search
 //!   from `t` over neighbors one hop closer to the origin, and each
@@ -70,8 +70,9 @@ pub struct RoutingTable {
 struct Origin {
     /// `dist[x]` = hop distance from the origin to `x`.
     dist: Box<[u16]>,
-    /// `paths[t]`: the shortest-path DAG from the origin to `t`.
-    paths: Box<[OnceLock<Dag>]>,
+    /// `paths[t]`: the shortest-path DAG from the origin to `t`, boxed
+    /// so that the slots of targets never walked stay pointer-sized.
+    paths: Box<[OnceLock<Box<Dag>>]>,
 }
 
 /// The shortest-path DAG from an origin to one target: the routers on
@@ -88,8 +89,12 @@ struct Dag {
 }
 
 impl Dag {
+    /// The boxed DAG itself plus its three arrays.
     fn heap_bytes(&self) -> usize {
-        size_of_val(&*self.members) + size_of_val(&*self.off) + size_of_val(&*self.hops)
+        size_of::<Dag>()
+            + size_of_val(&*self.members)
+            + size_of_val(&*self.off)
+            + size_of_val(&*self.hops)
     }
 }
 
@@ -196,7 +201,7 @@ impl RoutingTable {
     pub fn path(&self, origin: RouterId, target: RouterId) -> Path<'_> {
         let o = self.origin(origin);
         let t = target.0 as usize;
-        Path { dag: o.paths[t].get_or_init(|| self.build_path(&o.dist, t)) }
+        Path { dag: o.paths[t].get_or_init(|| Box::new(self.build_path(&o.dist, t))) }
     }
 
     /// Hop distance between two routers ([`UNREACHABLE`] if disconnected).
@@ -266,15 +271,19 @@ impl RoutingTable {
     }
 
     /// Heap bytes one origin's column holds before any of its paths is
-    /// built: a 2-byte distance and one path slot per router.
+    /// built: a 2-byte distance and one thin path slot per router.
     pub fn column_bytes(&self) -> usize {
-        self.origins.len() * (size_of::<u16>() + size_of::<OnceLock<Dag>>())
+        self.origins.len() * (size_of::<u16>() + size_of::<OnceLock<Box<Dag>>>())
     }
 
-    /// Heap bytes held by the built shortest-path DAGs, over all origins.
+    /// Heap bytes held by the built shortest-path DAGs, over all origins:
+    /// each boxed DAG and the arrays it points to.
     pub fn path_bytes(&self) -> usize {
         let built = self.origins.iter().filter_map(OnceLock::get);
-        built.flat_map(|o| o.paths.iter().filter_map(OnceLock::get)).map(Dag::heap_bytes).sum()
+        built
+            .flat_map(|o| o.paths.iter().filter_map(OnceLock::get))
+            .map(|dag| dag.heap_bytes())
+            .sum()
     }
 
     /// Heap bytes held by the table: the graph (both CSRs and the origin
@@ -434,7 +443,8 @@ mod tests {
         assert!(!rt.reachable(r1, r2));
         assert_eq!(rt.next_hops(r1, r2).count(), 0);
         assert_eq!(rt.ingress(r1, SubnetId(1)), None);
-        assert_eq!(rt.path_bytes(), 0);
+        // The unreachable target's DAG is empty: its box and nothing more.
+        assert_eq!(rt.path_bytes(), size_of::<Dag>());
     }
 
     /// Diamond: r0 connects to r3 via r1 and r2 at equal cost.
@@ -491,25 +501,29 @@ mod tests {
         let rt = RoutingTable::compute(&t);
         let graph = rt.heap_bytes();
         assert_eq!((rt.built_columns(), rt.path_bytes()), (0, 0));
-        assert_eq!(rt.column_bytes(), r.len() * (2 + size_of::<OnceLock<Dag>>()));
+        // A 2-byte distance and a 16-byte slot holding a `Box<Dag>`.
+        assert_eq!(size_of::<OnceLock<Box<Dag>>>(), 16);
+        assert_eq!(rt.column_bytes(), r.len() * (2 + 16));
 
         // Distances and ingress read the column and build no path.
         let _ = rt.dist(r[0], r[3]);
         let _ = rt.ingress(r[0], SubnetId(3));
         assert_eq!(rt.heap_bytes(), graph + rt.column_bytes());
 
-        // r0 -> r3: four members, four hops (two from r0, one each from
-        // r1 and r2): 4 + 5 offsets of 4 bytes, 4 pairs of 8 bytes.
+        // r0 -> r3: the 48-byte boxed DAG (three slice pointers), four
+        // members, four hops (two from r0, one each from r1 and r2):
+        // 4 + 5 offsets of 4 bytes, 4 pairs of 8 bytes.
         let _ = rt.next_hops(r[0], r[3]).count();
-        assert_eq!(rt.path_bytes(), 4 * 4 + 5 * 4 + 4 * 8);
+        assert_eq!(size_of::<Dag>(), 48);
+        assert_eq!(rt.path_bytes(), 48 + 4 * 4 + 5 * 4 + 4 * 8);
         // Walking the same path again adds nothing.
         let _ = rt.path(r[0], r[3]).next_hops(r[1]).count();
-        assert_eq!(rt.heap_bytes(), graph + rt.column_bytes() + 68);
+        assert_eq!(rt.heap_bytes(), graph + rt.column_bytes() + 116);
 
         // A second origin adds its own column.
         let _ = rt.dist(r[3], r[0]);
         assert_eq!(rt.built_columns(), 2);
-        assert_eq!(rt.heap_bytes(), graph + 2 * rt.column_bytes() + 68);
+        assert_eq!(rt.heap_bytes(), graph + 2 * rt.column_bytes() + 116);
     }
 
     #[test]

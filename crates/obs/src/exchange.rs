@@ -96,7 +96,7 @@ impl ExchangeHeader {
             "proto": protocol_label(self.protocol),
             "targets": self.targets.iter().map(|t| t.to_string()).collect::<Vec<_>>(),
             "jobs": self.jobs,
-            "options": self.options,
+            "options": &self.options,
         })
     }
 

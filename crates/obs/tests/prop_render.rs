@@ -50,7 +50,7 @@ fn decision_oracle(d: &DecisionEvent) -> Value {
         "cause": d.cause.map(Cause::label),
         "subject": d.subject.map(|a| a.to_string()),
         "verdict": d.verdict.label(),
-        "evidence": d.evidence,
+        "evidence": &d.evidence,
     })
 }
 

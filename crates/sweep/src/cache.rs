@@ -20,11 +20,16 @@
 //! which session finished first. The conformance suite pins that the
 //! batch output is independent of admit order.
 //!
-//! Lookups and admissions take one short mutex-protected critical
-//! section; statistics are lock-free atomics, so workers can read them
-//! while a batch is running.
+//! An admitted subnet is copied once, into an `Arc` the stop set owns;
+//! every hit hands out a clone of that `Arc`, so the sessions that hit
+//! one key share one member list. Lookups and admissions take one short
+//! mutex-protected critical section over a hash map keyed by the hop
+//! packed into one `u128`; statistics are lock-free atomics, so workers
+//! can read them while a batch is running.
 
-use std::collections::BTreeMap;
+use std::collections::hash_map::RandomState;
+use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -32,9 +37,71 @@ use inet::Addr;
 use parking_lot::Mutex;
 use tracenet::{CacheLookup, ObservedSubnet, SubnetStore};
 
-/// A hop identity: previous trace address, hop address, TTL — the inputs
-/// that determine positioning.
-type HopKey = (Option<Addr>, Addr, u8);
+/// A hop identity packed into 73 bits: the previous trace address behind
+/// a presence bit (bits 40..=72), the hop address (bits 8..=39) and the
+/// TTL (bits 0..=7) — the inputs that determine positioning.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+struct StopKey(u128);
+
+impl StopKey {
+    fn new(prev: Option<Addr>, v: Addr, d: u8) -> StopKey {
+        let prev = prev.map_or(0, |p| 1 << 32 | u128::from(p.to_u32()));
+        StopKey(prev << 40 | u128::from(v.to_u32()) << 8 | u128::from(d))
+    }
+}
+
+/// Hashes a [`StopKey`]: one folded 64×64→128-bit multiply of its two
+/// halves, each mixed with a per-cache random word, which spreads every
+/// key bit into both the low bits (the bucket) and the high bits (the
+/// probe tag) a hash map reads. The words are random because the
+/// addresses in a key come from replies: whoever answers the probes
+/// must not be able to pick keys that share a bucket.
+struct StopKeyHasher {
+    seed: [u64; 2],
+    hash: u64,
+}
+
+impl Hasher for StopKeyHasher {
+    fn write_u128(&mut self, key: u128) {
+        let (lo, hi) = (key as u64, (key >> 64) as u64);
+        let product = u128::from(lo ^ self.seed[0]) * u128::from(hi ^ self.seed[1]);
+        self.hash = product as u64 ^ (product >> 64) as u64;
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // `StopKey` only reaches `write_u128`; this keeps the hasher total.
+        for &b in bytes {
+            self.write_u128(u128::from(self.hash) << 8 | u128::from(b));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
+/// Builds the [`StopKeyHasher`]s of one stop set, from two random words
+/// drawn when the set is made.
+#[derive(Clone)]
+struct StopKeySeed([u64; 2]);
+
+impl Default for StopKeySeed {
+    fn default() -> StopKeySeed {
+        let random = RandomState::new();
+        StopKeySeed([random.hash_one(0u8), random.hash_one(1u8)])
+    }
+}
+
+impl BuildHasher for StopKeySeed {
+    type Hasher = StopKeyHasher;
+
+    fn build_hasher(&self) -> StopKeyHasher {
+        StopKeyHasher { seed: self.0, hash: 0 }
+    }
+}
+
+/// Each hop's outcome, barren ones included, under its packed key.
+type StopSet = HashMap<StopKey, Option<Arc<ObservedSubnet>>, StopKeySeed>;
 
 #[derive(Default)]
 struct Counters {
@@ -68,7 +135,7 @@ impl CacheStats {
 #[derive(Clone, Default)]
 pub struct SubnetCache {
     /// Exact per-hop outcomes, barren ones included.
-    stop_set: Arc<Mutex<BTreeMap<HopKey, Option<ObservedSubnet>>>>,
+    stop_set: Arc<Mutex<StopSet>>,
     counters: Arc<Counters>,
 }
 
@@ -91,8 +158,8 @@ impl SubnetCache {
 
 impl SubnetStore for SubnetCache {
     fn lookup(&self, prev: Option<Addr>, v: Addr, d: u8) -> CacheLookup {
-        let (counter, found) = match self.stop_set.lock().get(&(prev, v, d)) {
-            Some(Some(subnet)) => (&self.counters.hits, CacheLookup::Hit(Some(subnet.clone()))),
+        let (counter, found) = match self.stop_set.lock().get(&StopKey::new(prev, v, d)) {
+            Some(Some(subnet)) => (&self.counters.hits, CacheLookup::Hit(Some(Arc::clone(subnet)))),
             Some(None) => (&self.counters.skips, CacheLookup::Hit(None)),
             None => (&self.counters.misses, CacheLookup::Miss),
         };
@@ -105,7 +172,11 @@ impl SubnetStore for SubnetCache {
         // First writer wins: with a history-independent network every
         // writer stores the same outcome anyway, and a stable entry keeps
         // replays consistent within one batch.
-        self.stop_set.lock().entry((prev, v, d)).or_insert_with(|| outcome.cloned());
+        // The outcome is copied into its shared `Arc` only when it wins.
+        self.stop_set
+            .lock()
+            .entry(StopKey::new(prev, v, d))
+            .or_insert_with(|| outcome.cloned().map(Arc::new));
     }
 }
 
@@ -146,6 +217,25 @@ mod tests {
         }
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.skips, stats.misses, stats.admitted), (1, 0, 0, 1));
+    }
+
+    #[test]
+    fn packed_keys_keep_every_field_apart() {
+        let (zero, v) = (a("0.0.0.0"), a("10.0.0.1"));
+        let keys = [
+            StopKey::new(None, v, 1),
+            StopKey::new(Some(zero), v, 1),
+            StopKey::new(Some(a("255.255.255.255")), v, 1),
+            StopKey::new(None, v, 255),
+            StopKey::new(None, a("255.255.255.255"), 1),
+            StopKey::new(Some(v), zero, 1),
+        ];
+        for (i, x) in keys.iter().enumerate() {
+            for y in &keys[i + 1..] {
+                assert_ne!(x, y);
+            }
+        }
+        assert!(keys.iter().all(|k| k.0 < 1 << 73), "73 bits");
     }
 
     #[test]

@@ -212,6 +212,31 @@ mod tests {
     }
 
     #[test]
+    fn sessions_hitting_one_stop_set_key_share_its_subnet() {
+        let (shared, names) = chain_net();
+        let dest = names.addr("dest");
+        let cfg = BatchConfig::default();
+        let targets = [dest, dest, dest];
+        let result =
+            run_batch(&shared, names.addr("vantage"), &targets, &cfg, &Recorder::disabled());
+        let [first, second, third] = &result.reports[..] else { panic!("three reports") };
+        assert!(second.hops.iter().chain(&third.hops).all(|h| h.cached));
+        for ((a, b), c) in first.hops.iter().zip(&second.hops).zip(&third.hops) {
+            let (a, b, c) = (a.subnet.as_ref(), b.subnet.as_ref(), c.subnet.as_ref());
+            let (Some(a), Some(b), Some(c)) = (a, b, c) else { continue };
+            // Both hits point at the stop set's copy, and nothing else
+            // holds it once the batch's cache is gone: no member list
+            // was cloned for either session.
+            assert!(Arc::ptr_eq(b, c), "hop {} is one shared subnet", b.pivot);
+            assert_eq!(Arc::strong_count(b), 2);
+            // The admitting session keeps the subnet it explored.
+            assert!(!Arc::ptr_eq(a, b));
+            assert_eq!(a.record.members(), b.record.members());
+        }
+        assert_eq!(second.subnets().count(), 4);
+    }
+
+    #[test]
     fn disabled_cache_reports_zero_stats() {
         let (shared, names) = chain_net();
         let dest = names.addr("dest");

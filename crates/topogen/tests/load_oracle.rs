@@ -38,7 +38,7 @@ mod oracle {
             .iter()
             .map(|r| {
                 json!({
-                    "name": r.name,
+                    "name": &r.name,
                     "host": r.is_host,
                     "config": config_to_json(&r.config),
                 })
@@ -77,13 +77,13 @@ mod oracle {
                     "prefix": s.prefix.to_string(),
                     "members": s.members.iter().map(|m| m.to_string()).collect::<Vec<_>>(),
                     "intent": s.intent.label(),
-                    "network": s.network,
+                    "network": &s.network,
                 })
             })
             .collect();
         serde_json::to_string_pretty(&json!({
             "format": "tracenet-scenario/1",
-            "name": scenario.name,
+            "name": &scenario.name,
             "routers": routers,
             "subnets": subnets,
             "ifaces": ifaces,
