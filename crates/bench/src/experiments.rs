@@ -2,8 +2,6 @@
 
 use std::collections::BTreeMap;
 
-use std::sync::Arc;
-
 use evalkit::accounting::{ip_accounting, prefix_length_series, subnet_count, IpAccounting};
 use evalkit::classify::{classify, SubnetTable};
 use evalkit::crossval::VennPartition;
@@ -14,7 +12,7 @@ use netsim::ConcurrentNetwork;
 use probe::{Protocol, SharedNetwork};
 use sweep::{BatchConfig, CacheStats};
 use topogen::{internet2, isp_internet, GtSubnet, Scenario, ISP_NAMES};
-use tracenet::TracenetOptions;
+use tracenet::{PhaseCost, TracenetOptions};
 
 /// Default experiment seed (the paper's publication year).
 pub const SEED: u64 = 2010;
@@ -31,9 +29,8 @@ pub struct AccuracyResult {
     pub size_similarity: f64,
     /// Probes spent collecting (the audit's sweep probes not included).
     pub probes: u64,
-    /// Per-phase/per-heuristic probe accounting from the telemetry
-    /// registry (its totals equal `probes` exactly).
-    pub metrics: obs::MetricsSnapshot,
+    /// Those probes per phase, summed from the reports.
+    pub cost: PhaseCost,
     /// §4.1.1 audit cross-check: (agreements with generator intent,
     /// subnets audited).
     pub audit_agreement: (usize, usize),
@@ -93,14 +90,7 @@ pub fn accuracy_experiment(scenario: Scenario, args: &ExpArgs) -> AccuracyResult
     let gt: Vec<&GtSubnet> = scenario.ground_truth.of_network(&network).collect();
 
     let shared = args.network(&scenario);
-    let registry = Arc::new(obs::Registry::new());
-    let collected = run_tracenet(
-        &shared,
-        vantage,
-        &scenario.targets,
-        &args.cfg,
-        &obs::Recorder::new().with_metrics(Arc::clone(&registry)),
-    );
+    let collected = run_tracenet(&shared, vantage, &scenario.targets, &args.cfg);
     let wall_ticks = shared.with(|net| net.tick());
     let mut classifications = classify(&gt, &collected.records());
 
@@ -117,7 +107,7 @@ pub fn accuracy_experiment(scenario: Scenario, args: &ExpArgs) -> AccuracyResult
         prefix_similarity: prefix_similarity(&classifications, bounds),
         size_similarity: size_similarity(&classifications, bounds),
         probes: collected.probes,
-        metrics: registry.snapshot(),
+        cost: collected.cost,
         audit_agreement,
         cache: collected.cache,
         wall_ticks,
@@ -139,10 +129,8 @@ pub fn isp_region(name: &str) -> Prefix {
 pub struct VantageRun {
     /// Vantage name (rice / uoregon / umass).
     pub vantage: String,
-    /// Everything it collected.
+    /// Everything it collected, per-phase probe budget included.
     pub collected: CollectedSet,
-    /// Per-phase probe accounting for this vantage's collection.
-    pub metrics: obs::MetricsSnapshot,
     /// Simulated wall ticks this vantage's collection consumed (the
     /// shared clock advance attributable to this run).
     pub wall_ticks: u64,
@@ -176,21 +164,9 @@ pub fn isp_experiment(args: &ExpArgs) -> IspExperiment {
     let mut runs = Vec::new();
     let mut tick_before = shared.with(|net| net.tick());
     for (name, addr) in scenario.vantages.clone() {
-        let registry = Arc::new(obs::Registry::new());
-        let collected = run_tracenet(
-            &shared,
-            addr,
-            &scenario.targets,
-            &args.cfg,
-            &obs::Recorder::new().with_metrics(Arc::clone(&registry)),
-        );
+        let collected = run_tracenet(&shared, addr, &scenario.targets, &args.cfg);
         let tick_after = shared.with(|net| net.tick());
-        runs.push(VantageRun {
-            vantage: name,
-            collected,
-            metrics: registry.snapshot(),
-            wall_ticks: tick_after - tick_before,
-        });
+        runs.push(VantageRun { vantage: name, collected, wall_ticks: tick_after - tick_before });
         tick_before = tick_after;
     }
     IspExperiment { scenario, runs }
@@ -263,11 +239,11 @@ pub fn write_bench_json(exp: &str, payload: &serde_json::Value) -> std::io::Resu
     Ok(path)
 }
 
-fn phases_json(m: &obs::MetricsSnapshot) -> serde_json::Value {
+fn phases_json(c: &PhaseCost) -> serde_json::Value {
     serde_json::json!({
-        "trace": m.sent_in(obs::Phase::Trace),
-        "position": m.sent_in(obs::Phase::Position),
-        "explore": m.sent_in(obs::Phase::Explore),
+        "trace": c.trace,
+        "position": c.position,
+        "explore": c.explore,
     })
 }
 
@@ -284,9 +260,9 @@ pub fn isp_bench_json(exp: &IspExperiment, args: &ExpArgs) -> serde_json::Value 
             .iter()
             .map(|r| serde_json::json!({
                 "vantage": r.vantage.clone(),
-                "probes": r.metrics.sent_total(),
+                "probes": r.collected.cost.total(),
                 "wall_ticks": r.wall_ticks,
-                "phases": phases_json(&r.metrics),
+                "phases": phases_json(&r.collected.cost),
                 "subnets": r.collected.prefixes().len(),
             }))
             .collect::<Vec<_>>(),
@@ -304,7 +280,7 @@ pub fn accuracy_bench_json(r: &AccuracyResult, args: &ExpArgs) -> serde_json::Va
         "network": r.network.clone(),
         "probes": r.probes,
         "wall_ticks": r.wall_ticks,
-        "phases": phases_json(&r.metrics),
+        "phases": phases_json(&r.cost),
         "exact_incl": r.table.exact_rate(),
         "exact_excl": r.table.exact_rate_responsive(),
         "audit": [r.audit_agreement.0, r.audit_agreement.1],
@@ -449,8 +425,7 @@ pub fn ablation(args: &ExpArgs) -> Vec<AblationRow> {
         .map(|(config, opts)| {
             let cfg = BatchConfig { opts, ..args.cfg };
             let net = args.network(&scenario);
-            let collected =
-                run_tracenet(&net, vantage, &scenario.targets, &cfg, &obs::Recorder::disabled());
+            let collected = run_tracenet(&net, vantage, &scenario.targets, &cfg);
             row(config, &collected.records(), collected.probes)
         })
         .collect();
@@ -482,8 +457,7 @@ pub fn table3(args: &ExpArgs) -> BTreeMap<&'static str, [usize; 3]> {
         ISP_NAMES.iter().map(|&n| (n, [0usize; 3])).collect();
     for (k, protocol) in [Protocol::Icmp, Protocol::Udp, Protocol::Tcp].into_iter().enumerate() {
         let cfg = BatchConfig { protocol, ..args.cfg };
-        let collected =
-            run_tracenet(&net, rice, &scenario.targets, &cfg, &obs::Recorder::disabled());
+        let collected = run_tracenet(&net, rice, &scenario.targets, &cfg);
         for &name in &ISP_NAMES {
             out.get_mut(name).expect("known isp")[k] = subnet_count(&collected, isp_region(name));
         }

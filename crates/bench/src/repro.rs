@@ -11,7 +11,7 @@ use std::cell::OnceCell;
 use std::fmt::{self, Write};
 
 use evalkit::render::{log_bar, pct, table};
-use obs::Phase;
+use tracenet::PhaseCost;
 use tracenet_cli::args::Opts;
 use tracenet_cli::flags;
 
@@ -185,13 +185,13 @@ fn heading(title: &str, args: &ExpArgs) -> String {
 }
 
 /// The per-phase split of a run's probes.
-fn phase_budget(m: &obs::MetricsSnapshot) -> String {
+fn phase_budget(c: &PhaseCost) -> String {
     format!(
         "trace {:>8} + position {:>8} + explore {:>8} = {:>9}",
-        m.sent_in(Phase::Trace),
-        m.sent_in(Phase::Position),
-        m.sent_in(Phase::Explore),
-        m.sent_total()
+        c.trace,
+        c.position,
+        c.explore,
+        c.total()
     )
 }
 
@@ -242,7 +242,7 @@ fn table2(runs: &Runs) -> String {
 /// and the paper's exact-match rates.
 fn accuracy(title: &str, paper_rates: (f64, f64), r: &AccuracyResult, args: &ExpArgs) -> String {
     let mut out = heading(title, args);
-    let _ = writeln!(out, "probes: {}", phase_budget(&r.metrics));
+    let _ = writeln!(out, "probes: {}", phase_budget(&r.cost));
     if args.cfg.use_cache {
         let _ = writeln!(out, "{}", cache_line(&r.cache));
     }
@@ -347,7 +347,7 @@ fn fig8(runs: &Runs) -> String {
     out += &table(&headers, &rows);
     out += "\nprobe budget per vantage (from the telemetry registry):\n";
     for run in &exp.runs {
-        let _ = writeln!(out, "  {:<8} {}", run.vantage, phase_budget(&run.metrics));
+        let _ = writeln!(out, "  {:<8} {}", run.vantage, phase_budget(&run.collected.cost));
         if args.cfg.use_cache {
             let _ = writeln!(out, "  {:<8} {}", "", cache_line(&run.collected.cache));
         }
@@ -364,12 +364,12 @@ fn fig9(runs: &Runs) -> String {
     let (exp, args) = (runs.isp(), runs.args);
     let mut out = heading("Figure 9: subnet prefix length distribution per vantage", args);
     for ((vantage, series), run) in exp.prefix_series().into_iter().zip(&exp.runs) {
-        let m = &run.metrics;
+        let c = &run.collected.cost;
         let _ = writeln!(
             out,
             "-- {vantage} (log-scale bars; {} explore probes of {} total) --",
-            m.sent_in(Phase::Explore),
-            m.sent_total()
+            c.explore,
+            c.total()
         );
         for (len, count) in series {
             let _ = writeln!(out, "/{len:<3} {count:>6}  {}", log_bar(count));

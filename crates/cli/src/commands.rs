@@ -489,8 +489,7 @@ pub fn crossval(opts: &Opts) -> Result<String, String> {
     let net = SharedNetwork::new(scenario.topology.clone());
     let mut sets = Vec::new();
     for (name, addr) in scenario.vantages.clone() {
-        let recorder = obs::Recorder::disabled();
-        let collected = evalkit::run::run_tracenet(&net, addr, &scenario.targets, &cfg, &recorder);
+        let collected = evalkit::run::run_tracenet(&net, addr, &scenario.targets, &cfg);
         sets.push((name, collected.prefixes()));
     }
     let venn = evalkit::crossval::VennPartition::compute(&sets[0].1, &sets[1].1, &sets[2].1);
@@ -884,8 +883,7 @@ pub fn eval(opts: &Opts) -> Result<String, String> {
     let v = vantage(&scenario, opts)?;
     let net = SharedNetwork::new(scenario.topology.clone());
     let cfg = sequential(protocol(opts)?);
-    let recorder = obs::Recorder::disabled();
-    let collected = evalkit::run::run_tracenet(&net, v, &scenario.targets, &cfg, &recorder);
+    let collected = evalkit::run::run_tracenet(&net, v, &scenario.targets, &cfg);
 
     let mut out = format!(
         "collected {} subnets, {} addresses, {} probes over {} sessions\n",

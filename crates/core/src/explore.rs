@@ -162,7 +162,6 @@ pub fn explore<P: Prober>(
                 StopCause::Shrunk { by } => format!("stopped by H{by}"),
                 StopCause::Underutilized => "stopped by utilization".to_string(),
                 StopCause::PrefixFloor => "grew to the prefix floor".to_string(),
-                StopCause::NotExplored => "not explored".to_string(),
             }
         ),
     });

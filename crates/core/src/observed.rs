@@ -30,9 +30,6 @@ pub enum StopCause {
     Underutilized,
     /// Growth hit the configured minimum prefix length.
     PrefixFloor,
-    /// Growth was never started (positioning failed to find a usable
-    /// pivot distance).
-    NotExplored,
 }
 
 /// A subnet collected by one tracenet hop: the paper's end product.

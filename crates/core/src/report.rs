@@ -28,6 +28,14 @@ impl PhaseCost {
     }
 }
 
+impl std::ops::AddAssign for PhaseCost {
+    fn add_assign(&mut self, other: PhaseCost) {
+        self.trace += other.trace;
+        self.position += other.position;
+        self.explore += other.explore;
+    }
+}
+
 /// How trustworthy one hop's observations are under faults.
 ///
 /// Ordered by severity so "worst of" is `Iterator::max`: a hop (or a
@@ -163,9 +171,7 @@ impl TraceReport {
     pub fn phase_totals(&self) -> PhaseCost {
         let mut totals = PhaseCost::default();
         for hop in &self.hops {
-            totals.trace += hop.cost.trace;
-            totals.position += hop.cost.position;
-            totals.explore += hop.cost.explore;
+            totals += hop.cost;
         }
         totals
     }

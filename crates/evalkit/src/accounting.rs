@@ -66,7 +66,6 @@ mod tests {
             names.addr("vantage"),
             &[names.addr("dest")],
             &BatchConfig { use_cache: false, ..BatchConfig::default() },
-            &obs::Recorder::disabled(),
         );
         (set, names.addr("dest"))
     }

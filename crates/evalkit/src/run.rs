@@ -6,7 +6,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use inet::{Addr, Prefix, SubnetRecord};
 use probe::{IdentAllocator, IdentSpace, Prober, Protocol, SharedNetwork};
 use sweep::{BatchConfig, BatchResult, CacheStats};
-use tracenet::TraceReport;
+use tracenet::{PhaseCost, TraceReport};
 use traceroute::{TracerouteOptions, TracerouteReport};
 
 /// Everything one vantage point collected over a target list.
@@ -21,6 +21,8 @@ pub struct CollectedSet {
     addresses: BTreeSet<Addr>,
     /// Total wire probes spent.
     pub probes: u64,
+    /// The reports' phase costs, summed: the per-phase probe budget.
+    pub cost: PhaseCost,
     /// Sessions run.
     pub sessions: usize,
     /// Cross-session subnet-cache counters (all zero when the batch ran
@@ -32,6 +34,7 @@ impl CollectedSet {
     /// Folds one tracenet report in.
     pub fn add_report(&mut self, report: &TraceReport) {
         self.sessions += 1;
+        self.cost += report.phase_totals();
         self.addresses.extend(report.all_addresses());
         for s in report.subnets() {
             if s.record.len() >= 2 {
@@ -106,18 +109,16 @@ impl CollectedSet {
 }
 
 /// Runs one tracenet session per target from `vantage` through
-/// [`sweep::run_batch`] and folds the reports into a [`CollectedSet`].
-/// `recorder` observes every probe and decision: the experiment binaries
-/// hang a metrics registry (and optionally a JSONL sink) on it and read
-/// per-phase numbers from the registry snapshot afterwards.
+/// [`sweep::run_batch`], recording nothing, and folds the reports into a
+/// [`CollectedSet`].
 pub fn run_tracenet(
     net: &SharedNetwork,
     vantage: Addr,
     targets: &[Addr],
     cfg: &BatchConfig,
-    recorder: &obs::Recorder,
 ) -> CollectedSet {
-    CollectedSet::from_batch(&sweep::run_batch(net, vantage, targets, cfg, recorder))
+    let batch = sweep::run_batch(net, vantage, targets, cfg, &obs::Recorder::disabled());
+    CollectedSet::from_batch(&batch)
 }
 
 /// Runs one traceroute per target (the baseline's view of the same
@@ -152,7 +153,7 @@ mod tests {
     /// The sequential, cache-off collection the evaluation tables use.
     fn sequential(net: &SharedNetwork, vantage: Addr, targets: &[Addr]) -> CollectedSet {
         let cfg = BatchConfig { use_cache: false, ..BatchConfig::default() };
-        run_tracenet(net, vantage, targets, &cfg, &obs::Recorder::disabled())
+        run_tracenet(net, vantage, targets, &cfg)
     }
 
     #[test]
@@ -165,25 +166,8 @@ mod tests {
         assert_eq!(set.addresses().len(), 8);
         assert!(set.unsubnetized_addresses(None).is_empty());
         assert!(set.probes > 0);
+        assert_eq!(set.cost.total(), set.probes);
         assert_eq!(set.cache, CacheStats::default());
-    }
-
-    #[test]
-    fn recorder_accounts_every_probe() {
-        let (topo, names) = samples::chain(3);
-        let net = SharedNetwork::new(topo);
-        let metrics = std::sync::Arc::new(obs::Registry::new());
-        let recorder = obs::Recorder::new().with_metrics(std::sync::Arc::clone(&metrics));
-        let set = run_tracenet(
-            &net,
-            names.addr("vantage"),
-            &[names.addr("dest")],
-            &BatchConfig::default(),
-            &recorder,
-        );
-        let snap = metrics.snapshot();
-        assert_eq!(snap.sent_total(), set.probes);
-        assert_eq!(snap.sent_unattributed(), 0);
     }
 
     #[test]

@@ -47,10 +47,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use inet::Addr;
+use obs::TimeoutCause;
 use parking_lot::Mutex;
 use wire::{builder, IcmpMessage, Packet, Payload, UnreachableCode};
 
-use crate::events::SilenceReason;
 use crate::fault::{mix, FaultPlan};
 use crate::policy::{LbMode, ResponsePolicy};
 use crate::routing::RoutingTable;
@@ -65,8 +65,10 @@ const MAX_WALK: usize = 512;
 pub enum Verdict {
     /// The network produced this reply packet.
     Reply(Packet),
-    /// The probe drew no response.
-    Silent(SilenceReason),
+    /// The probe drew no response, for this reason (never
+    /// [`TimeoutCause::StrayReply`]: only a prober's validation judges
+    /// a reply stray).
+    Silent(TimeoutCause),
 }
 
 impl Verdict {
@@ -79,7 +81,7 @@ impl Verdict {
     }
 
     /// The silence reason, if silent.
-    pub fn silence(&self) -> Option<SilenceReason> {
+    pub fn silence(&self) -> Option<TimeoutCause> {
         match self {
             Verdict::Reply(_) => None,
             Verdict::Silent(r) => Some(*r),
@@ -239,7 +241,7 @@ impl ConcurrentNetwork {
                 let tick = self.bump_tick();
                 (self.inject_with(&p, tick), tick)
             }
-            Err(_) => (Verdict::Silent(SilenceReason::Malformed), self.bump_tick()),
+            Err(_) => (Verdict::Silent(TimeoutCause::Malformed), self.bump_tick()),
         }
     }
 
@@ -248,7 +250,7 @@ impl ConcurrentNetwork {
         // never makes it back to the caller.
         match self.walk(probe, tick) {
             Verdict::Reply(_) if self.fault.is_some_and(|plan| plan.drops_reply(tick)) => {
-                Verdict::Silent(SilenceReason::ReplyLoss)
+                Verdict::Silent(TimeoutCause::ReplyLoss)
             }
             v => v,
         }
@@ -271,7 +273,7 @@ impl ConcurrentNetwork {
 
     fn walk(&self, probe: &Packet, tick: u64) -> Verdict {
         let Some(origin) = self.source_router(probe.header.src) else {
-            return Verdict::Silent(SilenceReason::UnknownSource);
+            return Verdict::Silent(TimeoutCause::UnknownSource);
         };
         let dst = probe.header.dst;
 
@@ -290,10 +292,10 @@ impl ConcurrentNetwork {
         } else if let Some(sn) = self.topo.subnet_containing(dst) {
             (Dest::Unassigned(sn), self.routing.ingress(origin, sn))
         } else {
-            return Verdict::Silent(SilenceReason::NoRoute);
+            return Verdict::Silent(TimeoutCause::NoRoute);
         };
         let Some(target) = target else {
-            return Verdict::Silent(SilenceReason::NoRoute);
+            return Verdict::Silent(TimeoutCause::NoRoute);
         };
         let path = self.routing.path(origin, target);
         let plan = self.fault.as_ref();
@@ -333,8 +335,8 @@ impl ConcurrentNetwork {
                 }
             }
             let (next, via) = match first {
-                None if any => return Verdict::Silent(SilenceReason::LinkDown),
-                None => return Verdict::Silent(SilenceReason::NoRoute),
+                None if any => return Verdict::Silent(TimeoutCause::LinkDown),
+                None => return Verdict::Silent(TimeoutCause::NoRoute),
                 Some(hop) if live == 1 => hop,
                 Some(_) => {
                     let idx = self.lb_index(current, live, flow, tick);
@@ -343,13 +345,13 @@ impl ConcurrentNetwork {
             };
             if let Some(plan) = self.fault {
                 if plan.drops_forward(tick, step as u64, via, current) {
-                    return Verdict::Silent(SilenceReason::ForwardLoss);
+                    return Verdict::Silent(TimeoutCause::ForwardLoss);
                 }
             }
             current = next;
             prev_subnet = Some(via);
         }
-        Verdict::Silent(SilenceReason::NoRoute)
+        Verdict::Silent(TimeoutCause::NoRoute)
     }
 
     /// Picks the index of one ECMP next hop among `len` candidates
@@ -399,17 +401,17 @@ impl ConcurrentNetwork {
             Dest::Iface(ifid) => ifid,
             Dest::Unassigned(sn) => {
                 if blocked(sn) {
-                    return Verdict::Silent(SilenceReason::Filtered);
+                    return Verdict::Silent(TimeoutCause::Filtered);
                 }
                 if !config.unreachable_replies {
-                    return Verdict::Silent(SilenceReason::Unassigned);
+                    return Verdict::Silent(TimeoutCause::Unassigned);
                 }
                 let Some(src) = self.reply_src(config.indirect, at, prev_subnet, origin, None)
                 else {
-                    return Verdict::Silent(SilenceReason::PolicySilence);
+                    return Verdict::Silent(TimeoutCause::PolicySilence);
                 };
                 if !self.take_token(at, tick) {
-                    return Verdict::Silent(SilenceReason::RateLimited);
+                    return Verdict::Silent(TimeoutCause::RateLimited);
                 }
                 return Verdict::Reply(builder::unreachable(probe, src, UnreachableCode::Host));
             }
@@ -417,28 +419,28 @@ impl ConcurrentNetwork {
 
         let iface = self.topo.iface(ifid);
         if blocked(iface.subnet) {
-            return Verdict::Silent(SilenceReason::Filtered);
+            return Verdict::Silent(TimeoutCause::Filtered);
         }
         if !iface.responsive || !config.direct_protos.allows(proto) {
-            return Verdict::Silent(SilenceReason::PolicySilence);
+            return Verdict::Silent(TimeoutCause::PolicySilence);
         }
         let Some(src) = self.reply_src(config.direct, at, prev_subnet, origin, Some(iface.addr))
         else {
-            return Verdict::Silent(SilenceReason::PolicySilence);
+            return Verdict::Silent(TimeoutCause::PolicySilence);
         };
         let reply = match &probe.payload {
             Payload::Icmp(IcmpMessage::EchoRequest { .. }) => {
                 builder::echo_reply(probe, src).expect("echo request")
             }
-            Payload::Icmp(_) => return Verdict::Silent(SilenceReason::PolicySilence),
+            Payload::Icmp(_) => return Verdict::Silent(TimeoutCause::PolicySilence),
             Payload::Udp(_) => builder::unreachable(probe, src, UnreachableCode::Port),
             Payload::Tcp(seg) if seg.flags.syn() => {
                 builder::tcp_rst(probe, src).expect("syn probe")
             }
-            Payload::Tcp(_) => return Verdict::Silent(SilenceReason::PolicySilence),
+            Payload::Tcp(_) => return Verdict::Silent(TimeoutCause::PolicySilence),
         };
         if !self.take_token(at, tick) {
-            return Verdict::Silent(SilenceReason::RateLimited);
+            return Verdict::Silent(TimeoutCause::RateLimited);
         }
         Verdict::Reply(reply)
     }
@@ -454,7 +456,7 @@ impl ConcurrentNetwork {
     ) -> Verdict {
         let config = self.topo.router(at).config;
         if !config.indirect_protos.allows(probe.header.protocol) {
-            return Verdict::Silent(SilenceReason::TtlExpiredSilently);
+            return Verdict::Silent(TimeoutCause::TtlExpiredSilently);
         }
         // "a router cannot be configured as probed interface router for
         // indirect queries" (§3.1): treat Probed as Incoming here.
@@ -463,10 +465,10 @@ impl ConcurrentNetwork {
             p => p,
         };
         let Some(src) = self.reply_src(policy, at, prev_subnet, origin, None) else {
-            return Verdict::Silent(SilenceReason::TtlExpiredSilently);
+            return Verdict::Silent(TimeoutCause::TtlExpiredSilently);
         };
         if !self.take_token(at, tick) {
-            return Verdict::Silent(SilenceReason::RateLimited);
+            return Verdict::Silent(TimeoutCause::RateLimited);
         }
         Verdict::Reply(builder::ttl_exceeded(probe, src))
     }
@@ -639,9 +641,9 @@ mod tests {
     fn unknown_source_and_no_route_are_silent() {
         let (net, v, _) = chain_net();
         let bogus = icmp_probe(a("99.99.99.99"), v, 64, 1, 1);
-        assert_eq!(net.inject(&bogus).silence(), Some(SilenceReason::UnknownSource));
+        assert_eq!(net.inject(&bogus).silence(), Some(TimeoutCause::UnknownSource));
         let unrouted = icmp_probe(v, a("99.99.99.99"), 64, 1, 1);
-        assert_eq!(net.inject(&unrouted).silence(), Some(SilenceReason::NoRoute));
+        assert_eq!(net.inject(&unrouted).silence(), Some(TimeoutCause::NoRoute));
     }
 
     #[test]
@@ -656,7 +658,7 @@ mod tests {
         b.attach(r1, lan, a("10.0.0.2")).unwrap();
         let net = ConcurrentNetwork::new(b.build().unwrap());
         let verdict = net.inject(&icmp_probe(a("10.0.0.1"), a("10.0.0.5"), 64, 1, 1));
-        assert_eq!(verdict.silence(), Some(SilenceReason::Unassigned));
+        assert_eq!(verdict.silence(), Some(TimeoutCause::Unassigned));
     }
 
     #[test]
@@ -694,10 +696,10 @@ mod tests {
         let net = ConcurrentNetwork::new(b.build().unwrap());
         // Assigned address behind the firewall: silence.
         let verdict = net.inject(&icmp_probe(a("10.0.0.1"), a("10.0.1.1"), 64, 1, 1));
-        assert_eq!(verdict.silence(), Some(SilenceReason::Filtered));
+        assert_eq!(verdict.silence(), Some(TimeoutCause::Filtered));
         // Unassigned address behind the firewall: also silence.
         let verdict = net.inject(&icmp_probe(a("10.0.0.1"), a("10.0.1.5"), 64, 1, 1));
-        assert_eq!(verdict.silence(), Some(SilenceReason::Filtered));
+        assert_eq!(verdict.silence(), Some(TimeoutCause::Filtered));
     }
 
     #[test]
@@ -718,7 +720,7 @@ mod tests {
         let net = ConcurrentNetwork::new(b.build().unwrap());
         // Direct probe to the unresponsive interface: silence.
         let verdict = net.inject(&icmp_probe(a("10.0.0.0"), a("10.0.0.2"), 64, 1, 1));
-        assert_eq!(verdict.silence(), Some(SilenceReason::PolicySilence));
+        assert_eq!(verdict.silence(), Some(TimeoutCause::PolicySilence));
         // But traffic still flows through r1 to the destination.
         let reply =
             net.inject(&icmp_probe(a("10.0.0.0"), a("10.0.0.3"), 64, 1, 2)).reply().unwrap();
@@ -742,11 +744,11 @@ mod tests {
         assert!(net.inject(&icmp_probe(v_addr, t, 64, 1, 1)).reply().is_some());
         assert_eq!(
             net.inject(&udp_probe(v_addr, t, 64, 1, 33434)).silence(),
-            Some(SilenceReason::PolicySilence)
+            Some(TimeoutCause::PolicySilence)
         );
         assert_eq!(
             net.inject(&tcp_probe(v_addr, t, 64, 1, 80)).silence(),
-            Some(SilenceReason::PolicySilence)
+            Some(TimeoutCause::PolicySilence)
         );
     }
 
@@ -764,7 +766,7 @@ mod tests {
         b.attach(d, l2, a("10.0.0.3")).unwrap();
         let net = ConcurrentNetwork::new(b.build().unwrap());
         let verdict = net.inject(&icmp_probe(a("10.0.0.0"), a("10.0.0.3"), 1, 1, 1));
-        assert_eq!(verdict.silence(), Some(SilenceReason::TtlExpiredSilently));
+        assert_eq!(verdict.silence(), Some(TimeoutCause::TtlExpiredSilently));
         // The destination is still reachable through it.
         assert!(net.inject(&icmp_probe(a("10.0.0.0"), a("10.0.0.3"), 64, 1, 2)).reply().is_some());
     }
@@ -844,7 +846,7 @@ mod tests {
         for _ in 0..3 {
             assert!(net.inject(&probe).reply().is_some());
         }
-        assert_eq!(net.inject(&probe).silence(), Some(SilenceReason::RateLimited));
+        assert_eq!(net.inject(&probe).silence(), Some(TimeoutCause::RateLimited));
         // After ~100 quiet ticks the bucket refills one token.
         for _ in 0..100 {
             let _ = net.inject(&icmp_probe(a("10.0.0.0"), a("99.0.0.1"), 64, 1, 1));
@@ -898,7 +900,7 @@ mod tests {
             Verdict::Reply(r) => assert_eq!(r.header.src, d),
             other => panic!("unexpected verdict {other:?}"),
         }
-        assert_eq!(net.inject_bytes(&[0xff; 9]).silence(), Some(SilenceReason::Malformed));
+        assert_eq!(net.inject_bytes(&[0xff; 9]).silence(), Some(TimeoutCause::Malformed));
     }
 
     #[test]
@@ -922,7 +924,7 @@ mod tests {
         plan.reply_loss = 1.0;
         net.set_fault_plan(Some(plan));
         let verdict = net.inject(&icmp_probe(v, d, 64, 1, 1));
-        assert_eq!(verdict.silence(), Some(SilenceReason::ReplyLoss));
+        assert_eq!(verdict.silence(), Some(TimeoutCause::ReplyLoss));
     }
 
     #[test]
@@ -935,7 +937,7 @@ mod tests {
         assert!(net.inject(&icmp_probe(v, d, 64, 1, 1)).reply().is_some());
         net.advance(10);
         let verdict = net.inject(&icmp_probe(v, d, 64, 1, 2));
-        assert_eq!(verdict.silence(), Some(SilenceReason::LinkDown));
+        assert_eq!(verdict.silence(), Some(TimeoutCause::LinkDown));
     }
 
     #[test]
@@ -949,7 +951,7 @@ mod tests {
         let probe = icmp_probe(v, d, 64, 1, 1);
         assert!(net.inject(&probe).reply().is_some());
         assert!(net.inject(&probe).reply().is_some());
-        assert_eq!(net.inject(&probe).silence(), Some(SilenceReason::RateLimited));
+        assert_eq!(net.inject(&probe).silence(), Some(TimeoutCause::RateLimited));
         // Outside the active window the cap is gone.
         net.advance(600);
         assert!(net.inject(&probe).reply().is_some());
@@ -963,7 +965,7 @@ mod tests {
         let (_, t1) = net.inject_bytes_ticked(&probe.encode());
         let (v2, t2) = net.inject_bytes_ticked(&[0xff; 9]);
         assert_eq!((t1, t2), (1, 2), "malformed bytes still consume a tick");
-        assert_eq!(v2.silence(), Some(SilenceReason::Malformed));
+        assert_eq!(v2.silence(), Some(TimeoutCause::Malformed));
     }
 
     #[test]

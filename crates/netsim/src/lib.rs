@@ -54,7 +54,6 @@
 #![warn(missing_docs)]
 
 mod engine;
-mod events;
 mod fault;
 mod policy;
 mod routing;
@@ -62,7 +61,6 @@ pub mod samples;
 mod topology;
 
 pub use engine::{ConcurrentNetwork, Verdict};
-pub use events::SilenceReason;
 pub use fault::{FaultPlan, FaultProfile, RateStorm};
 pub use policy::{LbMode, ProtoSet, RateLimit, ResponsePolicy, RouterConfig};
 pub use routing::{NextHops, Path, RoutingTable, UNREACHABLE};

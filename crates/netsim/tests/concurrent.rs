@@ -9,9 +9,10 @@ use std::sync::Arc;
 
 use inet::Addr;
 use netsim::{
-    samples, ConcurrentNetwork, RateLimit, RouterConfig, RouterId, RoutingTable, SilenceReason,
-    SubnetId, TopologyBuilder, Verdict,
+    samples, ConcurrentNetwork, RateLimit, RouterConfig, RouterId, RoutingTable, SubnetId,
+    TopologyBuilder, Verdict,
 };
+use obs::TimeoutCause;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use wire::builder::icmp_probe;
@@ -79,7 +80,7 @@ fn every_injection_claims_exactly_one_tick() {
                 for k in 0..PROBES_PER_THREAD {
                     if (t + k) % 5 == 0 {
                         let (verdict, _) = net.inject_bytes_ticked(&[0xff; 9]);
-                        assert_eq!(verdict.silence(), Some(SilenceReason::Malformed));
+                        assert_eq!(verdict.silence(), Some(TimeoutCause::Malformed));
                     } else {
                         let _ = net.inject(&icmp_probe(v, d, 64, t as u16, k as u16));
                     }
@@ -135,7 +136,7 @@ fn token_accounting_totals_match_the_sequential_engine() {
                         Verdict::Reply(_) => {
                             replies.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                         }
-                        Verdict::Silent(r) => assert_eq!(r, SilenceReason::RateLimited),
+                        Verdict::Silent(r) => assert_eq!(r, TimeoutCause::RateLimited),
                     }
                 }
             });
@@ -209,7 +210,7 @@ fn sources_from_racing_vantages_resolve_to_their_own_routers() {
                     let src = if pick == 2 { stranger } else { ends[pick] };
                     let verdict = net.inject(&icmp_probe(src, toward(pick), 1, t as u16, k as u16));
                     if pick == 2 {
-                        assert_eq!(verdict.silence(), Some(SilenceReason::UnknownSource));
+                        assert_eq!(verdict.silence(), Some(TimeoutCause::UnknownSource));
                     } else {
                         assert_eq!(expired_at(verdict), baseline[pick], "source {src}");
                     }

@@ -168,59 +168,10 @@ impl fmt::Display for Cause {
     }
 }
 
-/// What came back for one wire attempt.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Outcome {
-    /// The probed address itself answered.
-    DirectReply,
-    /// An intermediate router sent TTL exceeded.
-    TtlExceeded,
-    /// A non-success ICMP unreachable.
-    Unreachable,
-    /// Silence (including replies rejected by validation).
-    Timeout,
-}
-
-impl Outcome {
-    /// Every outcome kind.
-    pub const ALL: [Outcome; 4] =
-        [Outcome::DirectReply, Outcome::TtlExceeded, Outcome::Unreachable, Outcome::Timeout];
-
-    /// Stable snake_case label used in JSON and metrics keys.
-    pub fn label(self) -> &'static str {
-        match self {
-            Outcome::DirectReply => "direct_reply",
-            Outcome::TtlExceeded => "ttl_exceeded",
-            Outcome::Unreachable => "unreachable",
-            Outcome::Timeout => "timeout",
-        }
-    }
-
-    /// Parses an [`Outcome::label`] rendering.
-    pub fn from_label(s: &str) -> Option<Outcome> {
-        Outcome::ALL.into_iter().find(|o| o.label() == s)
-    }
-
-    pub(crate) fn index(self) -> usize {
-        match self {
-            Outcome::DirectReply => 0,
-            Outcome::TtlExceeded => 1,
-            Outcome::Unreachable => 2,
-            Outcome::Timeout => 3,
-        }
-    }
-}
-
-impl fmt::Display for Outcome {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
 /// Why a timed-out attempt drew no (accepted) reply, when the prober can
-/// tell. Mirrors the simulator's silence reasons plus [`StrayReply`]
-/// (a reply arrived but failed validation). Live probers that cannot see
-/// into the network leave it unset.
+/// tell: the simulator's silent verdicts, plus [`StrayReply`] (a reply
+/// arrived but failed validation). Live probers that cannot see into the
+/// network leave it unset.
 ///
 /// [`StrayReply`]: TimeoutCause::StrayReply
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -310,9 +261,8 @@ impl fmt::Display for TimeoutCause {
     }
 }
 
-/// Which flavour of ICMP unreachable an [`Outcome::Unreachable`] attempt
-/// drew. The prober's outcomes carry it directly, so replay tools rebuild
-/// the exact outcome from a log line.
+/// Which flavour of ICMP unreachable a [`ProbeOutcome::Unreachable`]
+/// attempt drew.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum UnreachReason {
     /// ICMP host unreachable.
@@ -349,6 +299,134 @@ impl fmt::Display for UnreachReason {
     }
 }
 
+/// The outcome of a single probe, in the notation of the paper:
+/// `⟨ip, ttl⟩ ↪ ⟨source, RESPONSE_MSG_TYPE⟩`. What a prober returns and
+/// what a probe line records.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum ProbeOutcome {
+    /// The probe reached its destination and was answered: an ICMP Echo
+    /// Reply, an ICMP Port Unreachable (UDP probing) or a TCP RST. The
+    /// paper writes this `ECHO_RPLY` regardless of the probe protocol.
+    DirectReply {
+        /// Source address of the reply.
+        from: Addr,
+    },
+    /// The probe expired in transit: ICMP TTL Exceeded (`TTL_EXCD`).
+    TtlExceeded {
+        /// The reporting router's chosen source address.
+        from: Addr,
+    },
+    /// Some other ICMP unreachable.
+    Unreachable {
+        /// Source of the error.
+        from: Addr,
+        /// Which unreachable flavor.
+        kind: UnreachReason,
+    },
+    /// No (valid) response arrived.
+    Timeout,
+}
+
+impl ProbeOutcome {
+    /// The snake_case label of each kind, in declaration order: the
+    /// `outcome` value of a probe line and the metrics keys.
+    pub(crate) const LABELS: [&'static str; 4] =
+        ["direct_reply", "ttl_exceeded", "unreachable", "timeout"];
+
+    /// `Some(src)` when this is a direct reply.
+    pub fn direct_reply(self) -> Option<Addr> {
+        match self {
+            ProbeOutcome::DirectReply { from } => Some(from),
+            _ => None,
+        }
+    }
+
+    /// `Some(src)` when this is a TTL-exceeded.
+    pub fn ttl_exceeded(self) -> Option<Addr> {
+        match self {
+            ProbeOutcome::TtlExceeded { from } => Some(from),
+            _ => None,
+        }
+    }
+
+    /// The replying address; `None` for a timeout.
+    pub fn source(self) -> Option<Addr> {
+        match self {
+            ProbeOutcome::DirectReply { from }
+            | ProbeOutcome::TtlExceeded { from }
+            | ProbeOutcome::Unreachable { from, .. } => Some(from),
+            ProbeOutcome::Timeout => None,
+        }
+    }
+
+    /// Whether this outcome is silence-like for the purposes of H7/H8's
+    /// mate fallback: a timeout or a host-unreachable.
+    pub fn is_silentish(self) -> bool {
+        matches!(
+            self,
+            ProbeOutcome::Timeout | ProbeOutcome::Unreachable { kind: UnreachReason::Host, .. }
+        )
+    }
+
+    /// The kind's snake_case label, as a probe line's `outcome` and the
+    /// metrics keys write it.
+    pub fn label(self) -> &'static str {
+        ProbeOutcome::LABELS[self.index()]
+    }
+
+    pub(crate) fn index(self) -> usize {
+        match self {
+            ProbeOutcome::DirectReply { .. } => 0,
+            ProbeOutcome::TtlExceeded { .. } => 1,
+            ProbeOutcome::Unreachable { .. } => 2,
+            ProbeOutcome::Timeout => 3,
+        }
+    }
+
+    /// The outcome a probe line's `outcome` label, `from` and `unreach`
+    /// describe. A reply needs its source and a timeout has none; the
+    /// unreachable flavour is set on exactly the unreachables.
+    fn from_fields(
+        label: &str,
+        from: Option<Addr>,
+        unreach: Option<UnreachReason>,
+    ) -> Result<ProbeOutcome, String> {
+        let outcome = match (label, from) {
+            ("timeout", None) => ProbeOutcome::Timeout,
+            ("timeout", Some(_)) => {
+                return Err("from: timeout outcome with a source address".into())
+            }
+            ("direct_reply", Some(from)) => ProbeOutcome::DirectReply { from },
+            ("ttl_exceeded", Some(from)) => ProbeOutcome::TtlExceeded { from },
+            ("unreachable", Some(from)) => ProbeOutcome::Unreachable {
+                from,
+                kind: unreach.ok_or("unreach: unreachable outcome without a flavour")?,
+            },
+            (_, None) if ProbeOutcome::LABELS.contains(&label) => {
+                return Err(format!("from: {label} outcome without a source address"))
+            }
+            _ => return Err(format!("outcome: unknown value {label:?}")),
+        };
+        if unreach.is_some() && !matches!(outcome, ProbeOutcome::Unreachable { .. }) {
+            return Err(format!("unreach: {label} outcome with an unreachable flavour"));
+        }
+        Ok(outcome)
+    }
+}
+
+impl fmt::Display for ProbeOutcome {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ProbeOutcome::DirectReply { from } => write!(f, "ECHO_RPLY from {from}"),
+            ProbeOutcome::TtlExceeded { from } => write!(f, "TTL_EXCD from {from}"),
+            ProbeOutcome::Unreachable { from, kind } => {
+                write!(f, "UNREACH({kind:?}) from {from}")
+            }
+            ProbeOutcome::Timeout => write!(f, "timeout"),
+        }
+    }
+}
+
 /// One packet put on the wire, with full attribution. This is the unit
 /// of the JSONL probe log and the input to the metrics registry.
 #[derive(Clone, Debug, PartialEq)]
@@ -373,21 +451,16 @@ pub struct ProbeEvent {
     /// Zero-based wire attempt for this logical probe; > 0 means retry
     /// after silence.
     pub attempt: u8,
-    /// What came back for this attempt.
-    pub outcome: Outcome,
-    /// Replying address, when a reply was accepted.
-    pub from: Option<Addr>,
+    /// What came back for this attempt: its kind, the replying address
+    /// and, for an unreachable, its flavour.
+    pub outcome: ProbeOutcome,
     /// Originating phase, if the probe was sent inside a session phase.
     pub phase: Option<Phase>,
     /// Originating algorithm step or heuristic, if attributed.
     pub cause: Option<Cause>,
-    /// Why a [`Outcome::Timeout`] attempt drew nothing, when known.
+    /// Why a [`ProbeOutcome::Timeout`] attempt drew nothing, when known.
     /// `None` for replies and for probers that cannot attribute silence.
     pub timeout_cause: Option<TimeoutCause>,
-    /// Which unreachable flavour an [`Outcome::Unreachable`] attempt
-    /// drew, when the prober can tell. Replay rebuilds the exact probe
-    /// outcome from this.
-    pub unreach: Option<UnreachReason>,
 }
 
 pub(crate) fn protocol_label(p: Protocol) -> &'static str {
@@ -415,7 +488,8 @@ impl ProbeEvent {
     /// which the shim rounds and this prints exactly): keys `tick`,
     /// `session`, `vantage`, `dst`, `ttl`, `proto`, `flow`, `attempt`,
     /// `outcome`, `from`, `phase`, `cause`, `timeout_cause`, `unreach`
-    /// in that order, `null` for absent values. The line is put together
+    /// in that order, `null` for absent values; `outcome`, `from` and
+    /// `unreach` are the outcome's kind, source and unreachable flavour. The line is put together
     /// on the stack and appended in one copy; nothing is allocated
     /// beyond the growth of `out`.
     pub fn write_line(&self, out: &mut String) {
@@ -444,7 +518,7 @@ impl ProbeEvent {
         f.raw(",\"outcome\":");
         f.label(self.outcome.label());
         f.raw(",\"from\":");
-        f.opt_addr(self.from);
+        f.opt_addr(self.outcome.source());
         f.raw(",\"phase\":");
         f.opt_label(self.phase.map(Phase::label));
         f.raw(",\"cause\":");
@@ -452,7 +526,11 @@ impl ProbeEvent {
         f.raw(",\"timeout_cause\":");
         f.opt_label(self.timeout_cause.map(TimeoutCause::label));
         f.raw(",\"unreach\":");
-        f.opt_label(self.unreach.map(UnreachReason::label));
+        let unreach = match self.outcome {
+            ProbeOutcome::Unreachable { kind, .. } => Some(kind.label()),
+            _ => None,
+        };
+        f.opt_label(unreach);
         f.raw("}");
         out.fixed(&f);
     }
@@ -469,7 +547,7 @@ impl ProbeEvent {
 
     /// The event a line's members describe. Fields are checked in a
     /// fixed order, so a line with several bad fields always names the
-    /// same one.
+    /// same one; the outcome's fields are checked together, last.
     pub(crate) fn from_line(line: &Line<'_>) -> Result<ProbeEvent, String> {
         fn addr(f: &Field<'_>, what: &str) -> Result<Addr, String> {
             f.as_str()
@@ -512,13 +590,10 @@ impl ProbeEvent {
                 .ok_or_else(|| format!("proto: unknown value {proto_label:?}"))?,
             flow: num(&line[Key::Flow], "flow", u16::MAX as u64)? as u16,
             attempt: num(&line[Key::Attempt], "attempt", u8::MAX as u64)? as u8,
-            outcome: Outcome::from_label(outcome_label)
-                .ok_or_else(|| format!("outcome: unknown value {outcome_label:?}"))?,
-            from,
+            outcome: ProbeOutcome::from_fields(outcome_label, from, unreach)?,
             phase,
             cause,
             timeout_cause,
-            unreach,
         })
     }
 }
@@ -527,6 +602,10 @@ impl ProbeEvent {
 mod tests {
     use super::*;
     use serde_json::Value;
+
+    fn a(s: &str) -> Addr {
+        s.parse().unwrap()
+    }
 
     /// The event's rendered line, parsed back into a `Value`.
     fn value(ev: &ProbeEvent) -> Value {
@@ -544,18 +623,16 @@ mod tests {
         ProbeEvent {
             tick: 42,
             session: Some(3),
-            vantage: "10.0.0.1".parse().unwrap(),
-            dst: "10.0.9.6".parse().unwrap(),
+            vantage: a("10.0.0.1"),
+            dst: a("10.0.9.6"),
             ttl: 4,
             protocol: Protocol::Icmp,
             flow: 0,
             attempt: 1,
-            outcome: Outcome::TtlExceeded,
-            from: Some("10.0.3.1".parse().unwrap()),
+            outcome: ProbeOutcome::TtlExceeded { from: a("10.0.3.1") },
             phase: Some(Phase::Explore),
             cause: Some(Cause::H4),
             timeout_cause: None,
-            unreach: None,
         }
     }
 
@@ -564,27 +641,30 @@ mod tests {
         let ev = sample();
         assert_eq!(read(&value(&ev)).unwrap(), ev);
 
-        let bare = ProbeEvent { from: None, phase: None, cause: None, session: None, ..sample() };
+        let bare = ProbeEvent { phase: None, cause: None, session: None, ..sample() };
         assert_eq!(read(&value(&bare)).unwrap(), bare);
 
         let timed_out = ProbeEvent {
-            outcome: Outcome::Timeout,
-            from: None,
+            outcome: ProbeOutcome::Timeout,
             timeout_cause: Some(TimeoutCause::RateLimited),
             ..sample()
         };
         assert_eq!(read(&value(&timed_out)).unwrap(), timed_out);
 
-        let unreachable = ProbeEvent {
-            outcome: Outcome::Unreachable,
-            from: Some("10.0.3.1".parse().unwrap()),
-            unreach: Some(UnreachReason::AdminProhibited),
-            ..sample()
-        };
-        assert_eq!(read(&value(&unreachable)).unwrap(), unreachable);
+        for kind in UnreachReason::ALL {
+            let unreachable = ProbeEvent {
+                outcome: ProbeOutcome::Unreachable { from: a("10.0.3.1"), kind },
+                ..sample()
+            };
+            let v = value(&unreachable);
+            assert_eq!(v["outcome"], "unreachable");
+            assert_eq!(v["from"], "10.0.3.1");
+            assert_eq!(v["unreach"], kind.label());
+            assert_eq!(read(&v).unwrap(), unreachable);
+        }
 
-        // Logs written before timeout causes (PR 3) and session/unreach
-        // tags (PR 4) existed parse as unattributed.
+        // Logs written before timeout causes and session tags existed
+        // parse as unattributed.
         let mut legacy = value(&sample());
         if let Value::Object(fields) = &mut legacy {
             fields.retain(|(k, _)| k != "timeout_cause" && k != "session" && k != "unreach");
@@ -592,7 +672,6 @@ mod tests {
         let parsed = read(&legacy).unwrap();
         assert_eq!(parsed.timeout_cause, None);
         assert_eq!(parsed.session, None);
-        assert_eq!(parsed.unreach, None);
     }
 
     #[test]
@@ -619,15 +698,50 @@ mod tests {
     }
 
     #[test]
+    fn outcome_accessors() {
+        let d = ProbeOutcome::DirectReply { from: a("1.2.3.4") };
+        assert_eq!(d.direct_reply(), Some(a("1.2.3.4")));
+        assert_eq!(d.ttl_exceeded(), None);
+        let t = ProbeOutcome::TtlExceeded { from: a("5.6.7.8") };
+        assert_eq!(t.ttl_exceeded(), Some(a("5.6.7.8")));
+        assert_eq!(t.direct_reply(), None);
+        let u = ProbeOutcome::Unreachable { from: a("9.9.9.9"), kind: UnreachReason::Net };
+        assert_eq!(u.source(), Some(a("9.9.9.9")));
+        assert_eq!(ProbeOutcome::Timeout.source(), None);
+        let labels = [d, t, u, ProbeOutcome::Timeout].map(ProbeOutcome::label);
+        assert_eq!(labels, ProbeOutcome::LABELS);
+    }
+
+    #[test]
+    fn silentish_classification() {
+        assert!(ProbeOutcome::Timeout.is_silentish());
+        assert!(ProbeOutcome::Unreachable { from: a("1.1.1.1"), kind: UnreachReason::Host }
+            .is_silentish());
+        assert!(!ProbeOutcome::Unreachable { from: a("1.1.1.1"), kind: UnreachReason::Net }
+            .is_silentish());
+        assert!(!ProbeOutcome::DirectReply { from: a("1.1.1.1") }.is_silentish());
+    }
+
+    #[test]
+    fn display_is_paperese() {
+        assert_eq!(
+            ProbeOutcome::DirectReply { from: a("1.2.3.4") }.to_string(),
+            "ECHO_RPLY from 1.2.3.4"
+        );
+        assert_eq!(
+            ProbeOutcome::TtlExceeded { from: a("1.2.3.4") }.to_string(),
+            "TTL_EXCD from 1.2.3.4"
+        );
+        assert_eq!(ProbeOutcome::Timeout.to_string(), "timeout");
+    }
+
+    #[test]
     fn labels_roundtrip_for_all_variants() {
         for p in Phase::ALL {
             assert_eq!(Phase::from_label(p.label()), Some(p));
         }
         for c in Cause::ALL {
             assert_eq!(Cause::from_label(c.label()), Some(c));
-        }
-        for o in Outcome::ALL {
-            assert_eq!(Outcome::from_label(o.label()), Some(o));
         }
         for t in TimeoutCause::ALL {
             assert_eq!(TimeoutCause::from_label(t.label()), Some(t));

@@ -419,7 +419,7 @@ impl<'a> ExchangeLog<'a> {
 mod tests {
     use super::*;
     use crate::decision::DecisionVerdict;
-    use crate::event::{Outcome, Phase};
+    use crate::event::{Phase, ProbeOutcome};
     use crate::sink::SinkHandle;
 
     fn header() -> ExchangeHeader {
@@ -443,12 +443,10 @@ mod tests {
             protocol: Protocol::Icmp,
             flow: 0,
             attempt: 0,
-            outcome: Outcome::TtlExceeded,
-            from: Some("10.0.1.1".parse().unwrap()),
+            outcome: ProbeOutcome::TtlExceeded { from: "10.0.1.1".parse().unwrap() },
             phase: Some(Phase::Trace),
             cause: None,
             timeout_cause: None,
-            unreach: None,
         }
     }
 
@@ -667,5 +665,39 @@ mod tests {
 
         let bare_report = format!("{}\n{}\n", header().to_json(), json!({"type": "report"}));
         assert!(ExchangeLog::parse(&bare_report).unwrap_err().contains("session"));
+    }
+
+    #[test]
+    fn parse_names_the_line_of_an_outcome_no_prober_returns() {
+        let good = probe_line(&ev(0, 1));
+        let cases = [
+            (
+                good.replace(r#""from":"10.0.1.1""#, "\"from\":null"),
+                "from: ttl_exceeded outcome without a source address",
+            ),
+            (
+                good.replace(r#""outcome":"ttl_exceeded""#, r#""outcome":"timeout""#),
+                "from: timeout outcome with a source address",
+            ),
+            (
+                good.replace(r#""unreach":null"#, r#""unreach":"host""#),
+                "unreach: ttl_exceeded outcome with an unreachable flavour",
+            ),
+            (
+                good.replace(r#""outcome":"ttl_exceeded""#, r#""outcome":"unreachable""#),
+                "unreach: unreachable outcome without a flavour",
+            ),
+            (
+                good.replace(r#""outcome":"ttl_exceeded""#, r#""outcome":"timeout""#)
+                    .replace(r#""from":"10.0.1.1""#, "\"from\":null")
+                    .replace(r#""unreach":null"#, r#""unreach":"net""#),
+                "unreach: timeout outcome with an unreachable flavour",
+            ),
+        ];
+        for (bad, why) in cases {
+            assert_ne!(bad, good);
+            let text = format!("{}\n{good}\n{good}\n{bad}\n{good}\n", header().to_json());
+            assert_eq!(ExchangeLog::parse(&text).err(), Some(format!("line 4: {why}")));
+        }
     }
 }

@@ -54,7 +54,7 @@ pub mod sink;
 
 pub use ctx::{cause_scope, phase_scope};
 pub use decision::{DecisionEvent, DecisionVerdict};
-pub use event::{Cause, Outcome, Phase, ProbeEvent, TimeoutCause, UnreachReason};
+pub use event::{Cause, Phase, ProbeEvent, ProbeOutcome, TimeoutCause, UnreachReason};
 pub use exchange::{ExchangeHeader, ExchangeLog, ExchangeSink, ExchangeWriter, FORMAT_VERSION};
 pub use metrics::{CacheOutcome, MetricsSnapshot, Registry};
 pub use recorder::Recorder;

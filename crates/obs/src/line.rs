@@ -28,8 +28,10 @@ pub(crate) struct Fixed {
 
 impl Fixed {
     /// Room for the widest fixed part: a probe line with every integer
-    /// at `u64::MAX`, every address at 15 characters and the longest
-    /// label of each kind is 329 bytes (`widest_lines_fit` checks it).
+    /// at `u64::MAX`, every address at 15 characters, an unreachable
+    /// outcome (the only one with both a source and a flavour) and the
+    /// longest label of each other kind is 328 bytes (`widest_lines_fit`
+    /// checks it).
     const CAP: usize = 384;
 
     #[inline]
@@ -125,7 +127,7 @@ impl LineOut for Vec<u8> {
 mod tests {
     use wire::Protocol;
 
-    use crate::{Cause, DecisionEvent, DecisionVerdict, Outcome, Phase, ProbeEvent};
+    use crate::{Cause, DecisionEvent, DecisionVerdict, Phase, ProbeEvent, ProbeOutcome};
     use crate::{TimeoutCause, UnreachReason};
 
     fn longest<T: Copy>(all: &[T], label: fn(T) -> &'static str) -> T {
@@ -147,16 +149,17 @@ mod tests {
             protocol: Protocol::Icmp,
             flow: u16::MAX,
             attempt: u8::MAX,
-            outcome: longest(&Outcome::ALL, Outcome::label),
-            from: Some(wide),
+            outcome: ProbeOutcome::Unreachable {
+                from: wide,
+                kind: longest(&UnreachReason::ALL, UnreachReason::label),
+            },
             phase: Some(longest(&Phase::ALL, Phase::label)),
             cause: Some(longest(&Cause::ALL, Cause::label)),
             timeout_cause: Some(longest(&TimeoutCause::ALL, TimeoutCause::label)),
-            unreach: Some(longest(&UnreachReason::ALL, UnreachReason::label)),
         };
         let mut line = String::new();
         probe.write_line(&mut line);
-        assert_eq!(line.len(), 329, "{line}");
+        assert_eq!(line.len(), 328, "{line}");
 
         let decision = DecisionEvent {
             session: Some(u64::MAX),

@@ -11,14 +11,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde_json::{json, Value};
 
-use crate::event::{Cause, Outcome, Phase, ProbeEvent, TimeoutCause};
+use crate::event::{Cause, Phase, ProbeEvent, ProbeOutcome, TimeoutCause};
 
 /// Number of phase slots: the three pipeline phases plus one for
 /// probes sent outside any phase scope.
 const PHASES: usize = Phase::ALL.len() + 1;
 const UNATTRIBUTED: usize = Phase::ALL.len();
 const CAUSES: usize = Cause::ALL.len();
-const OUTCOMES: usize = Outcome::ALL.len();
+const OUTCOMES: usize = ProbeOutcome::LABELS.len();
 const TIMEOUT_CAUSES: usize = TimeoutCause::ALL.len();
 
 /// TTL histogram buckets: `[1, 2), [2, 4), [4, 8), [8, 16), [16, 32),
@@ -324,9 +324,10 @@ impl MetricsSnapshot {
         for slot in 0..PHASES {
             let o = &self.outcomes[slot];
             let outcomes = Value::Object(
-                Outcome::ALL
+                ProbeOutcome::LABELS
                     .into_iter()
-                    .map(|k| (k.label().to_string(), json!(o[k.index()])))
+                    .zip(o)
+                    .map(|(label, n)| (label.to_string(), json!(*n)))
                     .collect(),
             );
             phases.push((
@@ -427,12 +428,14 @@ mod tests {
             protocol: Protocol::Icmp,
             flow: 0,
             attempt,
-            outcome: if attempt > 0 { Outcome::Timeout } else { Outcome::DirectReply },
-            from: None,
+            outcome: if attempt > 0 {
+                ProbeOutcome::Timeout
+            } else {
+                ProbeOutcome::DirectReply { from: "10.0.9.6".parse().unwrap() }
+            },
             phase,
             cause,
             timeout_cause: if attempt > 0 { Some(TimeoutCause::PolicySilence) } else { None },
-            unreach: None,
         }
     }
 
@@ -461,7 +464,7 @@ mod tests {
         let reg = Registry::new();
         reg.record(&ev(Some(Phase::Trace), None, 3, 1));
         let mut lost = ev(Some(Phase::Explore), None, 5, 0);
-        lost.outcome = Outcome::Timeout;
+        lost.outcome = ProbeOutcome::Timeout;
         lost.timeout_cause = Some(TimeoutCause::ForwardLoss);
         reg.record(&lost);
         let snap = reg.snapshot();

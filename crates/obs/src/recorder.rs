@@ -132,7 +132,7 @@ impl Recorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{Cause, Outcome, Phase};
+    use crate::event::{Cause, Phase, ProbeOutcome};
     use crate::sink::VecSink;
     use wire::Protocol;
 
@@ -146,12 +146,10 @@ mod tests {
             protocol: Protocol::Udp,
             flow: 0,
             attempt: 0,
-            outcome: Outcome::DirectReply,
-            from: None,
+            outcome: ProbeOutcome::DirectReply { from: "10.0.9.6".parse().unwrap() },
             phase: None,
             cause: None,
             timeout_cause: None,
-            unreach: None,
         }
     }
 

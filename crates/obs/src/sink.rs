@@ -158,7 +158,7 @@ impl std::fmt::Debug for SinkHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{Outcome, Phase, ProbeEvent};
+    use crate::event::{Phase, ProbeEvent, ProbeOutcome};
     use wire::Protocol;
 
     fn ev(ttl: u8) -> ProbeEvent {
@@ -171,12 +171,10 @@ mod tests {
             protocol: Protocol::Icmp,
             flow: 0,
             attempt: 0,
-            outcome: Outcome::DirectReply,
-            from: None,
+            outcome: ProbeOutcome::DirectReply { from: "10.0.9.6".parse().unwrap() },
             phase: Some(Phase::Trace),
             cause: None,
             timeout_cause: None,
-            unreach: None,
         }
     }
 

@@ -7,7 +7,7 @@ use std::sync::{Arc, Mutex};
 
 use inet::Addr;
 use obs::{
-    ExchangeHeader, ExchangeLog, ExchangeSink, ExchangeWriter, Outcome, Phase, ProbeEvent,
+    ExchangeHeader, ExchangeLog, ExchangeSink, ExchangeWriter, Phase, ProbeEvent, ProbeOutcome,
     Recorder, Registry, SinkHandle, FORMAT_VERSION,
 };
 use wire::Protocol;
@@ -33,12 +33,10 @@ fn event(session: u64, n: u64) -> ProbeEvent {
         protocol: Protocol::Icmp,
         flow: (mix % 7) as u16,
         attempt: (n % 2) as u8,
-        outcome: Outcome::TtlExceeded,
-        from: Some(Addr::from_u32(0x0a0a_0a0a)),
+        outcome: ProbeOutcome::TtlExceeded { from: Addr::from_u32(0x0a0a_0a0a) },
         phase: None, // attribution comes from the ambient phase scope
         cause: None,
         timeout_cause: None,
-        unreach: None,
     }
 }
 

@@ -10,8 +10,8 @@ use std::io::{self, Write};
 use std::sync::{Arc, Mutex};
 
 use inet::Addr;
-use obs::{Cause, DecisionEvent, DecisionVerdict, ExchangeHeader, ExchangeWriter, Outcome};
-use obs::{Phase, ProbeEvent, TimeoutCause, UnreachReason, FORMAT_VERSION};
+use obs::{Cause, DecisionEvent, DecisionVerdict, ExchangeHeader, ExchangeWriter, Phase};
+use obs::{ProbeEvent, ProbeOutcome, TimeoutCause, UnreachReason, FORMAT_VERSION};
 use proptest::prelude::*;
 use serde_json::{json, Value};
 use wire::Protocol;
@@ -77,6 +77,16 @@ fn text(r: &mut TestRunner, max: u64) -> String {
         .collect()
 }
 
+/// A reply of each kind from a random source, or a timeout.
+fn outcome(r: &mut TestRunner) -> ProbeOutcome {
+    match r.below(4) {
+        0 => ProbeOutcome::DirectReply { from: addr(r) },
+        1 => ProbeOutcome::TtlExceeded { from: addr(r) },
+        2 => ProbeOutcome::Unreachable { from: addr(r), kind: pick(r, &UnreachReason::ALL) },
+        _ => ProbeOutcome::Timeout,
+    }
+}
+
 fn probe(r: &mut TestRunner) -> ProbeEvent {
     ProbeEvent {
         tick: int(r),
@@ -87,12 +97,10 @@ fn probe(r: &mut TestRunner) -> ProbeEvent {
         protocol: pick(r, &[Protocol::Icmp, Protocol::Udp, Protocol::Tcp]),
         flow: r.next_u64() as u16,
         attempt: r.next_u64() as u8,
-        outcome: pick(r, &Outcome::ALL),
-        from: maybe(r, addr),
+        outcome: outcome(r),
         phase: maybe(r, |r| pick(r, &Phase::ALL)),
         cause: maybe(r, |r| pick(r, &Cause::ALL)),
         timeout_cause: maybe(r, |r| pick(r, &TimeoutCause::ALL)),
-        unreach: maybe(r, |r| pick(r, &UnreachReason::ALL)),
     }
 }
 

@@ -7,7 +7,7 @@
 //! what a full decode of the golden log, filtered by session, gives.
 
 use inet::Addr;
-use obs::{Cause, DecisionEvent, DecisionVerdict, ExchangeLog, Outcome, Phase, ProbeEvent};
+use obs::{Cause, DecisionEvent, DecisionVerdict, ExchangeLog, Phase, ProbeEvent, ProbeOutcome};
 use obs::{TimeoutCause, UnreachReason};
 use proptest::prelude::*;
 use wire::Protocol;
@@ -18,7 +18,7 @@ const GOLDEN_LOG: &str = include_str!("../../cli/tests/golden/internet2-seed2010
 /// oracle: parse the whole line into a `Value`, then index it.
 mod oracle {
     use inet::Addr;
-    use obs::{Cause, DecisionEvent, DecisionVerdict, Outcome, Phase, ProbeEvent};
+    use obs::{Cause, DecisionEvent, DecisionVerdict, Phase, ProbeEvent, ProbeOutcome};
     use obs::{TimeoutCause, UnreachReason};
     use serde_json::Value;
     use wire::Protocol;
@@ -42,6 +42,46 @@ mod oracle {
     pub fn decision(line: &str) -> Result<DecisionEvent, String> {
         let v = serde_json::from_str(line).map_err(|e| format!("not JSON: {e}"))?;
         decision_from_json(&v)
+    }
+
+    /// The outcome a line's `outcome` label, `from` and `unreach` name:
+    /// replies carry a source, a timeout none, and only unreachables a
+    /// flavour.
+    fn outcome(
+        label: &str,
+        from: Option<Addr>,
+        unreach: Option<UnreachReason>,
+    ) -> Result<ProbeOutcome, String> {
+        let source =
+            || from.ok_or_else(|| format!("from: {label} outcome without a source address"));
+        let no_flavour = || match unreach {
+            Some(_) => Err(format!("unreach: {label} outcome with an unreachable flavour")),
+            None => Ok(()),
+        };
+        match label {
+            "direct_reply" => {
+                let from = source()?;
+                no_flavour()?;
+                Ok(ProbeOutcome::DirectReply { from })
+            }
+            "ttl_exceeded" => {
+                let from = source()?;
+                no_flavour()?;
+                Ok(ProbeOutcome::TtlExceeded { from })
+            }
+            "unreachable" => Ok(ProbeOutcome::Unreachable {
+                from: source()?,
+                kind: unreach.ok_or("unreach: unreachable outcome without a flavour")?,
+            }),
+            "timeout" => {
+                if from.is_some() {
+                    return Err("from: timeout outcome with a source address".into());
+                }
+                no_flavour()?;
+                Ok(ProbeOutcome::Timeout)
+            }
+            _ => Err(format!("outcome: unknown value {label:?}")),
+        }
     }
 
     fn probe_from_json(v: &Value) -> Result<ProbeEvent, String> {
@@ -113,13 +153,10 @@ mod oracle {
                 .ok_or_else(|| format!("proto: unknown value {proto_label:?}"))?,
             flow: num(&v["flow"], "flow", u16::MAX as u64)? as u16,
             attempt: num(&v["attempt"], "attempt", u8::MAX as u64)? as u8,
-            outcome: Outcome::from_label(outcome_label)
-                .ok_or_else(|| format!("outcome: unknown value {outcome_label:?}"))?,
-            from,
+            outcome: outcome(outcome_label, from, unreach)?,
             phase,
             cause,
             timeout_cause,
-            unreach,
         })
     }
 
@@ -184,6 +221,16 @@ fn addr(r: &mut TestRunner) -> Addr {
     Addr::from_u32(r.next_u64() as u32)
 }
 
+/// A reply of each kind from a random source, or a timeout.
+fn outcome(r: &mut TestRunner) -> ProbeOutcome {
+    match r.below(4) {
+        0 => ProbeOutcome::DirectReply { from: addr(r) },
+        1 => ProbeOutcome::TtlExceeded { from: addr(r) },
+        2 => ProbeOutcome::Unreachable { from: addr(r), kind: pick(r, &UnreachReason::ALL) },
+        _ => ProbeOutcome::Timeout,
+    }
+}
+
 fn probe(r: &mut TestRunner) -> ProbeEvent {
     ProbeEvent {
         tick: r.below(1 << 40),
@@ -194,12 +241,10 @@ fn probe(r: &mut TestRunner) -> ProbeEvent {
         protocol: pick(r, &[Protocol::Icmp, Protocol::Udp, Protocol::Tcp]),
         flow: r.next_u64() as u16,
         attempt: r.below(4) as u8,
-        outcome: pick(r, &Outcome::ALL),
-        from: maybe(r, addr),
+        outcome: outcome(r),
         phase: maybe(r, |r| pick(r, &Phase::ALL)),
         cause: maybe(r, |r| pick(r, &Cause::ALL)),
         timeout_cause: maybe(r, |r| pick(r, &TimeoutCause::ALL)),
-        unreach: maybe(r, |r| pick(r, &UnreachReason::ALL)),
     }
 }
 
@@ -269,6 +314,7 @@ const VALUES: &[&str] = &[
     "\"icmp\"",
     "\"udp\"",
     "\"ttl_exceeded\"",
+    "\"unreachable\"",
     "\"timeout\"",
     "\"explore\"",
     "\"trace\"",
@@ -380,6 +426,35 @@ proptest! {
     fn typed_readers_agree_with_the_value_readers(line in AnyLine) {
         assert_reads_like_the_oracle(&line);
     }
+}
+
+/// Every `outcome` label with `from` absent or set and `unreach` absent
+/// or each flavour: the combinations an outcome writes read back, and
+/// both readers reject the rest with the same error.
+#[test]
+fn every_outcome_combination_reads_like_the_oracle() {
+    let mut line = String::new();
+    probe(&mut TestRunner::deterministic("every_outcome_combination")).write_line(&mut line);
+    let base: Vec<(String, String)> = members(&line)
+        .into_iter()
+        .filter(|(k, _)| !matches!(k.as_str(), "\"outcome\"" | "\"from\"" | "\"unreach\""))
+        .collect();
+    let mut accepted = 0;
+    for outcome in ["direct_reply", "ttl_exceeded", "unreachable", "timeout"] {
+        for from in ["null", "\"10.0.3.1\""] {
+            for unreach in ["null", "\"host\"", "\"net\"", "\"admin_prohibited\""] {
+                let mut m = base.clone();
+                m.push(("\"outcome\"".into(), format!("\"{outcome}\"")));
+                m.push(("\"from\"".into(), from.into()));
+                m.push(("\"unreach\"".into(), unreach.into()));
+                let body: Vec<String> = m.iter().map(|(k, v)| format!("{k}:{v}")).collect();
+                let line = format!("{{{}}}", body.join(","));
+                assert_reads_like_the_oracle(&line);
+                accepted += usize::from(ProbeEvent::read_line(&line).is_ok());
+            }
+        }
+    }
+    assert_eq!(accepted, 6, "a direct reply, a TTL exceeded, three unreachables and a timeout");
 }
 
 #[test]

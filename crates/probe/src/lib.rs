@@ -21,16 +21,16 @@
 //! The probe vocabulary (§3.1 of the paper) is captured by
 //! [`ProbeOutcome`]: a **direct reply** (echo reply / port unreachable /
 //! TCP RST — the paper's `ECHO_RPLY`), a **TTL exceeded** (`TTL_EXCD`), an
-//! **unreachable** of some other flavor (an [`obs::UnreachReason`], the
-//! same vocabulary the exchange log records), or a **timeout**. The
-//! paper's §3.8 re-probe-on-silence rule lives in the probers' retry
+//! **unreachable** of some other flavor (an [`obs::UnreachReason`]), or a
+//! **timeout**. The type lives in `obs` and is re-exported here, so an
+//! exchange-log probe line records exactly the outcome a prober returned.
+//! The paper's §3.8 re-probe-on-silence rule lives in the probers' retry
 //! budget.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ident;
-mod outcome;
 mod prober;
 mod replay;
 mod retry;
@@ -38,11 +38,11 @@ mod scripted;
 mod sim;
 
 pub use ident::{IdentAllocator, IdentBlock, IdentSpace};
-pub use outcome::ProbeOutcome;
 pub use prober::{ProbeStats, Prober};
 pub use replay::ReplayProber;
 pub use retry::{RetryPolicy, DEFAULT_RETRIES};
 pub use scripted::ScriptedProber;
 pub use sim::{SharedNetwork, SimProber};
 
+pub use obs::ProbeOutcome;
 pub use wire::Protocol;

@@ -1,10 +1,8 @@
 //! The [`Prober`] trait and probe accounting.
 
 use inet::Addr;
-use obs::TimeoutCause;
+use obs::{ProbeOutcome, TimeoutCause};
 use wire::Protocol;
-
-use crate::outcome::ProbeOutcome;
 
 /// Counters over everything a prober sent and saw.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

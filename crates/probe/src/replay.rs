@@ -21,10 +21,9 @@
 use std::collections::VecDeque;
 
 use inet::Addr;
-use obs::{ExchangeLog, ProbeEvent, TimeoutCause};
+use obs::{ExchangeLog, ProbeEvent, ProbeOutcome, TimeoutCause};
 use wire::Protocol;
 
-use crate::outcome::ProbeOutcome;
 use crate::prober::{ProbeStats, Prober};
 
 /// One logical probe reconstructed from consecutive attempt events.
@@ -35,7 +34,7 @@ struct LogicalProbe {
     flow: u16,
     /// Wire attempts the original prober spent (≥ 1).
     attempts: u64,
-    /// Final outcome, rebuilt from the last attempt's event.
+    /// Final outcome: the last attempt's.
     outcome: ProbeOutcome,
     /// Timeout attribution of the final attempt, if it was silent.
     cause: Option<TimeoutCause>,
@@ -66,30 +65,28 @@ impl ReplayProber {
     /// log. `session` is the recorded session id ([`ProbeEvent::session`]);
     /// events carrying a different (or no) session tag are ignored.
     ///
-    /// Fails on malformed logs: events out of attempt order, attempt
-    /// groups that change destination mid-way, replies without a source
-    /// address, or unreachables without a recorded flavour.
+    /// Fails on malformed logs: events out of attempt order, or attempt
+    /// groups that change destination mid-way.
     pub fn for_session(log: &ExchangeLog<'_>, session: u64) -> Result<ReplayProber, String> {
         Self::from_events(log.header.vantage, log.header.protocol, log.events_for(session))
     }
 
     /// Builds a replay prober from an explicit event sequence (already
     /// filtered to one session, in recording order).
-    pub fn from_events(
+    fn from_events(
         src: Addr,
         protocol: Protocol,
         events: impl IntoIterator<Item = ProbeEvent>,
     ) -> Result<ReplayProber, String> {
         let mut script: VecDeque<LogicalProbe> = VecDeque::new();
         for (i, ev) in events.into_iter().enumerate() {
-            let outcome = outcome_of(&ev).map_err(|e| format!("event {}: {e}", i + 1))?;
             if ev.attempt == 0 {
                 script.push_back(LogicalProbe {
                     dst: ev.dst,
                     ttl: ev.ttl,
                     flow: ev.flow,
                     attempts: 1,
-                    outcome,
+                    outcome: ev.outcome,
                     cause: ev.timeout_cause,
                     tick: ev.tick,
                 });
@@ -119,7 +116,7 @@ impl ReplayProber {
                     ));
                 }
                 cur.attempts += 1;
-                cur.outcome = outcome;
+                cur.outcome = ev.outcome;
                 cur.cause = ev.timeout_cause;
                 cur.tick = ev.tick;
             }
@@ -145,22 +142,6 @@ impl ReplayProber {
     pub fn consumed(&self) -> usize {
         self.consumed
     }
-}
-
-/// Rebuilds the prober-level outcome from a logged attempt.
-fn outcome_of(ev: &ProbeEvent) -> Result<ProbeOutcome, String> {
-    let from = |ev: &ProbeEvent| {
-        ev.from.ok_or_else(|| format!("{:?} outcome without a source address", ev.outcome))
-    };
-    Ok(match ev.outcome {
-        obs::Outcome::DirectReply => ProbeOutcome::DirectReply { from: from(ev)? },
-        obs::Outcome::TtlExceeded => ProbeOutcome::TtlExceeded { from: from(ev)? },
-        obs::Outcome::Unreachable => ProbeOutcome::Unreachable {
-            from: from(ev)?,
-            kind: ev.unreach.ok_or("unreachable outcome without a recorded flavour")?,
-        },
-        obs::Outcome::Timeout => ProbeOutcome::Timeout,
-    })
 }
 
 impl Prober for ReplayProber {
@@ -213,13 +194,12 @@ impl Prober for ReplayProber {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use obs::Outcome;
 
     fn a(s: &str) -> Addr {
         s.parse().unwrap()
     }
 
-    fn ev(dst: &str, ttl: u8, attempt: u8, outcome: Outcome, from: Option<&str>) -> ProbeEvent {
+    fn ev(dst: &str, ttl: u8, attempt: u8, outcome: ProbeOutcome) -> ProbeEvent {
         ProbeEvent {
             tick: 10 + attempt as u64,
             session: Some(0),
@@ -230,21 +210,19 @@ mod tests {
             flow: 0,
             attempt,
             outcome,
-            from: from.map(a),
             phase: None,
             cause: None,
-            timeout_cause: (outcome == Outcome::Timeout).then_some(TimeoutCause::ForwardLoss),
-            unreach: None,
+            timeout_cause: (outcome == ProbeOutcome::Timeout).then_some(TimeoutCause::ForwardLoss),
         }
     }
 
     #[test]
     fn replays_outcomes_in_sequence_and_reproduces_stats() {
         let events = [
-            ev("10.0.0.9", 1, 0, Outcome::TtlExceeded, Some("10.0.0.5")),
-            ev("10.0.0.9", 2, 0, Outcome::Timeout, None),
-            ev("10.0.0.9", 2, 1, Outcome::Timeout, None),
-            ev("10.0.0.9", 3, 0, Outcome::DirectReply, Some("10.0.0.9")),
+            ev("10.0.0.9", 1, 0, ProbeOutcome::TtlExceeded { from: a("10.0.0.5") }),
+            ev("10.0.0.9", 2, 0, ProbeOutcome::Timeout),
+            ev("10.0.0.9", 2, 1, ProbeOutcome::Timeout),
+            ev("10.0.0.9", 3, 0, ProbeOutcome::DirectReply { from: a("10.0.0.9") }),
         ];
         let mut p = ReplayProber::from_events(a("10.0.0.1"), Protocol::Icmp, events).unwrap();
         assert_eq!(p.remaining(), 3, "the two attempts at ttl 2 collapse into one probe");
@@ -264,21 +242,19 @@ mod tests {
 
     #[test]
     fn unreachables_keep_their_flavour() {
-        let mut e = ev("10.0.0.9", 4, 0, Outcome::Unreachable, Some("10.0.0.7"));
-        e.unreach = Some(obs::UnreachReason::Host);
+        let unreachable =
+            ProbeOutcome::Unreachable { from: a("10.0.0.7"), kind: obs::UnreachReason::Host };
+        let e = ev("10.0.0.9", 4, 0, unreachable);
         let mut p = ReplayProber::from_events(a("10.0.0.1"), Protocol::Icmp, [e]).unwrap();
-        assert_eq!(
-            p.probe(a("10.0.0.9"), 4),
-            ProbeOutcome::Unreachable { from: a("10.0.0.7"), kind: obs::UnreachReason::Host }
-        );
+        assert_eq!(p.probe(a("10.0.0.9"), 4), unreachable);
     }
 
     #[test]
     #[should_panic(expected = "replay diverged at logical probe #2")]
     fn wrong_probe_is_a_divergence_panic() {
         let events = [
-            ev("10.0.0.9", 1, 0, Outcome::Timeout, None),
-            ev("10.0.0.9", 2, 0, Outcome::Timeout, None),
+            ev("10.0.0.9", 1, 0, ProbeOutcome::Timeout),
+            ev("10.0.0.9", 2, 0, ProbeOutcome::Timeout),
         ];
         let mut p = ReplayProber::from_events(a("10.0.0.1"), Protocol::Icmp, events).unwrap();
         let _ = p.probe(a("10.0.0.9"), 1);
@@ -288,7 +264,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "recorded log is exhausted")]
     fn probing_past_the_log_panics() {
-        let events = [ev("10.0.0.9", 1, 0, Outcome::Timeout, None)];
+        let events = [ev("10.0.0.9", 1, 0, ProbeOutcome::Timeout)];
         let mut p = ReplayProber::from_events(a("10.0.0.1"), Protocol::Icmp, events).unwrap();
         let _ = p.probe(a("10.0.0.9"), 1);
         let _ = p.probe(a("10.0.0.9"), 2);
@@ -297,23 +273,16 @@ mod tests {
     #[test]
     fn malformed_logs_are_rejected_up_front() {
         // Retry with no initial send.
-        let orphan = [ev("10.0.0.9", 1, 1, Outcome::Timeout, None)];
+        let orphan = [ev("10.0.0.9", 1, 1, ProbeOutcome::Timeout)];
         let err = ReplayProber::from_events(a("10.0.0.1"), Protocol::Icmp, orphan)
             .err()
             .expect("orphan retry must be rejected");
         assert!(err.contains("no initial send"), "{err}");
 
-        // Reply without a source address.
-        let bare = [ev("10.0.0.9", 1, 0, Outcome::DirectReply, None)];
-        let err = ReplayProber::from_events(a("10.0.0.1"), Protocol::Icmp, bare)
-            .err()
-            .expect("sourceless reply must be rejected");
-        assert!(err.contains("without a source address"), "{err}");
-
         // Attempt numbering gap.
         let gap = [
-            ev("10.0.0.9", 1, 0, Outcome::Timeout, None),
-            ev("10.0.0.9", 1, 2, Outcome::Timeout, None),
+            ev("10.0.0.9", 1, 0, ProbeOutcome::Timeout),
+            ev("10.0.0.9", 1, 2, ProbeOutcome::Timeout),
         ];
         let err = ReplayProber::from_events(a("10.0.0.1"), Protocol::Icmp, gap)
             .err()

@@ -4,10 +4,9 @@
 use std::collections::HashMap;
 
 use inet::Addr;
-use obs::{ProbeEvent, Recorder};
+use obs::{ProbeEvent, ProbeOutcome, Recorder};
 use wire::Protocol;
 
-use crate::outcome::ProbeOutcome;
 use crate::prober::{ProbeStats, Prober};
 
 /// A prober that answers from a scripted `(dst, ttl) → outcome` table.
@@ -106,24 +105,19 @@ impl Prober for ScriptedProber {
         // Scripted probers have no network clock; the send counter
         // stands in for it.
         let tick = self.stats.sent;
-        self.recorder.record(|| {
-            let (kind, from) = outcome.observed();
-            ProbeEvent {
-                tick,
-                session: None,
-                vantage: self.src,
-                dst,
-                ttl,
-                protocol: self.protocol,
-                flow,
-                attempt: 0,
-                outcome: kind,
-                from,
-                phase: None,
-                cause: None,
-                timeout_cause: None,
-                unreach: outcome.unreach_reason(),
-            }
+        self.recorder.record(|| ProbeEvent {
+            tick,
+            session: None,
+            vantage: self.src,
+            dst,
+            ttl,
+            protocol: self.protocol,
+            flow,
+            attempt: 0,
+            outcome,
+            phase: None,
+            cause: None,
+            timeout_cause: None,
         });
         outcome
     }

@@ -23,15 +23,14 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use inet::Addr;
-use netsim::{ConcurrentNetwork, SilenceReason, Topology, Verdict};
-use obs::{ProbeEvent, Recorder, TimeoutCause, UnreachReason};
+use netsim::{ConcurrentNetwork, Topology, Verdict};
+use obs::{ProbeEvent, ProbeOutcome, Recorder, TimeoutCause, UnreachReason};
 use wire::{
     builder, IcmpMessage, Packet, Payload, Protocol, QuotedDatagram, UnreachableCode,
     MAX_PACKET_LEN,
 };
 
 use crate::ident::{IdentAllocator, IdentSpace};
-use crate::outcome::ProbeOutcome;
 use crate::prober::{ProbeStats, Prober};
 use crate::retry::{RetryPolicy, RetryState};
 
@@ -235,8 +234,12 @@ fn classify_reply(
     }
 }
 
-/// The outcome of one wire attempt and, for a timeout, its cause: a
-/// reply that fails validation is a [`TimeoutCause::StrayReply`].
+/// The outcome of one wire attempt and, for a timeout, its cause: the
+/// simulator's own for a silent verdict, and [`TimeoutCause::StrayReply`]
+/// for a reply that fails validation. A live prober has no view of the
+/// first and leaves it unset; the simulated prober may know it, because
+/// the attribution only feeds metrics and degradation accounting, never
+/// the algorithms.
 fn judge(
     protocol: Protocol,
     prober_src: Addr,
@@ -249,27 +252,7 @@ fn judge(
             let c = (o == ProbeOutcome::Timeout).then_some(TimeoutCause::StrayReply);
             (o, c)
         }
-        Verdict::Silent(reason) => (ProbeOutcome::Timeout, Some(silence_cause(reason))),
-    }
-}
-
-/// Maps the simulator's silence reason onto the obs attribution
-/// vocabulary. A live prober has no such signal and leaves causes unset;
-/// the simulated prober is allowed to know, because the attribution only
-/// feeds metrics and degradation accounting, never the algorithms.
-fn silence_cause(reason: SilenceReason) -> TimeoutCause {
-    match reason {
-        SilenceReason::UnknownSource => TimeoutCause::UnknownSource,
-        SilenceReason::NoRoute => TimeoutCause::NoRoute,
-        SilenceReason::Filtered => TimeoutCause::Filtered,
-        SilenceReason::Unassigned => TimeoutCause::Unassigned,
-        SilenceReason::PolicySilence => TimeoutCause::PolicySilence,
-        SilenceReason::TtlExpiredSilently => TimeoutCause::TtlExpiredSilently,
-        SilenceReason::RateLimited => TimeoutCause::RateLimited,
-        SilenceReason::Malformed => TimeoutCause::Malformed,
-        SilenceReason::ForwardLoss => TimeoutCause::ForwardLoss,
-        SilenceReason::ReplyLoss => TimeoutCause::ReplyLoss,
-        SilenceReason::LinkDown => TimeoutCause::LinkDown,
+        Verdict::Silent(cause) => (ProbeOutcome::Timeout, Some(cause)),
     }
 }
 
@@ -305,24 +288,19 @@ impl Prober for SimProber {
                 std::thread::sleep(self.rtt);
             }
             (outcome, cause) = judge(self.protocol, self.src, &probe, verdict);
-            self.recorder.record(|| {
-                let (kind, from) = outcome.observed();
-                ProbeEvent {
-                    tick,
-                    session: None,
-                    vantage: self.src,
-                    dst,
-                    ttl,
-                    protocol: self.protocol,
-                    flow,
-                    attempt,
-                    outcome: kind,
-                    from,
-                    phase: None,
-                    cause: None,
-                    timeout_cause: cause,
-                    unreach: outcome.unreach_reason(),
-                }
+            self.recorder.record(|| ProbeEvent {
+                tick,
+                session: None,
+                vantage: self.src,
+                dst,
+                ttl,
+                protocol: self.protocol,
+                flow,
+                attempt,
+                outcome,
+                phase: None,
+                cause: None,
+                timeout_cause: cause,
             });
             if outcome != ProbeOutcome::Timeout {
                 cause = None;
@@ -563,8 +541,7 @@ mod tests {
 
         let events = reader.events();
         assert_eq!(events.len() as u64, p.stats().sent, "one event per wire send");
-        assert_eq!(events[0].outcome, obs::Outcome::DirectReply);
-        assert_eq!(events[0].from, Some(d));
+        assert_eq!(events[0].outcome, ProbeOutcome::DirectReply { from: d });
         assert_eq!(events[1].attempt, 0);
         assert_eq!(events[2].attempt, 1, "retry attempts are numbered");
         assert_eq!(metrics.snapshot().sent_total(), p.stats().sent);

@@ -67,7 +67,8 @@ pub struct BatchResult {
     pub reports: Vec<TraceReport>,
     /// Total wire probes across all sessions.
     pub probes: u64,
-    /// Cache counters (all zero when the cache was disabled).
+    /// Cache counts, read from the reports (all zero when the cache was
+    /// disabled).
     pub cache: CacheStats,
 }
 
@@ -121,9 +122,8 @@ pub fn run_batch(
     cfg: &BatchConfig,
     recorder: &Recorder,
 ) -> BatchResult {
-    let cache = cfg.use_cache.then(SubnetCache::new);
     let store: Option<Arc<dyn SubnetStore>> =
-        cache.clone().map(|c| Arc::new(c) as Arc<dyn SubnetStore>);
+        cfg.use_cache.then(|| Arc::new(SubnetCache::new()) as Arc<dyn SubnetStore>);
     let block = IdentAllocator::new().block(IdentSpace::Tracenet, targets.len());
     let session = |k: usize| {
         // Tag every event of this session with its target index, so
@@ -162,7 +162,9 @@ pub fn run_batch(
         done.into_iter().map(|(_, report)| report).collect()
     };
     let probes = reports.iter().map(|r| r.total_probes).sum();
-    BatchResult { probes, reports, cache: cache.map(|c| c.stats()).unwrap_or_default() }
+    let cache =
+        if cfg.use_cache { CacheStats::from_reports(&reports) } else { CacheStats::default() };
+    BatchResult { probes, reports, cache }
 }
 
 #[cfg(test)]
@@ -209,6 +211,43 @@ mod tests {
         let p0: Vec<_> = result.reports[0].subnets().map(|s| s.record.prefix()).collect();
         let p1: Vec<_> = result.reports[1].subnets().map(|s| s.record.prefix()).collect();
         assert_eq!(p0, p1, "replayed sessions report the same subnets");
+    }
+
+    #[test]
+    fn cache_counts_are_read_from_the_hops() {
+        let (shared, names) = chain_net();
+        let dest = names.addr("dest");
+        let cfg = BatchConfig::default();
+        let result =
+            run_batch(&shared, names.addr("vantage"), &[dest, dest], &cfg, &Recorder::disabled());
+        let want = CacheStats { hits: 4, skips: 0, misses: 4, admitted: 4 };
+        assert_eq!(result.cache, want);
+
+        let (topo, names) = samples::figure3();
+        let shared = SharedNetwork::new(topo);
+        let targets =
+            [names.addr("dest"), names.addr("R5.n"), names.addr("dest"), names.addr("R5.n")];
+        let result =
+            run_batch(&shared, names.addr("vantage"), &targets, &cfg, &Recorder::disabled());
+        let want = CacheStats { hits: 11, skips: 0, misses: 5, admitted: 5 };
+        assert_eq!(result.cache, want);
+    }
+
+    #[test]
+    fn registry_accounts_every_probe() {
+        let (shared, names) = chain_net();
+        let metrics = Arc::new(obs::Registry::new());
+        let recorder = Recorder::new().with_metrics(Arc::clone(&metrics));
+        let result = run_batch(
+            &shared,
+            names.addr("vantage"),
+            &[names.addr("dest")],
+            &BatchConfig::default(),
+            &recorder,
+        );
+        let snap = metrics.snapshot();
+        assert_eq!(snap.sent_total(), result.probes);
+        assert_eq!(snap.sent_unattributed(), 0);
     }
 
     #[test]

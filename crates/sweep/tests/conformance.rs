@@ -16,7 +16,6 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use evalkit::{classify, CollectedSet, MatchClass};
 use inet::{Addr, Prefix};
-use obs::Recorder;
 use probe::{Prober, Protocol, SharedNetwork};
 use sweep::BatchConfig;
 use topogen::Scenario;
@@ -90,13 +89,8 @@ fn conform(sc: &Scenario, cap: usize) -> bool {
         for use_cache in [false, true] {
             let shared = SharedNetwork::new(sc.topology.clone());
             let cfg = BatchConfig { jobs, use_cache, ..BatchConfig::default() };
-            let set = evalkit::run::run_tracenet(
-                &shared,
-                sc.vantage(vantage_name(sc)),
-                &targets,
-                &cfg,
-                &Recorder::disabled(),
-            );
+            let set =
+                evalkit::run::run_tracenet(&shared, sc.vantage(vantage_name(sc)), &targets, &cfg);
             let got = fingerprint(sc, &set);
             assert_eq!(
                 got, want,
@@ -155,13 +149,7 @@ fn cached_collection_keeps_accuracy_on_internet2() {
     let targets = targets_of(&sc, 40);
     let shared = SharedNetwork::new(sc.topology.clone());
     let cfg = BatchConfig { jobs: 8, ..BatchConfig::default() };
-    let set = evalkit::run::run_tracenet(
-        &shared,
-        sc.vantage("utdallas"),
-        &targets,
-        &cfg,
-        &Recorder::disabled(),
-    );
+    let set = evalkit::run::run_tracenet(&shared, sc.vantage("utdallas"), &targets, &cfg);
     assert!(set.cache.lookups() > 0, "the cache was consulted");
     let gt: Vec<_> = sc.ground_truth.evaluated().collect();
     let cls = classify(&gt, &set.records());

@@ -33,7 +33,7 @@ pub fn collect(
     protocol: Protocol,
 ) -> CollectedSet {
     let cfg = BatchConfig { use_cache: false, protocol, ..BatchConfig::default() };
-    evalkit::run::run_tracenet(net, vantage, targets, &cfg, &obs::Recorder::disabled())
+    evalkit::run::run_tracenet(net, vantage, targets, &cfg)
 }
 
 #[cfg(test)]

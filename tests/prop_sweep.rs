@@ -25,13 +25,7 @@ fn collect_with_plan(
 ) -> CollectedSet {
     let mut net = ConcurrentNetwork::new(scenario.topology.clone());
     net.set_fault_plan(plan);
-    run_tracenet(
-        &SharedNetwork::from_concurrent(net),
-        scenario.vantage("vantage"),
-        targets,
-        cfg,
-        &obs::Recorder::disabled(),
-    )
+    run_tracenet(&SharedNetwork::from_concurrent(net), scenario.vantage("vantage"), targets, cfg)
 }
 
 /// A moderate seeded fault plan for the robustness properties.
