@@ -345,7 +345,7 @@ fn fig8(runs: &Runs) -> String {
         })
         .collect();
     out += &table(&headers, &rows);
-    out += "\nprobe budget per vantage (from the telemetry registry):\n";
+    out += "\nprobe budget per vantage (summed from the reports):\n";
     for run in &exp.runs {
         let _ = writeln!(out, "  {:<8} {}", run.vantage, phase_budget(&run.collected.cost));
         if args.cfg.use_cache {

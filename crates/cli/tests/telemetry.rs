@@ -137,7 +137,6 @@ fn metrics_json_writes_one_machine_readable_object() {
     assert_eq!(text.lines().count(), 1, "compact form is a single line");
     let metrics: serde_json::Value = serde_json::from_str(&text).unwrap();
     assert_eq!(metrics["total_sent"].as_u64().unwrap(), probes);
-    assert!(!metrics["phase_latency"].is_null(), "wall-tick histograms present");
 
     // `batch` takes the flag too.
     let batch_metrics_path = temp_path("mj-batch-metrics");
@@ -192,6 +191,65 @@ fn metrics_table_is_appended_to_human_output() {
 
     std::fs::remove_file(scenario_path).ok();
     std::fs::remove_file(metrics_path).ok();
+}
+
+/// The registry is a fold of probe events and nothing else: folding the
+/// probe lines of a run's trace log, session by session, rebuilds the
+/// run's `--metrics-json` file byte for byte, its `--metrics` file, and
+/// the table `--metrics` appends to stdout. Checked for a sequential
+/// `trace --all` and for two-worker batches with the cache off and on.
+#[test]
+fn folding_a_trace_logs_probe_lines_rebuilds_the_metrics() {
+    let scenario_path = temp_path("fold-scenario");
+    let scenario = scenario_path.to_str().unwrap();
+    run(&["generate", "internet2", "--seed", "2010", "--out", scenario]).unwrap();
+    let (log_path, json_path, pretty_path) =
+        (temp_path("fold-log"), temp_path("fold-json"), temp_path("fold-pretty"));
+    let observed = [
+        "--trace-log",
+        log_path.to_str().unwrap(),
+        "--metrics-json",
+        json_path.to_str().unwrap(),
+        "--metrics",
+        pretty_path.to_str().unwrap(),
+    ];
+
+    let plain_trace = run(&["trace", scenario, "--all"]).unwrap();
+    let runs: [&[&str]; 3] = [
+        &["trace", scenario, "--all"],
+        &["batch", scenario, "--no-cache", "--jobs", "2"],
+        &["batch", scenario, "--jobs", "2"],
+    ];
+    for args in runs {
+        let out = run(&[args, &observed[..]].concat()).unwrap();
+
+        let log = obs::ExchangeLog::load(&log_path).expect("the trace log is an exchange log");
+        let folded = obs::Registry::new();
+        for k in 0..log.header.targets.len() as u64 {
+            log.events_for(k).for_each(|ev| folded.record(&ev));
+        }
+        let snap = folded.snapshot();
+        assert_eq!(snap.sent_total(), log.event_total() as u64, "{args:?}: untagged probes");
+
+        let json = std::fs::read_to_string(&json_path).unwrap();
+        assert_eq!(snap.to_json().to_string() + "\n", json, "{args:?}: --metrics-json");
+        let pretty = std::fs::read_to_string(&pretty_path).unwrap();
+        assert_eq!(
+            serde_json::to_string_pretty(&snap.to_json()).unwrap() + "\n",
+            pretty,
+            "{args:?}: --metrics"
+        );
+        let table = snap.render_table();
+        if args[0] == "trace" {
+            assert_eq!(out, format!("{plain_trace}{table}"), "the appended table");
+        } else {
+            assert!(out.ends_with(&table), "{args:?}: the appended table\n{out}");
+        }
+    }
+
+    for path in [scenario_path, log_path, json_path, pretty_path] {
+        std::fs::remove_file(path).ok();
+    }
 }
 
 /// Runs the `tracenet` binary; returns stdout and stderr.

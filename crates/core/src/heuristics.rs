@@ -29,7 +29,7 @@
 //!   or an accepted member, router-contiguity cannot be violated and both
 //!   rules pass without probing.
 
-use inet::Addr;
+use inet::{Addr, SubnetRecord};
 use obs::{Cause, DecisionEvent, DecisionVerdict, Recorder};
 use probe::{ProbeOutcome, Prober};
 
@@ -70,19 +70,6 @@ pub enum Decision {
     },
 }
 
-/// Tracks whether a member of the subnet being built knows its mate is a
-/// member too — used by H7/H8 to skip vacuous probes.
-pub trait MemberLookup {
-    /// Whether `addr` is the pivot or an already-accepted member.
-    fn is_member(&self, addr: Addr) -> bool;
-}
-
-impl MemberLookup for inet::SubnetRecord {
-    fn is_member(&self, addr: Addr) -> bool {
-        self.contains(addr)
-    }
-}
-
 /// Emits one heuristic verdict into the decision stream. The phase (and
 /// session) are stamped by the recorder; the cause names the rule that
 /// fired. `evidence` runs only when a sink records the decision, so an
@@ -109,15 +96,16 @@ fn decide(
 /// Examines candidate `l` against H2–H8.
 ///
 /// `contra_pivot` carries the already-identified contra-pivot, if any;
-/// `members` answers "is this address already accepted". The function
-/// performs only probing and classification — set mutation stays with the
-/// caller. Every verdict is mirrored into `recorder`'s decision stream
-/// with the rule that produced it and the observed evidence.
+/// `members` holds the pivot and the already-accepted addresses. The
+/// function performs only probing and classification — set mutation
+/// stays with the caller. Every verdict is mirrored into `recorder`'s
+/// decision stream with the rule that produced it and the observed
+/// evidence.
 pub fn examine<P: Prober>(
     prober: &mut P,
     recorder: &Recorder,
     ctx: &Context,
-    members: &dyn MemberLookup,
+    members: &SubnetRecord,
     contra_pivot: Option<Addr>,
     l: Addr,
 ) -> Decision {
@@ -316,13 +304,13 @@ pub fn examine<P: Prober>(
 /// (contiguity is then self-evident) or when both mates are mute.
 fn mate_view<P: Prober>(
     prober: &mut P,
-    members: &dyn MemberLookup,
+    members: &SubnetRecord,
     ctx: &Context,
     l: Addr,
 ) -> Option<(Addr, ProbeOutcome)> {
     let _cause = obs::cause_scope(Cause::H7);
     let m31 = l.mate31();
-    if m31 == ctx.pivot || members.is_member(m31) {
+    if m31 == ctx.pivot || members.contains(m31) {
         return None;
     }
     let o31 = prober.probe(m31, ctx.jh);
@@ -330,7 +318,7 @@ fn mate_view<P: Prober>(
         return Some((m31, o31));
     }
     let m30 = l.mate30();
-    if m30 == ctx.pivot || members.is_member(m30) || m30 == m31 {
+    if m30 == ctx.pivot || members.contains(m30) || m30 == m31 {
         return None;
     }
     let o30 = prober.probe(m30, ctx.jh);
@@ -343,7 +331,7 @@ fn mate_view<P: Prober>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use inet::{Prefix, SubnetRecord};
+    use inet::Prefix;
     use probe::ScriptedProber;
 
     fn a(s: &str) -> Addr {

@@ -143,10 +143,6 @@ impl<P: Prober> Prober for HopProber<P> {
     fn stats(&self) -> ProbeStats {
         self.inner.stats()
     }
-
-    fn clock(&self) -> u64 {
-        self.inner.clock()
-    }
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use inet::Addr;
-use obs::{CacheOutcome, Cause, DecisionEvent, DecisionVerdict, Phase, Recorder};
+use obs::{Cause, DecisionEvent, DecisionVerdict, Phase, Recorder};
 use probe::{ProbeOutcome, ProbeStats, Prober};
 
 use crate::cache::{CacheLookup, SubnetStore};
@@ -43,9 +43,10 @@ impl<P: Prober> Session<P> {
         }
     }
 
-    /// Attaches a session-level recorder. This does *not* make the
-    /// prober emit events (attach a recorder to the prober for that); it
-    /// feeds session-derived metrics, e.g. the probes-per-hop histogram.
+    /// Attaches a session-level recorder for the session's decisions.
+    /// This does *not* make the prober emit probe events (attach a
+    /// recorder to the prober for that), and the session feeds no
+    /// metrics of its own: a hop's probe cost is in its report.
     pub fn with_recorder(mut self, recorder: Recorder) -> Session<P> {
         self.recorder = recorder;
         self
@@ -72,14 +73,11 @@ impl<P: Prober> Session<P> {
             let sent_before = hop_before.sent;
 
             // --- Trace collection: one indirect probe at TTL d. --------
-            let trace_t0 = self.prober.clock();
             let outcome = {
                 let _phase = obs::phase_scope(Phase::Trace);
                 let _cause = obs::cause_scope(Cause::TraceCollection);
                 self.prober.probe(destination, d)
             };
-            self.recorder
-                .record_phase_ticks(Phase::Trace, self.prober.clock().saturating_sub(trace_t0));
             let (addr, reached) = match outcome {
                 ProbeOutcome::TtlExceeded { from } => (Some(from), false),
                 ProbeOutcome::DirectReply { from } => (Some(from), true),
@@ -127,11 +125,6 @@ impl<P: Prober> Session<P> {
                     record.cached = true;
                     let reusable = outcome.is_some();
                     record.subnet = outcome;
-                    self.recorder.record_cache(if reusable {
-                        CacheOutcome::Hit
-                    } else {
-                        CacheOutcome::Skip
-                    });
                     self.recorder.record_decision(|| DecisionEvent {
                         session: None,
                         hop: d,
@@ -146,19 +139,11 @@ impl<P: Prober> Session<P> {
                         evidence: "resolved from the cross-session subnet cache".to_string(),
                     });
                 } else {
-                    if lookup.is_some() {
-                        self.recorder.record_cache(CacheOutcome::Miss);
-                    }
                     let before = self.prober.stats().sent;
-                    let pos_t0 = self.prober.clock();
                     let positioning = {
                         let _phase = obs::phase_scope(Phase::Position);
                         position(&mut self.prober, prev_addr, v, d, &self.opts)
                     };
-                    self.recorder.record_phase_ticks(
-                        Phase::Position,
-                        self.prober.clock().saturating_sub(pos_t0),
-                    );
                     record.cost.position = self.prober.stats().sent - before;
 
                     match &positioning {
@@ -200,15 +185,10 @@ impl<P: Prober> Session<P> {
                     // explored (§3.4).
                     if let Some(pos) = positioning {
                         let before = self.prober.stats().sent;
-                        let explore_t0 = self.prober.clock();
                         let subnet = {
                             let _phase = obs::phase_scope(Phase::Explore);
                             explore(&mut self.prober, &self.recorder, &pos, prev_addr, &self.opts)
                         };
-                        self.recorder.record_phase_ticks(
-                            Phase::Explore,
-                            self.prober.clock().saturating_sub(explore_t0),
-                        );
                         record.cost.explore = self.prober.stats().sent - before;
                         record.subnet = Some(Arc::new(subnet));
                     }
@@ -255,7 +235,6 @@ impl<P: Prober> Session<P> {
                 }
             }
 
-            self.recorder.record_hop_cost(record.cost.total());
             hops.push(record);
             prev_addr = addr;
             if reached {

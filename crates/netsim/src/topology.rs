@@ -168,14 +168,6 @@ impl Topology {
     pub fn iface_on(&self, router: RouterId, subnet: SubnetId) -> Option<IfaceId> {
         self.router(router).ifaces.iter().copied().find(|&i| self.iface(i).subnet == subnet)
     }
-
-    /// The ground-truth member addresses of a subnet, sorted — what the
-    /// evaluation compares collected subnets against.
-    pub fn subnet_members(&self, id: SubnetId) -> Vec<Addr> {
-        let mut v: Vec<Addr> = self.subnet(id).ifaces.iter().map(|&i| self.iface(i).addr).collect();
-        v.sort_unstable();
-        v
-    }
 }
 
 /// Errors detected while building a topology.
@@ -406,7 +398,6 @@ mod tests {
         assert_eq!(t.subnet_containing(a("10.0.0.2")), Some(SubnetId(0)));
         assert_eq!(t.subnet_containing(a("10.0.1.2")), None);
         assert_eq!(t.subnet_by_prefix(p("10.0.0.0/30")), Some(SubnetId(0)));
-        assert_eq!(t.subnet_members(SubnetId(0)), vec![a("10.0.0.1"), a("10.0.0.2")]);
     }
 
     #[test]

@@ -27,8 +27,9 @@
 //!   `--trace-log` writes) and [`sink::VecSink`] (tests); a pair of
 //!   sinks feeds both.
 //! - [`metrics::Registry`] — thread-safe monotonic counters and
-//!   fixed-bucket histograms keyed by phase and heuristic — including
-//!   per-phase wall-tick latency — with human-table and JSON snapshots.
+//!   fixed-bucket histograms keyed by phase and heuristic, with
+//!   human-table and JSON snapshots. It is a fold of probe events only,
+//!   so a log's probe lines rebuild a run's metrics.
 //! - [`ctx`] — thread-local phase/cause attribution that the collection
 //!   algorithms set and the probers read, so attribution needs no
 //!   signature changes through the `Prober` seam.
@@ -56,6 +57,6 @@ pub use ctx::{cause_scope, phase_scope};
 pub use decision::{DecisionEvent, DecisionVerdict};
 pub use event::{Cause, Phase, ProbeEvent, ProbeOutcome, TimeoutCause, UnreachReason};
 pub use exchange::{ExchangeHeader, ExchangeLog, ExchangeSink, ExchangeWriter, FORMAT_VERSION};
-pub use metrics::{CacheOutcome, MetricsSnapshot, Registry};
+pub use metrics::{MetricsSnapshot, Registry};
 pub use recorder::Recorder;
 pub use sink::{EventSink, SinkHandle, VecSink};

@@ -1,6 +1,11 @@
 //! A dependency-free metrics registry: monotonic counters and
 //! fixed-bucket histograms keyed by phase and cause.
 //!
+//! The registry is a pure fold of [`ProbeEvent`]s: [`Registry::record`]
+//! is its only input, so folding the probe lines of an exchange log
+//! (`ExchangeLog::events_for`, session by session) rebuilds the
+//! snapshot of the run that wrote the log.
+//!
 //! Everything is a plain atomic so recording is lock-free and safe to
 //! share across probing threads behind one `Arc<Registry>`. A
 //! [`Registry::snapshot`] freezes the counters into a
@@ -30,58 +35,6 @@ fn ttl_bucket(ttl: u8) -> usize {
     TTL_BUCKETS.iter().position(|&hi| ttl < hi).unwrap_or(TTL_BUCKETS.len() - 1)
 }
 
-/// Hop-cost histogram buckets (probes spent per collected hop):
-/// `[0, 2), [2, 4), [4, 8), [8, 16), [16, 32), [32, ∞)`.
-pub const HOP_COST_BUCKETS: [u64; 5] = [2, 4, 8, 16, 32];
-
-fn hop_cost_bucket(cost: u64) -> usize {
-    HOP_COST_BUCKETS.iter().position(|&hi| cost < hi).unwrap_or(HOP_COST_BUCKETS.len())
-}
-
-/// Phase-latency histogram buckets (wall ticks spent in one phase of one
-/// hop): `[0, 4), [4, 16), [16, 64), [64, 256), [256, 1024),
-/// [1024, 4096), [4096, ∞)`.
-pub const PHASE_TICK_BUCKETS: [u64; 6] = [4, 16, 64, 256, 1024, 4096];
-
-fn phase_tick_bucket(ticks: u64) -> usize {
-    PHASE_TICK_BUCKETS.iter().position(|&hi| ticks < hi).unwrap_or(PHASE_TICK_BUCKETS.len())
-}
-
-/// What a cross-session subnet-cache lookup resolved to. Fed into the
-/// registry by the session driver so saved probes are attributable.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CacheOutcome {
-    /// The cache supplied an already-accepted subnet for the hop.
-    Hit,
-    /// The cache knew the hop was explored before and yielded no subnet,
-    /// so positioning/exploration were skipped without a reusable subnet.
-    Skip,
-    /// The hop was not in the cache; it was positioned and explored.
-    Miss,
-}
-
-impl CacheOutcome {
-    /// All outcomes, in slot order.
-    pub const ALL: [CacheOutcome; 3] = [CacheOutcome::Hit, CacheOutcome::Skip, CacheOutcome::Miss];
-
-    fn index(self) -> usize {
-        match self {
-            CacheOutcome::Hit => 0,
-            CacheOutcome::Skip => 1,
-            CacheOutcome::Miss => 2,
-        }
-    }
-
-    /// Stable lowercase label.
-    pub fn label(self) -> &'static str {
-        match self {
-            CacheOutcome::Hit => "hit",
-            CacheOutcome::Skip => "skip",
-            CacheOutcome::Miss => "miss",
-        }
-    }
-}
-
 fn phase_slot(phase: Option<Phase>) -> usize {
     phase.map(Phase::index).unwrap_or(UNATTRIBUTED)
 }
@@ -105,20 +58,8 @@ pub struct Registry {
     by_cause: [AtomicU64; CAUSES],
     /// Probe TTL distribution.
     ttl_hist: [AtomicU64; TTL_BUCKETS.len()],
-    /// Probes-per-hop distribution, fed by the session after trace
-    /// collection.
-    hop_cost_hist: [AtomicU64; HOP_COST_BUCKETS.len() + 1],
-    /// Cross-session subnet-cache lookups by outcome (hit/skip/miss).
-    cache: [AtomicU64; CacheOutcome::ALL.len()],
     /// Timed-out attempts by attributed silence cause.
     timeout_causes: [AtomicU64; TIMEOUT_CAUSES],
-    /// Per-phase wall-tick latency histogram (ticks spent in one phase
-    /// of one hop), fed by the session driver.
-    phase_ticks: [[AtomicU64; PHASE_TICK_BUCKETS.len() + 1]; PHASES],
-    /// Per-phase completed-measurement count backing `phase_ticks`.
-    phase_tick_count: [AtomicU64; PHASES],
-    /// Per-phase total ticks backing `phase_ticks`.
-    phase_tick_total: [AtomicU64; PHASES],
 }
 
 impl Registry {
@@ -145,25 +86,6 @@ impl Registry {
         self.ttl_hist[ttl_bucket(event.ttl)].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records the probe cost of one collected hop (probes spent per
-    /// hop discovered during trace collection).
-    pub fn record_hop_cost(&self, probes: u64) {
-        self.hop_cost_hist[hop_cost_bucket(probes)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one cross-session subnet-cache lookup.
-    pub fn record_cache(&self, outcome: CacheOutcome) {
-        self.cache[outcome.index()].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records the wall-tick latency of one completed phase of one hop.
-    pub fn record_phase_ticks(&self, phase: Phase, ticks: u64) {
-        let slot = phase.index();
-        self.phase_ticks[slot][phase_tick_bucket(ticks)].fetch_add(1, Ordering::Relaxed);
-        self.phase_tick_count[slot].fetch_add(1, Ordering::Relaxed);
-        self.phase_tick_total[slot].fetch_add(ticks, Ordering::Relaxed);
-    }
-
     /// Freezes the current counters.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
@@ -173,14 +95,7 @@ impl Registry {
             outcomes: std::array::from_fn(|i| std::array::from_fn(|j| load(&self.outcomes[i][j]))),
             by_cause: std::array::from_fn(|i| load(&self.by_cause[i])),
             ttl_hist: std::array::from_fn(|i| load(&self.ttl_hist[i])),
-            hop_cost_hist: std::array::from_fn(|i| load(&self.hop_cost_hist[i])),
-            cache: std::array::from_fn(|i| load(&self.cache[i])),
             timeout_causes: std::array::from_fn(|i| load(&self.timeout_causes[i])),
-            phase_ticks: std::array::from_fn(|i| {
-                std::array::from_fn(|j| load(&self.phase_ticks[i][j]))
-            }),
-            phase_tick_count: std::array::from_fn(|i| load(&self.phase_tick_count[i])),
-            phase_tick_total: std::array::from_fn(|i| load(&self.phase_tick_total[i])),
         }
     }
 }
@@ -194,20 +109,10 @@ pub struct MetricsSnapshot {
     outcomes: [[u64; OUTCOMES]; PHASES],
     by_cause: [u64; CAUSES],
     ttl_hist: [u64; TTL_BUCKETS.len()],
-    hop_cost_hist: [u64; HOP_COST_BUCKETS.len() + 1],
-    cache: [u64; CacheOutcome::ALL.len()],
     timeout_causes: [u64; TIMEOUT_CAUSES],
-    phase_ticks: [[u64; PHASE_TICK_BUCKETS.len() + 1]; PHASES],
-    phase_tick_count: [u64; PHASES],
-    phase_tick_total: [u64; PHASES],
 }
 
 impl MetricsSnapshot {
-    /// Cache lookups that resolved to `outcome`.
-    pub fn cache_count(&self, outcome: CacheOutcome) -> u64 {
-        self.cache[outcome.index()]
-    }
-
     /// Wire sends attributed to `phase`.
     pub fn sent_in(&self, phase: Phase) -> u64 {
         self.sent[phase.index()]
@@ -226,16 +131,6 @@ impl MetricsSnapshot {
     /// Total wire sends across every phase slot.
     pub fn sent_total(&self) -> u64 {
         self.sent.iter().sum()
-    }
-
-    /// Completed phase-latency measurements for `phase`.
-    pub fn phase_tick_count(&self, phase: Phase) -> u64 {
-        self.phase_tick_count[phase.index()]
-    }
-
-    /// Total wall ticks measured in `phase`.
-    pub fn phase_tick_total(&self, phase: Phase) -> u64 {
-        self.phase_tick_total[phase.index()]
     }
 
     /// Renders the snapshot as an aligned human-readable table.
@@ -287,28 +182,6 @@ impl MetricsSnapshot {
                 let _ = writeln!(out, "{:<22} {:>8}", cause.label(), n);
             }
         }
-        if Phase::ALL.iter().any(|&p| self.phase_tick_count(p) > 0) {
-            let _ = writeln!(
-                out,
-                "\n{:<14} {:>8} {:>10} {:>10}",
-                "phase latency", "hops", "ticks", "avg"
-            );
-            for phase in Phase::ALL {
-                let count = self.phase_tick_count(phase);
-                if count == 0 {
-                    continue;
-                }
-                let total = self.phase_tick_total(phase);
-                let _ = writeln!(
-                    out,
-                    "{:<14} {:>8} {:>10} {:>10.1}",
-                    phase.label(),
-                    count,
-                    total,
-                    total as f64 / count as f64,
-                );
-            }
-        }
         out
     }
 
@@ -317,8 +190,9 @@ impl MetricsSnapshot {
     /// Shape: `phases` maps phase label (plus `"unattributed"`) to
     /// `{sent, retries, outcomes: {...}}`; `causes` maps cause labels
     /// to send counts (zero counts omitted); `total_sent` is the grand
-    /// total; `ttl_histogram` and `hop_cost_histogram` list
-    /// `{le, count}` buckets.
+    /// total; `ttl_histogram` lists `{le, count}` buckets;
+    /// `timeout_causes` maps silence causes to timed-out attempts (zero
+    /// counts omitted).
     pub fn to_json(&self) -> Value {
         let mut phases = Vec::new();
         for slot in 0..PHASES {
@@ -353,21 +227,6 @@ impl MetricsSnapshot {
                 .map(|(&le, &count)| json!({ "le": le, "count": count }))
                 .collect(),
         );
-        let hop_hist = Value::Array(
-            HOP_COST_BUCKETS
-                .iter()
-                .map(|&b| b.to_string())
-                .chain(std::iter::once("inf".to_string()))
-                .zip(self.hop_cost_hist.iter())
-                .map(|(le, &count)| json!({ "le": le, "count": count }))
-                .collect(),
-        );
-        let cache = Value::Object(
-            CacheOutcome::ALL
-                .into_iter()
-                .map(|o| (o.label().to_string(), json!(self.cache_count(o))))
-                .collect(),
-        );
         let timeout_causes = Value::Object(
             TimeoutCause::ALL
                 .into_iter()
@@ -375,40 +234,12 @@ impl MetricsSnapshot {
                 .map(|c| (c.label().to_string(), json!(self.timeout_causes[c.index()])))
                 .collect(),
         );
-        let phase_latency = Value::Object(
-            Phase::ALL
-                .into_iter()
-                .map(|p| {
-                    let slot = p.index();
-                    let buckets = Value::Array(
-                        PHASE_TICK_BUCKETS
-                            .iter()
-                            .map(|b| b.to_string())
-                            .chain(std::iter::once("inf".to_string()))
-                            .zip(self.phase_ticks[slot].iter())
-                            .map(|(le, &count)| json!({ "le": le, "count": count }))
-                            .collect(),
-                    );
-                    (
-                        p.label().to_string(),
-                        json!({
-                            "count": self.phase_tick_count[slot],
-                            "total_ticks": self.phase_tick_total[slot],
-                            "buckets": buckets,
-                        }),
-                    )
-                })
-                .collect(),
-        );
         json!({
             "total_sent": self.sent_total(),
             "phases": Value::Object(phases),
             "causes": causes,
             "ttl_histogram": ttl_hist,
-            "hop_cost_histogram": hop_hist,
-            "cache": cache,
             "timeout_causes": timeout_causes,
-            "phase_latency": phase_latency,
         })
     }
 }
@@ -494,67 +325,12 @@ mod tests {
     fn snapshot_json_has_expected_shape() {
         let reg = Registry::new();
         reg.record(&ev(Some(Phase::Position), Some(Cause::DistanceSearch), 4, 0));
-        reg.record_hop_cost(3);
         let v = reg.snapshot().to_json();
         assert_eq!(v["total_sent"], 1u64);
         assert_eq!(v["phases"]["position"]["sent"], 1u64);
         assert_eq!(v["phases"]["position"]["outcomes"]["direct_reply"], 1u64);
         assert_eq!(v["causes"]["distance_search"], 1u64);
         assert!(v["causes"]["h2"].is_null(), "zero causes omitted");
-        assert_eq!(v["hop_cost_histogram"][1]["count"], 1u64);
-    }
-
-    #[test]
-    fn cache_counters_accumulate_and_render() {
-        let reg = Registry::new();
-        reg.record_cache(CacheOutcome::Miss);
-        reg.record_cache(CacheOutcome::Hit);
-        reg.record_cache(CacheOutcome::Hit);
-        reg.record_cache(CacheOutcome::Skip);
-        let snap = reg.snapshot();
-        assert_eq!(snap.cache_count(CacheOutcome::Hit), 2);
-        assert_eq!(snap.cache_count(CacheOutcome::Skip), 1);
-        assert_eq!(snap.cache_count(CacheOutcome::Miss), 1);
-        // The batch summary prints the cache line; the table never
-        // repeats it.
-        let table = snap.render_table();
-        assert!(!table.contains("subnet cache"), "{table}");
-        let v = snap.to_json();
-        assert_eq!(v["cache"]["hit"], 2u64);
-        assert_eq!(v["cache"]["miss"], 1u64);
-    }
-
-    #[test]
-    fn phase_tick_histogram_accumulates_and_renders() {
-        let reg = Registry::new();
-        reg.record_phase_ticks(Phase::Trace, 3);
-        reg.record_phase_ticks(Phase::Explore, 100);
-        reg.record_phase_ticks(Phase::Explore, 5000);
-        let snap = reg.snapshot();
-        assert_eq!(snap.phase_tick_count(Phase::Explore), 2);
-        assert_eq!(snap.phase_tick_total(Phase::Explore), 5100);
-        assert_eq!(snap.phase_tick_count(Phase::Trace), 1);
-        assert_eq!(snap.phase_tick_total(Phase::Trace), 3);
-
-        let v = snap.to_json();
-        assert_eq!(v["phase_latency"]["explore"]["count"], 2u64);
-        assert_eq!(v["phase_latency"]["explore"]["total_ticks"], 5100u64);
-        // 100 lands in [64, 256); 5000 overflows into the "inf" bucket.
-        assert_eq!(v["phase_latency"]["explore"]["buckets"][3]["count"], 1u64);
-        assert_eq!(v["phase_latency"]["explore"]["buckets"][6]["le"], "inf");
-        assert_eq!(v["phase_latency"]["explore"]["buckets"][6]["count"], 1u64);
-
-        let table = snap.render_table();
-        assert!(table.contains("phase latency"), "{table}");
-        assert!(table.contains("2550.0"), "explore average rendered: {table}");
-    }
-
-    #[test]
-    fn phase_latency_section_hidden_without_measurements() {
-        let reg = Registry::new();
-        reg.record(&ev(Some(Phase::Trace), None, 3, 0));
-        let table = reg.snapshot().render_table();
-        assert!(!table.contains("phase latency"), "{table}");
     }
 
     #[test]

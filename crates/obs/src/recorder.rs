@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use crate::ctx;
 use crate::decision::DecisionEvent;
-use crate::event::{Phase, ProbeEvent};
+use crate::event::ProbeEvent;
 use crate::metrics::Registry;
 use crate::sink::SinkHandle;
 
@@ -99,30 +99,6 @@ impl Recorder {
         self.sink.emit_decision(&decision);
     }
 
-    /// Records the wall-tick latency of one completed session phase, if
-    /// metrics are attached.
-    pub fn record_phase_ticks(&self, phase: Phase, ticks: u64) {
-        if let Some(metrics) = &self.metrics {
-            metrics.record_phase_ticks(phase, ticks);
-        }
-    }
-
-    /// Records the probe cost of one collected hop, if metrics are
-    /// attached.
-    pub fn record_hop_cost(&self, probes: u64) {
-        if let Some(metrics) = &self.metrics {
-            metrics.record_hop_cost(probes);
-        }
-    }
-
-    /// Records one cross-session subnet-cache lookup, if metrics are
-    /// attached.
-    pub fn record_cache(&self, outcome: crate::metrics::CacheOutcome) {
-        if let Some(metrics) = &self.metrics {
-            metrics.record_cache(outcome);
-        }
-    }
-
     /// Flushes the sink, if any.
     pub fn flush(&self) -> std::io::Result<()> {
         self.sink.flush()
@@ -192,7 +168,6 @@ mod tests {
         let metrics = Arc::new(Registry::new());
         let recorder = Recorder::new().with_metrics(Arc::clone(&metrics));
         recorder.record(ev);
-        recorder.record_hop_cost(4);
         assert_eq!(metrics.snapshot().sent_total(), 1);
     }
 

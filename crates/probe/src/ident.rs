@@ -107,11 +107,6 @@ impl IdentBlock {
         let slot = (self.start as u64 + k as u64) % cap;
         self.space.base() + slot as u16
     }
-
-    /// The namespace the block draws from.
-    pub fn space(&self) -> IdentSpace {
-        self.space
-    }
 }
 
 #[cfg(test)]

@@ -101,9 +101,9 @@ pub trait Prober {
     /// Accumulated counters.
     fn stats(&self) -> ProbeStats;
 
-    /// The prober's notion of elapsed time, in wall ticks. Simulated
-    /// probers expose the network clock; probers with no clock report 0
-    /// (latency measurements then read as zero-width, never wrong).
+    /// The prober's notion of elapsed time, in wall ticks; 0 unless a
+    /// prober overrides it. Nothing in the collector reads it; it stays
+    /// for collector-bench's timing prober.
     fn clock(&self) -> u64 {
         0
     }
@@ -126,10 +126,6 @@ impl<P: Prober + ?Sized> Prober for &mut P {
 
     fn stats(&self) -> ProbeStats {
         (**self).stats()
-    }
-
-    fn clock(&self) -> u64 {
-        (**self).clock()
     }
 }
 

@@ -38,8 +38,6 @@ struct LogicalProbe {
     outcome: ProbeOutcome,
     /// Timeout attribution of the final attempt, if it was silent.
     cause: Option<TimeoutCause>,
-    /// Network clock at the last attempt.
-    tick: u64,
 }
 
 /// A [`Prober`] that answers from a recorded probe-event sequence
@@ -57,7 +55,6 @@ pub struct ReplayProber {
     /// Logical probes consumed so far (for divergence messages).
     consumed: usize,
     stats: ProbeStats,
-    tick: u64,
 }
 
 impl ReplayProber {
@@ -88,7 +85,6 @@ impl ReplayProber {
                     attempts: 1,
                     outcome: ev.outcome,
                     cause: ev.timeout_cause,
-                    tick: ev.tick,
                 });
             } else {
                 let cur = script.back_mut().ok_or_else(|| {
@@ -118,17 +114,9 @@ impl ReplayProber {
                 cur.attempts += 1;
                 cur.outcome = ev.outcome;
                 cur.cause = ev.timeout_cause;
-                cur.tick = ev.tick;
             }
         }
-        Ok(ReplayProber {
-            src,
-            protocol,
-            script,
-            consumed: 0,
-            stats: ProbeStats::default(),
-            tick: 0,
-        })
+        Ok(ReplayProber { src, protocol, script, consumed: 0, stats: ProbeStats::default() })
     }
 
     /// Logical probes not yet consumed. A faithful replay drains the
@@ -174,7 +162,6 @@ impl Prober for ReplayProber {
             );
         }
         self.consumed += 1;
-        self.tick = next.tick;
         self.stats.requests += 1;
         self.stats.sent += next.attempts;
         self.stats.retries += next.attempts - 1;
@@ -184,10 +171,6 @@ impl Prober for ReplayProber {
 
     fn stats(&self) -> ProbeStats {
         self.stats
-    }
-
-    fn clock(&self) -> u64 {
-        self.tick
     }
 }
 
@@ -237,7 +220,6 @@ mod tests {
         assert_eq!(s.timeouts, 1);
         assert_eq!(s.timeouts_loss, 1, "fault attribution survives the replay");
         assert_eq!(s.last_fault_cause, Some(TimeoutCause::ForwardLoss));
-        assert_eq!(p.clock(), 10, "clock tracks the last consumed event's tick");
     }
 
     #[test]

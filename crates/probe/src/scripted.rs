@@ -125,10 +125,6 @@ impl Prober for ScriptedProber {
     fn stats(&self) -> ProbeStats {
         self.stats
     }
-
-    fn clock(&self) -> u64 {
-        self.stats.sent
-    }
 }
 
 #[cfg(test)]

@@ -315,10 +315,6 @@ impl Prober for SimProber {
     fn stats(&self) -> ProbeStats {
         self.stats
     }
-
-    fn clock(&self) -> u64 {
-        self.net.tick()
-    }
 }
 
 #[cfg(test)]
@@ -429,7 +425,7 @@ mod tests {
             .retry_policy(RetryPolicy::Backoff { retries: 2 });
         let _ = p.probe("99.0.0.1".parse().unwrap(), 64);
         // 3 injections plus 8 + 16 idle ticks of backoff.
-        assert_eq!(p.clock(), 3 + 8 + 16);
+        assert_eq!(net.with(|n| n.tick()), 3 + 8 + 16);
         assert_eq!(p.stats().sent, 3);
     }
 

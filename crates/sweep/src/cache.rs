@@ -28,9 +28,7 @@
 //! admission leaves its mark on the hop it served, and [`CacheStats`] is
 //! read back from the reports.
 
-use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
-use std::hash::{BuildHasher, Hasher};
 use std::sync::Arc;
 
 use inet::Addr;
@@ -50,58 +48,11 @@ impl StopKey {
     }
 }
 
-/// Hashes a [`StopKey`]: one folded 64×64→128-bit multiply of its two
-/// halves, each mixed with a per-cache random word, which spreads every
-/// key bit into both the low bits (the bucket) and the high bits (the
-/// probe tag) a hash map reads. The words are random because the
-/// addresses in a key come from replies: whoever answers the probes
-/// must not be able to pick keys that share a bucket.
-struct StopKeyHasher {
-    seed: [u64; 2],
-    hash: u64,
-}
-
-impl Hasher for StopKeyHasher {
-    fn write_u128(&mut self, key: u128) {
-        let (lo, hi) = (key as u64, (key >> 64) as u64);
-        let product = u128::from(lo ^ self.seed[0]) * u128::from(hi ^ self.seed[1]);
-        self.hash = product as u64 ^ (product >> 64) as u64;
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // `StopKey` only reaches `write_u128`; this keeps the hasher total.
-        for &b in bytes {
-            self.write_u128(u128::from(self.hash) << 8 | u128::from(b));
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-}
-
-/// Builds the [`StopKeyHasher`]s of one stop set, from two random words
-/// drawn when the set is made.
-#[derive(Clone)]
-struct StopKeySeed([u64; 2]);
-
-impl Default for StopKeySeed {
-    fn default() -> StopKeySeed {
-        let random = RandomState::new();
-        StopKeySeed([random.hash_one(0u8), random.hash_one(1u8)])
-    }
-}
-
-impl BuildHasher for StopKeySeed {
-    type Hasher = StopKeyHasher;
-
-    fn build_hasher(&self) -> StopKeyHasher {
-        StopKeyHasher { seed: self.0, hash: 0 }
-    }
-}
-
-/// Each hop's outcome, barren ones included, under its packed key.
-type StopSet = HashMap<StopKey, Option<Arc<ObservedSubnet>>, StopKeySeed>;
+/// Each hop's outcome, barren ones included, under its packed key. The
+/// map keeps std's randomly keyed hasher: the addresses in a key come
+/// from replies, and whoever answers the probes must not be able to pick
+/// keys that collide.
+type StopSet = HashMap<StopKey, Option<Arc<ObservedSubnet>>>;
 
 /// What a batch's sessions asked of the cache and what they admitted.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -145,11 +96,12 @@ impl CacheStats {
     }
 }
 
-/// A concurrent cross-session stop set (cheaply cloneable handle).
-#[derive(Clone, Default)]
+/// A concurrent cross-session stop set; sessions share it behind one
+/// `Arc`.
+#[derive(Default)]
 pub struct SubnetCache {
     /// Exact per-hop outcomes, barren ones included.
-    stop_set: Arc<Mutex<StopSet>>,
+    stop_set: Mutex<StopSet>,
 }
 
 impl SubnetCache {
@@ -280,7 +232,7 @@ mod tests {
         let cache = SubnetCache::new();
         std::thread::scope(|scope| {
             for t in 0..8u32 {
-                let cache = cache.clone();
+                let cache = &cache;
                 scope.spawn(move || {
                     for k in 0..50u32 {
                         let octet = (t * 50 + k) % 200;

@@ -164,8 +164,7 @@ fn degraded_observations_never_reach_a_fault_free_session() {
     let sc = topogen::internet2(3);
     let vantage = sc.vantage("utdallas");
     let targets: Vec<Addr> = sc.targets.iter().copied().take(6).collect();
-    let cache = SubnetCache::new();
-    let store: Arc<dyn SubnetStore> = Arc::new(cache.clone());
+    let store: Arc<dyn SubnetStore> = Arc::new(SubnetCache::new());
 
     // Epoch 1: heavy loss. Degraded hops must not be admitted.
     let mut net = ConcurrentNetwork::new(sc.topology.clone());
