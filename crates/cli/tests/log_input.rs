@@ -78,6 +78,39 @@ fn replay_and_diff_reject_a_truncated_log_with_its_line_number() {
     std::fs::remove_file(path).ok();
 }
 
+/// A report body that is not an object is refused where the log is
+/// read, with its line number, by `replay` and by `diff`.
+#[test]
+fn replay_and_diff_reject_a_report_body_that_is_not_an_object() {
+    let log = String::from_utf8(golden()).unwrap();
+    let (n, line) = log
+        .lines()
+        .enumerate()
+        .find(|(_, l)| l.starts_with(r#"{"type":"report""#))
+        .expect("the golden log carries report lines");
+    let (head, _) = line.split_once(r#","report":"#).unwrap();
+    let golden = golden_path();
+    let golden = golden.to_str().unwrap();
+    for (k, body) in ["5", "[1]", r#""text""#, "true"].into_iter().enumerate() {
+        let lines: Vec<String> = log
+            .lines()
+            .enumerate()
+            .map(|(i, l)| if i == n { format!(r#"{head},"report":{body}}}"#) } else { l.into() })
+            .collect();
+        let mut path = std::env::temp_dir();
+        path.push(format!("tracenet-report-body-{}-{k}.jsonl", std::process::id()));
+        std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+        let bad = path.to_str().unwrap();
+        for args in [vec!["replay", bad], vec!["diff", golden, bad]] {
+            let (code, stderr) = tracenet(&args);
+            assert_eq!(code, Some(2), "{body} {args:?}: {stderr}");
+            let want = format!("line {}: report body must be an object", n + 1);
+            assert!(stderr.contains(&want), "{body} {args:?}: {stderr}");
+        }
+        std::fs::remove_file(path).ok();
+    }
+}
+
 /// The settings the collector only runs one way are checked on replay:
 /// a header that records another value is refused with the key's name,
 /// and one that lacks the key keeps the "missing or invalid" error.
