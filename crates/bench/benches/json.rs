@@ -1,12 +1,13 @@
 //! Criterion benches for the JSON I/O layer: the 4-ISP internet's
 //! scenario file loaded and written, the golden internet2 exchange log
 //! read back (indexed, then every session's events decoded into a replay
-//! script), its report, probe and decision lines written, and its
-//! addresses printed through `Display`.
+//! script; or read once, straight into the scripts), its report, probe
+//! and decision lines written, and its addresses printed through
+//! `Display`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use obs::{ExchangeLog, ExchangeWriter};
-use probe::ReplayProber;
+use obs::{Entry, ExchangeLog, ExchangeReader, ExchangeWriter};
+use probe::{ReplayProber, ReplayScript};
 use topogen::{io, isp_internet};
 
 const GOLDEN_LOG: &str = include_str!("../../cli/tests/golden/internet2-seed2010.jsonl");
@@ -25,13 +26,29 @@ fn bench_json(c: &mut Criterion) {
     g.bench_function("exchange_log_parse", |b| {
         b.iter(|| ExchangeLog::parse(black_box(GOLDEN_LOG)).expect("golden log parses"))
     });
-    // What `tracenet replay` reads before any session runs.
+    // The log indexed, then every session's replay script built from
+    // the index, as collector-bench's isp-replay does.
     g.bench_function("exchange_log_events", |b| {
         b.iter(|| {
             let log = ExchangeLog::parse(black_box(GOLDEN_LOG)).expect("golden log parses");
             (0..log.header.targets.len() as u64)
                 .map(|k| ReplayProber::for_session(&log, k).expect("session replays").remaining())
                 .sum::<usize>()
+        })
+    });
+    // What `tracenet replay` reads before any session runs: one pass,
+    // each probe line straight into its session's script.
+    g.bench_function("exchange_log_stream", |b| {
+        b.iter(|| {
+            let mut log =
+                ExchangeReader::new(black_box(GOLDEN_LOG.as_bytes())).expect("golden log parses");
+            let mut scripts = vec![ReplayScript::default(); log.header.targets.len()];
+            for entry in log.by_ref() {
+                if let (_, Entry::Probe(ev)) = entry.expect("golden log parses") {
+                    scripts[ev.session.expect("tagged") as usize].push(&ev);
+                }
+            }
+            scripts
         })
     });
 

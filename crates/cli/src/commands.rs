@@ -1,6 +1,8 @@
 //! The CLI subcommands. Each is a pure function from parsed options to
 //! output text, which keeps them directly testable.
 
+use std::fs::File;
+use std::io::BufReader;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
@@ -638,26 +640,37 @@ pub fn record(opts: &Opts) -> Result<String, String> {
     ))
 }
 
-fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else {
-        "session panicked".to_string()
-    }
+/// Opens an exchange log to be read once, as a stream.
+fn read_log(path: &str) -> Result<obs::ExchangeReader<BufReader<File>>, String> {
+    let file = File::open(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    obs::ExchangeReader::new(BufReader::with_capacity(1 << 16, file))
+}
+
+/// The slot of a line's session among the header's targets, if it is
+/// one of them.
+fn slot<T>(slots: &mut [T], session: Option<u64>) -> Option<&mut T> {
+    slots.get_mut(usize::try_from(session?).ok()?)
+}
+
+/// What `replay` keeps of one recorded session.
+#[derive(Default)]
+struct Recorded {
+    /// Its replay script, built as its probe lines arrive.
+    script: probe::ReplayScript,
+    /// Its first cache verdict: the hop and the verdict.
+    cached: Option<(u8, obs::DecisionVerdict)>,
+    /// Its first report.
+    report: Option<serde_json::Value>,
 }
 
 /// Why a diverged session cannot replay, when its decisions say so: a
 /// hop answered by the cross-session subnet cache sent no probes the
 /// log could answer a replay with. Empty otherwise.
-fn cache_note(log: &obs::ExchangeLog, session: u64) -> String {
-    use obs::DecisionVerdict::{CacheHit, CacheSkip};
-    match log.decisions_for(session).find(|d| matches!(d.verdict, CacheHit | CacheSkip)) {
-        Some(d) => format!(
-            "; hop {} was answered by the subnet cache ({}), which replay cannot reproduce: \
-             record with --no-cache",
-            d.hop, d.verdict
+fn cache_note(cached: Option<(u8, obs::DecisionVerdict)>) -> String {
+    match cached {
+        Some((hop, verdict)) => format!(
+            "; hop {hop} was answered by the subnet cache ({verdict}), which replay cannot \
+             reproduce: record with --no-cache"
         ),
         None => String::new(),
     }
@@ -666,49 +679,73 @@ fn cache_note(log: &obs::ExchangeLog, session: u64) -> String {
 /// `tracenet replay <log>` — re-run every recorded session against the
 /// log itself (no simulator involved) and check that each replayed
 /// `TraceReport` is byte-identical to the recorded one.
+///
+/// The log is read once: each probe line goes straight into its
+/// session's script, and the sessions replay in target order after the
+/// last line.
 pub fn replay(opts: &Opts) -> Result<String, String> {
+    use obs::DecisionVerdict::{CacheHit, CacheSkip};
     let path = opts.required(0, "exchange log (record one with `tracenet record`)")?;
-    let log = obs::ExchangeLog::load(std::path::Path::new(path))?;
-    let tn_opts = options_from_json(&log.header.options)?;
-    let mut diverged = Vec::new();
-    let mut probes = 0u64;
-    for (k, &target) in log.header.targets.iter().enumerate() {
-        let session = k as u64;
-        let recorded = log
-            .report_for(session)
-            .ok_or_else(|| format!("session {session}: log carries no report line"))?;
-        let mut prober = probe::ReplayProber::for_session(&log, session)
-            .map_err(|e| format!("session {session}: {e}"))?;
-        let replayed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            Session::new(&mut prober, tn_opts).run(target)
-        }));
-        let problem = match replayed {
-            Err(panic) => Some(panic_message(panic.as_ref())),
-            Ok(report) => {
-                probes += report.total_probes;
-                // The log keeps the recorded report as its compact text,
-                // so this compares the replayed rendering with it byte
-                // for byte.
-                if report_to_json(&report) != *recorded {
-                    Some("replayed report differs from recorded report".to_string())
-                } else if prober.remaining() != 0 {
-                    Some(format!("{} recorded probes never re-asked", prober.remaining()))
-                } else {
-                    None
+    let mut log = read_log(path)?;
+    let mut sessions: Vec<Recorded> =
+        log.header.targets.iter().map(|_| Recorded::default()).collect();
+    for entry in log.by_ref() {
+        match entry?.1 {
+            obs::Entry::Probe(ev) => {
+                if let Some(s) = slot(&mut sessions, ev.session) {
+                    s.script.push(&ev);
                 }
             }
+            obs::Entry::Decision(d) if matches!(d.verdict, CacheHit | CacheSkip) => {
+                if let Some(s) = slot(&mut sessions, d.session) {
+                    s.cached.get_or_insert((d.hop, d.verdict));
+                }
+            }
+            obs::Entry::Decision(_) => {}
+            obs::Entry::Report { session, report } => {
+                if let Some(s) = slot(&mut sessions, Some(session)) {
+                    s.report.get_or_insert(report);
+                }
+            }
+        }
+    }
+    let header = log.header;
+    let tn_opts = options_from_json(&header.options)?;
+    let mut diverged = Vec::new();
+    let mut probes = 0u64;
+    for (k, (&target, recorded)) in header.targets.iter().zip(sessions).enumerate() {
+        let session = k as u64;
+        let report = recorded
+            .report
+            .ok_or_else(|| format!("session {session}: log carries no report line"))?;
+        let mut prober = recorded
+            .script
+            .into_prober(header.vantage, header.protocol)
+            .map_err(|e| format!("session {session}: {e}"))?;
+        let replayed = Session::new(&mut prober, tn_opts).run(target);
+        probes += replayed.total_probes;
+        // The recorded report is its compact text, so this compares the
+        // replayed rendering with it byte for byte.
+        let problem = if let Some(divergence) = prober.divergence() {
+            Some(divergence.to_string())
+        } else if report_to_json(&replayed) != report {
+            Some("replayed report differs from recorded report".to_string())
+        } else if prober.remaining() != 0 {
+            Some(format!("{} recorded probes never re-asked", prober.remaining()))
+        } else {
+            None
         };
         if let Some(problem) = problem {
             diverged.push(format!(
                 "session {session} ({target}): {problem}{}",
-                cache_note(&log, session)
+                cache_note(recorded.cached)
             ));
         }
     }
     if diverged.is_empty() {
         Ok(format!(
             "replayed {} sessions ({probes} probes) from {path}: reports byte-identical\n",
-            log.header.targets.len()
+            header.targets.len()
         ))
     } else {
         Err(format!("replay diverged:\n  {}", diverged.join("\n  ")))
@@ -773,14 +810,48 @@ fn diff_reports(
     }
 }
 
+/// What `diff` compares of one exchange log, read once: its header,
+/// each target's probe-line count and first report, and how many probe
+/// lines it holds in all.
+struct LogSummary {
+    header: obs::ExchangeHeader,
+    probes: Vec<usize>,
+    reports: Vec<Option<serde_json::Value>>,
+    probe_lines: usize,
+}
+
+fn summarize(path: &str) -> Result<LogSummary, String> {
+    let mut log = read_log(path)?;
+    let targets = log.header.targets.len();
+    let (mut probes, mut reports, mut probe_lines) = (vec![0; targets], vec![None; targets], 0);
+    for entry in log.by_ref() {
+        match entry?.1 {
+            obs::Entry::Probe(ev) => {
+                probe_lines += 1;
+                if let Some(n) = slot(&mut probes, ev.session) {
+                    *n += 1;
+                }
+            }
+            obs::Entry::Decision(_) => {}
+            obs::Entry::Report { session, report } => {
+                if let Some(r) = slot(&mut reports, Some(session)) {
+                    r.get_or_insert(report);
+                }
+            }
+        }
+    }
+    Ok(LogSummary { header: log.header, probes, reports, probe_lines })
+}
+
 /// `tracenet diff <a> <b>` — compare two exchange logs session by
 /// session. Equivalent logs report so and exit 0; any divergence prints
-/// a structured report and exits nonzero.
+/// a structured report and exits nonzero. Each log is read once, and
+/// only its probe counts and reports are kept.
 pub fn diff(opts: &Opts) -> Result<String, String> {
     let a_path = opts.required(0, "first exchange log")?;
     let b_path = opts.required(1, "second exchange log")?;
-    let a = obs::ExchangeLog::load(std::path::Path::new(a_path))?;
-    let b = obs::ExchangeLog::load(std::path::Path::new(b_path))?;
+    let a = summarize(a_path)?;
+    let b = summarize(b_path)?;
     let mut lines = Vec::new();
     if a.header.vantage != b.header.vantage {
         lines.push(format!("header: vantage {} vs {}", a.header.vantage, b.header.vantage));
@@ -803,11 +874,11 @@ pub fn diff(opts: &Opts) -> Result<String, String> {
             break;
         }
         let session = k as u64;
-        let (ea, eb) = (a.event_count(session), b.event_count(session));
+        let (ea, eb) = (a.probes[k], b.probes[k]);
         if ea != eb {
             lines.push(format!("session {session} ({target}): {ea} vs {eb} probe events"));
         }
-        match (a.report_for(session), b.report_for(session)) {
+        match (&a.reports[k], &b.reports[k]) {
             (None, None) => {}
             (Some(_), None) => {
                 lines.push(format!("session {session} ({target}): report only in {a_path}"));
@@ -822,7 +893,7 @@ pub fn diff(opts: &Opts) -> Result<String, String> {
         Ok(format!(
             "logs are equivalent: {} sessions, {} probe events\n",
             a.header.targets.len(),
-            a.event_total()
+            a.probe_lines
         ))
     } else {
         Err(format!("exchange logs diverge ({a_path} vs {b_path}):\n  {}", lines.join("\n  ")))

@@ -151,3 +151,53 @@ fn replay_rejects_a_header_with_other_fixed_options() {
         assert!(stderr.contains(&want), "{to:?}: {stderr}");
     }
 }
+
+/// A well-formed log whose probe lines disagree with what the session
+/// asks, because one probe line's ttl changed, two were swapped or one
+/// was deleted, is a divergence: `replay` names the logical probe where
+/// the session went off script and exits 2, and nothing panics.
+#[test]
+fn replay_reports_an_edited_probe_sequence_as_a_divergence_without_panicking() {
+    let log = String::from_utf8(golden()).unwrap();
+    let lines: Vec<&str> = log.lines().collect();
+    let probes: Vec<(usize, obs::ProbeEvent)> = lines
+        .iter()
+        .enumerate()
+        .filter_map(|(i, l)| obs::ProbeEvent::read_line(l).ok().map(|e| (i, e)))
+        .collect();
+    let question = |e: &obs::ProbeEvent| (e.dst, e.ttl, e.flow);
+    // Three probe lines in a row of one session, each a first attempt,
+    // the first two asking different questions: editing the first two
+    // leaves a log whose every retry still follows its first attempt.
+    let edits: Vec<(usize, usize, &obs::ProbeEvent)> = probes
+        .windows(3)
+        .filter(|w| w.iter().all(|(_, e)| e.attempt == 0 && e.session == w[0].1.session))
+        .filter(|w| question(&w[0].1) != question(&w[1].1))
+        .map(|w| (w[0].0, w[1].0, &w[0].1))
+        .collect();
+    assert!(edits.len() > 50, "the golden log has {} editable pairs", edits.len());
+    let mut path = std::env::temp_dir();
+    path.push(format!("tracenet-edited-{}.jsonl", std::process::id()));
+    let edited = path.to_str().unwrap();
+    for &(i, j, first) in edits.iter().step_by(edits.len() / 8) {
+        let ttl = format!("\"ttl\":{},", first.ttl);
+        let retimed = lines[i].replacen(&ttl, &format!("\"ttl\":{},", first.ttl + 1), 1);
+        for (what, edit) in [("ttl changed", 0), ("swapped", 1), ("deleted", 2)] {
+            let mut copy: Vec<&str> = lines.clone();
+            match edit {
+                0 => copy[i] = &retimed,
+                1 => copy.swap(i, j),
+                _ => {
+                    copy.remove(i);
+                }
+            }
+            std::fs::write(&path, copy.join("\n") + "\n").unwrap();
+            let (code, stderr) = tracenet(&["replay", edited]);
+            let case = format!("line {} {what}", i + 1);
+            assert_eq!(code, Some(2), "{case}: {stderr}");
+            assert!(stderr.contains("replay diverged at logical probe #"), "{case}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{case}: {stderr}");
+        }
+    }
+    std::fs::remove_file(path).ok();
+}

@@ -180,17 +180,12 @@ impl DecisionEvent {
     pub fn read_line(text: &str) -> Result<DecisionEvent, String> {
         let mut line = Line::default();
         line.read(text).map_err(|e| format!("not JSON: {e}"))?;
-        let mut decision = DecisionEvent::check_line(&line)?;
-        if let Field::Str(evidence) = line.take(Key::Evidence) {
-            decision.evidence = evidence.into_owned();
-        }
-        Ok(decision)
+        DecisionEvent::from_line(&mut line)
     }
 
-    /// Checks every field of a decision line and returns the decision
-    /// with its evidence left empty, so a reader that only checks the
-    /// line allocates nothing.
-    pub(crate) fn check_line(line: &Line<'_>) -> Result<DecisionEvent, String> {
+    /// The decision a line's members describe, its evidence moved out
+    /// of the line.
+    pub(crate) fn from_line(line: &mut Line<'_>) -> Result<DecisionEvent, String> {
         let session = match &line[Key::Session] {
             Field::Null => None,
             s => Some(s.as_u64().ok_or_else(|| "session: expected unsigned integer".to_string())?),
@@ -213,16 +208,13 @@ impl DecisionEvent {
         };
         let verdict_label =
             line[Key::Verdict].as_str().ok_or_else(|| "verdict: expected string".to_string())?;
-        Ok(DecisionEvent {
-            session,
-            hop: hop as u8,
-            phase,
-            cause,
-            subject,
-            verdict: DecisionVerdict::from_label(verdict_label)
-                .ok_or_else(|| format!("verdict: unknown value {verdict_label:?}"))?,
-            evidence: String::new(),
-        })
+        let verdict = DecisionVerdict::from_label(verdict_label)
+            .ok_or_else(|| format!("verdict: unknown value {verdict_label:?}"))?;
+        let evidence = match line.take(Key::Evidence) {
+            Field::Str(evidence) => evidence.into_owned(),
+            _ => String::new(),
+        };
+        Ok(DecisionEvent { session, hop: hop as u8, phase, cause, subject, verdict, evidence })
     }
 }
 

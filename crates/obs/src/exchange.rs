@@ -34,23 +34,30 @@
 //! run's interleaved streams separate cleanly (see
 //! [`ExchangeLog::events_for`]).
 //!
-//! Reading mirrors writing: probe and decision lines are read by
-//! [`ProbeEvent::read_line`] and [`DecisionEvent::read_line`] straight
-//! from the shim's pull tokenizer, and an [`ExchangeLog`] keeps only
-//! where each session's lines are, decoding them when asked. The header
-//! (opaque `options` included) is read as a `Value`. A report body,
-//! which must be an object, is built as a tree, rendered compact into
-//! a [`Value::Raw`] and the tree dropped, so no report tree outlives
-//! its line. On the 4-ISP log that is 3.2 MB of text where the
-//! trees took 20.7 MB of heap. [`ExchangeLog::report_for`] still hands
-//! out a `&Value`, because collector-bench's replay workload calls it
-//! and prints the result: the raw value prints its text verbatim and
-//! compares equal to the tree it was read from, but has no members to
-//! index, so a caller that needs the fields calls [`Value::to_tree`].
+//! Reading mirrors writing. [`ExchangeReader`] reads a log in one pass
+//! from any `BufRead` and checks every line: the header (opaque
+//! `options` included) as a `Value`, probe and decision lines through
+//! the same typed line reader as [`ProbeEvent::read_line`] and
+//! [`DecisionEvent::read_line`], straight from the shim's pull
+//! tokenizer, and a report body, which must be an object, built as a
+//! tree, rendered compact into a [`Value::Raw`] and the tree dropped.
+//! It keeps nothing of a line once it is read, so `tracenet replay` and
+//! `diff` stream a log through it and keep only what they compare.
+//!
+//! [`ExchangeLog`] is built on the same reader for callers that come
+//! back to a session's lines (`explain`, the benchmark's replay). It
+//! keeps the text, the reports' compact text and, per session, its runs
+//! of consecutive lines: one run per session in a `--jobs 1` log, and at
+//! most one 8-byte run per line in an interleaved one.
+//! [`ExchangeLog::report_for`] hands out a `&Value`, because
+//! collector-bench's replay workload calls it and prints the result: the
+//! raw value prints its text verbatim and compares equal to the tree it
+//! was read from, but has no members to index, so a caller that needs
+//! the fields calls [`Value::to_tree`].
 
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::io::{self, Write};
+use std::io::{self, BufRead, Write};
 use std::sync::{Arc, Mutex};
 
 use inet::Addr;
@@ -59,7 +66,7 @@ use wire::Protocol;
 
 use crate::decision::DecisionEvent;
 use crate::event::{protocol_from_label, protocol_label, ProbeEvent};
-use crate::read::{self, Field, Key, Line};
+use crate::read::{Field, Key, Line};
 use crate::sink::EventSink;
 
 /// The exchange-log format version this crate writes and reads.
@@ -283,17 +290,146 @@ impl<W: Write + Send> EventSink for ExchangeSink<W> {
     }
 }
 
-/// A checked exchange log: its header and reports, and an index of
-/// where each session's probe and decision lines sit in the log text.
+/// One checked line of an exchange log after its header.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Entry {
+    /// A probe line.
+    Probe(ProbeEvent),
+    /// A decision line.
+    Decision(DecisionEvent),
+    /// A report line.
+    Report {
+        /// The session the report belongs to.
+        session: u64,
+        /// The report body, a [`Value::Raw`] holding its compact text.
+        report: Value,
+    },
+}
+
+/// Reads an exchange log in one pass from any [`BufRead`], checking every
+/// line as it goes: the header when it is opened, then one [`Entry`] per
+/// probe, decision and report line, with the line's 1-based number.
+/// Blank lines are skipped. Every error names its line (`line N: …`),
+/// and nothing of a line is kept once it has been read, so a log can be
+/// streamed through it without holding its text.
+pub struct ExchangeReader<R> {
+    /// The run configuration, from the header line.
+    pub header: ExchangeHeader,
+    lines: Lines<R>,
+}
+
+/// The non-blank lines of a [`BufRead`], one at a time, with their
+/// numbers and byte offsets.
+struct Lines<R> {
+    input: R,
+    /// The line last read, with its line end.
+    buf: String,
+    /// The number of the line last read, 1-based.
+    number: usize,
+    /// Where the line last read starts.
+    start: usize,
+}
+
+impl<R: BufRead> Lines<R> {
+    /// The next non-blank line and its number, without its line end, as
+    /// [`str::lines`] splits it; `None` at the end of the input.
+    fn next(&mut self) -> Result<Option<(usize, &str)>, String> {
+        loop {
+            self.start += self.buf.len();
+            self.buf.clear();
+            let read = self.input.read_line(&mut self.buf);
+            read.map_err(|e| format!("line {}: {e}", self.number + 1))?;
+            if self.buf.is_empty() {
+                return Ok(None);
+            }
+            self.number += 1;
+            if !line_text(&self.buf).trim().is_empty() {
+                return Ok(Some((self.number, line_text(&self.buf))));
+            }
+        }
+    }
+}
+
+/// A line without its `\n` or `\r\n`.
+fn line_text(line: &str) -> &str {
+    match line.strip_suffix('\n') {
+        Some(line) => line.strip_suffix('\r').unwrap_or(line),
+        None => line,
+    }
+}
+
+impl<R: BufRead> ExchangeReader<R> {
+    /// Reads and checks the header line.
+    pub fn new(input: R) -> Result<ExchangeReader<R>, String> {
+        let mut lines = Lines { input, buf: String::new(), number: 0, start: 0 };
+        let (n, first) = lines.next()?.ok_or("empty exchange log")?;
+        let head: Value =
+            serde_json::from_str(first).map_err(|e| format!("line {n}: not JSON: {e}"))?;
+        let header = ExchangeHeader::from_json(&head).map_err(|e| format!("line {n}: {e}"))?;
+        Ok(ExchangeReader { header, lines })
+    }
+
+    /// Where the line of the entry last read starts, in bytes from the
+    /// start of the input.
+    fn offset(&self) -> usize {
+        self.lines.start
+    }
+}
+
+impl<R: BufRead> Iterator for ExchangeReader<R> {
+    type Item = Result<(usize, Entry), String>;
+
+    /// Reads and checks the next line.
+    fn next(&mut self) -> Option<Self::Item> {
+        let (n, text) = match self.lines.next() {
+            Ok(Some(line)) => line,
+            Ok(None) => return None,
+            Err(e) => return Some(Err(e)),
+        };
+        let at = |e: String| format!("line {n}: {e}");
+        let mut line = Line::default();
+        let entry = match line.read(text) {
+            Err(e) => Err(at(format!("not JSON: {e}"))),
+            Ok(()) => match line[Key::Type].as_str() {
+                None => ProbeEvent::from_line(&line).map(Entry::Probe).map_err(at),
+                Some("decision") => {
+                    DecisionEvent::from_line(&mut line).map(Entry::Decision).map_err(at)
+                }
+                Some("report") => report(&mut line).map_err(at),
+                Some("header") => Err(at("duplicate header".into())),
+                Some(other) => Err(at(format!("unknown line type {other:?}"))),
+            },
+        };
+        Some(entry.map(|entry| (n, entry)))
+    }
+}
+
+/// The report a report line's members describe.
+fn report(line: &mut Line<'_>) -> Result<Entry, String> {
+    let session = line[Key::Session].as_u64().ok_or("report without session")?;
+    match line.take(Key::Report) {
+        Field::Null => Err("report without body".into()),
+        Field::Raw(report) if report.as_str().starts_with('{') => {
+            Ok(Entry::Report { session, report: Value::Raw(report) })
+        }
+        _ => Err("report body must be an object".into()),
+    }
+}
+
+/// A checked exchange log: its header and reports, and where each
+/// session's probe and decision lines sit in the log text.
 ///
-/// [`parse`](ExchangeLog::parse) reads every line once and fails on the
-/// first bad one, but keeps only the byte offset of each probe and
-/// decision line. [`events_for`](ExchangeLog::events_for) and
-/// [`decisions_for`](ExchangeLog::decisions_for) decode one session's
-/// lines from the text each time they are called, and each report is
-/// kept as its compact text, so a log costs its text plus about 8 bytes
-/// per line and its reports' text, not a decoded copy of every event
-/// and report.
+/// [`parse`](ExchangeLog::parse) reads every line once through an
+/// [`ExchangeReader`] and fails on the first bad one. Of each session it
+/// keeps only its *runs*, the stretches of consecutive lines it wrote,
+/// and how many of its lines are probes.
+/// [`events_for`](ExchangeLog::events_for) and
+/// [`decisions_for`](ExchangeLog::decisions_for) walk one session's runs
+/// and decode its lines from the text each time they are called. A
+/// `--jobs 1` log holds one run per session, so a log costs its text,
+/// its reports' compact text and a few dozen bytes per session; a run
+/// takes 8 bytes, so an interleaved log costs at most 8 bytes more per
+/// line.
 #[derive(Clone, Debug)]
 pub struct ExchangeLog<'a> {
     /// The run configuration.
@@ -301,37 +437,74 @@ pub struct ExchangeLog<'a> {
     /// The report lines, `(session, report)` in file order, each report
     /// a [`Value::Raw`].
     reports: Vec<(u64, Value)>,
-    /// The log text the offsets point into: borrowed by
+    /// The log text the runs point into: borrowed by
     /// [`parse`](ExchangeLog::parse), owned by
     /// [`load`](ExchangeLog::load).
     text: Cow<'a, str>,
-    probes: LineIndex,
-    decisions: LineIndex,
-    /// Each session's first report line, as an index into `reports`.
-    report_at: HashMap<u64, usize>,
+    sessions: HashMap<u64, SessionLines>,
+    /// Probe lines in the log, with or without a session.
+    probe_lines: usize,
 }
 
-/// The byte offsets of one kind of line, grouped by session in file
-/// order. Lines without a session tag are only counted.
+/// Where one session's lines are.
 #[derive(Clone, Debug, Default)]
-struct LineIndex {
-    by_session: HashMap<u64, Vec<usize>>,
+struct SessionLines {
+    /// Its runs of probe and decision lines, in file order.
+    runs: Vec<Run>,
+    /// How many of those lines are probe lines.
+    probes: usize,
+    /// Its first report line, as an index into `reports`.
+    report: Option<usize>,
+}
+
+/// Consecutive probe and decision lines of one session: the byte offset
+/// of the first and the number of lines, packed into 8 bytes. A longer
+/// stretch is split into several runs.
+#[derive(Clone, Copy, Debug)]
+struct Run(u64);
+
+impl Run {
+    const LINE_BITS: u32 = 16;
+    const MAX_LINES: usize = (1 << Run::LINE_BITS) - 1;
+
+    fn new(start: usize, lines: usize) -> Run {
+        Run((start as u64) << Run::LINE_BITS | lines as u64)
+    }
+
+    fn start(self) -> usize {
+        (self.0 >> Run::LINE_BITS) as usize
+    }
+
+    fn lines(self) -> usize {
+        (self.0 & Run::MAX_LINES as u64) as usize
+    }
+}
+
+/// The run being read: its session, start and lines so far, and how
+/// many of them are probes.
+struct OpenRun {
+    session: u64,
+    start: usize,
     lines: usize,
+    probes: usize,
 }
 
-impl LineIndex {
-    fn add(&mut self, session: Option<u64>, offset: usize) {
-        self.lines += 1;
-        if let Some(session) = session {
-            self.by_session.entry(session).or_default().push(offset);
+impl OpenRun {
+    fn close(self, sessions: &mut HashMap<u64, SessionLines>) {
+        let lines = sessions.entry(self.session).or_default();
+        if lines.runs.capacity() == 0 {
+            // Most sessions hold one run: allocate for exactly one.
+            lines.runs.reserve_exact(1);
         }
-    }
-
-    /// The offsets of `session`'s lines, in file order.
-    fn of(&self, session: u64) -> &[usize] {
-        self.by_session.get(&session).map_or(&[], Vec::as_slice)
+        lines.runs.push(Run::new(self.start, self.lines));
+        lines.probes += self.probes;
     }
 }
+
+/// How a decision line starts in the writer's layout. No probe line
+/// starts so, and a line that does is a decision line, since the first
+/// of duplicate keys wins.
+const DECISION_START: &str = r#"{"type":"decision""#;
 
 impl<'a> ExchangeLog<'a> {
     /// Parses a whole exchange log, validating every line. Line numbers
@@ -349,83 +522,117 @@ impl<'a> ExchangeLog<'a> {
     }
 
     fn index(text: Cow<'a, str>) -> Result<ExchangeLog<'a>, String> {
-        let base = text.as_ptr() as usize;
-        let mut lines = text.lines().enumerate().filter(|(_, l)| !l.trim().is_empty());
-        let (n, first) = lines.next().ok_or("empty exchange log")?;
-        let head: Value =
-            serde_json::from_str(first).map_err(|e| format!("line {}: not JSON: {e}", n + 1))?;
-        let header =
-            ExchangeHeader::from_json(&head).map_err(|e| format!("line {}: {e}", n + 1))?;
-
-        let mut probes = LineIndex::default();
-        let mut decisions = LineIndex::default();
+        let mut reader = ExchangeReader::new(text.as_bytes())?;
+        let mut sessions = HashMap::new();
         let mut reports = Vec::new();
-        let mut report_at = HashMap::new();
-        for (n, text) in lines {
-            let at = |e: String| format!("line {}: {e}", n + 1);
-            let offset = text.as_ptr() as usize - base;
-            let mut line = Line::default();
-            line.read(text).map_err(|e| at(format!("not JSON: {e}")))?;
-            match line[Key::Type].as_str() {
-                None => probes.add(ProbeEvent::from_line(&line).map_err(at)?.session, offset),
-                Some("decision") => {
-                    decisions.add(DecisionEvent::check_line(&line).map_err(at)?.session, offset)
+        let mut probe_lines = 0;
+        let mut open: Option<OpenRun> = None;
+        while let Some(entry) = reader.next() {
+            let (n, entry) = entry?;
+            let (session, probe) = match entry {
+                Entry::Probe(event) => {
+                    probe_lines += 1;
+                    (event.session, true)
                 }
-                Some("report") => {
-                    let session = line[Key::Session]
-                        .as_u64()
-                        .ok_or_else(|| at("report without session".into()))?;
-                    let report = match line.take(Key::Report) {
-                        Field::Null => return Err(at("report without body".into())),
-                        Field::Raw(report) if report.as_str().starts_with('{') => {
-                            Value::Raw(report)
-                        }
-                        _ => return Err(at("report body must be an object".into())),
-                    };
-                    report_at.entry(session).or_insert(reports.len());
+                Entry::Decision(decision) => (decision.session, false),
+                Entry::Report { session, report } => {
+                    let lines: &mut SessionLines = sessions.entry(session).or_default();
+                    lines.report.get_or_insert(reports.len());
                     reports.push((session, report));
+                    (None, false)
                 }
-                Some("header") => return Err(at("duplicate header".into())),
-                Some(other) => return Err(at(format!("unknown line type {other:?}"))),
+            };
+            match (open.as_mut(), session) {
+                (Some(run), Some(session))
+                    if run.session == session && run.lines < Run::MAX_LINES =>
+                {
+                    run.lines += 1;
+                    run.probes += usize::from(probe);
+                }
+                _ => {
+                    if let Some(run) = open.take() {
+                        run.close(&mut sessions);
+                    }
+                    let start = reader.offset();
+                    if start as u64 >= 1 << (64 - Run::LINE_BITS) {
+                        return Err(format!("line {n}: log too long to index"));
+                    }
+                    open = session.map(|session| OpenRun {
+                        session,
+                        start,
+                        lines: 1,
+                        probes: usize::from(probe),
+                    });
+                }
             }
         }
-        for offsets in probes.by_session.values_mut().chain(decisions.by_session.values_mut()) {
-            offsets.shrink_to_fit();
+        if let Some(run) = open {
+            run.close(&mut sessions);
         }
-        Ok(ExchangeLog { header, reports, text, probes, decisions, report_at })
+        // A no-op for a session with one run.
+        for lines in sessions.values_mut() {
+            lines.runs.shrink_to_fit();
+        }
+        let header = reader.header;
+        Ok(ExchangeLog { header, reports, text, sessions, probe_lines })
+    }
+
+    /// The text of one session's probe and decision lines, in file
+    /// order.
+    fn lines_of(&self, session: u64) -> impl Iterator<Item = &str> + '_ {
+        let runs = self.sessions.get(&session).map_or(&[][..], |s| &s.runs);
+        runs.iter().flat_map(move |run| {
+            self.text[run.start()..].lines().filter(|l| !l.trim().is_empty()).take(run.lines())
+        })
     }
 
     /// The probe events of one session, in emission order, decoded from
-    /// the log text as the iterator advances.
+    /// the log text as the iterator advances. A decision line in the
+    /// writer's layout is passed over unread; any other line is read
+    /// once, and decoded if it has no `type`.
     pub fn events_for(&self, session: u64) -> impl Iterator<Item = ProbeEvent> + '_ {
-        self.probes.of(session).iter().map(|&at| {
-            ProbeEvent::read_line(read::line_at(&self.text, at)).expect("parse checked the line")
+        self.lines_of(session).filter(|l| !l.starts_with(DECISION_START)).filter_map(|text| {
+            let mut line = Line::default();
+            line.read(text).expect("parse checked the line");
+            let probe = line[Key::Type].is_null();
+            probe.then(|| ProbeEvent::from_line(&line).expect("parse checked the line"))
         })
     }
 
     /// The decisions of one session, in emission order, decoded from the
-    /// log text as the iterator advances.
+    /// log text as the iterator advances. A line with no `"type"` in it
+    /// and no escape cannot have a `type` key, so it is passed over
+    /// unread as a probe line.
     pub fn decisions_for(&self, session: u64) -> impl Iterator<Item = DecisionEvent> + '_ {
-        self.decisions.of(session).iter().map(|&at| {
-            DecisionEvent::read_line(read::line_at(&self.text, at)).expect("parse checked the line")
-        })
+        self.lines_of(session)
+            .filter(|l| {
+                l.starts_with(DECISION_START) || l.contains(r#""type""#) || l.contains('\\')
+            })
+            .filter_map(|text| {
+                let mut line = Line::default();
+                line.read(text).expect("parse checked the line");
+                let decision = line[Key::Type].as_str() == Some("decision");
+                decision
+                    .then(|| DecisionEvent::from_line(&mut line).expect("parse checked the line"))
+            })
     }
 
     /// How many probe events one session has, from the index alone.
     pub fn event_count(&self, session: u64) -> usize {
-        self.probes.of(session).len()
+        self.sessions.get(&session).map_or(0, |s| s.probes)
     }
 
     /// How many probe lines the log holds, with or without a session.
     pub fn event_total(&self) -> usize {
-        self.probes.lines
+        self.probe_lines
     }
 
     /// The recorded report of one session, if the log carries one (the
     /// first, if it carries several). It is a [`Value::Raw`]: it prints
     /// and compares as the recorded tree, but has no members to index.
     pub fn report_for(&self, session: u64) -> Option<&Value> {
-        self.report_at.get(&session).map(|&i| &self.reports[i].1)
+        let at = self.sessions.get(&session)?.report?;
+        Some(&self.reports[at].1)
     }
 
     /// Every report line, `(session, report)` in file order, each report
@@ -726,5 +933,53 @@ mod tests {
             let text = format!("{}\n{good}\n{good}\n{bad}\n{good}\n", header().to_json());
             assert_eq!(ExchangeLog::parse(&text).err(), Some(format!("line 4: {why}")));
         }
+    }
+
+    #[test]
+    fn the_reader_yields_each_line_with_its_number() {
+        let (probe, report) =
+            (probe_line(&ev(1, 2)), r#"{"type":"report","session":1,"report":{}}"#);
+        let mut decided = String::new();
+        decision(0).write_line(&mut decided);
+        let text = format!("\n{}\r\n{probe}\n  \n{decided}\r\n{report}", header().to_json());
+        let mut reader = ExchangeReader::new(text.as_bytes()).unwrap();
+        assert_eq!(reader.header, header());
+        let entries: Vec<_> = reader.by_ref().collect::<Result<_, _>>().unwrap();
+        assert_eq!(
+            entries,
+            [
+                (3, Entry::Probe(ev(1, 2))),
+                (5, Entry::Decision(decision(0))),
+                (6, Entry::Report { session: 1, report: json!({}) }),
+            ]
+        );
+    }
+
+    #[test]
+    fn the_reader_names_the_line_that_is_not_utf8() {
+        let mut bytes = format!("{}\n{}\n", header().to_json(), probe_line(&ev(0, 1))).into_bytes();
+        bytes.extend_from_slice(b"{\"tick\":\xff}\n");
+        let reader = ExchangeReader::new(&bytes[..]).unwrap();
+        let err = reader.map(|entry| entry.map(drop)).collect::<Result<Vec<_>, _>>().unwrap_err();
+        assert_eq!(err, "line 3: stream did not contain valid UTF-8");
+    }
+
+    /// A session's lines past the most one run holds go on in a second
+    /// run, and its lookups walk both.
+    #[test]
+    fn a_long_stretch_of_one_session_is_split_into_runs() {
+        let decision = r#"{"type":"decision","session":0,"hop":1,"verdict":"collected"}"#;
+        let lines = Run::MAX_LINES + 2;
+        let mut text = format!("{}\n", header().to_json());
+        for _ in 0..lines {
+            text.push_str(decision);
+            text.push('\n');
+        }
+        text.push_str(&probe_line(&ev(0, 9)));
+        let log = ExchangeLog::parse(&text).unwrap();
+        assert_eq!(log.sessions[&0].runs.len(), 2);
+        assert_eq!(log.decisions_for(0).count(), lines);
+        assert_eq!(log.events_for(0).map(|e| e.ttl).collect::<Vec<_>>(), [9]);
+        assert_eq!(log.event_count(0), 1);
     }
 }

@@ -15,8 +15,9 @@
 //!   the CLI's `-v`/`-vv` print.
 //! - [`exchange`] — the flight-recorder capture format: a versioned
 //!   JSONL log interleaving probes, decisions, and per-session reports,
-//!   indexed by an [`exchange::ExchangeLog`] for deterministic replay
-//!   and run diffing. Probe and decision lines come from one writer per
+//!   read once as a stream by an [`exchange::ExchangeReader`] for
+//!   deterministic replay and run diffing, or indexed by session in an
+//!   [`exchange::ExchangeLog`]. Probe and decision lines come from one writer per
 //!   type, [`ProbeEvent::write_line`] and [`DecisionEvent::write_line`],
 //!   whose fields the exchange writer renders straight into its one
 //!   byte buffer; their bytes are identical to the vendored `serde_json`
@@ -56,7 +57,10 @@ pub mod sink;
 pub use ctx::{cause_scope, phase_scope};
 pub use decision::{DecisionEvent, DecisionVerdict};
 pub use event::{Cause, Phase, ProbeEvent, ProbeOutcome, TimeoutCause, UnreachReason};
-pub use exchange::{ExchangeHeader, ExchangeLog, ExchangeSink, ExchangeWriter, FORMAT_VERSION};
+pub use exchange::{
+    Entry, ExchangeHeader, ExchangeLog, ExchangeReader, ExchangeSink, ExchangeWriter,
+    FORMAT_VERSION,
+};
 pub use metrics::{MetricsSnapshot, Registry};
 pub use recorder::Recorder;
 pub use sink::{EventSink, SinkHandle, VecSink};

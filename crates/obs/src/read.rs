@@ -222,14 +222,6 @@ pub(crate) fn opt_label<T>(
     }
 }
 
-/// The line that starts at byte `at` of `text`, up to its `\n`. The `\r`
-/// before it in a CRLF log stays: to the readers it is whitespace after
-/// the line's value.
-pub(crate) fn line_at(text: &str, at: usize) -> &str {
-    let rest = &text[at..];
-    rest.find('\n').map_or(rest, |end| &rest[..end])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,15 +261,5 @@ mod tests {
         assert_eq!(line[Key::Phase].to_string(), r#""\u0007""#);
         assert_eq!(line[Key::Cause].to_string(), "1500");
         assert_eq!(line[Key::Hop].to_string(), r#"{"a":[true]}"#);
-    }
-
-    #[test]
-    fn line_at_ends_at_the_newline() {
-        let text = "a\r\nbb\n\r\nc";
-        let mut at = 0;
-        for want in text.lines() {
-            assert_eq!(line_at(text, at).trim_end_matches('\r'), want);
-            at += text[at..].find('\n').map_or(text.len() - at, |i| i + 1);
-        }
     }
 }

@@ -39,7 +39,7 @@ mod sim;
 
 pub use ident::{IdentAllocator, IdentBlock, IdentSpace};
 pub use prober::{ProbeStats, Prober};
-pub use replay::ReplayProber;
+pub use replay::{ReplayProber, ReplayScript};
 pub use retry::{RetryPolicy, DEFAULT_RETRIES};
 pub use scripted::ScriptedProber;
 pub use sim::{SharedNetwork, SimProber};

@@ -6,9 +6,14 @@
 //! the *recorded answers* — with no simulator behind it — must ask the
 //! exact same questions in the exact same order and produce a
 //! byte-identical `TraceReport`. [`ReplayProber`] enforces that contract:
-//! it hands out recorded outcomes strictly in sequence and **panics with
-//! a divergence report** the moment the replaying session asks for a
-//! probe the original session did not send.
+//! it hands out recorded outcomes strictly in sequence and **records a
+//! divergence report** the moment the replaying session asks for a probe
+//! the original session did not send; every later probe times out, so
+//! the session ends. A log is outside input, so nothing here panics on
+//! it.
+//!
+//! A [`ReplayScript`] is built one event at a time, so a reader that
+//! streams a log can build every session's script in one pass.
 //!
 //! Retries are collapsed: the recorder logs one event per wire attempt
 //! (`attempt` 0, 1, …), and the replaying session issues one *logical*
@@ -40,20 +45,94 @@ struct LogicalProbe {
     cause: Option<TimeoutCause>,
 }
 
+/// One session's replay script, built as its probe events arrive in
+/// recording order: consecutive attempts of one probe fold into one
+/// logical probe. The first malformed event (a retry with no initial
+/// send, a retry of another probe, or attempts out of order) is kept,
+/// and the script then refuses to become a prober.
+#[derive(Clone, Debug, Default)]
+pub struct ReplayScript {
+    probes: VecDeque<LogicalProbe>,
+    /// Events pushed so far, for error messages.
+    events: usize,
+    error: Option<String>,
+}
+
+impl ReplayScript {
+    /// Adds the session's next recorded event.
+    pub fn push(&mut self, ev: &ProbeEvent) {
+        self.events += 1;
+        if self.error.is_none() {
+            if let Err(e) = self.fold(ev) {
+                self.error = Some(format!("event {}: {e}", self.events));
+            }
+        }
+    }
+
+    fn fold(&mut self, ev: &ProbeEvent) -> Result<(), String> {
+        if ev.attempt == 0 {
+            self.probes.push_back(LogicalProbe {
+                dst: ev.dst,
+                ttl: ev.ttl,
+                flow: ev.flow,
+                attempts: 1,
+                outcome: ev.outcome,
+                cause: ev.timeout_cause,
+            });
+            return Ok(());
+        }
+        let cur = self
+            .probes
+            .back_mut()
+            .ok_or_else(|| format!("retry (attempt {}) with no initial send", ev.attempt))?;
+        if (cur.dst, cur.ttl, cur.flow) != (ev.dst, ev.ttl, ev.flow) {
+            return Err(format!(
+                "retry targets {} ttl {} flow {} but the logical probe started as {} ttl {} \
+                 flow {}",
+                ev.dst, ev.ttl, ev.flow, cur.dst, cur.ttl, cur.flow
+            ));
+        }
+        if ev.attempt as u64 != cur.attempts {
+            return Err(format!("attempt {} out of order (expected {})", ev.attempt, cur.attempts));
+        }
+        cur.attempts += 1;
+        cur.outcome = ev.outcome;
+        cur.cause = ev.timeout_cause;
+        Ok(())
+    }
+
+    /// A prober that answers from this script, probing from `src` with
+    /// `protocol`, or the first malformed event's error.
+    pub fn into_prober(self, src: Addr, protocol: Protocol) -> Result<ReplayProber, String> {
+        if let Some(e) = self.error {
+            return Err(e);
+        }
+        Ok(ReplayProber {
+            src,
+            protocol,
+            script: self.probes,
+            consumed: 0,
+            divergence: None,
+            stats: ProbeStats::default(),
+        })
+    }
+}
+
 /// A [`Prober`] that answers from a recorded probe-event sequence
 /// instead of a network.
 ///
 /// Divergence — the session asking for a probe that is not the next one
-/// in the log, or probing past the end of the log — is a **panic**, with
-/// a message naming the logical-probe index, what the log expected and
-/// what the session asked. Callers that want a readable error (the
-/// `tnet replay` command) catch the unwind.
+/// in the log, or probing past the end of the log — is kept as a message
+/// naming the logical-probe index, what the log expected and what the
+/// session asked (see [`divergence`](ReplayProber::divergence)). From
+/// then on every probe times out, so the session ends.
 pub struct ReplayProber {
     src: Addr,
     protocol: Protocol,
     script: VecDeque<LogicalProbe>,
     /// Logical probes consumed so far (for divergence messages).
     consumed: usize,
+    divergence: Option<String>,
     stats: ProbeStats,
 }
 
@@ -65,58 +144,9 @@ impl ReplayProber {
     /// Fails on malformed logs: events out of attempt order, or attempt
     /// groups that change destination mid-way.
     pub fn for_session(log: &ExchangeLog<'_>, session: u64) -> Result<ReplayProber, String> {
-        Self::from_events(log.header.vantage, log.header.protocol, log.events_for(session))
-    }
-
-    /// Builds a replay prober from an explicit event sequence (already
-    /// filtered to one session, in recording order).
-    fn from_events(
-        src: Addr,
-        protocol: Protocol,
-        events: impl IntoIterator<Item = ProbeEvent>,
-    ) -> Result<ReplayProber, String> {
-        let mut script: VecDeque<LogicalProbe> = VecDeque::new();
-        for (i, ev) in events.into_iter().enumerate() {
-            if ev.attempt == 0 {
-                script.push_back(LogicalProbe {
-                    dst: ev.dst,
-                    ttl: ev.ttl,
-                    flow: ev.flow,
-                    attempts: 1,
-                    outcome: ev.outcome,
-                    cause: ev.timeout_cause,
-                });
-            } else {
-                let cur = script.back_mut().ok_or_else(|| {
-                    format!("event {}: retry (attempt {}) with no initial send", i + 1, ev.attempt)
-                })?;
-                if (cur.dst, cur.ttl, cur.flow) != (ev.dst, ev.ttl, ev.flow) {
-                    return Err(format!(
-                        "event {}: retry targets {} ttl {} flow {} but the logical probe \
-                         started as {} ttl {} flow {}",
-                        i + 1,
-                        ev.dst,
-                        ev.ttl,
-                        ev.flow,
-                        cur.dst,
-                        cur.ttl,
-                        cur.flow
-                    ));
-                }
-                if ev.attempt as u64 != cur.attempts {
-                    return Err(format!(
-                        "event {}: attempt {} out of order (expected {})",
-                        i + 1,
-                        ev.attempt,
-                        cur.attempts
-                    ));
-                }
-                cur.attempts += 1;
-                cur.outcome = ev.outcome;
-                cur.cause = ev.timeout_cause;
-            }
-        }
-        Ok(ReplayProber { src, protocol, script, consumed: 0, stats: ProbeStats::default() })
+        let mut script = ReplayScript::default();
+        log.events_for(session).for_each(|ev| script.push(&ev));
+        script.into_prober(log.header.vantage, log.header.protocol)
     }
 
     /// Logical probes not yet consumed. A faithful replay drains the
@@ -130,6 +160,12 @@ impl ReplayProber {
     pub fn consumed(&self) -> usize {
         self.consumed
     }
+
+    /// Where the session first asked a probe the log did not record, if
+    /// it did.
+    pub fn divergence(&self) -> Option<&str> {
+        self.divergence.as_deref()
+    }
 }
 
 impl Prober for ReplayProber {
@@ -142,31 +178,29 @@ impl Prober for ReplayProber {
     }
 
     fn probe_with_flow(&mut self, dst: Addr, ttl: u8, flow: u16) -> ProbeOutcome {
-        let next = match self.script.pop_front() {
-            Some(p) => p,
-            None => panic!(
-                "replay diverged at logical probe #{}: session probed {dst} ttl {ttl} \
-                 flow {flow}, but the recorded log is exhausted after {} probes",
-                self.consumed + 1,
-                self.consumed
-            ),
-        };
-        if (next.dst, next.ttl, next.flow) != (dst, ttl, flow) {
-            panic!(
-                "replay diverged at logical probe #{}: session probed {dst} ttl {ttl} \
-                 flow {flow}, but the log recorded {} ttl {} flow {}",
-                self.consumed + 1,
-                next.dst,
-                next.ttl,
-                next.flow
-            );
+        if self.divergence.is_some() {
+            return ProbeOutcome::Timeout;
         }
-        self.consumed += 1;
-        self.stats.requests += 1;
-        self.stats.sent += next.attempts;
-        self.stats.retries += next.attempts - 1;
-        self.stats.record(&next.outcome, next.cause);
-        next.outcome
+        let n = self.consumed + 1;
+        let recorded = match self.script.pop_front() {
+            None => format!("the recorded log is exhausted after {} probes", self.consumed),
+            Some(next) if (next.dst, next.ttl, next.flow) != (dst, ttl, flow) => {
+                format!("the log recorded {} ttl {} flow {}", next.dst, next.ttl, next.flow)
+            }
+            Some(next) => {
+                self.consumed += 1;
+                self.stats.requests += 1;
+                self.stats.sent += next.attempts;
+                self.stats.retries += next.attempts - 1;
+                self.stats.record(&next.outcome, next.cause);
+                return next.outcome;
+            }
+        };
+        self.divergence = Some(format!(
+            "replay diverged at logical probe #{n}: session probed {dst} ttl {ttl} flow {flow}, \
+             but {recorded}"
+        ));
+        ProbeOutcome::Timeout
     }
 
     fn stats(&self) -> ProbeStats {
@@ -199,6 +233,12 @@ mod tests {
         }
     }
 
+    fn from_events(events: impl IntoIterator<Item = ProbeEvent>) -> Result<ReplayProber, String> {
+        let mut script = ReplayScript::default();
+        events.into_iter().for_each(|ev| script.push(&ev));
+        script.into_prober(a("10.0.0.1"), Protocol::Icmp)
+    }
+
     #[test]
     fn replays_outcomes_in_sequence_and_reproduces_stats() {
         let events = [
@@ -207,7 +247,7 @@ mod tests {
             ev("10.0.0.9", 2, 1, ProbeOutcome::Timeout),
             ev("10.0.0.9", 3, 0, ProbeOutcome::DirectReply { from: a("10.0.0.9") }),
         ];
-        let mut p = ReplayProber::from_events(a("10.0.0.1"), Protocol::Icmp, events).unwrap();
+        let mut p = from_events(events).unwrap();
         assert_eq!(p.remaining(), 3, "the two attempts at ttl 2 collapse into one probe");
         assert_eq!(p.probe(a("10.0.0.9"), 1), ProbeOutcome::TtlExceeded { from: a("10.0.0.5") });
         assert_eq!(p.probe(a("10.0.0.9"), 2), ProbeOutcome::Timeout);
@@ -227,38 +267,48 @@ mod tests {
         let unreachable =
             ProbeOutcome::Unreachable { from: a("10.0.0.7"), kind: obs::UnreachReason::Host };
         let e = ev("10.0.0.9", 4, 0, unreachable);
-        let mut p = ReplayProber::from_events(a("10.0.0.1"), Protocol::Icmp, [e]).unwrap();
+        let mut p = from_events([e]).unwrap();
         assert_eq!(p.probe(a("10.0.0.9"), 4), unreachable);
     }
 
     #[test]
-    #[should_panic(expected = "replay diverged at logical probe #2")]
-    fn wrong_probe_is_a_divergence_panic() {
+    fn a_wrong_probe_is_kept_as_the_divergence_and_later_probes_time_out() {
         let events = [
             ev("10.0.0.9", 1, 0, ProbeOutcome::Timeout),
-            ev("10.0.0.9", 2, 0, ProbeOutcome::Timeout),
+            ev("10.0.0.9", 2, 0, ProbeOutcome::DirectReply { from: a("10.0.0.9") }),
+            ev("10.0.0.9", 3, 0, ProbeOutcome::DirectReply { from: a("10.0.0.9") }),
         ];
-        let mut p = ReplayProber::from_events(a("10.0.0.1"), Protocol::Icmp, events).unwrap();
+        let mut p = from_events(events).unwrap();
         let _ = p.probe(a("10.0.0.9"), 1);
-        let _ = p.probe(a("10.0.0.9"), 7); // log says ttl 2
+        assert_eq!(p.divergence(), None);
+        assert_eq!(p.probe(a("10.0.0.9"), 7), ProbeOutcome::Timeout, "the log says ttl 2");
+        assert_eq!(
+            p.divergence(),
+            Some(
+                "replay diverged at logical probe #2: session probed 10.0.0.9 ttl 7 flow 0, \
+                 but the log recorded 10.0.0.9 ttl 2 flow 0"
+            )
+        );
+        assert_eq!(p.probe(a("10.0.0.9"), 3), ProbeOutcome::Timeout, "the session is off script");
+        assert!(p.divergence().unwrap().contains("#2"), "the first divergence is kept");
+        assert_eq!(p.consumed(), 1);
+        assert_eq!(p.stats().requests, 1);
     }
 
     #[test]
-    #[should_panic(expected = "recorded log is exhausted")]
-    fn probing_past_the_log_panics() {
+    fn probing_past_the_log_is_a_divergence() {
         let events = [ev("10.0.0.9", 1, 0, ProbeOutcome::Timeout)];
-        let mut p = ReplayProber::from_events(a("10.0.0.1"), Protocol::Icmp, events).unwrap();
+        let mut p = from_events(events).unwrap();
         let _ = p.probe(a("10.0.0.9"), 1);
-        let _ = p.probe(a("10.0.0.9"), 2);
+        assert_eq!(p.probe(a("10.0.0.9"), 2), ProbeOutcome::Timeout);
+        assert!(p.divergence().unwrap().ends_with("recorded log is exhausted after 1 probes"));
     }
 
     #[test]
     fn malformed_logs_are_rejected_up_front() {
         // Retry with no initial send.
         let orphan = [ev("10.0.0.9", 1, 1, ProbeOutcome::Timeout)];
-        let err = ReplayProber::from_events(a("10.0.0.1"), Protocol::Icmp, orphan)
-            .err()
-            .expect("orphan retry must be rejected");
+        let err = from_events(orphan).err().expect("orphan retry must be rejected");
         assert!(err.contains("no initial send"), "{err}");
 
         // Attempt numbering gap.
@@ -266,9 +316,7 @@ mod tests {
             ev("10.0.0.9", 1, 0, ProbeOutcome::Timeout),
             ev("10.0.0.9", 1, 2, ProbeOutcome::Timeout),
         ];
-        let err = ReplayProber::from_events(a("10.0.0.1"), Protocol::Icmp, gap)
-            .err()
-            .expect("attempt gap must be rejected");
+        let err = from_events(gap).err().expect("attempt gap must be rejected");
         assert!(err.contains("out of order"), "{err}");
     }
 }
