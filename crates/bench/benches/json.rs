@@ -52,12 +52,19 @@ fn bench_json(c: &mut Criterion) {
         })
     });
 
-    // Every report of the golden log, written from its tree as `tracenet
-    // record` appends them after a run. The log keeps each report as
-    // its text, so the trees are parsed back first.
-    let log = ExchangeLog::parse(GOLDEN_LOG).expect("golden log parses");
-    let reports: Vec<(u64, serde_json::Value)> =
-        log.reports().iter().map(|(session, r)| (*session, r.to_tree())).collect();
+    // Every line of the golden log, read once: its reports are written
+    // from their trees as `tracenet record` appends them after a run, and
+    // its probes and decisions as a recording run streams them. The
+    // reader keeps each report as its text, so the trees are parsed back.
+    let mut log = ExchangeReader::new(GOLDEN_LOG.as_bytes()).expect("golden log parses");
+    let (mut reports, mut probes, mut decisions) = (Vec::new(), Vec::new(), Vec::new());
+    for entry in log.by_ref() {
+        match entry.expect("golden log parses").1 {
+            Entry::Probe(event) => probes.push(event),
+            Entry::Decision(decision) => decisions.push(decision),
+            Entry::Report { session, report } => reports.push((session, report.to_tree())),
+        }
+    }
     let mut writer = ExchangeWriter::new(std::io::sink(), &log.header).expect("sink");
     g.bench_function("report_line", |b| {
         b.iter(|| {
@@ -67,11 +74,6 @@ fn bench_json(c: &mut Criterion) {
         })
     });
 
-    // Every probe and every decision of the golden log, written as a
-    // recording run streams them.
-    let sessions = 0..log.header.targets.len() as u64;
-    let probes: Vec<_> = sessions.clone().flat_map(|k| log.events_for(k)).collect();
-    let decisions: Vec<_> = sessions.flat_map(|k| log.decisions_for(k)).collect();
     g.bench_function("probe_line", |b| {
         b.iter(|| {
             for event in &probes {

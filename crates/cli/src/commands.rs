@@ -21,9 +21,9 @@ fn load(opts: &Opts) -> Result<Scenario, String> {
 }
 
 /// The scenario's network with the `--fault-profile` / `--fault-seed`
-/// plan attached.
-fn faulty_network(scenario: &Scenario, opts: &Opts) -> Result<SharedNetwork, String> {
-    let mut net = netsim::ConcurrentNetwork::new(scenario.topology.clone());
+/// plan attached. It takes the topology, so the run holds one copy.
+fn faulty_network(topology: netsim::Topology, opts: &Opts) -> Result<SharedNetwork, String> {
+    let mut net = netsim::ConcurrentNetwork::new(topology);
     net.set_fault_plan(fault_plan(opts, 2010)?);
     Ok(SharedNetwork::from_concurrent(net))
 }
@@ -290,7 +290,7 @@ pub fn trace(opts: &Opts) -> Result<String, String> {
 
     let (recorder, log, metrics) = observe(opts, v, &cfg, &targets)?;
 
-    let net = faulty_network(&scenario, opts)?;
+    let net = faulty_network(scenario.topology, opts)?;
     let result = sweep::run_batch(&net, v, &targets, &cfg, &recorder);
     if let Some(log) = log {
         log.finish(&result.reports)?;
@@ -351,7 +351,7 @@ pub fn traceroute_cmd(opts: &Opts) -> Result<String, String> {
     tr_opts.probes_per_hop = opts.flag_parse("queries", tr_opts.probes_per_hop)?;
     tr_opts.max_ttl = opts.flag_parse("max-ttl", tr_opts.max_ttl)?;
 
-    let net = SharedNetwork::new(scenario.topology.clone());
+    let net = SharedNetwork::new(scenario.topology);
     let mut prober = net.prober(v, proto);
     let report = traceroute::traceroute(&mut prober, target, tr_opts);
     Ok(report.to_string())
@@ -363,7 +363,7 @@ pub fn ping_cmd(opts: &Opts) -> Result<String, String> {
     let v = vantage(&scenario, opts)?;
     let target: Addr = opts.flag_required("target")?;
     let count = opts.flag_parse("count", 3u8)?;
-    let net = SharedNetwork::new(scenario.topology.clone());
+    let net = SharedNetwork::new(scenario.topology);
     let mut prober = net.prober(v, Protocol::Icmp);
     let r = traceroute::ping(&mut prober, target, count);
     Ok(match r.reply_from {
@@ -377,7 +377,7 @@ pub fn sweep(opts: &Opts) -> Result<String, String> {
     let scenario = load(opts)?;
     let v = vantage(&scenario, opts)?;
     let prefix: Prefix = opts.flag_required("prefix")?;
-    let net = SharedNetwork::new(scenario.topology.clone());
+    let net = SharedNetwork::new(scenario.topology);
     let mut prober = net.prober(v, Protocol::Icmp);
     let alive = traceroute::ping_sweep(&mut prober, prefix);
     let mut out = format!("{prefix}: {}/{} alive\n", alive.len(), prefix.probe_addrs().len());
@@ -409,7 +409,7 @@ pub fn batch(opts: &Opts) -> Result<String, String> {
         probe_rtt: std::time::Duration::from_micros(opts.flag_parse("rtt-us", 0u64)?),
     };
     let (recorder, log, metrics) = observe(opts, v, &cfg, &targets)?;
-    let net = faulty_network(&scenario, opts)?;
+    let net = faulty_network(scenario.topology, opts)?;
     let result = sweep::run_batch(&net, v, &targets, &cfg, &recorder);
     if let Some(log) = log {
         log.finish(&result.reports)?;
@@ -461,7 +461,7 @@ pub fn batch(opts: &Opts) -> Result<String, String> {
 pub fn map(opts: &Opts) -> Result<String, String> {
     let scenario = load(opts)?;
     let v = vantage(&scenario, opts)?;
-    let net = SharedNetwork::new(scenario.topology.clone());
+    let net = SharedNetwork::new(scenario.topology);
     let cfg = sequential(protocol(opts)?);
     let result = sweep::run_batch(&net, v, &scenario.targets, &cfg, &obs::Recorder::disabled());
     let mut graph = evalkit::graph::SubnetGraph::new();
@@ -488,7 +488,7 @@ pub fn crossval(opts: &Opts) -> Result<String, String> {
         ));
     }
     let cfg = sequential(protocol(opts)?);
-    let net = SharedNetwork::new(scenario.topology.clone());
+    let net = SharedNetwork::new(scenario.topology);
     let mut sets = Vec::new();
     for (name, addr) in scenario.vantages.clone() {
         let collected = evalkit::run::run_tracenet(&net, addr, &scenario.targets, &cfg);
@@ -630,7 +630,7 @@ pub fn record(opts: &Opts) -> Result<String, String> {
     };
     let log = LogOut::open(out_path, v, &cfg, &targets)?;
     let recorder = obs::Recorder::new().with_sink(event_sink(Some(&log), opts));
-    let net = faulty_network(&scenario, opts)?;
+    let net = faulty_network(scenario.topology, opts)?;
     let result = sweep::run_batch(&net, v, &targets, &cfg, &recorder);
     log.finish(&result.reports)?;
     Ok(format!(
@@ -904,29 +904,63 @@ pub fn diff(opts: &Opts) -> Result<String, String> {
 /// behind one collected subnet: every positioning verdict and H1–H9
 /// decision the recorded run took about addresses in the prefix,
 /// including why degraded hops degraded.
+///
+/// The log is read once. Of each session it keeps only the decisions
+/// about the prefix and, until one matches, the prefixes of the reports'
+/// subnets, for the error when none does.
 pub fn explain(opts: &Opts) -> Result<String, String> {
     let path = opts.required(0, "exchange log")?;
     let what = opts.required(1, "subnet prefix (e.g. 10.0.2.0/29) or address")?;
-    let log = obs::ExchangeLog::load(std::path::Path::new(path))?;
-    let prefix: Prefix = if what.contains('/') {
-        what.parse().map_err(|_| format!("invalid prefix {what:?}"))?
+    let mut log = read_log(path)?;
+    // A bad prefix is reported after the log is checked, as the log's
+    // own errors come first.
+    let prefix: Result<Prefix, String> = if what.contains('/') {
+        what.parse().map_err(|_| format!("invalid prefix {what:?}"))
     } else {
-        let addr: Addr = what.parse().map_err(|_| format!("invalid address {what:?}"))?;
-        Prefix::containing(addr, 32)
+        what.parse::<Addr>()
+            .map(|addr| Prefix::containing(addr, 32))
+            .map_err(|_| format!("invalid address {what:?}"))
     };
-    let mut out = format!("{what}: inference record from {path}\n");
+    let mut hits: Vec<Vec<obs::DecisionEvent>> =
+        log.header.targets.iter().map(|_| Vec::new()).collect();
+    let mut subnets = std::collections::BTreeSet::new();
     let mut matched = false;
-    for (k, &target) in log.header.targets.iter().enumerate() {
-        let session = k as u64;
-        let hits: Vec<obs::DecisionEvent> = log
-            .decisions_for(session)
-            .filter(|d| d.subject.is_some_and(|a| prefix.contains(a)))
-            .collect();
+    for entry in log.by_ref() {
+        match entry?.1 {
+            obs::Entry::Decision(d) => {
+                let about = prefix.as_ref().is_ok_and(|p| d.subject.is_some_and(|a| p.contains(a)));
+                if about {
+                    if let Some(hits) = slot(&mut hits, d.session) {
+                        hits.push(d);
+                        matched = true;
+                    }
+                }
+            }
+            obs::Entry::Probe(_) => {}
+            obs::Entry::Report { .. } if matched => {}
+            obs::Entry::Report { report, .. } => {
+                let report = report.to_tree();
+                let hops = report["hops"].as_array().map_or(&[][..], Vec::as_slice);
+                subnets.extend(
+                    hops.iter().filter_map(|h| h["subnet"]["prefix"].as_str().map(str::to_string)),
+                );
+            }
+        }
+    }
+    prefix?;
+    if !matched {
+        let subnets = subnets.into_iter().collect::<Vec<String>>().join(", ");
+        return Err(format!(
+            "no recorded decisions about {what} in {path}\ncollected subnets: {}",
+            if subnets.is_empty() { "(none)" } else { &subnets }
+        ));
+    }
+    let mut out = format!("{what}: inference record from {path}\n");
+    for (k, (&target, hits)) in log.header.targets.iter().zip(hits).enumerate() {
         if hits.is_empty() {
             continue;
         }
-        matched = true;
-        out.push_str(&format!("\nsession {session} — target {target}\n"));
+        out.push_str(&format!("\nsession {k} — target {target}\n"));
         let mut hop = None;
         for d in hits {
             if hop != Some(d.hop) {
@@ -936,22 +970,6 @@ pub fn explain(opts: &Opts) -> Result<String, String> {
             out.push_str(&format!("    {d}\n"));
         }
     }
-    if !matched {
-        let mut subnets = Vec::new();
-        for (_, report) in log.reports() {
-            let report = report.to_tree();
-            let hops = report["hops"].as_array().map_or(&[][..], Vec::as_slice);
-            subnets.extend(
-                hops.iter().filter_map(|h| h["subnet"]["prefix"].as_str().map(str::to_string)),
-            );
-        }
-        subnets.sort();
-        subnets.dedup();
-        return Err(format!(
-            "no recorded decisions about {what} in {path}\ncollected subnets: {}",
-            if subnets.is_empty() { "(none)".to_string() } else { subnets.join(", ") }
-        ));
-    }
     Ok(out)
 }
 
@@ -959,7 +977,7 @@ pub fn explain(opts: &Opts) -> Result<String, String> {
 pub fn eval(opts: &Opts) -> Result<String, String> {
     let scenario = load(opts)?;
     let v = vantage(&scenario, opts)?;
-    let net = SharedNetwork::new(scenario.topology.clone());
+    let net = SharedNetwork::new(scenario.topology);
     let cfg = sequential(protocol(opts)?);
     let collected = evalkit::run::run_tracenet(&net, v, &scenario.targets, &cfg);
 

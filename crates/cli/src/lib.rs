@@ -163,19 +163,22 @@ fn command(name: &str) -> Option<(Command, Vec<&'static str>)> {
 
 /// Runs the CLI on `argv` (without the program name). Returns the text
 /// to print, or an error message for stderr + nonzero exit. A flag the
-/// command does not read is an error, not a no-op.
+/// command does not read is an error, not a no-op. `--help` or `-h`
+/// anywhere after a command prints the usage instead of running it.
 pub fn run(argv: &[String]) -> Result<String, String> {
+    let is_help = |arg: &str| matches!(arg, "--help" | "-h");
     let (name, rest) = match argv.split_first() {
         Some((c, rest)) => (c.as_str(), rest),
         None => return Err(USAGE.to_string()),
     };
-    let opts = Opts::parse(rest)?;
     match command(name) {
+        Some(_) if rest.iter().any(|a| is_help(a)) => Ok(USAGE.to_string()),
         Some((run_command, flags)) => {
+            let opts = Opts::parse(rest)?;
             opts.only(&flags).map_err(|e| format!("{name}: {e}"))?;
             run_command(&opts)
         }
-        None if matches!(name, "help" | "--help" | "-h") => Ok(USAGE.to_string()),
+        None if name == "help" || is_help(name) => Ok(USAGE.to_string()),
         None => Err(format!("unknown command {name:?}\n\n{USAGE}")),
     }
 }

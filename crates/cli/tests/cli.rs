@@ -54,6 +54,45 @@ fn help_and_unknown_commands() {
     assert!(err.contains("unknown command"));
 }
 
+/// `--help` or `-h` after any command prints the usage and exits 0,
+/// wherever it stands among the command's arguments, and runs nothing.
+#[test]
+fn help_after_any_command_prints_the_usage() {
+    let commands = [
+        "generate",
+        "info",
+        "trace",
+        "traceroute",
+        "ping",
+        "sweep",
+        "batch",
+        "record",
+        "replay",
+        "diff",
+        "explain",
+        "eval",
+        "map",
+        "crossval",
+    ];
+    for name in commands {
+        for help in ["--help", "-h"] {
+            let out = std::process::Command::new(env!("CARGO_BIN_EXE_tracenet"))
+                .args([name, help])
+                .output()
+                .unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(0), "{name} {help}: {stderr}");
+            assert_eq!(String::from_utf8_lossy(&out.stdout), tracenet_cli::USAGE, "{name} {help}");
+        }
+    }
+    let out = std::env::temp_dir().join(format!("tracenet-cli-test-help-{}", std::process::id()));
+    let out = out.to_str().unwrap();
+    let usage = Ok(tracenet_cli::USAGE.to_string());
+    assert_eq!(run(&["record", "/nonexistent.json", "--out", out, "--help"]), usage);
+    assert_eq!(run(&["batch", "-h", "--jobs", "2", "/nonexistent.json"]), usage);
+    assert!(!std::path::Path::new(out).exists(), "help ran nothing");
+}
+
 #[test]
 fn generate_to_stdout_is_valid_scenario_json() {
     let json = run(&["generate", "internet2", "--seed", "3"]).unwrap();

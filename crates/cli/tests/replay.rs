@@ -4,11 +4,20 @@
 //! must print the inference tree of a collected subnet, and the
 //! checked-in golden log must keep replaying bit-for-bit.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn run(args: &[&str]) -> Result<String, String> {
     let argv: Vec<String> = args.iter().map(|s| s.to_string()).collect();
     tracenet_cli::run(&argv)
+}
+
+/// Every entry of an exchange log after its header, with its line
+/// number, read as a stream.
+fn entries(path: &Path) -> (obs::ExchangeHeader, Vec<(usize, obs::Entry)>) {
+    let file = std::fs::File::open(path).expect("the log was written");
+    let mut log = obs::ExchangeReader::new(std::io::BufReader::new(file)).expect("log reads");
+    let entries = log.by_ref().collect::<Result<_, _>>().expect("every line reads");
+    (log.header, entries)
 }
 
 fn temp_path(tag: &str) -> PathBuf {
@@ -140,11 +149,13 @@ fn fault_injection_diffs_as_divergence() {
 fn explain_prints_the_inference_tree_of_a_collected_subnet() {
     let (scenario, log) = record_internet2("2010", "1", "explain");
     // Pull a collected subnet out of the log's own report lines.
-    let parsed = obs::ExchangeLog::load(&log).expect("log parses");
-    let prefix = parsed
-        .reports()
-        .iter()
-        .map(|(_, r)| r.to_tree())
+    let prefix = entries(&log)
+        .1
+        .into_iter()
+        .filter_map(|(_, entry)| match entry {
+            obs::Entry::Report { report, .. } => Some(report.to_tree()),
+            _ => None,
+        })
         .flat_map(|r| r["hops"].as_array().cloned().unwrap_or_default())
         .find_map(|h| h["subnet"]["prefix"].as_str().map(str::to_string))
         .expect("at least one subnet was collected");
@@ -171,8 +182,8 @@ fn golden_log_replays_and_matches_a_fresh_recording() {
 
     // Re-recording the same configuration today still matches the
     // checked-in recording.
-    let parsed = obs::ExchangeLog::load(&golden).expect("golden parses");
-    let targets: Vec<String> = parsed.header.targets.iter().map(|t| t.to_string()).collect();
+    let (header, _) = entries(&golden);
+    let targets: Vec<String> = header.targets.iter().map(|t| t.to_string()).collect();
     let scenario = temp_path("golden-scenario");
     run(&["generate", "internet2", "--seed", "2010", "--out", scenario.to_str().unwrap()])
         .expect("generate succeeds");
@@ -212,12 +223,13 @@ fn golden_log_with_crlf_line_ends_replays_and_diffs_as_equivalent() {
         .expect("a CRLF log diffs as equivalent to the original");
     assert!(out.contains("equivalent"), "{out}");
 
+    assert!(entries(&golden) == entries(&crlf), "a CRLF log reads like the original");
+    let crlf_text = std::fs::read_to_string(&crlf).unwrap();
     let (lf, crlf_log) =
-        (obs::ExchangeLog::load(&golden).unwrap(), obs::ExchangeLog::load(&crlf).unwrap());
-    assert_eq!(lf.reports(), crlf_log.reports());
+        (obs::ExchangeLog::parse(&text).unwrap(), obs::ExchangeLog::parse(&crlf_text).unwrap());
     for session in 0..lf.header.targets.len() as u64 {
         assert!(lf.events_for(session).eq(crlf_log.events_for(session)), "session {session}");
-        assert!(lf.decisions_for(session).eq(crlf_log.decisions_for(session)), "session {session}");
+        assert_eq!(lf.report_for(session), crlf_log.report_for(session), "session {session}");
     }
     std::fs::remove_file(crlf).ok();
 }
@@ -238,14 +250,19 @@ fn index_of_a_concurrent_recording_decodes_like_a_full_decode() {
         .filter(|l| l.starts_with(r#"{"type":"decision""#))
         .map(|l| obs::DecisionEvent::read_line(l).unwrap())
         .collect();
-    assert_eq!(parsed.event_total(), probes.len());
     for session in 0..parsed.header.targets.len() as u64 {
         let want: Vec<_> = probes.iter().filter(|e| e.session == Some(session)).cloned().collect();
         assert_eq!(parsed.events_for(session).collect::<Vec<_>>(), want, "session {session}");
-        let want: Vec<_> =
-            decisions.iter().filter(|d| d.session == Some(session)).cloned().collect();
-        assert_eq!(parsed.decisions_for(session).collect::<Vec<_>>(), want, "session {session}");
     }
+    let read: Vec<obs::DecisionEvent> = entries(&log)
+        .1
+        .into_iter()
+        .filter_map(|(_, entry)| match entry {
+            obs::Entry::Decision(d) => Some(d),
+            _ => None,
+        })
+        .collect();
+    assert!(read == decisions, "the reader yields every decision line in file order");
     std::fs::remove_file(scenario).ok();
     std::fs::remove_file(log).ok();
 }
@@ -285,17 +302,22 @@ fn a_cache_on_trace_log_names_the_cached_hop_when_replay_diverges() {
     assert!(out.contains("subnet cache:") && !out.contains("disabled"), "{out}");
 
     let err = run(&["replay", log.to_str().unwrap()]).expect_err("a cache-on log diverges");
-    let parsed = obs::ExchangeLog::load(&log).unwrap();
-    let (session, hop) = (0..parsed.header.targets.len() as u64)
-        .find_map(|s| {
-            let cached = parsed.decisions_for(s).find(|d| {
-                matches!(
+    // The first cache verdict of the lowest session that has one.
+    let (session, hop) = entries(&log)
+        .1
+        .into_iter()
+        .filter_map(|(_, entry)| match entry {
+            obs::Entry::Decision(d)
+                if matches!(
                     d.verdict,
                     obs::DecisionVerdict::CacheHit | obs::DecisionVerdict::CacheSkip
-                )
-            });
-            cached.map(|d| (s, d.hop))
+                ) =>
+            {
+                Some((d.session.expect("batch decisions carry their session"), d.hop))
+            }
+            _ => None,
         })
+        .min_by_key(|&(session, _)| session)
         .expect("the cache answered some hop");
     let line = err
         .lines()

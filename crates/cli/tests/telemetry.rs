@@ -4,11 +4,20 @@
 //! write per-phase totals that agree exactly with the session's own
 //! PhaseCost accounting (as exposed by `--json`).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn run(args: &[&str]) -> Result<String, String> {
     let argv: Vec<String> = args.iter().map(|s| s.to_string()).collect();
     tracenet_cli::run(&argv)
+}
+
+/// Every entry of an exchange log after its header, read as a stream.
+fn entries(path: &Path) -> (obs::ExchangeHeader, Vec<obs::Entry>) {
+    let file = std::fs::File::open(path).expect("the log was written");
+    let mut log = obs::ExchangeReader::new(std::io::BufReader::new(file))
+        .expect("the log is an exchange log");
+    let entries = log.by_ref().map(|entry| entry.expect("every line reads").1).collect();
+    (log.header, entries)
 }
 
 fn temp_path(tag: &str) -> PathBuf {
@@ -61,23 +70,27 @@ fn trace_log_and_metrics_agree_with_the_session_accounting() {
 
     // The log is an exchange log: one probe line per wire probe, every
     // probe attributed to the session and a phase.
-    let log = obs::ExchangeLog::load(&log_path).expect("the trace log is an exchange log");
-    assert_eq!(log.event_total() as u64, probes, "one event per wire probe");
+    let (_, entries) = entries(&log_path);
     let mut events = 0u64;
-    for ev in log.events_for(0) {
-        assert!(ev.phase.is_some(), "probe without phase attribution: {ev:?}");
-        events += 1;
+    for entry in &entries {
+        if let obs::Entry::Probe(ev) = entry {
+            assert_eq!(ev.session, Some(0), "probe of another session: {ev:?}");
+            assert!(ev.phase.is_some(), "probe without phase attribution: {ev:?}");
+            events += 1;
+        }
     }
-    assert_eq!(events, probes, "every probe belongs to session 0");
+    assert_eq!(events, probes, "one event per wire probe");
 
     // It replays byte-identically, and `explain` reads it.
     let path = log_path.to_str().unwrap();
     let replayed = run(&["replay", path]).expect("the trace log replays");
     assert!(replayed.contains("byte-identical"), "{replayed}");
-    let prefix = log
-        .reports()
+    let prefix = entries
         .iter()
-        .map(|(_, r)| r.to_tree())
+        .filter_map(|entry| match entry {
+            obs::Entry::Report { report, .. } => Some(report.to_tree()),
+            _ => None,
+        })
         .flat_map(|r| r["hops"].as_array().cloned().unwrap_or_default())
         .find_map(|h| h["subnet"]["prefix"].as_str().map(str::to_string))
         .expect("the session collected a subnet");
@@ -224,13 +237,16 @@ fn folding_a_trace_logs_probe_lines_rebuilds_the_metrics() {
     for args in runs {
         let out = run(&[args, &observed[..]].concat()).unwrap();
 
-        let log = obs::ExchangeLog::load(&log_path).expect("the trace log is an exchange log");
+        let (header, entries) = entries(&log_path);
         let folded = obs::Registry::new();
-        for k in 0..log.header.targets.len() as u64 {
-            log.events_for(k).for_each(|ev| folded.record(&ev));
+        for entry in &entries {
+            if let obs::Entry::Probe(ev) = entry {
+                let k = ev.session.expect("every probe line carries its session");
+                assert!(k < header.targets.len() as u64, "{args:?}: session {k}");
+                folded.record(ev);
+            }
         }
         let snap = folded.snapshot();
-        assert_eq!(snap.sent_total(), log.event_total() as u64, "{args:?}: untagged probes");
 
         let json = std::fs::read_to_string(&json_path).unwrap();
         assert_eq!(snap.to_json().to_string() + "\n", json, "{args:?}: --metrics-json");

@@ -41,21 +41,22 @@
 //! [`DecisionEvent::read_line`], straight from the shim's pull
 //! tokenizer, and a report body, which must be an object, built as a
 //! tree, rendered compact into a [`Value::Raw`] and the tree dropped.
-//! It keeps nothing of a line once it is read, so `tracenet replay` and
-//! `diff` stream a log through it and keep only what they compare.
+//! It keeps nothing of a line once it is read, so `tracenet replay`,
+//! `diff` and `explain` stream a log through it and keep only what they
+//! use.
 //!
-//! [`ExchangeLog`] is built on the same reader for callers that come
-//! back to a session's lines (`explain`, the benchmark's replay). It
-//! keeps the text, the reports' compact text and, per session, its runs
-//! of consecutive lines: one run per session in a `--jobs 1` log, and at
-//! most one 8-byte run per line in an interleaved one.
-//! [`ExchangeLog::report_for`] hands out a `&Value`, because
-//! collector-bench's replay workload calls it and prints the result: the
-//! raw value prints its text verbatim and compares equal to the tree it
-//! was read from, but has no members to index, so a caller that needs
-//! the fields calls [`Value::to_tree`].
+//! [`ExchangeLog`] is the replay seam: `probe::ReplayProber::for_session`
+//! builds one session's script from it, as collector-bench's replay
+//! workload does for every session of a log it holds in memory. Built
+//! on the same reader, it borrows the text and keeps each session's
+//! first report as compact text and its runs of consecutive lines: one
+//! run per session in a `--jobs 1` log, and at most one 8-byte run per
+//! line in an interleaved one. [`ExchangeLog::report_for`] hands out a
+//! `&Value`, because collector-bench's replay workload calls it and
+//! prints the result: the raw value prints its text verbatim and
+//! compares equal to the tree it was read from, but has no members to
+//! index, so a caller that needs the fields calls [`Value::to_tree`].
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::io::{self, BufRead, Write};
 use std::sync::{Arc, Mutex};
@@ -416,34 +417,25 @@ fn report(line: &mut Line<'_>) -> Result<Entry, String> {
     }
 }
 
-/// A checked exchange log: its header and reports, and where each
-/// session's probe and decision lines sit in the log text.
+/// A checked exchange log: its header, and where each session's probe
+/// and decision lines sit in the log text and what its report says.
 ///
 /// [`parse`](ExchangeLog::parse) reads every line once through an
 /// [`ExchangeReader`] and fails on the first bad one. Of each session it
 /// keeps only its *runs*, the stretches of consecutive lines it wrote,
-/// and how many of its lines are probes.
-/// [`events_for`](ExchangeLog::events_for) and
-/// [`decisions_for`](ExchangeLog::decisions_for) walk one session's runs
-/// and decode its lines from the text each time they are called. A
-/// `--jobs 1` log holds one run per session, so a log costs its text,
-/// its reports' compact text and a few dozen bytes per session; a run
-/// takes 8 bytes, so an interleaved log costs at most 8 bytes more per
-/// line.
+/// and its first report. [`events_for`](ExchangeLog::events_for) walks
+/// one session's runs and decodes its probe lines from the text each
+/// time it is called. A `--jobs 1` log holds one run per session, so a
+/// log costs its text, its reports' compact text and a few dozen bytes
+/// per session; a run takes 8 bytes, so an interleaved log costs at most
+/// 8 bytes more per line.
 #[derive(Clone, Debug)]
 pub struct ExchangeLog<'a> {
     /// The run configuration.
     pub header: ExchangeHeader,
-    /// The report lines, `(session, report)` in file order, each report
-    /// a [`Value::Raw`].
-    reports: Vec<(u64, Value)>,
-    /// The log text the runs point into: borrowed by
-    /// [`parse`](ExchangeLog::parse), owned by
-    /// [`load`](ExchangeLog::load).
-    text: Cow<'a, str>,
+    /// The log text the runs point into.
+    text: &'a str,
     sessions: HashMap<u64, SessionLines>,
-    /// Probe lines in the log, with or without a session.
-    probe_lines: usize,
 }
 
 /// Where one session's lines are.
@@ -451,10 +443,8 @@ pub struct ExchangeLog<'a> {
 struct SessionLines {
     /// Its runs of probe and decision lines, in file order.
     runs: Vec<Run>,
-    /// How many of those lines are probe lines.
-    probes: usize,
-    /// Its first report line, as an index into `reports`.
-    report: Option<usize>,
+    /// Its first report, a [`Value::Raw`].
+    report: Option<Value>,
 }
 
 /// Consecutive probe and decision lines of one session: the byte offset
@@ -480,13 +470,11 @@ impl Run {
     }
 }
 
-/// The run being read: its session, start and lines so far, and how
-/// many of them are probes.
+/// The run being read: its session, start and lines so far.
 struct OpenRun {
     session: u64,
     start: usize,
     lines: usize,
-    probes: usize,
 }
 
 impl OpenRun {
@@ -497,7 +485,6 @@ impl OpenRun {
             lines.runs.reserve_exact(1);
         }
         lines.runs.push(Run::new(self.start, self.lines));
-        lines.probes += self.probes;
     }
 }
 
@@ -510,36 +497,18 @@ impl<'a> ExchangeLog<'a> {
     /// Parses a whole exchange log, validating every line. Line numbers
     /// in errors are 1-based. The log borrows `text`.
     pub fn parse(text: &'a str) -> Result<ExchangeLog<'a>, String> {
-        ExchangeLog::index(Cow::Borrowed(text))
-    }
-
-    /// Reads and parses an exchange log from `path`. The log owns the
-    /// text.
-    pub fn load(path: &std::path::Path) -> Result<ExchangeLog<'static>, String> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        ExchangeLog::index(Cow::Owned(text))
-    }
-
-    fn index(text: Cow<'a, str>) -> Result<ExchangeLog<'a>, String> {
         let mut reader = ExchangeReader::new(text.as_bytes())?;
         let mut sessions = HashMap::new();
-        let mut reports = Vec::new();
-        let mut probe_lines = 0;
         let mut open: Option<OpenRun> = None;
         while let Some(entry) = reader.next() {
             let (n, entry) = entry?;
-            let (session, probe) = match entry {
-                Entry::Probe(event) => {
-                    probe_lines += 1;
-                    (event.session, true)
-                }
-                Entry::Decision(decision) => (decision.session, false),
+            let session = match entry {
+                Entry::Probe(event) => event.session,
+                Entry::Decision(decision) => decision.session,
                 Entry::Report { session, report } => {
                     let lines: &mut SessionLines = sessions.entry(session).or_default();
-                    lines.report.get_or_insert(reports.len());
-                    reports.push((session, report));
-                    (None, false)
+                    lines.report.get_or_insert(report);
+                    None
                 }
             };
             match (open.as_mut(), session) {
@@ -547,7 +516,6 @@ impl<'a> ExchangeLog<'a> {
                     if run.session == session && run.lines < Run::MAX_LINES =>
                 {
                     run.lines += 1;
-                    run.probes += usize::from(probe);
                 }
                 _ => {
                     if let Some(run) = open.take() {
@@ -557,12 +525,7 @@ impl<'a> ExchangeLog<'a> {
                     if start as u64 >= 1 << (64 - Run::LINE_BITS) {
                         return Err(format!("line {n}: log too long to index"));
                     }
-                    open = session.map(|session| OpenRun {
-                        session,
-                        start,
-                        lines: 1,
-                        probes: usize::from(probe),
-                    });
+                    open = session.map(|session| OpenRun { session, start, lines: 1 });
                 }
             }
         }
@@ -573,17 +536,7 @@ impl<'a> ExchangeLog<'a> {
         for lines in sessions.values_mut() {
             lines.runs.shrink_to_fit();
         }
-        let header = reader.header;
-        Ok(ExchangeLog { header, reports, text, sessions, probe_lines })
-    }
-
-    /// The text of one session's probe and decision lines, in file
-    /// order.
-    fn lines_of(&self, session: u64) -> impl Iterator<Item = &str> + '_ {
-        let runs = self.sessions.get(&session).map_or(&[][..], |s| &s.runs);
-        runs.iter().flat_map(move |run| {
-            self.text[run.start()..].lines().filter(|l| !l.trim().is_empty()).take(run.lines())
-        })
+        Ok(ExchangeLog { header: reader.header, text, sessions })
     }
 
     /// The probe events of one session, in emission order, decoded from
@@ -591,54 +544,25 @@ impl<'a> ExchangeLog<'a> {
     /// writer's layout is passed over unread; any other line is read
     /// once, and decoded if it has no `type`.
     pub fn events_for(&self, session: u64) -> impl Iterator<Item = ProbeEvent> + '_ {
-        self.lines_of(session).filter(|l| !l.starts_with(DECISION_START)).filter_map(|text| {
-            let mut line = Line::default();
-            line.read(text).expect("parse checked the line");
-            let probe = line[Key::Type].is_null();
-            probe.then(|| ProbeEvent::from_line(&line).expect("parse checked the line"))
-        })
-    }
-
-    /// The decisions of one session, in emission order, decoded from the
-    /// log text as the iterator advances. A line with no `"type"` in it
-    /// and no escape cannot have a `type` key, so it is passed over
-    /// unread as a probe line.
-    pub fn decisions_for(&self, session: u64) -> impl Iterator<Item = DecisionEvent> + '_ {
-        self.lines_of(session)
-            .filter(|l| {
-                l.starts_with(DECISION_START) || l.contains(r#""type""#) || l.contains('\\')
+        let runs = self.sessions.get(&session).map_or(&[][..], |s| &s.runs);
+        runs.iter()
+            .flat_map(move |run| {
+                self.text[run.start()..].lines().filter(|l| !l.trim().is_empty()).take(run.lines())
             })
+            .filter(|l| !l.starts_with(DECISION_START))
             .filter_map(|text| {
                 let mut line = Line::default();
                 line.read(text).expect("parse checked the line");
-                let decision = line[Key::Type].as_str() == Some("decision");
-                decision
-                    .then(|| DecisionEvent::from_line(&mut line).expect("parse checked the line"))
+                let probe = line[Key::Type].is_null();
+                probe.then(|| ProbeEvent::from_line(&line).expect("parse checked the line"))
             })
-    }
-
-    /// How many probe events one session has, from the index alone.
-    pub fn event_count(&self, session: u64) -> usize {
-        self.sessions.get(&session).map_or(0, |s| s.probes)
-    }
-
-    /// How many probe lines the log holds, with or without a session.
-    pub fn event_total(&self) -> usize {
-        self.probe_lines
     }
 
     /// The recorded report of one session, if the log carries one (the
     /// first, if it carries several). It is a [`Value::Raw`]: it prints
     /// and compares as the recorded tree, but has no members to index.
     pub fn report_for(&self, session: u64) -> Option<&Value> {
-        let at = self.sessions.get(&session)?.report?;
-        Some(&self.reports[at].1)
-    }
-
-    /// Every report line, `(session, report)` in file order, each report
-    /// as [`report_for`](ExchangeLog::report_for) gives it.
-    pub fn reports(&self) -> &[(u64, Value)] {
-        &self.reports
+        self.sessions.get(&session)?.report.as_ref()
     }
 }
 
@@ -705,6 +629,12 @@ mod tests {
         }
     }
 
+    /// Every entry after the header, as the reader yields them.
+    fn entries(text: &str) -> Vec<Entry> {
+        let reader = ExchangeReader::new(text.as_bytes()).unwrap();
+        reader.map(|entry| entry.unwrap().1).collect()
+    }
+
     fn decision(session: u64) -> DecisionEvent {
         DecisionEvent {
             session: Some(session),
@@ -749,12 +679,21 @@ mod tests {
         w.flush().unwrap();
         let text = out.text();
 
+        let report = |session, probes| Entry::Report { session, report: json!({"probes": probes}) };
+        assert_eq!(
+            entries(&text),
+            [
+                Entry::Probe(ev(0, 1)),
+                Entry::Decision(decision(0)),
+                Entry::Probe(ev(1, 2)),
+                report(0, 7),
+                report(1, 9),
+            ]
+        );
         let log = ExchangeLog::parse(&text).unwrap();
         assert_eq!(log.header, header());
         assert_eq!(log.events_for(0).collect::<Vec<_>>(), [ev(0, 1)]);
         assert_eq!(log.events_for(1).collect::<Vec<_>>(), [ev(1, 2)]);
-        assert_eq!(log.decisions_for(0).collect::<Vec<_>>(), [decision(0)]);
-        assert_eq!(log.event_total(), 2);
         assert_eq!(log.report_for(1), Some(&json!({"probes": 9})));
         assert!(log.report_for(7).is_none());
     }
@@ -785,17 +724,7 @@ mod tests {
                 .filter(|e| e.session == Some(session))
                 .collect();
             assert_eq!(events, want, "session {session}");
-            assert_eq!(log.event_count(session), want.len(), "session {session}");
-            let decisions: Vec<_> = log.decisions_for(session).collect();
-            let want: Vec<_> = lines
-                .iter()
-                .filter(|l| l.starts_with(r#"{"type":"decision""#))
-                .map(|l| DecisionEvent::read_line(l).unwrap())
-                .filter(|d| d.session == Some(session))
-                .collect();
-            assert_eq!(decisions, want, "session {session}");
         }
-        assert_eq!(log.event_total(), sessions.len() + 1, "the untagged probe counts too");
         assert_eq!(log.events_for(2).map(|e| e.ttl).collect::<Vec<_>>(), [1, 3, 6]);
         assert_eq!(log.report_for(1), Some(&json!({"probes": 2})), "first report wins");
         assert_eq!(log.report_for(0), Some(&json!({"probes": 3})));
@@ -818,10 +747,14 @@ mod tests {
 
         let text = out.text();
         assert!(text.starts_with(&flushed));
-        let log = ExchangeLog::parse(&text).unwrap();
-        assert_eq!(log.event_total(), 1);
-        assert_eq!(log.decisions_for(0).count(), 1);
-        assert_eq!(log.reports().len(), 1);
+        assert_eq!(
+            entries(&text),
+            [
+                Entry::Probe(ev(0, 1)),
+                Entry::Decision(decision(0)),
+                Entry::Report { session: 0, report: json!({"probes": 1}) },
+            ]
+        );
     }
 
     #[test]
@@ -841,9 +774,8 @@ mod tests {
         w.write_probe(&ev(0, 2));
         assert_eq!(out.text().len(), written, "the next line waits for the next chunk");
         drop(w);
-        let text = out.text();
-        let log = ExchangeLog::parse(&text).unwrap();
-        assert_eq!(log.event_total(), lines + 1, "dropping the writer handed over the rest");
+        let probes = entries(&out.text()).into_iter().filter(|e| matches!(e, Entry::Probe(_)));
+        assert_eq!(probes.count(), lines + 1, "dropping the writer handed over the rest");
     }
 
     /// A writer that fails every write.
@@ -965,21 +897,19 @@ mod tests {
     }
 
     /// A session's lines past the most one run holds go on in a second
-    /// run, and its lookups walk both.
+    /// run, and its lookups walk both, each to its own end.
     #[test]
     fn a_long_stretch_of_one_session_is_split_into_runs() {
         let decision = r#"{"type":"decision","session":0,"hop":1,"verdict":"collected"}"#;
-        let lines = Run::MAX_LINES + 2;
-        let mut text = format!("{}\n", header().to_json());
-        for _ in 0..lines {
+        let mut text = format!("{}\n{}\n", header().to_json(), probe_line(&ev(0, 8)));
+        for _ in 0..Run::MAX_LINES + 2 {
             text.push_str(decision);
             text.push('\n');
         }
         text.push_str(&probe_line(&ev(0, 9)));
         let log = ExchangeLog::parse(&text).unwrap();
-        assert_eq!(log.sessions[&0].runs.len(), 2);
-        assert_eq!(log.decisions_for(0).count(), lines);
-        assert_eq!(log.events_for(0).map(|e| e.ttl).collect::<Vec<_>>(), [9]);
-        assert_eq!(log.event_count(0), 1);
+        let runs = &log.sessions[&0].runs;
+        assert_eq!(runs.iter().map(|r| r.lines()).collect::<Vec<_>>(), [Run::MAX_LINES, 4]);
+        assert_eq!(log.events_for(0).map(|e| e.ttl).collect::<Vec<_>>(), [8, 9]);
     }
 }

@@ -16,13 +16,16 @@
 //! - [`exchange`] — the flight-recorder capture format: a versioned
 //!   JSONL log interleaving probes, decisions, and per-session reports,
 //!   read once as a stream by an [`exchange::ExchangeReader`] for
-//!   deterministic replay and run diffing, or indexed by session in an
-//!   [`exchange::ExchangeLog`]. Probe and decision lines come from one writer per
-//!   type, [`ProbeEvent::write_line`] and [`DecisionEvent::write_line`],
-//!   whose fields the exchange writer renders straight into its one
-//!   byte buffer; their bytes are identical to the vendored `serde_json`
-//!   shim's rendering of the same fields as a `Value`. They are read back by [`ProbeEvent::read_line`] and
-//!   [`DecisionEvent::read_line`], which build no `Value`.
+//!   deterministic replay, run diffing and explaining, or, held in
+//!   memory, indexed by session in an [`exchange::ExchangeLog`], the
+//!   seam the replay prober builds a session's script from. Probe and
+//!   decision lines come from one writer per type,
+//!   [`ProbeEvent::write_line`] and [`DecisionEvent::write_line`], whose
+//!   fields the exchange writer renders straight into its one byte
+//!   buffer; their bytes are identical to the vendored `serde_json`
+//!   shim's rendering of the same fields as a `Value`. They are read
+//!   back by [`ProbeEvent::read_line`] and [`DecisionEvent::read_line`],
+//!   which build no `Value`.
 //! - [`sink::EventSink`] — pluggable event consumers:
 //!   [`exchange::ExchangeSink`] (the flight recorder, and what
 //!   `--trace-log` writes) and [`sink::VecSink`] (tests); a pair of

@@ -2,9 +2,10 @@
 //! fixed-bucket histograms keyed by phase and cause.
 //!
 //! The registry is a pure fold of [`ProbeEvent`]s: [`Registry::record`]
-//! is its only input, so folding the probe lines of an exchange log
-//! (`ExchangeLog::events_for`, session by session) rebuilds the
-//! snapshot of the run that wrote the log.
+//! is its only input, so folding the probe lines of an exchange log (the
+//! [`Entry::Probe`](crate::exchange::Entry::Probe)s an
+//! [`ExchangeReader`](crate::exchange::ExchangeReader) yields) rebuilds
+//! the snapshot of the run that wrote the log.
 //!
 //! Everything is a plain atomic so recording is lock-free and safe to
 //! share across probing threads behind one `Arc<Registry>`. A

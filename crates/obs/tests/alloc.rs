@@ -71,7 +71,13 @@ fn assert_holds_at_most(text: &str, per_line: usize) {
     let log = ExchangeLog::parse(text).expect("the log parses");
     let held = live() - before;
 
-    let report_text: usize = log.reports().iter().map(|(_, r)| r.to_string().len()).sum();
+    let report_text: usize = obs::ExchangeReader::new(text.as_bytes())
+        .expect("the log reads")
+        .filter_map(|entry| match entry.expect("the log reads").1 {
+            obs::Entry::Report { report, .. } => Some(report.to_string().len()),
+            _ => None,
+        })
+        .sum();
     let lines = text.lines().skip(1).filter(|l| !l.starts_with(r#"{"type":"report""#)).count();
     let sessions = log.header.targets.len();
     let bound = report_text + per_line * lines + 256 * sessions + 2048;

@@ -7,8 +7,8 @@ use std::sync::{Arc, Mutex};
 
 use inet::Addr;
 use obs::{
-    ExchangeHeader, ExchangeLog, ExchangeSink, ExchangeWriter, Phase, ProbeEvent, ProbeOutcome,
-    Recorder, Registry, SinkHandle, FORMAT_VERSION,
+    Entry, ExchangeHeader, ExchangeLog, ExchangeReader, ExchangeSink, ExchangeWriter, Phase,
+    ProbeEvent, ProbeOutcome, Recorder, Registry, SinkHandle, FORMAT_VERSION,
 };
 use wire::Protocol;
 
@@ -71,12 +71,18 @@ fn concurrent_writers_tear_no_lines_and_agree_with_the_registry() {
     });
     recorder.flush().expect("flush");
 
-    // The log loads, which checks that every line is a whole event — no
+    // The log reads, which checks that every line is a whole event — no
     // torn or interleaved partial writes.
-    let log = ExchangeLog::load(&path).expect("every line is whole");
-    let total = log.event_total() as u64;
-    let tagged: usize = (0..WRITERS).map(|session| log.event_count(session)).sum();
-    assert_eq!(tagged as u64, total, "every event carries a known session tag");
+    let text = std::fs::read_to_string(&path).expect("the log was written");
+    let reader = ExchangeReader::new(text.as_bytes()).expect("the header is whole");
+    let entries: Vec<Entry> = reader.map(|entry| entry.expect("every line is whole").1).collect();
+    let total = entries.len() as u64;
+    let tagged = entries
+        .iter()
+        .filter(|e| matches!(e, Entry::Probe(ev) if ev.session.is_some_and(|k| k < WRITERS)))
+        .count();
+    assert_eq!(tagged as u64, total, "every line is a probe with a known session tag");
+    let log = ExchangeLog::parse(&text).expect("the log indexes");
 
     // The line count equals what the registry metered.
     assert_eq!(total, WRITERS * EVENTS_PER_WRITER);

@@ -7,8 +7,8 @@
 //! what a full decode of the golden log, filtered by session, gives.
 
 use inet::Addr;
-use obs::{Cause, DecisionEvent, DecisionVerdict, ExchangeLog, Phase, ProbeEvent, ProbeOutcome};
-use obs::{TimeoutCause, UnreachReason};
+use obs::{Cause, DecisionEvent, DecisionVerdict, Entry, ExchangeLog, ExchangeReader, Phase};
+use obs::{ProbeEvent, ProbeOutcome, TimeoutCause, UnreachReason};
 use proptest::prelude::*;
 use wire::Protocol;
 
@@ -464,28 +464,38 @@ fn every_golden_line_reads_like_the_oracle() {
     }
 }
 
+/// The reader yields every probe and decision line as the oracle decodes
+/// it, in file order, and the index gives each session's probes.
 #[test]
 fn the_index_decodes_what_a_full_decode_filtered_by_session_gives() {
     let log = ExchangeLog::parse(GOLDEN_LOG).expect("golden log parses");
-    let lines: Vec<&str> = GOLDEN_LOG.lines().skip(1).collect();
-    let probes: Vec<ProbeEvent> = lines
-        .iter()
-        .filter(|l| !l.contains("\"type\""))
-        .map(|l| oracle::probe(l).unwrap())
+    let events: Vec<Entry> = GOLDEN_LOG
+        .lines()
+        .skip(1)
+        .filter(|l| !l.starts_with("{\"type\":\"report\""))
+        .map(|l| {
+            if l.starts_with("{\"type\":\"decision\"") {
+                Entry::Decision(oracle::decision(l).unwrap())
+            } else {
+                Entry::Probe(oracle::probe(l).unwrap())
+            }
+        })
         .collect();
-    let decisions: Vec<DecisionEvent> = lines
-        .iter()
-        .filter(|l| l.starts_with("{\"type\":\"decision\""))
-        .map(|l| oracle::decision(l).unwrap())
+    let read: Vec<Entry> = ExchangeReader::new(GOLDEN_LOG.as_bytes())
+        .expect("golden log parses")
+        .map(|entry| entry.expect("golden log parses").1)
+        .filter(|entry| !matches!(entry, Entry::Report { .. }))
         .collect();
-    assert_eq!(log.event_total(), probes.len());
+    assert!(read == events, "the reader and the oracle disagree");
     let sessions = log.header.targets.len() as u64;
     for session in 0..sessions + 2 {
-        let want: Vec<_> = probes.iter().filter(|e| e.session == Some(session)).cloned().collect();
-        assert_eq!(log.events_for(session).collect::<Vec<_>>(), want, "session {session}");
-        assert_eq!(log.event_count(session), want.len(), "session {session}");
-        let want: Vec<_> =
-            decisions.iter().filter(|d| d.session == Some(session)).cloned().collect();
-        assert_eq!(log.decisions_for(session).collect::<Vec<_>>(), want, "session {session}");
+        let want: Vec<&ProbeEvent> = events
+            .iter()
+            .filter_map(|e| match e {
+                Entry::Probe(e) if e.session == Some(session) => Some(e),
+                _ => None,
+            })
+            .collect();
+        assert!(log.events_for(session).eq(want.into_iter().cloned()), "session {session}");
     }
 }

@@ -3,8 +3,8 @@
 //! handle directly (`netsim::ConcurrentNetwork` via
 //! [`probe::SharedNetwork`]) — no global lock serializes the hot path.
 //!
-//! Determinism contract: the result is assembled into **target order**
-//! regardless of which worker finished which session first, and every
+//! Determinism contract: the result is in **target order** regardless
+//! of which worker finished which session first, and every
 //! session's probe ident is a pure function of its target index (see
 //! [`IdentAllocator`]), so the collected output is independent of the
 //! thread count on any topology whose responses do not depend on probe
@@ -12,14 +12,13 @@
 //! suite in `tests/conformance.rs` pins exactly that property.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use inet::Addr;
 use obs::Recorder;
-use parking_lot::Mutex;
 use probe::{IdentAllocator, IdentSpace, Prober, Protocol, RetryPolicy, SharedNetwork};
 use tracenet::{Session, SubnetStore, TraceReport, TracenetOptions};
 
@@ -28,7 +27,9 @@ use crate::cache::{CacheStats, SubnetCache};
 /// Configuration of one batch run.
 #[derive(Clone, Copy, Debug)]
 pub struct BatchConfig {
-    /// Worker threads (values ≤ 1 run inline on the calling thread).
+    /// Worker threads, the calling thread included: `jobs − 1` helpers
+    /// are spawned, so values ≤ 1 run every session on the calling
+    /// thread, in target order.
     pub jobs: usize,
     /// Whether sessions share a cross-session [`SubnetCache`].
     pub use_cache: bool,
@@ -107,8 +108,10 @@ fn run_session<P: Prober>(
 }
 
 /// Runs one tracenet session per target against a shared network,
-/// fanning the targets across `cfg.jobs` worker threads. With one job
-/// the sessions run inline on the calling thread, in target order.
+/// fanning the targets across `cfg.jobs` workers: the calling thread and
+/// `jobs − 1` spawned helpers run one loop, each claiming the next target
+/// and storing its report in that target's slot. With one job nothing is
+/// spawned and the sessions run on the calling thread, in target order.
 ///
 /// Session k probes with ident `k mod 32 768` of the tracenet namespace
 /// ([`probe::IdentBlock::get`]), so a batch of more than 32 768 targets,
@@ -138,29 +141,24 @@ pub fn run_batch(
         run_session(prober, targets[k], cfg.opts, store.clone(), &recorder)
     };
 
-    let jobs = cfg.jobs.clamp(1, targets.len().max(1));
-    let reports: Vec<TraceReport> = if jobs == 1 {
-        (0..targets.len()).map(session).collect()
-    } else {
-        let next = AtomicUsize::new(0);
-        let done: Mutex<Vec<(usize, TraceReport)>> = Mutex::new(Vec::with_capacity(targets.len()));
-        std::thread::scope(|scope| {
-            for _ in 0..jobs {
-                scope.spawn(|| loop {
-                    let k = next.fetch_add(1, Ordering::Relaxed);
-                    if k >= targets.len() {
-                        break;
-                    }
-                    let report = session(k);
-                    done.lock().push((k, report));
-                });
-            }
-        });
-        // Deterministic merge: place every report at its target index.
-        let mut done = done.into_inner();
-        done.sort_unstable_by_key(|&(k, _)| k);
-        done.into_iter().map(|(_, report)| report).collect()
+    let slots: Vec<OnceLock<TraceReport>> = targets.iter().map(|_| OnceLock::new()).collect();
+    let next = AtomicUsize::new(0);
+    let worker = || loop {
+        let k = next.fetch_add(1, Ordering::Relaxed);
+        let Some(slot) = slots.get(k) else { break };
+        // Each index is claimed once, so the slot is empty.
+        let _ = slot.set(session(k));
     };
+    std::thread::scope(|scope| {
+        for _ in 1..cfg.jobs.clamp(1, targets.len().max(1)) {
+            scope.spawn(worker);
+        }
+        worker();
+    });
+    let reports: Vec<TraceReport> = slots
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("every target index was claimed and run"))
+        .collect();
     let probes = reports.iter().map(|r| r.total_probes).sum();
     let cache =
         if cfg.use_cache { CacheStats::from_reports(&reports) } else { CacheStats::default() };

@@ -11,10 +11,11 @@
 //!   (and, via the [`tracenet::SubnetStore`] seam, to anything
 //!   longer-lived); and
 //! - one batch driver ([`run_batch`]) that every collection in the
-//!   workspace goes through: it runs the sessions inline at one job or
-//!   fans them across worker threads over one shared network, with
-//!   results merged in target order and probe idents drawn from disjoint namespaces
-//!   ([`IdentSpace`]) as a pure function of the target index.
+//!   workspace goes through: one worker loop, run by the calling thread
+//!   and `jobs − 1` helpers over one shared network, that stores each
+//!   report in its target's slot, with probe idents drawn from disjoint
+//!   namespaces ([`IdentSpace`]) as a pure function of the target index.
+//!   At one job nothing is spawned and the sessions run in target order.
 //!
 //! The engine is *proven observation-equivalent, not assumed*, on
 //! history-independent topologies: the conformance suite
