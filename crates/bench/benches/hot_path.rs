@@ -25,7 +25,10 @@ fn bench_hot_path(c: &mut Criterion) {
 
     // The per-hop routing lookup, swept over every (from, to) pair one
     // origin at a time: every walk from one vantage reads that vantage's
-    // column and one DAG per target, so here too.
+    // column and one DAG per target, so here too. Asking for all 370²
+    // pairs is the documented worst case of one column and n DAGs per
+    // origin, which no collection reaches; it shows that case's cost and
+    // is not a regression gate.
     g.bench_function("next_hops_all_pairs", |b| {
         b.iter(|| {
             let mut total = 0usize;

@@ -201,3 +201,59 @@ fn replay_reports_an_edited_probe_sequence_as_a_divergence_without_panicking() {
     }
     std::fs::remove_file(path).ok();
 }
+
+/// `line` with the value of its first `"key":` field replaced by
+/// `value`, if the line has that key.
+fn with_field(line: &str, key: &str, value: &str) -> Option<String> {
+    let name = format!("\"{key}\":");
+    let start = line.find(&name)? + name.len();
+    let end = start + line[start..].find([',', '}'])?;
+    Some(format!("{}{value}{}", &line[..start], &line[end..]))
+}
+
+/// `explain` reads a truncated or edited log as outside input: whether
+/// a field of one line changed, two lines were swapped or one was
+/// deleted, it answers or refuses with exit 0, 1 or 2, and nothing
+/// panics.
+#[test]
+fn explain_of_a_truncated_or_edited_log_exits_cleanly() {
+    let log = String::from_utf8(golden()).unwrap();
+    let lines: Vec<&str> = log.lines().collect();
+    let mut copies: Vec<(String, Vec<u8>)> = (1..16)
+        .map(|k| k * log.len() / 16)
+        .map(|cut| (format!("cut at byte {cut}"), log.as_bytes()[..cut].to_vec()))
+        .collect();
+    let fields =
+        [("session", "7"), ("hop", "0"), ("subject", r#""10.40.0.1""#), ("phase", r#""trace""#)];
+    for i in (0..lines.len() - 1).step_by(lines.len() / 12) {
+        let mut edited = |what: String, copy: Vec<&str>| {
+            copies.push((format!("line {} {what}", i + 1), (copy.join("\n") + "\n").into_bytes()));
+        };
+        for (key, value) in fields {
+            if let Some(changed) = with_field(lines[i], key, value) {
+                let mut copy = lines.clone();
+                copy[i] = &changed;
+                edited(format!("{key} changed"), copy);
+            }
+        }
+        let mut copy = lines.clone();
+        copy.swap(i, i + 1);
+        edited("swapped with the next".into(), copy);
+        let mut copy = lines.clone();
+        copy.remove(i);
+        edited("deleted".into(), copy);
+    }
+
+    let mut path = std::env::temp_dir();
+    path.push(format!("tracenet-explain-edited-{}.jsonl", std::process::id()));
+    let edited = path.to_str().unwrap();
+    for (case, bytes) in &copies {
+        std::fs::write(&path, bytes).unwrap();
+        for prefix in ["10.40.0.0/29", "10.32.0.4/30"] {
+            let (code, stderr) = tracenet(&["explain", edited, prefix]);
+            assert!(matches!(code, Some(0..=2)), "{case}, {prefix}: exit {code:?}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{case}, {prefix}: {stderr}");
+        }
+    }
+    std::fs::remove_file(path).ok();
+}

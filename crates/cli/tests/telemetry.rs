@@ -269,6 +269,36 @@ fn folding_a_trace_logs_probe_lines_rebuilds_the_metrics() {
     }
 }
 
+/// The per-phase and per-cause counts of two internet2 batches are
+/// pinned byte for byte: one with the subnet cache on, one with it off
+/// under heavy loss and a fault budget of 3. The golden exchange log
+/// (cache off, no faults) covers neither.
+#[test]
+fn batch_metrics_json_matches_the_golden_files() {
+    let scenario_path = temp_path("golden-metrics-scenario");
+    let scenario = scenario_path.to_str().unwrap();
+    run(&["generate", "internet2", "--seed", "2010", "--out", scenario]).unwrap();
+    let json_path = temp_path("golden-metrics");
+    let json = json_path.to_str().unwrap();
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    let runs: [(&str, &[&str]); 2] = [
+        ("metrics-internet2-seed2010.json", &[]),
+        (
+            "metrics-internet2-seed2010-heavy-loss.json",
+            &["--no-cache", "--fault-profile", "heavy-loss", "--fault-budget", "3"],
+        ),
+    ];
+    for (file, flags) in runs {
+        let args =
+            [&["batch", scenario, "--jobs", "1", "--metrics-json", json][..], flags].concat();
+        run(&args).unwrap();
+        let want = std::fs::read(golden.join(file)).expect("the golden metrics are checked in");
+        assert!(std::fs::read(&json_path).unwrap() == want, "{args:?} differs from {file}");
+    }
+    std::fs::remove_file(scenario_path).ok();
+    std::fs::remove_file(json_path).ok();
+}
+
 /// Runs the `tracenet` binary; returns stdout and stderr.
 fn tracenet(args: &[&str]) -> (String, String) {
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_tracenet"))

@@ -11,7 +11,7 @@
 //! broadcast address, keeping the half that houses the pivot.
 
 use inet::{Addr, Prefix, SubnetRecord};
-use obs::{Cause, DecisionEvent, DecisionVerdict, Recorder};
+use obs::{Cause, DecisionEvent, DecisionVerdict, Phase, Recorder};
 use probe::Prober;
 
 use crate::heuristics::{examine, Context, Decision};
@@ -74,7 +74,7 @@ pub fn explore<P: Prober>(
                     recorder.record_decision(|| DecisionEvent {
                         session: None,
                         hop: pos.pivot_dist,
-                        phase: None,
+                        phase: Some(Cause::H1.phase()),
                         cause: Some(Cause::H1),
                         subject: Some(l),
                         verdict: DecisionVerdict::StoppedAndShrunk,
@@ -93,7 +93,7 @@ pub fn explore<P: Prober>(
             recorder.record_decision(|| DecisionEvent {
                 session: None,
                 hop: pos.pivot_dist,
-                phase: None,
+                phase: Some(Phase::Explore),
                 cause: None,
                 subject: Some(pos.pivot),
                 verdict: DecisionVerdict::Underutilized,
@@ -139,7 +139,7 @@ pub fn explore<P: Prober>(
             recorder.record_decision(|| DecisionEvent {
                 session: None,
                 hop: pos.pivot_dist,
-                phase: None,
+                phase: Some(Cause::H9.phase()),
                 cause: Some(Cause::H9),
                 subject: Some(pos.pivot),
                 verdict: DecisionVerdict::BoundaryReduced,
@@ -150,7 +150,7 @@ pub fn explore<P: Prober>(
     recorder.record_decision(|| DecisionEvent {
         session: None,
         hop: pos.pivot_dist,
-        phase: None,
+        phase: Some(Phase::Explore),
         cause: None,
         subject: Some(pos.pivot),
         verdict: DecisionVerdict::Collected,

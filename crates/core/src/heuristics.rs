@@ -30,7 +30,7 @@
 //!   rules pass without probing.
 
 use inet::{Addr, SubnetRecord};
-use obs::{Cause, DecisionEvent, DecisionVerdict, Recorder};
+use obs::{Cause, DecisionEvent, DecisionVerdict, Phase, Recorder};
 use probe::{ProbeOutcome, Prober};
 
 use crate::options::HeuristicSet;
@@ -70,10 +70,10 @@ pub enum Decision {
     },
 }
 
-/// Emits one heuristic verdict into the decision stream. The phase (and
-/// session) are stamped by the recorder; the cause names the rule that
-/// fired. `evidence` runs only when a sink records the decision, so an
-/// unrecorded run formats no evidence.
+/// Emits one heuristic verdict into the decision stream. The cause names
+/// the rule that fired, and its phase is the cause's; the recorder
+/// stamps the session. `evidence` runs only when a sink records the
+/// decision, so an unrecorded run formats no evidence.
 fn decide(
     recorder: &Recorder,
     hop: u8,
@@ -85,7 +85,7 @@ fn decide(
     recorder.record_decision(|| DecisionEvent {
         session: None,
         hop,
-        phase: None,
+        phase: Some(cause.phase()),
         cause: Some(cause),
         subject: Some(subject),
         verdict,
@@ -281,12 +281,11 @@ pub fn examine<P: Prober>(
         }
     }
 
-    // A clean pass is attributable to no single rule; the cause is left
-    // for the ambient scope (if any) to fill.
+    // A clean pass is attributable to no single rule, so it has no cause.
     recorder.record_decision(|| DecisionEvent {
         session: None,
         hop: jh,
-        phase: None,
+        phase: Some(Phase::Explore),
         cause: None,
         subject: Some(l),
         verdict: DecisionVerdict::Accepted,

@@ -74,7 +74,6 @@ impl<P: Prober> Session<P> {
 
             // --- Trace collection: one indirect probe at TTL d. --------
             let outcome = {
-                let _phase = obs::phase_scope(Phase::Trace);
                 let _cause = obs::cause_scope(Cause::TraceCollection);
                 self.prober.probe(destination, d)
             };
@@ -140,10 +139,7 @@ impl<P: Prober> Session<P> {
                     });
                 } else {
                     let before = self.prober.stats().sent;
-                    let positioning = {
-                        let _phase = obs::phase_scope(Phase::Position);
-                        position(&mut self.prober, prev_addr, v, d, &self.opts)
-                    };
+                    let positioning = position(&mut self.prober, prev_addr, v, d, &self.opts);
                     record.cost.position = self.prober.stats().sent - before;
 
                     match &positioning {
@@ -185,10 +181,8 @@ impl<P: Prober> Session<P> {
                     // explored (§3.4).
                     if let Some(pos) = positioning {
                         let before = self.prober.stats().sent;
-                        let subnet = {
-                            let _phase = obs::phase_scope(Phase::Explore);
-                            explore(&mut self.prober, &self.recorder, &pos, prev_addr, &self.opts)
-                        };
+                        let subnet =
+                            explore(&mut self.prober, &self.recorder, &pos, prev_addr, &self.opts);
                         record.cost.explore = self.prober.stats().sent - before;
                         record.subnet = Some(Arc::new(subnet));
                     }

@@ -9,7 +9,7 @@
 //! * [`SubnetTable`] — the tables themselves, with exact-match rates
 //!   including and excluding unresponsive subnets;
 //! * [`similarity`] — the paper's equations (1)–(5): prefix and size
-//!   distance factors, Minkowski distance, and normalized similarity;
+//!   distance factors and their normalized order-1 Minkowski sums;
 //! * [`crossval`] — the three-vantage Venn partition of Figure 6 and the
 //!   agreement rates quoted in §4.2;
 //! * [`audit`] — the §4.1.1 unresponsiveness audit: ping sweeps over

@@ -4,7 +4,8 @@
 //! feature value. The *distance factor* of a subnet depends on how it
 //! was collected (equation 1 / 4), distances combine by the Minkowski
 //! distance of order k (equation 2), and similarity is the k = 1
-//! normalization of equations (3) and (5).
+//! normalization of equations (3) and (5). Only k = 1 is used, where
+//! equation (2) is the plain sum those two functions take.
 
 use crate::classify::{Classification, MatchClass};
 
@@ -75,13 +76,6 @@ pub fn size_distance(c: &Classification, bounds: PrefixBounds) -> f64 {
             (so - biggest).abs()
         }
     }
-}
-
-/// Equation (2): the Minkowski distance of order `k` over per-subnet
-/// distance factors.
-pub fn minkowski(distances: &[f64], k: u32) -> f64 {
-    assert!(k >= 1);
-    distances.iter().map(|d| d.powi(k as i32)).sum::<f64>().powf(1.0 / k as f64)
 }
 
 /// Equation (3): normalized prefix similarity (k = 1); 1 = identical,
@@ -167,13 +161,6 @@ mod tests {
         assert_eq!(prefix_distance(&s, B), 3.0);
         // Equation (4): |16 − max{4, 2}| = 12.
         assert_eq!(size_distance(&s, B), 12.0);
-    }
-
-    #[test]
-    fn minkowski_orders() {
-        let d = [3.0, 4.0];
-        assert_eq!(minkowski(&d, 1), 7.0);
-        assert!((minkowski(&d, 2) - 5.0).abs() < 1e-9);
     }
 
     #[test]

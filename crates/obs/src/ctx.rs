@@ -1,68 +1,37 @@
-//! Thread-local phase/cause attribution.
+//! Thread-local cause attribution.
 //!
 //! The collection algorithms (`Session::run`, `position`, `explore`)
 //! know *why* a probe is about to be sent; the prober that actually puts
 //! it on the wire does not. Rather than threading attribution arguments
 //! through the `Prober` trait (and every caching/borrowing wrapper
-//! around it), the algorithms push the current phase and cause into a
+//! around it), the algorithms push the current [`Cause`] into a
 //! thread-local scope and the prober's [`crate::Recorder`] reads it at
-//! emit time.
+//! emit time. A probe's phase is its cause's ([`Cause::phase`]), so the
+//! cause is the only attribution kept here.
 //!
-//! Scopes are RAII guards that restore the previous value on drop, so
-//! nesting (e.g. an in-use check inside exploration) works naturally,
-//! and early returns cannot leak attribution into unrelated probes.
-//! Everything is thread-local: parallel sessions on different threads
-//! never see each other's attribution.
+//! Scopes are RAII guards that restore the previous cause on drop, so
+//! nesting (e.g. an in-use check inside pivot designation) works
+//! naturally, and early returns cannot leak attribution into unrelated
+//! probes. Everything is thread-local: parallel sessions on different
+//! threads never see each other's attribution.
 
 use std::cell::Cell;
 
-use crate::event::{Cause, Phase};
+use crate::event::Cause;
 
 thread_local! {
-    static CURRENT: Cell<(Option<Phase>, Option<Cause>)> = const { Cell::new((None, None)) };
+    static CURRENT: Cell<Option<Cause>> = const { Cell::new(None) };
 }
 
-/// The phase/cause attribution for probes sent by the current thread
-/// right now.
-pub fn current() -> (Option<Phase>, Option<Cause>) {
-    CURRENT.with(|c| c.get())
-}
-
-/// Enters a phase scope; probes sent until the guard drops are
-/// attributed to `phase`.
-pub fn phase_scope(phase: Phase) -> PhaseScope {
-    let prev = CURRENT.with(|c| {
-        let (p, k) = c.get();
-        c.set((Some(phase), k));
-        p
-    });
-    PhaseScope { prev }
+/// The cause of probes sent by the current thread right now.
+pub(crate) fn current() -> Option<Cause> {
+    CURRENT.with(Cell::get)
 }
 
 /// Enters a cause scope; probes sent until the guard drops are
-/// attributed to `cause`.
+/// attributed to `cause`, and to its phase.
 pub fn cause_scope(cause: Cause) -> CauseScope {
-    let prev = CURRENT.with(|c| {
-        let (p, k) = c.get();
-        c.set((p, Some(cause)));
-        k
-    });
-    CauseScope { prev }
-}
-
-/// RAII guard restoring the previous phase on drop.
-#[must_use = "attribution lasts only while the scope guard lives"]
-pub struct PhaseScope {
-    prev: Option<Phase>,
-}
-
-impl Drop for PhaseScope {
-    fn drop(&mut self) {
-        CURRENT.with(|c| {
-            let (_, k) = c.get();
-            c.set((self.prev, k));
-        });
-    }
+    CauseScope { prev: CURRENT.with(|c| c.replace(Some(cause))) }
 }
 
 /// RAII guard restoring the previous cause on drop.
@@ -73,10 +42,7 @@ pub struct CauseScope {
 
 impl Drop for CauseScope {
     fn drop(&mut self) {
-        CURRENT.with(|c| {
-            let (p, _) = c.get();
-            c.set((p, self.prev));
-        });
+        CURRENT.with(|c| c.set(self.prev));
     }
 }
 
@@ -86,34 +52,27 @@ mod tests {
 
     #[test]
     fn scopes_nest_and_restore() {
-        assert_eq!(current(), (None, None));
+        assert_eq!(current(), None);
         {
-            let _p = phase_scope(Phase::Position);
-            assert_eq!(current(), (Some(Phase::Position), None));
+            let _c = cause_scope(Cause::PivotDesignation);
+            assert_eq!(current(), Some(Cause::PivotDesignation));
             {
-                let _c = cause_scope(Cause::DistanceSearch);
-                assert_eq!(current(), (Some(Phase::Position), Some(Cause::DistanceSearch)));
-                {
-                    let _c2 = cause_scope(Cause::IngressQuery);
-                    assert_eq!(current().1, Some(Cause::IngressQuery));
-                }
-                assert_eq!(current().1, Some(Cause::DistanceSearch));
+                let _c2 = cause_scope(Cause::InUseCheck);
+                assert_eq!(current(), Some(Cause::InUseCheck));
             }
-            assert_eq!(current(), (Some(Phase::Position), None));
-            let _p2 = phase_scope(Phase::Explore);
-            assert_eq!(current().0, Some(Phase::Explore));
+            assert_eq!(current(), Some(Cause::PivotDesignation));
         }
-        assert_eq!(current(), (None, None));
+        assert_eq!(current(), None);
     }
 
     #[test]
     fn scope_restores_across_unwind() {
         let result = std::panic::catch_unwind(|| {
-            let _p = phase_scope(Phase::Trace);
+            let _c = cause_scope(Cause::TraceCollection);
             panic!("unwind through the scope");
         });
         assert!(result.is_err());
         // The guard dropped during unwinding; no attribution leaked.
-        assert_eq!(current(), (None, None));
+        assert_eq!(current(), None);
     }
 }

@@ -68,7 +68,7 @@ pub enum Cause {
     OnPathCheck,
     /// Pivot designation via the /31-or-/30 mate (Algorithm 2 line 4).
     PivotDesignation,
-    /// In-use check before admitting a candidate address.
+    /// In-use check of a candidate pivot beyond the trace hop.
     InUseCheck,
     /// Ingress-router query at pivot distance - 1.
     IngressQuery,
@@ -139,6 +139,29 @@ impl Cause {
     /// Parses a [`Cause::label`] rendering.
     pub fn from_label(s: &str) -> Option<Cause> {
         Cause::ALL.into_iter().find(|c| c.label() == s)
+    }
+
+    /// The session phase this cause's probes and decisions belong to:
+    /// trace collection, one of Algorithm 2's positioning steps, or a
+    /// growth heuristic of exploration.
+    pub fn phase(self) -> Phase {
+        match self {
+            Cause::TraceCollection => Phase::Trace,
+            Cause::DistanceSearch
+            | Cause::OnPathCheck
+            | Cause::PivotDesignation
+            | Cause::InUseCheck
+            | Cause::IngressQuery => Phase::Position,
+            Cause::H1
+            | Cause::H2
+            | Cause::H3
+            | Cause::H4
+            | Cause::H5
+            | Cause::H6
+            | Cause::H7
+            | Cause::H8
+            | Cause::H9 => Phase::Explore,
+        }
     }
 
     /// The paper heuristic number, for H1–H9 causes.
@@ -634,6 +657,15 @@ mod tests {
             cause: Some(Cause::H4),
             timeout_cause: None,
         }
+    }
+
+    #[test]
+    fn every_cause_belongs_to_one_phase_of_the_pipeline() {
+        let in_phase = |phase| Cause::ALL.into_iter().filter(move |c| c.phase() == phase);
+        assert_eq!(in_phase(Phase::Trace).collect::<Vec<_>>(), [Cause::TraceCollection]);
+        assert_eq!(in_phase(Phase::Position).count(), 5);
+        assert!(in_phase(Phase::Explore).all(|c| c.heuristic().is_some()));
+        assert_eq!(in_phase(Phase::Explore).count(), 9, "H1–H9");
     }
 
     #[test]

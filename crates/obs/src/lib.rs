@@ -34,11 +34,12 @@
 //!   fixed-bucket histograms keyed by phase and heuristic, with
 //!   human-table and JSON snapshots. It is a fold of probe events only,
 //!   so a log's probe lines rebuild a run's metrics.
-//! - [`ctx`] — thread-local phase/cause attribution that the collection
-//!   algorithms set and the probers read, so attribution needs no
-//!   signature changes through the `Prober` seam.
-//! - [`Recorder`] — the handle probers carry: sink + metrics + session
-//!   tag bundled, free when disabled.
+//! - [`ctx`] — the thread-local cause that the collection algorithms
+//!   set and the probers' recorders read, so attribution needs no
+//!   signature changes through the `Prober` seam. A probe's phase is
+//!   its cause's ([`Cause::phase`]); a decision names its own.
+//! - [`Recorder`] — the handle probers and sessions carry: sink +
+//!   metrics + session tag bundled, free when disabled.
 //!
 //! Everything here is dependency-light by design (inet, wire, and the
 //! vendored serde_json shim) so any crate in the workspace can afford
@@ -57,7 +58,7 @@ mod read;
 pub mod recorder;
 pub mod sink;
 
-pub use ctx::{cause_scope, phase_scope};
+pub use ctx::cause_scope;
 pub use decision::{DecisionEvent, DecisionVerdict};
 pub use event::{Cause, Phase, ProbeEvent, ProbeOutcome, TimeoutCause, UnreachReason};
 pub use exchange::{

@@ -20,7 +20,7 @@ use serde_json::{json, Value};
 use crate::event::{Cause, Phase, ProbeEvent, ProbeOutcome, TimeoutCause};
 
 /// Number of phase slots: the three pipeline phases plus one for
-/// probes sent outside any phase scope.
+/// probes sent outside any cause scope.
 const PHASES: usize = Phase::ALL.len() + 1;
 const UNATTRIBUTED: usize = Phase::ALL.len();
 const CAUSES: usize = Cause::ALL.len();

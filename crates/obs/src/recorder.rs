@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use crate::ctx;
 use crate::decision::DecisionEvent;
-use crate::event::ProbeEvent;
+use crate::event::{Cause, ProbeEvent};
 use crate::metrics::Registry;
 use crate::sink::SinkHandle;
 
@@ -16,9 +16,10 @@ use crate::sink::SinkHandle;
 /// recorder is disabled (the default) the closure never runs, so the
 /// instrumented hot path costs a single branch.
 ///
-/// The recorder fills in the current [`ctx`] phase/cause attribution
-/// itself — event-building closures leave `phase` and `cause` as
-/// `None`.
+/// The recorder stamps each probe event with the thread's current
+/// [`ctx`] cause and that cause's phase — event-building closures leave
+/// `phase` and `cause` as `None`. Decisions carry their own attribution;
+/// the recorder adds only the session tag.
 #[derive(Clone, Debug, Default)]
 pub struct Recorder {
     sink: SinkHandle,
@@ -65,16 +66,16 @@ impl Recorder {
 
     /// Records one wire attempt. `build` runs only when an observer is
     /// attached; the recorder stamps the event with the thread's
-    /// current phase/cause attribution before dispatching it.
+    /// current cause, and the phase that cause belongs to, before
+    /// dispatching it.
     #[inline]
     pub fn record(&self, build: impl FnOnce() -> ProbeEvent) {
         if !self.is_enabled() {
             return;
         }
         let mut event = build();
-        let (phase, cause) = ctx::current();
-        event.phase = phase;
-        event.cause = cause;
+        event.cause = ctx::current();
+        event.phase = event.cause.map(Cause::phase);
         event.session = self.session;
         if let Some(metrics) = &self.metrics {
             metrics.record(&event);
@@ -83,18 +84,14 @@ impl Recorder {
     }
 
     /// Records one pipeline decision. `build` runs only when a sink is
-    /// attached; the recorder stamps the session tag and the thread's
-    /// current phase/cause attribution (when the builder left them
-    /// unset) before dispatching. Decisions feed sinks only — the
-    /// metrics registry counts wire traffic.
+    /// attached and names the decision's own phase and cause; the
+    /// recorder stamps the session tag before dispatching. Decisions
+    /// feed sinks only — the metrics registry counts wire traffic.
     pub fn record_decision(&self, build: impl FnOnce() -> DecisionEvent) {
         if !self.sink.is_enabled() {
             return;
         }
         let mut decision = build();
-        let (phase, cause) = ctx::current();
-        decision.phase = decision.phase.or(phase);
-        decision.cause = decision.cause.or(cause);
         decision.session = self.session;
         self.sink.emit_decision(&decision);
     }
@@ -146,7 +143,6 @@ mod tests {
         assert!(recorder.is_enabled());
 
         {
-            let _p = crate::phase_scope(Phase::Explore);
             let _c = crate::cause_scope(Cause::H3);
             recorder.record(ev);
         }
@@ -181,7 +177,7 @@ mod tests {
 
         recorder.record(ev);
         {
-            let _p = crate::phase_scope(Phase::Position);
+            let _c = crate::cause_scope(Cause::H2);
             recorder.record_decision(|| DecisionEvent {
                 session: None,
                 hop: 2,
@@ -196,8 +192,8 @@ mod tests {
         assert_eq!(reader.events()[0].session, Some(5));
         let decisions = reader.decisions();
         assert_eq!(decisions[0].session, Some(5));
-        assert_eq!(decisions[0].phase, Some(Phase::Position), "ctx phase stamped");
-        assert_eq!(decisions[0].cause, Some(Cause::OnPathCheck), "explicit cause kept");
+        assert_eq!(decisions[0].phase, None, "a decision names its own phase");
+        assert_eq!(decisions[0].cause, Some(Cause::OnPathCheck), "the ambient cause is not read");
     }
 
     #[test]

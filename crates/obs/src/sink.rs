@@ -20,7 +20,9 @@ pub trait EventSink: Send {
     /// interleave decisions with probes.
     fn emit_decision(&mut self, _decision: &DecisionEvent) {}
 
-    /// Flushes any buffered output; called at session boundaries.
+    /// Flushes any buffered output. Nothing calls it per session, only
+    /// [`crate::Recorder::flush`], which a driver calls once after its
+    /// run.
     fn flush(&mut self) -> io::Result<()> {
         Ok(())
     }

@@ -7,7 +7,7 @@ use std::sync::{Arc, Mutex};
 
 use inet::Addr;
 use obs::{
-    Entry, ExchangeHeader, ExchangeLog, ExchangeReader, ExchangeSink, ExchangeWriter, Phase,
+    Cause, Entry, ExchangeHeader, ExchangeLog, ExchangeReader, ExchangeSink, ExchangeWriter, Phase,
     ProbeEvent, ProbeOutcome, Recorder, Registry, SinkHandle, FORMAT_VERSION,
 };
 use wire::Protocol;
@@ -34,7 +34,7 @@ fn event(session: u64, n: u64) -> ProbeEvent {
         flow: (mix % 7) as u16,
         attempt: (n % 2) as u8,
         outcome: ProbeOutcome::TtlExceeded { from: Addr::from_u32(0x0a0a_0a0a) },
-        phase: None, // attribution comes from the ambient phase scope
+        phase: None, // attribution comes from the ambient cause scope
         cause: None,
         timeout_cause: None,
     }
@@ -62,7 +62,7 @@ fn concurrent_writers_tear_no_lines_and_agree_with_the_registry() {
         for session in 0..WRITERS {
             let recorder = recorder.clone().with_session(session);
             scope.spawn(move || {
-                let _phase = obs::phase_scope(Phase::Trace);
+                let _cause = obs::cause_scope(Cause::TraceCollection);
                 for n in 0..EVENTS_PER_WRITER {
                     recorder.record(|| event(session, n));
                 }
@@ -97,6 +97,7 @@ fn concurrent_writers_tear_no_lines_and_agree_with_the_registry() {
             let mut expected = event(session, n as u64);
             expected.session = Some(session);
             expected.phase = Some(Phase::Trace);
+            expected.cause = Some(Cause::TraceCollection);
             assert_eq!(*ev, expected, "session {session} event {n}");
         }
     }

@@ -4,7 +4,7 @@
 use std::collections::HashMap;
 
 use inet::Addr;
-use obs::{ProbeEvent, ProbeOutcome, Recorder};
+use obs::ProbeOutcome;
 use wire::Protocol;
 
 use crate::prober::{ProbeStats, Prober};
@@ -28,11 +28,9 @@ use crate::prober::{ProbeStats, Prober};
 /// ```
 pub struct ScriptedProber {
     src: Addr,
-    protocol: Protocol,
     table: HashMap<(Addr, u8), ProbeOutcome>,
     misses: Vec<(Addr, u8)>,
     stats: ProbeStats,
-    recorder: Recorder,
 }
 
 impl ScriptedProber {
@@ -40,18 +38,10 @@ impl ScriptedProber {
     pub fn new(src: Addr) -> ScriptedProber {
         ScriptedProber {
             src,
-            protocol: Protocol::Icmp,
             table: HashMap::new(),
             misses: Vec::new(),
             stats: ProbeStats::default(),
-            recorder: Recorder::disabled(),
         }
-    }
-
-    /// Attaches a recorder that observes every probe.
-    pub fn recorder(&mut self, recorder: Recorder) -> &mut Self {
-        self.recorder = recorder;
-        self
     }
 
     /// Scripts one `(dst, ttl)` entry; later entries overwrite earlier
@@ -88,10 +78,10 @@ impl Prober for ScriptedProber {
     }
 
     fn protocol(&self) -> Protocol {
-        self.protocol
+        Protocol::Icmp
     }
 
-    fn probe_with_flow(&mut self, dst: Addr, ttl: u8, flow: u16) -> ProbeOutcome {
+    fn probe_with_flow(&mut self, dst: Addr, ttl: u8, _flow: u16) -> ProbeOutcome {
         self.stats.requests += 1;
         self.stats.sent += 1;
         let outcome = match self.table.get(&(dst, ttl)) {
@@ -102,23 +92,6 @@ impl Prober for ScriptedProber {
             }
         };
         self.stats.record(&outcome, None);
-        // Scripted probers have no network clock; the send counter
-        // stands in for it.
-        let tick = self.stats.sent;
-        self.recorder.record(|| ProbeEvent {
-            tick,
-            session: None,
-            vantage: self.src,
-            dst,
-            ttl,
-            protocol: self.protocol,
-            flow,
-            attempt: 0,
-            outcome,
-            phase: None,
-            cause: None,
-            timeout_cause: None,
-        });
         outcome
     }
 

@@ -33,7 +33,7 @@ use std::sync::Arc;
 
 use inet::Addr;
 use parking_lot::Mutex;
-use tracenet::{CacheLookup, Completeness, ObservedSubnet, SubnetStore, TraceReport};
+use tracenet::{CacheLookup, ObservedSubnet, SubnetStore, TraceReport};
 
 /// A hop identity packed into 73 bits: the previous trace address behind
 /// a presence bit (bits 40..=72), the hop address (bits 8..=39) and the
@@ -54,7 +54,7 @@ impl StopKey {
 /// keys that collide.
 type StopSet = HashMap<StopKey, Option<Arc<ObservedSubnet>>>;
 
-/// What a batch's sessions asked of the cache and what they admitted.
+/// What a batch's sessions asked of the cache.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups that supplied a reusable subnet.
@@ -63,22 +63,14 @@ pub struct CacheStats {
     pub skips: u64,
     /// Lookups that found nothing.
     pub misses: u64,
-    /// Hops admitted after exploration.
-    pub admitted: u64,
 }
 
 impl CacheStats {
-    /// Total lookups.
-    pub fn lookups(&self) -> u64 {
-        self.hits + self.skips + self.misses
-    }
-
     /// The counts the sessions behind `reports` made, read from their
     /// hops, for sessions that ran with the cache on: a cached hop was a
     /// hit (or, without a subnet, a skip); any other hop with an address
-    /// that no earlier hop's subnet covered was a miss, and was admitted
-    /// if it is [`Completeness::Complete`]. An aborted session leaves no
-    /// hops, so its lookups are not counted.
+    /// that no earlier hop's subnet covered was a miss. An aborted
+    /// session leaves no hops, so its lookups are not counted.
     pub(crate) fn from_reports(reports: &[TraceReport]) -> CacheStats {
         let mut stats = CacheStats::default();
         for hop in reports.iter().flat_map(|r| &r.hops) {
@@ -89,7 +81,6 @@ impl CacheStats {
                 }
             } else if hop.addr.is_some() && !hop.repeated {
                 stats.misses += 1;
-                stats.admitted += u64::from(hop.completeness == Completeness::Complete);
             }
         }
         stats

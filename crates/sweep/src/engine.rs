@@ -218,7 +218,7 @@ mod tests {
         let cfg = BatchConfig::default();
         let result =
             run_batch(&shared, names.addr("vantage"), &[dest, dest], &cfg, &Recorder::disabled());
-        let want = CacheStats { hits: 4, skips: 0, misses: 4, admitted: 4 };
+        let want = CacheStats { hits: 4, skips: 0, misses: 4 };
         assert_eq!(result.cache, want);
 
         let (topo, names) = samples::figure3();
@@ -227,7 +227,7 @@ mod tests {
             [names.addr("dest"), names.addr("R5.n"), names.addr("dest"), names.addr("R5.n")];
         let result =
             run_batch(&shared, names.addr("vantage"), &targets, &cfg, &Recorder::disabled());
-        let want = CacheStats { hits: 11, skips: 0, misses: 5, admitted: 5 };
+        let want = CacheStats { hits: 11, skips: 0, misses: 5 };
         assert_eq!(result.cache, want);
     }
 

@@ -150,7 +150,7 @@ fn cached_collection_keeps_accuracy_on_internet2() {
     let shared = SharedNetwork::new(sc.topology.clone());
     let cfg = BatchConfig { jobs: 8, ..BatchConfig::default() };
     let set = evalkit::run::run_tracenet(&shared, sc.vantage("utdallas"), &targets, &cfg);
-    assert!(set.cache.lookups() > 0, "the cache was consulted");
+    assert!(set.cache.hits + set.cache.skips + set.cache.misses > 0, "the cache was consulted");
     let gt: Vec<_> = sc.ground_truth.evaluated().collect();
     let cls = classify(&gt, &set.records());
     let touched: Vec<_> = cls.iter().filter(|c| !c.collected.is_empty()).collect();

