@@ -180,7 +180,7 @@ impl obs::EventSink for VerboseSink {
     fn emit_decision(&mut self, d: &obs::DecisionEvent) {
         use obs::DecisionVerdict::{Accepted, AcceptedContraPivot, Rejected};
         let per_candidate = matches!(d.verdict, Accepted | AcceptedContraPivot | Rejected);
-        let indent = match d.phase {
+        let indent = match d.phase() {
             Some(obs::Phase::Explore) if per_candidate && !self.all => return,
             Some(obs::Phase::Explore) => "    ",
             Some(obs::Phase::Position) => "  ",
@@ -522,7 +522,6 @@ pub fn crossval(opts: &Opts) -> Result<String, String> {
 /// settings the collector only runs one way are written too, so a log
 /// says what it was recorded under.
 fn options_to_json(o: &TracenetOptions) -> serde_json::Value {
-    let h = &o.heuristics;
     serde_json::json!({
         "max_ttl": o.max_ttl,
         "min_prefix_len": tracenet::MIN_PREFIX_LEN,
@@ -531,16 +530,7 @@ fn options_to_json(o: &TracenetOptions) -> serde_json::Value {
         "reuse_known_subnets": true,
         "explore_off_path": true,
         "hop_fault_budget": o.hop_fault_budget.map(u64::from),
-        "heuristics": [
-            h.h2_upper_bound_subnet_contiguity,
-            h.h3_single_contra_pivot,
-            h.h4_lower_bound_subnet_contiguity,
-            h.h5_mate31_shortcut,
-            h.h6_fixed_entry_points,
-            h.h7_upper_bound_router_contiguity,
-            h.h8_lower_bound_router_contiguity,
-            h.h9_boundary_reduction,
-        ],
+        "heuristics": o.heuristics.on.to_vec(),
     })
 }
 
@@ -575,9 +565,8 @@ fn options_from_json(v: &serde_json::Value) -> Result<tracenet::TracenetOptions,
         .map(serde_json::Value::as_bool)
         .collect::<Option<_>>()
         .ok_or("options: heuristic switches must be booleans")?;
-    if h.len() != 8 {
-        return Err(format!("options: expected 8 heuristic switches (H2–H9), got {}", h.len()));
-    }
+    let on = <[bool; 8]>::try_from(h)
+        .map_err(|h| format!("options: expected 8 heuristic switches (H2–H9), got {}", h.len()))?;
     Ok(TracenetOptions {
         max_ttl: num(v, "max_ttl")?,
         utilization_stop: switch(v, "utilization_stop")?,
@@ -591,16 +580,7 @@ fn options_from_json(v: &serde_json::Value) -> Result<tracenet::TracenetOptions,
                     .ok_or("options: invalid hop_fault_budget")?,
             )
         },
-        heuristics: tracenet::HeuristicSet {
-            h2_upper_bound_subnet_contiguity: h[0],
-            h3_single_contra_pivot: h[1],
-            h4_lower_bound_subnet_contiguity: h[2],
-            h5_mate31_shortcut: h[3],
-            h6_fixed_entry_points: h[4],
-            h7_upper_bound_router_contiguity: h[5],
-            h8_lower_bound_router_contiguity: h[6],
-            h9_boundary_reduction: h[7],
-        },
+        heuristics: tracenet::HeuristicSet { on },
     })
 }
 

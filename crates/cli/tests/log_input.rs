@@ -257,3 +257,47 @@ fn explain_of_a_truncated_or_edited_log_exits_cleanly() {
     }
     std::fs::remove_file(path).ok();
 }
+
+/// A line's phase follows from its cause (and, for a decision without
+/// one, its verdict), so a log whose probe or decision line logs another
+/// phase is refused: `replay`, `diff` and `explain` exit 2 naming the
+/// line, and nothing panics.
+#[test]
+fn a_line_whose_phase_contradicts_its_cause_is_refused_by_line() {
+    let log = String::from_utf8(golden()).unwrap();
+    let lines: Vec<&str> = log.lines().collect();
+    let first = |kind: &str, cause: &str| {
+        let at = lines
+            .iter()
+            .position(|l| l.starts_with(kind) && l.contains(&format!("\"cause\":\"{cause}\"")));
+        at.expect("the golden log has such a line")
+    };
+    let cases = [
+        (first("{\"tick\"", "pivot_designation"), "position", "explore"),
+        (first("{\"type\":\"decision\"", "h2"), "explore", "trace"),
+    ];
+    let golden = golden_path();
+    let golden = golden.to_str().unwrap();
+    let mut path = std::env::temp_dir();
+    path.push(format!("tracenet-phase-edited-{}.jsonl", std::process::id()));
+    let edited = path.to_str().unwrap();
+    for (i, derived, logged) in cases {
+        let changed = with_field(lines[i], "phase", &format!("\"{logged}\"")).unwrap();
+        assert_ne!(changed, lines[i], "line {} logs phase {derived}", i + 1);
+        let mut copy = lines.clone();
+        copy[i] = &changed;
+        std::fs::write(&path, copy.join("\n") + "\n").unwrap();
+        let want = format!("line {}: phase: logged as {logged}, derived as {derived}", i + 1);
+        for args in [
+            vec!["replay", edited],
+            vec!["diff", golden, edited],
+            vec!["explain", edited, "10.40.0.0/29"],
+        ] {
+            let (code, stderr) = tracenet(&args);
+            assert_eq!(code, Some(2), "{args:?}: {stderr}");
+            assert!(stderr.contains(&want), "{args:?}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        }
+    }
+    std::fs::remove_file(path).ok();
+}

@@ -75,7 +75,7 @@ fn trace_log_and_metrics_agree_with_the_session_accounting() {
     for entry in &entries {
         if let obs::Entry::Probe(ev) = entry {
             assert_eq!(ev.session, Some(0), "probe of another session: {ev:?}");
-            assert!(ev.phase.is_some(), "probe without phase attribution: {ev:?}");
+            assert!(ev.phase().is_some(), "probe without phase attribution: {ev:?}");
             events += 1;
         }
     }
@@ -336,7 +336,7 @@ fn verbose_output_is_the_decision_stream_and_changes_no_answer() {
     let rendered: Vec<String> = decisions
         .iter()
         .map(|d| {
-            let indent = match d.phase {
+            let indent = match d.phase() {
                 Some(obs::Phase::Position) => "  ",
                 Some(obs::Phase::Explore) => "    ",
                 _ => "",
@@ -350,7 +350,7 @@ fn verbose_output_is_the_decision_stream_and_changes_no_answer() {
     // `-v` is `-vv` without exploration's per-candidate verdicts.
     let per_candidate = |d: &obs::DecisionEvent| {
         use obs::DecisionVerdict::{Accepted, AcceptedContraPivot, Rejected};
-        d.phase == Some(obs::Phase::Explore)
+        d.phase() == Some(obs::Phase::Explore)
             && matches!(d.verdict, Accepted | AcceptedContraPivot | Rejected)
     };
     let want: Vec<&str> = vv_lines

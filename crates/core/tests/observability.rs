@@ -34,7 +34,7 @@ fn every_figure2_probe_carries_phase_and_cause() {
     assert!(report.destination_reached);
     assert!(!events.is_empty());
     for ev in &events {
-        assert!(ev.phase.is_some(), "unattributed phase on probe to {} ttl {}", ev.dst, ev.ttl);
+        assert!(ev.phase().is_some(), "unattributed phase on probe to {} ttl {}", ev.dst, ev.ttl);
         assert!(ev.cause.is_some(), "unattributed cause on probe to {} ttl {}", ev.dst, ev.ttl);
     }
     assert_eq!(events.len() as u64, report.total_probes, "one event per wire probe");
@@ -64,7 +64,7 @@ fn heuristic_causes_show_up_in_a_multiaccess_exploration() {
     assert!(snap.sent_for(obs::Cause::H2) > 0, "{}", snap.render_table());
     assert!(snap.sent_for(obs::Cause::H3) > 0, "{}", snap.render_table());
     // Events in the explore phase are exactly the heuristic-caused ones.
-    let explore_events = events.iter().filter(|e| e.phase == Some(Phase::Explore)).count() as u64;
+    let explore_events = events.iter().filter(|e| e.phase() == Some(Phase::Explore)).count() as u64;
     assert_eq!(explore_events, snap.sent_in(Phase::Explore));
 }
 

@@ -29,8 +29,6 @@ pub enum DecisionVerdict {
     /// A heuristic fired and exploration stopped, shrinking the subnet
     /// back one prefix level (`cause` names the heuristic).
     StoppedAndShrunk,
-    /// The subject was designated the hop's pivot address.
-    Pivot,
     /// Positioning concluded the hop is on the probing path.
     OnPath,
     /// Positioning concluded the hop is off-path.
@@ -58,12 +56,11 @@ pub enum DecisionVerdict {
 
 impl DecisionVerdict {
     /// Every verdict, in declaration order.
-    pub const ALL: [DecisionVerdict; 15] = [
+    pub const ALL: [DecisionVerdict; 14] = [
         DecisionVerdict::Accepted,
         DecisionVerdict::AcceptedContraPivot,
         DecisionVerdict::Rejected,
         DecisionVerdict::StoppedAndShrunk,
-        DecisionVerdict::Pivot,
         DecisionVerdict::OnPath,
         DecisionVerdict::OffPath,
         DecisionVerdict::CacheHit,
@@ -83,7 +80,6 @@ impl DecisionVerdict {
             DecisionVerdict::AcceptedContraPivot => "accepted_contra_pivot",
             DecisionVerdict::Rejected => "rejected",
             DecisionVerdict::StoppedAndShrunk => "stopped_and_shrunk",
-            DecisionVerdict::Pivot => "pivot",
             DecisionVerdict::OnPath => "on_path",
             DecisionVerdict::OffPath => "off_path",
             DecisionVerdict::CacheHit => "cache_hit",
@@ -100,6 +96,21 @@ impl DecisionVerdict {
     /// Parses a [`DecisionVerdict::label`] rendering.
     pub fn from_label(s: &str) -> Option<DecisionVerdict> {
         DecisionVerdict::ALL.into_iter().find(|v| v.label() == s)
+    }
+
+    /// The phase of a decision that names no cause: the trace's own
+    /// verdicts on a hop, exploration's clean pass and growth stops, and
+    /// none for a hop's degradation, which spans every phase.
+    fn phase_without_cause(self) -> Option<Phase> {
+        match self {
+            DecisionVerdict::Repeated | DecisionVerdict::CacheHit | DecisionVerdict::CacheSkip => {
+                Some(Phase::Trace)
+            }
+            DecisionVerdict::Accepted
+            | DecisionVerdict::Underutilized
+            | DecisionVerdict::Collected => Some(Phase::Explore),
+            _ => None,
+        }
     }
 }
 
@@ -118,9 +129,9 @@ pub struct DecisionEvent {
     /// Hop number (1-based TTL) the decision belongs to, 0 when the
     /// emitting code has no hop in scope.
     pub hop: u8,
-    /// The session phase the decision was made in.
-    pub phase: Option<Phase>,
-    /// The algorithm step or heuristic that produced the verdict.
+    /// The algorithm step or heuristic that produced the verdict. The
+    /// decision's phase follows from it, or from the verdict when there
+    /// is none ([`DecisionEvent::phase`]).
     pub cause: Option<Cause>,
     /// The address the verdict is about (candidate member, pivot, hop
     /// address), when one exists.
@@ -133,6 +144,15 @@ pub struct DecisionEvent {
 }
 
 impl DecisionEvent {
+    /// The session phase the decision was made in: its cause's, or with
+    /// no cause the verdict's — `repeated`, `cache_hit` and `cache_skip`
+    /// are the trace's, `accepted`, `underutilized` and `collected`
+    /// exploration's, and the rest (a hop's `degraded` or `abandoned`)
+    /// belong to none.
+    pub fn phase(&self) -> Option<Phase> {
+        self.cause.map_or_else(|| self.verdict.phase_without_cause(), |c| Some(c.phase()))
+    }
+
     /// Appends the decision's JSONL line, without the newline, to `out`.
     /// The leading `"type": "decision"` key distinguishes it from probe
     /// lines in an exchange log.
@@ -141,8 +161,9 @@ impl DecisionEvent {
     /// for the same fields as a `Value` (integers above 2^53 aside,
     /// which the shim rounds and this prints exactly): keys `type`,
     /// `session`, `hop`, `phase`, `cause`, `subject`, `verdict`,
-    /// `evidence` in that order, `null` for absent values, and the
-    /// evidence escaped like the shim's strings. The fields before the
+    /// `evidence` in that order, `null` for absent values, `phase` as
+    /// [`DecisionEvent::phase`], and the evidence escaped like the
+    /// shim's strings. The fields before the
     /// evidence are put together on the stack and appended in one copy;
     /// nothing is allocated beyond the growth of `out`.
     pub fn write_line(&self, out: &mut String) {
@@ -157,7 +178,7 @@ impl DecisionEvent {
         f.raw(",\"hop\":");
         f.uint(self.hop.into());
         f.raw(",\"phase\":");
-        f.opt_label(self.phase.map(Phase::label));
+        f.opt_label(self.phase().map(Phase::label));
         f.raw(",\"cause\":");
         f.opt_label(self.cause.map(Cause::label));
         f.raw(",\"subject\":");
@@ -173,7 +194,8 @@ impl DecisionEvent {
     /// Reads a decision back from its [`DecisionEvent::write_line`]
     /// rendering, on the same terms as [`ProbeEvent::read_line`]: keys
     /// in any order, a missing key read as `null`, the first of
-    /// duplicate keys winning. Evidence that is not a string reads as
+    /// duplicate keys winning, and a logged phase that contradicts the
+    /// derived one refused. Evidence that is not a string reads as
     /// empty.
     ///
     /// [`ProbeEvent::read_line`]: crate::ProbeEvent::read_line
@@ -214,7 +236,9 @@ impl DecisionEvent {
             Field::Str(evidence) => evidence.into_owned(),
             _ => String::new(),
         };
-        Ok(DecisionEvent { session, hop: hop as u8, phase, cause, subject, verdict, evidence })
+        let decision = DecisionEvent { session, hop: hop as u8, cause, subject, verdict, evidence };
+        read::check_phase(phase, decision.phase())?;
+        Ok(decision)
     }
 }
 
@@ -225,7 +249,7 @@ impl DecisionEvent {
 impl fmt::Display for DecisionEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str("[")?;
-        f.write_str(self.phase.map_or("-", Phase::label))?;
+        f.write_str(self.phase().map_or("-", Phase::label))?;
         if let Some(cause) = self.cause {
             write!(f, "/{}", cause.label())?;
         }
@@ -260,7 +284,6 @@ mod tests {
         DecisionEvent {
             session: Some(2),
             hop: 4,
-            phase: Some(Phase::Explore),
             cause: Some(Cause::H6),
             subject: Some("10.0.3.7".parse().unwrap()),
             verdict: DecisionVerdict::StoppedAndShrunk,
@@ -276,10 +299,9 @@ mod tests {
         let bare = DecisionEvent {
             session: None,
             hop: 0,
-            phase: None,
             cause: None,
             subject: None,
-            verdict: DecisionVerdict::Collected,
+            verdict: DecisionVerdict::Degraded,
             evidence: String::new(),
         };
         assert_eq!(read(&value(&bare)).unwrap(), bare);
@@ -303,6 +325,19 @@ mod tests {
         let mut v = value(&sample());
         v["cause"] = json!("h99");
         assert!(read(&v).unwrap_err().contains("cause"));
+
+        let mut v = value(&sample());
+        v["phase"] = json!("trace");
+        assert_eq!(read(&v).unwrap_err(), "phase: logged as trace, derived as explore");
+        v["cause"] = Value::Null;
+        v["verdict"] = json!("cache_hit");
+        assert!(read(&v).is_ok(), "a cache hit without a cause is the trace's");
+        v["verdict"] = json!("abandoned");
+        assert_eq!(read(&v).unwrap_err(), "phase: logged as trace, derived as null");
+
+        let mut v = value(&sample());
+        v["verdict"] = json!("pivot");
+        assert_eq!(read(&v).unwrap_err(), "verdict: unknown value \"pivot\"");
     }
 
     #[test]
@@ -312,12 +347,45 @@ mod tests {
             "[explore/h6] stopped_and_shrunk 10.0.3.7: stranger 10.0.3.7 expired the probe: \
              fixed entry point violated"
         );
-        let bare = DecisionEvent { phase: None, cause: None, subject: None, ..sample() };
+        let bare = DecisionEvent { cause: None, subject: None, ..sample() };
         assert_eq!(
             bare.to_string(),
             "[-] stopped_and_shrunk -: stranger 10.0.3.7 expired the probe: fixed entry point \
              violated"
         );
+        let collected = DecisionEvent { verdict: DecisionVerdict::Collected, ..bare };
+        assert!(collected.to_string().starts_with("[explore] collected -: "));
+    }
+
+    /// Every (cause, verdict) pair the collection pipeline records, and
+    /// the phase each is filed under.
+    #[test]
+    fn every_recorded_pair_has_its_phase() {
+        use DecisionVerdict::*;
+        let trace = [(None, Repeated), (None, CacheHit), (None, CacheSkip)];
+        let position = [OnPath, OffPath, Rejected].map(|v| (Some(Cause::PivotDesignation), v));
+        let explore = [
+            (Some(Cause::H1), StoppedAndShrunk),
+            (Some(Cause::H2), StoppedAndShrunk),
+            (Some(Cause::H2), Rejected),
+            (Some(Cause::H3), StoppedAndShrunk),
+            (Some(Cause::H3), AcceptedContraPivot),
+            (Some(Cause::H4), StoppedAndShrunk),
+            (Some(Cause::H5), Accepted),
+            (Some(Cause::H6), StoppedAndShrunk),
+            (Some(Cause::H7), StoppedAndShrunk),
+            (Some(Cause::H8), StoppedAndShrunk),
+            (Some(Cause::H9), BoundaryReduced),
+            (None, Accepted),
+            (None, Underutilized),
+            (None, Collected),
+        ];
+        let hop = [(None, Degraded), (None, Abandoned)];
+        let phase = |(cause, verdict)| DecisionEvent { cause, verdict, ..sample() }.phase();
+        assert!(trace.into_iter().all(|p| phase(p) == Some(Phase::Trace)));
+        assert!(position.into_iter().all(|p| phase(p) == Some(Phase::Position)));
+        assert!(explore.into_iter().all(|p| phase(p) == Some(Phase::Explore)));
+        assert!(hop.into_iter().all(|p| phase(p).is_none()));
     }
 
     #[test]

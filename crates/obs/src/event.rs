@@ -477,9 +477,8 @@ pub struct ProbeEvent {
     /// What came back for this attempt: its kind, the replying address
     /// and, for an unreachable, its flavour.
     pub outcome: ProbeOutcome,
-    /// Originating phase, if the probe was sent inside a session phase.
-    pub phase: Option<Phase>,
-    /// Originating algorithm step or heuristic, if attributed.
+    /// Originating algorithm step or heuristic, if attributed. The
+    /// probe's phase follows from it ([`ProbeEvent::phase`]).
     pub cause: Option<Cause>,
     /// Why a [`ProbeOutcome::Timeout`] attempt drew nothing, when known.
     /// `None` for replies and for probers that cannot attribute silence.
@@ -504,6 +503,12 @@ pub(crate) fn protocol_from_label(s: &str) -> Option<Protocol> {
 }
 
 impl ProbeEvent {
+    /// The session phase the probe was sent in: its cause's, none for an
+    /// unattributed probe.
+    pub fn phase(&self) -> Option<Phase> {
+        self.cause.map(Cause::phase)
+    }
+
     /// Appends the event's JSONL line, without the newline, to `out`.
     ///
     /// The bytes are exactly what the vendored `serde_json` shim prints
@@ -512,7 +517,8 @@ impl ProbeEvent {
     /// `session`, `vantage`, `dst`, `ttl`, `proto`, `flow`, `attempt`,
     /// `outcome`, `from`, `phase`, `cause`, `timeout_cause`, `unreach`
     /// in that order, `null` for absent values; `outcome`, `from` and
-    /// `unreach` are the outcome's kind, source and unreachable flavour. The line is put together
+    /// `unreach` are the outcome's kind, source and unreachable flavour,
+    /// and `phase` is [`ProbeEvent::phase`]. The line is put together
     /// on the stack and appended in one copy; nothing is allocated
     /// beyond the growth of `out`.
     pub fn write_line(&self, out: &mut String) {
@@ -543,7 +549,7 @@ impl ProbeEvent {
         f.raw(",\"from\":");
         f.opt_addr(self.outcome.source());
         f.raw(",\"phase\":");
-        f.opt_label(self.phase.map(Phase::label));
+        f.opt_label(self.phase().map(Phase::label));
         f.raw(",\"cause\":");
         f.opt_label(self.cause.map(Cause::label));
         f.raw(",\"timeout_cause\":");
@@ -570,7 +576,8 @@ impl ProbeEvent {
 
     /// The event a line's members describe. Fields are checked in a
     /// fixed order, so a line with several bad fields always names the
-    /// same one; the outcome's fields are checked together, last.
+    /// same one; the outcome's fields are checked together, and last
+    /// the logged phase against the one the cause gives.
     pub(crate) fn from_line(line: &Line<'_>) -> Result<ProbeEvent, String> {
         fn addr(f: &Field<'_>, what: &str) -> Result<Addr, String> {
             f.as_str()
@@ -603,7 +610,7 @@ impl ProbeEvent {
             Field::Null => None,
             s => Some(num(s, "session", u64::MAX)?),
         };
-        Ok(ProbeEvent {
+        let event = ProbeEvent {
             tick: num(&line[Key::Tick], "tick", u64::MAX)?,
             session,
             vantage: addr(&line[Key::Vantage], "vantage")?,
@@ -614,10 +621,11 @@ impl ProbeEvent {
             flow: num(&line[Key::Flow], "flow", u16::MAX as u64)? as u16,
             attempt: num(&line[Key::Attempt], "attempt", u8::MAX as u64)? as u8,
             outcome: ProbeOutcome::from_fields(outcome_label, from, unreach)?,
-            phase,
             cause,
             timeout_cause,
-        })
+        };
+        read::check_phase(phase, event.phase())?;
+        Ok(event)
     }
 }
 
@@ -653,7 +661,6 @@ mod tests {
             flow: 0,
             attempt: 1,
             outcome: ProbeOutcome::TtlExceeded { from: a("10.0.3.1") },
-            phase: Some(Phase::Explore),
             cause: Some(Cause::H4),
             timeout_cause: None,
         }
@@ -673,7 +680,7 @@ mod tests {
         let ev = sample();
         assert_eq!(read(&value(&ev)).unwrap(), ev);
 
-        let bare = ProbeEvent { phase: None, cause: None, session: None, ..sample() };
+        let bare = ProbeEvent { cause: None, session: None, ..sample() };
         assert_eq!(read(&value(&bare)).unwrap(), bare);
 
         let timed_out = ProbeEvent {
@@ -719,6 +726,16 @@ mod tests {
         let mut v = value(&sample());
         v["phase"] = serde_json::json!("warp");
         assert!(read(&v).unwrap_err().contains("phase"));
+
+        let mut v = value(&sample());
+        assert_eq!(v["phase"], "explore", "an H4 probe is an exploration probe");
+        v["phase"] = serde_json::json!("position");
+        assert_eq!(read(&v).unwrap_err(), "phase: logged as position, derived as explore");
+        v["phase"] = Value::Null;
+        assert_eq!(read(&v).unwrap_err(), "phase: logged as null, derived as explore");
+        let mut v = value(&ProbeEvent { cause: None, ..sample() });
+        v["phase"] = serde_json::json!("trace");
+        assert_eq!(read(&v).unwrap_err(), "phase: logged as trace, derived as null");
 
         let mut v = value(&sample());
         v["timeout_cause"] = serde_json::json!("gremlins");

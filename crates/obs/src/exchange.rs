@@ -570,7 +570,7 @@ impl<'a> ExchangeLog<'a> {
 mod tests {
     use super::*;
     use crate::decision::DecisionVerdict;
-    use crate::event::{Phase, ProbeOutcome};
+    use crate::event::{Cause, ProbeOutcome};
     use crate::sink::SinkHandle;
 
     fn header() -> ExchangeHeader {
@@ -595,8 +595,7 @@ mod tests {
             flow: 0,
             attempt: 0,
             outcome: ProbeOutcome::TtlExceeded { from: "10.0.1.1".parse().unwrap() },
-            phase: Some(Phase::Trace),
-            cause: None,
+            cause: Some(Cause::TraceCollection),
             timeout_cause: None,
         }
     }
@@ -639,7 +638,6 @@ mod tests {
         DecisionEvent {
             session: Some(session),
             hop: 1,
-            phase: Some(Phase::Explore),
             cause: None,
             subject: None,
             verdict: DecisionVerdict::Collected,
@@ -900,7 +898,8 @@ mod tests {
     /// run, and its lookups walk both, each to its own end.
     #[test]
     fn a_long_stretch_of_one_session_is_split_into_runs() {
-        let decision = r#"{"type":"decision","session":0,"hop":1,"verdict":"collected"}"#;
+        let decision =
+            r#"{"type":"decision","session":0,"hop":1,"phase":"explore","verdict":"collected"}"#;
         let mut text = format!("{}\n{}\n", header().to_json(), probe_line(&ev(0, 8)));
         for _ in 0..Run::MAX_LINES + 2 {
             text.push_str(decision);

@@ -127,7 +127,7 @@ impl LineOut for Vec<u8> {
 mod tests {
     use wire::Protocol;
 
-    use crate::{Cause, DecisionEvent, DecisionVerdict, Phase, ProbeEvent, ProbeOutcome};
+    use crate::{Cause, DecisionEvent, DecisionVerdict, ProbeEvent, ProbeOutcome};
     use crate::{TimeoutCause, UnreachReason};
 
     fn longest<T: Copy>(all: &[T], label: fn(T) -> &'static str) -> T {
@@ -153,7 +153,6 @@ mod tests {
                 from: wide,
                 kind: longest(&UnreachReason::ALL, UnreachReason::label),
             },
-            phase: Some(longest(&Phase::ALL, Phase::label)),
             cause: Some(longest(&Cause::ALL, Cause::label)),
             timeout_cause: Some(longest(&TimeoutCause::ALL, TimeoutCause::label)),
         };
@@ -164,7 +163,6 @@ mod tests {
         let decision = DecisionEvent {
             session: Some(u64::MAX),
             hop: u8::MAX,
-            phase: Some(longest(&Phase::ALL, Phase::label)),
             cause: Some(longest(&Cause::ALL, Cause::label)),
             subject: Some(wide),
             verdict: longest(&DecisionVerdict::ALL, DecisionVerdict::label),

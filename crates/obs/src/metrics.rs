@@ -72,7 +72,7 @@ impl Registry {
     /// Records one wire attempt. Called by [`crate::Recorder::record`];
     /// exposed for tools that replay a JSONL log into fresh metrics.
     pub fn record(&self, event: &ProbeEvent) {
-        let slot = phase_slot(event.phase);
+        let slot = phase_slot(event.phase());
         self.sent[slot].fetch_add(1, Ordering::Relaxed);
         if event.attempt > 0 {
             self.retries[slot].fetch_add(1, Ordering::Relaxed);
@@ -250,7 +250,7 @@ mod tests {
     use super::*;
     use wire::Protocol;
 
-    fn ev(phase: Option<Phase>, cause: Option<Cause>, ttl: u8, attempt: u8) -> ProbeEvent {
+    fn ev(cause: Option<Cause>, ttl: u8, attempt: u8) -> ProbeEvent {
         ProbeEvent {
             tick: 0,
             session: None,
@@ -265,7 +265,6 @@ mod tests {
             } else {
                 ProbeOutcome::DirectReply { from: "10.0.9.6".parse().unwrap() }
             },
-            phase,
             cause,
             timeout_cause: if attempt > 0 { Some(TimeoutCause::PolicySilence) } else { None },
         }
@@ -274,10 +273,10 @@ mod tests {
     #[test]
     fn counters_accumulate_by_phase_and_cause() {
         let reg = Registry::new();
-        reg.record(&ev(Some(Phase::Trace), Some(Cause::TraceCollection), 3, 0));
-        reg.record(&ev(Some(Phase::Trace), Some(Cause::TraceCollection), 3, 1));
-        reg.record(&ev(Some(Phase::Explore), Some(Cause::H2), 5, 0));
-        reg.record(&ev(None, None, 9, 0));
+        reg.record(&ev(Some(Cause::TraceCollection), 3, 0));
+        reg.record(&ev(Some(Cause::TraceCollection), 3, 1));
+        reg.record(&ev(Some(Cause::H2), 5, 0));
+        reg.record(&ev(None, 9, 0));
 
         let snap = reg.snapshot();
         assert_eq!(snap.sent_in(Phase::Trace), 2);
@@ -294,8 +293,8 @@ mod tests {
     #[test]
     fn timeout_causes_accumulate_and_render() {
         let reg = Registry::new();
-        reg.record(&ev(Some(Phase::Trace), None, 3, 1));
-        let mut lost = ev(Some(Phase::Explore), None, 5, 0);
+        reg.record(&ev(Some(Cause::TraceCollection), 3, 1));
+        let mut lost = ev(Some(Cause::H2), 5, 0);
         lost.outcome = ProbeOutcome::Timeout;
         lost.timeout_cause = Some(TimeoutCause::ForwardLoss);
         reg.record(&lost);
@@ -325,7 +324,7 @@ mod tests {
     #[test]
     fn snapshot_json_has_expected_shape() {
         let reg = Registry::new();
-        reg.record(&ev(Some(Phase::Position), Some(Cause::DistanceSearch), 4, 0));
+        reg.record(&ev(Some(Cause::DistanceSearch), 4, 0));
         let v = reg.snapshot().to_json();
         assert_eq!(v["total_sent"], 1u64);
         assert_eq!(v["phases"]["position"]["sent"], 1u64);
@@ -337,7 +336,7 @@ mod tests {
     #[test]
     fn render_table_lists_phases_and_causes() {
         let reg = Registry::new();
-        reg.record(&ev(Some(Phase::Explore), Some(Cause::H5), 6, 0));
+        reg.record(&ev(Some(Cause::H5), 6, 0));
         let table = reg.snapshot().render_table();
         assert!(table.contains("explore"), "{table}");
         assert!(table.contains("h5"), "{table}");

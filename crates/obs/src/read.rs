@@ -20,6 +20,8 @@ use std::ops::Index;
 
 use serde_json::{RawJson, Token, Tokenizer, Value};
 
+use crate::event::Phase;
+
 /// The value of one top-level member.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub(crate) enum Field<'a> {
@@ -220,6 +222,16 @@ pub(crate) fn opt_label<T>(
         Some(t) => Ok(Some(t)),
         None => Err(format!("{what}: unknown value {field}")),
     }
+}
+
+/// Checks a line's logged phase against the one its other fields
+/// derive: the phase is written for readers, never read as a fact.
+pub(crate) fn check_phase(logged: Option<Phase>, derived: Option<Phase>) -> Result<(), String> {
+    if logged == derived {
+        return Ok(());
+    }
+    let label = |p: Option<Phase>| p.map_or("null", Phase::label);
+    Err(format!("phase: logged as {}, derived as {}", label(logged), label(derived)))
 }
 
 #[cfg(test)]

@@ -2,8 +2,10 @@
 
 use std::sync::Arc;
 
+use inet::Addr;
+
 use crate::ctx;
-use crate::decision::DecisionEvent;
+use crate::decision::{DecisionEvent, DecisionVerdict};
 use crate::event::{Cause, ProbeEvent};
 use crate::metrics::Registry;
 use crate::sink::SinkHandle;
@@ -17,9 +19,9 @@ use crate::sink::SinkHandle;
 /// instrumented hot path costs a single branch.
 ///
 /// The recorder stamps each probe event with the thread's current
-/// [`ctx`] cause and that cause's phase — event-building closures leave
-/// `phase` and `cause` as `None`. Decisions carry their own attribution;
-/// the recorder adds only the session tag.
+/// [`ctx`] cause — event-building closures leave `cause` as `None` — and
+/// the event's phase follows from that cause. Decisions are built by
+/// [`Recorder::decide`] from the attribution its caller names.
 #[derive(Clone, Debug, Default)]
 pub struct Recorder {
     sink: SinkHandle,
@@ -66,8 +68,7 @@ impl Recorder {
 
     /// Records one wire attempt. `build` runs only when an observer is
     /// attached; the recorder stamps the event with the thread's
-    /// current cause, and the phase that cause belongs to, before
-    /// dispatching it.
+    /// current cause before dispatching it.
     #[inline]
     pub fn record(&self, build: impl FnOnce() -> ProbeEvent) {
         if !self.is_enabled() {
@@ -75,7 +76,6 @@ impl Recorder {
         }
         let mut event = build();
         event.cause = ctx::current();
-        event.phase = event.cause.map(Cause::phase);
         event.session = self.session;
         if let Some(metrics) = &self.metrics {
             metrics.record(&event);
@@ -83,16 +83,32 @@ impl Recorder {
         self.sink.emit(&event);
     }
 
-    /// Records one pipeline decision. `build` runs only when a sink is
-    /// attached and names the decision's own phase and cause; the
-    /// recorder stamps the session tag before dispatching. Decisions
-    /// feed sinks only — the metrics registry counts wire traffic.
-    pub fn record_decision(&self, build: impl FnOnce() -> DecisionEvent) {
+    /// Records one pipeline decision at trace hop `hop`: the step or
+    /// heuristic that reached it, the address it is about, and what was
+    /// concluded. The event, and with it the `evidence` text, is built
+    /// only when a sink is attached, and carries this recorder's
+    /// session. Decisions feed sinks only — the metrics registry counts
+    /// wire traffic.
+    #[inline]
+    pub fn decide(
+        &self,
+        hop: u8,
+        cause: Option<Cause>,
+        subject: Option<Addr>,
+        verdict: DecisionVerdict,
+        evidence: impl FnOnce() -> String,
+    ) {
         if !self.sink.is_enabled() {
             return;
         }
-        let mut decision = build();
-        decision.session = self.session;
+        let decision = DecisionEvent {
+            session: self.session,
+            hop,
+            cause,
+            subject,
+            verdict,
+            evidence: evidence(),
+        };
         self.sink.emit_decision(&decision);
     }
 
@@ -120,7 +136,6 @@ mod tests {
             flow: 0,
             attempt: 0,
             outcome: ProbeOutcome::DirectReply { from: "10.0.9.6".parse().unwrap() },
-            phase: None,
             cause: None,
             timeout_cause: None,
         }
@@ -150,9 +165,9 @@ mod tests {
 
         let events = reader.events();
         assert_eq!(events.len(), 2);
-        assert_eq!(events[0].phase, Some(Phase::Explore));
+        assert_eq!(events[0].phase(), Some(Phase::Explore));
         assert_eq!(events[0].cause, Some(Cause::H3));
-        assert_eq!(events[1].phase, None);
+        assert_eq!(events[1].phase(), None);
         let snap = metrics.snapshot();
         assert_eq!(snap.sent_in(Phase::Explore), 1);
         assert_eq!(snap.sent_unattributed(), 1);
@@ -169,8 +184,6 @@ mod tests {
 
     #[test]
     fn session_tag_stamps_probes_and_decisions() {
-        use crate::decision::{DecisionEvent, DecisionVerdict};
-
         let sink = VecSink::new();
         let reader = sink.clone();
         let recorder = Recorder::new().with_sink(SinkHandle::new(sink)).with_session(5);
@@ -178,28 +191,38 @@ mod tests {
         recorder.record(ev);
         {
             let _c = crate::cause_scope(Cause::H2);
-            recorder.record_decision(|| DecisionEvent {
-                session: None,
-                hop: 2,
-                phase: None,
-                cause: Some(Cause::OnPathCheck),
-                subject: None,
-                verdict: DecisionVerdict::OnPath,
-                evidence: String::new(),
+            recorder.decide(2, Some(Cause::OnPathCheck), None, DecisionVerdict::OnPath, || {
+                "on path".to_string()
             });
         }
 
         assert_eq!(reader.events()[0].session, Some(5));
         let decisions = reader.decisions();
         assert_eq!(decisions[0].session, Some(5));
-        assert_eq!(decisions[0].phase, None, "a decision names its own phase");
         assert_eq!(decisions[0].cause, Some(Cause::OnPathCheck), "the ambient cause is not read");
+        assert_eq!(decisions[0].phase(), Some(Phase::Position));
+        assert_eq!((decisions[0].hop, decisions[0].evidence.as_str()), (2, "on path"));
     }
 
     #[test]
-    fn decisions_need_a_sink_not_metrics() {
-        let metrics = Arc::new(Registry::new());
-        let recorder = Recorder::new().with_metrics(Arc::clone(&metrics));
-        recorder.record_decision(|| unreachable!("no sink: closure must not run"));
+    fn evidence_is_built_only_when_a_sink_records() {
+        use std::cell::Cell;
+
+        let built = Cell::new(0);
+        let evidence = || {
+            built.set(built.get() + 1);
+            "mate expires".to_string()
+        };
+        let decide = |recorder: &Recorder| {
+            recorder.decide(3, Some(Cause::H7), None, DecisionVerdict::StoppedAndShrunk, evidence)
+        };
+        decide(&Recorder::disabled());
+        decide(&Recorder::new().with_metrics(Arc::new(Registry::new())));
+        assert_eq!(built.get(), 0, "no sink, so no evidence is formatted");
+
+        let sink = VecSink::new();
+        decide(&Recorder::new().with_sink(SinkHandle::new(sink.clone())));
+        assert_eq!(built.get(), 1);
+        assert_eq!(sink.decisions()[0].evidence, "mate expires");
     }
 }

@@ -160,7 +160,7 @@ impl std::fmt::Debug for SinkHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{Phase, ProbeEvent, ProbeOutcome};
+    use crate::event::{ProbeEvent, ProbeOutcome};
     use wire::Protocol;
 
     fn ev(ttl: u8) -> ProbeEvent {
@@ -174,7 +174,6 @@ mod tests {
             flow: 0,
             attempt: 0,
             outcome: ProbeOutcome::DirectReply { from: "10.0.9.6".parse().unwrap() },
-            phase: Some(Phase::Trace),
             cause: None,
             timeout_cause: None,
         }
@@ -184,7 +183,6 @@ mod tests {
         DecisionEvent {
             session: None,
             hop: 1,
-            phase: Some(Phase::Explore),
             cause: None,
             subject: None,
             verdict: crate::decision::DecisionVerdict::Collected,

@@ -7,7 +7,7 @@ use std::sync::{Arc, Mutex};
 
 use inet::Addr;
 use obs::{
-    Cause, Entry, ExchangeHeader, ExchangeLog, ExchangeReader, ExchangeSink, ExchangeWriter, Phase,
+    Cause, Entry, ExchangeHeader, ExchangeLog, ExchangeReader, ExchangeSink, ExchangeWriter,
     ProbeEvent, ProbeOutcome, Recorder, Registry, SinkHandle, FORMAT_VERSION,
 };
 use wire::Protocol;
@@ -34,8 +34,7 @@ fn event(session: u64, n: u64) -> ProbeEvent {
         flow: (mix % 7) as u16,
         attempt: (n % 2) as u8,
         outcome: ProbeOutcome::TtlExceeded { from: Addr::from_u32(0x0a0a_0a0a) },
-        phase: None, // attribution comes from the ambient cause scope
-        cause: None,
+        cause: None, // attribution comes from the ambient cause scope
         timeout_cause: None,
     }
 }
@@ -96,7 +95,6 @@ fn concurrent_writers_tear_no_lines_and_agree_with_the_registry() {
         for (n, ev) in events.iter().enumerate() {
             let mut expected = event(session, n as u64);
             expected.session = Some(session);
-            expected.phase = Some(Phase::Trace);
             expected.cause = Some(Cause::TraceCollection);
             assert_eq!(*ev, expected, "session {session} event {n}");
         }

@@ -41,7 +41,7 @@ fn probe_oracle(e: &ProbeEvent) -> Value {
         "attempt": e.attempt,
         "outcome": outcome,
         "from": from.map(|a| a.to_string()),
-        "phase": e.phase.map(Phase::label),
+        "phase": e.phase().map(Phase::label),
         "cause": e.cause.map(Cause::label),
         "timeout_cause": e.timeout_cause.map(TimeoutCause::label),
         "unreach": unreach.map(UnreachReason::label),
@@ -54,7 +54,7 @@ fn decision_oracle(d: &DecisionEvent) -> Value {
         "type": "decision",
         "session": d.session,
         "hop": d.hop,
-        "phase": d.phase.map(Phase::label),
+        "phase": d.phase().map(Phase::label),
         "cause": d.cause.map(Cause::label),
         "subject": d.subject.map(|a| a.to_string()),
         "verdict": d.verdict.label(),
@@ -138,7 +138,6 @@ impl Strategy for AnyProbe {
             flow: r.next_u64() as u16,
             attempt: r.next_u64() as u8,
             outcome: outcome(r),
-            phase: maybe(r, |r| pick(r, &Phase::ALL)),
             cause: maybe(r, |r| pick(r, &Cause::ALL)),
             timeout_cause: maybe(r, |r| pick(r, &TimeoutCause::ALL)),
         }
@@ -153,7 +152,6 @@ impl Strategy for AnyDecision {
         DecisionEvent {
             session: maybe(r, int),
             hop: r.next_u64() as u8,
-            phase: maybe(r, |r| pick(r, &Phase::ALL)),
             cause: maybe(r, |r| pick(r, &Cause::ALL)),
             subject: maybe(r, addr),
             verdict: pick(r, &DecisionVerdict::ALL),
@@ -203,14 +201,6 @@ fn every_variant_renders_like_the_oracle() {
     for outcome in outcomes {
         assert_probe_renders_like_the_oracle(&ProbeEvent { outcome, ..AnyProbe.generate(&mut r) });
     }
-    for p in Phase::ALL {
-        let phase = Some(p);
-        assert_probe_renders_like_the_oracle(&ProbeEvent { phase, ..AnyProbe.generate(&mut r) });
-        assert_decision_renders_like_the_oracle(&DecisionEvent {
-            phase,
-            ..AnyDecision.generate(&mut r)
-        });
-    }
     for c in Cause::ALL {
         let cause = Some(c);
         assert_probe_renders_like_the_oracle(&ProbeEvent { cause, ..AnyProbe.generate(&mut r) });
@@ -227,10 +217,9 @@ fn every_variant_renders_like_the_oracle() {
         });
     }
     for verdict in DecisionVerdict::ALL {
-        assert_decision_renders_like_the_oracle(&DecisionEvent {
-            verdict,
-            ..AnyDecision.generate(&mut r)
-        });
+        let d = DecisionEvent { verdict, ..AnyDecision.generate(&mut r) };
+        assert_decision_renders_like_the_oracle(&DecisionEvent { cause: None, ..d.clone() });
+        assert_decision_renders_like_the_oracle(&d);
     }
     for b in 0..0x80u8 {
         let evidence = format!("<{}>", char::from(b));

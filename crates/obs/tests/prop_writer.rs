@@ -10,7 +10,7 @@ use std::io::{self, Write};
 use std::sync::{Arc, Mutex};
 
 use inet::Addr;
-use obs::{Cause, DecisionEvent, DecisionVerdict, ExchangeHeader, ExchangeWriter, Phase};
+use obs::{Cause, DecisionEvent, DecisionVerdict, ExchangeHeader, ExchangeWriter};
 use obs::{ProbeEvent, ProbeOutcome, TimeoutCause, UnreachReason, FORMAT_VERSION};
 use proptest::prelude::*;
 use serde_json::{json, Value};
@@ -98,7 +98,6 @@ fn probe(r: &mut TestRunner) -> ProbeEvent {
         flow: r.next_u64() as u16,
         attempt: r.next_u64() as u8,
         outcome: outcome(r),
-        phase: maybe(r, |r| pick(r, &Phase::ALL)),
         cause: maybe(r, |r| pick(r, &Cause::ALL)),
         timeout_cause: maybe(r, |r| pick(r, &TimeoutCause::ALL)),
     }
@@ -110,7 +109,6 @@ fn decision(r: &mut TestRunner) -> DecisionEvent {
     DecisionEvent {
         session: maybe(r, int),
         hop: r.next_u64() as u8,
-        phase: maybe(r, |r| pick(r, &Phase::ALL)),
         cause: maybe(r, |r| pick(r, &Cause::ALL)),
         subject: maybe(r, addr),
         verdict: pick(r, &DecisionVerdict::ALL),

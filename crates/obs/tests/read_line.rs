@@ -7,7 +7,7 @@
 //! what a full decode of the golden log, filtered by session, gives.
 
 use inet::Addr;
-use obs::{Cause, DecisionEvent, DecisionVerdict, Entry, ExchangeLog, ExchangeReader, Phase};
+use obs::{Cause, DecisionEvent, DecisionVerdict, Entry, ExchangeLog, ExchangeReader};
 use obs::{ProbeEvent, ProbeOutcome, TimeoutCause, UnreachReason};
 use proptest::prelude::*;
 use wire::Protocol;
@@ -42,6 +42,16 @@ mod oracle {
     pub fn decision(line: &str) -> Result<DecisionEvent, String> {
         let v = serde_json::from_str(line).map_err(|e| format!("not JSON: {e}"))?;
         decision_from_json(&v)
+    }
+
+    /// A line's logged phase must be the one its cause, or for a
+    /// decision without one its verdict, gives.
+    fn phase(logged: Option<Phase>, derived: Option<Phase>) -> Result<(), String> {
+        if logged == derived {
+            return Ok(());
+        }
+        let label = |p: Option<Phase>| p.map_or("null", Phase::label);
+        Err(format!("phase: logged as {}, derived as {}", label(logged), label(derived)))
     }
 
     /// The outcome a line's `outcome` label, `from` and `unreach` name:
@@ -103,7 +113,7 @@ mod oracle {
             v["outcome"].as_str().ok_or_else(|| "outcome: expected string".to_string())?;
         let proto_label =
             v["proto"].as_str().ok_or_else(|| "proto: expected string".to_string())?;
-        let phase = match &v["phase"] {
+        let logged_phase = match &v["phase"] {
             Value::Null => None,
             p => Some(
                 p.as_str()
@@ -143,7 +153,7 @@ mod oracle {
             Value::Null => None,
             s => Some(num(s, "session", u64::MAX)?),
         };
-        Ok(ProbeEvent {
+        let event = ProbeEvent {
             tick: num(&v["tick"], "tick", u64::MAX)?,
             session,
             vantage: addr(&v["vantage"], "vantage")?,
@@ -154,10 +164,11 @@ mod oracle {
             flow: num(&v["flow"], "flow", u16::MAX as u64)? as u16,
             attempt: num(&v["attempt"], "attempt", u8::MAX as u64)? as u8,
             outcome: outcome(outcome_label, from, unreach)?,
-            phase,
             cause,
             timeout_cause,
-        })
+        };
+        phase(logged_phase, cause.map(Cause::phase))?;
+        Ok(event)
     }
 
     fn decision_from_json(v: &Value) -> Result<DecisionEvent, String> {
@@ -169,7 +180,7 @@ mod oracle {
         if hop > u8::MAX as u64 {
             return Err(format!("hop: {hop} out of range"));
         }
-        let phase = match &v["phase"] {
+        let logged_phase = match &v["phase"] {
             Value::Null => None,
             p => Some(
                 p.as_str()
@@ -196,14 +207,21 @@ mod oracle {
         };
         let verdict_label =
             v["verdict"].as_str().ok_or_else(|| "verdict: expected string".to_string())?;
+        let verdict = DecisionVerdict::from_label(verdict_label)
+            .ok_or_else(|| format!("verdict: unknown value {verdict_label:?}"))?;
+        let derived = match (cause, verdict_label) {
+            (Some(cause), _) => Some(cause.phase()),
+            (None, "repeated" | "cache_hit" | "cache_skip") => Some(Phase::Trace),
+            (None, "accepted" | "underutilized" | "collected") => Some(Phase::Explore),
+            (None, _) => None,
+        };
+        phase(logged_phase, derived)?;
         Ok(DecisionEvent {
             session,
             hop: hop as u8,
-            phase,
             cause,
             subject,
-            verdict: DecisionVerdict::from_label(verdict_label)
-                .ok_or_else(|| format!("verdict: unknown value {verdict_label:?}"))?,
+            verdict,
             evidence: v["evidence"].as_str().unwrap_or_default().to_string(),
         })
     }
@@ -242,7 +260,6 @@ fn probe(r: &mut TestRunner) -> ProbeEvent {
         flow: r.next_u64() as u16,
         attempt: r.below(4) as u8,
         outcome: outcome(r),
-        phase: maybe(r, |r| pick(r, &Phase::ALL)),
         cause: maybe(r, |r| pick(r, &Cause::ALL)),
         timeout_cause: maybe(r, |r| pick(r, &TimeoutCause::ALL)),
     }
@@ -252,7 +269,6 @@ fn decision(r: &mut TestRunner) -> DecisionEvent {
     DecisionEvent {
         session: maybe(r, |r| r.below(2000)),
         hop: r.next_u64() as u8,
-        phase: maybe(r, |r| pick(r, &Phase::ALL)),
         cause: maybe(r, |r| pick(r, &Cause::ALL)),
         subject: maybe(r, addr),
         verdict: pick(r, &DecisionVerdict::ALL),

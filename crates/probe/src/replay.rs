@@ -227,7 +227,6 @@ mod tests {
             flow: 0,
             attempt,
             outcome,
-            phase: None,
             cause: None,
             timeout_cause: (outcome == ProbeOutcome::Timeout).then_some(TimeoutCause::ForwardLoss),
         }

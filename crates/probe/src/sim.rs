@@ -298,7 +298,6 @@ impl Prober for SimProber {
                 flow,
                 attempt,
                 outcome,
-                phase: None,
                 cause: None,
                 timeout_cause: cause,
             });
