@@ -7,8 +7,8 @@
 //! something each experiment recomputes:
 //!
 //! - [`event::ProbeEvent`] — one record per packet put on the wire, with
-//!   the originating phase, heuristic, and session (target index)
-//!   attached.
+//!   the originating step or heuristic and session (target index)
+//!   attached; its phase follows from the former.
 //! - [`decision::DecisionEvent`] — one record per algorithmic verdict of
 //!   the collection pipeline: which heuristic fired, on which address,
 //!   with what evidence. Its `Display` line is what `tnet explain` and
@@ -37,7 +37,9 @@
 //! - [`ctx`] — the thread-local cause that the collection algorithms
 //!   set and the probers' recorders read, so attribution needs no
 //!   signature changes through the `Prober` seam. A probe's phase is
-//!   its cause's ([`Cause::phase`]); a decision names its own.
+//!   its cause's ([`Cause::phase`]); a decision's is its cause's or, with
+//!   none, its verdict's. No event stores a phase, and the readers refuse
+//!   a line that logs another than the one derived.
 //! - [`Recorder`] — the handle probers and sessions carry: sink +
 //!   metrics + session tag bundled, free when disabled.
 //!
