@@ -268,14 +268,17 @@ fn index_of_a_concurrent_recording_decodes_like_a_full_decode() {
 }
 
 /// `explain` on the golden log prints exactly the checked-in text, for
-/// an on-path subnet and for one an H1 shrink cut back. The log path is
-/// relative because it is part of the output; cargo runs integration
-/// tests from the package root.
+/// an on-path subnet, for one an H1 shrink cut back, and for one whose
+/// pivot sits a hop beyond the trace hop that found it, so its
+/// exploration is filed under that trace hop. The log path is relative
+/// because it is part of the output; cargo runs integration tests from
+/// the package root.
 #[test]
 fn explain_of_the_golden_log_matches_the_checked_in_text() {
     for (prefix, file) in [
         ("10.40.0.0/29", "tests/golden/explain-10.40.0.0-29.txt"),
         ("10.32.0.4/30", "tests/golden/explain-10.32.0.4-30.txt"),
+        ("10.33.0.0/30", "tests/golden/explain-10.33.0.0-30.txt"),
     ] {
         let out = run(&["explain", "tests/golden/internet2-seed2010.jsonl", prefix])
             .expect("explain succeeds");
