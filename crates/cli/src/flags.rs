@@ -13,12 +13,8 @@ pub const FAULT_FLAGS: [&str; 5] =
 
 /// Parses `--protocol icmp|udp|tcp` (default ICMP).
 pub fn protocol(opts: &Opts) -> Result<Protocol, String> {
-    match opts.flag("protocol").unwrap_or("icmp") {
-        "icmp" => Ok(Protocol::Icmp),
-        "udp" => Ok(Protocol::Udp),
-        "tcp" => Ok(Protocol::Tcp),
-        other => Err(format!("unknown protocol {other:?} (icmp|udp|tcp)")),
-    }
+    let Some(label) = opts.flag("protocol") else { return Ok(Protocol::Icmp) };
+    Protocol::from_label(label).ok_or_else(|| format!("unknown protocol {label:?} (icmp|udp|tcp)"))
 }
 
 /// Parses `--retries` / `--backoff` into a retry policy. `--retries N`

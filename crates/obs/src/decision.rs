@@ -4,7 +4,7 @@
 //! Probe events say what went on the wire; decision events say what the
 //! algorithms concluded from it — which heuristic fired, on which
 //! address, with what evidence. Together they form the flight-recorder
-//! stream that `tnet explain` renders as an inference tree and that
+//! stream that `tracenet explain` renders as an inference tree and that
 //! lets a replayed run be audited without re-probing anything.
 
 use std::fmt;
@@ -13,91 +13,49 @@ use inet::Addr;
 
 use crate::event::{Cause, Phase};
 use crate::line::{self, Fixed, LineOut};
-use crate::read::{self, Field, Key, Line};
+use crate::read::{self, Field, Key, Line, LineType};
 
-/// What the pipeline concluded at one decision point.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum DecisionVerdict {
-    /// The subject address was admitted as a subnet member.
-    Accepted,
-    /// The subject was admitted as the subnet's single contra-pivot
-    /// (H3).
-    AcceptedContraPivot,
-    /// The subject was examined and rejected (no heuristic stopped the
-    /// growth; the address is just not a member).
-    Rejected,
-    /// A heuristic fired and exploration stopped, shrinking the subnet
-    /// back one prefix level (`cause` names the heuristic).
-    StoppedAndShrunk,
-    /// Positioning concluded the hop is on the probing path.
-    OnPath,
-    /// Positioning concluded the hop is off-path.
-    OffPath,
-    /// The hop was resolved from the cross-session subnet cache.
-    CacheHit,
-    /// The cross-session cache matched but reuse was declined.
-    CacheSkip,
-    /// The hop address already belonged to an earlier subnet;
-    /// exploration was skipped.
-    Repeated,
-    /// Exploration stopped growing because the subnet fell below half
-    /// utilization (§3.5).
-    Underutilized,
-    /// H9 boundary reduction halved the collected prefix.
-    BoundaryReduced,
-    /// Exploration finished and the subnet was collected as-is.
-    Collected,
-    /// The hop's observations were degraded by fault-attributed
-    /// timeouts (`evidence` carries the cause).
-    Degraded,
-    /// The per-hop fault budget tripped and the hop was abandoned.
-    Abandoned,
+labels! {
+    /// What the pipeline concluded at one decision point.
+    pub enum DecisionVerdict {
+        /// The subject address was admitted as a subnet member.
+        Accepted = "accepted",
+        /// The subject was admitted as the subnet's single contra-pivot
+        /// (H3).
+        AcceptedContraPivot = "accepted_contra_pivot",
+        /// The subject was examined and rejected (no heuristic stopped the
+        /// growth; the address is just not a member).
+        Rejected = "rejected",
+        /// A heuristic fired and exploration stopped, shrinking the subnet
+        /// back one prefix level (`cause` names the heuristic).
+        StoppedAndShrunk = "stopped_and_shrunk",
+        /// Positioning concluded the hop is on the probing path.
+        OnPath = "on_path",
+        /// Positioning concluded the hop is off-path.
+        OffPath = "off_path",
+        /// The hop was resolved from the cross-session subnet cache.
+        CacheHit = "cache_hit",
+        /// The cross-session cache matched but reuse was declined.
+        CacheSkip = "cache_skip",
+        /// The hop address already belonged to an earlier subnet;
+        /// exploration was skipped.
+        Repeated = "repeated",
+        /// Exploration stopped growing because the subnet fell below half
+        /// utilization (§3.5).
+        Underutilized = "underutilized",
+        /// H9 boundary reduction halved the collected prefix.
+        BoundaryReduced = "boundary_reduced",
+        /// Exploration finished and the subnet was collected as-is.
+        Collected = "collected",
+        /// The hop's observations were degraded by fault-attributed
+        /// timeouts (`evidence` carries the cause).
+        Degraded = "degraded",
+        /// The per-hop fault budget tripped and the hop was abandoned.
+        Abandoned = "abandoned",
+    }
 }
 
 impl DecisionVerdict {
-    /// Every verdict, in declaration order.
-    pub const ALL: [DecisionVerdict; 14] = [
-        DecisionVerdict::Accepted,
-        DecisionVerdict::AcceptedContraPivot,
-        DecisionVerdict::Rejected,
-        DecisionVerdict::StoppedAndShrunk,
-        DecisionVerdict::OnPath,
-        DecisionVerdict::OffPath,
-        DecisionVerdict::CacheHit,
-        DecisionVerdict::CacheSkip,
-        DecisionVerdict::Repeated,
-        DecisionVerdict::Underutilized,
-        DecisionVerdict::BoundaryReduced,
-        DecisionVerdict::Collected,
-        DecisionVerdict::Degraded,
-        DecisionVerdict::Abandoned,
-    ];
-
-    /// Stable snake_case label used in JSON.
-    pub fn label(self) -> &'static str {
-        match self {
-            DecisionVerdict::Accepted => "accepted",
-            DecisionVerdict::AcceptedContraPivot => "accepted_contra_pivot",
-            DecisionVerdict::Rejected => "rejected",
-            DecisionVerdict::StoppedAndShrunk => "stopped_and_shrunk",
-            DecisionVerdict::OnPath => "on_path",
-            DecisionVerdict::OffPath => "off_path",
-            DecisionVerdict::CacheHit => "cache_hit",
-            DecisionVerdict::CacheSkip => "cache_skip",
-            DecisionVerdict::Repeated => "repeated",
-            DecisionVerdict::Underutilized => "underutilized",
-            DecisionVerdict::BoundaryReduced => "boundary_reduced",
-            DecisionVerdict::Collected => "collected",
-            DecisionVerdict::Degraded => "degraded",
-            DecisionVerdict::Abandoned => "abandoned",
-        }
-    }
-
-    /// Parses a [`DecisionVerdict::label`] rendering.
-    pub fn from_label(s: &str) -> Option<DecisionVerdict> {
-        DecisionVerdict::ALL.into_iter().find(|v| v.label() == s)
-    }
-
     /// The phase of a decision that names no cause: the trace's own
     /// verdicts on a hop, exploration's clean pass and growth stops, and
     /// none for a hop's degradation, which spans every phase.
@@ -111,12 +69,6 @@ impl DecisionVerdict {
             | DecisionVerdict::Collected => Some(Phase::Explore),
             _ => None,
         }
-    }
-}
-
-impl fmt::Display for DecisionVerdict {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
     }
 }
 
@@ -172,23 +124,32 @@ impl DecisionEvent {
 
     /// Appends the line to either kind of destination.
     pub(crate) fn render(&self, out: &mut impl LineOut) {
-        let mut f = Fixed::new();
-        f.raw("{\"type\":\"decision\",\"session\":");
-        f.opt_uint(self.session);
-        f.raw(",\"hop\":");
+        let mut f = DecisionEvent::start();
+        f.key(Key::Session);
+        f.opt(self.session, Fixed::uint);
+        f.key(Key::Hop);
         f.uint(self.hop.into());
-        f.raw(",\"phase\":");
-        f.opt_label(self.phase().map(Phase::label));
-        f.raw(",\"cause\":");
-        f.opt_label(self.cause.map(Cause::label));
-        f.raw(",\"subject\":");
-        f.opt_addr(self.subject);
-        f.raw(",\"verdict\":");
+        f.key(Key::Phase);
+        f.opt(self.phase().map(Phase::label), Fixed::label);
+        f.key(Key::Cause);
+        f.opt(self.cause.map(Cause::label), Fixed::label);
+        f.key(Key::Subject);
+        f.opt(self.subject, Fixed::addr);
+        f.key(Key::Verdict);
         f.label(self.verdict.label());
-        f.raw(",\"evidence\":");
+        f.key(Key::Evidence);
         out.fixed(&f);
         line::string(out, &self.evidence);
         out.put("}");
+    }
+
+    /// How the writer opens a decision line: `{"type":"decision"`. No
+    /// probe line starts so, and a line that does is a decision line,
+    /// since the first of duplicate keys wins.
+    pub(crate) fn start() -> Fixed {
+        let mut f = Fixed::open(Key::Type);
+        f.label(LineType::Decision.label());
+        f
     }
 
     /// Reads a decision back from its [`DecisionEvent::write_line`]
@@ -208,35 +169,17 @@ impl DecisionEvent {
     /// The decision a line's members describe, its evidence moved out
     /// of the line.
     pub(crate) fn from_line(line: &mut Line<'_>) -> Result<DecisionEvent, String> {
-        let session = match &line[Key::Session] {
-            Field::Null => None,
-            s => Some(s.as_u64().ok_or_else(|| "session: expected unsigned integer".to_string())?),
-        };
-        let hop =
-            line[Key::Hop].as_u64().ok_or_else(|| "hop: expected unsigned integer".to_string())?;
-        if hop > u8::MAX as u64 {
-            return Err(format!("hop: {hop} out of range"));
-        }
-        let phase = read::opt_label(&line[Key::Phase], "phase", Phase::from_label)?;
-        let cause = read::opt_label(&line[Key::Cause], "cause", Cause::from_label)?;
-        let subject = match &line[Key::Subject] {
-            Field::Null => None,
-            s => Some(
-                s.as_str()
-                    .ok_or_else(|| "subject: expected string".to_string())?
-                    .parse()
-                    .map_err(|e| format!("subject: {e}"))?,
-            ),
-        };
-        let verdict_label =
-            line[Key::Verdict].as_str().ok_or_else(|| "verdict: expected string".to_string())?;
-        let verdict = DecisionVerdict::from_label(verdict_label)
-            .ok_or_else(|| format!("verdict: unknown value {verdict_label:?}"))?;
+        let session = line.opt_uint(Key::Session)?;
+        let hop = line.uint(Key::Hop, u8::MAX.into())? as u8;
+        let phase = line.opt_label(Key::Phase, Phase::from_label)?;
+        let cause = line.opt_label(Key::Cause, Cause::from_label)?;
+        let subject = line.opt_addr(Key::Subject)?;
+        let verdict = line.label(Key::Verdict, DecisionVerdict::from_label)?;
         let evidence = match line.take(Key::Evidence) {
             Field::Str(evidence) => evidence.into_owned(),
             _ => String::new(),
         };
-        let decision = DecisionEvent { session, hop: hop as u8, cause, subject, verdict, evidence };
+        let decision = DecisionEvent { session, hop, cause, subject, verdict, evidence };
         read::check_phase(phase, decision.phase())?;
         Ok(decision)
     }
@@ -244,7 +187,7 @@ impl DecisionEvent {
 
 /// One line of text: `[phase/cause] verdict subject: evidence`, with
 /// `-` for a missing phase or subject and no `/cause` when there is
-/// none. `tnet explain` prints it under its session and hop headings;
+/// none. `tracenet explain` prints it under its session and hop headings;
 /// the CLI's `-v` puts the session and hop in front of it.
 impl fmt::Display for DecisionEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

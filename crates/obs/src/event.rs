@@ -6,141 +6,65 @@ use inet::Addr;
 use wire::Protocol;
 
 use crate::line::{Fixed, LineOut};
-use crate::read::{self, Field, Key, Line};
+use crate::read::{self, Key, Line};
 
-/// The session phase a probe was sent from — the paper's three-stage
-/// pipeline (§3): trace collection, subnet positioning, subnet
-/// exploration.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Phase {
-    /// Hop discovery along the path to the destination.
-    Trace,
-    /// Subnet positioning (Algorithm 2): distances, pivots, ingresses.
-    Position,
-    /// Subnet exploration (Algorithm 1): growing and probing candidates.
-    Explore,
-}
-
-impl Phase {
-    /// All phases, in pipeline order.
-    pub const ALL: [Phase; 3] = [Phase::Trace, Phase::Position, Phase::Explore];
-
-    /// Stable snake_case label used in JSON and metrics keys.
-    pub fn label(self) -> &'static str {
-        match self {
-            Phase::Trace => "trace",
-            Phase::Position => "position",
-            Phase::Explore => "explore",
-        }
-    }
-
-    /// Parses a [`Phase::label`] rendering.
-    pub fn from_label(s: &str) -> Option<Phase> {
-        Phase::ALL.into_iter().find(|p| p.label() == s)
-    }
-
-    pub(crate) fn index(self) -> usize {
-        match self {
-            Phase::Trace => 0,
-            Phase::Position => 1,
-            Phase::Explore => 2,
-        }
+labels! {
+    /// The session phase a probe was sent from — the paper's three-stage
+    /// pipeline (§3): trace collection, subnet positioning, subnet
+    /// exploration.
+    pub enum Phase {
+        /// Hop discovery along the path to the destination.
+        Trace = "trace",
+        /// Subnet positioning (Algorithm 2): distances, pivots, ingresses.
+        Position = "position",
+        /// Subnet exploration (Algorithm 1): growing and probing candidates.
+        Explore = "explore",
     }
 }
 
-impl fmt::Display for Phase {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
+labels! {
+    /// Why a probe was sent: either an algorithmic step of
+    /// positioning/trace collection, or the paper heuristic (H1–H9, §3.4)
+    /// whose check needed it.
+    pub enum Cause {
+        /// Hop probe of the initial trace collection.
+        TraceCollection = "trace_collection",
+        /// Perceived-distance search around the trace TTL (§3.3).
+        DistanceSearch = "distance_search",
+        /// On-path check: does the hop answer at distance-1 with TTL
+        /// expired?
+        OnPathCheck = "on_path_check",
+        /// Pivot designation via the /31-or-/30 mate (Algorithm 2 line 4).
+        PivotDesignation = "pivot_designation",
+        /// In-use check of a candidate pivot beyond the trace hop.
+        InUseCheck = "in_use_check",
+        /// Ingress-router query at pivot distance - 1.
+        IngressQuery = "ingress_query",
+        /// H1: stop-and-shrink on inconsistent member distance. H1 itself
+        /// sends no probes; the variant exists so logs can attribute
+        /// H1-triggered re-examinations.
+        H1 = "h1",
+        /// H2: upper-bound subnet contiguity (pivot-distance aliveness).
+        H2 = "h2",
+        /// H3: single contra-pivot admission at distance - 1.
+        H3 = "h3",
+        /// H4: lower-bound contiguity at distance - 2.
+        H4 = "h4",
+        /// H5: /31 mate shortcut before a full /30 scan.
+        H5 = "h5",
+        /// H6: fixed entry points — the below-distance probe shared with H3.
+        H6 = "h6",
+        /// H7: router contiguity via the pivot's mate.
+        H7 = "h7",
+        /// H8: mate ingress comparison at distance - 1.
+        H8 = "h8",
+        /// H9: boundary reduction. Sends no probes; kept for log
+        /// completeness.
+        H9 = "h9",
     }
-}
-
-/// Why a probe was sent: either an algorithmic step of
-/// positioning/trace collection, or the paper heuristic (H1–H9, §3.4)
-/// whose check needed it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Cause {
-    /// Hop probe of the initial trace collection.
-    TraceCollection,
-    /// Perceived-distance search around the trace TTL (§3.3).
-    DistanceSearch,
-    /// On-path check: does the hop answer at distance-1 with TTL
-    /// expired?
-    OnPathCheck,
-    /// Pivot designation via the /31-or-/30 mate (Algorithm 2 line 4).
-    PivotDesignation,
-    /// In-use check of a candidate pivot beyond the trace hop.
-    InUseCheck,
-    /// Ingress-router query at pivot distance - 1.
-    IngressQuery,
-    /// H1: stop-and-shrink on inconsistent member distance. H1 itself
-    /// sends no probes; the variant exists so logs can attribute
-    /// H1-triggered re-examinations.
-    H1,
-    /// H2: upper-bound subnet contiguity (pivot-distance aliveness).
-    H2,
-    /// H3: single contra-pivot admission at distance - 1.
-    H3,
-    /// H4: lower-bound contiguity at distance - 2.
-    H4,
-    /// H5: /31 mate shortcut before a full /30 scan.
-    H5,
-    /// H6: fixed entry points — the below-distance probe shared with H3.
-    H6,
-    /// H7: router contiguity via the pivot's mate.
-    H7,
-    /// H8: mate ingress comparison at distance - 1.
-    H8,
-    /// H9: boundary reduction. Sends no probes; kept for log
-    /// completeness.
-    H9,
 }
 
 impl Cause {
-    /// Every cause, in declaration order.
-    pub const ALL: [Cause; 15] = [
-        Cause::TraceCollection,
-        Cause::DistanceSearch,
-        Cause::OnPathCheck,
-        Cause::PivotDesignation,
-        Cause::InUseCheck,
-        Cause::IngressQuery,
-        Cause::H1,
-        Cause::H2,
-        Cause::H3,
-        Cause::H4,
-        Cause::H5,
-        Cause::H6,
-        Cause::H7,
-        Cause::H8,
-        Cause::H9,
-    ];
-
-    /// Stable snake_case label used in JSON and metrics keys.
-    pub fn label(self) -> &'static str {
-        match self {
-            Cause::TraceCollection => "trace_collection",
-            Cause::DistanceSearch => "distance_search",
-            Cause::OnPathCheck => "on_path_check",
-            Cause::PivotDesignation => "pivot_designation",
-            Cause::InUseCheck => "in_use_check",
-            Cause::IngressQuery => "ingress_query",
-            Cause::H1 => "h1",
-            Cause::H2 => "h2",
-            Cause::H3 => "h3",
-            Cause::H4 => "h4",
-            Cause::H5 => "h5",
-            Cause::H6 => "h6",
-            Cause::H7 => "h7",
-            Cause::H8 => "h8",
-            Cause::H9 => "h9",
-        }
-    }
-
-    /// Parses a [`Cause::label`] rendering.
-    pub fn from_label(s: &str) -> Option<Cause> {
-        Cause::ALL.into_iter().find(|c| c.label() == s)
-    }
-
     /// The session phase this cause's probes and decisions belong to:
     /// trace collection, one of Algorithm 2's positioning steps, or a
     /// growth heuristic of exploration.
@@ -179,92 +103,44 @@ impl Cause {
             _ => None,
         }
     }
-
-    pub(crate) fn index(self) -> usize {
-        Cause::ALL.iter().position(|c| *c == self).expect("cause is in ALL")
-    }
 }
 
-impl fmt::Display for Cause {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
+labels! {
+    /// Why a timed-out attempt drew no (accepted) reply, when the prober can
+    /// tell: the simulator's silent verdicts, plus [`StrayReply`] (a reply
+    /// arrived but failed validation). Live probers that cannot see into the
+    /// network leave it unset.
+    ///
+    /// [`StrayReply`]: TimeoutCause::StrayReply
+    pub enum TimeoutCause {
+        /// The probe's source address is unknown to the network.
+        UnknownSource = "unknown_source",
+        /// No route covered the destination.
+        NoRoute = "no_route",
+        /// A filtering firewall swallowed the probe.
+        Filtered = "filtered",
+        /// Delivered to an unassigned address; no unreachable configured.
+        Unassigned = "unassigned",
+        /// Delivered but the owner's response policy stayed silent.
+        PolicySilence = "policy_silence",
+        /// TTL expired at a router that does not answer for this protocol.
+        TtlExpiredSilently = "ttl_expired_silently",
+        /// A reply was due but the router's rate limiter had no token.
+        RateLimited = "rate_limited",
+        /// The probe could not be decoded on the wire.
+        Malformed = "malformed",
+        /// An injected fault dropped the probe on the forward path.
+        ForwardLoss = "forward_loss",
+        /// An injected fault lost the reply on the reverse path.
+        ReplyLoss = "reply_loss",
+        /// Every next-hop link was down (flap or withdrawal).
+        LinkDown = "link_down",
+        /// A reply came back but was rejected by probe validation.
+        StrayReply = "stray_reply",
     }
-}
-
-/// Why a timed-out attempt drew no (accepted) reply, when the prober can
-/// tell: the simulator's silent verdicts, plus [`StrayReply`] (a reply
-/// arrived but failed validation). Live probers that cannot see into the
-/// network leave it unset.
-///
-/// [`StrayReply`]: TimeoutCause::StrayReply
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum TimeoutCause {
-    /// The probe's source address is unknown to the network.
-    UnknownSource,
-    /// No route covered the destination.
-    NoRoute,
-    /// A filtering firewall swallowed the probe.
-    Filtered,
-    /// Delivered to an unassigned address; no unreachable configured.
-    Unassigned,
-    /// Delivered but the owner's response policy stayed silent.
-    PolicySilence,
-    /// TTL expired at a router that does not answer for this protocol.
-    TtlExpiredSilently,
-    /// A reply was due but the router's rate limiter had no token.
-    RateLimited,
-    /// The probe could not be decoded on the wire.
-    Malformed,
-    /// An injected fault dropped the probe on the forward path.
-    ForwardLoss,
-    /// An injected fault lost the reply on the reverse path.
-    ReplyLoss,
-    /// Every next-hop link was down (flap or withdrawal).
-    LinkDown,
-    /// A reply came back but was rejected by probe validation.
-    StrayReply,
 }
 
 impl TimeoutCause {
-    /// Every cause, in declaration order.
-    pub const ALL: [TimeoutCause; 12] = [
-        TimeoutCause::UnknownSource,
-        TimeoutCause::NoRoute,
-        TimeoutCause::Filtered,
-        TimeoutCause::Unassigned,
-        TimeoutCause::PolicySilence,
-        TimeoutCause::TtlExpiredSilently,
-        TimeoutCause::RateLimited,
-        TimeoutCause::Malformed,
-        TimeoutCause::ForwardLoss,
-        TimeoutCause::ReplyLoss,
-        TimeoutCause::LinkDown,
-        TimeoutCause::StrayReply,
-    ];
-
-    /// Stable snake_case label used in JSON and metrics keys.
-    pub fn label(self) -> &'static str {
-        match self {
-            TimeoutCause::UnknownSource => "unknown_source",
-            TimeoutCause::NoRoute => "no_route",
-            TimeoutCause::Filtered => "filtered",
-            TimeoutCause::Unassigned => "unassigned",
-            TimeoutCause::PolicySilence => "policy_silence",
-            TimeoutCause::TtlExpiredSilently => "ttl_expired_silently",
-            TimeoutCause::RateLimited => "rate_limited",
-            TimeoutCause::Malformed => "malformed",
-            TimeoutCause::ForwardLoss => "forward_loss",
-            TimeoutCause::ReplyLoss => "reply_loss",
-            TimeoutCause::LinkDown => "link_down",
-            TimeoutCause::StrayReply => "stray_reply",
-        }
-    }
-
-    /// Parses a [`TimeoutCause::label`] rendering.
-    pub fn from_label(s: &str) -> Option<TimeoutCause> {
-        TimeoutCause::ALL.into_iter().find(|c| c.label() == s)
-    }
-
     /// Whether this cause is an injected transient fault (loss or a link
     /// held down) rather than a steady-state property of the topology.
     /// These are the causes that degrade a hop's completeness and feed
@@ -272,53 +148,29 @@ impl TimeoutCause {
     pub fn is_fault(self) -> bool {
         matches!(self, TimeoutCause::ForwardLoss | TimeoutCause::ReplyLoss | TimeoutCause::LinkDown)
     }
+}
 
-    pub(crate) fn index(self) -> usize {
-        TimeoutCause::ALL.iter().position(|c| *c == self).expect("cause is in ALL")
+labels! {
+    /// Which flavour of ICMP unreachable a [`ProbeOutcome::Unreachable`]
+    /// attempt drew.
+    pub enum UnreachReason {
+        /// ICMP host unreachable.
+        Host = "host",
+        /// ICMP network unreachable.
+        Net = "net",
+        /// ICMP administratively prohibited.
+        AdminProhibited = "admin_prohibited",
     }
 }
 
-impl fmt::Display for TimeoutCause {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-/// Which flavour of ICMP unreachable a [`ProbeOutcome::Unreachable`]
-/// attempt drew.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum UnreachReason {
-    /// ICMP host unreachable.
-    Host,
-    /// ICMP network unreachable.
-    Net,
-    /// ICMP administratively prohibited.
-    AdminProhibited,
-}
-
-impl UnreachReason {
-    /// Every reason, in declaration order.
-    pub const ALL: [UnreachReason; 3] =
-        [UnreachReason::Host, UnreachReason::Net, UnreachReason::AdminProhibited];
-
-    /// Stable snake_case label used in JSON.
-    pub fn label(self) -> &'static str {
-        match self {
-            UnreachReason::Host => "host",
-            UnreachReason::Net => "net",
-            UnreachReason::AdminProhibited => "admin_prohibited",
-        }
-    }
-
-    /// Parses an [`UnreachReason::label`] rendering.
-    pub fn from_label(s: &str) -> Option<UnreachReason> {
-        UnreachReason::ALL.into_iter().find(|r| r.label() == s)
-    }
-}
-
-impl fmt::Display for UnreachReason {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
+labels! {
+    /// The kind of a [`ProbeOutcome`], without its fields: a probe line's
+    /// `outcome` and the metrics keys.
+    pub(crate) enum OutcomeKind {
+        DirectReply = "direct_reply",
+        TtlExceeded = "ttl_exceeded",
+        Unreachable = "unreachable",
+        Timeout = "timeout",
     }
 }
 
@@ -351,11 +203,6 @@ pub enum ProbeOutcome {
 }
 
 impl ProbeOutcome {
-    /// The snake_case label of each kind, in declaration order: the
-    /// `outcome` value of a probe line and the metrics keys.
-    pub(crate) const LABELS: [&'static str; 4] =
-        ["direct_reply", "ttl_exceeded", "unreachable", "timeout"];
-
     /// `Some(src)` when this is a direct reply.
     pub fn direct_reply(self) -> Option<Addr> {
         match self {
@@ -394,44 +241,41 @@ impl ProbeOutcome {
     /// The kind's snake_case label, as a probe line's `outcome` and the
     /// metrics keys write it.
     pub fn label(self) -> &'static str {
-        ProbeOutcome::LABELS[self.index()]
+        self.kind().label()
     }
 
-    pub(crate) fn index(self) -> usize {
+    pub(crate) fn kind(self) -> OutcomeKind {
         match self {
-            ProbeOutcome::DirectReply { .. } => 0,
-            ProbeOutcome::TtlExceeded { .. } => 1,
-            ProbeOutcome::Unreachable { .. } => 2,
-            ProbeOutcome::Timeout => 3,
+            ProbeOutcome::DirectReply { .. } => OutcomeKind::DirectReply,
+            ProbeOutcome::TtlExceeded { .. } => OutcomeKind::TtlExceeded,
+            ProbeOutcome::Unreachable { .. } => OutcomeKind::Unreachable,
+            ProbeOutcome::Timeout => OutcomeKind::Timeout,
         }
     }
 
-    /// The outcome a probe line's `outcome` label, `from` and `unreach`
+    /// The outcome a probe line's `outcome` kind, `from` and `unreach`
     /// describe. A reply needs its source and a timeout has none; the
     /// unreachable flavour is set on exactly the unreachables.
     fn from_fields(
-        label: &str,
+        kind: OutcomeKind,
         from: Option<Addr>,
         unreach: Option<UnreachReason>,
     ) -> Result<ProbeOutcome, String> {
-        let outcome = match (label, from) {
-            ("timeout", None) => ProbeOutcome::Timeout,
-            ("timeout", Some(_)) => {
-                return Err("from: timeout outcome with a source address".into())
+        let outcome = match (kind, from) {
+            (OutcomeKind::Timeout, None) => ProbeOutcome::Timeout,
+            (OutcomeKind::Timeout, Some(_)) => {
+                return Err(format!("from: {kind} outcome with a source address"))
             }
-            ("direct_reply", Some(from)) => ProbeOutcome::DirectReply { from },
-            ("ttl_exceeded", Some(from)) => ProbeOutcome::TtlExceeded { from },
-            ("unreachable", Some(from)) => ProbeOutcome::Unreachable {
+            (_, None) => return Err(format!("from: {kind} outcome without a source address")),
+            (OutcomeKind::DirectReply, Some(from)) => ProbeOutcome::DirectReply { from },
+            (OutcomeKind::TtlExceeded, Some(from)) => ProbeOutcome::TtlExceeded { from },
+            (OutcomeKind::Unreachable, Some(from)) => ProbeOutcome::Unreachable {
                 from,
                 kind: unreach.ok_or("unreach: unreachable outcome without a flavour")?,
             },
-            (_, None) if ProbeOutcome::LABELS.contains(&label) => {
-                return Err(format!("from: {label} outcome without a source address"))
-            }
-            _ => return Err(format!("outcome: unknown value {label:?}")),
         };
-        if unreach.is_some() && !matches!(outcome, ProbeOutcome::Unreachable { .. }) {
-            return Err(format!("unreach: {label} outcome with an unreachable flavour"));
+        if unreach.is_some() && kind != OutcomeKind::Unreachable {
+            return Err(format!("unreach: {kind} outcome with an unreachable flavour"));
         }
         Ok(outcome)
     }
@@ -485,23 +329,6 @@ pub struct ProbeEvent {
     pub timeout_cause: Option<TimeoutCause>,
 }
 
-pub(crate) fn protocol_label(p: Protocol) -> &'static str {
-    match p {
-        Protocol::Icmp => "icmp",
-        Protocol::Udp => "udp",
-        Protocol::Tcp => "tcp",
-    }
-}
-
-pub(crate) fn protocol_from_label(s: &str) -> Option<Protocol> {
-    match s {
-        "icmp" => Some(Protocol::Icmp),
-        "udp" => Some(Protocol::Udp),
-        "tcp" => Some(Protocol::Tcp),
-        _ => None,
-    }
-}
-
 impl ProbeEvent {
     /// The session phase the probe was sent in: its cause's, none for an
     /// unattributed probe.
@@ -527,39 +354,38 @@ impl ProbeEvent {
 
     /// Appends the line to either kind of destination.
     pub(crate) fn render(&self, out: &mut impl LineOut) {
-        let mut f = Fixed::new();
-        f.raw("{\"tick\":");
+        let mut f = Fixed::open(Key::Tick);
         f.uint(self.tick);
-        f.raw(",\"session\":");
-        f.opt_uint(self.session);
-        f.raw(",\"vantage\":");
+        f.key(Key::Session);
+        f.opt(self.session, Fixed::uint);
+        f.key(Key::Vantage);
         f.addr(self.vantage);
-        f.raw(",\"dst\":");
+        f.key(Key::Dst);
         f.addr(self.dst);
-        f.raw(",\"ttl\":");
+        f.key(Key::Ttl);
         f.uint(self.ttl.into());
-        f.raw(",\"proto\":");
-        f.label(protocol_label(self.protocol));
-        f.raw(",\"flow\":");
+        f.key(Key::Proto);
+        f.label(self.protocol.label());
+        f.key(Key::Flow);
         f.uint(self.flow.into());
-        f.raw(",\"attempt\":");
+        f.key(Key::Attempt);
         f.uint(self.attempt.into());
-        f.raw(",\"outcome\":");
+        f.key(Key::Outcome);
         f.label(self.outcome.label());
-        f.raw(",\"from\":");
-        f.opt_addr(self.outcome.source());
-        f.raw(",\"phase\":");
-        f.opt_label(self.phase().map(Phase::label));
-        f.raw(",\"cause\":");
-        f.opt_label(self.cause.map(Cause::label));
-        f.raw(",\"timeout_cause\":");
-        f.opt_label(self.timeout_cause.map(TimeoutCause::label));
-        f.raw(",\"unreach\":");
+        f.key(Key::From);
+        f.opt(self.outcome.source(), Fixed::addr);
+        f.key(Key::Phase);
+        f.opt(self.phase().map(Phase::label), Fixed::label);
+        f.key(Key::Cause);
+        f.opt(self.cause.map(Cause::label), Fixed::label);
+        f.key(Key::TimeoutCause);
+        f.opt(self.timeout_cause.map(TimeoutCause::label), Fixed::label);
+        f.key(Key::Unreach);
         let unreach = match self.outcome {
             ProbeOutcome::Unreachable { kind, .. } => Some(kind.label()),
             _ => None,
         };
-        f.opt_label(unreach);
+        f.opt(unreach, Fixed::label);
         f.raw("}");
         out.fixed(&f);
     }
@@ -576,51 +402,32 @@ impl ProbeEvent {
 
     /// The event a line's members describe. Fields are checked in a
     /// fixed order, so a line with several bad fields always names the
-    /// same one; the outcome's fields are checked together, and last
-    /// the logged phase against the one the cause gives.
+    /// same one: the outcome and protocol are checked for strings first
+    /// and read later, the outcome's fields are checked together, and
+    /// last the logged phase against the one the cause gives.
     pub(crate) fn from_line(line: &Line<'_>) -> Result<ProbeEvent, String> {
-        fn addr(f: &Field<'_>, what: &str) -> Result<Addr, String> {
-            f.as_str()
-                .ok_or_else(|| format!("{what}: expected string"))?
-                .parse()
-                .map_err(|e| format!("{what}: {e}"))
-        }
-        fn num(f: &Field<'_>, what: &str, max: u64) -> Result<u64, String> {
-            let n = f.as_u64().ok_or_else(|| format!("{what}: expected unsigned integer"))?;
-            if n > max {
-                return Err(format!("{what}: {n} out of range"));
-            }
-            Ok(n)
-        }
-
-        let outcome_label =
-            line[Key::Outcome].as_str().ok_or_else(|| "outcome: expected string".to_string())?;
-        let proto_label =
-            line[Key::Proto].as_str().ok_or_else(|| "proto: expected string".to_string())?;
-        let phase = read::opt_label(&line[Key::Phase], "phase", Phase::from_label)?;
-        let cause = read::opt_label(&line[Key::Cause], "cause", Cause::from_label)?;
-        let timeout_cause =
-            read::opt_label(&line[Key::TimeoutCause], "timeout_cause", TimeoutCause::from_label)?;
-        let unreach = read::opt_label(&line[Key::Unreach], "unreach", UnreachReason::from_label)?;
-        let from = match &line[Key::From] {
-            Field::Null => None,
-            f => Some(addr(f, "from")?),
-        };
-        let session = match &line[Key::Session] {
-            Field::Null => None,
-            s => Some(num(s, "session", u64::MAX)?),
-        };
+        line.str(Key::Outcome)?;
+        line.str(Key::Proto)?;
+        let phase = line.opt_label(Key::Phase, Phase::from_label)?;
+        let cause = line.opt_label(Key::Cause, Cause::from_label)?;
+        let timeout_cause = line.opt_label(Key::TimeoutCause, TimeoutCause::from_label)?;
+        let unreach = line.opt_label(Key::Unreach, UnreachReason::from_label)?;
+        let from = line.opt_addr(Key::From)?;
+        let session = line.opt_uint(Key::Session)?;
         let event = ProbeEvent {
-            tick: num(&line[Key::Tick], "tick", u64::MAX)?,
+            tick: line.uint(Key::Tick, u64::MAX)?,
             session,
-            vantage: addr(&line[Key::Vantage], "vantage")?,
-            dst: addr(&line[Key::Dst], "dst")?,
-            ttl: num(&line[Key::Ttl], "ttl", u8::MAX as u64)? as u8,
-            protocol: protocol_from_label(proto_label)
-                .ok_or_else(|| format!("proto: unknown value {proto_label:?}"))?,
-            flow: num(&line[Key::Flow], "flow", u16::MAX as u64)? as u16,
-            attempt: num(&line[Key::Attempt], "attempt", u8::MAX as u64)? as u8,
-            outcome: ProbeOutcome::from_fields(outcome_label, from, unreach)?,
+            vantage: line.addr(Key::Vantage)?,
+            dst: line.addr(Key::Dst)?,
+            ttl: line.uint(Key::Ttl, u8::MAX.into())? as u8,
+            protocol: line.label(Key::Proto, Protocol::from_label)?,
+            flow: line.uint(Key::Flow, u16::MAX.into())? as u16,
+            attempt: line.uint(Key::Attempt, u8::MAX.into())? as u8,
+            outcome: ProbeOutcome::from_fields(
+                line.label(Key::Outcome, OutcomeKind::from_label)?,
+                from,
+                unreach,
+            )?,
             cause,
             timeout_cause,
         };
@@ -758,7 +565,7 @@ mod tests {
         assert_eq!(u.source(), Some(a("9.9.9.9")));
         assert_eq!(ProbeOutcome::Timeout.source(), None);
         let labels = [d, t, u, ProbeOutcome::Timeout].map(ProbeOutcome::label);
-        assert_eq!(labels, ProbeOutcome::LABELS);
+        assert_eq!(labels, OutcomeKind::ALL.map(OutcomeKind::label));
     }
 
     #[test]

@@ -38,6 +38,20 @@ impl Protocol {
             _ => None,
         }
     }
+
+    /// The lowercase name exchange logs and the `--protocol` flag use.
+    pub const fn label(self) -> &'static str {
+        match self {
+            Protocol::Icmp => "icmp",
+            Protocol::Tcp => "tcp",
+            Protocol::Udp => "udp",
+        }
+    }
+
+    /// Maps a [`label`](Protocol::label) back, if modeled.
+    pub fn from_label(s: &str) -> Option<Protocol> {
+        [Protocol::Icmp, Protocol::Tcp, Protocol::Udp].into_iter().find(|p| p.label() == s)
+    }
 }
 
 /// An IPv4 header (no options).
