@@ -67,3 +67,4 @@ pub use routing::{NextHops, Path, RoutingTable, UNREACHABLE};
 pub use topology::{
     Iface, IfaceId, Router, RouterId, Subnet, SubnetId, Topology, TopologyBuilder, TopologyError,
 };
+pub use wire::Protocol;
