@@ -188,7 +188,7 @@ impl<P: Prober> Session<P> {
             record.completeness = classify(&hop_before, &hop_stats, tripped);
             if record.completeness != Completeness::Complete {
                 // Attach the silence cause to the hop's final event so
-                // `tnet explain` can say *why* the hop degraded.
+                // `tracenet explain` can say *why* the hop degraded.
                 let completeness = record.completeness;
                 let fault_timeouts = hop_stats.fault_timeouts() - hop_before.fault_timeouts();
                 let verdict = if completeness == Completeness::Abandoned {
