@@ -1,5 +1,6 @@
 //! Criterion benches for the JSON I/O layer: the 4-ISP internet's
-//! scenario file loaded and written, the golden internet2 exchange log
+//! scenario file loaded (as written, and with its keys sorted) and
+//! written, the golden internet2 exchange log
 //! read back (indexed, then every session's events decoded into a replay
 //! script; or read once, straight into the scripts), its report, probe
 //! and decision lines written, and its addresses printed through
@@ -8,6 +9,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use obs::{Entry, ExchangeLog, ExchangeReader, ExchangeWriter};
 use probe::{ReplayProber, ReplayScript};
+use serde_json::Value;
 use topogen::{io, isp_internet};
 
 const GOLDEN_LOG: &str = include_str!("../../cli/tests/golden/internet2-seed2010.jsonl");
@@ -20,6 +22,15 @@ fn bench_json(c: &mut Criterion) {
     let scenario = io::to_json(&isp);
     g.bench_function("from_json_isp", |b| {
         b.iter(|| io::from_json(black_box(&scenario)).expect("scenario loads"))
+    });
+    // The same scenario with every object's keys sorted and no
+    // whitespace: no key comes in the writer's order, so every object
+    // is read by the loader's general member loop.
+    let mut doc = serde_json::from_str(&scenario).expect("scenario parses");
+    sort_keys(&mut doc);
+    let sorted = doc.to_string();
+    g.bench_function("from_json_isp_sorted", |b| {
+        b.iter(|| io::from_json(black_box(&sorted)).expect("scenario loads"))
     });
     g.bench_function("to_json_isp", |b| b.iter(|| io::to_json(black_box(&isp))));
 
@@ -92,6 +103,18 @@ fn bench_json(c: &mut Criterion) {
         b.iter(|| probes.iter().map(|e| black_box(e.dst).to_string().len()).sum::<usize>())
     });
     g.finish();
+}
+
+/// Sorts the keys of every object in `v` by their bytes.
+fn sort_keys(v: &mut Value) {
+    match v {
+        Value::Object(members) => {
+            members.sort_by(|a, b| a.0.cmp(&b.0));
+            members.iter_mut().for_each(|(_, v)| sort_keys(v));
+        }
+        Value::Array(items) => items.iter_mut().for_each(sort_keys),
+        _ => {}
+    }
 }
 
 criterion_group!(benches, bench_json);

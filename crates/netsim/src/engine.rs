@@ -821,7 +821,8 @@ mod tests {
         let owner = net.topology().router(iface.router);
         assert_eq!(owner.name, "r2");
         // Entry subnet is the one shared with r1.
-        let r1 = net.topology().router_by_name("r1").unwrap();
+        let r1 = net.topology().routers().iter().position(|r| r.name == "r1").unwrap();
+        let r1 = RouterId(r1 as u32);
         let shares_with_r1 = net
             .topology()
             .subnet(iface.subnet)

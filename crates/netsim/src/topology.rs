@@ -6,7 +6,7 @@
 //! it." Hosts (vantage points and trace destinations) are modeled as
 //! single-interface routers flagged `is_host`.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 
@@ -88,8 +88,6 @@ pub struct Topology {
     spans: Vec<(Addr, Addr, SubnetId)>,
     /// Every interface address with its id, in address order.
     addrs: Vec<(Addr, IfaceId)>,
-    /// Name → id, first declaration wins (built in [`TopologyBuilder::build`]).
-    by_name: HashMap<String, RouterId>,
 }
 
 impl Topology {
@@ -152,13 +150,6 @@ impl Topology {
     /// The router hosting `addr`, if assigned.
     pub fn owner_of(&self, addr: Addr) -> Option<RouterId> {
         self.iface_by_addr(addr).map(|i| self.iface(i).router)
-    }
-
-    /// Finds a router by name. O(1) via a map built at
-    /// [`TopologyBuilder::build`] time; when two routers share a name the
-    /// earliest declaration wins, matching the old linear scan.
-    pub fn router_by_name(&self, name: &str) -> Option<RouterId> {
-        self.by_name.get(name).copied()
     }
 
     /// The interface of `router` that sits on `subnet`, if any.
@@ -355,11 +346,6 @@ impl TopologyBuilder {
             self.topo.ifaces.iter().enumerate().map(|(i, f)| (f.addr, IfaceId(i as u32))).collect();
         addrs.sort_unstable();
         self.topo.addrs = addrs;
-        // Name index; entry() keeps the first declaration on duplicates,
-        // matching the linear scan this map replaces.
-        for (i, r) in self.topo.routers.iter().enumerate() {
-            self.topo.by_name.entry(r.name.clone()).or_insert(RouterId(i as u32));
-        }
         Ok(self.topo)
     }
 }
@@ -392,8 +378,8 @@ mod tests {
         let t = two_router_link().build().unwrap();
         assert_eq!(t.router_count(), 2);
         assert_eq!(t.subnets().len(), 1);
-        let r1 = t.router_by_name("r1").unwrap();
-        assert_eq!(t.owner_of(a("10.0.0.1")), Some(r1));
+        let r1 = t.routers().iter().position(|r| r.name == "r1").unwrap();
+        assert_eq!(t.owner_of(a("10.0.0.1")), Some(RouterId(r1 as u32)));
         assert_eq!(t.owner_of(a("10.0.0.3")), None);
         assert_eq!(t.subnet_containing(a("10.0.0.2")), Some(SubnetId(0)));
         assert_eq!(t.subnet_containing(a("10.0.1.2")), None);
@@ -481,18 +467,6 @@ mod tests {
         let i = b.attach_with(r, s, a("10.0.0.1"), false).unwrap();
         let t = b.build().unwrap();
         assert!(!t.iface(i).responsive);
-    }
-
-    #[test]
-    fn router_by_name_prefers_first_declaration() {
-        let mut b = TopologyBuilder::new();
-        let first = b.router("twin", RouterConfig::cooperative());
-        let _second = b.router("twin", RouterConfig::cooperative());
-        let solo = b.router("solo", RouterConfig::cooperative());
-        let t = b.build().unwrap();
-        assert_eq!(t.router_by_name("twin"), Some(first));
-        assert_eq!(t.router_by_name("solo"), Some(solo));
-        assert_eq!(t.router_by_name("absent"), None);
     }
 
     #[test]

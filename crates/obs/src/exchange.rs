@@ -80,6 +80,20 @@ pub const FORMAT_VERSION: u64 = 1;
 /// other JSONL stream to the replay tools.
 pub const FORMAT_NAME: &str = "tracenet-exchange";
 
+labels! {
+    /// The header line's own keys, in the order it prints them after
+    /// `type`, with `vantage` and `proto` from [`Key`] between `version`
+    /// and `targets`. They are not [`Key`]s: that table sizes the field
+    /// array of every probe and decision line read.
+    pub(crate) enum HeaderKey {
+        Format = "format",
+        Version = "version",
+        Targets = "targets",
+        Jobs = "jobs",
+        Options = "options",
+    }
+}
+
 /// The header line of an exchange log: the run configuration.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ExchangeHeader {
@@ -104,15 +118,16 @@ pub struct ExchangeHeader {
 impl ExchangeHeader {
     /// Renders the header as one JSON object.
     pub fn to_json(&self) -> Value {
+        let targets: Vec<String> = self.targets.iter().map(|t| t.to_string()).collect();
         json!({
             (Key::Type.label()): LineType::Header.label(),
-            "format": FORMAT_NAME,
-            "version": self.version,
+            (HeaderKey::Format.label()): FORMAT_NAME,
+            (HeaderKey::Version.label()): self.version,
             (Key::Vantage.label()): self.vantage.to_string(),
             (Key::Proto.label()): self.protocol.label(),
-            "targets": self.targets.iter().map(|t| t.to_string()).collect::<Vec<_>>(),
-            "jobs": self.jobs,
-            "options": &self.options,
+            (HeaderKey::Targets.label()): targets,
+            (HeaderKey::Jobs.label()): self.jobs,
+            (HeaderKey::Options.label()): &self.options,
         })
     }
 
@@ -122,11 +137,12 @@ impl ExchangeHeader {
         if v[Key::Type.label()].as_str() != Some(LineType::Header.label()) {
             return Err("header: first line must have \"type\": \"header\"".into());
         }
-        let format = v["format"].as_str().unwrap_or("?");
+        let format = v[HeaderKey::Format.label()].as_str().unwrap_or("?");
         if format != FORMAT_NAME {
             return Err(format!("header: unknown format {format:?}"));
         }
-        let version = v["version"].as_u64().ok_or("header: version must be a number")?;
+        let version =
+            v[HeaderKey::Version.label()].as_u64().ok_or("header: version must be a number")?;
         if version != FORMAT_VERSION {
             return Err(format!(
                 "header: unsupported format version {version} (this reader supports {FORMAT_VERSION})"
@@ -140,7 +156,7 @@ impl ExchangeHeader {
         let proto_label = v[Key::Proto.label()].as_str().ok_or("header: proto must be a string")?;
         let protocol = Protocol::from_label(proto_label)
             .ok_or_else(|| format!("header: unknown proto {proto_label:?}"))?;
-        let targets = v["targets"]
+        let targets = v[HeaderKey::Targets.label()]
             .as_array()
             .ok_or("header: targets must be an array")?
             .iter()
@@ -156,8 +172,8 @@ impl ExchangeHeader {
             vantage,
             protocol,
             targets,
-            jobs: v["jobs"].as_u64().unwrap_or(1),
-            options: v["options"].clone(),
+            jobs: v[HeaderKey::Jobs.label()].as_u64().unwrap_or(1),
+            options: v[HeaderKey::Options.label()].clone(),
         })
     }
 }

@@ -45,7 +45,8 @@
 //!
 //! Each vocabulary the log lines and the metrics print is declared once,
 //! as one `labels!` table: the line keys and line types in `read`
-//! (`Key`, `LineType`), [`Phase`], [`Cause`], [`TimeoutCause`],
+//! (`Key`, `LineType`), the header's own keys in [`exchange`]
+//! (`HeaderKey`), [`Phase`], [`Cause`], [`TimeoutCause`],
 //! [`UnreachReason`] and the outcome kinds in [`event`], and
 //! [`DecisionVerdict`] in [`decision`]. The protocol labels are
 //! `wire::Protocol`'s. The writers print each key from the key table and
@@ -244,6 +245,10 @@ mod tests {
                 "evidence",
                 "report",
             ]
+        );
+        assert_eq!(
+            exchange::HeaderKey::ALL.map(exchange::HeaderKey::label),
+            ["format", "version", "targets", "jobs", "options"]
         );
     }
 }

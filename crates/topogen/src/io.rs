@@ -38,6 +38,18 @@
 //!   list the items go in order. Within an item the fields go in the
 //!   order [`to_json`] writes them, then what they refer to: an
 //!   interface's router and subnet, a vantage's interface.
+//!
+//! The layout [`to_json`] writes is read in place. In each object the
+//! reader tries the keys in the writer's order, each spelled without
+//! escapes (whitespace around the tokens is free), and reads each value
+//! with the shim's take read for its type: a string without escapes, a
+//! plain integer of at most 15 digits, `true` or `false`. From the first
+//! member that is not the next key so spelled (an escaped key, another
+//! order, a duplicate, an unknown or a missing key) the rest of the
+//! object is read member by member, its keys matched in any order. A
+//! value spelled otherwise (`1.0`, `1e0`, `-0`, a 16-digit number, an
+//! escaped string) or of another type is read from the tokenizer's next
+//! token. Either way the scenario and the errors are the same.
 
 use std::borrow::Cow;
 use std::fmt;
@@ -304,55 +316,82 @@ fn each<T>(
 }
 
 /// Reads the object `first` starts and hands the first occurrence of
-/// each of `keys` to `member`, with its value's first token. Other keys
-/// and later duplicates are skipped, though still checked. Any other
-/// value is skipped and has no members, as indexing a `Value` finds none.
+/// each of `keys` to `member`, by its index in `keys`, to read the value.
+/// Other keys and later duplicates are skipped, though still checked.
+/// Any other value is skipped and has no members, as indexing a `Value`
+/// finds none.
+///
+/// `keys` come in the order [`to_json`] writes them, and while each next
+/// one is there, spelled without escapes, it is taken in place. From the
+/// first member that is not, the rest of the object is read token by
+/// token, its keys matched in any order.
 fn members<'a>(
     tokens: &mut Tokenizer<'a>,
     first: Token<'a>,
-    keys: &[&'static str],
-    mut member: impl FnMut(&mut Tokenizer<'a>, &'static str, Token<'a>) -> Json<()>,
+    keys: &[&str],
+    mut member: impl FnMut(&mut Tokenizer<'a>, usize) -> Json<()>,
 ) -> Json<()> {
     if !matches!(first, Token::ObjectStart) {
         return tokens.skip(first);
     }
     let mut seen = 0u32;
+    for (i, key) in keys.iter().enumerate() {
+        if !tokens.take_key(key) {
+            break;
+        }
+        seen |= 1 << i;
+        member(tokens, i)?;
+    }
     loop {
         match tokens.next_token()? {
             Token::ObjectEnd => return Ok(()),
-            Token::Key(name) => {
-                let value = tokens.next_token()?;
-                match keys.iter().position(|&k| k == name) {
-                    Some(i) if seen & (1 << i) == 0 => {
-                        seen |= 1 << i;
-                        member(tokens, keys[i], value)?;
-                    }
-                    _ => tokens.skip(value)?,
+            Token::Key(name) => match keys.iter().position(|&k| k == name) {
+                Some(i) if seen & (1 << i) == 0 => {
+                    seen |= 1 << i;
+                    member(tokens, i)?;
                 }
-            }
+                _ => {
+                    let value = tokens.next_token()?;
+                    tokens.skip(value)?;
+                }
+            },
             _ => unreachable!("an object holds keys"),
         }
     }
 }
 
-/// Reads the array `first` starts, checking each item through `item`.
-/// `None` for any other value, which is skipped.
+/// [`members`] with the keys written once: `object!(tokens, first, {
+/// key => read, ... })` lists each key, in the order [`to_json`] writes
+/// them, with the expression that reads its value through `tokens`.
+macro_rules! object {
+    ($tokens:ident, $first:expr, { $($key:ident => $read:expr,)+ }) => {{
+        #[allow(non_camel_case_types)]
+        enum Key {
+            $($key,)+
+        }
+        members($tokens, $first, &[$(stringify!($key)),+], |$tokens, at| {
+            $(if at == Key::$key as usize {
+                $read;
+            })+
+            Ok(())
+        })
+    }};
+}
+
+/// Reads the array that is the next value, each item through `item`,
+/// which reads it from its start and gives `None` at the `]`. `None`
+/// for any other value, which is skipped.
 fn items<'a, T>(
     tokens: &mut Tokenizer<'a>,
-    first: Token<'a>,
-    mut item: impl FnMut(&mut Tokenizer<'a>, Token<'a>) -> Json<Result<T, LoadError>>,
+    mut item: impl FnMut(&mut Tokenizer<'a>) -> Json<Option<Result<T, LoadError>>>,
 ) -> Json<Option<Rows<T>>> {
+    let first = tokens.next_token()?;
     if !matches!(first, Token::ArrayStart) {
         tokens.skip(first)?;
         return Ok(None);
     }
     let mut rows = Rows { rows: Vec::new(), bad: None };
-    loop {
-        let first = tokens.next_token()?;
-        if matches!(first, Token::ArrayEnd) {
-            return Ok(Some(rows));
-        }
-        let checked = item(tokens, first)?;
+    while let Some(checked) = item(tokens)? {
         if rows.bad.is_none() {
             match checked {
                 Ok(row) => rows.rows.push(row),
@@ -360,27 +399,43 @@ fn items<'a, T>(
             }
         }
     }
+    Ok(Some(rows))
+}
+
+/// The next value, if it is a string; any other value is skipped.
+fn string<'a>(tokens: &mut Tokenizer<'a>) -> Json<Option<Cow<'a, str>>> {
+    if let Some(s) = tokens.take_str() {
+        return Ok(Some(s.into()));
+    }
+    let first = tokens.next_token()?;
+    string_of(tokens, first)
 }
 
 /// The string `first` is, if it is one; any other value is skipped.
-fn string<'a>(tokens: &mut Tokenizer<'a>, first: Token<'a>) -> Json<Option<Cow<'a, str>>> {
+fn string_of<'a>(tokens: &mut Tokenizer<'a>, first: Token<'a>) -> Json<Option<Cow<'a, str>>> {
     match first {
         Token::String(s) => Ok(Some(s)),
         other => tokens.skip(other).map(|()| None),
     }
 }
 
-fn boolean<'a>(tokens: &mut Tokenizer<'a>, first: Token<'a>) -> Json<Option<bool>> {
-    match first {
+fn boolean(tokens: &mut Tokenizer<'_>) -> Json<Option<bool>> {
+    if let Some(b) = tokens.take_bool() {
+        return Ok(Some(b));
+    }
+    match tokens.next_token()? {
         Token::Bool(b) => Ok(Some(b)),
         other => tokens.skip(other).map(|()| None),
     }
 }
 
-/// The number as a `u64`, converted as `Value::as_u64` converts it: a
-/// non-negative integer, saturating above `u64::MAX`.
-fn integer<'a>(tokens: &mut Tokenizer<'a>, first: Token<'a>) -> Json<Option<u64>> {
-    match first {
+/// The next value as a `u64`, converted as `Value::as_u64` converts it:
+/// a non-negative integer, saturating above `u64::MAX`.
+fn integer(tokens: &mut Tokenizer<'_>) -> Json<Option<u64>> {
+    if let Some(n) = tokens.take_u64() {
+        return Ok(Some(n));
+    }
+    match tokens.next_token()? {
         Token::Number(n) if n >= 0.0 && n.fract() == 0.0 && n <= u64::MAX as f64 => {
             Ok(Some(n as u64))
         }
@@ -389,12 +444,16 @@ fn integer<'a>(tokens: &mut Tokenizer<'a>, first: Token<'a>) -> Json<Option<u64>
 }
 
 /// An array of addresses, each read as `what`.
-fn addrs<'a>(
-    tokens: &mut Tokenizer<'a>,
-    first: Token<'a>,
-    what: &'static str,
-) -> Json<Option<Rows<Addr>>> {
-    items(tokens, first, |tokens, first| Ok(parse_addr(string(tokens, first)?.as_deref(), what)))
+fn addrs(tokens: &mut Tokenizer<'_>, what: &'static str) -> Json<Option<Rows<Addr>>> {
+    items(tokens, |tokens| {
+        if let Some(s) = tokens.take_str() {
+            return Ok(Some(parse_addr(Some(s), what)));
+        }
+        Ok(match tokens.next_token()? {
+            Token::ArrayEnd => None,
+            first => Some(parse_addr(string_of(tokens, first)?.as_deref(), what)),
+        })
+    })
 }
 
 /// The members of one array item, read as they come and checked once
@@ -406,11 +465,13 @@ trait Item<'a>: Sized {
 }
 
 /// An array of `I` items.
-fn rows<'a, I: Item<'a>>(
-    tokens: &mut Tokenizer<'a>,
-    first: Token<'a>,
-) -> Json<Option<Rows<I::Row>>> {
-    items(tokens, first, |tokens, first| Ok(I::read(tokens, first)?.check()))
+fn rows<'a, I: Item<'a>>(tokens: &mut Tokenizer<'a>) -> Json<Option<Rows<I::Row>>> {
+    items(tokens, |tokens| {
+        Ok(match tokens.next_token()? {
+            Token::ArrayEnd => None,
+            first => Some(I::read(tokens, first)?.check()),
+        })
+    })
 }
 
 /// The top-level members, each list read into checked rows.
@@ -427,27 +488,20 @@ struct Document<'a> {
 }
 
 impl<'a> Document<'a> {
-    const KEYS: &'static [&'static str] =
-        &["format", "name", "routers", "subnets", "ifaces", "vantages", "targets", "ground_truth"];
-
     /// Reads all of `text`, stopping only at a JSON error.
     fn read(text: &'a str) -> Json<Document<'a>> {
-        let mut tokens = Tokenizer::new(text);
+        let tokens = &mut Tokenizer::new(text);
         let mut doc = Document::default();
         let first = tokens.next_token()?;
-        members(&mut tokens, first, Self::KEYS, |tokens, key, value| {
-            match key {
-                "format" => doc.format = string(tokens, value)?,
-                "name" => doc.name = string(tokens, value)?,
-                "routers" => doc.routers = rows::<RouterFields>(tokens, value)?,
-                "subnets" => doc.subnets = rows::<SubnetFields>(tokens, value)?,
-                "ifaces" => doc.ifaces = rows::<IfaceFields>(tokens, value)?,
-                "vantages" => doc.vantages = rows::<VantageFields>(tokens, value)?,
-                "targets" => doc.targets = addrs(tokens, value, "target")?,
-                "ground_truth" => doc.ground_truth = rows::<GtFields>(tokens, value)?,
-                _ => unreachable!("{key} is not a top-level key"),
-            }
-            Ok(())
+        object!(tokens, first, {
+            format => doc.format = string(tokens)?,
+            name => doc.name = string(tokens)?,
+            routers => doc.routers = rows::<RouterFields>(tokens)?,
+            subnets => doc.subnets = rows::<SubnetFields>(tokens)?,
+            ifaces => doc.ifaces = rows::<IfaceFields>(tokens)?,
+            vantages => doc.vantages = rows::<VantageFields>(tokens)?,
+            targets => doc.targets = addrs(tokens, "target")?,
+            ground_truth => doc.ground_truth = rows::<GtFields>(tokens)?,
         })?;
         match tokens.next_token()? {
             Token::End => Ok(doc),
@@ -529,14 +583,10 @@ impl<'a> Item<'a> for RouterFields<'a> {
 
     fn read(tokens: &mut Tokenizer<'a>, first: Token<'a>) -> Json<Self> {
         let mut r = Self::default();
-        members(tokens, first, &["name", "host", "config"], |tokens, key, value| {
-            match key {
-                "name" => r.name = string(tokens, value)?,
-                "host" => r.host = boolean(tokens, value)?,
-                "config" => r.config = ConfigFields::read(tokens, value)?,
-                _ => unreachable!("{key} is not a router key"),
-            }
-            Ok(())
+        object!(tokens, first, {
+            name => r.name = string(tokens)?,
+            host => r.host = boolean(tokens)?,
+            config => r.config = ConfigFields::read(tokens)?,
         })?;
         Ok(r)
     }
@@ -561,35 +611,23 @@ struct ConfigFields<'a> {
 }
 
 impl<'a> ConfigFields<'a> {
-    const KEYS: &'static [&'static str] = &[
-        "direct",
-        "indirect",
-        "direct_protos",
-        "indirect_protos",
-        "rate_limit",
-        "lb",
-        "unreachable_replies",
-    ];
-
-    fn read(tokens: &mut Tokenizer<'a>, first: Token<'a>) -> Json<Self> {
+    /// Reads the next value.
+    fn read(tokens: &mut Tokenizer<'a>) -> Json<Self> {
         let mut c = Self::default();
-        members(tokens, first, Self::KEYS, |tokens, key, value| {
-            match key {
-                "direct" => c.direct = PolicyField::read(tokens, value)?,
-                "indirect" => c.indirect = PolicyField::read(tokens, value)?,
-                "direct_protos" => c.direct_protos = ProtoFields::read(tokens, value)?,
-                "indirect_protos" => c.indirect_protos = ProtoFields::read(tokens, value)?,
-                "rate_limit" => {
-                    c.rate_limit = match value {
-                        Token::Null => None,
-                        value => Some(LimitFields::read(tokens, value)?),
-                    }
+        let first = tokens.next_token()?;
+        object!(tokens, first, {
+            direct => c.direct = PolicyField::read(tokens)?,
+            indirect => c.indirect = PolicyField::read(tokens)?,
+            direct_protos => c.direct_protos = ProtoFields::read(tokens)?,
+            indirect_protos => c.indirect_protos = ProtoFields::read(tokens)?,
+            rate_limit => {
+                c.rate_limit = match tokens.next_token()? {
+                    Token::Null => None,
+                    first => Some(LimitFields::read(tokens, first)?),
                 }
-                "lb" => c.lb = string(tokens, value)?,
-                "unreachable_replies" => c.unreachable_replies = boolean(tokens, value)?,
-                _ => unreachable!("{key} is not a config key"),
-            }
-            Ok(())
+            },
+            lb => c.lb = string(tokens)?,
+            unreachable_replies => c.unreachable_replies = boolean(tokens)?,
         })?;
         Ok(c)
     }
@@ -623,14 +661,17 @@ enum PolicyField<'a> {
 }
 
 impl<'a> PolicyField<'a> {
-    fn read(tokens: &mut Tokenizer<'a>, first: Token<'a>) -> Json<Self> {
-        Ok(match first {
+    /// Reads the next value.
+    fn read(tokens: &mut Tokenizer<'a>) -> Json<Self> {
+        if let Some(s) = tokens.take_str() {
+            return Ok(PolicyField::Named(s.into()));
+        }
+        Ok(match tokens.next_token()? {
             Token::String(s) => PolicyField::Named(s),
-            Token::ObjectStart => {
+            first @ Token::ObjectStart => {
                 let mut addr = None;
-                members(tokens, first, &["default"], |tokens, _, value| {
-                    addr = string(tokens, value)?;
-                    Ok(())
+                object!(tokens, first, {
+                    default => addr = string(tokens)?,
                 })?;
                 PolicyField::Default(addr)
             }
@@ -669,11 +710,13 @@ struct ProtoFields {
 }
 
 impl ProtoFields {
-    fn read<'a>(tokens: &mut Tokenizer<'a>, first: Token<'a>) -> Json<Self> {
+    /// Reads the next value.
+    fn read(tokens: &mut Tokenizer<'_>) -> Json<Self> {
         let mut p = Self::default();
-        members(tokens, first, &PROTOS.map(Protocol::label), |tokens, key, value| {
-            let b = boolean(tokens, value)?;
-            match Protocol::from_label(key).expect("a protocol key") {
+        let first = tokens.next_token()?;
+        members(tokens, first, &PROTOS.map(Protocol::label), |tokens, at| {
+            let b = boolean(tokens)?;
+            match PROTOS[at] {
                 Protocol::Icmp => p.icmp = b,
                 Protocol::Udp => p.udp = b,
                 Protocol::Tcp => p.tcp = b,
@@ -701,14 +744,9 @@ struct LimitFields {
 impl LimitFields {
     fn read<'a>(tokens: &mut Tokenizer<'a>, first: Token<'a>) -> Json<Self> {
         let mut rl = Self::default();
-        members(tokens, first, &["capacity", "refill_every"], |tokens, key, value| {
-            let n = integer(tokens, value)?;
-            match key {
-                "capacity" => rl.capacity = n,
-                "refill_every" => rl.refill_every = n,
-                _ => unreachable!("{key} is not a rate-limit key"),
-            }
-            Ok(())
+        object!(tokens, first, {
+            capacity => rl.capacity = integer(tokens)?,
+            refill_every => rl.refill_every = integer(tokens)?,
         })?;
         Ok(rl)
     }
@@ -747,22 +785,11 @@ impl<'a> Item<'a> for SubnetFields<'a> {
 
     fn read(tokens: &mut Tokenizer<'a>, first: Token<'a>) -> Json<Self> {
         let mut s = Self::default();
-        members(
-            tokens,
-            first,
-            &["prefix", "filtered", "filtered_sources"],
-            |tokens, key, value| {
-                match key {
-                    "prefix" => s.prefix = string(tokens, value)?,
-                    "filtered" => s.filtered = boolean(tokens, value)?,
-                    "filtered_sources" => {
-                        s.filtered_sources = addrs(tokens, value, "filtered source")?
-                    }
-                    _ => unreachable!("{key} is not a subnet key"),
-                }
-                Ok(())
-            },
-        )?;
+        object!(tokens, first, {
+            prefix => s.prefix = string(tokens)?,
+            filtered => s.filtered = boolean(tokens)?,
+            filtered_sources => s.filtered_sources = addrs(tokens, "filtered source")?,
+        })?;
         Ok(s)
     }
 
@@ -795,21 +822,12 @@ impl<'a> Item<'a> for IfaceFields<'a> {
 
     fn read(tokens: &mut Tokenizer<'a>, first: Token<'a>) -> Json<Self> {
         let mut i = Self::default();
-        members(
-            tokens,
-            first,
-            &["router", "subnet", "addr", "responsive"],
-            |tokens, key, value| {
-                match key {
-                    "router" => i.router = integer(tokens, value)?,
-                    "subnet" => i.subnet = integer(tokens, value)?,
-                    "addr" => i.addr = string(tokens, value)?,
-                    "responsive" => i.responsive = boolean(tokens, value)?,
-                    _ => unreachable!("{key} is not an iface key"),
-                }
-                Ok(())
-            },
-        )?;
+        object!(tokens, first, {
+            router => i.router = integer(tokens)?,
+            subnet => i.subnet = integer(tokens)?,
+            addr => i.addr = string(tokens)?,
+            responsive => i.responsive = boolean(tokens)?,
+        })?;
         Ok(i)
     }
 
@@ -834,14 +852,9 @@ impl<'a> Item<'a> for VantageFields<'a> {
 
     fn read(tokens: &mut Tokenizer<'a>, first: Token<'a>) -> Json<Self> {
         let mut v = Self::default();
-        members(tokens, first, &["name", "addr"], |tokens, key, value| {
-            let s = string(tokens, value)?;
-            match key {
-                "name" => v.name = s,
-                "addr" => v.addr = s,
-                _ => unreachable!("{key} is not a vantage key"),
-            }
-            Ok(())
+        object!(tokens, first, {
+            name => v.name = string(tokens)?,
+            addr => v.addr = string(tokens)?,
         })?;
         Ok(v)
     }
@@ -865,21 +878,12 @@ impl<'a> Item<'a> for GtFields<'a> {
 
     fn read(tokens: &mut Tokenizer<'a>, first: Token<'a>) -> Json<Self> {
         let mut g = Self::default();
-        members(
-            tokens,
-            first,
-            &["prefix", "members", "intent", "network"],
-            |tokens, key, value| {
-                match key {
-                    "prefix" => g.prefix = string(tokens, value)?,
-                    "members" => g.members = addrs(tokens, value, "gt member")?,
-                    "intent" => g.intent = string(tokens, value)?,
-                    "network" => g.network = string(tokens, value)?,
-                    _ => unreachable!("{key} is not a ground-truth key"),
-                }
-                Ok(())
-            },
-        )?;
+        object!(tokens, first, {
+            prefix => g.prefix = string(tokens)?,
+            members => g.members = addrs(tokens, "gt member")?,
+            intent => g.intent = string(tokens)?,
+            network => g.network = string(tokens)?,
+        })?;
         Ok(g)
     }
 

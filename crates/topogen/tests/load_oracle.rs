@@ -707,3 +707,75 @@ fn documents_that_are_not_objects_fail_like_the_oracle() {
         assert_loads_like_the_oracle(text);
     }
 }
+
+/// The writer's own layout with exactly one member spelled, typed,
+/// repeated, dropped or spaced otherwise, at the first place it occurs:
+/// the loader reads the objects up to that member in the writer's key
+/// order and the rest of them member by member, and must load like the
+/// oracle. Where the edit keeps the meaning, the scenario must be the
+/// one written.
+#[test]
+fn one_member_off_the_writers_layout_loads_like_the_oracle() {
+    let scenario = internet2(2010);
+    let text = io::to_json(&scenario);
+    let edit = |from: &str, to: &str| {
+        assert!(text.contains(from), "{from:?} is in the file");
+        text.replacen(from, to, 1)
+    };
+    let compact = serde_json::from_str(&text).unwrap().to_string();
+    let cases = [
+        // Escaped keys, in a row and at the top level.
+        (edit("\"router\": 0,", "\"ro\\u0075ter\": 0,"), true),
+        (edit("\"name\": \"internet2\"", "\"n\\u0061me\": \"internet2\""), true),
+        // The same number spelled otherwise, another number, past 2^64.
+        (edit("\"router\": 1,", "\"router\": 1.0,"), true),
+        (edit("\"router\": 1,", "\"router\": 1e0,"), true),
+        (edit("\"router\": 1,", "\"router\": 01,"), true),
+        (edit("\"router\": 1,", "\"router\": -0,"), false),
+        (edit("\"router\": 1,", "\"router\": 18446744073709551616,"), false),
+        // A string where a `true` goes: the default for `responsive`
+        // is `true`, for `host` `false`.
+        (edit("\"responsive\": true", "\"responsive\": \"true\""), true),
+        (edit("\"host\": true", "\"host\": \"true\""), false),
+        // A duplicate right after the expected key: the first wins.
+        (edit("\"router\": 1,", "\"router\": 1, \"router\": 2,"), true),
+        (edit("\"name\": \"internet2\",", "\"name\": \"internet2\", \"name\": \"x\","), true),
+        // A missing middle key: required, or with a default.
+        (edit("\"subnet\": 0,\n      ", ""), false),
+        (edit("\"host\": false,\n      ", ""), true),
+        // An unknown key between two members.
+        (edit("\"router\": 0,", "\"router\": 0, \"mystery\": [1, {\"a\": null}],"), true),
+        // Other whitespace throughout.
+        (text.replace('\n', "\r\n"), true),
+        (text.replace("  ", "\t"), true),
+        (compact, true),
+    ];
+    for (edited, same) in cases {
+        assert_ne!(edited, text);
+        assert_loads_like_the_oracle(&edited);
+        if same {
+            assert_equivalent(&io::from_json(&edited).unwrap(), &scenario);
+        }
+    }
+}
+
+/// The 4-ISP file with every object's keys sorted and no whitespace:
+/// every object but the rate limits leaves the writer's key order by its
+/// second key.
+#[test]
+fn the_isp_file_with_sorted_keys_loads_the_same_scenario() {
+    fn sort_keys(v: &mut Value) {
+        match v {
+            Value::Object(members) => {
+                members.sort_by(|a, b| a.0.cmp(&b.0));
+                members.iter_mut().for_each(|(_, v)| sort_keys(v));
+            }
+            Value::Array(items) => items.iter_mut().for_each(sort_keys),
+            _ => {}
+        }
+    }
+    let mut doc = isp_doc().clone();
+    sort_keys(&mut doc);
+    let sorted = doc.to_string();
+    assert_equivalent(&io::from_json(&sorted).unwrap(), &isp_internet(2010));
+}

@@ -492,20 +492,152 @@ impl Strategy for EditedDocument {
     type Value = String;
     fn generate(&self, r: &mut TestRunner) -> String {
         let v = value(r, 4);
-        let doc = if r.next_u64() & 1 == 1 { oracle::to_string_pretty(&v) } else { v.to_string() };
-        let mut bytes = doc.into_bytes();
-        for _ in 0..r.below(9) {
-            let at = r.below(bytes.len() as u64 + 1) as usize;
-            match r.below(3) {
-                0 => bytes.truncate(at),
-                1 if at < bytes.len() => bytes[at] ^= (r.next_u64() as u8).max(1),
-                _ => {
-                    let b = pick(r, &[b'"', b'\\', b'u', b'0', b'-', b'.', b'e', b'\n', 0x01]);
-                    bytes.insert(at, b);
-                }
+        edited_print(r, &v)
+    }
+}
+
+/// `v` printed compact or pretty, with up to eight edits.
+fn edited_print(r: &mut TestRunner, v: &Value) -> String {
+    let doc = if r.next_u64() & 1 == 1 { oracle::to_string_pretty(v) } else { v.to_string() };
+    let mut bytes = doc.into_bytes();
+    for _ in 0..r.below(9) {
+        let at = r.below(bytes.len() as u64 + 1) as usize;
+        match r.below(3) {
+            0 => bytes.truncate(at),
+            1 if at < bytes.len() => bytes[at] ^= (r.next_u64() as u8).max(1),
+            _ => {
+                let b = pick(r, &[b'"', b'\\', b'u', b'0', b'-', b'.', b'e', b'\n', 0x01]);
+                bytes.insert(at, b);
             }
         }
-        String::from_utf8_lossy(&bytes).into_owned()
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// Gives every key and string of `v` one of a few short spellings, most
+/// of them without escapes, so that take reads often find what they
+/// look for.
+fn plain_names(r: &mut TestRunner, v: &mut Value) {
+    const NAMES: &[&str] = &["", "a", "ab", "b", "é😀", "a\"b", "tab\t"];
+    match v {
+        Value::String(s) => *s = pick(r, NAMES).to_string(),
+        Value::Array(items) => items.iter_mut().for_each(|item| plain_names(r, item)),
+        Value::Object(members) => {
+            for (key, value) in members {
+                *key = pick(r, NAMES).to_string();
+                plain_names(r, value);
+            }
+        }
+        _ => {}
+    }
+}
+
+/// An [`EditedDocument`], half the time with [`plain_names`], and the
+/// reads to make in it, one a byte: `next_token` for half the bytes and
+/// once they run out, a take read for the rest.
+struct TakesAndTokens;
+
+impl Strategy for TakesAndTokens {
+    type Value = (String, Vec<u8>);
+    fn generate(&self, r: &mut TestRunner) -> (String, Vec<u8>) {
+        let mut v = value(r, 4);
+        if r.next_u64() & 1 == 1 {
+            plain_names(r, &mut v);
+        }
+        let doc = edited_print(r, &v);
+        let picks = (0..r.below(2 * doc.len() as u64 + 2)).map(|_| r.next_u64() as u8).collect();
+        (doc, picks)
+    }
+}
+
+/// The tokens `next_token` alone gives for `doc`, through `End` or the
+/// first error.
+fn tokens_of(doc: &str) -> Vec<Result<serde_json::Token<'_>, String>> {
+    let mut tokens = serde_json::Tokenizer::new(doc);
+    let mut all = Vec::new();
+    loop {
+        let token = tokens.next_token().map_err(|e| e.to_string());
+        let last = matches!(token, Ok(serde_json::Token::End) | Err(_));
+        all.push(token);
+        if last {
+            return all;
+        }
+    }
+}
+
+/// Reads `doc` with the reads `picks` choose (see [`TakesAndTokens`]).
+/// A take that succeeds must read the token `next_token` would give, and
+/// one that fails must leave the tokenizer as it was: the tokens and the
+/// first error must be those of `next_token` alone. The key, string and
+/// `true`/`false` takes must succeed wherever that token is next and
+/// spelled without escapes.
+fn assert_takes_agree_with_next_token(doc: &str, picks: &[u8]) {
+    use serde_json::Token;
+    use std::borrow::Cow;
+
+    let want = tokens_of(doc);
+    let mut tokens = serde_json::Tokenizer::new(doc);
+    let mut picks = picks.iter().copied();
+    let mut at = 0;
+    while at < want.len() {
+        let next = &want[at];
+        let pick = picks.next().unwrap_or(0);
+        let took = match pick % 8 {
+            4 => {
+                // The next key, a prefix of it, a longer key or another.
+                let key = match next {
+                    Ok(Token::Key(k))
+                        if !k.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) =>
+                    {
+                        k.to_string()
+                    }
+                    _ => "a".to_string(),
+                };
+                let key = match pick / 8 % 4 {
+                    0 => key,
+                    1 => key.char_indices().last().map_or(key.clone(), |(i, _)| key[..i].into()),
+                    2 => key + "b",
+                    _ => "ab".into(),
+                };
+                let took = tokens.take_key(&key);
+                let key_next = matches!(next, Ok(Token::Key(Cow::Borrowed(k))) if *k == key);
+                assert_eq!(took, key_next, "{doc:?}: take_key({key:?}) before {next:?}");
+                took
+            }
+            5 => {
+                let got = tokens.take_str();
+                let want = match next {
+                    Ok(Token::String(Cow::Borrowed(s))) => Some(*s),
+                    _ => None,
+                };
+                assert_eq!(got, want, "{doc:?}: take_str before {next:?}");
+                got.is_some()
+            }
+            6 => {
+                let got = tokens.take_u64();
+                if let Some(n) = got {
+                    let same =
+                        matches!(next, Ok(Token::Number(x)) if x.to_bits() == (n as f64).to_bits());
+                    assert!(same, "{doc:?}: take_u64 gave {n} before {next:?}");
+                }
+                got.is_some()
+            }
+            7 => {
+                let got = tokens.take_bool();
+                let want = match next {
+                    Ok(Token::Bool(b)) => Some(*b),
+                    _ => None,
+                };
+                assert_eq!(got, want, "{doc:?}: take_bool before {next:?}");
+                got.is_some()
+            }
+            _ => {
+                let got = tokens.next_token().map_err(|e| e.to_string());
+                assert_eq!(&got, next, "{doc:?}: token {at}");
+                true
+            }
+        };
+        at += usize::from(took);
     }
 }
 
@@ -592,6 +724,44 @@ proptest! {
     #[test]
     fn edited_documents_parse_or_fail_like_the_oracle(doc in EditedDocument) {
         assert_parses_like_the_oracle(&doc);
+    }
+
+    #[test]
+    fn take_reads_agree_with_next_token((doc, picks) in TakesAndTokens) {
+        assert_takes_agree_with_next_token(&doc, &picks);
+    }
+}
+
+/// The take reads at their edges: a key that is a prefix or an
+/// extension of the next one, a key split from its `:` by whitespace or
+/// missing it, numbers that are not plain or have 16 digits, literals
+/// cut short, strings left open, values one level past the nesting
+/// limit, and every read after the document's end. Each is tried
+/// before every token.
+#[test]
+fn take_reads_at_their_edges_agree_with_next_token() {
+    let deep = |depth: usize| format!("{}\"x\"{}", "[".repeat(depth), "]".repeat(depth));
+    let docs = [
+        r#"{"ab":1,"a":2,"abc":3}"#.to_string(),
+        "{ \"a\" \r\n\t:  true ,\n\"b\"\t: false }".into(),
+        r#"{"a" 1}"#.into(),
+        r#"{"a":1,}"#.into(),
+        "[0,01,-0,-1,1.0,1e0,1E0,999999999999999,1000000000000000,18446744073709551616,1x]".into(),
+        "[tru, fals, true, false, truex]".into(),
+        r#"["plain", "esc\"aped", "tab	", "open"#.into(),
+        r#"{"a":"a"}"#.into(),
+        "7 8".into(),
+        deep(128),
+        deep(129),
+        format!("{}{{\"a\":1}}{}", "[".repeat(128), "]".repeat(128)),
+    ];
+    for doc in &docs {
+        let len = tokens_of(doc).len();
+        for pick in [4, 12, 20, 28, 5, 6, 7] {
+            // Each read once before every token, then `next_token`.
+            let picks: Vec<u8> = (0..len).flat_map(|_| [pick, 0]).collect();
+            assert_takes_agree_with_next_token(doc, &picks);
+        }
     }
 }
 
