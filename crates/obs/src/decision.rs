@@ -124,32 +124,31 @@ impl DecisionEvent {
 
     /// Appends the line to either kind of destination.
     pub(crate) fn render(&self, out: &mut impl LineOut) {
-        let mut f = DecisionEvent::start();
-        f.key(Key::Session);
-        f.opt(self.session, Fixed::uint);
-        f.key(Key::Hop);
-        f.uint(self.hop.into());
-        f.key(Key::Phase);
-        f.opt(self.phase().map(Phase::label), Fixed::label);
-        f.key(Key::Cause);
-        f.opt(self.cause.map(Cause::label), Fixed::label);
-        f.key(Key::Subject);
-        f.opt(self.subject, Fixed::addr);
-        f.key(Key::Verdict);
-        f.label(self.verdict.label());
-        f.key(Key::Evidence);
-        out.fixed(&f);
+        out.fixed(Key::Type, |f| {
+            DecisionEvent::start(f);
+            f.key(Key::Session);
+            f.opt(self.session, Fixed::uint);
+            f.key(Key::Hop);
+            f.uint(self.hop.into());
+            f.key(Key::Phase);
+            f.opt(self.phase().map(Phase::label), Fixed::label);
+            f.key(Key::Cause);
+            f.opt(self.cause.map(Cause::label), Fixed::label);
+            f.key(Key::Subject);
+            f.opt(self.subject, Fixed::addr);
+            f.key(Key::Verdict);
+            f.label(self.verdict.label());
+            f.key(Key::Evidence);
+        });
         line::string(out, &self.evidence);
         out.put("}");
     }
 
-    /// How the writer opens a decision line: `{"type":"decision"`. No
-    /// probe line starts so, and a line that does is a decision line,
-    /// since the first of duplicate keys wins.
-    pub(crate) fn start() -> Fixed {
-        let mut f = Fixed::open(Key::Type);
+    /// How the writer opens a decision line after `{"type":`, giving
+    /// `{"type":"decision"`. No probe line starts so, and a line that
+    /// does is a decision line, since the first of duplicate keys wins.
+    pub(crate) fn start(f: &mut Fixed<'_>) {
         f.label(LineType::Decision.label());
-        f
     }
 
     /// Reads a decision back from its [`DecisionEvent::write_line`]

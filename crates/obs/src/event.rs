@@ -354,40 +354,40 @@ impl ProbeEvent {
 
     /// Appends the line to either kind of destination.
     pub(crate) fn render(&self, out: &mut impl LineOut) {
-        let mut f = Fixed::open(Key::Tick);
-        f.uint(self.tick);
-        f.key(Key::Session);
-        f.opt(self.session, Fixed::uint);
-        f.key(Key::Vantage);
-        f.addr(self.vantage);
-        f.key(Key::Dst);
-        f.addr(self.dst);
-        f.key(Key::Ttl);
-        f.uint(self.ttl.into());
-        f.key(Key::Proto);
-        f.label(self.protocol.label());
-        f.key(Key::Flow);
-        f.uint(self.flow.into());
-        f.key(Key::Attempt);
-        f.uint(self.attempt.into());
-        f.key(Key::Outcome);
-        f.label(self.outcome.label());
-        f.key(Key::From);
-        f.opt(self.outcome.source(), Fixed::addr);
-        f.key(Key::Phase);
-        f.opt(self.phase().map(Phase::label), Fixed::label);
-        f.key(Key::Cause);
-        f.opt(self.cause.map(Cause::label), Fixed::label);
-        f.key(Key::TimeoutCause);
-        f.opt(self.timeout_cause.map(TimeoutCause::label), Fixed::label);
-        f.key(Key::Unreach);
-        let unreach = match self.outcome {
-            ProbeOutcome::Unreachable { kind, .. } => Some(kind.label()),
-            _ => None,
-        };
-        f.opt(unreach, Fixed::label);
-        f.raw("}");
-        out.fixed(&f);
+        out.fixed(Key::Tick, |f| {
+            f.uint(self.tick);
+            f.key(Key::Session);
+            f.opt(self.session, Fixed::uint);
+            f.key(Key::Vantage);
+            f.addr(self.vantage);
+            f.key(Key::Dst);
+            f.addr(self.dst);
+            f.key(Key::Ttl);
+            f.uint(self.ttl.into());
+            f.key(Key::Proto);
+            f.label(self.protocol.label());
+            f.key(Key::Flow);
+            f.uint(self.flow.into());
+            f.key(Key::Attempt);
+            f.uint(self.attempt.into());
+            f.key(Key::Outcome);
+            f.label(self.outcome.label());
+            f.key(Key::From);
+            f.opt(self.outcome.source(), Fixed::addr);
+            f.key(Key::Phase);
+            f.opt(self.phase().map(Phase::label), Fixed::label);
+            f.key(Key::Cause);
+            f.opt(self.cause.map(Cause::label), Fixed::label);
+            f.key(Key::TimeoutCause);
+            f.opt(self.timeout_cause.map(TimeoutCause::label), Fixed::label);
+            f.key(Key::Unreach);
+            let unreach = match self.outcome {
+                ProbeOutcome::Unreachable { kind, .. } => Some(kind.label()),
+                _ => None,
+            };
+            f.opt(unreach, Fixed::label);
+            f.raw("}");
+        });
     }
 
     /// Reads an event back from its [`ProbeEvent::write_line`] rendering,

@@ -67,7 +67,7 @@ use wire::Protocol;
 
 use crate::decision::DecisionEvent;
 use crate::event::ProbeEvent;
-use crate::line::{Fixed, LineOut};
+use crate::line::LineOut;
 use crate::read::{Field, Key, Line, LineType};
 use crate::sink::EventSink;
 
@@ -227,12 +227,12 @@ impl<W: Write + Send> ExchangeWriter<W> {
     pub fn write_report(&mut self, session: u64, report: &Value) {
         // The wrapper is written around the report, so the report tree
         // is never copied into a wrapping `Value`.
-        let mut f = Fixed::open(Key::Type);
-        f.label(LineType::Report.label());
-        f.key(Key::Session);
-        f.uint(session);
-        f.key(Key::Report);
-        self.buf.fixed(&f);
+        self.buf.fixed(Key::Type, |f| {
+            f.label(LineType::Report.label());
+            f.key(Key::Session);
+            f.uint(session);
+            f.key(Key::Report);
+        });
         serde_json::write_compact(&mut self.buf, report);
         self.buf.push(b'}');
         self.end_line();
@@ -562,7 +562,8 @@ impl<'a> ExchangeLog<'a> {
     /// once, and decoded if it has no `type`.
     pub fn events_for(&self, session: u64) -> impl Iterator<Item = ProbeEvent> + '_ {
         let runs = self.sessions.get(&session).map_or(&[][..], |s| &s.runs);
-        let decision = DecisionEvent::start();
+        let mut decision = String::new();
+        decision.fixed(Key::Type, DecisionEvent::start);
         runs.iter()
             .flat_map(move |run| {
                 self.text[run.start()..].lines().filter(|l| !l.trim().is_empty()).take(run.lines())

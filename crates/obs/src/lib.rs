@@ -139,7 +139,7 @@ pub use exchange::{
 };
 pub use metrics::{MetricsSnapshot, Registry};
 pub use recorder::Recorder;
-pub use sink::{EventSink, SinkHandle, VecSink};
+pub use sink::{EventBatch, EventSink, SinkHandle, VecSink};
 
 #[cfg(test)]
 mod tests {

@@ -2,17 +2,19 @@
 //!
 //! A probe line, and a decision line up to its evidence, is a fixed list
 //! of keys whose values all have a bounded width: integers, addresses
-//! and snake_case labels. Those fixed fields are put together in a
-//! [`Fixed`] stack buffer and appended to the destination in one copy;
-//! a decision's evidence is escaped into the destination straight
-//! after. The destination is a [`LineOut`]: the caller's `String` for
-//! `write_line`, or the exchange writer's byte buffer.
+//! and snake_case labels. Those fixed fields are written through a
+//! [`Fixed`] cursor over room the destination sets aside for them; a
+//! decision's evidence is escaped into the destination straight after.
+//! The destination is a [`LineOut`]: the exchange writer's byte buffer,
+//! which sets the room aside at its end and keeps what was written, or
+//! the caller's `String` for `write_line`, which takes the fields from a
+//! stack buffer in one copy.
 //!
 //! The bytes are exactly what the vendored `serde_json` shim prints for
 //! the equivalent `Value`: keys in the order the writer emits them,
 //! `null` for absent values, and integers and strings through the
 //! shim's own writers (`write_u64_at` prints an integer in place in the
-//! stack buffer). The one exception is integers above 2^53, which the
+//! cursor's room). The one exception is integers above 2^53, which the
 //! shim's `f64` numbers round and [`Fixed::uint`] prints exactly.
 //! Nothing here allocates beyond the destination's own growth.
 
@@ -22,24 +24,25 @@ use serde_json::{write_u64_at, Output};
 
 use crate::read::Key;
 
-/// A line's fixed fields, rendered on the stack.
-pub(crate) struct Fixed {
-    bytes: [u8; Fixed::CAP],
+/// A line's fixed fields, written into room set aside for them.
+pub(crate) struct Fixed<'a> {
+    bytes: &'a mut [u8],
     len: usize,
 }
 
-impl Fixed {
+impl<'a> Fixed<'a> {
     /// Room for the widest fixed part: a probe line with every integer
     /// at `u64::MAX`, every address at 15 characters, an unreachable
     /// outcome (the only one with both a source and a flavour) and the
     /// longest label of each other kind is 328 bytes (`widest_lines_fit`
     /// checks it).
-    const CAP: usize = 384;
+    pub(crate) const CAP: usize = 384;
 
-    /// A line opened with its first key: `{"key":`.
+    /// A line opened with its first key, `{"key":`, at the start of
+    /// `room`.
     #[inline]
-    pub(crate) fn open(first: Key) -> Fixed {
-        let mut f = Fixed { bytes: [0; Fixed::CAP], len: 0 };
+    fn open(room: &'a mut [u8], first: Key) -> Fixed<'a> {
+        let mut f = Fixed { bytes: room, len: 0 };
         f.key(first);
         f.bytes[0] = b'{';
         f
@@ -47,7 +50,7 @@ impl Fixed {
 
     /// The fields rendered so far.
     #[inline]
-    pub(crate) fn as_bytes(&self) -> &[u8] {
+    fn as_bytes(&self) -> &[u8] {
         &self.bytes[..self.len]
     }
 
@@ -95,7 +98,7 @@ impl Fixed {
     /// Appends `value` as `write` renders it, or `null`. Always inlined,
     /// so each field stays a run of constant copies in its writer.
     #[inline(always)]
-    pub(crate) fn opt<T>(&mut self, value: Option<T>, write: impl FnOnce(&mut Fixed, T)) {
+    pub(crate) fn opt<T>(&mut self, value: Option<T>, write: impl FnOnce(&mut Self, T)) {
         match value {
             Some(v) => write(self, v),
             None => self.raw("null"),
@@ -103,24 +106,36 @@ impl Fixed {
     }
 }
 
-/// Where a line is rendered: a `String`, or a byte buffer that takes the
-/// fixed fields without checking them again for UTF-8.
+/// Where a line is rendered: a byte buffer that keeps the fixed fields
+/// where they were written, or a `String`.
 pub(crate) trait LineOut: Output {
-    /// Appends the fixed fields in one copy.
-    fn fixed(&mut self, f: &Fixed);
+    /// Appends a line's fixed fields: `{"first":`, then what `render`
+    /// writes.
+    fn fixed(&mut self, first: Key, render: impl FnOnce(&mut Fixed<'_>));
 }
 
 impl LineOut for String {
     #[inline]
-    fn fixed(&mut self, f: &Fixed) {
+    fn fixed(&mut self, first: Key, render: impl FnOnce(&mut Fixed<'_>)) {
+        let mut room = [0; Fixed::CAP];
+        let mut f = Fixed::open(&mut room, first);
+        render(&mut f);
         self.push_str(std::str::from_utf8(f.as_bytes()).expect("fixed fields are ASCII"));
     }
 }
 
 impl LineOut for Vec<u8> {
+    /// Sets `Fixed::CAP` bytes aside at the end, lets `render` write
+    /// into them and cuts off what it left unused, so the fields are
+    /// written once and never copied.
     #[inline]
-    fn fixed(&mut self, f: &Fixed) {
-        self.extend_from_slice(f.as_bytes());
+    fn fixed(&mut self, first: Key, render: impl FnOnce(&mut Fixed<'_>)) {
+        let start = self.len();
+        self.resize(start + Fixed::CAP, 0);
+        let mut f = Fixed::open(&mut self[start..], first);
+        render(&mut f);
+        let end = start + f.len;
+        self.truncate(end);
     }
 }
 

@@ -8,7 +8,7 @@ use crate::ctx;
 use crate::decision::{DecisionEvent, DecisionVerdict};
 use crate::event::{Cause, ProbeEvent};
 use crate::metrics::Registry;
-use crate::sink::SinkHandle;
+use crate::sink::{Recorded, SinkHandle};
 
 /// Bundles an event sink and a metrics registry behind one cheap
 /// enabled check.
@@ -61,6 +61,13 @@ impl Recorder {
         self
     }
 
+    /// The attached sink (a disabled handle when there is none). A batch
+    /// driver feeds it from a thread of its own and gives each worker a
+    /// recorder whose sink is a [`SinkHandle::batching`] hand-off.
+    pub fn sink(&self) -> &SinkHandle {
+        &self.sink
+    }
+
     /// Whether any observer is attached.
     pub fn is_enabled(&self) -> bool {
         self.sink.is_enabled() || self.metrics.is_some()
@@ -80,7 +87,7 @@ impl Recorder {
         if let Some(metrics) = &self.metrics {
             metrics.record(&event);
         }
-        self.sink.emit(&event);
+        self.sink.send(Recorded::Probe(event));
     }
 
     /// Records one pipeline decision at trace hop `hop`: the step or
@@ -109,7 +116,7 @@ impl Recorder {
             verdict,
             evidence: evidence(),
         };
-        self.sink.emit_decision(&decision);
+        self.sink.send(Recorded::Decision(decision));
     }
 
     /// Flushes the sink, if any.

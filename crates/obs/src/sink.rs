@@ -1,7 +1,8 @@
 //! Event sinks: where probe events go.
 
 use std::io;
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::decision::DecisionEvent;
 use crate::event::ProbeEvent;
@@ -11,6 +12,14 @@ use crate::event::ProbeEvent;
 /// Sinks receive every wire attempt a recorder-carrying prober makes.
 /// Implementations should be cheap per call; expensive work belongs
 /// behind buffering (see [`crate::ExchangeWriter`]).
+///
+/// Who calls a sink depends on the driver. A session run on its own
+/// calls it from the probing thread, per event. `sweep::run_batch`
+/// calls it from one drain thread of its own: the caller's thread and
+/// `jobs − 1` helpers probe, and each hands its events over in batches
+/// ([`SinkHandle::batching`], [`SinkHandle::feed`]). At one job the sink
+/// sees the events in the order a plain loop emits them; at more, each
+/// worker's events stay in order and the workers' batches interleave.
 pub trait EventSink: Send {
     /// Consumes one event.
     fn emit(&mut self, event: &ProbeEvent);
@@ -102,14 +111,138 @@ impl<A: EventSink, B: EventSink> EventSink for (A, B) {
     }
 }
 
-/// A cloneable, shareable handle to an installed sink, or disabled.
+/// One event as a batch carries it: moved out of the recorder that
+/// built it, not cloned.
+#[derive(Debug)]
+pub(crate) enum Recorded {
+    Probe(ProbeEvent),
+    Decision(DecisionEvent),
+}
+
+impl Recorded {
+    fn feed(&self, sink: &mut dyn EventSink) {
+        match self {
+            Recorded::Probe(event) => sink.emit(event),
+            Recorded::Decision(decision) => sink.emit_decision(decision),
+        }
+    }
+}
+
+/// Events one thread recorded through a [`SinkHandle::batching`]
+/// handle, in the order it recorded them, on their way to
+/// [`SinkHandle::feed`].
+///
+/// Dropped after it was fed, a batch goes back to the handle that
+/// collected it, and that handle drops the events, on the thread that
+/// built them, when it reuses the buffer. Memory one thread allocates is
+/// then freed by the same thread: a drain thread that freed the events
+/// itself would contend with the recording thread for its allocator.
+#[derive(Debug, Default)]
+pub struct EventBatch {
+    events: Vec<Recorded>,
+    home: Option<Sender<Vec<Recorded>>>,
+}
+
+impl EventBatch {
+    /// Number of events (probes and decisions) in the batch.
+    pub fn len(&self) -> usize {
+        self.events.len()
+    }
+
+    /// Whether the batch holds no event.
+    pub fn is_empty(&self) -> bool {
+        self.events.is_empty()
+    }
+}
+
+impl Drop for EventBatch {
+    fn drop(&mut self) {
+        if let Some(home) = &self.home {
+            // Once the handle is gone, the events are dropped here.
+            let _ = home.send(std::mem::take(&mut self.events));
+        }
+    }
+}
+
+/// What a [`SinkHandle::batching`] handle shares between its clones: the
+/// batch being filled, where full batches go and how fed ones return.
+struct Batcher {
+    capacity: usize,
+    open: Mutex<Open>,
+    home: Sender<Vec<Recorded>>,
+    ship: Box<dyn Fn(EventBatch) + Send + Sync>,
+}
+
+/// The batch being filled, and the buffers of fed batches.
+struct Open {
+    events: Vec<Recorded>,
+    fed: Receiver<Vec<Recorded>>,
+}
+
+impl Batcher {
+    fn push(&self, event: Recorded) {
+        let full = {
+            // Nothing panics while the lock is held, but a poisoned
+            // batch is still whole.
+            let mut open = self.open.lock().unwrap_or_else(PoisonError::into_inner);
+            open.events.push(event);
+            if open.events.len() < self.capacity {
+                return;
+            }
+            // A fed batch's buffer, its events dropped here, or a new one.
+            let next = match open.fed.try_recv() {
+                Ok(mut events) => {
+                    events.clear();
+                    events
+                }
+                Err(_) => Vec::with_capacity(self.capacity),
+            };
+            std::mem::replace(&mut open.events, next)
+        };
+        self.ship(full);
+    }
+
+    /// Ships the batch being filled, if it holds anything.
+    fn ship_open(&self) {
+        let open = {
+            let mut open = self.open.lock().unwrap_or_else(PoisonError::into_inner);
+            std::mem::take(&mut open.events)
+        };
+        if !open.is_empty() {
+            self.ship(open);
+        }
+    }
+
+    fn ship(&self, events: Vec<Recorded>) {
+        (self.ship)(EventBatch { events, home: Some(self.home.clone()) });
+    }
+}
+
+impl Drop for Batcher {
+    /// The last clone of the handle ships what is left, so the events of
+    /// a thread that unwinds still arrive.
+    fn drop(&mut self) {
+        self.ship_open();
+    }
+}
+
+/// A cloneable, shareable handle to an installed sink, to a batching
+/// hand-off, or disabled.
 ///
 /// This is the form probers carry: checking for the disabled state is
-/// one `Option` test, and the event is only constructed when a sink is
-/// actually present.
+/// one test, and the event is only constructed when a sink is actually
+/// present.
 #[derive(Clone, Default)]
 pub struct SinkHandle {
-    inner: Option<Arc<Mutex<dyn EventSink>>>,
+    inner: Inner,
+}
+
+#[derive(Clone, Default)]
+enum Inner {
+    #[default]
+    Disabled,
+    Sink(Arc<Mutex<dyn EventSink>>),
+    Batching(Arc<Batcher>),
 }
 
 impl SinkHandle {
@@ -120,33 +253,90 @@ impl SinkHandle {
 
     /// Wraps a sink for sharing.
     pub fn new(sink: impl EventSink + 'static) -> SinkHandle {
-        SinkHandle { inner: Some(Arc::new(Mutex::new(sink))) }
+        SinkHandle { inner: Inner::Sink(Arc::new(Mutex::new(sink))) }
     }
 
-    /// Whether a sink is installed.
+    /// A handle that feeds no sink itself: it collects the events
+    /// emitted through it, and through its clones, into one batch and
+    /// hands the batch to `ship` each time it holds `capacity` events.
+    /// [`flush`](SinkHandle::flush), and dropping the last clone, ship
+    /// what is left. Events a [`Recorder`](crate::Recorder) builds move
+    /// into the batch; events passed by reference are cloned.
+    ///
+    /// Meant for one thread: the clones share one batch behind a lock
+    /// that only that thread takes. `ship` runs on the emitting thread,
+    /// outside the lock, and may block.
+    pub fn batching(
+        capacity: usize,
+        ship: impl Fn(EventBatch) + Send + Sync + 'static,
+    ) -> SinkHandle {
+        let capacity = capacity.max(1);
+        let (home, fed) = channel();
+        let open = Open { events: Vec::with_capacity(capacity), fed };
+        let batcher = Batcher { capacity, open: Mutex::new(open), home, ship: Box::new(ship) };
+        SinkHandle { inner: Inner::Batching(Arc::new(batcher)) }
+    }
+
+    /// Whether a sink or a batching hand-off is installed.
     pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
+        !matches!(self.inner, Inner::Disabled)
     }
 
     /// Sends one event to the sink, if any.
     pub fn emit(&self, event: &ProbeEvent) {
-        if let Some(sink) = &self.inner {
-            sink.lock().expect("sink lock").emit(event);
+        match &self.inner {
+            Inner::Disabled => {}
+            Inner::Sink(sink) => sink.lock().expect("sink lock").emit(event),
+            Inner::Batching(batcher) => batcher.push(Recorded::Probe(event.clone())),
         }
     }
 
     /// Sends one decision to the sink, if any.
     pub fn emit_decision(&self, decision: &DecisionEvent) {
-        if let Some(sink) = &self.inner {
-            sink.lock().expect("sink lock").emit_decision(decision);
+        match &self.inner {
+            Inner::Disabled => {}
+            Inner::Sink(sink) => sink.lock().expect("sink lock").emit_decision(decision),
+            Inner::Batching(batcher) => batcher.push(Recorded::Decision(decision.clone())),
         }
     }
 
-    /// Flushes the sink, if any.
+    /// Sends one event the caller gives up: a batching handle keeps it
+    /// without a copy.
+    pub(crate) fn send(&self, event: Recorded) {
+        match &self.inner {
+            Inner::Disabled => {}
+            Inner::Sink(sink) => event.feed(&mut *sink.lock().expect("sink lock")),
+            Inner::Batching(batcher) => batcher.push(event),
+        }
+    }
+
+    /// Sends every event of `batch`, in order. A sink is locked once for
+    /// the whole batch.
+    pub fn feed(&self, mut batch: EventBatch) {
+        match &self.inner {
+            Inner::Disabled => {}
+            Inner::Sink(sink) => {
+                let mut sink = sink.lock().expect("sink lock");
+                for event in &batch.events {
+                    event.feed(&mut *sink);
+                }
+            }
+            Inner::Batching(batcher) => {
+                std::mem::take(&mut batch.events).into_iter().for_each(|e| batcher.push(e))
+            }
+        }
+    }
+
+    /// Flushes the sink, if any. A batching handle ships the events it
+    /// holds.
     pub fn flush(&self) -> io::Result<()> {
         match &self.inner {
-            Some(sink) => sink.lock().expect("sink lock").flush(),
-            None => Ok(()),
+            Inner::Disabled => Ok(()),
+            Inner::Sink(sink) => sink.lock().expect("sink lock").flush(),
+            Inner::Batching(batcher) => {
+                batcher.ship_open();
+                Ok(())
+            }
         }
     }
 }

@@ -11,11 +11,10 @@
 //! interleaving (no rate limiting, no fluctuation). The conformance
 //! suite in `tests/conformance.rs` pins exactly that property.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
-
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use inet::Addr;
 use obs::Recorder;
@@ -23,13 +22,15 @@ use probe::{IdentAllocator, IdentSpace, Prober, Protocol, RetryPolicy, SharedNet
 use tracenet::{Session, SubnetStore, TraceReport, TracenetOptions};
 
 use crate::cache::{CacheStats, SubnetCache};
+use crate::drain::Endpoints;
 
 /// Configuration of one batch run.
 #[derive(Clone, Copy, Debug)]
 pub struct BatchConfig {
     /// Worker threads, the calling thread included: `jobs − 1` helpers
     /// are spawned, so values ≤ 1 run every session on the calling
-    /// thread, in target order.
+    /// thread, in target order. When the recorder has a sink, one more
+    /// thread, the drain, feeds it the workers' events.
     pub jobs: usize,
     /// Whether sessions share a cross-session [`SubnetCache`].
     pub use_cache: bool,
@@ -110,8 +111,21 @@ fn run_session<P: Prober>(
 /// Runs one tracenet session per target against a shared network,
 /// fanning the targets across `cfg.jobs` workers: the calling thread and
 /// `jobs − 1` spawned helpers run one loop, each claiming the next target
-/// and storing its report in that target's slot. With one job nothing is
-/// spawned and the sessions run on the calling thread, in target order.
+/// and storing its report in that target's slot. With one job no worker
+/// is spawned and the sessions run on the calling thread, in target
+/// order.
+///
+/// When `recorder` has a sink, one drain thread is spawned besides the
+/// workers and is the only thread that calls the sink. Each worker hands
+/// its probe and decision events over in batches of about a thousand,
+/// through a bounded queue, so rendering and writing them run beside the
+/// probing. At one job the sink sees every event in the order the
+/// sessions emit it, as with the sink called directly; at more, each
+/// worker's events stay in order and the workers' batches interleave.
+/// This returns only after every event has reached the sink, an aborted
+/// session's included, so a caller can append to the same log right
+/// away. A sink that panics makes this panic once the workers are done;
+/// the events after its failure are dropped.
 ///
 /// Session k probes with ident `k mod 32 768` of the tracenet namespace
 /// ([`probe::IdentBlock::get`]), so a batch of more than 32 768 targets,
@@ -128,10 +142,7 @@ pub fn run_batch(
     let store: Option<Arc<dyn SubnetStore>> =
         cfg.use_cache.then(|| Arc::new(SubnetCache::new()) as Arc<dyn SubnetStore>);
     let block = IdentAllocator::new().block(IdentSpace::Tracenet, targets.len());
-    let session = |k: usize| {
-        // Tag every event of this session with its target index, so
-        // multiplexed logs partition cleanly per target.
-        let recorder = recorder.clone().with_session(k as u64);
+    let reports = run_sessions(targets.len(), cfg.jobs, recorder, |k, recorder| {
         let prober = net
             .prober(vantage, cfg.protocol)
             .ident(block.get(k))
@@ -139,30 +150,47 @@ pub fn run_batch(
             .retry_policy(cfg.retry)
             .recorder(recorder.clone());
         run_session(prober, targets[k], cfg.opts, store.clone(), &recorder)
-    };
-
-    let slots: Vec<OnceLock<TraceReport>> = targets.iter().map(|_| OnceLock::new()).collect();
-    let next = AtomicUsize::new(0);
-    let worker = || loop {
-        let k = next.fetch_add(1, Ordering::Relaxed);
-        let Some(slot) = slots.get(k) else { break };
-        // Each index is claimed once, so the slot is empty.
-        let _ = slot.set(session(k));
-    };
-    std::thread::scope(|scope| {
-        for _ in 1..cfg.jobs.clamp(1, targets.len().max(1)) {
-            scope.spawn(worker);
-        }
-        worker();
     });
-    let reports: Vec<TraceReport> = slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("every target index was claimed and run"))
-        .collect();
     let probes = reports.iter().map(|r| r.total_probes).sum();
     let cache =
         if cfg.use_cache { CacheStats::from_reports(&reports) } else { CacheStats::default() };
     BatchResult { probes, reports, cache }
+}
+
+/// Runs `session(k, recorder)` for every k below `count` on `jobs`
+/// workers, the calling thread included, and returns the reports in
+/// index order. Each worker claims the next index and stores the report
+/// in that index's slot. `recorder` is tagged with session k; when the
+/// caller's recorder has a sink, it is the worker's hand-off to the
+/// drain thread, which this returns only after.
+fn run_sessions(
+    count: usize,
+    jobs: usize,
+    recorder: &Recorder,
+    session: impl Fn(usize, Recorder) -> TraceReport + Sync,
+) -> Vec<TraceReport> {
+    let slots: Vec<OnceLock<TraceReport>> = (0..count).map(|_| OnceLock::new()).collect();
+    let next = AtomicUsize::new(0);
+    let worker = |recorder: Recorder| loop {
+        let k = next.fetch_add(1, Ordering::Relaxed);
+        let Some(slot) = slots.get(k) else { break };
+        // Tag every event of this session with its target index, so
+        // multiplexed logs partition cleanly per target. Each index is
+        // claimed once, so the slot is empty.
+        let _ = slot.set(session(k, recorder.clone().with_session(k as u64)));
+    };
+    std::thread::scope(|scope| {
+        let endpoints = Endpoints::open(scope, recorder);
+        for _ in 1..jobs.clamp(1, count.max(1)) {
+            let recorder = endpoints.worker();
+            scope.spawn(move || worker(recorder));
+        }
+        worker(endpoints.worker());
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("every target index was claimed and run"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -338,6 +366,59 @@ mod tests {
         assert!(!report.destination_reached);
         assert_eq!(report.completeness(), tracenet::Completeness::Abandoned);
         assert_eq!(report.destination, "10.9.9.9".parse::<Addr>().unwrap());
+    }
+
+    #[test]
+    fn an_aborted_sessions_events_still_reach_the_sink() {
+        use obs::{SinkHandle, VecSink};
+        use probe::{ProbeOutcome, ProbeStats};
+
+        /// Probes through `inner` `left` times, then panics.
+        struct Fuse<P> {
+            inner: P,
+            left: usize,
+        }
+        impl<P: Prober> Prober for Fuse<P> {
+            fn src(&self) -> Addr {
+                self.inner.src()
+            }
+            fn protocol(&self) -> Protocol {
+                self.inner.protocol()
+            }
+            fn probe_with_flow(&mut self, dst: Addr, ttl: u8, flow: u16) -> ProbeOutcome {
+                assert!(self.left > 0, "simulated failure after probing");
+                self.left -= 1;
+                self.inner.probe_with_flow(dst, ttl, flow)
+            }
+            fn stats(&self) -> ProbeStats {
+                self.inner.stats()
+            }
+        }
+
+        let (shared, names) = chain_net();
+        let (vantage, dest) = (names.addr("vantage"), names.addr("dest"));
+        let fused = |recorder: Recorder| {
+            let prober = shared.prober(vantage, Protocol::Icmp).recorder(recorder.clone());
+            let fuse = Fuse { inner: prober, left: 5 };
+            run_session(fuse, dest, TracenetOptions::default(), None, &recorder)
+        };
+        // The sink attached directly sees what the session sent before it
+        // panicked.
+        let direct = VecSink::new();
+        fused(Recorder::new().with_sink(SinkHandle::new(direct.clone())).with_session(0));
+        let want: Vec<_> = direct.events().into_iter().map(|e| (e.dst, e.ttl)).collect();
+        assert!(!want.is_empty());
+
+        let sink = VecSink::new();
+        let recorder = Recorder::new().with_sink(SinkHandle::new(sink.clone()));
+        let reports = run_sessions(3, 2, &recorder, |_, recorder| fused(recorder));
+        assert!(reports.iter().all(|r| r.aborted));
+        let events = sink.events();
+        for k in 0..3 {
+            let got: Vec<_> =
+                events.iter().filter(|e| e.session == Some(k)).map(|e| (e.dst, e.ttl)).collect();
+            assert_eq!(got, want, "session {k}");
+        }
     }
 
     #[test]

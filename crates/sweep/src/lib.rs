@@ -15,7 +15,9 @@
 //!   and `jobs − 1` helpers over one shared network, that stores each
 //!   report in its target's slot, with probe idents drawn from disjoint
 //!   namespaces ([`IdentSpace`]) as a pure function of the target index.
-//!   At one job nothing is spawned and the sessions run in target order.
+//!   At one job no worker is spawned and the sessions run in target
+//!   order. A recorded batch adds one drain thread, which alone feeds
+//!   the recorder's sink the events the workers hand over in batches.
 //!
 //! The engine is *proven observation-equivalent, not assumed*, on
 //! history-independent topologies: the conformance suite
@@ -32,6 +34,7 @@
 #![warn(missing_docs)]
 
 pub mod cache;
+mod drain;
 pub mod engine;
 
 pub use cache::{CacheStats, SubnetCache};
