@@ -143,18 +143,6 @@ pub struct EventBatch {
     home: Option<Sender<Vec<Recorded>>>,
 }
 
-impl EventBatch {
-    /// Number of events (probes and decisions) in the batch.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the batch holds no event.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-}
-
 impl Drop for EventBatch {
     fn drop(&mut self) {
         if let Some(home) = &self.home {
