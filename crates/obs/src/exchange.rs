@@ -590,7 +590,7 @@ mod tests {
     use super::*;
     use crate::decision::DecisionVerdict;
     use crate::event::{Cause, ProbeOutcome};
-    use crate::sink::SinkHandle;
+    use crate::sink::{Recorded, SinkHandle};
 
     fn header() -> ExchangeHeader {
         ExchangeHeader {
@@ -766,8 +766,8 @@ mod tests {
         let out = Shared::default();
         let writer = Arc::new(Mutex::new(ExchangeWriter::new(out.clone(), &header()).unwrap()));
         let handle = SinkHandle::new(ExchangeSink::new(Arc::clone(&writer)));
-        handle.emit(&ev(0, 1));
-        handle.emit_decision(&decision(0));
+        handle.send(Recorded::Probe(ev(0, 1)));
+        handle.send(Recorded::Decision(decision(0)));
         assert_eq!(out.text(), "", "lines stay buffered until a flush");
         handle.flush().unwrap();
         let flushed = out.text();

@@ -1,7 +1,7 @@
 //! Event sinks: where probe events go.
 
 use std::io;
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender, SyncSender};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::decision::DecisionEvent;
@@ -137,28 +137,30 @@ impl Recorded {
 /// built them, when it reuses the buffer. Memory one thread allocates is
 /// then freed by the same thread: a drain thread that freed the events
 /// itself would contend with the recording thread for its allocator.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct EventBatch {
     events: Vec<Recorded>,
-    home: Option<Sender<Vec<Recorded>>>,
+    home: Sender<Vec<Recorded>>,
+}
+
+impl EventBatch {
+    /// Events a batching handle collects before it sends them on.
+    pub const CAPACITY: usize = 1024;
 }
 
 impl Drop for EventBatch {
     fn drop(&mut self) {
-        if let Some(home) = &self.home {
-            // Once the handle is gone, the events are dropped here.
-            let _ = home.send(std::mem::take(&mut self.events));
-        }
+        // Once the handle is gone, the events are dropped here.
+        let _ = self.home.send(std::mem::take(&mut self.events));
     }
 }
 
 /// What a [`SinkHandle::batching`] handle shares between its clones: the
 /// batch being filled, where full batches go and how fed ones return.
 struct Batcher {
-    capacity: usize,
     open: Mutex<Open>,
     home: Sender<Vec<Recorded>>,
-    ship: Box<dyn Fn(EventBatch) + Send + Sync>,
+    queue: SyncSender<EventBatch>,
 }
 
 /// The batch being filled, and the buffers of fed batches.
@@ -174,7 +176,7 @@ impl Batcher {
             // batch is still whole.
             let mut open = self.open.lock().unwrap_or_else(PoisonError::into_inner);
             open.events.push(event);
-            if open.events.len() < self.capacity {
+            if open.events.len() < EventBatch::CAPACITY {
                 return;
             }
             // A fed batch's buffer, its events dropped here, or a new one.
@@ -183,7 +185,7 @@ impl Batcher {
                     events.clear();
                     events
                 }
-                Err(_) => Vec::with_capacity(self.capacity),
+                Err(_) => Vec::with_capacity(EventBatch::CAPACITY),
             };
             std::mem::replace(&mut open.events, next)
         };
@@ -201,8 +203,10 @@ impl Batcher {
         }
     }
 
+    /// Waits while the queue is full. A send fails only once the
+    /// receiving end is gone; the batch's events are then dropped.
     fn ship(&self, events: Vec<Recorded>) {
-        (self.ship)(EventBatch { events, home: Some(self.home.clone()) });
+        let _ = self.queue.send(EventBatch { events, home: self.home.clone() });
     }
 }
 
@@ -244,24 +248,20 @@ impl SinkHandle {
         SinkHandle { inner: Inner::Sink(Arc::new(Mutex::new(sink))) }
     }
 
-    /// A handle that feeds no sink itself: it collects the events
-    /// emitted through it, and through its clones, into one batch and
-    /// hands the batch to `ship` each time it holds `capacity` events.
-    /// [`flush`](SinkHandle::flush), and dropping the last clone, ship
-    /// what is left. Events a [`Recorder`](crate::Recorder) builds move
-    /// into the batch; events passed by reference are cloned.
+    /// A handle that feeds no sink itself: the events a
+    /// [`Recorder`](crate::Recorder) records through it, and through its
+    /// clones, move into one batch, which goes to `queue` each time it
+    /// holds [`EventBatch::CAPACITY`] events. [`flush`](SinkHandle::flush),
+    /// and dropping the last clone, send what is left. Whoever receives
+    /// the batches feeds them to a sink ([`SinkHandle::feed`]).
     ///
     /// Meant for one thread: the clones share one batch behind a lock
-    /// that only that thread takes. `ship` runs on the emitting thread,
-    /// outside the lock, and may block.
-    pub fn batching(
-        capacity: usize,
-        ship: impl Fn(EventBatch) + Send + Sync + 'static,
-    ) -> SinkHandle {
-        let capacity = capacity.max(1);
+    /// that only that thread takes. A send waits, outside the lock,
+    /// while the queue is full.
+    pub fn batching(queue: SyncSender<EventBatch>) -> SinkHandle {
         let (home, fed) = channel();
-        let open = Open { events: Vec::with_capacity(capacity), fed };
-        let batcher = Batcher { capacity, open: Mutex::new(open), home, ship: Box::new(ship) };
+        let open = Open { events: Vec::with_capacity(EventBatch::CAPACITY), fed };
+        let batcher = Batcher { open: Mutex::new(open), home, queue };
         SinkHandle { inner: Inner::Batching(Arc::new(batcher)) }
     }
 
@@ -270,25 +270,7 @@ impl SinkHandle {
         !matches!(self.inner, Inner::Disabled)
     }
 
-    /// Sends one event to the sink, if any.
-    pub fn emit(&self, event: &ProbeEvent) {
-        match &self.inner {
-            Inner::Disabled => {}
-            Inner::Sink(sink) => sink.lock().expect("sink lock").emit(event),
-            Inner::Batching(batcher) => batcher.push(Recorded::Probe(event.clone())),
-        }
-    }
-
-    /// Sends one decision to the sink, if any.
-    pub fn emit_decision(&self, decision: &DecisionEvent) {
-        match &self.inner {
-            Inner::Disabled => {}
-            Inner::Sink(sink) => sink.lock().expect("sink lock").emit_decision(decision),
-            Inner::Batching(batcher) => batcher.push(Recorded::Decision(decision.clone())),
-        }
-    }
-
-    /// Sends one event the caller gives up: a batching handle keeps it
+    /// Sends one event to the sink, if any; a batching handle keeps it
     /// without a copy.
     pub(crate) fn send(&self, event: Recorded) {
         match &self.inner {
@@ -298,9 +280,13 @@ impl SinkHandle {
         }
     }
 
-    /// Sends every event of `batch`, in order. A sink is locked once for
-    /// the whole batch.
-    pub fn feed(&self, mut batch: EventBatch) {
+    /// Sends every event of `batch` to the sink, in order, under one
+    /// lock.
+    ///
+    /// # Panics
+    ///
+    /// On a batching handle: batches are fed to a sink, never handed on.
+    pub fn feed(&self, batch: EventBatch) {
         match &self.inner {
             Inner::Disabled => {}
             Inner::Sink(sink) => {
@@ -309,13 +295,11 @@ impl SinkHandle {
                     event.feed(&mut *sink);
                 }
             }
-            Inner::Batching(batcher) => {
-                std::mem::take(&mut batch.events).into_iter().for_each(|e| batcher.push(e))
-            }
+            Inner::Batching(_) => unreachable!("a batching handle is fed to no other"),
         }
     }
 
-    /// Flushes the sink, if any. A batching handle ships the events it
+    /// Flushes the sink, if any. A batching handle sends the events it
     /// holds.
     pub fn flush(&self) -> io::Result<()> {
         match &self.inner {
@@ -374,8 +358,8 @@ mod tests {
         let reader = sink.clone();
         let handle = SinkHandle::new(sink);
         assert!(handle.is_enabled());
-        handle.emit(&ev(1));
-        handle.emit(&ev(2));
+        handle.send(Recorded::Probe(ev(1)));
+        handle.send(Recorded::Probe(ev(2)));
         assert_eq!(reader.len(), 2);
         assert_eq!(reader.events()[1].ttl, 2);
     }
@@ -384,7 +368,7 @@ mod tests {
     fn disabled_handle_is_inert() {
         let handle = SinkHandle::disabled();
         assert!(!handle.is_enabled());
-        handle.emit(&ev(1));
+        handle.send(Recorded::Probe(ev(1)));
         handle.flush().unwrap();
     }
 
@@ -393,8 +377,8 @@ mod tests {
         let sink = VecSink::new();
         let reader = sink.clone();
         let handle = SinkHandle::new(sink);
-        handle.emit(&ev(1));
-        handle.emit_decision(&decision());
+        handle.send(Recorded::Probe(ev(1)));
+        handle.send(Recorded::Decision(decision()));
         assert_eq!(reader.len(), 1, "decisions do not count as probe events");
         assert_eq!(reader.decisions().len(), 1);
     }
@@ -403,12 +387,35 @@ mod tests {
     fn a_pair_feeds_both_sinks() {
         let (a, b) = (VecSink::new(), VecSink::new());
         let handle = SinkHandle::new((a.clone(), b.clone()));
-        handle.emit(&ev(1));
-        handle.emit_decision(&decision());
+        handle.send(Recorded::Probe(ev(1)));
+        handle.send(Recorded::Decision(decision()));
         handle.flush().unwrap();
         for sink in [a, b] {
             assert_eq!(sink.events(), vec![ev(1)]);
             assert_eq!(sink.decisions(), vec![decision()]);
         }
+    }
+
+    #[test]
+    fn a_batching_handle_sends_full_batches_and_the_rest_when_dropped() {
+        let (queue, batches) = std::sync::mpsc::sync_channel(4);
+        let handle = SinkHandle::batching(queue);
+        let clone = handle.clone();
+        let count = EventBatch::CAPACITY as u64 + 3;
+        for tick in 0..count {
+            clone.send(Recorded::Probe(ProbeEvent { tick, ..ev(1) }));
+        }
+        let sink = VecSink::new();
+        let fed = SinkHandle::new(sink.clone());
+        fed.feed(batches.try_recv().expect("one full batch"));
+        assert_eq!(sink.len(), EventBatch::CAPACITY);
+        assert!(batches.try_recv().is_err(), "the open batch stays while a clone lives");
+
+        drop(clone);
+        assert!(batches.try_recv().is_err());
+        drop(handle);
+        fed.feed(batches.try_recv().expect("the last clone sends the rest"));
+        let ticks: Vec<u64> = sink.events().iter().map(|e| e.tick).collect();
+        assert_eq!(ticks, (0..count).collect::<Vec<_>>());
     }
 }

@@ -12,8 +12,9 @@
 //!   workers' batches interleave.
 //! - At most `QUEUE_BATCHES` full batches wait in the queue, one more is
 //!   being fed, and each worker fills one: `(QUEUE_BATCHES + 1 + jobs) ×
-//!   BATCH_EVENTS` events in flight, at 64 bytes each plus a decision's
-//!   evidence text. At two jobs that is 7 168 events, under 0.5 MiB.
+//!   EventBatch::CAPACITY` events in flight, at 64 bytes each plus a
+//!   decision's evidence text. At two jobs that is 4 096 events,
+//!   256 KiB.
 //!   A fed batch goes back to its worker, whose hand-off drops the events
 //!   when it reuses the buffer; until then it holds them, which at most
 //!   doubles the bound.
@@ -30,11 +31,12 @@ use std::thread::Scope;
 
 use obs::{EventBatch, Recorder, SinkHandle};
 
-/// Events a worker collects before it hands them over.
-const BATCH_EVENTS: usize = 1024;
-
 /// Full batches the queue holds; a worker that finds it full waits.
-const QUEUE_BATCHES: usize = 4;
+/// One keeps the drain thread busy while the workers fill their next
+/// batches. A deeper queue only holds more events: four added about
+/// 0.5 MiB to the peak memory of a two-job recording of the 4-ISP
+/// internet, at the same speed.
+const QUEUE_BATCHES: usize = 1;
 
 /// Hands out the recorder each worker of a batch records through.
 pub(crate) struct Endpoints {
@@ -61,11 +63,6 @@ impl Endpoints {
     /// worker takes its own.
     pub(crate) fn worker(&self) -> Recorder {
         let Some(queue) = &self.queue else { return self.recorder.clone() };
-        let queue = queue.clone();
-        // A send fails only once the drain thread has panicked.
-        let handoff = SinkHandle::batching(BATCH_EVENTS, move |batch| {
-            let _ = queue.send(batch);
-        });
-        self.recorder.clone().with_sink(handoff)
+        self.recorder.clone().with_sink(SinkHandle::batching(queue.clone()))
     }
 }
